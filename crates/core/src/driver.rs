@@ -17,14 +17,15 @@
 //!    campaign counts), never of `threads`;
 //! 2. workers claim shard indices from a shared queue — claiming order
 //!    is racy, but each shard's output is entirely local;
-//! 3. the merge walks shards in plan order, so the merged insertion
-//!    order ("shard-major": benign shards ascending, then campaign
-//!    shards ascending) is a constant of the config.
+//! 3. the merge walks shards in plan order, so each family's run list
+//!    ("shard-major": benign shards ascending, then campaign shards
+//!    ascending) is a constant of the config.
 //!
-//! [`RequestStore`] sorts records by timestamp with a *stable* sort, so
-//! equal-timestamp ties resolve by that insertion order — identical in
-//! every run. A `threads = 1` run executes the same plan on one worker
-//! and produces the same bytes.
+//! The freeze k-way merges each family's runs by `(timestamp, run
+//! position)`, so equal-timestamp ties resolve by that plan order —
+//! identical in every run (see `ipv6_study_telemetry::run`). A
+//! `threads = 1` run executes the same plan on one worker and produces
+//! the same bytes.
 //!
 //! # Fault tolerance
 //!
@@ -38,7 +39,7 @@
 //! `Retry` fail the run with a [`FaultReport`], `Degrade` drops the
 //! shard and completes on the survivors. See [`crate::faults`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -53,11 +54,10 @@ use ipv6_study_behavior::schedule::day_plan;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::report::rate_per_sec;
 use ipv6_study_obs::timer::{time_phase, PhaseStat};
-use ipv6_study_telemetry::spill::{merge_into_frozen, KeyCollector};
 use ipv6_study_telemetry::{
-    DateRange, EntityTables, FamilyPayload, FrozenDatasets, FrozenStore, MemGauge, RequestSink,
-    RequestStore, RunManifest, Samplers, ShardPayload, ShardSink, SimDate, SinkStorage, SpillError,
-    SpillSession, SpillStats, StorageMode, StudyDatasets,
+    merge_runs, DateRange, FamilyRuns, FrozenDatasets, FrozenStore, KeyCollector, MemGauge,
+    RequestSink, Samplers, ShardPayload, ShardSink, SimDate, SpillError, SpillSession, SpillTarget,
+    StorageMode,
 };
 
 use crate::config::StudyConfig;
@@ -137,16 +137,18 @@ pub struct RunMetrics {
     pub plan_wall: Duration,
     /// Wall-clock of the parallel simulation phase.
     pub sim_wall: Duration,
-    /// Wall-clock of the in-order merge phase.
+    /// Wall-clock of the merge phase: concatenating the shards' runs in
+    /// plan order, plus opening any history's runs.
     pub merge_wall: Duration,
-    /// Wall-clock of the final timestamp sort of the merged stores.
+    /// Wall-clock of the freeze: the key pass and the k-way merge of
+    /// every run into frozen columns.
     pub sort_wall: Duration,
     /// Wall-clock of the whole [`crate::Study::run`], set by the caller.
     pub total_wall: Duration,
     /// High-water mark of mutable row bytes held in memory during the sim
-    /// phase (shard-local stores plus spill staging buffers; frozen
-    /// columns, intern tables, and merge cursors excluded). This is the
-    /// number [`StorageMode::Spill`] bounds.
+    /// phase (in-memory runs plus staging buffers; frozen columns, intern
+    /// tables, and merge cursors excluded). This is the number
+    /// [`StorageMode::Spill`] bounds.
     ///
     /// [`StorageMode::Spill`]: ipv6_study_telemetry::StorageMode::Spill
     pub peak_store_bytes: u64,
@@ -215,22 +217,88 @@ impl RunMetrics {
     }
 }
 
-/// The driver's result: merged datasets, stores, metrics, and the fault
-/// report (clean on a run with no shard failures).
-pub(crate) struct DriverOutput {
-    pub datasets: FrozenDatasets,
-    pub abuse_store: FrozenStore,
-    pub pair_store: FrozenStore,
-    pub metrics: RunMetrics,
-    pub faults: FaultReport,
-    /// The spill session's storage counters (all zero in memory mode).
-    pub spill_stats: SpillStats,
+/// The simulation inputs every day's emission is a pure function of:
+/// the population, the samplers and the attacker campaigns, all derived
+/// from the base config and the (ablated) world.
+pub(crate) struct SimInputs<'w> {
+    pub pop: Population<'w>,
+    pub samplers: Samplers,
+    pub abuse: AbuseSim<'w>,
+}
+
+impl<'w> SimInputs<'w> {
+    /// The static world `config` simulates, with its ablation applied.
+    pub(crate) fn world(config: &StudyConfig) -> World {
+        let mut world = World::sized(config.seed, config.households);
+        config.ablation.apply_to_world(&mut world);
+        world
+    }
+
+    /// Derives the inputs from `config` over `world` (see
+    /// [`SimInputs::world`]). Attackers operate over the whole base
+    /// window: their creation dates are spread across it.
+    pub(crate) fn new(config: &StudyConfig, world: &'w World) -> Self {
+        let pop = Population::new(world, config.seed ^ 0x504F_5055, config.households);
+        let samplers = config.sampling.resolve(pop.approx_users());
+        let abuse = AbuseSim::new(
+            world,
+            config.seed ^ 0x4142_5553,
+            config.campaigns,
+            config.households,
+            config.full_range,
+        )
+        .with_detect_scale(config.ablation.detect_scale());
+        Self {
+            pop,
+            samplers,
+            abuse,
+        }
+    }
+}
+
+/// What the sim phase hands to the freeze: every family's runs in plan
+/// order, the counters the runs do not carry, metrics and faults.
+pub(crate) struct Simulated {
+    pub runs: FamilyRuns,
+    /// Records offered to the samplers.
+    pub offered: u64,
     /// Distinct benign users enumerated on the first study day, summed
     /// over the merged shards.
     pub users_seen: u64,
     /// How many of those the user sampler selected — the numerator of the
     /// realized user-sample rate.
     pub users_sampled: u64,
+    pub metrics: RunMetrics,
+    pub faults: FaultReport,
+}
+
+impl Simulated {
+    /// The output of simulating no days at all (a resume whose history
+    /// already covers the requested range).
+    pub(crate) fn nothing(config: &StudyConfig) -> Self {
+        Self {
+            runs: FamilyRuns::new(&config.prefix_lengths),
+            offered: 0,
+            users_seen: 0,
+            users_sampled: 0,
+            metrics: RunMetrics {
+                threads: config.threads,
+                shards: Vec::new(),
+                plan_wall: Duration::ZERO,
+                sim_wall: Duration::ZERO,
+                merge_wall: Duration::ZERO,
+                sort_wall: Duration::ZERO,
+                total_wall: Duration::ZERO,
+                peak_store_bytes: 0,
+            },
+            faults: FaultReport {
+                policy: config.failure_policy,
+                failures: Vec::new(),
+                io_retries: 0,
+                checksum_failures: 0,
+            },
+        }
+    }
 }
 
 /// Builds the shard plan. Depends only on the config (see the module
@@ -260,9 +328,7 @@ fn plan_shards(config: &StudyConfig) -> Vec<ShardWork> {
 struct ShardEnv<'a> {
     config: &'a StudyConfig,
     world: &'a World,
-    pop: &'a Population<'a>,
-    abuse: &'a AbuseSim<'a>,
-    samplers: &'a Samplers,
+    inputs: &'a SimInputs<'a>,
     /// The days this run actually simulates — the full `sim_range()` on
     /// a batch run, only the appended suffix on an incremental extension
     /// (every day's emission is a pure function of `(config, day)`, so a
@@ -271,16 +337,15 @@ struct ShardEnv<'a> {
     pair_start: SimDate,
     /// The run's spill session when `config.storage` is `Spill`.
     spill: Option<&'a SpillSession>,
-    /// Rows staged per family before a sorted run is spilled (unused in
-    /// memory mode).
+    /// Rows staged per family before a sorted run is spilled.
     segment_rows: usize,
     /// Run-wide mutable-row-bytes high-water gauge.
     gauge: &'a MemGauge,
 }
 
 /// Simulates one shard attempt through one [`ShardSink`] that applies the
-/// §3.1 samplers in-stream and retains each family per the configured
-/// storage mode.
+/// §3.1 samplers in-stream and seals each family into sorted runs, in
+/// memory or spilled per the configured storage mode.
 ///
 /// `progress` is updated with the running record count at every day
 /// boundary; when the attempt fails (injected or real), the caller reads
@@ -303,21 +368,19 @@ fn run_shard(
     published: &AtomicU64,
 ) -> Result<ShardOutput, SpillError> {
     let t0 = Instant::now();
-    let storage = match env.spill {
-        Some(session) => SinkStorage::Spill {
-            session,
-            shard,
-            attempt,
-            segment_rows: env.segment_rows,
-        },
-        None => SinkStorage::Memory,
-    };
+    let spill = env.spill.map(|session| SpillTarget {
+        session,
+        shard,
+        attempt,
+        segment_rows: env.segment_rows,
+    });
     let collect_abuse = matches!(work, ShardWork::Abuse(_));
+    let samplers = &env.inputs.samplers;
     let mut sink = ShardSink::new(
-        env.samplers.clone(),
+        samplers.clone(),
         &env.config.prefix_lengths,
         collect_abuse,
-        storage,
+        spill,
         Some((env.gauge, published)),
     );
     let mut users_seen = 0u64;
@@ -336,22 +399,23 @@ fn run_shard(
         sink.set_pair_routing(day >= env.pair_start);
         match work {
             ShardWork::Benign(households) => {
+                let pop = &env.inputs.pop;
                 for hh in households.clone() {
-                    let hprof = env.pop.household(hh);
-                    for uid in env.pop.member_ids(&hprof) {
+                    let hprof = pop.household(hh);
+                    for uid in pop.member_ids(&hprof) {
                         // The first day enumerates every member before the
                         // panel skip, so these counters are exact distinct
                         // counts over the shard's population — the
                         // realized user-sample rate's inputs.
                         if first_day {
                             users_seen += 1;
-                            users_sampled += u64::from(env.samplers.user_sampled(uid));
+                            users_sampled += u64::from(samplers.user_sampled(uid));
                         }
                         // Panel phase: only user-sample panel members.
-                        if !dense && !env.samplers.user_sampled(uid) {
+                        if !dense && !samplers.user_sampled(uid) {
                             continue;
                         }
-                        let profile = env.pop.user(uid);
+                        let profile = pop.user(uid);
                         let plan = day_plan(env.world, &profile, day);
                         if plan.contexts.is_empty() {
                             continue;
@@ -361,8 +425,12 @@ fn run_shard(
                 }
             }
             ShardWork::Abuse(campaigns) => {
-                env.abuse
-                    .emit_day_campaigns(env.pop, day, campaigns.clone(), &mut sink);
+                env.inputs.abuse.emit_day_campaigns(
+                    &env.inputs.pop,
+                    day,
+                    campaigns.clone(),
+                    &mut sink,
+                );
             }
         }
         days_done += 1;
@@ -471,89 +539,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The merge phase's output before the sort phase: either the shard
-/// payloads concatenated into mutable in-memory stores, or the on-disk run
-/// manifests concatenated per family in plan order.
-enum MergedStreams {
-    Memory {
-        datasets: StudyDatasets,
-        abuse: RequestStore,
-        pair: RequestStore,
-    },
-    Spill {
-        offered: u64,
-        request: Vec<RunManifest>,
-        user: Vec<RunManifest>,
-        ip: Vec<RunManifest>,
-        prefixes: BTreeMap<u8, Vec<RunManifest>>,
-        abuse: Vec<RunManifest>,
-        pair: Vec<RunManifest>,
-    },
-}
-
-/// Unwraps a memory-mode family payload.
-fn expect_rows(p: FamilyPayload) -> RequestStore {
-    match p {
-        FamilyPayload::Rows(rows) => rows,
-        FamilyPayload::Runs(_) => unreachable!("memory-mode shard produced a spill manifest"),
-    }
-}
-
-/// Unwraps a spill-mode family payload.
-fn expect_runs(p: FamilyPayload) -> RunManifest {
-    match p {
-        FamilyPayload::Runs(runs) => runs,
-        FamilyPayload::Rows(_) => unreachable!("spill-mode shard produced in-memory rows"),
-    }
-}
-
-/// Runs the sharded simulation and merges shard outputs in plan order.
+/// Simulates `days` on the shard plan and concatenates the shards' runs
+/// in plan order.
 ///
-/// `spill` is the run's spill session when `config.storage` is `Spill`
-/// (the caller owns it so the directory outlives the frozen columns it
-/// feeds); `None` keeps every shard's output in memory exactly as before.
-/// Both modes produce byte-identical frozen datasets: the spill path's
-/// per-run stable sort plus `(ts, run-index)` k-way merge reproduces the
-/// in-memory path's stable sort of the plan-order concatenation.
+/// The shard plan, samplers, and campaign placement are config-derived,
+/// so for any day this emits exactly the rows a run over the whole
+/// `config.sim_range()` would — the incremental engine simulates only
+/// the days its history does not cover. `spill` is the run's spill
+/// session when `config.storage` is `Spill`; the caller owns it so its
+/// files outlive the runs the freeze reads.
 ///
 /// Returns `Err(StudyError::ShardsFailed)` when shard failures exceed
-/// what `config.failure_policy` tolerates and `Err(StudyError::Spill)`
-/// when the storage layer fails during the merge itself; otherwise the
-/// output's `faults` field records any recovered (or, under `Degrade`,
-/// dropped) shards.
-pub(crate) fn execute(
+/// what `config.failure_policy` tolerates; otherwise the output's
+/// `faults` field records any recovered (or, under `Degrade`, dropped)
+/// shards.
+pub(crate) fn simulate(
     config: &StudyConfig,
     world: &World,
-    pop: &Population<'_>,
-    abuse: &AbuseSim<'_>,
-    samplers: &Samplers,
-    spill: Option<&SpillSession>,
-) -> Result<DriverOutput, StudyError> {
-    execute_days(
-        config,
-        world,
-        pop,
-        abuse,
-        samplers,
-        spill,
-        config.sim_range(),
-    )
-}
-
-/// [`execute`] restricted to a contiguous day range — the incremental
-/// engine's entry point: it simulates only the days a checkpoint does
-/// not already cover. The shard plan, samplers, and campaign placement
-/// are unchanged (config-derived), so for any day the restricted run
-/// emits exactly the rows the full run would.
-pub(crate) fn execute_days(
-    config: &StudyConfig,
-    world: &World,
-    pop: &Population<'_>,
-    abuse: &AbuseSim<'_>,
-    samplers: &Samplers,
+    inputs: &SimInputs<'_>,
     spill: Option<&SpillSession>,
     days: DateRange,
-) -> Result<DriverOutput, StudyError> {
+) -> Result<Simulated, StudyError> {
     // Figure 11's full-population day pairs: the last four *effective*
     // days. Routing is anchored on the run's final end — not on the
     // restricted `days` — so a suffix run routes each day exactly like
@@ -577,9 +583,7 @@ pub(crate) fn execute_days(
     let env = ShardEnv {
         config,
         world,
-        pop,
-        abuse,
-        samplers,
+        inputs,
         days,
         pair_start,
         spill,
@@ -693,10 +697,8 @@ pub(crate) fn execute_days(
         .unwrap_or_else(PoisonError::into_inner)
         .into_values()
         .collect();
-    let spill_counters =
-        |spill: Option<&SpillSession>| spill.map(SpillSession::stats).unwrap_or_default();
-    let sim_stats = spill_counters(spill);
-    let mut faults = FaultReport {
+    let sim_stats = spill.map(SpillSession::stats).unwrap_or_default();
+    let faults = FaultReport {
         policy,
         failures,
         io_retries: sim_stats.io_retries,
@@ -706,15 +708,13 @@ pub(crate) fn execute_days(
         return Err(StudyError::ShardsFailed(faults));
     }
 
-    // Merge phase: walk the slots in plan order. In memory mode this
-    // concatenates shard rows into one mutable store per family; in spill
-    // mode no record moves — the per-shard run manifests are concatenated
-    // per family, which is all "merge" means out of core.
+    // Merge phase: walk the slots in plan order and concatenate each
+    // family's runs. No record moves; all ordering is left to the
+    // freeze's k-way merge.
     let t1 = Instant::now();
     let mut shards = Vec::with_capacity(plan.len());
-    let mut users_seen = 0u64;
-    let mut users_sampled = 0u64;
-    let mut payloads: Vec<ShardPayload> = Vec::with_capacity(plan.len());
+    let mut runs = FamilyRuns::new(&config.prefix_lengths);
+    let (mut offered, mut users_seen, mut users_sampled) = (0u64, 0u64, 0u64);
     for (i, (work, slot)) in plan.iter().zip(slots).enumerate() {
         // Poison recovery (see WorkQueue::claim); an empty slot is a shard
         // dropped under Degrade — it must be in the fault report.
@@ -725,158 +725,28 @@ pub(crate) fn execute_days(
             );
             continue;
         };
+        let ShardPayload {
+            runs: shard_runs,
+            offered: shard_offered,
+            records,
+        } = out.payload;
         shards.push(ShardMetrics {
             label: shard_label(work),
-            records: out.payload.records,
+            records,
             wall: out.wall,
         });
+        offered += shard_offered;
         users_seen += out.users_seen;
         users_sampled += out.users_sampled;
-        payloads.push(out.payload);
+        runs.append(shard_runs);
     }
-    let merged = if spill.is_some() {
-        let mut offered = 0u64;
-        let mut request = Vec::new();
-        let mut user = Vec::new();
-        let mut ip = Vec::new();
-        let mut prefixes: BTreeMap<u8, Vec<RunManifest>> = BTreeMap::new();
-        let mut abuse_runs = Vec::new();
-        let mut pair = Vec::new();
-        for p in payloads {
-            offered += p.offered;
-            request.push(expect_runs(p.request));
-            user.push(expect_runs(p.user));
-            ip.push(expect_runs(p.ip));
-            for (len, fam) in p.prefixes {
-                prefixes.entry(len).or_default().push(expect_runs(fam));
-            }
-            if let Some(a) = p.abuse {
-                abuse_runs.push(expect_runs(a));
-            }
-            pair.push(expect_runs(p.pair));
-        }
-        MergedStreams::Spill {
-            offered,
-            request,
-            user,
-            ip,
-            prefixes,
-            abuse: abuse_runs,
-            pair,
-        }
-    } else {
-        let mut datasets =
-            StudyDatasets::with_prefix_lengths(samplers.clone(), &config.prefix_lengths);
-        let mut abuse_store = RequestStore::new();
-        let mut pair_store = RequestStore::new();
-        for p in payloads {
-            datasets.offered += p.offered;
-            datasets.request_sample.extend_from(expect_rows(p.request));
-            datasets.user_sample.extend_from(expect_rows(p.user));
-            datasets.ip_sample.extend_from(expect_rows(p.ip));
-            for (len, fam) in p.prefixes {
-                datasets
-                    .prefix_samples
-                    .get_mut(&len)
-                    .expect("shard sinks route exactly the configured prefix lengths")
-                    .extend_from(expect_rows(fam));
-            }
-            if let Some(a) = p.abuse {
-                abuse_store.extend_from(expect_rows(a));
-            }
-            pair_store.extend_from(expect_rows(p.pair));
-        }
-        MergedStreams::Memory {
-            datasets,
-            abuse: abuse_store,
-            pair: pair_store,
-        }
-    };
     let merge_wall = t1.elapsed();
 
-    // Sort phase: the merged stores sort lazily on first query; doing it
-    // here makes the cost a measured driver phase instead of a surprise
-    // inside the first analysis. One global intern-table set is built over
-    // every store's records, then the streams freeze into immutable
-    // columnar datasets encoded against those shared tables, so analysis
-    // passes can query them concurrently through `&self` and cross-store
-    // joins agree on ids. In spill mode the tables come from a streaming
-    // key sweep over the manifests (bit-identical to the in-memory build —
-    // both sort-and-dedup the same key sets) and each family's sorted runs
-    // k-way merge straight into frozen columns.
-    let t2 = Instant::now();
-    let (datasets, abuse_store, pair_store) = match merged {
-        MergedStreams::Memory {
-            datasets,
-            abuse: abuse_store,
-            pair: pair_store,
-        } => {
-            let tables = Arc::new(EntityTables::build(
-                datasets
-                    .iter_unordered()
-                    .chain(abuse_store.iter_unordered())
-                    .chain(pair_store.iter_unordered()),
-            ));
-            (
-                datasets.freeze_with(tables.clone()),
-                abuse_store.freeze_with(tables.clone()),
-                pair_store.freeze_with(tables),
-            )
-        }
-        MergedStreams::Spill {
-            offered,
-            request,
-            user,
-            ip,
-            prefixes,
-            abuse: abuse_runs,
-            pair,
-        } => {
-            let mut keys = KeyCollector::new();
-            for m in request
-                .iter()
-                .chain(&user)
-                .chain(&ip)
-                .chain(prefixes.values().flatten())
-                .chain(&abuse_runs)
-                .chain(&pair)
-            {
-                keys.add_manifest(m)?;
-            }
-            let tables = Arc::new(keys.into_tables());
-            let datasets = FrozenDatasets {
-                samplers: samplers.clone(),
-                request_sample: merge_into_frozen(&request, &tables)?,
-                user_sample: merge_into_frozen(&user, &tables)?,
-                ip_sample: merge_into_frozen(&ip, &tables)?,
-                prefix_samples: {
-                    let mut samples = std::collections::HashMap::new();
-                    for (len, runs) in &prefixes {
-                        samples.insert(*len, merge_into_frozen(runs, &tables)?);
-                    }
-                    samples
-                },
-                offered,
-            };
-            (
-                datasets,
-                merge_into_frozen(&abuse_runs, &tables)?,
-                merge_into_frozen(&pair, &tables)?,
-            )
-        }
-    };
-    let sort_wall = t2.elapsed();
-
-    // The merge's read passes verify every run checksum; fold the final
-    // storage counters into the report and output.
-    let spill_stats = spill_counters(spill);
-    faults.io_retries = spill_stats.io_retries;
-    faults.checksum_failures = spill_stats.checksum_failures;
-
-    Ok(DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
+    Ok(Simulated {
+        runs,
+        offered,
+        users_seen,
+        users_sampled,
         metrics: RunMetrics {
             threads: workers,
             shards,
@@ -886,15 +756,54 @@ pub(crate) fn execute_days(
                 .map_or(Duration::ZERO, |p| p.wall),
             sim_wall,
             merge_wall,
-            sort_wall,
+            sort_wall: Duration::ZERO,
             total_wall: Duration::ZERO,
             peak_store_bytes,
         },
         faults,
-        spill_stats,
-        users_seen,
-        users_sampled,
     })
+}
+
+/// The one freeze: interns the keys of every run, then k-way merges each
+/// family's runs into frozen columns over those shared tables, dropping
+/// each family's runs as soon as it is merged. Cold runs, extensions and
+/// state-dir resumes all freeze through here, so equal runs give equal
+/// bytes whichever storage they came from.
+pub(crate) fn freeze(
+    runs: FamilyRuns,
+    samplers: Samplers,
+    offered: u64,
+) -> Result<(FrozenDatasets, FrozenStore, FrozenStore), SpillError> {
+    let mut keys = KeyCollector::new();
+    for run in runs.iter() {
+        keys.add_run(run)?;
+    }
+    let tables = Arc::new(keys.into_tables());
+    let FamilyRuns {
+        request,
+        user,
+        ip,
+        prefixes,
+        abuse,
+        pair,
+    } = runs;
+    let mut prefix_samples = HashMap::new();
+    for (len, runs) in prefixes {
+        prefix_samples.insert(len, merge_runs(runs, &tables)?);
+    }
+    let datasets = FrozenDatasets {
+        samplers,
+        request_sample: merge_runs(request, &tables)?,
+        user_sample: merge_runs(user, &tables)?,
+        ip_sample: merge_runs(ip, &tables)?,
+        prefix_samples,
+        offered,
+    };
+    Ok((
+        datasets,
+        merge_runs(abuse, &tables)?,
+        merge_runs(pair, &tables)?,
+    ))
 }
 
 #[cfg(test)]

@@ -11,13 +11,15 @@
 //!    placement are all anchored on the *base* `full_range`, never on
 //!    `extend_days` — so simulating only the suffix days reproduces
 //!    exactly the rows a full run emits there (the crate-private
-//!    `driver::execute_days`).
+//!    `driver::simulate`).
 //! 2. **Order stability.** Frozen stores order rows by timestamp with
-//!    plan-order tie-breaks; days are timestamp-disjoint, so the old
-//!    store's canonical rows followed by the suffix's canonical rows
-//!    *are* the longer run's canonical order — the re-freeze's stable
-//!    sort is a no-op pass over already-sorted input.
-//! 3. **Order-isomorphism.** [`EntityTables`] depend only on the
+//!    plan-order tie-breaks; days are timestamp-disjoint, so the
+//!    history's canonical rows followed by the suffix's runs *are* the
+//!    longer run's canonical order. The history enters the one freeze
+//!    as runs — the old study's frozen stores, or the state dir's day
+//!    files — placed before the suffix runs, and the k-way merge keeps
+//!    that order.
+//! 3. **Order-isomorphism.** Intern tables depend only on the
 //!    distinct raw-key *sets*, and dense ids are assigned in ascending
 //!    raw-key order — so the union tables equal the longer run's tables
 //!    bit-for-bit, and keys that survive an extension keep their
@@ -47,8 +49,9 @@
 //! ```
 //!
 //! Day deltas are immutable, so a save skips segments that already
-//! exist; pair segments are pruned as the window slides. On resume, only
-//! the passes whose read windows cover the new days (per
+//! exist; pair segments are pruned as the window slides. A resume opens
+//! the covered days' files as runs and freezes them once, together with
+//! the suffix. Only the passes whose read windows cover the new days (per
 //! [`windows::invalidated_by_extension`], the single source of truth)
 //! are re-run — everything else is spliced from the cached sections,
 //! byte-identical because the calendar-anchored windows see the same
@@ -56,25 +59,21 @@
 
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ipv6_study_analysis::windows;
-use ipv6_study_behavior::abuse::AbuseSim;
-use ipv6_study_behavior::population::Population;
-use ipv6_study_netmodel::World;
 use ipv6_study_obs::{IncrementalStat, Json};
-use ipv6_study_telemetry::{
-    read_checkpoint_segment, write_checkpoint_segment, ColumnSlice, DateRange, EntityTables,
-    RequestStore, SpillStats, StudyDatasets,
-};
+use ipv6_study_telemetry::{write_checkpoint_segment, DateRange, FamilyRuns, FrozenStore, Run};
 
 use crate::config::{ConfigError, StudyConfig};
-use crate::driver::{self, DriverOutput, RunMetrics};
+use crate::driver::SimInputs;
 use crate::experiments::{self, ExperimentOutput};
-use crate::faults::{FaultReport, StudyError};
+use crate::faults::StudyError;
 use crate::report;
-use crate::study::{build_report, open_spill, DayCountsCache, Study};
+use crate::study::{History, Study};
+
+/// The manifest layout this build writes and reads.
+const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// A completed incremental run: the (possibly extended) study, the reuse
 /// accounting, and the rendered documents with cached sections spliced
@@ -133,21 +132,14 @@ fn pass_file_stem(id: &str) -> String {
         .collect()
 }
 
-/// Copies a frozen column slice into a mutable row store, preserving
-/// order.
-fn append_slice(store: &mut RequestStore, rows: ColumnSlice<'_>) {
-    for rec in rows.records() {
-        store.push(rec);
-    }
-}
-
-/// Extends `study` by `n` simulated days: runs the driver over only the
-/// suffix days, then re-freezes old + suffix rows against the union
-/// intern tables. See the module docs for why the result is
+/// Extends `study` by `n` simulated days: its frozen stores become the
+/// history's runs, the driver simulates only the suffix days, and the
+/// one freeze merges both. See the module docs for why the result is
 /// byte-identical to a from-scratch run of the longer range.
 pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), StudyError> {
     let t0 = Instant::now();
-    let old_days = u64::from(study.config.sim_range().num_days());
+    let old_range = study.config.sim_range();
+    let old_days = u64::from(old_range.num_days());
     if n == 0 {
         let mut study = study;
         let stats = IncrementalStat {
@@ -161,161 +153,115 @@ pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), S
     let mut config = study.config.clone();
     config.extend_days = config.extend_days.saturating_add(n);
     config.validate()?;
-    let old_end = study.config.sim_end();
-    let suffix = DateRange::new(old_end + 1, config.sim_end());
-
-    // Deterministic rebuild of the simulation inputs against the study's
-    // (already ablated) world — identical to what the original run used,
-    // because all of them derive from base-config fields.
-    let pop = Population::new(&study.world, config.seed ^ 0x504F_5055, config.households);
-    let samplers = config.sampling.resolve(pop.approx_users());
-    let abuse_window = DateRange::new(config.full_range.start, config.full_range.end);
-    let abuse = AbuseSim::new(
-        &study.world,
-        config.seed ^ 0x4142_5553,
-        config.campaigns,
-        config.households,
-        abuse_window,
-    )
-    .with_detect_scale(config.ablation.detect_scale());
-
-    let spill = open_spill(&config)?;
-    let out = driver::execute_days(
-        &config,
-        &study.world,
-        &pop,
-        &abuse,
-        &samplers,
-        spill.as_ref(),
-        suffix,
-    )?;
-    drop(spill);
-
-    // Union merge: old canonical rows, then suffix canonical rows. Days
-    // are timestamp-disjoint and every suffix day is later, so the
-    // concatenation is already in canonical order and the stable
-    // re-sort inside freeze is a verification pass, not a reorder.
-    let t_merge = Instant::now();
-    let mut datasets = StudyDatasets::with_prefix_lengths(samplers, &config.prefix_lengths);
-    append_slice(
-        &mut datasets.request_sample,
-        study.datasets.request_sample.all(),
-    );
-    append_slice(
-        &mut datasets.request_sample,
-        out.datasets.request_sample.all(),
-    );
-    append_slice(&mut datasets.user_sample, study.datasets.user_sample.all());
-    append_slice(&mut datasets.user_sample, out.datasets.user_sample.all());
-    append_slice(&mut datasets.ip_sample, study.datasets.ip_sample.all());
-    append_slice(&mut datasets.ip_sample, out.datasets.ip_sample.all());
-    for &len in &config.prefix_lengths {
-        let store = datasets
-            .prefix_samples
-            .get_mut(&len)
-            .expect("with_prefix_lengths creates every configured length");
-        append_slice(store, study.datasets.prefix_sample(len).all());
-        append_slice(store, out.datasets.prefix_sample(len).all());
-    }
-    datasets.offered = study.datasets.offered + out.datasets.offered;
-    let mut abuse_store = RequestStore::new();
-    append_slice(&mut abuse_store, study.abuse_store.all());
-    append_slice(&mut abuse_store, out.abuse_store.all());
-    // The pair store slides: keep the old window's days that remain
-    // inside the new last-four-days window, then append the suffix rows
-    // (the suffix run routed them against the *new* window already).
-    let pair_win = windows::pair_window(config.sim_end());
-    let mut pair_store = RequestStore::new();
-    if pair_win.start <= old_end {
-        append_slice(
-            &mut pair_store,
-            study
-                .pair_store
-                .in_range(DateRange::new(pair_win.start, old_end)),
-        );
-    }
-    append_slice(&mut pair_store, out.pair_store.all());
-    let merge_wall = t_merge.elapsed();
-
-    // Re-freeze against the union tables. The distinct-key sets equal
-    // the longer run's, so these tables — and therefore every dense id —
-    // are bit-identical to a from-scratch build.
-    let t_sort = Instant::now();
-    let tables = Arc::new(EntityTables::build(
-        datasets
-            .iter_unordered()
-            .chain(abuse_store.iter_unordered())
-            .chain(pair_store.iter_unordered()),
-    ));
-    let datasets = datasets.freeze_with(tables.clone());
-    let abuse_store = abuse_store.freeze_with(tables.clone());
-    let pair_store = pair_store.freeze_with(tables);
-    let sort_wall = t_sort.elapsed();
 
     // Carry the per-day trie cache for days still inside the sliding
     // pair window; DayCounts reads raw keys only, so re-encoding does
     // not invalidate them.
+    let pair_win = windows::pair_window(config.sim_end());
     let carried = study.take_day_counts(pair_win);
 
-    let mut metrics = out.metrics;
-    metrics.merge_wall += merge_wall;
-    metrics.sort_wall += sort_wall;
-    metrics.total_wall = t0.elapsed();
-    let union_out = DriverOutput {
+    let Study {
+        world,
         datasets,
         abuse_store,
         pair_store,
-        metrics,
-        faults: out.faults,
-        spill_stats: out.spill_stats,
-        users_seen: study.users_seen + out.users_seen,
-        users_sampled: study.users_sampled + out.users_sampled,
+        users_seen,
+        users_sampled,
+        ..
+    } = study;
+    let mut runs = FamilyRuns {
+        request: vec![Run::frozen(datasets.request_sample, old_range)],
+        user: vec![Run::frozen(datasets.user_sample, old_range)],
+        ip: vec![Run::frozen(datasets.ip_sample, old_range)],
+        prefixes: datasets
+            .prefix_samples
+            .into_iter()
+            .map(|(len, store)| (len, vec![Run::frozen(store, old_range)]))
+            .collect(),
+        abuse: vec![Run::frozen(abuse_store, old_range)],
+        pair: Vec::new(),
     };
-    let mut report = build_report(&config, study.approx_users, &union_out);
+    // The pair store slides: keep only the old days still inside the new
+    // window (the suffix run routes its days against that window).
+    if pair_win.start <= old_range.end {
+        let kept = DateRange::new(pair_win.start, old_range.end);
+        runs.pair.push(Run::frozen(pair_store, kept));
+    }
+    let history = History {
+        runs,
+        days: old_range.num_days(),
+        offered: datasets.offered,
+        users_seen,
+        users_sampled,
+        load_wall: Duration::ZERO,
+    };
+    let mut extended = Study::absorb(config, world, history, t0)?;
+    extended.seed_day_counts(carried);
     let stats = IncrementalStat {
         days_reused: old_days,
         days_computed: u64::from(n),
         extend_wall: t0.elapsed(),
     };
-    report.incremental = stats;
-
-    let DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
-        metrics,
-        faults,
-        spill_stats: _,
-        users_seen,
-        users_sampled,
-    } = union_out;
-    let extended = Study {
-        config,
-        world: study.world,
-        datasets,
-        abuse_store,
-        pair_store,
-        labels: study.labels,
-        approx_users: study.approx_users,
-        users_seen,
-        users_sampled,
-        metrics,
-        faults,
-        report,
-        day_counts: DayCountsCache::default(),
-    };
-    extended.seed_day_counts(carried);
+    extended.report.incremental = stats;
     Ok((extended, stats))
 }
 
-/// The family names checkpointed per day, in a fixed order.
-fn family_names(config: &StudyConfig) -> Vec<String> {
-    let mut names = vec!["request".to_string(), "user".to_string(), "ip".to_string()];
-    for &len in &config.prefix_lengths {
-        names.push(format!("prefix{len}"));
+/// A checkpointed dataset family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    Request,
+    User,
+    Ip,
+    Prefix(u8),
+    Abuse,
+    /// Checkpointed only for days inside the sliding pair window.
+    Pair,
+}
+
+impl Family {
+    /// Every family of `config`, in a fixed order.
+    fn all(config: &StudyConfig) -> Vec<Family> {
+        let mut all = vec![Family::Request, Family::User, Family::Ip];
+        all.extend(config.prefix_lengths.iter().map(|&l| Family::Prefix(l)));
+        all.extend([Family::Abuse, Family::Pair]);
+        all
     }
-    names.push("abuse".to_string());
-    names
+
+    /// The family's file name inside a day directory.
+    fn file_name(self) -> String {
+        match self {
+            Family::Request => "request.seg".into(),
+            Family::User => "user.seg".into(),
+            Family::Ip => "ip.seg".into(),
+            Family::Prefix(len) => format!("prefix{len}.seg"),
+            Family::Abuse => "abuse.seg".into(),
+            Family::Pair => "pair.seg".into(),
+        }
+    }
+
+    /// The study's frozen store of this family.
+    fn store(self, study: &Study) -> &FrozenStore {
+        match self {
+            Family::Request => &study.datasets().request_sample,
+            Family::User => &study.datasets().user_sample,
+            Family::Ip => &study.datasets().ip_sample,
+            Family::Prefix(len) => study.datasets().prefix_sample(len),
+            Family::Abuse => study.abuse_store(),
+            Family::Pair => study.pair_store(),
+        }
+    }
+
+    /// This family's run list.
+    fn runs(self, runs: &mut FamilyRuns) -> &mut Vec<Run> {
+        match self {
+            Family::Request => &mut runs.request,
+            Family::User => &mut runs.user,
+            Family::Ip => &mut runs.ip,
+            Family::Prefix(len) => runs.prefixes.entry(len).or_default(),
+            Family::Abuse => &mut runs.abuse,
+            Family::Pair => &mut runs.pair,
+        }
+    }
 }
 
 /// The config-identity echo both written to and checked against the
@@ -355,7 +301,7 @@ fn identity_json(config: &StudyConfig) -> Json {
             ),
         )
         .with("sampling", Json::str(config.sampling.label()))
-        .with("ablation", Json::str(format!("{:?}", config.ablation)))
+        .with("ablation", Json::str(config.ablation.name()))
 }
 
 /// Writes (or refreshes) the checkpoint for `study` in `dir`. Day
@@ -366,39 +312,20 @@ fn save_checkpoint(study: &Study, sections: &[PassSection], dir: &Path) -> Resul
     let days_dir = dir.join("days");
     fs::create_dir_all(&days_dir).map_err(|e| storage_err("creating", &days_dir, &e))?;
     let pair_win = windows::pair_window(study.config.sim_end());
-    let families = family_names(&study.config);
+    let families = Family::all(&study.config);
     for day in study.config.sim_range().days() {
         let day_dir = days_dir.join(format!("day{:03}", day.index()));
         fs::create_dir_all(&day_dir).map_err(|e| storage_err("creating", &day_dir, &e))?;
-        for name in &families {
-            let path = day_dir.join(format!("{name}.seg"));
-            if path.exists() {
-                continue;
-            }
-            let rows = match name.as_str() {
-                "request" => study.datasets().request_sample.on_day(day),
-                "user" => study.datasets().user_sample.on_day(day),
-                "ip" => study.datasets().ip_sample.on_day(day),
-                "abuse" => study.abuse_store().on_day(day),
-                prefix => {
-                    let len: u8 = prefix
-                        .strip_prefix("prefix")
-                        .and_then(|l| l.parse().ok())
-                        .expect("family_names emits only known families");
-                    study.datasets().prefix_sample(len).on_day(day)
+        for &family in &families {
+            let path = day_dir.join(family.file_name());
+            if family == Family::Pair && !pair_win.contains(day) {
+                if path.exists() {
+                    fs::remove_file(&path).map_err(|e| storage_err("pruning", &path, &e))?;
                 }
-            };
-            let recs: Vec<_> = rows.records().collect();
-            write_checkpoint_segment(&path, &recs).map_err(StudyError::Spill)?;
-        }
-        let pair_path = day_dir.join("pair.seg");
-        if pair_win.contains(day) {
-            if !pair_path.exists() {
-                let recs: Vec<_> = study.pair_store().on_day(day).records().collect();
-                write_checkpoint_segment(&pair_path, &recs).map_err(StudyError::Spill)?;
+            } else if !path.exists() {
+                let rows: Vec<_> = family.store(study).on_day(day).records().collect();
+                write_checkpoint_segment(&path, &rows)?;
             }
-        } else if pair_path.exists() {
-            fs::remove_file(&pair_path).map_err(|e| storage_err("pruning", &pair_path, &e))?;
         }
     }
     let pass_dir = dir.join("passes");
@@ -411,7 +338,7 @@ fn save_checkpoint(study: &Study, sections: &[PassSection], dir: &Path) -> Resul
         fs::write(&sum, &s.summary).map_err(|e| storage_err("writing", &sum, &e))?;
     }
     let manifest = Json::obj()
-        .with("checkpoint_schema", Json::UInt(1))
+        .with("checkpoint_schema", Json::UInt(CHECKPOINT_SCHEMA))
         .with("identity", identity_json(&study.config))
         .with(
             "covered_extend_days",
@@ -452,6 +379,13 @@ fn load_manifest(dir: &Path, config: &StudyConfig) -> Result<Option<Checkpoint>,
     let text = fs::read_to_string(&path).map_err(|e| storage_err("reading", &path, &e))?;
     let json = Json::parse(&text)
         .map_err(|e| storage_msg(format!("state dir manifest is not valid JSON: {e}")))?;
+    let schema = manifest_u64(&json, "checkpoint_schema")?;
+    if schema != CHECKPOINT_SCHEMA {
+        return Err(storage_msg(format!(
+            "state dir manifest has checkpoint_schema {schema}, but this build reads only \
+             checkpoint_schema {CHECKPOINT_SCHEMA}; use a fresh --state-dir"
+        )));
+    }
     let identity = json
         .get("identity")
         .ok_or_else(|| storage_msg("state dir manifest has no identity echo".to_string()))?;
@@ -487,128 +421,37 @@ fn load_manifest(dir: &Path, config: &StudyConfig) -> Result<Option<Checkpoint>,
     }))
 }
 
-/// Reconstructs a frozen [`Study`] from persisted day deltas — no
-/// simulation. The per-day segments hold rows in canonical frozen
-/// order, days are timestamp-disjoint, and the intern tables are a pure
-/// function of the key sets, so the rebuilt stores are bit-identical to
-/// the ones the original run froze.
-fn rebuild_study(config: StudyConfig, cp: &Checkpoint, dir: &Path) -> Result<Study, StudyError> {
-    config.validate()?;
-    let mut world = World::sized(config.seed, config.households);
-    config.ablation.apply_to_world(&mut world);
-    let pop = Population::new(&world, config.seed ^ 0x504F_5055, config.households);
-    let approx_users = pop.approx_users();
-    let samplers = config.sampling.resolve(approx_users);
-    let abuse_window = DateRange::new(config.full_range.start, config.full_range.end);
-    let labels = AbuseSim::new(
-        &world,
-        config.seed ^ 0x4142_5553,
-        config.campaigns,
-        config.households,
-        abuse_window,
-    )
-    .with_detect_scale(config.ablation.detect_scale())
-    .labels();
-
-    let mut datasets = StudyDatasets::with_prefix_lengths(samplers, &config.prefix_lengths);
-    let mut abuse_store = RequestStore::new();
-    let mut pair_store = RequestStore::new();
-    let families = family_names(&config);
-    for day in config.sim_range().days() {
+/// Opens the checkpointed days of `covered` as the history of `config`:
+/// every family's day file, except pair files of days outside the new
+/// run's pair window. Only headers are read here; the freeze streams and
+/// verifies the rows.
+fn load_history(
+    config: &StudyConfig,
+    cp: &Checkpoint,
+    covered: DateRange,
+    dir: &Path,
+) -> Result<History, StudyError> {
+    let t0 = Instant::now();
+    let pair_win = windows::pair_window(config.sim_end());
+    let families = Family::all(config);
+    let mut runs = FamilyRuns::new(&config.prefix_lengths);
+    for day in covered.days() {
         let day_dir = dir.join("days").join(format!("day{:03}", day.index()));
-        for name in &families {
-            let path = day_dir.join(format!("{name}.seg"));
-            let rows = read_checkpoint_segment(&path).map_err(StudyError::Spill)?;
-            let store = match name.as_str() {
-                "request" => &mut datasets.request_sample,
-                "user" => &mut datasets.user_sample,
-                "ip" => &mut datasets.ip_sample,
-                "abuse" => &mut abuse_store,
-                prefix => {
-                    let len: u8 = prefix
-                        .strip_prefix("prefix")
-                        .and_then(|l| l.parse().ok())
-                        .expect("family_names emits only known families");
-                    datasets
-                        .prefix_samples
-                        .get_mut(&len)
-                        .expect("with_prefix_lengths creates every configured length")
-                }
-            };
-            for rec in rows {
-                store.push(rec);
+        for &family in &families {
+            if family == Family::Pair && !pair_win.contains(day) {
+                continue;
             }
-        }
-        let pair_path = day_dir.join("pair.seg");
-        if pair_path.exists() {
-            for rec in read_checkpoint_segment(&pair_path).map_err(StudyError::Spill)? {
-                pair_store.push(rec);
-            }
+            let run = Run::checkpoint(&day_dir.join(family.file_name()))?;
+            family.runs(&mut runs).push(run);
         }
     }
-    datasets.offered = cp.offered;
-
-    let tables = Arc::new(EntityTables::build(
-        datasets
-            .iter_unordered()
-            .chain(abuse_store.iter_unordered())
-            .chain(pair_store.iter_unordered()),
-    ));
-    let datasets = datasets.freeze_with(tables.clone());
-    let abuse_store = abuse_store.freeze_with(tables.clone());
-    let pair_store = pair_store.freeze_with(tables);
-
-    let metrics = RunMetrics {
-        threads: config.threads,
-        shards: Vec::new(),
-        plan_wall: Default::default(),
-        sim_wall: Default::default(),
-        merge_wall: Default::default(),
-        sort_wall: Default::default(),
-        total_wall: Default::default(),
-        peak_store_bytes: 0,
-    };
-    let faults = FaultReport {
-        policy: config.failure_policy,
-        failures: Vec::new(),
-        io_retries: 0,
-        checksum_failures: 0,
-    };
-    let out = DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
-        metrics,
-        faults,
-        spill_stats: SpillStats::default(),
+    Ok(History {
+        runs,
+        days: covered.num_days(),
+        offered: cp.offered,
         users_seen: cp.users_seen,
         users_sampled: cp.users_sampled,
-    };
-    let report = build_report(&config, approx_users, &out);
-    let DriverOutput {
-        datasets,
-        abuse_store,
-        pair_store,
-        metrics,
-        faults,
-        spill_stats: _,
-        users_seen,
-        users_sampled,
-    } = out;
-    Ok(Study {
-        config,
-        world,
-        datasets,
-        abuse_store,
-        pair_store,
-        labels,
-        approx_users,
-        users_seen,
-        users_sampled,
-        metrics,
-        faults,
-        report,
-        day_counts: DayCountsCache::default(),
+        load_wall: t0.elapsed(),
     })
 }
 
@@ -646,12 +489,19 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
         )));
     }
     let n = config.extend_days - cp.covered_extend_days;
-    let mut covered_config = config;
-    covered_config.extend_days = cp.covered_extend_days;
-    let base = rebuild_study(covered_config, &cp, state_dir)?;
-    let old_range = base.config.sim_range();
-    let (mut study, mut stats) = extend(base, n)?;
+    let old_range = DateRange::new(
+        config.full_range.start,
+        config.full_range.end + cp.covered_extend_days,
+    );
+    let history = load_history(&config, &cp, old_range, state_dir)?;
+    let world = SimInputs::world(&config);
+    let mut study = Study::absorb(config, world, history, t0)?;
     let new_range = study.config.sim_range();
+    let mut stats = IncrementalStat {
+        days_reused: u64::from(old_range.num_days()),
+        days_computed: u64::from(n),
+        extend_wall: Duration::ZERO,
+    };
 
     // Re-run exactly the passes the extension invalidates (plus any the
     // checkpoint never cached); splice the rest from the cached

@@ -1,22 +1,20 @@
-//! The simulation entry point: world + population + attacker setup, then
-//! the sharded driver (see [`crate::driver`]).
+//! The simulation entry point: world + population + attacker setup, the
+//! sharded driver (see [`crate::driver`]), then the one freeze.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use ipv6_study_behavior::abuse::AbuseSim;
-use ipv6_study_behavior::population::Population;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{FaultStat, Json, RunReport, ShardStat};
 use ipv6_study_secapp::actioning::DayCounts;
 use ipv6_study_telemetry::{
-    AbuseLabels, DateRange, FrozenDatasets, FrozenStore, SimDate, SpillPolicy, SpillSession,
-    StorageMode,
+    AbuseLabels, DateRange, FamilyRuns, FrozenDatasets, FrozenStore, SimDate, SpillPolicy,
+    SpillSession, SpillStats, StorageMode,
 };
 
 use crate::config::{ConfigError, StudyBuilder, StudyConfig};
-use crate::driver::{self, DriverOutput, RunMetrics};
+use crate::driver::{self, RunMetrics, SimInputs, Simulated};
 use crate::faults::{FaultReport, StudyError, StudyOutcome};
 
 /// A completed study run: the world, the sampled datasets, the complete
@@ -77,6 +75,21 @@ pub struct Study {
 #[derive(Default)]
 pub(crate) struct DayCountsCache(Mutex<BTreeMap<SimDate, Arc<DayCounts>>>);
 
+/// The leading days of a run that are not simulated again: their runs
+/// (checkpoint day files or frozen day ranges) and the counters that
+/// cannot be re-derived from rows.
+#[derive(Debug, Default)]
+pub(crate) struct History {
+    pub runs: FamilyRuns,
+    /// How many leading days of `sim_range()` the runs cover.
+    pub days: u16,
+    pub offered: u64,
+    pub users_seen: u64,
+    pub users_sampled: u64,
+    /// Wall spent opening the runs, reported as part of the merge phase.
+    pub load_wall: Duration,
+}
+
 impl std::fmt::Debug for DayCountsCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let days: Vec<SimDate> = self
@@ -105,53 +118,81 @@ impl Study {
     /// when shard failures exceed what `config.failure_policy` tolerates.
     pub fn run(config: StudyConfig) -> StudyOutcome {
         config.validate()?;
-        let total = Instant::now();
-        let mut world = World::sized(config.seed, config.households);
-        config.ablation.apply_to_world(&mut world);
-        let pop = Population::new(&world, config.seed ^ 0x504F_5055, config.households);
-        let approx_users = pop.approx_users();
-        let samplers = config.sampling.resolve(approx_users);
+        let started = Instant::now();
+        let world = SimInputs::world(&config);
+        Self::absorb(config, world, History::default(), started)
+    }
 
-        // The spill session (when configured) lives for the whole sim +
-        // merge: the driver's k-way merge streams the segment files into
-        // frozen columns, after which the directory is deleted.
+    /// Simulates the days of `config.sim_range()` after `history`, then
+    /// freezes the history's runs and the new ones in one pass — the path
+    /// behind [`Study::run`], [`Study::extend_days`] and a warm
+    /// [`crate::incremental::run`]. `world` must be
+    /// [`SimInputs::world`] of `config`; `started` anchors the run's
+    /// total wall.
+    pub(crate) fn absorb(
+        config: StudyConfig,
+        world: World,
+        history: History,
+        started: Instant,
+    ) -> StudyOutcome {
+        let inputs = SimInputs::new(&config, &world);
+        // The spill session (when configured) lives until the freeze has
+        // streamed its segment files into frozen columns.
         let spill = open_spill(&config)?;
+        let range = config.sim_range();
+        let Simulated {
+            runs,
+            offered,
+            users_seen,
+            users_sampled,
+            mut metrics,
+            mut faults,
+        } = if history.days < range.num_days() {
+            let days = DateRange::new(range.start + history.days, range.end);
+            driver::simulate(&config, &world, &inputs, spill.as_ref(), days)?
+        } else {
+            Simulated::nothing(&config)
+        };
 
-        // Attackers operate over the whole window (their creation dates
-        // are spread across it).
-        let abuse_window = DateRange::new(config.full_range.start, config.full_range.end);
-        let abuse = AbuseSim::new(
-            &world,
-            config.seed ^ 0x4142_5553,
-            config.campaigns,
-            config.households,
-            abuse_window,
-        )
-        .with_detect_scale(config.ablation.detect_scale());
-        let labels = abuse.labels();
+        // History runs hold earlier days, so they go first.
+        let t_merge = Instant::now();
+        let mut all = history.runs;
+        all.append(runs);
+        metrics.merge_wall += history.load_wall + t_merge.elapsed();
 
-        let mut out = driver::execute(&config, &world, &pop, &abuse, &samplers, spill.as_ref())?;
+        let t_freeze = Instant::now();
+        let (datasets, abuse_store, pair_store) =
+            driver::freeze(all, inputs.samplers.clone(), history.offered + offered)?;
+        metrics.sort_wall = t_freeze.elapsed();
+        // The freeze's read passes verify every run checksum; fold the
+        // final storage counters into the fault report.
+        let spill_stats = spill.as_ref().map(SpillSession::stats).unwrap_or_default();
+        faults.io_retries = spill_stats.io_retries;
+        faults.checksum_failures = spill_stats.checksum_failures;
         // Every record now lives in frozen columns; delete the segment
         // files before the (potentially long) analysis phase.
         drop(spill);
 
-        out.metrics.total_wall = total.elapsed();
-        let report = build_report(&config, approx_users, &out);
-        Ok(Self {
+        let labels = inputs.abuse.labels();
+        let approx_users = inputs.pop.approx_users();
+        metrics.total_wall = started.elapsed();
+        let mut study = Self {
             config,
             world,
-            datasets: out.datasets,
-            abuse_store: out.abuse_store,
-            pair_store: out.pair_store,
+            datasets,
+            abuse_store,
+            pair_store,
             labels,
             approx_users,
-            users_seen: out.users_seen,
-            users_sampled: out.users_sampled,
-            metrics: out.metrics,
-            faults: out.faults,
-            report,
+            users_seen: history.users_seen + users_seen,
+            users_sampled: history.users_sampled + users_sampled,
+            metrics,
+            faults,
+            report: RunReport::default(),
             day_counts: DayCountsCache::default(),
-        })
+        };
+        study.report = build_report(&study, spill_stats);
+        Ok(study)
     }
 
     /// Extends the simulated timeline by `n` days without re-simulating
@@ -309,11 +350,10 @@ impl Study {
     }
 }
 
-/// Opens the run's spill session when `config.storage` is `Spill` —
-/// shared by [`Study::run`] and the incremental extension path. The
+/// Opens the run's spill session when `config.storage` is `Spill`. The
 /// session's storage policy carries the run's disk budget and any
 /// injected I/O fault plan.
-pub(crate) fn open_spill(config: &StudyConfig) -> Result<Option<SpillSession>, StudyError> {
+fn open_spill(config: &StudyConfig) -> Result<Option<SpillSession>, StudyError> {
     match &config.storage {
         StorageMode::Spill { dir, .. } => {
             let policy = SpillPolicy {
@@ -333,25 +373,20 @@ pub(crate) fn open_spill(config: &StudyConfig) -> Result<Option<SpillSession>, S
     }
 }
 
-/// Converts the driver's output into the run's [`RunReport`]: phase
+/// Builds the run's [`RunReport`] from a freshly frozen study: phase
 /// walls, per-shard stats, fault and storage stats, a config echo, and
 /// registry aggregates. Returns an empty (disabled) report when
 /// instrumentation is off.
-pub(crate) fn build_report(
-    config: &StudyConfig,
-    approx_users: u64,
-    out: &DriverOutput,
-) -> RunReport {
-    let metrics = &out.metrics;
-    let faults = &out.faults;
-    let retained = out.datasets.retained();
+fn build_report(study: &Study, spill: SpillStats) -> RunReport {
+    let (config, metrics, faults) = (&study.config, &study.metrics, &study.faults);
+    let retained = study.datasets.retained();
     // Peak frozen footprint: every store's columns plus the shared
     // intern tables, counted once (all stores point at the same Arc).
-    let store_bytes = (out.datasets.bytes()
-        + out.abuse_store.bytes()
-        + out.pair_store.bytes()
-        + out.abuse_store.tables().bytes()) as u64;
-    let stored_records = retained + out.abuse_store.len() as u64 + out.pair_store.len() as u64;
+    let store_bytes = (study.datasets.bytes()
+        + study.abuse_store.bytes()
+        + study.pair_store.bytes()
+        + study.abuse_store.tables().bytes()) as u64;
+    let stored_records = retained + study.abuse_store.len() as u64 + study.pair_store.len() as u64;
     let mut report = RunReport::new(config.instrument);
     report.failure_policy = faults.policy.as_str().to_string();
     if !config.instrument {
@@ -434,7 +469,7 @@ pub(crate) fn build_report(
         .collect();
     report.io_retries = faults.io_retries;
     report.checksum_failures = faults.checksum_failures;
-    report.spill_bytes_verified = out.spill_stats.bytes_verified;
+    report.spill_bytes_verified = spill.bytes_verified;
     // Fault counters are recorded unconditionally (zero on clean runs) so
     // every report exposes the same metric set.
     report
@@ -453,10 +488,9 @@ pub(crate) fn build_report(
     report
         .registry
         .inc("sim.checksum_failures", faults.checksum_failures);
-    report.registry.set_gauge(
-        "sim.spill_bytes_verified",
-        out.spill_stats.bytes_verified as f64,
-    );
+    report
+        .registry
+        .set_gauge("sim.spill_bytes_verified", spill.bytes_verified as f64);
     for f in &faults.failures {
         report
             .registry
@@ -471,7 +505,7 @@ pub(crate) fn build_report(
     report.registry.inc("sim.records_retained", retained);
     report
         .registry
-        .set_gauge("sim.approx_users", approx_users as f64);
+        .set_gauge("sim.approx_users", study.approx_users as f64);
     report
         .registry
         .set_gauge("sim.records_per_sec", metrics.records_per_sec());

@@ -151,8 +151,8 @@ pub struct IncrementalStat {
     pub days_reused: u64,
     /// Simulated days actually executed by the driver this run.
     pub days_computed: u64,
-    /// Wall clock of the timeline-extension path (suffix simulation plus
-    /// union re-freeze plus selective pass re-run).
+    /// Wall clock of the timeline-extension path (history load, suffix
+    /// simulation, the one freeze and the selective pass re-run).
     pub extend_wall: Duration,
 }
 

@@ -83,59 +83,6 @@ impl StudyDatasets {
         }
     }
 
-    /// Absorbs another dataset collection produced under the *same* sampler
-    /// configuration and prefix-length set — the merge half of the sharded
-    /// simulation driver. Each store's records are appended after `self`'s
-    /// in `other`'s internal order, so merging shard outputs in shard-index
-    /// order reproduces the serial emission order exactly (the stores'
-    /// stable timestamp sort preserves that tie order).
-    ///
-    /// # Panics
-    /// Panics when the sampler configurations differ or the prefix-length
-    /// sets differ: such datasets were sampled from different populations
-    /// and merging them would be statistically meaningless.
-    pub fn merge(&mut self, other: StudyDatasets) {
-        assert!(
-            self.samplers.same_config(&other.samplers),
-            "cannot merge datasets sampled under different configurations"
-        );
-        assert_eq!(
-            {
-                let mut k: Vec<u8> = self.prefix_samples.keys().copied().collect();
-                k.sort_unstable();
-                k
-            },
-            {
-                let mut k: Vec<u8> = other.prefix_samples.keys().copied().collect();
-                k.sort_unstable();
-                k
-            },
-            "cannot merge datasets with different prefix-length sets"
-        );
-        self.request_sample.extend_from(other.request_sample);
-        self.user_sample.extend_from(other.user_sample);
-        self.ip_sample.extend_from(other.ip_sample);
-        for (len, store) in other.prefix_samples {
-            self.prefix_samples
-                .get_mut(&len)
-                .expect("key sets verified equal above")
-                .extend_from(store);
-        }
-        self.offered += other.offered;
-    }
-
-    /// Sorts every retained store by timestamp now, instead of lazily on
-    /// first query — lets the simulation driver account the sort cost as
-    /// its own measured phase.
-    pub fn ensure_sorted(&mut self) {
-        self.request_sample.ensure_sorted();
-        self.user_sample.ensure_sorted();
-        self.ip_sample.ensure_sorted();
-        for store in self.prefix_samples.values_mut() {
-            store.ensure_sorted();
-        }
-    }
-
     /// The prefix sample for a given length.
     ///
     /// # Panics
@@ -169,17 +116,14 @@ impl StudyDatasets {
 
     /// Consumes the datasets into an immutable columnar [`FrozenDatasets`]
     /// whose stores serve `&self` range queries (see [`FrozenStore`]),
-    /// encoded against intern tables built over these datasets alone. The
-    /// driver uses [`StudyDatasets::freeze_with`] so the tables also cover
-    /// the abuse and pair stores.
+    /// encoded against intern tables built over these datasets alone.
     pub fn freeze(self) -> FrozenDatasets {
         let tables = std::sync::Arc::new(crate::intern::EntityTables::build(self.iter_unordered()));
         self.freeze_with(tables)
     }
 
     /// Consumes the datasets into a columnar [`FrozenDatasets`] encoded
-    /// against shared intern tables. Every store is sorted here, so the
-    /// caller can account the cost as one phase.
+    /// against shared intern tables.
     pub fn freeze_with(
         self,
         tables: std::sync::Arc<crate::intern::EntityTables>,
@@ -322,78 +266,6 @@ mod tests {
         let s = Samplers::paper();
         let mut d = StudyDatasets::with_prefix_lengths(s, &[64]);
         let _ = d.prefix_sample(56);
-    }
-
-    #[test]
-    fn merge_equals_serial_offering() {
-        let s = Samplers {
-            request_rate: 0.5,
-            user_rate: 0.5,
-            ip_rate: 0.5,
-            prefix_rate: 0.5,
-        };
-        let records: Vec<RequestRecord> = (0..200)
-            .map(|i| {
-                rec(
-                    i,
-                    if i % 3 == 0 {
-                        "192.0.2.7"
-                    } else {
-                        "2001:db8::1"
-                    },
-                    i as u32,
-                )
-            })
-            .collect();
-
-        let mut serial = StudyDatasets::with_prefix_lengths(s.clone(), &[64, 48]);
-        for r in &records {
-            serial.offer(*r);
-        }
-
-        let mut left = StudyDatasets::with_prefix_lengths(s.clone(), &[64, 48]);
-        let mut right = StudyDatasets::with_prefix_lengths(s, &[64, 48]);
-        for r in &records[..120] {
-            left.offer(*r);
-        }
-        for r in &records[120..] {
-            right.offer(*r);
-        }
-        left.merge(right);
-
-        assert_eq!(left.offered, serial.offered);
-        assert_eq!(left.request_sample.all(), serial.request_sample.all());
-        assert_eq!(left.user_sample.all(), serial.user_sample.all());
-        assert_eq!(left.ip_sample.all(), serial.ip_sample.all());
-        assert_eq!(left.prefix_sample(64).all(), serial.prefix_sample(64).all());
-        assert_eq!(left.prefix_sample(48).all(), serial.prefix_sample(48).all());
-    }
-
-    #[test]
-    #[should_panic(expected = "different configurations")]
-    fn merge_rejects_mismatched_samplers() {
-        let a = Samplers {
-            request_rate: 0.5,
-            user_rate: 0.5,
-            ip_rate: 0.5,
-            prefix_rate: 0.5,
-        };
-        let b = Samplers {
-            request_rate: 0.25,
-            ..a.clone()
-        };
-        let mut da = StudyDatasets::with_prefix_lengths(a, &[]);
-        let db = StudyDatasets::with_prefix_lengths(b, &[]);
-        da.merge(db);
-    }
-
-    #[test]
-    #[should_panic(expected = "different prefix-length sets")]
-    fn merge_rejects_mismatched_prefix_lengths() {
-        let s = Samplers::paper();
-        let mut da = StudyDatasets::with_prefix_lengths(s.clone(), &[64]);
-        let db = StudyDatasets::with_prefix_lengths(s, &[64, 48]);
-        da.merge(db);
     }
 
     #[test]

@@ -21,34 +21,34 @@
 //! - [`columns`] — the columnar (struct-of-arrays) record layout:
 //!   [`columns::ColumnStore`] and the borrowed [`columns::ColumnSlice`]
 //!   window every frozen query returns.
-//! - [`store`] — an in-memory request store with time-range and group-by
-//!   helpers; freezing encodes it into columns.
+//! - [`store`] — the row-format request store (tests and ad-hoc
+//!   pipelines) and the frozen columnar store every analysis reads.
 //! - [`sink`] — the sealed [`sink::RequestSink`] consumer trait (with its
 //!   `push`/`flush_segment`/`finish` lifecycle) that simulator crates emit
 //!   into, the production [`sink::ShardSink`] that applies the §3.1
-//!   samplers in-stream, and tee/closure/counting combinators.
-//! - [`spill`] — bounded out-of-core segment storage: full-fidelity
-//!   streams spill to disk as per-shard sorted runs and are k-way merged
-//!   back into columnar stores with byte-identical order.
+//!   samplers in-stream, and a closure adapter.
+//! - [`run`] — the run model: every dataset family is an ordered list of
+//!   timestamp-sorted runs (in memory, spilled, checkpointed, or frozen),
+//!   interned in one key pass and frozen by one k-way merge.
+//! - [`spill`] — bounded out-of-core run storage: the run writer, spill
+//!   sessions, typed storage errors and I/O fault injection.
 //! - [`labels`] — the abusive-account label dataset with creation/detection
 //!   dates (the paper's labels are lifetime-censored by detection; ours
 //!   record both dates so analyses can reproduce that censoring).
 //! - [`dataset`] — [`dataset::StudyDatasets`]: routes a
 //!   simulated request stream into all sampled datasets in one pass.
-//! - [`csv`] — import/export, so these analyses can run over another
-//!   vantage point's telemetry (the replication path of §3.3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod columns;
-pub mod csv;
 pub mod dataset;
 pub mod ids;
 pub mod intern;
 pub mod kernels;
 pub mod labels;
 pub mod record;
+pub mod run;
 pub mod sampler;
 pub mod sink;
 pub mod spill;
@@ -66,14 +66,14 @@ pub use kernels::{
 };
 pub use labels::{AbuseInfo, AbuseLabels};
 pub use record::RequestRecord;
-pub use sampler::Samplers;
-pub use sink::{
-    CountingSink, FamilyPayload, FnSink, RequestSink, ShardPayload, ShardSink, SinkStorage, Tee,
+pub use run::{
+    merge_runs, read_checkpoint_segment, write_checkpoint_segment, FamilyRuns, KeyCollector, Run,
 };
+pub use sampler::Samplers;
+pub use sink::{FnSink, RequestSink, ShardPayload, ShardSink, SpillTarget};
 pub use spill::{
-    read_checkpoint_segment, write_checkpoint_segment, IoOp, MemGauge, RunManifest, SpillError,
-    SpillFaultPlan, SpillPolicy, SpillSession, SpillStats, StorageMode, DEFAULT_IO_RETRIES,
-    DEFAULT_SEGMENT_ROWS,
+    IoOp, MemGauge, RunWriter, SpillError, SpillFaultPlan, SpillPolicy, SpillSession, SpillStats,
+    StorageMode, DEFAULT_IO_RETRIES, DEFAULT_SEGMENT_ROWS,
 };
 pub use store::{FrozenStore, RequestStore};
 pub use time::{DateRange, SimDate, Timestamp};

@@ -76,18 +76,6 @@ impl Samplers {
         }
     }
 
-    /// Whether two sampler configurations make identical decisions — i.e.
-    /// every rate is bit-equal. Merging datasets sampled under different
-    /// configurations would silently mix incompatible inclusion
-    /// probabilities, so [`crate::dataset::StudyDatasets::merge`] requires
-    /// this to hold.
-    pub fn same_config(&self, other: &Samplers) -> bool {
-        self.request_rate.to_bits() == other.request_rate.to_bits()
-            && self.user_rate.to_bits() == other.user_rate.to_bits()
-            && self.ip_rate.to_bits() == other.ip_rate.to_bits()
-            && self.prefix_rate.to_bits() == other.prefix_rate.to_bits()
-    }
-
     /// Whether a user belongs to the user random sample.
     pub fn user_sampled(&self, user: UserId) -> bool {
         sampled(SEED_USER, user.raw(), self.user_rate)

@@ -2,23 +2,19 @@
 //!
 //! Emitters (the behavior and abuse simulators) produce a stream of
 //! [`RequestRecord`]s; what happens to each record — sampling into the
-//! study datasets, wholesale retention in a [`RequestStore`], streaming
-//! into bounded spill segments, forking to several consumers — is the
-//! caller's business. [`RequestSink`] is that seam: emitters take
-//! `&mut dyn RequestSink`, and this module provides the standard
-//! implementations plus combinators:
+//! study datasets, wholesale retention in a [`RequestStore`], sealing into
+//! sorted runs — is the caller's business. [`RequestSink`] is that seam:
+//! emitters take `&mut dyn RequestSink`, and this module provides the
+//! standard implementations:
 //!
 //! - [`ShardSink`] — the production path: routes each record through the
-//!   deterministic §3.1 samplers *during* the sim phase, retaining each
-//!   dataset family either in memory or as sorted spill segments
-//!   ([`SinkStorage`]),
+//!   deterministic §3.1 samplers *during* the sim phase and seals each
+//!   dataset family into timestamp-sorted runs, in memory or spilled
+//!   ([`SpillTarget`]),
 //! - [`StudyDatasets`] — routes through the samplers into in-memory
 //!   stores only (tests and ad-hoc pipelines),
-//! - [`RequestStore`] — keeps everything (useful for bounded windows like
-//!   the pair-week store, and in tests),
-//! - [`Tee`] — duplicates the stream to two sinks,
-//! - [`FnSink`] — adapts a closure (tests and one-off probes),
-//! - [`CountingSink`] — wraps a sink and counts records passing through.
+//! - [`RequestStore`] — keeps everything (tests),
+//! - [`FnSink`] — adapts a closure (tests, probes and benchmarks).
 //!
 //! # Lifecycle
 //!
@@ -30,12 +26,11 @@
 //! 2. [`RequestSink::flush_segment`] at stream-defined boundaries (the
 //!    driver calls it once per simulated day) — sinks may publish
 //!    progress/memory telemetry; spill-backed sinks need no forcing here
-//!    because segments auto-flush at `segment_rows`;
-//! 3. [`RequestSink::finish`] exactly once at end of stream — spill
-//!    staging buffers drain to disk as the final (partial) run.
+//!    because runs seal automatically at `segment_rows`;
+//! 3. [`RequestSink::finish`] exactly once at end of stream — staging
+//!    buffers seal into their final runs.
 //!
-//! Combinators forward `flush_segment`/`finish` to their inner sinks;
-//! for simple sinks both are no-ops.
+//! For simple sinks `flush_segment` and `finish` are no-ops.
 //!
 //! # Storage faults
 //!
@@ -45,7 +40,7 @@
 //! are counted but no longer routed, [`ShardSink::io_error`] exposes the
 //! latched error (the driver polls it at day boundaries to fail fast),
 //! and [`ShardSink::into_payload`] refuses to produce a payload, so a
-//! faulted attempt can never feed partial data into the merge.
+//! faulted attempt can never feed partial data into the freeze.
 
 use std::sync::atomic::AtomicU64;
 
@@ -53,8 +48,9 @@ use ipv6_study_netaddr::Ipv6Prefix;
 
 use crate::dataset::StudyDatasets;
 use crate::record::RequestRecord;
+use crate::run::FamilyRuns;
 use crate::sampler::Samplers;
-use crate::spill::{MemGauge, RunManifest, SegmentWriter, SpillError, SpillSession};
+use crate::spill::{MemGauge, RunWriter, SpillError, SpillSession};
 use crate::store::RequestStore;
 
 mod sealed {
@@ -78,9 +74,8 @@ pub trait RequestSink: sealed::Sealed {
     /// does nothing.
     fn flush_segment(&mut self) {}
 
-    /// Marks end of stream: buffered state must become durable (spill
-    /// staging drains to disk). Called exactly once; the default does
-    /// nothing.
+    /// Marks end of stream: buffered state must become final (staging
+    /// seals into runs). Called exactly once; the default does nothing.
     fn finish(&mut self) {}
 }
 
@@ -115,37 +110,6 @@ impl RequestSink for &mut dyn RequestSink {
     }
 }
 
-/// Duplicates every record to two sinks, in order: first `a`, then `b`.
-pub struct Tee<'a> {
-    a: &'a mut dyn RequestSink,
-    b: &'a mut dyn RequestSink,
-}
-
-impl<'a> Tee<'a> {
-    /// Creates a tee over two sinks.
-    pub fn new(a: &'a mut dyn RequestSink, b: &'a mut dyn RequestSink) -> Self {
-        Self { a, b }
-    }
-}
-
-impl sealed::Sealed for Tee<'_> {}
-impl RequestSink for Tee<'_> {
-    fn push(&mut self, rec: RequestRecord) {
-        self.a.push(rec);
-        self.b.push(rec);
-    }
-
-    fn flush_segment(&mut self) {
-        self.a.flush_segment();
-        self.b.flush_segment();
-    }
-
-    fn finish(&mut self) {
-        self.a.finish();
-        self.b.finish();
-    }
-}
-
 /// Adapts a closure into a sink.
 ///
 /// A blanket `impl<F: FnMut(..)> RequestSink for F` would collide with the
@@ -161,147 +125,26 @@ impl<F: FnMut(RequestRecord)> RequestSink for FnSink<F> {
     }
 }
 
-/// Wraps a sink and counts the records passing through it.
-pub struct CountingSink<'a> {
-    inner: &'a mut dyn RequestSink,
-    count: u64,
-}
-
-impl<'a> CountingSink<'a> {
-    /// Creates a counting wrapper around `inner`.
-    pub fn new(inner: &'a mut dyn RequestSink) -> Self {
-        Self { inner, count: 0 }
-    }
-
-    /// Records seen so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl sealed::Sealed for CountingSink<'_> {}
-impl RequestSink for CountingSink<'_> {
-    fn push(&mut self, rec: RequestRecord) {
-        self.count += 1;
-        self.inner.push(rec);
-    }
-
-    fn flush_segment(&mut self) {
-        self.inner.flush_segment();
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
-    }
-}
-
-/// Where a [`ShardSink`] keeps each retained dataset family.
-pub enum SinkStorage<'a> {
-    /// Rows accumulate in per-family [`RequestStore`]s (the original
-    /// pipeline).
-    Memory,
-    /// Rows stream into per-family [`SegmentWriter`]s under a shared
-    /// [`SpillSession`]; at most `segment_rows` rows per family are ever
-    /// staged in memory.
-    Spill {
-        /// The run's spill session (owns the directory).
-        session: &'a SpillSession,
-        /// Shard index (names the spill files).
-        shard: usize,
-        /// Attempt number (names the spill files, so a failed attempt's
-        /// files can be removed without touching a retry's).
-        attempt: u32,
-        /// Rows staged per family before a sorted run is appended.
-        segment_rows: usize,
-    },
-}
-
-/// One dataset family's backing storage inside a [`ShardSink`].
-enum FamilyStore {
-    Memory(RequestStore),
-    Spill(SegmentWriter),
-}
-
-impl FamilyStore {
-    fn new(storage: &SinkStorage<'_>, family: &str) -> Self {
-        match *storage {
-            SinkStorage::Memory => FamilyStore::Memory(RequestStore::new()),
-            SinkStorage::Spill {
-                session,
-                shard,
-                attempt,
-                segment_rows,
-            } => FamilyStore::Spill(session.writer(shard, attempt, family, segment_rows)),
-        }
-    }
-
-    fn push(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
-        match self {
-            FamilyStore::Memory(s) => {
-                s.push(rec);
-                Ok(())
-            }
-            FamilyStore::Spill(w) => w.push(rec),
-        }
-    }
-
-    /// Mutable row bytes this family currently holds in memory.
-    fn live_bytes(&self) -> u64 {
-        match self {
-            FamilyStore::Memory(s) => (s.len() * std::mem::size_of::<RequestRecord>()) as u64,
-            FamilyStore::Spill(w) => w.staged_bytes(),
-        }
-    }
-
-    fn finish(&mut self) -> Result<(), SpillError> {
-        if let FamilyStore::Spill(w) = self {
-            w.finish()?;
-        }
-        Ok(())
-    }
-
-    fn into_payload(self) -> FamilyPayload {
-        match self {
-            FamilyStore::Memory(s) => FamilyPayload::Rows(s),
-            FamilyStore::Spill(w) => FamilyPayload::Runs(w.into_manifest()),
-        }
-    }
-}
-
-/// One dataset family's finished output: in-memory rows or a spilled run
-/// manifest, depending on the run's [`SinkStorage`].
-pub enum FamilyPayload {
-    /// The family's records, resident in memory.
-    Rows(RequestStore),
-    /// The family's records, spilled as sorted runs on disk.
-    Runs(RunManifest),
-}
-
-impl FamilyPayload {
-    /// Records in this family.
-    pub fn rows(&self) -> u64 {
-        match self {
-            FamilyPayload::Rows(s) => s.len() as u64,
-            FamilyPayload::Runs(m) => m.rows(),
-        }
-    }
+/// Where a spilling [`ShardSink`] writes its runs.
+#[derive(Debug, Clone, Copy)]
+pub struct SpillTarget<'a> {
+    /// The run's spill session (owns the directory).
+    pub session: &'a SpillSession,
+    /// Shard index (names the spill files).
+    pub shard: usize,
+    /// Attempt number (names the spill files, so a failed attempt's
+    /// files can be removed without touching a retry's).
+    pub attempt: u32,
+    /// Rows staged per family before a sorted run is appended.
+    pub segment_rows: usize,
 }
 
 /// Everything a finished [`ShardSink`] produced, handed back to the
 /// driver for the merge phase.
+#[derive(Debug)]
 pub struct ShardPayload {
-    /// Record random sample (§3.1).
-    pub request: FamilyPayload,
-    /// User random sample (§3.1).
-    pub user: FamilyPayload,
-    /// IP random sample (§3.1).
-    pub ip: FamilyPayload,
-    /// Per-length IPv6 prefix random samples, ascending by length.
-    pub prefixes: Vec<(u8, FamilyPayload)>,
-    /// Full-fidelity abuse stream (abuse shards only).
-    pub abuse: Option<FamilyPayload>,
-    /// Full-fidelity pair-window stream (last three study days).
-    pub pair: FamilyPayload,
+    /// Every family's runs, in emission order.
+    pub runs: FamilyRuns,
     /// Records offered to the samplers (excludes nothing; the abuse
     /// stream sees the same records before sampling).
     pub offered: u64,
@@ -310,8 +153,8 @@ pub struct ShardPayload {
 }
 
 /// The production per-shard sink: applies the §3.1 [`Samplers`] to every
-/// record *during* the sim phase and retains each dataset family in the
-/// configured [`SinkStorage`].
+/// record *during* the sim phase and seals each dataset family into
+/// timestamp-sorted runs, in memory or spilled to a [`SpillTarget`].
 ///
 /// One sink lives for one shard attempt. The routing order per record is
 /// fixed (it defines emission order within every family, which the golden
@@ -320,12 +163,12 @@ pub struct ShardPayload {
 /// then the pair-window stream when [`ShardSink::set_pair_routing`] is on.
 pub struct ShardSink<'a> {
     samplers: Samplers,
-    request: FamilyStore,
-    user: FamilyStore,
-    ip: FamilyStore,
-    prefixes: Vec<(u8, FamilyStore)>,
-    abuse: Option<FamilyStore>,
-    pair: FamilyStore,
+    request: RunWriter,
+    user: RunWriter,
+    ip: RunWriter,
+    prefixes: Vec<(u8, RunWriter)>,
+    abuse: Option<RunWriter>,
+    pair: RunWriter,
     pair_routing: bool,
     offered: u64,
     records: u64,
@@ -340,31 +183,36 @@ impl<'a> ShardSink<'a> {
     ///
     /// `prefix_lengths` need not be sorted or unique; the sink routes in
     /// ascending-length order. `collect_abuse` turns on the full-fidelity
-    /// abuse stream (abuse shards). `gauge` is the run-wide memory
+    /// abuse stream (abuse shards). `spill` sends runs to disk; `None`
+    /// keeps one run per family in memory. `gauge` is the run-wide memory
     /// high-water gauge plus this attempt's published counter; pass
     /// `None` to skip memory telemetry.
     pub fn new(
         samplers: Samplers,
         prefix_lengths: &[u8],
         collect_abuse: bool,
-        storage: SinkStorage<'a>,
+        spill: Option<SpillTarget<'a>>,
         gauge: Option<(&'a MemGauge, &'a AtomicU64)>,
     ) -> Self {
+        let writer = |family: &str| match spill {
+            Some(t) => t.session.writer(t.shard, t.attempt, family, t.segment_rows),
+            None => RunWriter::in_memory(),
+        };
         let mut lengths: Vec<u8> = prefix_lengths.to_vec();
         lengths.sort_unstable();
         lengths.dedup();
         let prefixes = lengths
             .into_iter()
-            .map(|len| (len, FamilyStore::new(&storage, &format!("p{len}"))))
+            .map(|len| (len, writer(&format!("p{len}"))))
             .collect();
         Self {
             samplers,
-            request: FamilyStore::new(&storage, "request"),
-            user: FamilyStore::new(&storage, "user"),
-            ip: FamilyStore::new(&storage, "ip"),
+            request: writer("request"),
+            user: writer("user"),
+            ip: writer("ip"),
             prefixes,
-            abuse: collect_abuse.then(|| FamilyStore::new(&storage, "abuse")),
-            pair: FamilyStore::new(&storage, "pair"),
+            abuse: collect_abuse.then(|| writer("abuse")),
+            pair: writer("pair"),
             pair_routing: false,
             offered: 0,
             records: 0,
@@ -391,7 +239,7 @@ impl<'a> ShardSink<'a> {
         self.error.as_ref()
     }
 
-    /// Routes one record through the samplers into the family stores,
+    /// Routes one record through the samplers into the family writers,
     /// surfacing the first storage error.
     fn route(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
         if let Some(abuse) = &mut self.abuse {
@@ -408,12 +256,12 @@ impl<'a> ShardSink<'a> {
             self.ip.push(rec)?;
         }
         if let Some(addr) = rec.ipv6() {
-            for (len, store) in &mut self.prefixes {
+            for (len, writer) in &mut self.prefixes {
                 if self
                     .samplers
                     .prefix_sampled(Ipv6Prefix::containing(addr, *len))
                 {
-                    store.push(rec)?;
+                    writer.push(rec)?;
                 }
             }
         }
@@ -423,13 +271,13 @@ impl<'a> ShardSink<'a> {
         Ok(())
     }
 
-    /// Finishes every family store, surfacing the first storage error.
+    /// Finishes every family writer, surfacing the first storage error.
     fn finish_families(&mut self) -> Result<(), SpillError> {
         self.request.finish()?;
         self.user.finish()?;
         self.ip.finish()?;
-        for (_, store) in &mut self.prefixes {
-            store.finish()?;
+        for (_, writer) in &mut self.prefixes {
+            writer.finish()?;
         }
         if let Some(abuse) = &mut self.abuse {
             abuse.finish()?;
@@ -443,8 +291,8 @@ impl<'a> ShardSink<'a> {
             + self.user.live_bytes()
             + self.ip.live_bytes()
             + self.pair.live_bytes();
-        for (_, store) in &self.prefixes {
-            bytes += store.live_bytes();
+        for (_, writer) in &self.prefixes {
+            bytes += writer.live_bytes();
         }
         if let Some(abuse) = &self.abuse {
             bytes += abuse.live_bytes();
@@ -459,24 +307,26 @@ impl<'a> ShardSink<'a> {
     }
 
     /// Consumes the sink into its payload. [`RequestSink::finish`] must
-    /// have been called first (spill writers assert it). A sink that
+    /// have been called first (the writers debug-assert it). A sink that
     /// latched a storage error refuses to produce a payload — the typed
-    /// error surfaces instead, so partial data never reaches the merge.
+    /// error surfaces instead, so partial data never reaches the freeze.
     pub fn into_payload(self) -> Result<ShardPayload, SpillError> {
         if let Some(e) = self.error {
             return Err(e);
         }
         Ok(ShardPayload {
-            request: self.request.into_payload(),
-            user: self.user.into_payload(),
-            ip: self.ip.into_payload(),
-            prefixes: self
-                .prefixes
-                .into_iter()
-                .map(|(len, store)| (len, store.into_payload()))
-                .collect(),
-            abuse: self.abuse.map(FamilyStore::into_payload),
-            pair: self.pair.into_payload(),
+            runs: FamilyRuns {
+                request: self.request.into_runs(),
+                user: self.user.into_runs(),
+                ip: self.ip.into_runs(),
+                prefixes: self
+                    .prefixes
+                    .into_iter()
+                    .map(|(len, writer)| (len, writer.into_runs()))
+                    .collect(),
+                abuse: self.abuse.map(RunWriter::into_runs).unwrap_or_default(),
+                pair: self.pair.into_runs(),
+            },
             offered: self.offered,
             records: self.records,
         })
@@ -513,6 +363,7 @@ impl RequestSink for ShardSink<'_> {
 mod tests {
     use super::*;
     use crate::ids::{Asn, Country, UserId};
+    use crate::run::{merge_runs, KeyCollector, Run};
     use crate::sampler::Samplers;
     use crate::time::SimDate;
 
@@ -533,6 +384,11 @@ mod tests {
             ip_rate: 1.0,
             prefix_rate: 0.0,
         }
+    }
+
+    /// Rows held by a family's runs.
+    fn rows(runs: &[Run]) -> usize {
+        runs.iter().map(|r| r.rows() as usize).sum()
     }
 
     #[test]
@@ -556,18 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_duplicates_in_order() {
-        let mut a = RequestStore::new();
-        let mut b = RequestStore::new();
-        let mut tee = Tee::new(&mut a, &mut b);
-        tee.push(rec(1, 0));
-        tee.push(rec(2, 1));
-        tee.finish();
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
     fn fn_sink_adapts_closures() {
         let mut seen = Vec::new();
         let mut sink = FnSink(|r: RequestRecord| seen.push(r.user));
@@ -577,19 +421,8 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_counts_and_forwards() {
-        let mut store = RequestStore::new();
-        let mut counter = CountingSink::new(&mut store);
-        for i in 0..5 {
-            counter.push(rec(i, i as u32));
-        }
-        assert_eq!(counter.count(), 5);
-        assert_eq!(store.len(), 5);
-    }
-
-    #[test]
     fn shard_sink_routes_like_study_datasets() {
-        // Reference path: StudyDatasets + external abuse/pair stores.
+        // Reference path: StudyDatasets + an external pair store.
         let samplers = Samplers::scaled_for(1_000);
         let records: Vec<RequestRecord> = (0..2_000).map(|i| rec(i % 97, i as u32)).collect();
 
@@ -602,7 +435,7 @@ mod tests {
             }
         }
 
-        let mut sink = ShardSink::new(samplers, &[64, 48, 48], false, SinkStorage::Memory, None);
+        let mut sink = ShardSink::new(samplers, &[64, 48, 48], false, None, None);
         for (i, r) in records.iter().enumerate() {
             if i == 1_000 {
                 sink.set_pair_routing(true);
@@ -614,21 +447,18 @@ mod tests {
 
         assert_eq!(payload.offered, reference.offered);
         assert_eq!(payload.records, 2_000);
-        assert!(payload.abuse.is_none());
-        let rows = |p: &FamilyPayload| match p {
-            FamilyPayload::Rows(s) => s.len(),
-            FamilyPayload::Runs(_) => unreachable!("memory storage"),
-        };
-        assert_eq!(rows(&payload.request), reference.request_sample.len());
-        assert_eq!(rows(&payload.user), reference.user_sample.len());
-        assert_eq!(rows(&payload.ip), reference.ip_sample.len());
-        assert_eq!(rows(&payload.pair), ref_pair.len());
+        let runs = &payload.runs;
+        assert!(runs.abuse.is_empty());
+        // In memory, each family is one run (or none when empty).
+        assert!(runs.iter().all(|r| r.rows() > 0));
+        assert_eq!(runs.request.len(), 1);
+        assert_eq!(rows(&runs.request), reference.request_sample.len());
+        assert_eq!(rows(&runs.user), reference.user_sample.len());
+        assert_eq!(rows(&runs.ip), reference.ip_sample.len());
+        assert_eq!(rows(&runs.pair), ref_pair.len());
         // Duplicated/unsorted prefix lengths collapse to ascending order.
-        assert_eq!(
-            payload.prefixes.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-            vec![48, 64]
-        );
-        for (len, p) in &payload.prefixes {
+        assert_eq!(runs.prefixes.keys().copied().collect::<Vec<_>>(), [48, 64]);
+        for (len, p) in &runs.prefixes {
             assert_eq!(rows(p), reference.prefix_sample(*len).len(), "/{len}");
         }
     }
@@ -637,13 +467,7 @@ mod tests {
     fn shard_sink_publishes_memory_telemetry() {
         let gauge = MemGauge::new();
         let published = AtomicU64::new(0);
-        let mut sink = ShardSink::new(
-            keep_all(),
-            &[],
-            true,
-            SinkStorage::Memory,
-            Some((&gauge, &published)),
-        );
+        let mut sink = ShardSink::new(keep_all(), &[], true, None, Some((&gauge, &published)));
         for i in 0..10 {
             sink.push(rec(i, i as u32));
         }
@@ -651,46 +475,60 @@ mod tests {
         // 10 records × (abuse + request + user + ip) families × 40 bytes.
         let expected = 10 * 4 * std::mem::size_of::<RequestRecord>() as u64;
         assert_eq!(gauge.current(), expected);
+        // Sealed in-memory runs are still resident row bytes.
         sink.finish();
+        assert_eq!(gauge.current(), expected);
         assert_eq!(gauge.peak(), expected);
     }
 
     #[test]
     fn spill_backed_shard_sink_matches_memory_routing() {
-        let session = crate::spill::SpillSession::create(None).unwrap();
+        let session = SpillSession::create(None).unwrap();
         let samplers = Samplers::scaled_for(1_000);
         let records: Vec<RequestRecord> = (0..3_000).map(|i| rec(i % 61, i as u32)).collect();
 
-        let run = |storage: SinkStorage<'_>| {
-            let mut sink = ShardSink::new(samplers.clone(), &[64], true, storage, None);
+        let run = |spill: Option<SpillTarget<'_>>| {
+            let mut sink = ShardSink::new(samplers.clone(), &[64], true, spill, None);
             for r in &records {
                 sink.push(*r);
             }
             sink.finish();
             sink.into_payload().unwrap()
         };
-        let memory = run(SinkStorage::Memory);
-        let spilled = run(SinkStorage::Spill {
+        let memory = run(None);
+        let spilled = run(Some(SpillTarget {
             session: &session,
             shard: 0,
             attempt: 0,
             segment_rows: 128,
-        });
-
+        }));
         assert_eq!(memory.offered, spilled.offered);
+        assert!(spilled.runs.request.len() > 1, "spilled in several runs");
+
+        // The same rows freeze to the same columns either way.
+        let freeze = |runs: Vec<Run>| {
+            let mut keys = KeyCollector::new();
+            for r in &runs {
+                keys.add_run(r).unwrap();
+            }
+            let tables = std::sync::Arc::new(keys.into_tables());
+            let frozen = merge_runs(runs, &tables).unwrap();
+            frozen.all().records().collect::<Vec<_>>()
+        };
+        let (mut m, mut s) = (memory.runs, spilled.runs);
         for (m, s, what) in [
-            (&memory.request, &spilled.request, "request"),
-            (&memory.user, &spilled.user, "user"),
-            (&memory.ip, &spilled.ip, "ip"),
-            (&memory.pair, &spilled.pair, "pair"),
             (
-                memory.abuse.as_ref().unwrap(),
-                spilled.abuse.as_ref().unwrap(),
-                "abuse",
+                m.prefixes.remove(&64).unwrap(),
+                s.prefixes.remove(&64).unwrap(),
+                "p64",
             ),
-            (&memory.prefixes[0].1, &spilled.prefixes[0].1, "p64"),
+            (m.request, s.request, "request"),
+            (m.user, s.user, "user"),
+            (m.ip, s.ip, "ip"),
+            (m.pair, s.pair, "pair"),
+            (m.abuse, s.abuse, "abuse"),
         ] {
-            assert_eq!(m.rows(), s.rows(), "{what} family row count");
+            assert_eq!(freeze(m), freeze(s), "{what} family");
         }
     }
 }

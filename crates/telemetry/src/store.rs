@@ -1,10 +1,11 @@
-//! In-memory request store with time-range and group-by helpers.
+//! Request stores: the row-format [`RequestStore`] and the frozen,
+//! columnar [`FrozenStore`] every analysis reads.
 //!
-//! A store holds one dataset's records (one of the four sampled datasets of
-//! §3.1). Records arrive roughly time-ordered from the simulation driver;
-//! the store sorts lazily on first query and then serves date-range slices
-//! by binary search. Group-by helpers build the (entity → observations)
-//! maps that every analysis starts from.
+//! A [`RequestStore`] holds one dataset's records as rows for tests and
+//! ad-hoc pipelines; it sorts lazily on first query and then serves
+//! date-range slices by binary search. The study itself builds its
+//! [`FrozenStore`]s from sorted runs (see [`crate::run`]). Group-by
+//! helpers build the (entity → observations) maps over row slices.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -33,43 +34,6 @@ impl RequestStore {
     pub fn push(&mut self, rec: RequestRecord) {
         self.records.push(rec);
         self.sorted = false;
-    }
-
-    /// Absorbs all records of `other`, preserving `other`'s internal order
-    /// after `self`'s own records. Used by the sharded driver to merge
-    /// shard-local stores in shard-index order, which keeps the stable
-    /// timestamp sort (and therefore every downstream slice) byte-identical
-    /// to a serial run.
-    ///
-    /// When both stores are already sorted and `other`'s records start no
-    /// earlier than `self`'s end, the concatenation is itself sorted and the
-    /// flag is preserved — shard merges of non-overlapping time slices skip
-    /// the full re-sort. Overlapping merges still produce the exact serial
-    /// order because the eventual sort is stable over the append order.
-    /// The merged store also reserves exactly: shard-local stores arrive
-    /// with growth-doubling over-allocation, and a merge of many shards
-    /// would otherwise strand the sum of their slack for the lifetime of
-    /// the study.
-    pub fn extend_from(&mut self, other: RequestStore) {
-        if self.records.is_empty() {
-            *self = other;
-            self.records.shrink_to_fit();
-            return;
-        }
-        if other.records.is_empty() {
-            return;
-        }
-        let still_sorted = self.sorted
-            && other.sorted
-            && self.records.last().map(|r| r.ts) <= other.records.first().map(|r| r.ts);
-        self.records.reserve_exact(other.records.len());
-        self.records.extend(other.records);
-        self.sorted = still_sorted;
-    }
-
-    /// The records' heap capacity (diagnostic; pinned by the merge test).
-    pub fn capacity(&self) -> usize {
-        self.records.capacity()
     }
 
     /// Iterates the records in raw (unsorted) arrival order — for building
@@ -151,9 +115,7 @@ impl RequestStore {
 
     /// Consumes the store into an immutable, pre-sorted, **columnar**
     /// [`FrozenStore`] encoded against intern tables built over this store
-    /// alone — the convenience path for tests and standalone stores. The
-    /// driver uses [`RequestStore::freeze_with`] so every store in a study
-    /// shares one global table set.
+    /// alone — the convenience path for tests and standalone stores.
     pub fn freeze(self) -> FrozenStore {
         let tables = Arc::new(EntityTables::build(self.records.iter()));
         self.freeze_with(tables)
@@ -171,10 +133,9 @@ impl RequestStore {
 
 /// An immutable, timestamp-sorted, columnar view of a completed dataset.
 ///
-/// [`RequestStore`] keeps rows (cheap to append from the simulator);
-/// freezing performs the final stable sort once and transposes the rows
-/// into interned struct-of-arrays columns — 18 bytes/row instead of the
-/// 40-byte `RequestRecord`. Range queries are binary searches over the
+/// Freezing transposes timestamp-sorted rows into interned
+/// struct-of-arrays columns — 18 bytes/row instead of the 40-byte
+/// `RequestRecord`. Range queries are binary searches over the
 /// timestamp column returning [`ColumnSlice`] windows over `&self`, safe
 /// to share across the parallel analysis engine's worker threads; rows
 /// rematerialize lazily through [`ColumnSlice::records`], byte-for-byte
@@ -187,9 +148,9 @@ pub struct FrozenStore {
 
 impl FrozenStore {
     /// Assembles a frozen store from already-sorted, already-encoded
-    /// columns — the spill pipeline's entry point, where the timestamp
-    /// sort happened streaming (per-segment sorts + k-way merge) rather
-    /// than in memory. The columns must be timestamp-sorted (debug-
+    /// columns — the freeze's entry point, where the timestamp sort
+    /// happened streaming (per-run sorts + k-way merge) rather than in
+    /// memory. The columns must be timestamp-sorted (debug-
     /// asserted) and encoded against `tables`.
     pub fn from_sorted_parts(cols: ColumnStore, tables: Arc<EntityTables>) -> Self {
         debug_assert!(
@@ -286,71 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_appends_preserving_order() {
-        let a1 = rec(1, SimDate::ymd(4, 13), 10, "2001:db8::1");
-        let a2 = rec(2, SimDate::ymd(4, 13), 10, "2001:db8::2"); // equal ts on purpose
-        let b1 = rec(3, SimDate::ymd(4, 13), 10, "2001:db8::3");
-
-        // Serial: push a1, a2, b1 into one store.
-        let mut serial = RequestStore::new();
-        serial.push(a1);
-        serial.push(a2);
-        serial.push(b1);
-
-        // Sharded: two stores merged in shard order.
-        let mut left = RequestStore::new();
-        left.push(a1);
-        left.push(a2);
-        let mut right = RequestStore::new();
-        right.push(b1);
-        let mut merged = RequestStore::new();
-        merged.extend_from(left);
-        merged.extend_from(right);
-
-        // The stable sort must leave both in the same tie order.
-        assert_eq!(serial.all(), merged.all());
-    }
-
-    #[test]
-    fn extend_from_into_empty_is_a_move() {
-        let mut src = RequestStore::new();
-        src.push(rec(1, SimDate::ymd(4, 13), 1, "2001:db8::1"));
-        src.ensure_sorted();
-        let mut dst = RequestStore::new();
-        dst.extend_from(src);
-        assert_eq!(dst.len(), 1);
-        // Moving a sorted store keeps it sorted (no re-sort needed).
-        assert!(dst.sorted);
-        dst.extend_from(RequestStore::new());
-        assert_eq!(dst.len(), 1);
-        assert!(dst.sorted);
-    }
-
-    #[test]
-    fn extend_from_preserves_sorted_when_disjoint_in_time() {
-        let mut left = RequestStore::new();
-        left.push(rec(1, SimDate::ymd(4, 13), 1, "2001:db8::1"));
-        left.push(rec(2, SimDate::ymd(4, 13), 2, "2001:db8::2"));
-        left.ensure_sorted();
-        let mut right = RequestStore::new();
-        right.push(rec(3, SimDate::ymd(4, 13), 2, "2001:db8::3")); // ties allowed
-        right.push(rec(4, SimDate::ymd(4, 13), 5, "2001:db8::4"));
-        right.ensure_sorted();
-
-        left.extend_from(right);
-        assert!(left.sorted, "disjoint sorted merge must stay sorted");
-        assert!(left.all().windows(2).all(|w| w[0].ts <= w[1].ts));
-
-        // Overlapping merge clears the flag (a re-sort is required).
-        let mut early = RequestStore::new();
-        early.push(rec(5, SimDate::ymd(4, 13), 0, "2001:db8::5"));
-        early.ensure_sorted();
-        left.extend_from(early);
-        assert!(!left.sorted);
-        assert_eq!(left.all().first().unwrap().user, UserId(5));
-    }
-
-    #[test]
     fn frozen_store_matches_thawed_queries() {
         let mut s = RequestStore::new();
         s.push(rec(1, SimDate::ymd(4, 15), 8, "2001:db8::1"));
@@ -378,36 +274,6 @@ mod tests {
         // Columnar cost: 18 bytes/row vs the 40-byte row struct.
         assert_eq!(frozen.bytes(), frozen.len() * 18);
         assert!(!frozen.tables().ips.is_empty());
-    }
-
-    #[test]
-    fn extend_from_reserves_exactly() {
-        let mut shard = RequestStore::new();
-        for i in 0..100 {
-            shard.push(rec(i, SimDate::ymd(4, 13), 1, "2001:db8::1"));
-        }
-        assert!(
-            shard.capacity() > shard.len(),
-            "growth-doubling leaves slack to demonstrate the fix"
-        );
-        let mut merged = RequestStore::new();
-        merged.extend_from(shard);
-        assert_eq!(
-            merged.capacity(),
-            merged.len(),
-            "merging into empty shrinks the moved buffer"
-        );
-        let mut other = RequestStore::new();
-        for i in 0..37 {
-            other.push(rec(i, SimDate::ymd(4, 14), 1, "2001:db8::2"));
-        }
-        merged.extend_from(other);
-        assert_eq!(merged.len(), 137);
-        assert_eq!(
-            merged.capacity(),
-            merged.len(),
-            "append path reserves exactly, stranding no shard slack"
-        );
     }
 
     #[test]

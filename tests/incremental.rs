@@ -6,14 +6,14 @@
 //! windows cover the new days.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ipv6_user_study::experiments::run_all;
 use ipv6_user_study::stats::hash::StableHasher;
 use ipv6_user_study::stats::TestGen;
-use ipv6_user_study::telemetry::{ColumnSlice, IpTable, UserTable};
+use ipv6_user_study::telemetry::{ColumnSlice, IoOp, IpTable, UserTable};
 use ipv6_user_study::{
-    incremental, report, ConfigError, StorageMode, Study, StudyConfig, StudyError,
+    incremental, report, ConfigError, SpillError, StorageMode, Study, StudyConfig, StudyError,
 };
 
 /// Order-sensitive digest of a record sequence.
@@ -354,9 +354,100 @@ fn state_dir_rejects_mismatched_config_and_backward_runs() {
     let mut ext = cfg.clone();
     ext.extend_days = 2;
     let _ = incremental::run(ext, &state.0).expect("extend to 2");
-    let err = incremental::run(cfg, &state.0).expect_err("backward request");
+    let err = incremental::run(cfg.clone(), &state.0).expect_err("backward request");
     assert!(
         matches!(err, StudyError::Config(ConfigError::Storage(ref msg)) if msg.contains("forward")),
         "got {err}"
     );
+
+    // A manifest of another checkpoint schema is refused by number, not
+    // mistaken for a different configuration.
+    let manifest = state.0.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    assert!(text.contains("\"checkpoint_schema\": 2"), "{text}");
+    let old = text.replace("\"checkpoint_schema\": 2", "\"checkpoint_schema\": 1");
+    std::fs::write(&manifest, old).expect("rewrite manifest");
+    let err = incremental::run(cfg, &state.0).expect_err("schema 1");
+    assert!(
+        matches!(err, StudyError::Config(ConfigError::Storage(ref msg))
+            if msg.contains("checkpoint_schema 1")
+                && msg.contains("checkpoint_schema 2")
+                && !msg.contains("different configuration")),
+        "got {err}"
+    );
+}
+
+/// Every file under `dir` with its length, sorted.
+fn listing(dir: &Path) -> Vec<(PathBuf, u64)> {
+    let mut files = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(d) = dirs.pop() {
+        for entry in std::fs::read_dir(&d).expect("read state dir") {
+            let path = entry.expect("state dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let len = std::fs::metadata(&path).expect("stat").len();
+                files.push((path, len));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A damaged day file fails the resume with a typed storage error naming
+/// the file, and nothing is written to the state dir. A truncated or
+/// missing file fails as the history's day files are opened, before any
+/// day is simulated; a flipped row byte keeps the file's length and
+/// fails the freeze's checksum check.
+#[test]
+fn damaged_state_dir_fails_the_resume_with_a_typed_error() {
+    let state = ScopedDir::new("damaged");
+    let cfg = StudyConfig::tiny();
+    let _ = incremental::run(cfg.clone(), &state.0).expect("cold run");
+    let mut warm = cfg;
+    warm.extend_days = 1;
+    let seg = state.0.join("days").join("day096").join("user.seg");
+
+    // One bit flipped past the 20-byte frame header: same length, bad
+    // checksum.
+    let mut bytes = std::fs::read(&seg).expect("day 96 has a user file");
+    let _ = TestGen::new(0x464C_4950).flip_byte(&mut bytes, 20); // "FLIP"
+    std::fs::write(&seg, &bytes).expect("rewrite user.seg");
+    let before = listing(&state.0);
+    match incremental::run(warm.clone(), &state.0).map(drop) {
+        Err(StudyError::Spill(SpillError::Corrupt { path, .. })) => assert_eq!(path, seg),
+        other => panic!("expected Corrupt naming {}, got {other:?}", seg.display()),
+    }
+    assert_eq!(listing(&state.0), before, "a failed resume writes nothing");
+
+    // Truncated to 100 bytes: the header no longer matches the file.
+    let len = bytes.len();
+    assert!(len > 100, "user.seg holds {len} bytes");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&seg)
+        .and_then(|f| f.set_len(100))
+        .expect("truncate user.seg");
+    let before = listing(&state.0);
+    match incremental::run(warm.clone(), &state.0).map(drop) {
+        Err(StudyError::Spill(SpillError::Corrupt { path, .. })) => assert_eq!(path, seg),
+        other => panic!("expected Corrupt naming {}, got {other:?}", seg.display()),
+    }
+    assert_eq!(listing(&state.0), before, "a failed resume writes nothing");
+
+    // Deleted: opening the day file fails.
+    std::fs::remove_file(&seg).expect("delete user.seg");
+    let before = listing(&state.0);
+    match incremental::run(warm, &state.0).map(drop) {
+        Err(StudyError::Spill(SpillError::Io {
+            path,
+            op: IoOp::Open,
+            kind: std::io::ErrorKind::NotFound,
+            ..
+        })) => assert_eq!(path, seg),
+        other => panic!("expected a NotFound open error, got {other:?}"),
+    }
+    assert_eq!(listing(&state.0), before, "a failed resume writes nothing");
 }
