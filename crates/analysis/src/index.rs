@@ -333,7 +333,8 @@ impl DatasetIndex {
     }
 
     /// Heap bytes held by the index's gathered columns and run tables
-    /// (the `analysis.index_bytes` gauge; shared intern tables excluded).
+    /// (the run report's `run/analysis/index` bytes; shared intern tables
+    /// excluded).
     pub fn bytes(&self) -> usize {
         self.by_user.bytes()
             + self.by_ip.bytes()

@@ -22,8 +22,6 @@
 //!   group-by analyses are slice walks instead of per-pass hash grouping.
 //! - [`report`] — plottable series/table types shared by the bench harness
 //!   and the `repro` binary.
-//! - [`instrument`] — the timing wrapper that reports each pass's wall
-//!   clock and input cardinality to the observability layer.
 //!
 //! Group-by analyses take a pre-windowed [`index::DatasetIndex`]; series
 //! and ratio analyses take plain `&[RequestRecord]` slices (pre-windowed by
@@ -36,7 +34,6 @@
 
 pub mod characterize;
 pub mod index;
-pub mod instrument;
 pub mod ip_centric;
 pub mod outliers;
 pub mod report;
@@ -45,5 +42,4 @@ pub mod user_centric;
 pub mod windows;
 
 pub use index::{DatasetIndex, IndexMode};
-pub use instrument::timed_figure;
 pub use report::{CdfSeries, FigureReport, TableReport};

@@ -12,15 +12,15 @@
 //! ```
 //!
 //! `scale` is one of `tiny`, `test`, `default` (the default) or `full`.
-//! The JSON schema is documented in DESIGN.md and pinned by the
-//! `tests/run_report.rs` golden test; timing values vary run to run, the
-//! field set does not. The report echoes the storage mode, segment size,
-//! and sampling plan, and carries `sim.peak_store_bytes` — the number
-//! `--storage spill` keeps flat as `--households` grows. With
+//! The report's layout is documented in DESIGN.md §7 and pinned by
+//! `tests/run_report.rs`: the `run` span tree (plan, sim with one child
+//! per shard, merge, freeze, analysis with one child per window and per
+//! pass), the config echo (storage mode, segment size, sampling plan),
+//! the faults section and the `incremental` accounting. With
 //! `--state-dir DIR` the run goes through the incremental engine
-//! (DESIGN.md §14) and the schema-v7 `analysis.incremental` section
-//! reports how many days were reused vs computed and the extension wall
-//! (`extend_wall_secs`) — the number `bench_diff --max-extend-secs` gates.
+//! (DESIGN.md §14), and a warm resume adds the `resume` span root
+//! (`load`, `extend`, `render`, `checkpoint`). `bench_diff --gate` gates
+//! any number in the document by its `/`-separated path.
 
 use ipv6_study_bench::cli::{usage_exit, CommonArgs};
 use ipv6_study_core::experiments::run_all;
@@ -53,7 +53,7 @@ fn main() {
 
     let study = match args.state_dir {
         // Incremental route: the engine runs sim + analyses itself and
-        // fills the v7 `analysis.incremental` section of the report.
+        // fills the report's `incremental` section.
         Some(ref dir) => match incremental::run(config, dir) {
             Ok(run) => {
                 eprintln!(

@@ -29,6 +29,9 @@
 //! not-yet-covered days and re-runs only the passes whose read windows
 //! reach them, and the written EXPERIMENTS.md is byte-identical to a
 //! from-scratch run of the same range (DESIGN.md §14).
+//!
+//! The run report (`BENCH_run.json`) is `bench_run`'s output, not
+//! `repro`'s.
 
 use std::time::Instant;
 
@@ -156,17 +159,6 @@ fn main() {
             Ok(()) => eprintln!("wrote {ext_output}"),
             Err(e) => {
                 eprintln!("failed to write {ext_output}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // The observability report rides along with every repro run.
-    if study.report().enabled {
-        match std::fs::write("BENCH_run.json", study.report().to_json_string()) {
-            Ok(()) => eprintln!("wrote BENCH_run.json"),
-            Err(e) => {
-                eprintln!("failed to write BENCH_run.json: {e}");
                 std::process::exit(1);
             }
         }

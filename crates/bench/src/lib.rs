@@ -1,47 +1,12 @@
-//! Shared harness for the per-figure benchmark targets.
-//!
-//! Every bench target regenerates one of the paper's tables or figures:
-//! it prints the measured rows/series once (the reproduction artifact),
-//! then times the analysis pass itself with a small std-only loop
-//! (`std::time::Instant`; no external benchmark framework so the
-//! workspace builds fully offline). The simulated study — and the shared
-//! [`AnalysisCtx`] with its pre-built dataset indexes — is built once per
-//! process and shared read-only.
+//! Shared harness for the `repro`, `bench_run` and `bench_kernels`
+//! binaries and the `ablations` bench: the command-line parser ([`cli`])
+//! and a small std-only timing loop ([`time_fn`]; no external benchmark
+//! framework, so the workspace builds fully offline). Per-pass timings
+//! come from `bench_run`'s run report, which times every analysis pass.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use ipv6_study_core::{AnalysisCtx, Study, StudyConfig};
-
 pub mod cli;
-
-/// The shared study (test scale: fast enough for bench startup, dense
-/// enough for every figure to be populated).
-pub fn study() -> &'static Study {
-    static STUDY: OnceLock<Study> = OnceLock::new();
-    STUDY.get_or_init(|| Study::run(StudyConfig::test_scale()).expect("valid preset"))
-}
-
-/// The shared analysis context over [`study`] (indexes built once).
-pub fn ctx() -> &'static AnalysisCtx<'static> {
-    static CTX: OnceLock<AnalysisCtx<'static>> = OnceLock::new();
-    CTX.get_or_init(|| AnalysisCtx::new(study()))
-}
-
-/// Prints an experiment's artifacts (figures as sampled series, tables as
-/// aligned text, stats as a list) — the paper-facing output of the bench.
-pub fn print_output(id: &str, out: &ipv6_study_core::ExperimentOutput) {
-    println!("================ {id} ================");
-    for t in &out.tables {
-        println!("{}", t.to_text());
-    }
-    for f in &out.figures {
-        println!("{}", f.to_text(12));
-    }
-    for (k, v) in &out.stats {
-        println!("  {k:45} {v:.4}");
-    }
-}
 
 /// Times `f` over `samples` iterations (after one warm-up call) and prints
 /// a one-line min/mean/max summary. Returns the mean in seconds.
@@ -73,17 +38,4 @@ fn fmt_s(secs: f64) -> String {
     } else {
         format!("{secs:.3}s")
     }
-}
-
-/// Declares a bench target for one experiment function.
-#[macro_export]
-macro_rules! bench_experiment {
-    ($name:ident, $id:literal, $func:path) => {
-        fn main() {
-            let ctx = $crate::ctx();
-            let out = $func(ctx);
-            $crate::print_output($id, &out);
-            $crate::time_fn(concat!(stringify!($name), "_analysis"), 10, || $func(ctx));
-        }
-    };
 }

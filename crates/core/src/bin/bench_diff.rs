@@ -1,436 +1,405 @@
-//! Compares two `BENCH_run.json` documents and fails on analysis-wall
-//! regressions — the CI perf gate for the parallel analysis engine.
+//! Compares two `BENCH_run.json` documents under `--gate` expressions —
+//! the CI perf gate.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p ipv6-study-core --bin bench_diff -- \
-//!     baseline.json current.json [--max-regression PCT] \
-//!     [--max-memory-regression PCT] [--max-peak-regression PCT]
+//!     baseline.json current.json [--gate 'PATH<=+25%']...
 //! ```
 //!
-//! Prints a per-figure wall-clock diff plus the engine phase walls, then
-//! exits 1 when the current total analysis wall exceeds the baseline by
-//! more than `--max-regression` percent (default 25) *and* by more than
-//! an absolute noise floor (50ms) — so sub-noise blips on tiny baselines
-//! never fail CI. With `--max-memory-regression`, also gates the frozen
-//! store footprint (`sim.store_bytes`, a schema-v2 field): deterministic
-//! byte counts get no noise floor, any growth past the budget fails.
-//! `--max-peak-regression` gates `sim.peak_store_bytes` (schema v3) the
-//! same way — CI uses it to prove a spill run's sim-phase peak memory
-//! stays flat even when the current run simulates orders of magnitude
-//! more households than the baseline. The Figure-11 trie sweep's
-//! `actioning_sweep.total_wall_secs` (schema v4) is gated automatically
-//! under the same percentage budget and noise floor whenever both
-//! documents carry it. `sim.spill_bytes_verified` (schema v5) is diffed
-//! informationally — printed when both documents carry it, skipped with
-//! a notice against pre-v5 baselines, never a failure.
+//! A gate is `PATH OP VALUE`: `PATH` is the `/`-separated path of a
+//! number in the document (`run/freeze/intern/wall_secs`), `OP` is `<=`,
+//! `>=` or `==`. Quote each gate, since `<` and `>` are shell
+//! metacharacters.
 //!
-//! Schema v6 adds **absolute throughput targets**, gated on the current
-//! document alone (no baseline comparison, hence no noise floor — the
-//! floor itself encodes the noise margin, see `.github/workflows/ci.yml`):
-//! `--min-records-per-sec N` fails when `analysis.records_per_sec`
-//! (records scanned per second of engine total wall) is below `N`, and
-//! `--max-analysis-total-secs S` fails when `analysis.phases.total`
-//! exceeds `S` seconds. Either flag against a document missing its field
-//! (pre-v6) is a hard failure — a lane that asks for a target must be
-//! able to measure it.
+//! - `'PATH<=+25%'` compares against the baseline: the current value may
+//!   exceed the baseline's by at most 25% (`'PATH>=-10%'` bounds a drop).
+//!   On a `wall_secs` leaf a change of at most 50 ms is noise and never
+//!   fails, so sub-noise blips on tiny baselines pass; byte and item
+//!   counts are deterministic and get no floor.
+//! - `'PATH>=1e7'`, `'PATH<=0.89'` and `'PATH==15'` check the current
+//!   document alone.
 //!
-//! Schema v7 adds the incremental-engine gate: `--max-extend-secs S`
-//! fails when `analysis.incremental.extend_wall_secs` — the wall of a
-//! whole `--state-dir` resume (delta rebuild + suffix sim + selective
-//! re-analysis + checkpoint refresh) — exceeds `S` seconds. Like the
-//! other absolute targets it gates the current document alone with no
-//! noise floor, and is a hard failure against a document missing the
-//! field (pre-v7 schema). The day-reuse split
-//! (`days_reused`/`days_computed`) is printed alongside whenever the
-//! section is present.
-//! Exit 2 means bad usage or an unreadable document.
-//! Timing comparisons only make sense between runs of the same scale and
+//! The tool prints baseline → current for every span wall present in
+//! both documents, then one line per gate. It exits 1 when a gate fails,
+//! including when its path is missing from a document the gate reads;
+//! 2 on bad usage, an unreadable document or a malformed gate. Timing
+//! comparisons only make sense between runs of the same scale and
 //! machine class; CI diffs a fresh run against the committed baseline.
+
+use std::fmt::Write as _;
 
 use ipv6_study_obs::Json;
 
-/// Regressions smaller than this many seconds are noise, never failures.
+/// Relative wall changes up to this many seconds are noise, never
+/// failures.
 const NOISE_FLOOR_SECS: f64 = 0.05;
 
-fn usage_exit(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: bench_diff <baseline.json> <current.json> \
-         [--max-regression PCT] [--max-memory-regression PCT] \
-         [--max-peak-regression PCT] [--min-records-per-sec N] \
-         [--max-analysis-total-secs S] [--max-extend-secs S]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: bench_diff <baseline.json> <current.json> \
+     [--gate 'PATH<=+N%' | 'PATH>=-N%' | 'PATH<=X' | 'PATH>=X' | 'PATH==X']...";
+
+/// A gate's comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Le,
+    Ge,
+    Eq,
 }
 
-fn load(path: &str) -> Json {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => usage_exit(&format!("cannot read {path}: {e}")),
+/// One parsed `--gate` expression.
+#[derive(Debug, Clone, PartialEq)]
+struct Gate {
+    /// The expression as given, for messages.
+    text: String,
+    path: String,
+    op: Op,
+    /// The bound: a percentage of the baseline when `relative`, else an
+    /// absolute value.
+    value: f64,
+    relative: bool,
+}
+
+/// Parses `PATH OP VALUE[%]`; the error names what is wrong.
+fn parse_gate(text: &str) -> Result<Gate, String> {
+    let (path, op, rhs) = [("<=", Op::Le), (">=", Op::Ge), ("==", Op::Eq)]
+        .into_iter()
+        .find_map(|(sym, op)| text.split_once(sym).map(|(p, r)| (p, op, r)))
+        .ok_or_else(|| format!("gate `{text}` has no <=, >= or =="))?;
+    let bad_path = path.is_empty()
+        || path.split('/').any(str::is_empty)
+        || path.contains(|c: char| c.is_whitespace() || "<>=".contains(c));
+    if bad_path {
+        return Err(format!("gate `{text}` has a malformed path `{path}`"));
+    }
+    let (number, relative) = match rhs.strip_suffix('%') {
+        Some(n) => (n, true),
+        None => (rhs, false),
     };
-    match Json::parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => usage_exit(&format!("cannot parse {path}: {e}")),
+    let value = number
+        .parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| format!("gate `{text}` has a malformed value `{rhs}`"))?;
+    if relative && op == Op::Eq {
+        return Err(format!("gate `{text}`: == takes an absolute value"));
+    }
+    Ok(Gate {
+        text: text.to_string(),
+        path: path.to_string(),
+        op,
+        value,
+        relative,
+    })
+}
+
+/// Splits the arguments into the two document paths and the gates.
+fn parse_args(args: &[String]) -> Result<(String, String, Vec<Gate>), String> {
+    let mut docs = Vec::new();
+    let mut gates = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--gate" {
+            let text = args.next().ok_or("--gate needs a value")?;
+            gates.push(parse_gate(text)?);
+        } else if let Some(text) = arg.strip_prefix("--gate=") {
+            gates.push(parse_gate(text)?);
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag `{arg}`"));
+        } else {
+            docs.push(arg.clone());
+        }
+    }
+    match <[String; 2]>::try_from(docs) {
+        Ok([baseline, current]) => Ok((baseline, current, gates)),
+        Err(_) => Err("expected exactly two documents".to_string()),
     }
 }
 
-fn as_f64(json: &Json) -> Option<f64> {
-    match json {
+fn load(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// The number at a `/`-separated path, if there is one.
+fn number_at(doc: &Json, path: &str) -> Option<f64> {
+    match path.split('/').try_fold(doc, |node, key| node.get(key))? {
         Json::UInt(u) => Some(*u as f64),
         Json::Num(n) => Some(*n),
         _ => None,
     }
 }
 
-/// Walks `doc` down a dotted path of object keys.
-fn lookup<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
-    path.split('.').try_fold(doc, |node, key| node.get(key))
-}
-
-fn number_at(doc: &Json, path: &str) -> Option<f64> {
-    lookup(doc, path).and_then(as_f64)
-}
-
-/// The run's total analysis wall: the engine's `analysis.phases.total`
-/// when present, else the summed per-figure `analysis.total_wall_secs`
-/// (pre-engine documents).
-fn total_analysis_wall(doc: &Json) -> Option<f64> {
-    match number_at(doc, "analysis.phases.total") {
-        Some(t) if t > 0.0 => Some(t),
-        _ => number_at(doc, "analysis.total_wall_secs"),
+/// Paths of every `wall_secs` leaf under `node`, in document order.
+fn wall_paths(node: &Json, prefix: &str, out: &mut Vec<String>) {
+    if let Json::Obj(fields) = node {
+        for (key, child) in fields {
+            let path = if prefix.is_empty() {
+                key.clone()
+            } else {
+                format!("{prefix}/{key}")
+            };
+            if key == "wall_secs" {
+                out.push(path);
+            } else {
+                wall_paths(child, &path, out);
+            }
+        }
     }
 }
 
-/// Per-figure `(id, wall_secs)` pairs from `analysis.figures`.
-fn figure_walls(doc: &Json) -> Vec<(String, f64)> {
-    let Some(Json::Arr(figures)) = lookup(doc, "analysis.figures") else {
-        return Vec::new();
+fn pct_change(base: f64, cur: f64) -> f64 {
+    if base > 0.0 {
+        100.0 * (cur - base) / base
+    } else {
+        0.0
+    }
+}
+
+/// Evaluates one gate: whether it holds, and its report line.
+fn evaluate(gate: &Gate, baseline: &Json, current: &Json) -> (bool, String) {
+    let fail = |why: String| (false, format!("FAIL {}: {why}", gate.text));
+    let Some(cur) = number_at(current, &gate.path) else {
+        return fail(format!(
+            "the current document has no number at {}",
+            gate.path
+        ));
     };
-    figures
-        .iter()
-        .filter_map(|f| {
-            let id = match f.get("id") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => return None,
-            };
-            Some((id, f.get("wall_secs").and_then(as_f64)?))
-        })
-        .collect()
+    let holds = |limit: f64| match gate.op {
+        Op::Le => cur <= limit,
+        Op::Ge => cur >= limit,
+        Op::Eq => cur == limit,
+    };
+    let (ok, detail) = if gate.relative {
+        let Some(base) = number_at(baseline, &gate.path) else {
+            return fail(format!("the baseline has no number at {}", gate.path));
+        };
+        let floor = if gate.path.ends_with("wall_secs") {
+            NOISE_FLOOR_SECS
+        } else {
+            0.0
+        };
+        let limit = base * (1.0 + gate.value / 100.0);
+        let ok = holds(limit) || (floor > 0.0 && (cur - base).abs() <= floor);
+        let detail = format!(
+            "{base} -> {cur} ({:+.1}%; limit {limit}, noise floor {floor})",
+            pct_change(base, cur)
+        );
+        (ok, detail)
+    } else {
+        (holds(gate.value), format!("{cur}"))
+    };
+    let verdict = if ok { "ok  " } else { "FAIL" };
+    (ok, format!("{verdict} {}: {detail}", gate.text))
+}
+
+/// The whole comparison: the span-wall table, then one line per gate.
+/// Returns whether every gate held.
+fn diff(baseline: &Json, current: &Json, gates: &[Gate]) -> (bool, String) {
+    let mut out = String::new();
+    let mut walls = Vec::new();
+    wall_paths(current, "", &mut walls);
+    let _ = writeln!(out, "== span walls (baseline -> current) ==");
+    for path in &walls {
+        if let (Some(base), Some(cur)) = (number_at(baseline, path), number_at(current, path)) {
+            let span = path.strip_suffix("/wall_secs").unwrap_or(path);
+            let _ = writeln!(
+                out,
+                "{span:<48} {base:>9.4}s -> {cur:>9.4}s ({:+7.1}%)",
+                pct_change(base, cur)
+            );
+        }
+    }
+    let _ = writeln!(out, "== gates ==");
+    let mut all_ok = true;
+    for gate in gates {
+        let (ok, line) = evaluate(gate, baseline, current);
+        all_ok &= ok;
+        let _ = writeln!(out, "{line}");
+    }
+    (all_ok, out)
+}
+
+/// Runs the tool on `args`, printing the comparison; returns the exit
+/// status.
+fn status(args: &[String]) -> i32 {
+    let (baseline, current, gates) = match parse_args(args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}\n{USAGE}");
+            return 2;
+        }
+    };
+    let (baseline, current) = match (load(&baseline), load(&current)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(msg), _) | (_, Err(msg)) => {
+            eprintln!("{msg}");
+            return 2;
+        }
+    };
+    let (ok, report) = diff(&baseline, &current, &gates);
+    print!("{report}");
+    if ok {
+        0
+    } else {
+        1
+    }
 }
 
 fn main() {
-    let mut paths = Vec::new();
-    let mut max_regression_pct = 25.0;
-    let mut max_memory_regression_pct: Option<f64> = None;
-    let mut max_peak_regression_pct: Option<f64> = None;
-    let mut min_records_per_sec: Option<f64> = None;
-    let mut max_analysis_total_secs: Option<f64> = None;
-    let mut max_extend_secs: Option<f64> = None;
-    let parse_pct = |v: &str| -> f64 {
-        v.parse()
-            .unwrap_or_else(|_| usage_exit(&format!("bad percentage `{v}`")))
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--max-regression" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-regression needs a value")
-            };
-            max_regression_pct = parse_pct(&v);
-        } else if let Some(v) = arg.strip_prefix("--max-regression=") {
-            max_regression_pct = parse_pct(v);
-        } else if arg == "--max-memory-regression" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-memory-regression needs a value")
-            };
-            max_memory_regression_pct = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--max-memory-regression=") {
-            max_memory_regression_pct = Some(parse_pct(v));
-        } else if arg == "--max-peak-regression" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-peak-regression needs a value")
-            };
-            max_peak_regression_pct = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--max-peak-regression=") {
-            max_peak_regression_pct = Some(parse_pct(v));
-        } else if arg == "--min-records-per-sec" {
-            let Some(v) = args.next() else {
-                usage_exit("--min-records-per-sec needs a value")
-            };
-            min_records_per_sec = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--min-records-per-sec=") {
-            min_records_per_sec = Some(parse_pct(v));
-        } else if arg == "--max-analysis-total-secs" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-analysis-total-secs needs a value")
-            };
-            max_analysis_total_secs = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--max-analysis-total-secs=") {
-            max_analysis_total_secs = Some(parse_pct(v));
-        } else if arg == "--max-extend-secs" {
-            let Some(v) = args.next() else {
-                usage_exit("--max-extend-secs needs a value")
-            };
-            max_extend_secs = Some(parse_pct(&v));
-        } else if let Some(v) = arg.strip_prefix("--max-extend-secs=") {
-            max_extend_secs = Some(parse_pct(v));
-        } else {
-            paths.push(arg);
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        usage_exit("expected exactly two documents");
-    };
-    let baseline = load(baseline_path);
-    let current = load(current_path);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(status(&args));
+}
 
-    println!("== per-figure analysis wall (baseline -> current) ==");
-    let base_figs = figure_walls(&baseline);
-    let cur_figs = figure_walls(&current);
-    for (id, cur_wall) in &cur_figs {
-        match base_figs.iter().find(|(b, _)| b == id) {
-            Some((_, base_wall)) => {
-                let delta = if *base_wall > 0.0 {
-                    100.0 * (cur_wall - base_wall) / base_wall
-                } else {
-                    0.0
-                };
-                println!("{id:>10}  {base_wall:>10.4}s -> {cur_wall:>10.4}s  ({delta:+7.1}%)");
-            }
-            None => println!("{id:>10}  (new)      -> {cur_wall:>10.4}s"),
-        }
-    }
-    for (id, base_wall) in &base_figs {
-        if !cur_figs.iter().any(|(c, _)| c == id) {
-            println!("{id:>10}  {base_wall:>10.4}s -> (gone)");
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A document with one number at `path`.
+    fn doc(path: &str, value: f64) -> Json {
+        path.rsplit('/')
+            .fold(Json::num(value), |inner, key| Json::obj().with(key, inner))
     }
 
-    println!("\n== engine phases (current) ==");
-    for phase in ["index", "passes", "total"] {
-        if let Some(wall) = number_at(&current, &format!("analysis.phases.{phase}")) {
-            println!("{phase:>10}  {wall:>10.4}s");
-        }
+    fn check(gate: &str, baseline: &Json, current: &Json) -> (bool, String) {
+        evaluate(&parse_gate(gate).expect("valid gate"), baseline, current)
     }
 
-    let Some(base_total) = total_analysis_wall(&baseline) else {
-        usage_exit(&format!("{baseline_path} has no analysis timing section"));
-    };
-    let Some(cur_total) = total_analysis_wall(&current) else {
-        usage_exit(&format!("{current_path} has no analysis timing section"));
-    };
-    let delta = cur_total - base_total;
-    let pct = if base_total > 0.0 {
-        100.0 * delta / base_total
-    } else {
-        0.0
-    };
-    println!("\ntotal analysis wall: {base_total:.4}s -> {cur_total:.4}s ({pct:+.1}%)");
-
-    let mut failed = false;
-    if pct > max_regression_pct && delta > NOISE_FLOOR_SECS {
-        eprintln!(
-            "FAIL: total analysis wall regressed {pct:.1}% \
-             (limit {max_regression_pct:.0}%, floor {NOISE_FLOOR_SECS}s)"
+    #[test]
+    fn each_form_parses() {
+        let g = parse_gate("run/analysis/wall_secs<=+25%").unwrap();
+        assert_eq!(
+            (g.path.as_str(), g.op, g.value, g.relative),
+            ("run/analysis/wall_secs", Op::Le, 25.0, true)
         );
-        failed = true;
+        let g = parse_gate("run/analysis/items_per_sec>=-10%").unwrap();
+        assert_eq!((g.op, g.value, g.relative), (Op::Ge, -10.0, true));
+        let g = parse_gate("run/analysis/items_per_sec>=1e7").unwrap();
+        assert_eq!((g.op, g.value, g.relative), (Op::Ge, 1e7, false));
+        let g = parse_gate("run/analysis/wall_secs<=0.89").unwrap();
+        assert_eq!((g.op, g.value, g.relative), (Op::Le, 0.89, false));
+        let g = parse_gate("incremental/days_reused==15").unwrap();
+        assert_eq!(
+            (g.path.as_str(), g.op, g.value),
+            ("incremental/days_reused", Op::Eq, 15.0)
+        );
+        let g = parse_gate("run/analysis/passes/T2-F12/shard[3]/items==0").unwrap();
+        assert_eq!(g.path, "run/analysis/passes/T2-F12/shard[3]/items");
     }
 
-    // Memory gate: store bytes are deterministic for a given config, so
-    // the budget applies without a noise floor. A baseline without the
-    // field (schema v1) or with a zero footprint (uninstrumented) can't
-    // be compared and skips the gate with a notice.
-    if let Some(limit_pct) = max_memory_regression_pct {
-        let base_bytes = number_at(&baseline, "sim.store_bytes");
-        let cur_bytes = number_at(&current, "sim.store_bytes");
-        match (base_bytes, cur_bytes) {
-            (Some(base), Some(cur)) if base > 0.0 => {
-                let mem_pct = 100.0 * (cur - base) / base;
-                println!("store bytes: {:.0} -> {:.0} ({mem_pct:+.1}%)", base, cur);
-                if mem_pct > limit_pct {
-                    eprintln!(
-                        "FAIL: sim.store_bytes regressed {mem_pct:.1}% \
-                         (limit {limit_pct:.0}%)"
-                    );
-                    failed = true;
-                }
-            }
-            _ => println!(
-                "store bytes: baseline has no usable sim.store_bytes \
-                 (pre-v2 schema or uninstrumented); memory gate skipped"
-            ),
-        }
+    #[test]
+    fn relative_wall_gates_keep_the_noise_floor() {
+        let gate = "run/analysis/wall_secs<=+25%";
+        let path = "run/analysis/wall_secs";
+        // +30% but only 40 ms: noise.
+        let (ok, line) = check(gate, &doc(path, 0.1333), &doc(path, 0.1733));
+        assert!(ok, "{line}");
+        // +30% and 60 ms: a regression.
+        let (ok, line) = check(gate, &doc(path, 0.2), &doc(path, 0.26));
+        assert!(!ok, "{line}");
+        assert!(
+            line.starts_with("FAIL run/analysis/wall_secs<=+25%"),
+            "{line}"
+        );
+        // +20% of a long wall: within budget.
+        assert!(check(gate, &doc(path, 1.0), &doc(path, 1.2)).0);
     }
 
-    // Actioning-sweep gate: the Figure-11 trie sweep's wall (schema v4).
-    // Timing, so the noise floor applies like the total-wall gate; it
-    // shares the same percentage budget. A pre-v4 baseline skips with a
-    // notice.
-    {
-        let base_sweep = number_at(&baseline, "actioning_sweep.total_wall_secs");
-        let cur_sweep = number_at(&current, "actioning_sweep.total_wall_secs");
-        match (base_sweep, cur_sweep) {
-            (Some(base), Some(cur)) => {
-                let sweep_delta = cur - base;
-                let sweep_pct = if base > 0.0 {
-                    100.0 * sweep_delta / base
-                } else {
-                    0.0
-                };
-                println!("actioning sweep wall: {base:.4}s -> {cur:.4}s ({sweep_pct:+.1}%)");
-                if sweep_pct > max_regression_pct && sweep_delta > NOISE_FLOOR_SECS {
-                    eprintln!(
-                        "FAIL: actioning_sweep.total_wall_secs regressed {sweep_pct:.1}% \
-                         (limit {max_regression_pct:.0}%, floor {NOISE_FLOOR_SECS}s)"
-                    );
-                    failed = true;
-                }
-            }
-            _ => println!(
-                "actioning sweep wall: baseline has no actioning_sweep section \
-                 (pre-v4 schema); sweep gate skipped"
-            ),
-        }
+    #[test]
+    fn relative_byte_gates_have_no_floor() {
+        let gate = "run/freeze/bytes<=+10%";
+        let path = "run/freeze/bytes";
+        let (ok, line) = check(gate, &doc(path, 1000.0), &doc(path, 1110.0));
+        assert!(!ok, "+11% of bytes fails: {line}");
+        let shrink = "run/freeze/bytes<=-10%";
+        assert!(!check(shrink, &doc(path, 1000.0), &doc(path, 1000.0)).0);
+        assert!(check(gate, &doc(path, 1000.0), &doc(path, 1100.0)).0);
+        assert!(
+            !check(
+                "run/freeze/items<=+0%",
+                &doc("run/freeze/items", 10.0),
+                &doc("run/freeze/items", 11.0)
+            )
+            .0
+        );
     }
 
-    // Storage-verification diff (schema v5): informational only — the
-    // bytes verified at merge time are deterministic per config, so a
-    // change is worth seeing in CI logs, but it is not a regression gate.
-    // A pre-v5 baseline skips with a notice.
-    {
-        let base_verified = number_at(&baseline, "sim.spill_bytes_verified");
-        let cur_verified = number_at(&current, "sim.spill_bytes_verified");
-        match (base_verified, cur_verified) {
-            (Some(base), Some(cur)) => {
-                println!("spill bytes verified: {base:.0} -> {cur:.0}");
-            }
-            _ => println!(
-                "spill bytes verified: baseline has no sim.spill_bytes_verified \
-                 (pre-v5 schema); storage diff skipped"
-            ),
-        }
+    #[test]
+    fn absolute_gates_read_the_current_document_alone() {
+        let none = Json::obj();
+        let rate = doc("run/analysis/items_per_sec", 1.2e7);
+        assert!(check("run/analysis/items_per_sec>=1e7", &none, &rate).0);
+        assert!(!check("run/analysis/items_per_sec>=2e7", &none, &rate).0);
+        let wall = doc("resume/wall_secs", 0.5);
+        assert!(check("resume/wall_secs<=2", &none, &wall).0);
+        assert!(!check("resume/wall_secs<=0.4", &none, &wall).0);
+        let days = doc("incremental/days_reused", 15.0);
+        assert!(check("incremental/days_reused==15", &none, &days).0);
+        assert!(!check("incremental/days_reused==14", &none, &days).0);
     }
 
-    // Peak-memory gate: like the store gate, deterministic hence no noise
-    // floor. This is the out-of-core pipeline's flat-memory proof — the
-    // current run may be vastly larger than the baseline, yet its
-    // sim-phase high-water must stay within the budget.
-    if let Some(limit_pct) = max_peak_regression_pct {
-        let base_peak = number_at(&baseline, "sim.peak_store_bytes");
-        let cur_peak = number_at(&current, "sim.peak_store_bytes");
-        match (base_peak, cur_peak) {
-            (Some(base), Some(cur)) if base > 0.0 => {
-                let peak_pct = 100.0 * (cur - base) / base;
-                println!(
-                    "peak store bytes: {:.0} -> {:.0} ({peak_pct:+.1}%)",
-                    base, cur
-                );
-                if peak_pct > limit_pct {
-                    eprintln!(
-                        "FAIL: sim.peak_store_bytes regressed {peak_pct:.1}% \
-                         (limit {limit_pct:.0}%)"
-                    );
-                    failed = true;
-                }
-            }
-            _ => println!(
-                "peak store bytes: baseline has no usable sim.peak_store_bytes \
-                 (pre-v3 schema or uninstrumented); peak gate skipped"
-            ),
-        }
+    #[test]
+    fn a_missing_path_fails_and_names_the_path() {
+        let cur = doc("run/wall_secs", 1.0);
+        let (ok, line) = check("run/freeze/bytes<=5", &Json::obj(), &cur);
+        assert!(!ok);
+        assert!(line.contains("no number at run/freeze/bytes"), "{line}");
+        // A relative gate also reads the baseline.
+        let (ok, line) = check("run/wall_secs<=+25%", &Json::obj(), &cur);
+        assert!(!ok);
+        assert!(
+            line.contains("baseline has no number at run/wall_secs"),
+            "{line}"
+        );
+        // A span object is not a number.
+        assert!(!check("run<=1", &Json::obj(), &cur).0);
     }
 
-    // Absolute throughput floor (schema v6): gates the current document
-    // alone. Deliberately no noise floor — the target value itself is
-    // chosen with the noise margin built in (the CI lane documents its
-    // policy), so a run below the floor is a real miss, not a blip.
-    if let Some(floor) = min_records_per_sec {
-        match number_at(&current, "analysis.records_per_sec") {
-            Some(rate) => {
-                println!("analysis scan rate: {rate:.0} records/sec (floor {floor:.0})");
-                if rate < floor {
-                    eprintln!(
-                        "FAIL: analysis.records_per_sec {rate:.0} is below \
-                         the {floor:.0} records/sec floor"
-                    );
-                    failed = true;
-                }
-            }
-            None => {
-                eprintln!(
-                    "FAIL: --min-records-per-sec given but {current_path} has no \
-                     analysis.records_per_sec (pre-v6 schema or uninstrumented)"
-                );
-                failed = true;
-            }
+    #[test]
+    fn a_malformed_gate_exits_2() {
+        for bad in [
+            "run/wall_secs",
+            "run/wall_secs<25",
+            "<=1",
+            "run//wall_secs<=1",
+            "run/wall secs<=1",
+            "run/wall_secs<=",
+            "run/wall_secs<=fast",
+            "run/wall_secs<=NaN",
+            "run/wall_secs<=inf",
+            "run/wall_secs<=25%%",
+            "incremental/days_reused==+5%",
+        ] {
+            assert!(parse_gate(bad).is_err(), "parsed {bad:?}");
+            let args = ["base.json", "cur.json", "--gate", bad].map(String::from);
+            assert_eq!(status(&args), 2, "{bad:?}");
         }
-        if let Some(rate) = number_at(&current, "analysis.index_records_per_sec") {
-            println!("index build rate: {rate:.0} records/sec");
-        }
+        let args = ["base.json", "cur.json", "--max-regression", "25"].map(String::from);
+        assert_eq!(status(&args), 2, "the old flags are gone");
+        assert_eq!(status(&["only.json".to_string()]), 2);
     }
 
-    // Absolute wall ceiling (schema v6): the engine's total phase must
-    // finish within the target regardless of what the baseline did.
-    if let Some(ceiling) = max_analysis_total_secs {
-        match number_at(&current, "analysis.phases.total") {
-            Some(total) if total > 0.0 => {
-                println!("analysis total wall: {total:.4}s (ceiling {ceiling:.4}s)");
-                if total > ceiling {
-                    eprintln!(
-                        "FAIL: analysis.phases.total {total:.4}s exceeds \
-                         the {ceiling:.4}s ceiling"
-                    );
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!(
-                    "FAIL: --max-analysis-total-secs given but {current_path} has \
-                     no analysis.phases.total"
-                );
-                failed = true;
-            }
-        }
+    #[test]
+    fn diff_prints_every_shared_span_wall_then_each_gate() {
+        let span = |wall: f64| {
+            Json::obj()
+                .with("wall_secs", Json::num(wall))
+                .with("items", Json::UInt(5))
+        };
+        let base = Json::obj().with("run", span(1.0).with("sim", span(0.5)));
+        let cur = Json::obj().with(
+            "run",
+            span(1.1).with("sim", span(0.5)).with("analysis", span(0.3)),
+        );
+        let gates = [parse_gate("run/items==5").unwrap()];
+        let (ok, text) = diff(&base, &cur, &gates);
+        assert!(ok, "{text}");
+        assert!(text.contains("\nrun "), "{text}");
+        assert!(text.contains("\nrun/sim "), "{text}");
+        assert!(
+            !text.contains("run/analysis"),
+            "absent from the baseline: {text}"
+        );
+        assert!(text.contains("ok   run/items==5: 5"), "{text}");
     }
-
-    // Incremental-engine gate (schema v7): the wall of a whole state-dir
-    // resume. Absolute target on the current document, no noise floor —
-    // the lane's chosen ceiling encodes the margin. The reuse split is
-    // printed whenever the section exists, gated or not.
-    {
-        let reused = number_at(&current, "analysis.incremental.days_reused");
-        let computed = number_at(&current, "analysis.incremental.days_computed");
-        if let (Some(reused), Some(computed)) = (reused, computed) {
-            println!("incremental days: {reused:.0} reused, {computed:.0} computed");
-        }
-    }
-    if let Some(ceiling) = max_extend_secs {
-        match number_at(&current, "analysis.incremental.extend_wall_secs") {
-            Some(wall) => {
-                println!("incremental extend wall: {wall:.4}s (ceiling {ceiling:.4}s)");
-                if wall > ceiling {
-                    eprintln!(
-                        "FAIL: analysis.incremental.extend_wall_secs {wall:.4}s \
-                         exceeds the {ceiling:.4}s ceiling"
-                    );
-                    failed = true;
-                }
-            }
-            None => {
-                eprintln!(
-                    "FAIL: --max-extend-secs given but {current_path} has no \
-                     analysis.incremental.extend_wall_secs (pre-v7 schema or \
-                     uninstrumented)"
-                );
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
-    println!("OK: within the {max_regression_pct:.0}% regression budget");
 }

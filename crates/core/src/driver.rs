@@ -52,8 +52,7 @@ use ipv6_study_behavior::emit::emit_user_day;
 use ipv6_study_behavior::population::Population;
 use ipv6_study_behavior::schedule::day_plan;
 use ipv6_study_netmodel::World;
-use ipv6_study_obs::report::rate_per_sec;
-use ipv6_study_obs::timer::{time_phase, PhaseStat};
+use ipv6_study_obs::{rate_per_sec, Span};
 use ipv6_study_telemetry::{
     merge_runs, DateRange, FamilyRuns, FrozenDatasets, FrozenStore, KeyCollector, MemGauge,
     RequestSink, Samplers, ShardPayload, ShardSink, SimDate, SpillError, SpillSession, SpillTarget,
@@ -106,6 +105,8 @@ struct ShardOutput {
 /// Timing and throughput for one shard.
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
+    /// Plan index of the shard.
+    pub shard: usize,
     /// Human-readable shard description, e.g. `benign hh 0..312`.
     pub label: String,
     /// Records emitted by this shard (before sampling).
@@ -167,21 +168,26 @@ impl RunMetrics {
         rate_per_sec(self.total_records(), self.sim_wall)
     }
 
-    /// The driver phases in execution order, as obs phase stats.
-    pub fn phases(&self) -> Vec<PhaseStat> {
-        [
-            ("plan", self.plan_wall),
-            ("sim", self.sim_wall),
-            ("merge", self.merge_wall),
-            ("sort", self.sort_wall),
-            ("total", self.total_wall),
-        ]
-        .into_iter()
-        .map(|(name, wall)| PhaseStat {
-            name: name.to_string(),
-            wall,
-        })
-        .collect()
+    /// The `run` span tree: `plan`, `sim` (one `shard[i]` child per
+    /// merged shard, `i` its plan index), `merge` and the freeze's span.
+    /// `offered` is the run's offered record count, history included.
+    pub fn span(&self, offered: u64, freeze: Span) -> Span {
+        let sim = Span {
+            items: self.total_records(),
+            bytes: self.peak_store_bytes,
+            children: self
+                .shards
+                .iter()
+                .map(|s| Span::new(&format!("shard[{}]", s.shard), s.wall).with_items(s.records))
+                .collect(),
+            ..Span::new("sim", self.sim_wall)
+        };
+        Span::new("run", self.total_wall)
+            .with_items(offered)
+            .with_child(Span::new("plan", self.plan_wall))
+            .with_child(sim)
+            .with_child(Span::new("merge", self.merge_wall))
+            .with_child(freeze)
     }
 
     /// Renders the run report: one header line, one line per shard, and
@@ -565,8 +571,9 @@ pub(crate) fn simulate(
     // restricted `days` — so a suffix run routes each day exactly like
     // the full run does.
     let pair_start = windows::pair_window(config.sim_end()).start;
-    let mut phases: Vec<PhaseStat> = Vec::new();
-    let plan = time_phase(&mut phases, "plan", || plan_shards(config));
+    let t_plan = Instant::now();
+    let plan = plan_shards(config);
+    let plan_wall = t_plan.elapsed();
     let workers = config.threads.min(plan.len()).max(1);
     let policy = config.failure_policy;
     // Abort never retries: the first failure already decides the run.
@@ -731,6 +738,7 @@ pub(crate) fn simulate(
             records,
         } = out.payload;
         shards.push(ShardMetrics {
+            shard: i,
             label: shard_label(work),
             records,
             wall: out.wall,
@@ -750,10 +758,7 @@ pub(crate) fn simulate(
         metrics: RunMetrics {
             threads: workers,
             shards,
-            plan_wall: phases
-                .iter()
-                .find(|p| p.name == "plan")
-                .map_or(Duration::ZERO, |p| p.wall),
+            plan_wall,
             sim_wall,
             merge_wall,
             sort_wall: Duration::ZERO,
@@ -762,6 +767,17 @@ pub(crate) fn simulate(
         },
         faults,
     })
+}
+
+/// What the freeze produces: the frozen stores and the `freeze` span.
+pub(crate) struct Frozen {
+    pub datasets: FrozenDatasets,
+    pub abuse_store: FrozenStore,
+    pub pair_store: FrozenStore,
+    /// `freeze` (items = rows frozen, bytes = frozen store bytes, intern
+    /// tables counted once) with its `intern` (items = distinct keys) and
+    /// `merge` children.
+    pub span: Span,
 }
 
 /// The one freeze: interns the keys of every run, then k-way merges each
@@ -773,12 +789,19 @@ pub(crate) fn freeze(
     runs: FamilyRuns,
     samplers: Samplers,
     offered: u64,
-) -> Result<(FrozenDatasets, FrozenStore, FrozenStore), SpillError> {
+) -> Result<Frozen, SpillError> {
+    let t0 = Instant::now();
     let mut keys = KeyCollector::new();
     for run in runs.iter() {
         keys.add_run(run)?;
     }
     let tables = Arc::new(keys.into_tables());
+    let intern = Span::new("intern", t0.elapsed())
+        .with_items((tables.users.len() + tables.ips.len()) as u64)
+        .with_bytes(tables.bytes() as u64);
+    // Heap pop and row encode interleave per row, so the merge is one
+    // span.
+    let t_merge = Instant::now();
     let FamilyRuns {
         request,
         user,
@@ -799,11 +822,22 @@ pub(crate) fn freeze(
         prefix_samples,
         offered,
     };
-    Ok((
+    let abuse_store = merge_runs(abuse, &tables)?;
+    let pair_store = merge_runs(pair, &tables)?;
+    let merge = Span::new("merge", t_merge.elapsed());
+    let rows = datasets.retained() + abuse_store.len() as u64 + pair_store.len() as u64;
+    let bytes = datasets.bytes() + abuse_store.bytes() + pair_store.bytes() + tables.bytes();
+    let span = Span::new("freeze", t0.elapsed())
+        .with_items(rows)
+        .with_bytes(bytes as u64)
+        .with_child(intern)
+        .with_child(merge);
+    Ok(Frozen {
         datasets,
-        merge_runs(abuse, &tables)?,
-        merge_runs(pair, &tables)?,
-    ))
+        abuse_store,
+        pair_store,
+        span,
+    })
 }
 
 #[cfg(test)]
@@ -888,10 +922,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_render_mentions_every_phase() {
+    fn metrics_render_and_span_cover_every_phase() {
         let m = RunMetrics {
             threads: 2,
             shards: vec![ShardMetrics {
+                shard: 3,
                 label: "benign hh 0..64".into(),
                 records: 1000,
                 wall: Duration::from_millis(10),
@@ -911,8 +946,13 @@ mod tests {
         assert!(text.contains("sort:"));
         assert_eq!(m.total_records(), 1000);
         assert!(m.records_per_sec() > 0.0);
-        let phases: Vec<String> = m.phases().into_iter().map(|p| p.name).collect();
-        assert_eq!(phases, ["plan", "sim", "merge", "sort", "total"]);
+        let run = m.span(1500, Span::new("freeze", m.sort_wall));
+        let names: Vec<&str> = run.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["plan", "sim", "merge", "freeze"]);
+        assert_eq!((run.wall, run.items), (m.total_wall, 1500));
+        let shard = run.get("sim/shard[3]").expect("named by plan index");
+        assert_eq!((shard.wall, shard.items), (Duration::from_millis(10), 1000));
+        assert_eq!(run.get("sim").map(|s| s.bytes), Some(40_000));
     }
 
     #[test]
@@ -921,6 +961,7 @@ mod tests {
         // zero rate: f64::INFINITY has no JSON representation and would
         // poison the exported metrics.
         let s = ShardMetrics {
+            shard: 0,
             label: "benign hh 0..64".into(),
             records: 1000,
             wall: Duration::ZERO,

@@ -11,13 +11,14 @@
 //! [`run_all`] executes the registry on a deterministic worker pool (the
 //! analysis mirror of [`crate::driver`]'s shard pool): workers claim passes
 //! from a shared cursor, results land in per-pass slots, and outputs merge
-//! in registry order — so the rendered figures, stats, and run report are
-//! byte-identical at any `analysis_threads` count.
+//! in registry order — so the rendered figures and stats are
+//! byte-identical at any `analysis_threads` count, and the run report's
+//! `run/analysis` span lists its passes in registry order.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ipv6_study_analysis::characterize::{
     asn_low_v6_shares, asn_ratio_table, client_patterns, country_ratio_table, prevalence_series,
@@ -35,8 +36,7 @@ use ipv6_study_analysis::user_centric::{
 };
 use ipv6_study_analysis::windows;
 use ipv6_study_analysis::{CdfSeries, DatasetIndex, FigureReport, IndexMode, TableReport};
-use ipv6_study_obs::timer::PhaseStat;
-use ipv6_study_obs::{ActioningStat, SweepStat};
+use ipv6_study_obs::Span;
 use ipv6_study_secapp::actioning::{
     actioning_roc_between, operating_points, DayCounts, Granularity,
 };
@@ -63,8 +63,8 @@ use crate::study::Study;
 /// [`AnalysisCtx::index`] (which honors the configured [`IndexMode`]).
 ///
 /// Each shared window lives in a [`OnceLock`] and is built on first
-/// access: a full [`run_all`] forces all six up front (so the engine's
-/// `index` phase wall still means what it always meant), while the
+/// access: a full [`run_all`] forces all six up front (so the
+/// `run/analysis/index` span holds the whole index cost), while the
 /// incremental engine's [`run_selected`] re-run of a few invalidated
 /// passes only pays for the windows those passes actually touch — this
 /// is what "no re-indexing of prior days" means in practice, since the
@@ -141,15 +141,35 @@ impl<'a> AnalysisCtx<'a> {
     }
 
     /// Forces every shared window, so a full registry run pays the whole
-    /// index cost inside the engine's `index` phase (not attributed to
-    /// whichever pass happens to touch a window first).
-    pub fn build_all(&self) {
-        self.user_week();
-        self.user_day();
-        self.user_lookback();
-        self.ip_day();
-        self.ip_week();
-        self.abuse_week();
+    /// index cost inside its `index` span (not attributed to whichever
+    /// pass happens to touch a window first). Returns that span: one
+    /// child per window, items = indexed records, bytes = index bytes.
+    pub fn build_all(&self) -> Span {
+        let t0 = Instant::now();
+        let windows: [(&str, Window<'a>); 6] = [
+            ("user_week", Self::user_week),
+            ("user_day", Self::user_day),
+            ("user_lookback", Self::user_lookback),
+            ("ip_day", Self::ip_day),
+            ("ip_week", Self::ip_week),
+            ("abuse_week", Self::abuse_week),
+        ];
+        let children: Vec<Span> = windows
+            .into_iter()
+            .map(|(name, window)| {
+                let t = Instant::now();
+                let index = window(self);
+                Span::new(name, t.elapsed())
+                    .with_items(index.len() as u64)
+                    .with_bytes(index.bytes() as u64)
+            })
+            .collect();
+        Span {
+            items: children.iter().map(|c| c.items).sum(),
+            bytes: children.iter().map(|c| c.bytes).sum(),
+            children,
+            ..Span::new("index", t0.elapsed())
+        }
     }
 
     /// Indexes a one-off window with this context's grouping mode.
@@ -177,20 +197,15 @@ impl<'a> AnalysisCtx<'a> {
         self.built().count()
     }
 
-    /// Total heap bytes across the built shared windows (reported as
-    /// the `analysis.index_bytes` gauge when instrumented).
+    /// Total heap bytes across the built shared windows (the
+    /// `run/analysis` span's bytes).
     fn index_bytes(&self) -> usize {
         self.built().map(DatasetIndex::bytes).sum()
     }
-
-    /// Total records across the built shared windows — the input
-    /// cardinality of the engine's index phase, reported as
-    /// `analysis.index_records` so the CI throughput floors can derive
-    /// an index-build rate.
-    fn index_records(&self) -> u64 {
-        self.built().map(|i| i.len() as u64).sum()
-    }
 }
+
+/// One shared-window accessor of [`AnalysisCtx`].
+type Window<'a> = for<'c> fn(&'c AnalysisCtx<'a>) -> &'c DatasetIndex;
 
 /// The output of one experiment.
 #[derive(Debug, Default)]
@@ -202,15 +217,11 @@ pub struct ExperimentOutput {
     /// Named scalar findings, for paper-vs-measured comparison.
     pub stats: Vec<(String, f64)>,
     /// Input cardinality: how many records this experiment read across
-    /// its dataset slices (reported to the observability layer).
+    /// its dataset slices (the items of its span in the run report).
     pub input_records: u64,
-    /// Per-granularity actioning timings (filled by the ROC experiment;
-    /// merged into the run report by [`run_all`] when instrumented).
-    pub actioning: Vec<ActioningStat>,
-    /// Aggregation-trie sweep timings (filled by the ROC experiment:
-    /// build wall for the per-day tries plus read wall summed across all
-    /// granularity cuts; merged into the run report when instrumented).
-    pub sweep: Option<SweepStat>,
+    /// Sub-steps the experiment timed itself (Figure 11's `actioning`
+    /// build and reads), nested under its pass span in the run report.
+    pub spans: Vec<Span>,
 }
 
 impl ExperimentOutput {
@@ -967,25 +978,23 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
     }
     let t_build = Instant::now();
     let day_counts: Vec<Arc<DayCounts>> = pair.days().map(|d| study.day_counts(d)).collect();
-    let build_wall = t_build.elapsed();
-    let mut read_wall = std::time::Duration::ZERO;
+    let build = Span::new("build", t_build.elapsed()).with_items(day_counts.len() as u64);
+    let mut read = Span::new("read", Duration::ZERO);
     for gran in grans {
+        let t_read = Instant::now();
         let mut curve = ipv6_study_stats::RocCurve::new();
-        let mut gran_stat = ActioningStat {
-            granularity: gran.label(),
-            wall: std::time::Duration::ZERO,
-            units_scored: 0,
-            units_evaluated: 0,
-        };
         for k in 0..3usize {
-            let (c, stat) = actioning_roc_between(&day_counts[2 - k], &day_counts[3 - k], gran);
-            curve.extend_from(&c);
-            gran_stat.wall += stat.wall;
-            gran_stat.units_scored += stat.units_scored;
-            gran_stat.units_evaluated += stat.units_evaluated;
+            curve.extend_from(&actioning_roc_between(
+                &day_counts[2 - k],
+                &day_counts[3 - k],
+                gran,
+            ));
         }
-        read_wall += gran_stat.wall;
-        out.actioning.push(gran_stat);
+        // One curve unit per day-n+1 unit evaluated.
+        let cut = Span::new(&gran.label(), t_read.elapsed()).with_items(curve.len() as u64);
+        read.wall += cut.wall;
+        read.items += cut.items;
+        read.children.push(cut);
         let pts = curve.sweep(&thresholds, None);
         fig = fig.with(CdfSeries {
             label: gran.label(),
@@ -1008,12 +1017,11 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
         );
     }
     out.figures.push(fig);
-    out.sweep = Some(SweepStat {
-        build_wall,
-        read_wall,
-        days: day_counts.len() as u64,
-        trie_nodes: day_counts.iter().map(|d| d.node_count() as u64).sum(),
-    });
+    out.spans.push(
+        Span::new("actioning", build.wall + read.wall)
+            .with_child(build)
+            .with_child(read),
+    );
     out
 }
 
@@ -1408,30 +1416,27 @@ const EXTENDED_EXPERIMENTS: [Experiment; 1] = [("EC1", ec_entropy_blocklist)];
 
 /// Runs `registry` on a claim-order worker pool. Workers claim passes
 /// from a shared cursor in racy order, but each result lands in its
-/// registry-indexed slot and comes back in registry order — so the
-/// outputs are byte-identical at any `workers` value.
+/// registry-indexed slot and comes back in registry order, with its wall
+/// — so the outputs are byte-identical at any `workers` value.
 fn run_pool(
     registry: &[Experiment],
     ctx: &AnalysisCtx<'_>,
     workers: usize,
-) -> Vec<(ExperimentOutput, ipv6_study_obs::FigureStat)> {
+) -> Vec<(ExperimentOutput, Duration)> {
     let workers = workers.clamp(1, registry.len());
-    let slots: Vec<Mutex<Option<(ExperimentOutput, ipv6_study_obs::FigureStat)>>> =
+    let slots: Vec<Mutex<Option<(ExperimentOutput, Duration)>>> =
         (0..registry.len()).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(id, func)) = registry.get(i) else {
+                let Some(&(_, func)) = registry.get(i) else {
                     break;
                 };
-                let (out, stat) = ipv6_study_analysis::timed_figure(id, || {
-                    let out = func(ctx);
-                    let inputs = out.input_records;
-                    (out, inputs)
-                });
-                *slots[i].lock().expect("no poisoned pass slot") = Some((out, stat));
+                let t0 = Instant::now();
+                let out = func(ctx);
+                *slots[i].lock().expect("no poisoned pass slot") = Some((out, t0.elapsed()));
                 // Pass boundary: assert the worker's scratch leases are
                 // balanced; pooled kernel buffers stay warm for the next
                 // claimed pass.
@@ -1449,14 +1454,73 @@ fn run_pool(
         .collect()
 }
 
+/// Runs `registry` over `study` on `workers` workers, forcing every
+/// shared window first when `index_all` is set. When the study is
+/// instrumented, records the `run/analysis` span — `index` (if forced)
+/// and `passes`, one child per pass with its input records as items —
+/// replacing any earlier one, and extends the `run` wall by it. Returns
+/// the outputs in registry order and how many shared windows were built.
+fn analyse(
+    study: &mut Study,
+    registry: &[Experiment],
+    workers: usize,
+    mode: IndexMode,
+    index_all: bool,
+) -> (Vec<(&'static str, ExperimentOutput)>, usize) {
+    let t0 = Instant::now();
+    let ctx = AnalysisCtx::with_mode(study, mode);
+    let index = index_all.then(|| ctx.build_all());
+    // Claim order cannot affect output: passes only read the frozen
+    // study and the shared context.
+    let t_passes = Instant::now();
+    let outs = run_pool(registry, &ctx, workers);
+    let passes_wall = t_passes.elapsed();
+    let (built, index_bytes) = (ctx.windows_built(), ctx.index_bytes());
+    drop(ctx);
+
+    let (results, walls): (Vec<_>, Vec<_>) = registry
+        .iter()
+        .zip(outs)
+        .map(|(&(id, _), (out, wall))| ((id, out), wall))
+        .unzip();
+    if study.config.instrument {
+        let children: Vec<Span> = results
+            .iter()
+            .zip(walls)
+            .map(|((id, out), wall)| Span {
+                items: out.input_records,
+                children: out.spans.clone(),
+                ..Span::new(id, wall)
+            })
+            .collect();
+        let items = children.iter().map(|c| c.items).sum();
+        let passes = Span {
+            items,
+            children,
+            ..Span::new("passes", passes_wall)
+        };
+        let analysis = Span {
+            items,
+            bytes: index_bytes as u64,
+            children: index.into_iter().chain([passes]).collect(),
+            ..Span::new("analysis", t0.elapsed())
+        };
+        let total_wall = study.metrics.total_wall;
+        if let Some(run) = study.report.spans.iter_mut().find(|s| s.name == "run") {
+            run.wall = total_wall + analysis.wall;
+            run.set_child(analysis);
+        }
+    }
+    (results, built)
+}
+
 /// Runs every experiment in paper order, on
 /// `config.effective_analysis_threads()` workers.
 ///
-/// When the study was run with `config.instrument`, each pass's wall
-/// clock and input cardinality land in `study.report.figures` (plus an
-/// `analysis.figure_wall` histogram in the registry), and the engine's
-/// index/passes/total walls land in `study.report.analysis_phases` —
-/// extending the driver-phase report that [`Study::run`] started.
+/// When the study was run with `config.instrument`, the engine's walls
+/// land in the run report as the `run/analysis` span: `index` (one child
+/// per shared window) and `passes` (one child per experiment, items =
+/// its input records). A second call replaces the span.
 pub fn run_all(study: &mut Study) -> Vec<(&'static str, ExperimentOutput)> {
     run_all_with(
         study,
@@ -1470,73 +1534,14 @@ pub fn run_all(study: &mut Study) -> Vec<(&'static str, ExperimentOutput)> {
 ///
 /// Output is byte-identical at any `workers` value: like the simulation
 /// driver, workers claim passes from a shared cursor in racy order, but
-/// each result lands in its registry-indexed slot and the merge below
-/// walks slots in registry order.
+/// each result lands in its registry-indexed slot and the merge walks
+/// slots in registry order.
 pub fn run_all_with(
     study: &mut Study,
     workers: usize,
     mode: IndexMode,
 ) -> Vec<(&'static str, ExperimentOutput)> {
-    let t_total = Instant::now();
-
-    // Index phase: build the shared per-window indexes once. The windows
-    // are lazy, but a full registry run touches all six, so force them
-    // here to keep the whole index cost inside this phase's wall.
-    let t_index = Instant::now();
-    let ctx = AnalysisCtx::with_mode(study, mode);
-    ctx.build_all();
-    let index_wall = t_index.elapsed();
-
-    // Passes phase: the worker pool. Claim order cannot affect output —
-    // passes only read the frozen study and the shared context.
-    let t_passes = Instant::now();
-    let outs = run_pool(&EXPERIMENTS, &ctx, workers);
-    let passes_wall = t_passes.elapsed();
-    let index_bytes = ctx.index_bytes();
-    let index_records = ctx.index_records();
-    drop(ctx);
-
-    // Merge in registry order, so per-figure report entries and registry
-    // metrics appear exactly as a serial run would record them.
-    let mut results = Vec::with_capacity(EXPERIMENTS.len());
-    for ((id, _), (out, stat)) in EXPERIMENTS.iter().zip(outs) {
-        if study.config.instrument {
-            study
-                .report
-                .registry
-                .record_duration("analysis.figure_wall", stat.wall);
-            study.report.figures.push(stat);
-            for a in &out.actioning {
-                study
-                    .report
-                    .registry
-                    .record_duration("actioning.roc_wall", a.wall);
-                study.report.actioning.push(a.clone());
-            }
-            if let Some(sweep) = &out.sweep {
-                study.report.actioning_sweep = sweep.clone();
-            }
-        }
-        results.push((*id, out));
-    }
-    if study.config.instrument {
-        let phase = |name: &str, wall| PhaseStat {
-            name: name.to_string(),
-            wall,
-        };
-        study.report.analysis_phases = vec![
-            phase("index", index_wall),
-            phase("passes", passes_wall),
-            phase("total", t_total.elapsed()),
-        ];
-        study
-            .report
-            .registry
-            .set_gauge("analysis.index_bytes", index_bytes as f64);
-        study.report.index_bytes = index_bytes as u64;
-        study.report.index_records = index_records;
-    }
-    results
+    analyse(study, &EXPERIMENTS, workers, mode, true).0
 }
 
 /// Runs the extended (beyond-paper) registry, on
@@ -1570,9 +1575,9 @@ pub fn run_extended_with(
         .collect()
 }
 
-/// Registry ids in paper order — the section order of EXPERIMENTS.md and
-/// the id universe of the incremental engine's pass-invalidation
-/// manifest.
+/// The default registry's ids in paper order — the section order of
+/// EXPERIMENTS.md and the id universe of the incremental engine's
+/// pass-invalidation manifest.
 pub fn experiment_ids() -> impl Iterator<Item = &'static str> {
     EXPERIMENTS.iter().map(|&(id, _)| id)
 }
@@ -1585,12 +1590,14 @@ pub fn extended_experiment_ids() -> impl Iterator<Item = &'static str> {
 /// Runs only the default-registry passes whose ids are in `ids`, in
 /// registry order, plus how many of the six shared windows the re-run
 /// had to build — the incremental engine's re-run of the passes
-/// invalidated by a timeline extension. Never writes to `study.report`
-/// (the caller owns incremental bookkeeping). Unknown ids are ignored;
-/// the invalidation registry is pinned to the experiment registry by
-/// test, so an unknown id here is a caller bug, not silent drift.
+/// invalidated by a timeline extension. Windows build lazily, inside
+/// the passes that read them. When instrumented, the re-run passes are
+/// recorded like [`run_all`]'s, under `run/analysis/passes` (without an
+/// `index` child). Unknown ids are ignored; the invalidation registry is
+/// pinned to the experiment registry by test, so an unknown id here is a
+/// caller bug, not silent drift.
 pub fn run_selected(
-    study: &Study,
+    study: &mut Study,
     ids: &[&str],
     workers: usize,
 ) -> (Vec<(&'static str, ExperimentOutput)>, usize) {
@@ -1602,17 +1609,7 @@ pub fn run_selected(
     if registry.is_empty() {
         return (Vec::new(), 0);
     }
-    let ctx = AnalysisCtx::with_mode(study, IndexMode::Sorted);
-    let outs = run_pool(&registry, &ctx, workers);
-    let built = ctx.windows_built();
-    (
-        registry
-            .iter()
-            .zip(outs)
-            .map(|(&(id, _), (out, _))| (id, out))
-            .collect(),
-        built,
-    )
+    analyse(study, &registry, workers, IndexMode::Sorted, false)
 }
 
 #[cfg(test)]
@@ -1637,25 +1634,22 @@ mod tests {
                 );
             }
         }
-        // Instrumentation: one FigureStat per experiment, at least one
-        // with nonzero input cardinality, per-granularity actioning, and
-        // the engine's own phase walls.
-        assert_eq!(study.report.figures.len(), 20);
-        assert!(study.report.figures.iter().any(|f| f.input_records > 0));
-        assert_eq!(study.report.actioning.len(), 4);
-        let phases: Vec<&str> = study
-            .report
-            .analysis_phases
-            .iter()
-            .map(|p| p.name.as_str())
-            .collect();
-        assert_eq!(phases, ["index", "passes", "total"]);
-        let total = &study.report.analysis_phases[2];
-        assert!(study
-            .report
-            .analysis_phases
-            .iter()
-            .all(|p| p.wall <= total.wall));
+        // Instrumentation: one pass span per experiment, at least one
+        // with nonzero input cardinality, the shared windows, and an
+        // analysis wall covering both engine phases.
+        let analysis = study.report.span("run/analysis").expect("analysis span");
+        let passes = analysis.get("passes").expect("passes span");
+        assert_eq!(passes.children.len(), 20);
+        assert!(passes.children.iter().any(|p| p.items > 0));
+        assert_eq!(analysis.get("index").map(|i| i.children.len()), Some(6));
+        assert!(analysis.children.iter().all(|p| p.wall <= analysis.wall));
+        assert_eq!(
+            analysis
+                .get("passes/F11/actioning/read")
+                .map(|r| r.children.len()),
+            Some(4),
+            "one read span per granularity"
+        );
     }
 
     /// Every registered pass must be known to the windows registry —
@@ -1687,8 +1681,8 @@ mod tests {
             .filter(|id| windows::invalidated_by_extension(id, old, new))
             .collect();
         assert_eq!(invalidated, ["F1", "F11", "S7.2"]);
-        let study = Study::run(cfg).unwrap();
-        let (outs, built) = run_selected(&study, &invalidated, 2);
+        let mut study = Study::run(cfg).unwrap();
+        let (outs, built) = run_selected(&mut study, &invalidated, 2);
         assert_eq!(
             outs.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
             invalidated
@@ -1717,25 +1711,30 @@ mod tests {
     }
 
     #[test]
-    fn sweep_stat_lands_in_the_run_report_when_instrumented() {
+    fn actioning_spans_land_in_the_run_report_when_instrumented() {
         let mut study = Study::run(StudyConfig::tiny()).unwrap();
         let _ = run_all(&mut study);
-        let sweep = &study.report.actioning_sweep;
-        assert_eq!(sweep.days, 4, "one trie pair per pooled day");
-        assert!(sweep.trie_nodes > 0, "tries were built");
-        assert!(sweep.total_wall() >= sweep.read_wall);
+        let actioning = study
+            .report
+            .span("run/analysis/passes/F11/actioning")
+            .expect("F11 nests its actioning span");
+        let build = actioning.get("build").expect("build span");
+        let read = actioning.get("read").expect("read span");
+        assert_eq!(build.items, 4, "one trie pair per pooled day");
+        assert_eq!(actioning.wall, build.wall + read.wall);
+        let cuts: Vec<&str> = read.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(cuts, ["-128", "-64", "-56", "IPv4"]);
+        assert!(read.children.iter().all(|c| c.items > 0));
+        assert_eq!(read.items, read.children.iter().map(|c| c.items).sum());
     }
 
     #[test]
-    fn uninstrumented_run_collects_no_figure_stats() {
+    fn uninstrumented_run_records_no_spans() {
         let mut cfg = StudyConfig::tiny();
         cfg.instrument = false;
         let mut study = Study::run(cfg).unwrap();
         let all = run_all(&mut study);
         assert_eq!(all.len(), 20);
-        assert!(study.report.figures.is_empty());
-        assert!(study.report.actioning.is_empty());
-        assert_eq!(study.report.actioning_sweep, SweepStat::default());
-        assert!(study.report.analysis_phases.is_empty());
+        assert!(study.report.spans.is_empty());
     }
 }

@@ -62,7 +62,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use ipv6_study_analysis::windows;
-use ipv6_study_obs::{IncrementalStat, Json};
+use ipv6_study_obs::{IncrementalStat, Json, Span};
 use ipv6_study_telemetry::{write_checkpoint_segment, DateRange, FamilyRuns, FrozenStore, Run};
 
 use crate::config::{ConfigError, StudyConfig};
@@ -83,7 +83,7 @@ pub struct IncrementalRun {
     /// The study covering the requested (extended) range.
     pub study: Study,
     /// What was reused vs. computed (also recorded in the study's run
-    /// report as `analysis.incremental`).
+    /// report as `incremental`).
     pub stats: IncrementalStat,
     /// The full EXPERIMENTS.md content for the extended range.
     pub markdown: String,
@@ -461,6 +461,12 @@ fn load_history(
 /// whose windows cover them are re-run, everything else spliced from
 /// the cached sections. The rendered documents are byte-identical to a
 /// from-scratch run of the same config either way.
+///
+/// An instrumented warm resume reports the `resume` span root — `load`
+/// (manifest and history runs), `extend` (suffix simulation, the one
+/// freeze and the re-run passes, which also land under
+/// `run/analysis/passes`), `render` (the splice) and `checkpoint` (the
+/// save) — whose wall is [`IncrementalStat::extend_wall`].
 pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, StudyError> {
     let t0 = Instant::now();
     config.validate()?;
@@ -494,15 +500,12 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
         config.full_range.end + cp.covered_extend_days,
     );
     let history = load_history(&config, &cp, old_range, state_dir)?;
+    let load = t0.elapsed();
+
+    let t_extend = Instant::now();
     let world = SimInputs::world(&config);
     let mut study = Study::absorb(config, world, history, t0)?;
     let new_range = study.config.sim_range();
-    let mut stats = IncrementalStat {
-        days_reused: u64::from(old_range.num_days()),
-        days_computed: u64::from(n),
-        extend_wall: Duration::ZERO,
-    };
-
     // Re-run exactly the passes the extension invalidates (plus any the
     // checkpoint never cached); splice the rest from the cached
     // sections in registry order.
@@ -513,8 +516,10 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
         })
         .collect();
     let workers = study.config.effective_analysis_threads();
-    let (recomputed, _windows_built) = experiments::run_selected(&study, &to_run, workers);
+    let (recomputed, _windows_built) = experiments::run_selected(&mut study, &to_run, workers);
+    let extend = t_extend.elapsed();
 
+    let t_render = Instant::now();
     let mut markdown = report::render_header();
     let mut summary = String::new();
     let mut sections = Vec::with_capacity(experiments::experiment_ids().count());
@@ -544,10 +549,27 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
             summary: sum,
         });
     }
+    let render = t_render.elapsed();
 
-    stats.extend_wall = t0.elapsed();
-    study.report.incremental = stats;
+    let t_checkpoint = Instant::now();
     save_checkpoint(&study, &sections, state_dir)?;
+    let checkpoint = t_checkpoint.elapsed();
+
+    let stats = IncrementalStat {
+        days_reused: u64::from(old_range.num_days()),
+        days_computed: u64::from(n),
+        extend_wall: t0.elapsed(),
+    };
+    study.report.incremental = stats;
+    if study.config.instrument {
+        study.report.spans.push(
+            Span::new("resume", stats.extend_wall)
+                .with_child(Span::new("load", load))
+                .with_child(Span::new("extend", extend).with_items(u64::from(n)))
+                .with_child(Span::new("render", render).with_items(sections.len() as u64))
+                .with_child(Span::new("checkpoint", checkpoint)),
+        );
+    }
     Ok(IncrementalRun {
         study,
         stats,

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ipv6_study_netmodel::World;
-use ipv6_study_obs::{FaultStat, Json, RunReport, ShardStat};
+use ipv6_study_obs::{FaultStat, Json, RunReport, Span};
 use ipv6_study_secapp::actioning::DayCounts;
 use ipv6_study_telemetry::{
     AbuseLabels, DateRange, FamilyRuns, FrozenDatasets, FrozenStore, SimDate, SpillPolicy,
@@ -14,7 +14,7 @@ use ipv6_study_telemetry::{
 };
 
 use crate::config::{ConfigError, StudyBuilder, StudyConfig};
-use crate::driver::{self, RunMetrics, SimInputs, Simulated};
+use crate::driver::{self, Frozen, RunMetrics, SimInputs, Simulated};
 use crate::faults::{FaultReport, StudyError, StudyOutcome};
 
 /// A completed study run: the world, the sampled datasets, the complete
@@ -56,10 +56,11 @@ pub struct Study {
     /// and (under [`crate::FailurePolicy::Degrade`]) dropped ones. Clean
     /// on a run with no failures.
     pub(crate) faults: FaultReport,
-    /// The observability aggregate: driver phases and shards at first,
-    /// extended with per-figure and actioning timings as the analyses
-    /// run. Serialized to `BENCH_run.json` by `repro` and `bench_run`.
-    /// Empty (but schema-complete) when `config.instrument` is off.
+    /// The observability aggregate: the `run` span tree (plan, sim,
+    /// merge, freeze), extended with `run/analysis` when the analyses run
+    /// and with the `resume` root on a warm state-dir resume. Serialized
+    /// to `BENCH_run.json` by `bench_run`. Records nothing when
+    /// `config.instrument` is off.
     pub(crate) report: RunReport,
     /// Per-day aggregation-trie cache over the pair store: each of the
     /// pair window's days is folded into its [`DayCounts`] trie pair at
@@ -160,10 +161,13 @@ impl Study {
         all.append(runs);
         metrics.merge_wall += history.load_wall + t_merge.elapsed();
 
-        let t_freeze = Instant::now();
-        let (datasets, abuse_store, pair_store) =
-            driver::freeze(all, inputs.samplers.clone(), history.offered + offered)?;
-        metrics.sort_wall = t_freeze.elapsed();
+        let Frozen {
+            datasets,
+            abuse_store,
+            pair_store,
+            span: freeze,
+        } = driver::freeze(all, inputs.samplers.clone(), history.offered + offered)?;
+        metrics.sort_wall = freeze.wall;
         // The freeze's read passes verify every run checksum; fold the
         // final storage counters into the fault report.
         let spill_stats = spill.as_ref().map(SpillSession::stats).unwrap_or_default();
@@ -191,7 +195,7 @@ impl Study {
             report: RunReport::default(),
             day_counts: DayCountsCache::default(),
         };
-        study.report = build_report(&study, spill_stats);
+        study.report = build_report(&study, spill_stats, freeze);
         Ok(study)
     }
 
@@ -266,13 +270,6 @@ impl Study {
     /// The observability aggregate for this run.
     pub fn report(&self) -> &RunReport {
         &self.report
-    }
-
-    /// Mutable access to the observability aggregate, for callers that
-    /// append analysis timings after the run (see
-    /// [`crate::experiments`]).
-    pub fn report_mut(&mut self) -> &mut RunReport {
-        &mut self.report
     }
 
     /// The [`DayCounts`] aggregation-trie pair for one pair-window day,
@@ -373,26 +370,17 @@ fn open_spill(config: &StudyConfig) -> Result<Option<SpillSession>, StudyError> 
     }
 }
 
-/// Builds the run's [`RunReport`] from a freshly frozen study: phase
-/// walls, per-shard stats, fault and storage stats, a config echo, and
-/// registry aggregates. Returns an empty (disabled) report when
+/// Builds the run's [`RunReport`] from a freshly frozen study: a config
+/// echo, fault and storage stats, and the `run` span tree around the
+/// freeze's span. Returns an empty (disabled) report when
 /// instrumentation is off.
-fn build_report(study: &Study, spill: SpillStats) -> RunReport {
+fn build_report(study: &Study, spill: SpillStats, freeze: Span) -> RunReport {
     let (config, metrics, faults) = (&study.config, &study.metrics, &study.faults);
-    let retained = study.datasets.retained();
-    // Peak frozen footprint: every store's columns plus the shared
-    // intern tables, counted once (all stores point at the same Arc).
-    let store_bytes = (study.datasets.bytes()
-        + study.abuse_store.bytes()
-        + study.pair_store.bytes()
-        + study.abuse_store.tables().bytes()) as u64;
-    let stored_records = retained + study.abuse_store.len() as u64 + study.pair_store.len() as u64;
     let mut report = RunReport::new(config.instrument);
     report.failure_policy = faults.policy.as_str().to_string();
     if !config.instrument {
         return report;
     }
-    report.threads = metrics.threads as u64;
     // Batch accounting: every simulated day was computed this run. The
     // incremental paths overwrite this with their reuse split.
     report.incremental.days_computed = u64::from(config.sim_range().num_days());
@@ -440,19 +428,6 @@ fn build_report(study: &Study, spill: SpillStats) -> RunReport {
         )),
     );
     report.set_config("extend_days", Json::UInt(u64::from(config.extend_days)));
-    report.phases = metrics.phases();
-    report.shards = metrics
-        .shards
-        .iter()
-        .map(|s| ShardStat {
-            label: s.label.clone(),
-            records: s.records,
-            wall: s.wall,
-        })
-        .collect();
-    for s in &report.shards {
-        report.registry.record_duration("sim.shard_wall", s.wall);
-    }
     report.faults = faults
         .failures
         .iter()
@@ -470,62 +445,9 @@ fn build_report(study: &Study, spill: SpillStats) -> RunReport {
     report.io_retries = faults.io_retries;
     report.checksum_failures = faults.checksum_failures;
     report.spill_bytes_verified = spill.bytes_verified;
-    // Fault counters are recorded unconditionally (zero on clean runs) so
-    // every report exposes the same metric set.
     report
-        .registry
-        .inc("sim.shard_failures", faults.failures.len() as u64);
-    report
-        .registry
-        .inc("sim.shard_retries_total", faults.total_retries());
-    report
-        .registry
-        .inc("sim.shards_dropped", faults.dropped_count() as u64);
-    report
-        .registry
-        .inc("sim.records_lost", faults.records_lost());
-    report.registry.inc("sim.io_retries", faults.io_retries);
-    report
-        .registry
-        .inc("sim.checksum_failures", faults.checksum_failures);
-    report
-        .registry
-        .set_gauge("sim.spill_bytes_verified", spill.bytes_verified as f64);
-    for f in &faults.failures {
-        report
-            .registry
-            .record_value("sim.shard_retries", u64::from(f.retries()));
-    }
-    report
-        .registry
-        .inc("sim.records_total", metrics.total_records());
-    report
-        .registry
-        .inc("sim.shards", metrics.shards.len() as u64);
-    report.registry.inc("sim.records_retained", retained);
-    report
-        .registry
-        .set_gauge("sim.approx_users", study.approx_users as f64);
-    report
-        .registry
-        .set_gauge("sim.records_per_sec", metrics.records_per_sec());
-    report
-        .registry
-        .set_gauge("sim.store_bytes", store_bytes as f64);
-    report
-        .registry
-        .set_gauge("sim.peak_store_bytes", metrics.peak_store_bytes as f64);
-    let bytes_per_record = if stored_records == 0 {
-        0.0
-    } else {
-        store_bytes as f64 / stored_records as f64
-    };
-    report
-        .registry
-        .set_gauge("sim.bytes_per_record", bytes_per_record);
-    report.store_bytes = store_bytes;
-    report.bytes_per_record = bytes_per_record;
-    report.peak_store_bytes = metrics.peak_store_bytes;
+        .spans
+        .push(metrics.span(study.datasets.offered, freeze));
     report
 }
 

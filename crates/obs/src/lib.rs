@@ -1,43 +1,34 @@
-//! Observability for the study pipeline: metrics, phase timers, and the
+//! Observability for the study pipeline: span trees and the
 //! machine-readable run report.
 //!
-//! The ROADMAP's contract is that every PR makes a hot path *measurably*
-//! faster — which requires the pipeline to emit machine-readable metrics
-//! in the first place. This crate is that substrate, kept deliberately
-//! std-only (the workspace builds fully offline):
+//! Speed is whatever the run report shows, so the pipeline must emit
+//! machine-readable measurements in the first place. This crate is that
+//! substrate, kept deliberately std-only (the workspace builds fully
+//! offline):
 //!
-//! - [`metrics`] — a small registry of monotonic [`metrics::Counter`]s,
-//!   [`metrics::Gauge`]s, and [`metrics::DurationHisto`]s with fixed
-//!   log-scale buckets (power-of-two microseconds), ordered
-//!   deterministically for stable serialization;
-//! - [`timer`] — RAII phase timers ([`timer::PhaseGuard`]) that record a
-//!   wall-clock [`timer::PhaseStat`] on drop, so a phase cannot forget to
-//!   stop its clock on early return;
-//! - [`report`] — [`report::RunReport`], the aggregate a completed run
-//!   hands to callers: simulation phases and per-shard throughput,
-//!   per-figure analysis timings, per-granularity actioning timings, and
-//!   the registry, all rendering to text and to JSON;
-//! - [`json`] — a hand-rolled [`json::Json`] value with a serializer that
+//! - [`span`] — [`Span`], one measured step `{name, wall, items, bytes,
+//!   children}`; every layer reports through it, so one `/`-separated
+//!   path names any measurement;
+//! - [`report`] — [`RunReport`], the aggregate a completed run hands to
+//!   callers: the span roots plus the config echo, the faults section and
+//!   the incremental-engine accounting, rendering to text and to JSON;
+//! - [`json`] — a hand-rolled [`Json`] value with a serializer that
 //!   never emits `Infinity` or `NaN` (non-finite numbers become `null`),
 //!   because the report's consumers are JSON parsers with no tolerance
 //!   for IEEE special values.
 //!
-//! Instrumentation is passive: timers and counters observe the pipeline
-//! but never feed back into it, so enabling them cannot change simulated
-//! output (the serial-vs-parallel byte-equivalence contract is tested
-//! with instrumentation both on and off).
+//! Instrumentation is passive: spans observe the pipeline but never feed
+//! back into it, so enabling them cannot change simulated output (the
+//! serial-vs-parallel byte-equivalence contract is tested with
+//! instrumentation both on and off).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod metrics;
 pub mod report;
-pub mod timer;
+pub mod span;
 
 pub use json::Json;
-pub use metrics::{Counter, DurationHisto, Gauge, Registry, ValueHisto};
-pub use report::{
-    ActioningStat, FaultStat, FigureStat, IncrementalStat, RunReport, ShardStat, SweepStat,
-};
-pub use timer::{PhaseGuard, PhaseStat};
+pub use report::{FaultStat, IncrementalStat, RunReport};
+pub use span::{rate_per_sec, stem, Span};

@@ -21,10 +21,8 @@
 
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::time::Instant;
 
 use ipv6_study_netaddr::{AggregationTrie, Ipv6Prefix};
-use ipv6_study_obs::ActioningStat;
 use ipv6_study_stats::roc::RocCurve;
 use ipv6_study_telemetry::{AbuseLabels, ColumnSlice, IpId};
 
@@ -287,27 +285,9 @@ pub fn actioning_roc(
     labels: &AbuseLabels,
     granularity: Granularity,
 ) -> RocCurve {
-    actioning_roc_timed(day_n, day_n1, labels, granularity).0
-}
-
-/// [`actioning_roc`] plus an observability record: wall clock of the
-/// build-and-curve pass and the decision-unit cardinalities on both days.
-/// The timing is passive — the returned curve is identical to the
-/// untimed call's.
-pub fn actioning_roc_timed(
-    day_n: ColumnSlice<'_>,
-    day_n1: ColumnSlice<'_>,
-    labels: &AbuseLabels,
-    granularity: Granularity,
-) -> (RocCurve, ActioningStat) {
-    let t0 = Instant::now();
     let scores = DayCounts::build(day_n, labels);
     let outcomes = DayCounts::build(day_n1, labels);
-    let (curve, mut stat) = actioning_roc_between(&scores, &outcomes, granularity);
-    // The standalone call charges the trie builds to this granularity;
-    // sweep callers build `DayCounts` once and account for it separately.
-    stat.wall = t0.elapsed();
-    (curve, stat)
+    actioning_roc_between(&scores, &outcomes, granularity)
 }
 
 /// The read-only half of the sweep: scores day-*n+1*'s units against
@@ -316,15 +296,15 @@ pub fn actioning_roc_timed(
 /// per-unit count streams — the key property that makes the whole
 /// Figure-11 sweep one trie build plus per-cut reads.
 ///
-/// The curve is bit-identical to the naive tally path: per-unit counts
-/// are equal integers, and `RocCurve` sums integer-valued weights whose
+/// The curve holds one unit per day-*n+1* unit, so its `len()` is the
+/// units evaluated. It is bit-identical to the naive tally path: per-unit
+/// counts are equal integers, and `RocCurve` sums integer-valued weights whose
 /// f64 addition is exact in any order.
 pub fn actioning_roc_between(
     day_n: &DayCounts,
     day_n1: &DayCounts,
     granularity: Granularity,
-) -> (RocCurve, ActioningStat) {
-    let t0 = Instant::now();
+) -> RocCurve {
     let (score_trie, len) = day_n.trie_and_len(granularity);
     let (outcome_trie, _) = day_n1.trie_and_len(granularity);
     let mut curve = RocCurve::new();
@@ -347,13 +327,7 @@ pub fn actioning_roc_between(
         };
         curve.push(score, out_abusive as f64, out_benign as f64);
     }
-    let stat = ActioningStat {
-        granularity: granularity.label(),
-        wall: t0.elapsed(),
-        units_scored: score_trie.unit_count(len) as u64,
-        units_evaluated: outcome_trie.unit_count(len) as u64,
-    };
-    (curve, stat)
+    curve
 }
 
 /// The paper's three reported operating points (thresholds 0%, 10%, 100%)
@@ -512,8 +486,14 @@ mod tests {
         assert_eq!(pts.t10.1, 0.0);
     }
 
+    /// Decision units at `granularity` in one day's counts.
+    fn units(counts: &DayCounts, granularity: Granularity) -> usize {
+        let (trie, len) = counts.trie_and_len(granularity);
+        trie.unit_count(len)
+    }
+
     #[test]
-    fn timed_roc_matches_untimed_and_counts_units() {
+    fn record_roc_matches_prebuilt_counts_and_counts_units() {
         let d1 = SimDate::ymd(4, 18);
         let d2 = SimDate::ymd(4, 19);
         let labels = labels_for(&[100]);
@@ -525,16 +505,19 @@ mod tests {
         ];
         let (n, n1) = (cols(&day_n), cols(&day_n1));
         let plain = actioning_roc(n.as_slice(), n1.as_slice(), &labels, Granularity::V6Full);
-        let (timed, stat) =
-            actioning_roc_timed(n.as_slice(), n1.as_slice(), &labels, Granularity::V6Full);
+        let (counts_n, counts_n1) = (
+            DayCounts::build(n.as_slice(), &labels),
+            DayCounts::build(n1.as_slice(), &labels),
+        );
+        let prebuilt = actioning_roc_between(&counts_n, &counts_n1, Granularity::V6Full);
         for i in 0..=10 {
             let t = i as f64 / 10.0;
-            let (a, b) = (plain.point_at(t, None), timed.point_at(t, None));
+            let (a, b) = (plain.point_at(t, None), prebuilt.point_at(t, None));
             assert_eq!((a.tpr, a.fpr), (b.tpr, b.fpr), "t={t}");
         }
-        assert_eq!(stat.granularity, "/128");
-        assert_eq!(stat.units_scored, 2);
-        assert_eq!(stat.units_evaluated, 3);
+        assert_eq!(units(&counts_n, Granularity::V6Full), 2);
+        assert_eq!(units(&counts_n1, Granularity::V6Full), 3);
+        assert_eq!(prebuilt.len(), 3, "one curve unit per day-n+1 unit");
     }
 
     /// Boundary prefix lengths: 0 (whole space), 128 (full address) and
@@ -562,9 +545,8 @@ mod tests {
         let day_n = vec![rec(100, d1, "2001:db8::a"), rec(1, d1, "2001:db8::c")];
         let day_n1 = vec![rec(100, d2, "2001:db8::a"), rec(2, d2, "2001:db8::d")];
         let (n, n1) = (cols(&day_n), cols(&day_n1));
-        let (full, full_stat) =
-            actioning_roc_timed(n.as_slice(), n1.as_slice(), &labels, Granularity::V6Full);
-        let (over, over_stat) = actioning_roc_timed(
+        let full = actioning_roc(n.as_slice(), n1.as_slice(), &labels, Granularity::V6Full);
+        let over = actioning_roc(
             n.as_slice(),
             n1.as_slice(),
             &labels,
@@ -575,9 +557,16 @@ mod tests {
             let (a, b) = (full.point_at(t, None), over.point_at(t, None));
             assert_eq!((a.tpr, a.fpr), (b.tpr, b.fpr), "t={t}");
         }
-        assert_eq!(over_stat.granularity, "/128");
-        assert_eq!(over_stat.units_scored, full_stat.units_scored);
-        assert_eq!(over_stat.units_evaluated, full_stat.units_evaluated);
+        let (counts_n, counts_n1) = (
+            DayCounts::build(n.as_slice(), &labels),
+            DayCounts::build(n1.as_slice(), &labels),
+        );
+        for counts in [&counts_n, &counts_n1] {
+            assert_eq!(
+                units(counts, Granularity::V6Prefix(129)),
+                units(counts, Granularity::V6Full)
+            );
+        }
 
         // /0 folds each family into one unit and still works.
         let zero = actioning_roc(
@@ -666,11 +655,12 @@ mod tests {
             let counts_n = DayCounts::build(n.as_slice(), &labels);
             let counts_n1 = DayCounts::build(n1.as_slice(), &labels);
             for gran in grans {
-                let (trie_curve, stat) = actioning_roc_between(&counts_n, &counts_n1, gran);
+                let trie_curve = actioning_roc_between(&counts_n, &counts_n1, gran);
                 let (naive_curve, scored, evaluated) =
                     naive_roc(n.as_slice(), n1.as_slice(), &labels, gran);
-                assert_eq!(stat.units_scored as usize, scored, "{gran:?}");
-                assert_eq!(stat.units_evaluated as usize, evaluated, "{gran:?}");
+                assert_eq!(units(&counts_n, gran), scored, "{gran:?}");
+                assert_eq!(units(&counts_n1, gran), evaluated, "{gran:?}");
+                assert_eq!(trie_curve.len(), evaluated, "{gran:?}");
                 for i in -2..=20 {
                     let t = i as f64 / 20.0;
                     let (a, b) = (trie_curve.point_at(t, None), naive_curve.point_at(t, None));

@@ -33,9 +33,7 @@ pub mod ratelimit;
 pub mod signatures;
 pub mod threat_exchange;
 
-pub use actioning::{
-    actioning_roc, actioning_roc_between, actioning_roc_timed, DayCounts, Granularity,
-};
+pub use actioning::{actioning_roc, actioning_roc_between, DayCounts, Granularity};
 pub use blocklist::{Blocklist, BoundedBlocklist};
 pub use mlfeatures::{FeatureVector, LogisticModel};
 pub use ratelimit::{recommend_threshold, RateLimiter};

@@ -115,7 +115,7 @@ impl ColumnStore {
     }
 
     /// Heap bytes held by the columns (capacity, not just length — this is
-    /// what the `sim.store_bytes` gauge reports).
+    /// what the run report's `run/freeze/bytes` counts).
     pub fn bytes(&self) -> usize {
         self.ts.capacity() * std::mem::size_of::<Timestamp>()
             + self.ip.capacity() * std::mem::size_of::<IpId>()

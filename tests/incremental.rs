@@ -7,6 +7,7 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use ipv6_user_study::experiments::run_all;
 use ipv6_user_study::stats::hash::StableHasher;
@@ -333,6 +334,60 @@ fn state_dir_roundtrip_reuses_days_and_matches_scratch() {
     assert_eq!(again.stats.days_computed, 0);
     assert_eq!(again.stats.days_reused, all_days + 1);
     assert_eq!(again.markdown, warm.markdown, "cache-hit markdown stable");
+}
+
+/// An instrumented warm +1-day resume reports every step it takes: the
+/// four `resume` steps, with the checkpoint save inside the resume wall,
+/// and the passes it re-ran under `run/analysis/passes`.
+#[test]
+fn warm_resume_report_times_every_step_and_the_rerun_passes() {
+    let state = ScopedDir::new("resume-report");
+    let mut cfg = StudyConfig::tiny();
+    cfg.instrument = true;
+    incremental::run(cfg.clone(), &state.0).expect("cold run");
+    let mut ext_cfg = cfg;
+    ext_cfg.extend_days = 1;
+    let warm = incremental::run(ext_cfg.clone(), &state.0).expect("warm extend");
+    let report = warm.study.report();
+
+    let resume = report
+        .span("resume")
+        .expect("a warm resume reports its steps");
+    let steps: Vec<&str> = resume.children.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(steps, ["load", "extend", "render", "checkpoint"]);
+    for step in &resume.children {
+        assert!(
+            step.wall > Duration::ZERO,
+            "resume/{} has no wall",
+            step.name
+        );
+    }
+    assert_eq!(
+        resume.wall, warm.stats.extend_wall,
+        "the resume wall is the extend wall, checkpoint save included"
+    );
+    assert!(resume.children.iter().map(|s| s.wall).sum::<Duration>() <= resume.wall);
+
+    let passes = report
+        .span("run/analysis/passes")
+        .expect("the re-run passes are recorded");
+    let ids: Vec<&str> = passes.children.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(ids, ["F1", "F11", "S7.2"]);
+
+    // The freeze covers the whole history; the sim only the new day.
+    let scratch = Study::run(ext_cfg).expect("scratch extended run");
+    let items = |study: &Study, path: &str| {
+        study
+            .report()
+            .span(path)
+            .unwrap_or_else(|| panic!("no {path}"))
+            .items
+    };
+    assert_eq!(
+        items(&warm.study, "run/freeze"),
+        items(&scratch, "run/freeze")
+    );
+    assert!(items(&warm.study, "run/sim") < items(&scratch, "run/sim"));
 }
 
 #[test]
