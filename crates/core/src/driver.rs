@@ -21,8 +21,8 @@
 //!    ("shard-major": benign shards ascending, then campaign shards
 //!    ascending) is a constant of the config.
 //!
-//! The freeze k-way merges each family's runs by `(timestamp, run
-//! position)`, so equal-timestamp ties resolve by that plan order —
+//! The freeze stable-sorts each family's plan-order concatenation by
+//! timestamp, so equal-timestamp ties resolve by that plan order —
 //! identical in every run (see `ipv6_study_telemetry::run`). A
 //! `threads = 1` run executes the same plan on one worker and produces
 //! the same bytes.
@@ -39,11 +39,11 @@
 //! `Retry` fail the run with a [`FaultReport`], `Degrade` drops the
 //! shard and completes on the survivors. See [`crate::faults`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ipv6_study_analysis::windows;
@@ -54,9 +54,9 @@ use ipv6_study_behavior::schedule::day_plan;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{rate_per_sec, Span};
 use ipv6_study_telemetry::{
-    merge_runs, DateRange, FamilyRuns, FrozenDatasets, FrozenStore, KeyCollector, MemGauge,
-    RequestSink, Samplers, ShardPayload, ShardSink, SimDate, SpillError, SpillSession, SpillTarget,
-    StorageMode,
+    freeze_families, DateRange, Families, FamilyRuns, FrozenDatasets, FrozenFamilies, FrozenStore,
+    MemGauge, RequestSink, Samplers, ShardPayload, ShardSink, SimDate, SpillError, SpillSession,
+    SpillTarget, StorageMode,
 };
 
 use crate::config::StudyConfig;
@@ -141,15 +141,15 @@ pub struct RunMetrics {
     /// Wall-clock of the merge phase: concatenating the shards' runs in
     /// plan order, plus opening any history's runs.
     pub merge_wall: Duration,
-    /// Wall-clock of the freeze: the key pass and the k-way merge of
-    /// every run into frozen columns.
+    /// Wall-clock of the freeze: the verified read of every run, the key
+    /// ranking and the gather into frozen columns.
     pub sort_wall: Duration,
     /// Wall-clock of the whole [`crate::Study::run`], set by the caller.
     pub total_wall: Duration,
     /// High-water mark of mutable row bytes held in memory during the sim
     /// phase (in-memory runs plus staging buffers; frozen columns, intern
-    /// tables, and merge cursors excluded). This is the number
-    /// [`StorageMode::Spill`] bounds.
+    /// tables, and the freeze's staging columns excluded). This is the
+    /// number [`StorageMode::Spill`] bounds.
     ///
     /// [`StorageMode::Spill`]: ipv6_study_telemetry::StorageMode::Spill
     pub peak_store_bytes: u64,
@@ -343,15 +343,15 @@ struct ShardEnv<'a> {
     pair_start: SimDate,
     /// The run's spill session when `config.storage` is `Spill`.
     spill: Option<&'a SpillSession>,
-    /// Rows staged per family before a sorted run is spilled.
+    /// Rows staged per family before a run is spilled.
     segment_rows: usize,
     /// Run-wide mutable-row-bytes high-water gauge.
     gauge: &'a MemGauge,
 }
 
 /// Simulates one shard attempt through one [`ShardSink`] that applies the
-/// §3.1 samplers in-stream and seals each family into sorted runs, in
-/// memory or spilled per the configured storage mode.
+/// §3.1 samplers in-stream and seals each family into runs, in memory or
+/// spilled per the configured storage mode.
 ///
 /// `progress` is updated with the running record count at every day
 /// boundary; when the attempt fails (injected or real), the caller reads
@@ -717,7 +717,7 @@ pub(crate) fn simulate(
 
     // Merge phase: walk the slots in plan order and concatenate each
     // family's runs. No record moves; all ordering is left to the
-    // freeze's k-way merge.
+    // freeze's stable sort.
     let t1 = Instant::now();
     let mut shards = Vec::with_capacity(plan.len());
     let mut runs = FamilyRuns::new(&config.prefix_lengths);
@@ -775,14 +775,14 @@ pub(crate) struct Frozen {
     pub abuse_store: FrozenStore,
     pub pair_store: FrozenStore,
     /// `freeze` (items = rows frozen, bytes = frozen store bytes, intern
-    /// tables counted once) with its `intern` (items = distinct keys) and
-    /// `merge` children.
+    /// tables counted once) with its `read` (items = rows read), `intern`
+    /// (items = distinct keys, bytes = tables) and `gather` (items = rows)
+    /// children.
     pub span: Span,
 }
 
-/// The one freeze: interns the keys of every run, then k-way merges each
-/// family's runs into frozen columns over those shared tables, dropping
-/// each family's runs as soon as it is merged. Cold runs, extensions and
+/// The one freeze: [`freeze_families`] over every family's runs, packaged
+/// as the study's stores with its span. Cold runs, extensions and
 /// state-dir resumes all freeze through here, so equal runs give equal
 /// bytes whichever storage they came from.
 pub(crate) fn freeze(
@@ -791,51 +791,45 @@ pub(crate) fn freeze(
     offered: u64,
 ) -> Result<Frozen, SpillError> {
     let t0 = Instant::now();
-    let mut keys = KeyCollector::new();
-    for run in runs.iter() {
-        keys.add_run(run)?;
-    }
-    let tables = Arc::new(keys.into_tables());
-    let intern = Span::new("intern", t0.elapsed())
-        .with_items((tables.users.len() + tables.ips.len()) as u64)
-        .with_bytes(tables.bytes() as u64);
-    // Heap pop and row encode interleave per row, so the merge is one
-    // span.
-    let t_merge = Instant::now();
-    let FamilyRuns {
+    let FrozenFamilies {
+        stores,
+        tables,
+        rows,
+        read_wall,
+        intern_wall,
+        gather_wall,
+    } = freeze_families(runs)?;
+    let Families {
         request,
         user,
         ip,
         prefixes,
         abuse,
         pair,
-    } = runs;
-    let mut prefix_samples = HashMap::new();
-    for (len, runs) in prefixes {
-        prefix_samples.insert(len, merge_runs(runs, &tables)?);
-    }
+    } = stores;
     let datasets = FrozenDatasets {
         samplers,
-        request_sample: merge_runs(request, &tables)?,
-        user_sample: merge_runs(user, &tables)?,
-        ip_sample: merge_runs(ip, &tables)?,
-        prefix_samples,
+        request_sample: request,
+        user_sample: user,
+        ip_sample: ip,
+        prefix_samples: prefixes.into_iter().collect(),
         offered,
     };
-    let abuse_store = merge_runs(abuse, &tables)?;
-    let pair_store = merge_runs(pair, &tables)?;
-    let merge = Span::new("merge", t_merge.elapsed());
-    let rows = datasets.retained() + abuse_store.len() as u64 + pair_store.len() as u64;
-    let bytes = datasets.bytes() + abuse_store.bytes() + pair_store.bytes() + tables.bytes();
+    let bytes = datasets.bytes() + abuse.bytes() + pair.bytes() + tables.bytes();
     let span = Span::new("freeze", t0.elapsed())
         .with_items(rows)
         .with_bytes(bytes as u64)
-        .with_child(intern)
-        .with_child(merge);
+        .with_child(Span::new("read", read_wall).with_items(rows))
+        .with_child(
+            Span::new("intern", intern_wall)
+                .with_items((tables.users.len() + tables.ips.len()) as u64)
+                .with_bytes(tables.bytes() as u64),
+        )
+        .with_child(Span::new("gather", gather_wall).with_items(rows));
     Ok(Frozen {
         datasets,
-        abuse_store,
-        pair_store,
+        abuse_store: abuse,
+        pair_store: pair,
         span,
     })
 }

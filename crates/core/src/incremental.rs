@@ -17,8 +17,8 @@
 //!    history's canonical rows followed by the suffix's runs *are* the
 //!    longer run's canonical order. The history enters the one freeze
 //!    as runs — the old study's frozen stores, or the state dir's day
-//!    files — placed before the suffix runs, and the k-way merge keeps
-//!    that order.
+//!    files — placed before the suffix runs, and the freeze's stable
+//!    sort keeps that order.
 //! 3. **Order-isomorphism.** Intern tables depend only on the
 //!    distinct raw-key *sets*, and dense ids are assigned in ascending
 //!    raw-key order — so the union tables equal the longer run's tables

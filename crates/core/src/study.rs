@@ -168,8 +168,8 @@ impl Study {
             span: freeze,
         } = driver::freeze(all, inputs.samplers.clone(), history.offered + offered)?;
         metrics.sort_wall = freeze.wall;
-        // The freeze's read passes verify every run checksum; fold the
-        // final storage counters into the fault report.
+        // The freeze's read verifies every run checksum; fold the final
+        // storage counters into the fault report.
         let spill_stats = spill.as_ref().map(SpillSession::stats).unwrap_or_default();
         faults.io_retries = spill_stats.io_retries;
         faults.checksum_failures = spill_stats.checksum_failures;

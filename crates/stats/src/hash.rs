@@ -9,9 +9,13 @@
 //! non-cryptographic hash with excellent avalanche behavior, from its
 //! specification.
 //!
-//! Only the streaming one-shot form is provided; all sampler keys in this
-//! workspace are short (≤ 16 bytes), so throughput is irrelevant and
-//! correctness + stability are everything.
+//! Two forms share one implementation: the one-shot [`stable_hash64`] over
+//! a byte slice, and the streaming [`StableHasher`] (four lane
+//! accumulators, a 32-byte stripe buffer and the total length), which
+//! hashes fields as they are written without allocating and returns
+//! exactly what [`stable_hash64`] returns over the concatenated bytes.
+//! The streaming form backs the simulator's compound keys, the test
+//! suites' whole-dataset digests and the [`SeededBuildHasher`] maps.
 
 const PRIME64_1: u64 = 0x9E3779B185EBCA87;
 const PRIME64_2: u64 = 0xC2B2AE3D27D4EB4F;
@@ -19,61 +23,82 @@ const PRIME64_3: u64 = 0x165667B19E3779F9;
 const PRIME64_4: u64 = 0x85EBCA77C2B2AE63;
 const PRIME64_5: u64 = 0x27D4EB2F165667C5;
 
+/// Bytes one round of the four lanes consumes.
+const STRIPE: usize = 32;
+
 /// Computes the xxHash64 of `data` with the given `seed`.
 ///
 /// The result is stable: it will never change between releases of this
 /// workspace, and matches the reference xxHash64 vectors.
 pub fn stable_hash64(seed: u64, data: &[u8]) -> u64 {
-    let len = data.len() as u64;
-    let mut h: u64;
-    let mut rest = data;
+    let mut lanes = init_lanes(seed);
+    let stripes = data.chunks_exact(STRIPE);
+    let tail = stripes.remainder();
+    for stripe in stripes {
+        consume_stripe(&mut lanes, stripe);
+    }
+    digest(seed, &lanes, data.len() as u64, tail)
+}
 
-    if rest.len() >= 32 {
-        let mut v1 = seed.wrapping_add(PRIME64_1).wrapping_add(PRIME64_2);
-        let mut v2 = seed.wrapping_add(PRIME64_2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(PRIME64_1);
-        while rest.len() >= 32 {
-            v1 = round(v1, read_u64(&rest[0..8]));
-            v2 = round(v2, read_u64(&rest[8..16]));
-            v3 = round(v3, read_u64(&rest[16..24]));
-            v4 = round(v4, read_u64(&rest[24..32]));
-            rest = &rest[32..];
-        }
-        h = v1
+/// The four lane accumulators before any stripe.
+fn init_lanes(seed: u64) -> [u64; 4] {
+    [
+        seed.wrapping_add(PRIME64_1).wrapping_add(PRIME64_2),
+        seed.wrapping_add(PRIME64_2),
+        seed,
+        seed.wrapping_sub(PRIME64_1),
+    ]
+}
+
+/// Folds one 32-byte stripe into the lanes.
+#[inline]
+fn consume_stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
+    lanes[0] = round(lanes[0], read_u64(&stripe[0..8]));
+    lanes[1] = round(lanes[1], read_u64(&stripe[8..16]));
+    lanes[2] = round(lanes[2], read_u64(&stripe[16..24]));
+    lanes[3] = round(lanes[3], read_u64(&stripe[24..32]));
+}
+
+/// The hash of `len` bytes whose complete stripes went into `lanes` and
+/// whose last `len % 32` bytes are `tail`.
+#[inline]
+fn digest(seed: u64, lanes: &[u64; 4], len: u64, mut tail: &[u8]) -> u64 {
+    let mut h = if len >= STRIPE as u64 {
+        let [v1, v2, v3, v4] = *lanes;
+        let mut h = v1
             .rotate_left(1)
             .wrapping_add(v2.rotate_left(7))
             .wrapping_add(v3.rotate_left(12))
             .wrapping_add(v4.rotate_left(18));
-        h = merge_round(h, v1);
-        h = merge_round(h, v2);
-        h = merge_round(h, v3);
-        h = merge_round(h, v4);
+        for v in [v1, v2, v3, v4] {
+            h = merge_round(h, v);
+        }
+        h
     } else {
-        h = seed.wrapping_add(PRIME64_5);
-    }
+        seed.wrapping_add(PRIME64_5)
+    };
 
     h = h.wrapping_add(len);
 
-    while rest.len() >= 8 {
-        let k1 = round(0, read_u64(&rest[0..8]));
+    while tail.len() >= 8 {
+        let k1 = round(0, read_u64(&tail[0..8]));
         h ^= k1;
         h = h
             .rotate_left(27)
             .wrapping_mul(PRIME64_1)
             .wrapping_add(PRIME64_4);
-        rest = &rest[8..];
+        tail = &tail[8..];
     }
-    if rest.len() >= 4 {
-        let k = u64::from(read_u32(&rest[0..4]));
+    if tail.len() >= 4 {
+        let k = u64::from(read_u32(&tail[0..4]));
         h ^= k.wrapping_mul(PRIME64_1);
         h = h
             .rotate_left(23)
             .wrapping_mul(PRIME64_2)
             .wrapping_add(PRIME64_3);
-        rest = &rest[4..];
+        tail = &tail[4..];
     }
-    for &byte in rest {
+    for &byte in tail {
         h ^= u64::from(byte).wrapping_mul(PRIME64_5);
         h = h.rotate_left(11).wrapping_mul(PRIME64_1);
     }
@@ -110,16 +135,24 @@ fn read_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes(b[..4].try_into().expect("slice of length 4"))
 }
 
-/// Convenience builder for hashing multiple fixed-width fields.
+/// Streaming xxHash64 for compound keys of fixed-width fields.
 ///
-/// Samplers hash compound keys such as `(dataset tag, user id)`; this builder
-/// concatenates fields into a small stack buffer and hashes once, avoiding
-/// any ambiguity about field boundaries (every `write_*` call appends the
-/// full fixed-width little-endian encoding).
+/// Samplers hash compound keys such as `(dataset tag, user id)`; every
+/// `write_*` call appends the field's full fixed-width little-endian
+/// encoding, so field boundaries are unambiguous. The state is fixed-size
+/// (four lanes, one 32-byte stripe buffer, the total length): writing
+/// never allocates, any number of bytes may be written, and
+/// [`StableHasher::finish`] equals [`stable_hash64`] over the
+/// concatenation of everything written.
 #[derive(Debug, Clone)]
 pub struct StableHasher {
     seed: u64,
-    buf: Vec<u8>,
+    lanes: [u64; 4],
+    stripe: [u8; STRIPE],
+    /// Bytes buffered in `stripe`, always below [`STRIPE`].
+    buffered: usize,
+    /// Total bytes written.
+    len: u64,
 }
 
 impl StableHasher {
@@ -130,37 +163,61 @@ impl StableHasher {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            buf: Vec::with_capacity(24),
+            lanes: init_lanes(seed),
+            stripe: [0; STRIPE],
+            buffered: 0,
+            len: 0,
         }
     }
 
     /// Appends a `u64` field.
     pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
+        self.write_bytes(&v.to_le_bytes())
     }
 
     /// Appends a `u128` field (e.g. a full IPv6 address).
     pub fn write_u128(&mut self, v: u128) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
+        self.write_bytes(&v.to_le_bytes())
     }
 
     /// Appends raw bytes.
-    pub fn write_bytes(&mut self, b: &[u8]) -> &mut Self {
-        self.buf.extend_from_slice(b);
+    pub fn write_bytes(&mut self, mut b: &[u8]) -> &mut Self {
+        self.len += b.len() as u64;
+        if self.buffered > 0 {
+            let take = (STRIPE - self.buffered).min(b.len());
+            self.stripe[self.buffered..self.buffered + take].copy_from_slice(&b[..take]);
+            self.buffered += take;
+            b = &b[take..];
+            if self.buffered < STRIPE {
+                return self;
+            }
+            consume_stripe(&mut self.lanes, &self.stripe);
+            self.buffered = 0;
+        }
+        let stripes = b.chunks_exact(STRIPE);
+        let tail = stripes.remainder();
+        for stripe in stripes {
+            consume_stripe(&mut self.lanes, stripe);
+        }
+        self.stripe[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
         self
     }
 
     /// Finishes the hash, consuming nothing (the hasher can be reused after
     /// [`StableHasher::reset`]).
     pub fn finish(&self) -> u64 {
-        stable_hash64(self.seed, &self.buf)
+        digest(
+            self.seed,
+            &self.lanes,
+            self.len,
+            &self.stripe[..self.buffered],
+        )
     }
 
     /// Clears accumulated bytes, keeping the seed.
     pub fn reset(&mut self) {
-        self.buf.clear();
+        *self = Self::new(self.seed);
     }
 }
 
@@ -202,52 +259,44 @@ impl std::hash::BuildHasher for SeededBuildHasher {
     type Hasher = SeededHasher;
 
     fn build_hasher(&self) -> SeededHasher {
-        SeededHasher {
-            seed: self.seed,
-            buf: Vec::with_capacity(16),
-        }
+        SeededHasher(StableHasher::new(self.seed))
     }
 }
 
-/// The [`std::hash::Hasher`] produced by [`SeededBuildHasher`].
-///
-/// Buffers the key's bytes and runs one [`stable_hash64`] pass in `finish`
-/// (keys here are at most a few machine words, so the buffer stays on one
-/// small allocation). Integer writes are encoded little-endian explicitly so
-/// the hash — and thus table layout — is identical on every platform.
+/// The [`std::hash::Hasher`] produced by [`SeededBuildHasher`]: a
+/// [`StableHasher`] behind the std trait, so hashing a key allocates
+/// nothing. Integer writes are encoded little-endian explicitly so the
+/// hash — and thus table layout — is identical on every platform.
 #[derive(Debug, Clone)]
-pub struct SeededHasher {
-    seed: u64,
-    buf: Vec<u8>,
-}
+pub struct SeededHasher(StableHasher);
 
 impl std::hash::Hasher for SeededHasher {
     fn finish(&self) -> u64 {
-        stable_hash64(self.seed, &self.buf)
+        self.0.finish()
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.0.write_bytes(bytes);
     }
 
     fn write_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.0.write_bytes(&[v]);
     }
 
     fn write_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.0.write_bytes(&v.to_le_bytes());
     }
 
     fn write_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.0.write_bytes(&v.to_le_bytes());
     }
 
     fn write_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.0.write_u64(v);
     }
 
     fn write_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.0.write_u128(v);
     }
 
     fn write_usize(&mut self, v: usize) {
@@ -466,6 +515,33 @@ mod tests {
         let mut c = b.build_hasher();
         c.write_u64(99);
         assert_eq!(a.finish(), c.finish());
+    }
+
+    /// The streaming hasher equals the one-shot hash over the
+    /// concatenated bytes for every length through several stripes, fed
+    /// whole, split once at several points, and byte by byte.
+    #[test]
+    fn streaming_matches_one_shot_at_every_length_and_split() {
+        let data: Vec<u8> = (0u8..=255).cycle().skip(7).take(256).collect();
+        for seed in [0, 1, 0x9e37_79b1_85eb_ca87, u64::MAX] {
+            for len in 0..=256 {
+                let bytes = &data[..len];
+                let expect = stable_hash64(seed, bytes);
+                for split in [0, 1, 3, 8, 31, 32, 33, 63, 64, 100, len / 2, len] {
+                    let split = split.min(len);
+                    let mut h = StableHasher::new(seed);
+                    h.write_bytes(&bytes[..split]).write_bytes(&bytes[split..]);
+                    assert_eq!(h.finish(), expect, "seed={seed} len={len} split={split}");
+                }
+                let mut h = StableHasher::new(seed);
+                for b in bytes {
+                    h.write_bytes(std::slice::from_ref(b));
+                }
+                assert_eq!(h.finish(), expect, "seed={seed} len={len} bytewise");
+                h.reset();
+                assert_eq!(h.finish(), stable_hash64(seed, b""), "reset keeps the seed");
+            }
+        }
     }
 
     #[test]

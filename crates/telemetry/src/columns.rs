@@ -63,27 +63,13 @@ impl ColumnStore {
     /// # Panics
     /// If the row's address or user is not interned in `tables`.
     pub fn push_encoded(&mut self, r: &RequestRecord, tables: &EntityTables) {
-        assert!(
-            self.try_push_encoded(r, tables),
-            "address and user were interned"
-        );
-    }
-
-    /// Appends one encoded row, or returns `false` and appends nothing
-    /// when its address or user is not interned in `tables`.
-    pub fn try_push_encoded(&mut self, r: &RequestRecord, tables: &EntityTables) -> bool {
-        let (Some(ip), Some(user)) = (
-            tables.ips.try_id_of(r.ip),
-            tables.users.try_dense_of(r.user),
-        ) else {
-            return false;
-        };
+        let ip = tables.ips.id_of(r.ip);
+        let user = tables.users.dense_of(r.user);
         self.ts.push(r.ts);
         self.ip.push(ip);
         self.user.push(user);
         self.asn.push(r.asn);
         self.country.push(r.country);
-        true
     }
 
     /// Number of rows.

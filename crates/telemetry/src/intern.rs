@@ -177,22 +177,19 @@ impl IpTable {
     /// Panics when the address was not part of the stream the table was
     /// built over — encoding is only defined for interned entities.
     pub fn id_of(&self, ip: IpAddr) -> IpId {
-        self.try_id_of(ip).expect("address was interned")
-    }
-
-    /// The dense id of an address, or `None` when it was not interned.
-    pub fn try_id_of(&self, ip: IpAddr) -> Option<IpId> {
         match ip {
-            IpAddr::V4(a) => self
-                .v4
-                .binary_search(&u32::from(a))
-                .ok()
-                .map(|i| IpId::new(false, i)),
-            IpAddr::V6(a) => self
-                .v6
-                .binary_search(&u128::from(a))
-                .ok()
-                .map(|i| IpId::new(true, i)),
+            IpAddr::V4(a) => IpId::new(
+                false,
+                self.v4
+                    .binary_search(&u32::from(a))
+                    .expect("address was interned"),
+            ),
+            IpAddr::V6(a) => IpId::new(
+                true,
+                self.v6
+                    .binary_search(&u128::from(a))
+                    .expect("address was interned"),
+            ),
         }
     }
 
@@ -329,13 +326,9 @@ impl UserTable {
     /// built over.
     #[inline]
     pub fn dense_of(&self, user: UserId) -> u32 {
-        self.try_dense_of(user).expect("user was interned")
-    }
-
-    /// The dense id of a user, or `None` when it was not interned.
-    #[inline]
-    pub fn try_dense_of(&self, user: UserId) -> Option<u32> {
-        self.raw.binary_search(&user.raw()).ok().map(|i| i as u32)
+        self.raw
+            .binary_search(&user.raw())
+            .expect("user was interned") as u32
     }
 
     /// The raw user id a dense id denotes.

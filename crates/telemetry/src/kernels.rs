@@ -22,7 +22,8 @@
 //!   column skipped. A stable LSB radix sort produces **the identical
 //!   permutation** to `sort_by_key` (Rust's stable sort) on the same
 //!   keys — pinned by tests here and by the index/driver equivalence
-//!   suites — so swapping it into the run writer's sorts and the
+//!   suites — so using it as the freeze's one ordering step (see
+//!   [`crate::run`]) and in the
 //!   [`DatasetIndex`](../../ipv6_study_analysis/index/struct.DatasetIndex.html)
 //!   build leaves every golden digest byte-identical. [`radix_sort_u32`]
 //!   and [`radix_sort_u64`] sort plain key vectors in place (for
@@ -458,8 +459,9 @@ pub fn radix_sort_perm_keys(keys_in: impl ExactSizeIterator<Item = u32>) -> Vec<
 /// Stable-sorts a record buffer by timestamp through the radix
 /// permutation — byte-identical order to
 /// `records.sort_by_key(|r| r.ts)` (the permutation is the stable one,
-/// see [`radix_sort_perm_keys`]), which is the invariant every sealed
-/// run (see [`crate::run`]) relies on for golden-digest stability.
+/// see [`radix_sort_perm_keys`]), which is the order
+/// [`RequestStore`](crate::RequestStore), the reference the run freeze
+/// is tested against, relies on.
 pub fn radix_sort_records_by_ts(records: &mut Vec<RequestRecord>) {
     if records.len() <= 1 {
         return;

@@ -28,8 +28,9 @@
 //!   into, the production [`sink::ShardSink`] that applies the §3.1
 //!   samplers in-stream, and a closure adapter.
 //! - [`run`] — the run model: every dataset family is an ordered list of
-//!   timestamp-sorted runs (in memory, spilled, checkpointed, or frozen),
-//!   interned in one key pass and frozen by one k-way merge.
+//!   runs in emission order (in memory, spilled, checkpointed, or
+//!   frozen), frozen by one verified read, one key ranking and one
+//!   radix-ordered gather per family.
 //! - [`spill`] — bounded out-of-core run storage: the run writer, spill
 //!   sessions, typed storage errors and I/O fault injection.
 //! - [`labels`] — the abusive-account label dataset with creation/detection
@@ -67,7 +68,8 @@ pub use kernels::{
 pub use labels::{AbuseInfo, AbuseLabels};
 pub use record::RequestRecord;
 pub use run::{
-    merge_runs, read_checkpoint_segment, write_checkpoint_segment, FamilyRuns, KeyCollector, Run,
+    freeze_families, read_checkpoint_segment, write_checkpoint_segment, Families, FamilyRuns,
+    FrozenFamilies, Run,
 };
 pub use sampler::Samplers;
 pub use sink::{FnSink, RequestSink, ShardPayload, ShardSink, SpillTarget};

@@ -1,8 +1,8 @@
-//! The run model: every dataset family is an ordered list of
-//! timestamp-sorted runs, and one k-way merge freezes it.
+//! The run model: every dataset family is an ordered list of runs in
+//! emission order, and one columnar freeze turns them into frozen stores.
 //!
-//! A [`Run`] is one timestamp-sorted stretch of rows, wherever the rows
-//! live:
+//! A [`Run`] is one stretch of rows in the order they were emitted,
+//! wherever the rows live:
 //!
 //! - in memory: a shard's family under
 //!   [`StorageMode::InMemory`](crate::StorageMode::InMemory), one run per
@@ -13,59 +13,68 @@
 //! - a checkpoint day file, which is a single frame ([`Run::checkpoint`]);
 //! - a day range of an existing [`FrozenStore`] ([`Run::frozen`]).
 //!
-//! [`FamilyRuns`] holds one ordered list per dataset family. Freezing it
-//! takes two passes: a [`KeyCollector`] interns the keys of every run,
-//! then [`merge_runs`] k-way merges each family's runs into columns
-//! encoded against those tables.
+//! [`FamilyRuns`] holds one ordered list per dataset family, and
+//! [`freeze_families`] turns it into one [`FrozenStore`] per family in
+//! three steps:
 //!
-//! # Determinism (merge-by-concatenation)
+//! 1. **read** — every run is streamed exactly once (a frame's checksum
+//!    is verified as it streams) and dropped once read. Each key is
+//!    interned on first sight into a provisional id, and each row lands
+//!    in its family's exact-capacity staging columns (18 bytes a row);
+//! 2. **intern** — the distinct keys are ranked once, which builds the
+//!    shared [`EntityTables`] and, per key family (v4, v6, user), a
+//!    provisional → dense id remap;
+//! 3. **gather** — per family, the stable LSB radix argsort of the
+//!    timestamp column orders the rows, and every column is gathered
+//!    through it (ids through the remap) into exact-size frozen columns.
+//!    Each staging column is dropped once gathered.
+//!
+//! # Determinism (stable sort of the plan-order concatenation)
 //!
 //! A family's canonical order is a *stable* sort by timestamp of its
-//! rows in emission order, with shards concatenated in plan order. The
-//! runs reproduce it exactly:
-//!
-//! 1. each run is stable-sorted when it is sealed, so equal timestamps
-//!    keep emission order;
-//! 2. runs partition a shard's emission stream contiguously, and the
-//!    shards' lists concatenate in plan order, so a run's position in
-//!    its family list is order-isomorphic to its place in the
-//!    concatenated stream;
-//! 3. the merge pops by `(timestamp, run position)`, which is exactly
-//!    the stable sort's tie-break.
+//! rows in emission order, with shards concatenated in plan order. Runs
+//! partition a shard's emission stream contiguously and keep its order,
+//! and the shards' lists concatenate in plan order, so reading a family's
+//! runs in list order yields exactly that concatenation — however the
+//! rows were split into runs. The gather's argsort is stable, so it
+//! reproduces the canonical order exactly; it is the only place rows are
+//! ordered between emission and the frozen stores.
 //!
 //! History runs (checkpoint days, frozen day ranges) come first in a
-//! list and hold strictly earlier days than the runs of newly simulated
-//! days, so the merge appends the new days after the history.
+//! list, hold canonical rows, and hold strictly earlier days than the
+//! runs of newly simulated days, so the sort keeps the history as it was
+//! and appends the new days after it.
 //!
-//! Intern tables depend only on the distinct key *sets* (sort + dedup
-//! erase arrival order), so the key pass builds the same tables for any
-//! split of the same rows into runs.
+//! Intern tables depend only on the distinct key *sets* (the ranking
+//! sorts them), so the tables and every dense id are the same for any
+//! split of the same rows into runs and any read order.
 //!
 //! # Frames
 //!
 //! On disk a run is a frame: a [`RUN_HEADER_BYTES`]-byte header (magic
 //! `SPR1`, row count, xxHash64 chain checksum) followed by
-//! [`SPILL_ROW_BYTES`]-byte rows. Both passes re-derive the checksum as
-//! they stream a frame. A bad header, a torn frame, an unknown row tag
-//! or a checksum mismatch surfaces as [`SpillError::Corrupt`] naming the
-//! file, run and byte offset, and fails the freeze: damaged bytes never
-//! reach a figure, and nothing here panics.
+//! [`SPILL_ROW_BYTES`]-byte rows. The read re-derives the checksum as it
+//! streams a frame. A bad header, a torn frame, an unknown row tag or a
+//! checksum mismatch surfaces as [`SpillError::Corrupt`] naming the file,
+//! run and byte offset, and fails the freeze: damaged bytes never reach
+//! a figure, and nothing here panics.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::net::IpAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ipv6_study_stats::hash::stable_hash64;
 
-use crate::columns::{ColumnStore, RecordView};
+use crate::columns::ColumnStore;
 use crate::ids::{Asn, Country, UserId};
-use crate::intern::{EntityTables, IpTable, UserTable};
+use crate::intern::{EntityTables, IpId, IpTable, UserTable};
 use crate::record::RequestRecord;
 use crate::spill::{stream_id, IoOp, SpillError, SpillShared};
 use crate::store::FrozenStore;
@@ -121,9 +130,9 @@ fn encode_row(r: &RequestRecord, buf: &mut [u8; SPILL_ROW_BYTES]) {
     buf[33..35].copy_from_slice(&r.country.0);
 }
 
-/// Decodes one 35-byte row back into a record; `Err` carries the unknown
-/// family tag.
-fn decode_row(buf: &[u8; SPILL_ROW_BYTES]) -> Result<RequestRecord, u8> {
+/// Decodes one 35-byte row (the first [`SPILL_ROW_BYTES`] of `buf`) back
+/// into a record; `Err` carries the unknown family tag.
+fn decode_row(buf: &[u8]) -> Result<RequestRecord, u8> {
     let ip = match buf[12] {
         4 => IpAddr::V4(std::net::Ipv4Addr::from(le_u32(&buf[13..17]))),
         6 => IpAddr::V6(std::net::Ipv6Addr::from(le_u128(&buf[13..29]))),
@@ -218,15 +227,14 @@ enum Source {
     Frozen(FrozenStore, DateRange),
 }
 
-/// One timestamp-sorted run of rows: in memory, framed on disk, or a day
-/// range of a frozen store (see the module docs). The constructors admit
-/// only sorted rows.
+/// One run of rows in emission order: in memory, framed on disk, or a
+/// day range of a frozen store (see the module docs).
 #[derive(Debug)]
 pub struct Run(Source);
 
 impl Run {
-    /// A run over rows already stable-sorted by timestamp.
-    pub(crate) fn sorted_rows(rows: Vec<RequestRecord>) -> Self {
+    /// A run over rows held in memory.
+    pub(crate) fn in_memory(rows: Vec<RequestRecord>) -> Self {
         Run(Source::Rows(rows))
     }
 
@@ -243,8 +251,6 @@ impl Run {
     /// Opens a checkpoint day file (see [`write_checkpoint_segment`]) as
     /// a run. The header and the framed length are checked against the
     /// file here; the rows and checksum are verified as the run streams.
-    /// The file must hold timestamp-sorted rows, as a state dir's day
-    /// files do.
     pub fn checkpoint(path: &Path) -> Result<Self, SpillError> {
         let run = FramedRun {
             path: Arc::from(path),
@@ -297,68 +303,79 @@ impl Run {
 
     /// Streams every row to `f` in run order, verifying a frame as it
     /// goes.
-    pub fn for_each(&self, mut f: impl FnMut(RequestRecord)) -> Result<(), SpillError> {
-        let mut cursor = self.cursor()?;
-        while let Some(r) = cursor.next()? {
-            f(r);
+    pub fn for_each(&self, f: impl FnMut(RequestRecord)) -> Result<(), SpillError> {
+        match &self.0 {
+            Source::Rows(rows) => rows.iter().copied().for_each(f),
+            Source::Framed(run) => run.for_each(f)?,
+            Source::Frozen(store, days) => store.in_range(*days).records().for_each(f),
         }
         Ok(())
     }
+}
 
-    fn cursor(&self) -> Result<Cursor<'_>, SpillError> {
-        Ok(match &self.0 {
-            Source::Rows(rows) => Cursor::Rows(rows.iter()),
-            Source::Framed(run) => Cursor::Framed(FrameCursor::open(run)?),
-            Source::Frozen(store, days) => Cursor::Frozen(store.in_range(*days).records()),
-        })
-    }
+/// Rows one read call moves into a framed run's block buffer (64 KiB,
+/// rounded down to whole rows).
+const READ_BLOCK_ROWS: usize = (64 << 10) / SPILL_ROW_BYTES;
 
-    /// The error for a row whose keys the key pass did not intern. Only a
-    /// frame whose bytes changed between the two passes can produce one.
-    fn missing_key(&self) -> SpillError {
-        let reason = "row keys missing from the intern tables (file changed between passes?)";
-        match &self.0 {
-            Source::Framed(run) => run.corrupt(run.meta.offset, reason.into()),
-            Source::Rows(_) | Source::Frozen(..) => SpillError::Corrupt {
-                path: PathBuf::from("<memory>"),
-                run: 0,
-                offset: 0,
-                reason: reason.into(),
-            },
+impl FramedRun {
+    /// Streams the frame's rows to `f` in order. The header is checked
+    /// against [`RunMeta`]; rows move in blocks of [`READ_BLOCK_ROWS`],
+    /// and each row's tag and chain checksum are verified as it passes,
+    /// the checksum finally against the header's. A short file fails at
+    /// the first incomplete row, after every complete row before it.
+    fn for_each(&self, mut f: impl FnMut(RequestRecord)) -> Result<(), SpillError> {
+        let meta = self.meta;
+        let mut reader = FrameReader::open(self)?;
+        let payload = meta.offset + RUN_HEADER_BYTES as u64;
+        let rows_per_block = (meta.rows as usize).min(READ_BLOCK_ROWS);
+        let mut block = vec![0u8; rows_per_block * SPILL_ROW_BYTES];
+        let mut checksum = CHECKSUM_SEED;
+        let mut row = 0u64;
+        while row < meta.rows {
+            let want = (meta.rows - row).min(rows_per_block as u64) as usize * SPILL_ROW_BYTES;
+            let got = reader.fill(&mut block[..want])?;
+            for bytes in block[..got].chunks_exact(SPILL_ROW_BYTES) {
+                let offset = payload + row * SPILL_ROW_BYTES as u64;
+                reader.fault_op()?;
+                checksum = stable_hash64(checksum, bytes);
+                let rec = decode_row(bytes).map_err(|tag| {
+                    self.corrupt(offset + 12, format!("unknown family tag {tag}"))
+                })?;
+                f(rec);
+                row += 1;
+            }
+            if got < want {
+                reader.fault_op()?;
+                let offset = payload + row * SPILL_ROW_BYTES as u64;
+                return Err(self.corrupt(offset, "unexpected end of file (torn write?)".into()));
+            }
         }
-    }
-}
-
-/// A run's streaming read position.
-enum Cursor<'r> {
-    Rows(std::slice::Iter<'r, RequestRecord>),
-    Framed(FrameCursor<'r>),
-    Frozen(RecordView<'r>),
-}
-
-impl Cursor<'_> {
-    fn next(&mut self) -> Result<Option<RequestRecord>, SpillError> {
-        match self {
-            Cursor::Rows(rows) => Ok(rows.next().copied()),
-            Cursor::Framed(frame) => frame.next(),
-            Cursor::Frozen(view) => Ok(view.next()),
+        if checksum != meta.checksum {
+            return Err(self.corrupt(
+                meta.offset,
+                format!(
+                    "run checksum mismatch: computed {checksum:#018x}, expected {:#018x}",
+                    meta.checksum
+                ),
+            ));
         }
+        self.shared
+            .bytes_verified
+            .fetch_add(meta.rows * SPILL_ROW_BYTES as u64, Ordering::Relaxed);
+        Ok(())
     }
 }
 
-/// Streams one framed run: every read goes through the session's fault
-/// plan, and the chain checksum is folded as rows pass and checked at the
-/// end of the run.
-struct FrameCursor<'r> {
+/// One framed run's open file. Every read op — the header, then one per
+/// row — goes through the session's fault plan, keyed by the op's index.
+struct FrameReader<'r> {
     run: &'r FramedRun,
-    reader: BufReader<File>,
+    file: File,
     stream: u64,
     ops: u64,
-    row: u64,
-    checksum: u64,
 }
 
-impl<'r> FrameCursor<'r> {
+impl<'r> FrameReader<'r> {
     /// Opens the run's file at its frame and checks the header against
     /// what the run expects.
     fn open(run: &'r FramedRun) -> Result<Self, SpillError> {
@@ -369,18 +386,20 @@ impl<'r> FrameCursor<'r> {
             file.seek(SeekFrom::Start(meta.offset))
                 .map_err(|e| SpillError::io(&run.path, IoOp::Seek, &e))?;
         }
-        let mut cursor = Self {
+        let mut reader = Self {
             run,
-            reader: BufReader::new(file),
+            file,
             stream: stream_id(&run.path),
-            // Op indices restart per cursor; basing them on the run's row
+            // Op indices restart per reader; basing them on the run's row
             // position keeps fault keying distinct across a file's runs.
             ops: meta.offset / SPILL_ROW_BYTES as u64,
-            row: 0,
-            checksum: CHECKSUM_SEED,
         };
         let mut hdr = [0u8; RUN_HEADER_BYTES];
-        cursor.read_op(&mut hdr, meta.offset)?;
+        reader.fault_op()?;
+        reader
+            .file
+            .read_exact(&mut hdr)
+            .map_err(|e| run.read_error(&e, meta.offset))?;
         let (rows, checksum) =
             parse_header(&hdr).map_err(|reason| run.corrupt(meta.offset, reason))?;
         if rows != meta.rows {
@@ -398,86 +417,97 @@ impl<'r> FrameCursor<'r> {
                 ),
             ));
         }
-        Ok(cursor)
+        Ok(reader)
     }
 
-    /// One read op. Injected faults are decided before the data moves, so
-    /// an op-level retry simply re-issues the same read.
-    fn read_op(&mut self, buf: &mut [u8], offset: u64) -> Result<(), SpillError> {
+    /// Rolls the fault plan for the next read op. Injected faults are
+    /// decided before the data moves, so an op-level retry re-issues the
+    /// same read; past the retry budget the op fails.
+    fn fault_op(&mut self) -> Result<(), SpillError> {
         let op = self.ops;
         self.ops += 1;
         let shared = &self.run.shared;
-        if let Some(plan) = shared.policy.faults.as_ref() {
-            let mut io_attempt = 0u32;
-            while plan.read_failure(self.stream, op, io_attempt) {
-                if io_attempt >= shared.policy.max_io_retries {
-                    return Err(SpillError::Io {
-                        path: self.run.path.to_path_buf(),
-                        op: IoOp::Read,
-                        kind: std::io::ErrorKind::Interrupted,
-                        detail: "injected transient read fault".into(),
-                    });
-                }
-                shared.io_retries.fetch_add(1, Ordering::Relaxed);
-                io_attempt += 1;
+        let Some(plan) = shared.policy.faults.as_ref() else {
+            return Ok(());
+        };
+        let mut io_attempt = 0u32;
+        while plan.read_failure(self.stream, op, io_attempt) {
+            if io_attempt >= shared.policy.max_io_retries {
+                return Err(SpillError::Io {
+                    path: self.run.path.to_path_buf(),
+                    op: IoOp::Read,
+                    kind: std::io::ErrorKind::Interrupted,
+                    detail: "injected transient read fault".into(),
+                });
             }
+            shared.io_retries.fetch_add(1, Ordering::Relaxed);
+            io_attempt += 1;
         }
-        self.reader
-            .read_exact(buf)
-            .map_err(|e| self.run.read_error(&e, offset))
+        Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<RequestRecord>, SpillError> {
-        let meta = self.run.meta;
-        if self.row >= meta.rows {
-            if self.row == meta.rows {
-                self.row += 1;
-                if self.checksum != meta.checksum {
-                    return Err(self.run.corrupt(
-                        meta.offset,
-                        format!(
-                            "run checksum mismatch: computed {:#018x}, expected {:#018x}",
-                            self.checksum, meta.checksum
-                        ),
-                    ));
-                }
-                self.run
-                    .shared
-                    .bytes_verified
-                    .fetch_add(meta.rows * SPILL_ROW_BYTES as u64, Ordering::Relaxed);
+    /// Reads into `buf` until it is full or the file ends; returns the
+    /// bytes read.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<usize, SpillError> {
+        let mut n = 0;
+        while n < buf.len() {
+            match self.file.read(&mut buf[n..]) {
+                Ok(0) => break,
+                Ok(k) => n += k,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(SpillError::io(&self.run.path, IoOp::Read, &e)),
             }
-            return Ok(None);
         }
-        let offset = meta.offset + RUN_HEADER_BYTES as u64 + self.row * SPILL_ROW_BYTES as u64;
-        self.row += 1;
-        let mut buf = [0u8; SPILL_ROW_BYTES];
-        self.read_op(&mut buf, offset)?;
-        self.checksum = stable_hash64(self.checksum, &buf);
-        decode_row(&buf).map(Some).map_err(|tag| {
-            // The family-tag byte.
-            self.run
-                .corrupt(offset + 12, format!("unknown family tag {tag}"))
-        })
+        Ok(n)
     }
 }
 
-/// Every dataset family as an ordered list of timestamp-sorted runs: what
-/// a shard hands back, what the driver concatenates in plan order, and
-/// what the freeze consumes.
+/// One value per dataset family: the runs a shard hands back and the
+/// freeze consumes ([`FamilyRuns`]), and the frozen stores it produces.
 #[derive(Debug, Default)]
-pub struct FamilyRuns {
+pub struct Families<T> {
     /// Record random sample (§3.1).
-    pub request: Vec<Run>,
+    pub request: T,
     /// User random sample (§3.1).
-    pub user: Vec<Run>,
+    pub user: T,
     /// IP random sample (§3.1).
-    pub ip: Vec<Run>,
+    pub ip: T,
     /// Per-length IPv6 prefix random samples.
-    pub prefixes: BTreeMap<u8, Vec<Run>>,
+    pub prefixes: BTreeMap<u8, T>,
     /// Full-fidelity abuse stream.
-    pub abuse: Vec<Run>,
+    pub abuse: T,
     /// Full-fidelity pair-window stream (the last study days).
-    pub pair: Vec<Run>,
+    pub pair: T,
+}
+
+/// Every dataset family as an ordered list of runs: what a shard hands
+/// back, what the driver concatenates in plan order, and what the freeze
+/// consumes.
+pub type FamilyRuns = Families<Vec<Run>>;
+
+impl<T> Families<T> {
+    /// Applies `f` to every family in turn (request, user, ip, prefixes
+    /// by ascending length, abuse, pair), stopping at the first error.
+    pub fn try_map<U, E>(self, mut f: impl FnMut(T) -> Result<U, E>) -> Result<Families<U>, E> {
+        Ok(Families {
+            request: f(self.request)?,
+            user: f(self.user)?,
+            ip: f(self.ip)?,
+            prefixes: self
+                .prefixes
+                .into_iter()
+                .map(|(len, v)| Ok((len, f(v)?)))
+                .collect::<Result<_, E>>()?,
+            abuse: f(self.abuse)?,
+            pair: f(self.pair)?,
+        })
+    }
+
+    /// Applies `f` to every family in turn.
+    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> Families<U> {
+        let mapped: Result<_, Infallible> = self.try_map(|v| Ok(f(v)));
+        mapped.unwrap_or_else(|never| match never {})
+    }
 }
 
 impl FamilyRuns {
@@ -490,7 +520,8 @@ impl FamilyRuns {
     }
 
     /// Appends `other`'s runs after this list's, family by family. A
-    /// run's position is its merge tie-break, so append in plan order.
+    /// run's position places its rows in the concatenation the freeze
+    /// stable-sorts, so append in plan order.
     pub fn append(&mut self, other: FamilyRuns) {
         self.request.extend(other.request);
         self.user.extend(other.user);
@@ -501,130 +532,226 @@ impl FamilyRuns {
         self.abuse.extend(other.abuse);
         self.pair.extend(other.pair);
     }
+}
 
-    /// Every run of every family.
-    pub fn iter(&self) -> impl Iterator<Item = &Run> {
-        self.request
-            .iter()
-            .chain(&self.user)
-            .chain(&self.ip)
-            .chain(self.prefixes.values().flatten())
-            .chain(&self.abuse)
-            .chain(&self.pair)
+/// What [`freeze_families`] produces: one frozen store per family over
+/// shared intern tables, and what each of its steps measured.
+#[derive(Debug)]
+pub struct FrozenFamilies {
+    /// The frozen stores, timestamp-sorted and densely encoded.
+    pub stores: Families<FrozenStore>,
+    /// The intern tables every store is encoded against.
+    pub tables: Arc<EntityTables>,
+    /// Rows read, which is rows frozen.
+    pub rows: u64,
+    /// Wall of the verified read, which stages and interns every row.
+    pub read_wall: Duration,
+    /// Wall of ranking the distinct keys into the tables and remaps.
+    pub intern_wall: Duration,
+    /// Wall of ordering and gathering every family.
+    pub gather_wall: Duration,
+}
+
+/// Freezes every family's runs into timestamp-sorted, densely encoded
+/// stores over one set of shared intern tables: one verified read, one
+/// ranking of the distinct keys, one radix-ordered gather per family (see
+/// the module docs). Each run is dropped as soon as it is read.
+///
+/// The stores equal a [`RequestStore`](crate::RequestStore) stable sort
+/// of each family's rows in list order, encoded against
+/// [`EntityTables::build`] over every family's rows. A run that fails
+/// verification fails the freeze.
+pub fn freeze_families(runs: FamilyRuns) -> Result<FrozenFamilies, SpillError> {
+    let t_read = Instant::now();
+    let mut interner = Interner::default();
+    let mut rows = 0u64;
+    let staged = runs.try_map(|runs| {
+        let n: u64 = runs.iter().map(Run::rows).sum();
+        rows += n;
+        // Every source knows its row count up front (a checkpoint's was
+        // checked against its file length), so no column ever grows.
+        let mut cols = ColumnStore::with_capacity(n as usize);
+        for run in runs {
+            run.for_each(|r| interner.stage(&r, &mut cols))?;
+        }
+        Ok(cols)
+    })?;
+    let read_wall = t_read.elapsed();
+
+    let t_intern = Instant::now();
+    let (tables, remap) = interner.rank();
+    let tables = Arc::new(tables);
+    let intern_wall = t_intern.elapsed();
+
+    let t_gather = Instant::now();
+    let stores = staged.map(|cols| remap.gather(cols, &tables));
+    Ok(FrozenFamilies {
+        stores,
+        tables,
+        rows,
+        read_wall,
+        intern_wall,
+        gather_wall: t_gather.elapsed(),
+    })
+}
+
+/// Hashes the interner's integer keys with one folded multiply per
+/// 64-bit word. The interner's maps are probed, never iterated into
+/// output (ranking sorts their keys), so the hash needs spread, not
+/// stability, and a full xxHash64 per key would cost more than the rest
+/// of a row's staging. Keys come from this program's own simulator, so
+/// no caller can craft them to collide.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// An odd 64-bit constant (the fractional bits of π).
+    const MUL: u64 = 0x243f_6a88_85a3_08d3;
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let p = u128::from(self.0 ^ v) * u128::from(Self::MUL);
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
     }
 }
 
-/// Accumulates the distinct entity keys of a record stream with periodic
-/// sort+dedup compaction, then builds the shared [`EntityTables`].
-///
-/// `EntityTables` construction is order-independent given the same key
-/// sets, so tables built here are bit-identical however the rows are
-/// split into runs — the linchpin of storage-mode determinism.
+/// A provisional-id map of one key family.
+type KeyIds<K> = HashMap<K, u32, BuildHasherDefault<KeyHasher>>;
+
+/// Provisional ids for the keys read so far, assigned in first-sight
+/// order: one id space per key family.
 #[derive(Debug, Default)]
-pub struct KeyCollector {
-    v4: Vec<u32>,
-    v6: Vec<u128>,
-    users: Vec<u64>,
-    compact_at: usize,
+struct Interner {
+    v4: KeyIds<u32>,
+    v6: KeyIds<u128>,
+    users: KeyIds<u64>,
 }
 
-/// Compaction floor: below this many buffered keys, dedup isn't worth it.
-const COMPACT_FLOOR: usize = 1 << 20;
+/// The provisional id of `key`, assigning the next one on first sight.
+fn provisional<K: Hash + Eq>(ids: &mut KeyIds<K>, key: K) -> u32 {
+    let next = ids.len() as u32;
+    *ids.entry(key).or_insert(next)
+}
 
-impl KeyCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self {
-            compact_at: COMPACT_FLOOR,
-            ..Self::default()
-        }
+impl Interner {
+    /// Appends `r` to `cols` under provisional ids. A provisional address
+    /// id keeps the family bit; its index counts within the family.
+    fn stage(&mut self, r: &RequestRecord, cols: &mut ColumnStore) {
+        let ip = match r.ip {
+            IpAddr::V4(a) => IpId::new(false, provisional(&mut self.v4, u32::from(a)) as usize),
+            IpAddr::V6(a) => IpId::new(true, provisional(&mut self.v6, u128::from(a)) as usize),
+        };
+        cols.ts.push(r.ts);
+        cols.ip.push(ip);
+        cols.user.push(provisional(&mut self.users, r.user.raw()));
+        cols.asn.push(r.asn);
+        cols.country.push(r.country);
     }
 
-    /// Adds one record's keys.
-    pub fn add(&mut self, rec: &RequestRecord) {
-        match rec.ip {
-            IpAddr::V4(a) => self.v4.push(u32::from(a)),
-            IpAddr::V6(a) => self.v6.push(u128::from(a)),
-        }
-        self.users.push(rec.user.raw());
-        if self.v4.len() + self.v6.len() + self.users.len() > self.compact_at {
-            self.compact();
-        }
-    }
-
-    /// Adds every record of a run (a frame is verified as it streams).
-    pub fn add_run(&mut self, run: &Run) -> Result<(), SpillError> {
-        run.for_each(|r| self.add(&r))
-    }
-
-    fn compact(&mut self) {
-        crate::kernels::radix_sort_u32(&mut self.v4);
-        self.v4.dedup();
-        self.v6.sort_unstable();
-        self.v6.dedup();
-        crate::kernels::radix_sort_u64(&mut self.users);
-        self.users.dedup();
-        let len = self.v4.len() + self.v6.len() + self.users.len();
-        self.compact_at = (len * 2).max(COMPACT_FLOOR);
-    }
-
-    /// Builds the shared intern tables from the collected keys.
-    pub fn into_tables(self) -> EntityTables {
-        EntityTables {
-            ips: IpTable::from_keys(self.v4, self.v6),
-            users: UserTable::from_keys(self.users),
-        }
+    /// Ranks every key family's distinct keys once: the shared tables,
+    /// and the remap from provisional to dense ids.
+    fn rank(self) -> (EntityTables, Remap) {
+        let (v4, v4_dense) = rank_keys(self.v4);
+        let (v6, v6_dense) = rank_keys(self.v6);
+        let (users, user_dense) = rank_keys(self.users);
+        // The tables index each key family's distinct keys in ascending
+        // order, so a key's rank is its dense index.
+        let ips = v4_dense
+            .iter()
+            .map(|&d| IpId::new(false, d as usize))
+            .chain(v6_dense.iter().map(|&d| IpId::new(true, d as usize)))
+            .collect();
+        let tables = EntityTables {
+            ips: IpTable::from_keys(v4, v6),
+            users: UserTable::from_keys(users),
+        };
+        let remap = Remap {
+            ips,
+            v6_base: v4_dense.len(),
+            users: user_dense,
+        };
+        (tables, remap)
     }
 }
 
-/// K-way merges one family's runs into a timestamp-sorted
-/// [`FrozenStore`] encoded against `tables`, consuming the runs.
-///
-/// Ties pop by position in `runs`, the canonical order's stable
-/// tie-break (see the module docs). One cursor is open per non-empty
-/// run and no run is re-buffered. `tables` must hold every key of every
-/// run, which a [`KeyCollector`] pass over the same runs guarantees; a
-/// row whose keys are missing fails the merge as corrupt.
-pub fn merge_runs(runs: Vec<Run>, tables: &Arc<EntityTables>) -> Result<FrozenStore, SpillError> {
-    let total: u64 = runs.iter().map(Run::rows).sum();
-    let mut cols = ColumnStore::with_capacity(total as usize);
-    // `fronts[i]` is cursor `i`'s next row; the heap holds its key.
-    let mut cursors = Vec::new();
-    let mut fronts = Vec::new();
-    let mut heap = BinaryHeap::new();
-    for run in runs.iter().filter(|r| r.rows() > 0) {
-        let mut cursor = run.cursor()?;
-        if let Some(front) = cursor.next()? {
-            heap.push(Reverse((front.ts.secs(), cursors.len())));
-            cursors.push((cursor, run));
-            fronts.push(front);
-        }
+/// A key family's distinct keys in ascending order, and the rank of each
+/// provisional id among them.
+fn rank_keys<K: Ord + Copy>(ids: KeyIds<K>) -> (Vec<K>, Vec<u32>) {
+    let mut by_key: Vec<(K, u32)> = ids.into_iter().collect();
+    // Keys are distinct, so the map's iteration order cannot show.
+    by_key.sort_unstable();
+    let mut dense = vec![0; by_key.len()];
+    for (rank, &(_, id)) in by_key.iter().enumerate() {
+        dense[id as usize] = rank as u32;
     }
-    while let Some(mut top) = heap.peek_mut() {
-        let Reverse((_, i)) = *top;
-        let (cursor, run) = &mut cursors[i];
-        if !cols.try_push_encoded(&fronts[i], tables) {
-            return Err(run.missing_key());
-        }
-        match cursor.next()? {
-            Some(next) => {
-                // Replacing the top sifts once, and not at all while this
-                // run stays the minimum.
-                *top = Reverse((next.ts.secs(), i));
-                fronts[i] = next;
-            }
-            None => {
-                PeekMut::pop(top);
-            }
-        }
+    (by_key.into_iter().map(|(key, _)| key).collect(), dense)
+}
+
+/// Provisional → dense ids: the v4 family's dense address ids, then the
+/// v6 family's from `v6_base`, and the dense user ids.
+#[derive(Debug)]
+struct Remap {
+    ips: Vec<IpId>,
+    v6_base: usize,
+    users: Vec<u32>,
+}
+
+impl Remap {
+    /// Orders one family's staged rows canonically and encodes them
+    /// densely: the stable radix argsort of the timestamp column, then
+    /// every column gathered through it into an exact-size column. Each
+    /// staged column is dropped once gathered.
+    fn gather(&self, staged: ColumnStore, tables: &Arc<EntityTables>) -> FrozenStore {
+        let perm = crate::kernels::radix_sort_perm_u32(&staged.ts);
+        let ColumnStore {
+            ts,
+            ip,
+            user,
+            asn,
+            country,
+        } = staged;
+        let cols = ColumnStore {
+            ts: gather(&perm, ts, |ts| ts),
+            ip: gather(&perm, ip, |id| {
+                self.ips[id.index() + usize::from(id.is_v6()) * self.v6_base]
+            }),
+            user: gather(&perm, user, |u| self.users[u as usize]),
+            asn: gather(&perm, asn, |asn| asn),
+            country: gather(&perm, country, |c| c),
+        };
+        FrozenStore::from_sorted_parts(cols, Arc::clone(tables))
     }
-    Ok(FrozenStore::from_sorted_parts(cols, Arc::clone(tables)))
+}
+
+/// `col` permuted by `perm` through `f`, exactly sized; `col` is dropped
+/// on return.
+fn gather<T: Copy, U>(perm: &[u32], col: Vec<T>, f: impl Fn(T) -> U) -> Vec<U> {
+    perm.iter().map(|&i| f(col[i as usize])).collect()
 }
 
 /// Writes `rows`, in the given order, to `path` as one frame: the
-/// incremental engine's checkpoint day file. A state dir's day files hold
-/// canonical (timestamp-sorted) day slices, which is what lets
-/// [`Run::checkpoint`] open them as runs.
+/// incremental engine's checkpoint day file, which [`Run::checkpoint`]
+/// opens as a run. A state dir's day files hold canonical day slices.
 pub fn write_checkpoint_segment(path: &Path, rows: &[RequestRecord]) -> Result<(), SpillError> {
     let (frame, _) = encode_frame(rows);
     let mut f = File::create(path).map_err(|e| SpillError::io(path, IoOp::Create, &e))?;
@@ -653,6 +780,7 @@ mod tests {
     use crate::spill::{RunWriter, SpillSession};
     use crate::store::RequestStore;
     use crate::time::SimDate;
+    use ipv6_study_stats::testgen::TestGen;
 
     fn rec(user: u64, sec: u32, ip: &str) -> RequestRecord {
         RequestRecord {
@@ -690,12 +818,13 @@ mod tests {
         }
     }
 
-    fn collect(runs: &[Run]) -> Result<EntityTables, SpillError> {
-        let mut keys = KeyCollector::new();
-        for run in runs {
-            keys.add_run(run)?;
-        }
-        Ok(keys.into_tables())
+    /// Freezes `runs` as the request family, the only non-empty one.
+    fn freeze_one(runs: Vec<Run>) -> Result<FrozenStore, SpillError> {
+        let runs = FamilyRuns {
+            request: runs,
+            ..FamilyRuns::default()
+        };
+        Ok(freeze_families(runs)?.stores.request)
     }
 
     #[test]
@@ -807,7 +936,7 @@ mod tests {
         bytes[tag_offset as usize] = 9;
         std::fs::write(&path, &bytes).unwrap();
 
-        match collect(&runs).unwrap_err() {
+        match freeze_one(runs).unwrap_err() {
             SpillError::Corrupt {
                 path: at,
                 run,
@@ -831,23 +960,20 @@ mod tests {
             .map(|i| rec(i, i as u32, "2001:db8::1"))
             .collect();
         let runs = runs_of(Some(&session), 0, 64, &records);
-        let tables = Arc::new(collect(&runs).unwrap());
         let path = framed(&runs[0]).path.to_path_buf();
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a non-tag payload byte: the chain checksum must catch it.
         bytes[RUN_HEADER_BYTES + 3 * SPILL_ROW_BYTES + 5] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
-        let err = collect(&runs).unwrap_err();
+        let err = freeze_one(runs).unwrap_err();
         assert!(
             matches!(err, SpillError::Corrupt { run: 0, ref reason, .. }
                 if reason.contains("checksum mismatch")),
             "{err:?}"
         );
-        // The merge pass detects it too: a changed key fails the lookup,
-        // an unchanged one the checksum at the end of the run.
-        let err = merge_runs(runs, &tables).unwrap_err();
-        assert!(matches!(err, SpillError::Corrupt { .. }), "{err:?}");
+        let stats = session.stats();
+        assert_eq!((stats.checksum_failures, stats.bytes_verified), (1, 0));
     }
 
     #[test]
@@ -859,7 +985,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
 
-        let err = collect(&runs).unwrap_err();
+        let err = freeze_one(runs).unwrap_err();
         assert!(
             matches!(err, SpillError::Corrupt { ref reason, .. }
                 if reason.contains("torn write")),
@@ -868,10 +994,10 @@ mod tests {
     }
 
     /// Two "shards" with ties across and within both, split into several
-    /// runs, merge to exactly the stable sort of their plan-order
-    /// concatenation — held in memory or spilled.
+    /// unsorted runs, freeze to exactly the stable sort of their
+    /// plan-order concatenation — held in memory or spilled.
     #[test]
-    fn merge_reproduces_the_stable_concatenation_sort() {
+    fn freeze_reproduces_the_stable_concatenation_sort() {
         let shard_a = vec![
             rec(1, 10, "2001:db8::1"),
             rec(2, 5, "2001:db8::2"),
@@ -891,22 +1017,18 @@ mod tests {
             runs.extend(runs_of(spill, 1, 3, &shard_b));
             let expected_runs = if spill.is_some() { 3 } else { 2 };
             assert_eq!(runs.len(), expected_runs);
-            let tables = Arc::new(collect(&runs).unwrap());
-            let frozen = merge_runs(runs, &tables).unwrap();
+            let frozen = freeze_one(runs).unwrap();
             assert_eq!(
                 frozen.all().records().collect::<Vec<_>>(),
                 reference.all(),
-                "k-way merge must equal the stable concatenation sort (spill: {})",
+                "the freeze must equal the stable concatenation sort (spill: {})",
                 spill.is_some()
             );
-            // Merged columns are exactly sized (the bytes() contract).
+            // Frozen columns are exactly sized (the bytes() contract).
             assert_eq!(frozen.bytes(), frozen.len() * 18);
         }
-        // Both verified read passes counted the spilled payload bytes.
-        assert_eq!(
-            session.stats().bytes_verified,
-            2 * 7 * SPILL_ROW_BYTES as u64
-        );
+        // The one verified read counted the spilled payload bytes once.
+        assert_eq!(session.stats().bytes_verified, 7 * SPILL_ROW_BYTES as u64);
         assert_eq!(session.stats().checksum_failures, 0);
     }
 
@@ -914,7 +1036,7 @@ mod tests {
     /// other: the history precedes newer runs and empty runs change
     /// nothing.
     #[test]
-    fn frozen_and_empty_runs_merge_with_populated_ones() {
+    fn frozen_and_empty_runs_freeze_with_populated_ones() {
         let early: Vec<RequestRecord> = (0..4).map(|i| rec(i, i as u32, "10.0.0.1")).collect();
         let late: Vec<RequestRecord> = (0..3)
             .map(|i| rec(i + 9, 86_400 + i as u32, "2001:db8::9"))
@@ -937,32 +1059,125 @@ mod tests {
         ];
         runs.extend(runs_of(None, 0, 2, &late));
         assert_eq!(runs.iter().map(Run::rows).sum::<u64>(), 7);
-        let tables = Arc::new(collect(&runs).unwrap());
-        let merged = merge_runs(runs, &tables).unwrap();
+        let frozen = freeze_one(runs).unwrap();
         let expected: Vec<RequestRecord> = early.iter().chain(&late).copied().collect();
-        assert_eq!(merged.all().records().collect::<Vec<_>>(), expected);
+        assert_eq!(frozen.all().records().collect::<Vec<_>>(), expected);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn key_collector_matches_in_memory_table_build() {
-        let records: Vec<RequestRecord> = (0..500)
-            .map(|i| {
-                rec(
-                    i % 37,
-                    i as u32,
-                    if i % 3 == 0 {
-                        "192.0.2.9"
-                    } else {
-                        "2001:db8:9::1"
-                    },
-                )
-            })
-            .collect();
-        let mut keys = KeyCollector::new();
-        for r in &records {
-            keys.add(r);
+    /// A random row: few users, addresses, ASNs and countries, and
+    /// timestamps on a coarse grid over two days, so ties are heavy.
+    fn random_row(g: &mut TestGen) -> RequestRecord {
+        let ip = if g.below(3) == 0 {
+            IpAddr::from(std::net::Ipv4Addr::from(0x0a00_0000 | g.below(12) as u32))
+        } else {
+            IpAddr::from(std::net::Ipv6Addr::from(
+                0x2001_0db8_u128 << 96 | u128::from(g.below(4)) << 64 | u128::from(g.below(9)),
+            ))
+        };
+        RequestRecord {
+            ts: Timestamp::from_secs(
+                SimDate::ymd(4, 13).start().secs() + g.below(12) as u32 * 14_400,
+            ),
+            user: UserId(g.below(30) << 40 | g.below(3)),
+            ip,
+            asn: Asn(64_496 + g.below(3) as u32),
+            country: [Country::new("US"), Country::new("DE")][g.below(2) as usize],
         }
-        assert_eq!(keys.into_tables(), EntityTables::from_records(&records));
+    }
+
+    /// One family: up to five stretches of random rows, each in a random
+    /// source (in memory, spilled in frames of random size, a checkpoint
+    /// file, or a day range of a frozen store), some empty. Returns the
+    /// runs and the rows they yield, in order.
+    fn random_family(
+        g: &mut TestGen,
+        session: &SpillSession,
+        dir: &Path,
+        files: &mut usize,
+    ) -> (Vec<Run>, Vec<RequestRecord>) {
+        let (mut runs, mut yields) = (Vec::new(), Vec::new());
+        for _ in 0..g.below(6) {
+            let len = g.below(40) as usize;
+            let rows = g.vec_of(len, random_row);
+            *files += 1;
+            match g.below(4) {
+                0 => runs.push(Run::in_memory(rows.clone())),
+                1 => {
+                    let segment_rows = 1 + g.below(8) as usize;
+                    runs.extend(runs_of(Some(session), *files, segment_rows, &rows));
+                }
+                2 => {
+                    let path = dir.join(format!("day{files}.seg"));
+                    write_checkpoint_segment(&path, &rows).unwrap();
+                    runs.push(Run::checkpoint(&path).unwrap());
+                }
+                _ => {
+                    let mut store = RequestStore::new();
+                    for &r in &rows {
+                        store.push(r);
+                    }
+                    let days = if g.below(2) == 0 {
+                        DateRange::single(SimDate::ymd(4, 14))
+                    } else {
+                        DateRange::new(SimDate::ymd(4, 13), SimDate::ymd(4, 14))
+                    };
+                    let store = store.freeze();
+                    yields.extend(store.in_range(days).records());
+                    runs.push(Run::frozen(store, days));
+                    continue;
+                }
+            }
+            yields.extend(rows);
+        }
+        (runs, yields)
+    }
+
+    /// The freeze equals the reference — a `RequestStore` stable sort of
+    /// each family's rows in run order, encoded against
+    /// `EntityTables::from_records` over every family with `freeze_with`
+    /// — for random families of unsorted runs from every source, with
+    /// heavy timestamp ties and empty runs, and sizes every column
+    /// exactly.
+    #[test]
+    fn freeze_equals_the_reference_over_random_runs_from_every_source() {
+        let session = SpillSession::create(None).unwrap();
+        let dir = std::env::temp_dir().join(format!("ipv6-run-prop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut g = TestGen::new(0x4652_5A31); // "FRZ1"
+        let mut files = 0;
+        for case in 0..40 {
+            let mut yields = Vec::new();
+            let runs = FamilyRuns::new(&[48, 64]).map(|_| {
+                let (runs, rows) = random_family(&mut g, &session, &dir, &mut files);
+                yields.push(rows);
+                runs
+            });
+            let total: usize = yields.iter().map(Vec::len).sum();
+            let frozen = freeze_families(runs).unwrap();
+
+            let all: Vec<RequestRecord> = yields.iter().flatten().copied().collect();
+            let tables = Arc::new(EntityTables::from_records(&all));
+            assert_eq!(*frozen.tables, *tables, "case {case}: tables");
+            assert_eq!(frozen.rows, total as u64, "case {case}: rows read");
+            let mut family = 0;
+            frozen.stores.map(|store| {
+                let mut reference = RequestStore::new();
+                for &r in &yields[family] {
+                    reference.push(r);
+                }
+                let reference = reference.freeze_with(Arc::clone(&tables));
+                assert_eq!(store.all(), reference.all(), "case {case}, family {family}");
+                assert_eq!(
+                    store.bytes(),
+                    store.len() * 18,
+                    "case {case}: exact columns"
+                );
+                family += 1;
+            });
+            assert_eq!(family, 7);
+        }
+        assert_eq!(session.stats().checksum_failures, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -3,13 +3,13 @@
 //! Emitters (the behavior and abuse simulators) produce a stream of
 //! [`RequestRecord`]s; what happens to each record — sampling into the
 //! study datasets, wholesale retention in a [`RequestStore`], sealing into
-//! sorted runs — is the caller's business. [`RequestSink`] is that seam:
+//! runs — is the caller's business. [`RequestSink`] is that seam:
 //! emitters take `&mut dyn RequestSink`, and this module provides the
 //! standard implementations:
 //!
 //! - [`ShardSink`] — the production path: routes each record through the
 //!   deterministic §3.1 samplers *during* the sim phase and seals each
-//!   dataset family into timestamp-sorted runs, in memory or spilled
+//!   dataset family into runs in emission order, in memory or spilled
 //!   ([`SpillTarget`]),
 //! - [`StudyDatasets`] — routes through the samplers into in-memory
 //!   stores only (tests and ad-hoc pipelines),
@@ -135,7 +135,7 @@ pub struct SpillTarget<'a> {
     /// Attempt number (names the spill files, so a failed attempt's
     /// files can be removed without touching a retry's).
     pub attempt: u32,
-    /// Rows staged per family before a sorted run is appended.
+    /// Rows staged per family before a run is appended.
     pub segment_rows: usize,
 }
 
@@ -153,8 +153,8 @@ pub struct ShardPayload {
 }
 
 /// The production per-shard sink: applies the §3.1 [`Samplers`] to every
-/// record *during* the sim phase and seals each dataset family into
-/// timestamp-sorted runs, in memory or spilled to a [`SpillTarget`].
+/// record *during* the sim phase and seals each dataset family into runs
+/// in emission order, in memory or spilled to a [`SpillTarget`].
 ///
 /// One sink lives for one shard attempt. The routing order per record is
 /// fixed (it defines emission order within every family, which the golden
@@ -363,7 +363,7 @@ impl RequestSink for ShardSink<'_> {
 mod tests {
     use super::*;
     use crate::ids::{Asn, Country, UserId};
-    use crate::run::{merge_runs, KeyCollector, Run};
+    use crate::run::{freeze_families, Run};
     use crate::sampler::Samplers;
     use crate::time::SimDate;
 
@@ -450,7 +450,10 @@ mod tests {
         let runs = &payload.runs;
         assert!(runs.abuse.is_empty());
         // In memory, each family is one run (or none when empty).
-        assert!(runs.iter().all(|r| r.rows() > 0));
+        let lists = [&runs.request, &runs.user, &runs.ip, &runs.pair];
+        for list in lists.into_iter().chain(runs.prefixes.values()) {
+            assert!(list.len() <= 1 && list.iter().all(|r| r.rows() > 0));
+        }
         assert_eq!(runs.request.len(), 1);
         assert_eq!(rows(&runs.request), reference.request_sample.len());
         assert_eq!(rows(&runs.user), reference.user_sample.len());
@@ -506,29 +509,18 @@ mod tests {
         assert!(spilled.runs.request.len() > 1, "spilled in several runs");
 
         // The same rows freeze to the same columns either way.
-        let freeze = |runs: Vec<Run>| {
-            let mut keys = KeyCollector::new();
-            for r in &runs {
-                keys.add_run(r).unwrap();
-            }
-            let tables = std::sync::Arc::new(keys.into_tables());
-            let frozen = merge_runs(runs, &tables).unwrap();
-            frozen.all().records().collect::<Vec<_>>()
-        };
-        let (mut m, mut s) = (memory.runs, spilled.runs);
+        let records = |store: &crate::FrozenStore| store.all().records().collect::<Vec<_>>();
+        let m = freeze_families(memory.runs).unwrap().stores;
+        let s = freeze_families(spilled.runs).unwrap().stores;
         for (m, s, what) in [
-            (
-                m.prefixes.remove(&64).unwrap(),
-                s.prefixes.remove(&64).unwrap(),
-                "p64",
-            ),
-            (m.request, s.request, "request"),
-            (m.user, s.user, "user"),
-            (m.ip, s.ip, "ip"),
-            (m.pair, s.pair, "pair"),
-            (m.abuse, s.abuse, "abuse"),
+            (&m.prefixes[&64], &s.prefixes[&64], "p64"),
+            (&m.request, &s.request, "request"),
+            (&m.user, &s.user, "user"),
+            (&m.ip, &s.ip, "ip"),
+            (&m.pair, &s.pair, "pair"),
+            (&m.abuse, &s.abuse, "abuse"),
         ] {
-            assert_eq!(freeze(m), freeze(s), "{what} family");
+            assert_eq!(records(m), records(s), "{what} family");
         }
     }
 }

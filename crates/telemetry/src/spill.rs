@@ -1,16 +1,16 @@
 //! Out-of-core run storage: bounded, crash-safe spill of request
 //! streams to disk.
 //!
-//! Every dataset family reaches the freeze as a list of timestamp-sorted
-//! runs (see [`crate::run`]). A [`RunWriter`] stages a family's records
+//! Every dataset family reaches the freeze as a list of runs in emission
+//! order (see [`crate::run`]). A [`RunWriter`] stages a family's records
 //! and seals them into runs. Under [`StorageMode::InMemory`] it keeps one
 //! run per shard and family in RAM, which costs O(retained records) × 40
 //! bytes until the freeze. Under [`StorageMode::Spill`] it stages at most
-//! `segment_rows` records, stable-sorts each full segment by timestamp,
-//! and appends it to a per-family segment file as one framed run, so peak
-//! memory no longer grows with the population. The freeze's k-way merge
-//! streams those runs straight into columns; no record is ever
-//! re-buffered wholesale.
+//! `segment_rows` records and appends each full segment to a per-family
+//! segment file as one framed run, so peak memory no longer grows with
+//! the population. The freeze reads each run once, straight into
+//! 18-byte-a-row staging columns; no record is ever re-buffered in row
+//! form.
 //!
 //! # Fault safety
 //!
@@ -31,9 +31,9 @@
 //!   session's [`SpillPolicy::disk_budget_bytes`]. The driver maps this
 //!   to a policy-governed degradation instead of filling the disk.
 //!
-//! Both read passes of the freeze re-derive each frame's checksum and
-//! length, so torn writes and flipped bytes are *detected*, never decoded
-//! into figures. A failed attempt's partial files are deleted by
+//! The freeze's one read re-derives each frame's checksum and length, so
+//! torn writes and flipped bytes are *detected*, never decoded into
+//! figures. A failed attempt's partial files are deleted by
 //! [`SpillSession::remove_attempt`]; the whole session directory is
 //! removed when the [`SpillSession`] drops — on success and on failure
 //! paths alike.
@@ -57,9 +57,8 @@ use crate::record::RequestRecord;
 use crate::run::{encode_frame, FramedRun, Run, RunMeta, RUN_HEADER_BYTES};
 
 /// Default rows staged per spill segment. Chosen so a shard's staging
-/// buffers stay a few megabytes across all dataset families while keeping
-/// the per-family run count (one merge cursor each) well under typical
-/// file-descriptor limits.
+/// buffers stay a few megabytes across all dataset families while each
+/// run's frame header and file open stay a small share of its rows.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
 
 /// Default op-level retry budget for a failed spill read or write.
@@ -68,20 +67,20 @@ pub const DEFAULT_IO_RETRIES: u32 = 2;
 /// Where a study keeps its runs between the sim phase and the freeze.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum StorageMode {
-    /// Each shard keeps one sorted run per family in memory until the
-    /// freeze. Peak memory is O(retained records).
+    /// Each shard keeps one run per family in memory until the freeze.
+    /// Peak memory is O(retained records).
     #[default]
     InMemory,
-    /// Shards stream every dataset family into bounded sorted runs on
-    /// disk; peak memory is O(`segment_rows` × families × worker threads),
+    /// Shards stream every dataset family into bounded runs on disk; peak
+    /// memory is O(`segment_rows` × families × worker threads),
     /// independent of the population.
     Spill {
         /// Parent directory for the per-run spill session directory;
         /// `None` uses [`std::env::temp_dir`]. The session directory is
         /// removed when the run completes (or fails).
         dir: Option<PathBuf>,
-        /// Rows staged in memory per family before a segment is sorted
-        /// and appended to disk as one run. Must be non-zero.
+        /// Rows staged in memory per family before a segment is
+        /// appended to disk as one run. Must be non-zero.
         segment_rows: usize,
     },
 }
@@ -360,8 +359,8 @@ pub struct SpillStats {
     pub io_retries: u64,
     /// Runs whose checksum (or framing) failed verification.
     pub checksum_failures: u64,
-    /// Payload bytes that passed checksum verification, summed over both
-    /// read passes (key collection and the k-way merge).
+    /// Payload bytes that passed checksum verification in the freeze's
+    /// one read.
     pub bytes_verified: u64,
     /// Current on-disk bytes across every live segment file.
     pub bytes_written: u64,
@@ -415,8 +414,8 @@ pub(crate) fn stream_id(path: &Path) -> u64 {
 
 /// A shared high-water-mark gauge over the mutable (row-format) bytes the
 /// sim phase holds in memory: shard-local in-memory runs plus staging
-/// buffers. Frozen columnar output, intern tables, and merge
-/// cursors are excluded — the gauge measures what *scales with work in
+/// buffers. Frozen columnar output, intern tables, and the freeze's
+/// staging columns are excluded — the gauge measures what *scales with work in
 /// flight*, which is what the out-of-core pipeline bounds.
 #[derive(Debug, Default)]
 pub struct MemGauge {
@@ -571,14 +570,14 @@ impl Drop for SpillSession {
     }
 }
 
-/// Stages one family's records and seals them into timestamp-sorted
-/// runs: kept in memory ([`RunWriter::in_memory`], one run at
+/// Stages one family's records and seals them into runs in emission
+/// order: kept in memory ([`RunWriter::in_memory`], one run at
 /// [`RunWriter::finish`]) or appended to a spill segment file
 /// ([`SpillSession::writer`], one run per `segment_rows` records).
 ///
-/// Sealing stable-sorts the staged records by timestamp, so equal
-/// timestamps keep emission order. On disk each run is one checksummed
-/// frame, and the file is created lazily on the first run, so
+/// Sealing never reorders: the freeze's stable sort of the concatenated
+/// runs is the one ordering decision. On disk each run is one
+/// checksummed frame, and the file is created lazily on the first run, so
 /// record-free families cost nothing. Frame writes are all-or-nothing:
 /// on any write failure (real or injected) the file is truncated back to
 /// the pre-run length and the whole frame is retried up to the policy's
@@ -633,16 +632,18 @@ impl RunWriter {
         ((self.staging.len() + self.resident_rows) * std::mem::size_of::<RequestRecord>()) as u64
     }
 
-    /// Stable-sorts the staged records and seals them into one run.
+    /// Seals the staged records into one run, in emission order.
     fn seal_run(&mut self) -> Result<(), SpillError> {
         if self.staging.is_empty() {
             return Ok(());
         }
-        crate::kernels::radix_sort_records_by_ts(&mut self.staging);
         let Some(seg) = self.file.as_mut() else {
             self.resident_rows += self.staging.len();
-            let rows = std::mem::take(&mut self.staging);
-            self.runs.push(Run::sorted_rows(rows));
+            let mut rows = std::mem::take(&mut self.staging);
+            // Drop the staging buffer's growth slack: the run is held
+            // until the freeze.
+            rows.shrink_to_fit();
+            self.runs.push(Run::in_memory(rows));
             return Ok(());
         };
         // The whole frame is built in memory (bounded by the segment the
@@ -780,7 +781,7 @@ impl SegmentFile {
 mod tests {
     use super::*;
     use crate::ids::{Asn, Country, UserId};
-    use crate::run::{merge_runs, KeyCollector, SPILL_ROW_BYTES};
+    use crate::run::{freeze_families, FamilyRuns, SPILL_ROW_BYTES};
     use crate::time::{SimDate, Timestamp};
 
     fn rec(user: u64, sec: u32, ip: &str) -> RequestRecord {
@@ -942,13 +943,15 @@ mod tests {
         w.finish().unwrap();
         assert!(w.into_runs().is_empty());
         assert_eq!(std::fs::read_dir(session.dir()).unwrap().count(), 0);
-        // Merging nothing is an empty store.
-        let tables = Arc::new(KeyCollector::new().into_tables());
-        assert!(merge_runs(Vec::new(), &tables).unwrap().is_empty());
+        // Freezing nothing is empty stores over empty tables.
+        let frozen = freeze_families(FamilyRuns::default()).unwrap();
+        assert!(frozen.stores.request.is_empty());
+        assert_eq!((frozen.rows, frozen.tables.bytes()), (0, 0));
     }
 
     /// The memory writer seals one run at `finish` and counts its rows as
-    /// live bytes; the spill writer holds only its staging buffer.
+    /// live bytes; the spill writer holds only its staging buffer. Both
+    /// keep emission order, and both freeze to the timestamp order.
     #[test]
     fn memory_and_spill_writers_seal_the_same_rows() {
         let records: Vec<RequestRecord> = (0..10)
@@ -980,10 +983,20 @@ mod tests {
             }
             out
         };
+        assert_eq!(rows(&memory), records, "one run, in emission order");
+        assert_eq!(rows(&spilled), records, "three runs, in emission order");
+        let frozen = |runs: Vec<Run>| {
+            let runs = FamilyRuns {
+                user: runs,
+                ..FamilyRuns::default()
+            };
+            let frozen = freeze_families(runs).unwrap().stores.user;
+            frozen.all().records().collect::<Vec<_>>()
+        };
         let mut sorted = records.clone();
         sorted.reverse();
-        assert_eq!(rows(&memory), sorted, "one run, sorted by timestamp");
-        assert_eq!(rows(&spilled).len(), 10);
+        assert_eq!(frozen(memory), sorted, "frozen by timestamp");
+        assert_eq!(frozen(spilled), sorted, "frozen by timestamp");
     }
 
     #[test]

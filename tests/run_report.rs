@@ -123,7 +123,10 @@ fn bench_report_schema_is_stable_and_finite() {
         shards,
         "12 shards, plan order"
     );
-    assert_eq!(names(run.get("freeze").unwrap()), ["intern", "merge"]);
+    assert_eq!(
+        names(run.get("freeze").unwrap()),
+        ["read", "intern", "gather"]
+    );
     assert_eq!(names(run.get("analysis").unwrap()), ["index", "passes"]);
     assert_eq!(
         names(run.get("analysis/index").unwrap()),
@@ -154,7 +157,7 @@ fn bench_report_schema_is_stable_and_finite() {
     let doc = Json::parse(&text).expect("the report parses");
     let mut paths = Vec::new();
     node_paths(run, "", &mut paths);
-    assert_eq!(paths.len(), 1 + 1 + 13 + 1 + 3 + 1 + 7 + 21 + 3 + 4);
+    assert_eq!(paths.len(), 1 + 1 + 13 + 1 + 4 + 1 + 7 + 21 + 3 + 4);
     for path in &paths {
         for field in ["wall_secs", "items", "bytes", "items_per_sec"] {
             let leaf = format!("{path}/{field}");
@@ -241,12 +244,15 @@ fn report_covers_every_experiment_and_all_sim_records() {
         + study.abuse_store().len() as u64
         + study.pair_store().len() as u64;
     assert_eq!(freeze.items, rows, "rows frozen");
+    assert_eq!(span("run/freeze/read").items, rows, "rows read");
+    assert_eq!(span("run/freeze/gather").items, rows, "rows gathered");
     let tables = study.abuse_store().tables();
     assert_eq!(
         span("run/freeze/intern").items,
         (tables.users.len() + tables.ips.len()) as u64,
         "distinct keys"
     );
+    assert_eq!(span("run/freeze/intern").bytes, tables.bytes() as u64);
     let store_bytes = study.datasets().bytes()
         + study.abuse_store().bytes()
         + study.pair_store().bytes()

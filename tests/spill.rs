@@ -2,13 +2,12 @@
 //! byte-identical to an in-memory run of the same config — at any thread
 //! count, any segment size, and across mid-run shard failures.
 //!
-//! Why this holds: each shard spills *sorted* runs (stable by timestamp,
-//! ties by emission order), the merge concatenates per-family manifests
-//! in plan order, and the k-way merge keyed `(ts, global run index)`
-//! reproduces exactly the stable sort of the plan-order concatenation
-//! that the in-memory path performs. Entity tables are order-independent
-//! (sorted-and-deduped key sets), so dense ids — and therefore every
-//! frozen column byte — agree too.
+//! Why this holds: each shard's runs keep emission order whether they sit
+//! in memory or in spill frames, the merge concatenates per-family run
+//! lists in plan order, and the freeze stable-sorts that plan-order
+//! concatenation by timestamp in both modes, so only the split into runs
+//! differs. Entity tables are order-independent (ranked key sets), so
+//! dense ids — and therefore every frozen column byte — agree too.
 
 use std::path::PathBuf;
 
