@@ -775,9 +775,9 @@ pub(crate) struct Frozen {
     pub abuse_store: FrozenStore,
     pub pair_store: FrozenStore,
     /// `freeze` (items = rows frozen, bytes = frozen store bytes, intern
-    /// tables counted once) with its `read` (items = rows read), `intern`
-    /// (items = distinct keys, bytes = tables) and `gather` (items = rows)
-    /// children.
+    /// tables counted once) with its `read` (items = rows staged: every
+    /// row but the history segments'), `intern` (items = distinct keys,
+    /// bytes = tables) and `gather` (items = rows) children.
     pub span: Span,
 }
 
@@ -795,6 +795,7 @@ pub(crate) fn freeze(
         stores,
         tables,
         rows,
+        staged,
         read_wall,
         intern_wall,
         gather_wall,
@@ -819,7 +820,7 @@ pub(crate) fn freeze(
     let span = Span::new("freeze", t0.elapsed())
         .with_items(rows)
         .with_bytes(bytes as u64)
-        .with_child(Span::new("read", read_wall).with_items(rows))
+        .with_child(Span::new("read", read_wall).with_items(staged))
         .with_child(
             Span::new("intern", intern_wall)
                 .with_items((tables.users.len() + tables.ips.len()) as u64)

@@ -38,32 +38,44 @@
 //!
 //! ```text
 //! state-dir/
-//!   manifest.json        config identity, covered extension, counters,
-//!                        cached-pass list (written last = commit point)
-//!   days/day<idx>/<family>.seg   one checkpoint segment per family per
-//!                        day, rows in canonical frozen order (request,
-//!                        user, ip, prefix<len>…, abuse; pair only for
-//!                        days inside the sliding pair window)
-//!   passes/<id>.md|.sum  rendered markdown section + console summary
-//!                        of each default-registry pass
+//!   manifest.json          config identity, covered extension, counters
+//!                          and every pass's rendered sections; written
+//!                          last, it is the one commit point
+//!   days/day<NNN>.seg      one dictionary-coded segment per day: one
+//!                          section per family but pair (request, user,
+//!                          ip, prefix<len>…, abuse), canonical rows
+//!   days/day<NNN>.pair.seg the pair family's day, for days inside the
+//!                          sliding pair window
 //! ```
 //!
-//! Day deltas are immutable, so a save skips segments that already
-//! exist; pair segments are pruned as the window slides. A resume opens
-//! the covered days' files as runs and freezes them once, together with
-//! the suffix. Only the passes whose read windows cover the new days (per
+//! Every file is written atomically (`telemetry::write_atomic`), so a
+//! day segment exists only once complete, and the manifest's write is
+//! the only commit point: a crash anywhere in a save leaves the previous
+//! manifest, and every file it names, intact. A save writes the days the
+//! committed manifest does not cover and keeps the rest, so a +1-day
+//! resume writes three files: the day segment, the pair segment and the
+//! manifest. Pair segments are pruned once neither the committed nor the
+//! new pair window holds their day.
+//!
+//! A resume opens the covered days' segments as runs, and the freeze
+//! gathers them straight into the frozen columns, interning only each
+//! segment's dictionary and never hashing or sorting a history row. Only
+//! the passes whose read windows cover the new days (per
 //! [`windows::invalidated_by_extension`], the single source of truth)
-//! are re-run — everything else is spliced from the cached sections,
+//! are re-run — everything else is spliced from the manifest's sections,
 //! byte-identical because the calendar-anchored windows see the same
 //! records in the same order.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ipv6_study_analysis::windows;
 use ipv6_study_obs::{IncrementalStat, Json, Span};
-use ipv6_study_telemetry::{write_checkpoint_segment, DateRange, FamilyRuns, FrozenStore, Run};
+use ipv6_study_telemetry::{
+    remove_temp_files, write_atomic, write_segment, DateRange, Family, FamilyRuns, FrozenStore,
+    Run, Segment, SimDate,
+};
 
 use crate::config::{ConfigError, StudyConfig};
 use crate::driver::SimInputs;
@@ -72,8 +84,8 @@ use crate::faults::StudyError;
 use crate::report;
 use crate::study::{History, Study};
 
-/// The manifest layout this build writes and reads.
-const CHECKPOINT_SCHEMA: u64 = 2;
+/// The state-dir layout this build writes and reads.
+const CHECKPOINT_SCHEMA: u64 = 3;
 
 /// A completed incremental run: the (possibly extended) study, the reuse
 /// accounting, and the rendered documents with cached sections spliced
@@ -91,7 +103,8 @@ pub struct IncrementalRun {
     pub summary: String,
 }
 
-/// One pass's rendered output, as cached under `passes/` in a state dir.
+/// One pass's rendered output, as cached in a state dir's manifest.
+#[derive(Clone)]
 struct PassSection {
     id: String,
     markdown: String,
@@ -105,8 +118,22 @@ struct Checkpoint {
     offered: u64,
     users_seen: u64,
     users_sampled: u64,
-    /// Ids of the passes with cached sections.
-    passes: Vec<String>,
+    /// The cached sections of the passes.
+    passes: Vec<PassSection>,
+}
+
+/// Files a load opened or a save wrote, and their bytes.
+#[derive(Debug, Default, Clone, Copy)]
+struct Files {
+    count: u64,
+    bytes: u64,
+}
+
+impl Files {
+    fn add(&mut self, bytes: u64) {
+        self.count += 1;
+        self.bytes += bytes;
+    }
 }
 
 /// Wraps a filesystem problem in the state dir as a config/storage
@@ -121,15 +148,6 @@ fn storage_err(what: &str, path: &Path, e: &std::io::Error) -> StudyError {
 /// A state-dir consistency problem (bad manifest, config mismatch).
 fn storage_msg(msg: String) -> StudyError {
     StudyError::Config(ConfigError::Storage(msg))
-}
-
-/// The filename stem for a pass's cached sections. Pass ids may contain
-/// path separators (e.g. `T2/F12`); flatten them so every cache file
-/// lives directly under `passes/`.
-fn pass_file_stem(id: &str) -> String {
-    id.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 /// Extends `study` by `n` simulated days: its frozen stores become the
@@ -206,62 +224,35 @@ pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), S
     Ok((extended, stats))
 }
 
-/// A checkpointed dataset family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
-    Request,
-    User,
-    Ip,
-    Prefix(u8),
-    Abuse,
-    /// Checkpointed only for days inside the sliding pair window.
-    Pair,
+/// The study's frozen store of `family`.
+fn family_store(study: &Study, family: Family) -> &FrozenStore {
+    match family {
+        Family::Request => &study.datasets().request_sample,
+        Family::User => &study.datasets().user_sample,
+        Family::Ip => &study.datasets().ip_sample,
+        Family::Prefix(len) => study.datasets().prefix_sample(len),
+        Family::Abuse => study.abuse_store(),
+        Family::Pair => study.pair_store(),
+    }
 }
 
-impl Family {
-    /// Every family of `config`, in a fixed order.
-    fn all(config: &StudyConfig) -> Vec<Family> {
-        let mut all = vec![Family::Request, Family::User, Family::Ip];
-        all.extend(config.prefix_lengths.iter().map(|&l| Family::Prefix(l)));
-        all.extend([Family::Abuse, Family::Pair]);
-        all
-    }
+/// The families of a day segment, in section order: every family of
+/// `config` but pair.
+fn day_families(config: &StudyConfig) -> Vec<Family> {
+    let mut families = FamilyRuns::new(&config.prefix_lengths).keys();
+    families.retain(|&f| f != Family::Pair);
+    families
+}
 
-    /// The family's file name inside a day directory.
-    fn file_name(self) -> String {
-        match self {
-            Family::Request => "request.seg".into(),
-            Family::User => "user.seg".into(),
-            Family::Ip => "ip.seg".into(),
-            Family::Prefix(len) => format!("prefix{len}.seg"),
-            Family::Abuse => "abuse.seg".into(),
-            Family::Pair => "pair.seg".into(),
-        }
-    }
+/// The day segment of `day` under `dir`.
+fn day_path(dir: &Path, day: SimDate) -> PathBuf {
+    dir.join("days").join(format!("day{:03}.seg", day.index()))
+}
 
-    /// The study's frozen store of this family.
-    fn store(self, study: &Study) -> &FrozenStore {
-        match self {
-            Family::Request => &study.datasets().request_sample,
-            Family::User => &study.datasets().user_sample,
-            Family::Ip => &study.datasets().ip_sample,
-            Family::Prefix(len) => study.datasets().prefix_sample(len),
-            Family::Abuse => study.abuse_store(),
-            Family::Pair => study.pair_store(),
-        }
-    }
-
-    /// This family's run list.
-    fn runs(self, runs: &mut FamilyRuns) -> &mut Vec<Run> {
-        match self {
-            Family::Request => &mut runs.request,
-            Family::User => &mut runs.user,
-            Family::Ip => &mut runs.ip,
-            Family::Prefix(len) => runs.prefixes.entry(len).or_default(),
-            Family::Abuse => &mut runs.abuse,
-            Family::Pair => &mut runs.pair,
-        }
-    }
+/// The pair segment of `day` under `dir`.
+fn pair_path(dir: &Path, day: SimDate) -> PathBuf {
+    dir.join("days")
+        .join(format!("day{:03}.pair.seg", day.index()))
 }
 
 /// The config-identity echo both written to and checked against the
@@ -304,45 +295,68 @@ fn identity_json(config: &StudyConfig) -> Json {
         .with("ablation", Json::str(config.ablation.name()))
 }
 
-/// Writes (or refreshes) the checkpoint for `study` in `dir`. Day
-/// deltas are immutable, so existing segments are kept as-is; pair
-/// segments outside the sliding window are pruned; the manifest is
-/// written last as the commit point.
-fn save_checkpoint(study: &Study, sections: &[PassSection], dir: &Path) -> Result<(), StudyError> {
+/// Saves the checkpoint of `study` in `dir`: the day and pair segments
+/// the committed manifest does not cover (`committed` is the range it
+/// covers, `None` for a fresh dir), then the manifest with `sections`,
+/// whose atomic write commits the save. Pair segments of days outside
+/// both the committed and the new pair window are pruned, and stale
+/// temporary files removed. Returns the files written.
+fn save_checkpoint(
+    study: &Study,
+    sections: &[PassSection],
+    dir: &Path,
+    committed: Option<DateRange>,
+) -> Result<Files, StudyError> {
     let days_dir = dir.join("days");
     fs::create_dir_all(&days_dir).map_err(|e| storage_err("creating", &days_dir, &e))?;
-    let pair_win = windows::pair_window(study.config.sim_end());
-    let families = Family::all(&study.config);
-    for day in study.config.sim_range().days() {
-        let day_dir = days_dir.join(format!("day{:03}", day.index()));
-        fs::create_dir_all(&day_dir).map_err(|e| storage_err("creating", &day_dir, &e))?;
-        for &family in &families {
-            let path = day_dir.join(family.file_name());
-            if family == Family::Pair && !pair_win.contains(day) {
-                if path.exists() {
-                    fs::remove_file(&path).map_err(|e| storage_err("pruning", &path, &e))?;
+    remove_temp_files(dir)?;
+    remove_temp_files(&days_dir)?;
+    let config = &study.config;
+    let pair_win = windows::pair_window(config.sim_end());
+    let committed_pair_win = committed.map(|c| windows::pair_window(c.end));
+    let families = day_families(config);
+    // Every store of a study is encoded against the same tables.
+    let tables = study.pair_store().tables();
+    let mut written = Files::default();
+    for day in config.sim_range().days() {
+        let covered = committed.is_some_and(|c| c.contains(day));
+        if !covered {
+            let sections: Vec<_> = families
+                .iter()
+                .map(|&f| (f, family_store(study, f).on_day(day)))
+                .collect();
+            written.add(write_segment(&day_path(dir, day), tables, &sections)?);
+        }
+        let pair = pair_path(dir, day);
+        if pair_win.contains(day) {
+            if !covered {
+                let section = [(Family::Pair, study.pair_store().on_day(day))];
+                written.add(write_segment(&pair, tables, &section)?);
+            }
+        } else if !committed_pair_win.is_some_and(|w| w.contains(day)) {
+            match fs::remove_file(&pair) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(storage_err("pruning", &pair, &e));
                 }
-            } else if !path.exists() {
-                let rows: Vec<_> = family.store(study).on_day(day).records().collect();
-                write_checkpoint_segment(&path, &rows)?;
+                _ => {}
             }
         }
     }
-    let pass_dir = dir.join("passes");
-    fs::create_dir_all(&pass_dir).map_err(|e| storage_err("creating", &pass_dir, &e))?;
-    for s in sections {
-        let stem = pass_file_stem(&s.id);
-        let md = pass_dir.join(format!("{stem}.md"));
-        fs::write(&md, &s.markdown).map_err(|e| storage_err("writing", &md, &e))?;
-        let sum = pass_dir.join(format!("{stem}.sum"));
-        fs::write(&sum, &s.summary).map_err(|e| storage_err("writing", &sum, &e))?;
-    }
+    let passes = sections
+        .iter()
+        .map(|s| {
+            Json::obj()
+                .with("id", Json::str(&*s.id))
+                .with("markdown", Json::str(&*s.markdown))
+                .with("summary", Json::str(&*s.summary))
+        })
+        .collect();
     let manifest = Json::obj()
         .with("checkpoint_schema", Json::UInt(CHECKPOINT_SCHEMA))
-        .with("identity", identity_json(&study.config))
+        .with("identity", identity_json(config))
         .with(
             "covered_extend_days",
-            Json::UInt(u64::from(study.config.extend_days)),
+            Json::UInt(u64::from(config.extend_days)),
         )
         .with(
             "counters",
@@ -351,19 +365,27 @@ fn save_checkpoint(study: &Study, sections: &[PassSection], dir: &Path) -> Resul
                 .with("users_seen", Json::UInt(study.users_seen))
                 .with("users_sampled", Json::UInt(study.users_sampled)),
         )
-        .with(
-            "passes",
-            Json::Arr(sections.iter().map(|s| Json::str(&*s.id)).collect()),
-        );
-    let path = dir.join("manifest.json");
-    fs::write(&path, manifest.render_pretty()).map_err(|e| storage_err("writing", &path, &e))?;
-    Ok(())
+        .with("passes", Json::Arr(passes))
+        .render_pretty();
+    write_atomic(&dir.join("manifest.json"), manifest.as_bytes())?;
+    written.add(manifest.len() as u64);
+    Ok(written)
 }
 
 /// Reads one `u64` field out of a manifest object.
 fn manifest_u64(obj: &Json, key: &str) -> Result<u64, StudyError> {
     match obj.get(key) {
         Some(Json::UInt(v)) => Ok(*v),
+        _ => Err(storage_msg(format!(
+            "state dir manifest is missing the `{key}` field"
+        ))),
+    }
+}
+
+/// Reads one string field out of a manifest object.
+fn manifest_str(obj: &Json, key: &str) -> Result<String, StudyError> {
+    match obj.get(key) {
+        Some(Json::Str(v)) => Ok(v.clone()),
         _ => Err(storage_msg(format!(
             "state dir manifest is missing the `{key}` field"
         ))),
@@ -402,16 +424,21 @@ fn load_manifest(dir: &Path, config: &StudyConfig) -> Result<Option<Checkpoint>,
     let counters = json
         .get("counters")
         .ok_or_else(|| storage_msg("state dir manifest has no counters".to_string()))?;
-    let passes = match json.get("passes") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .filter_map(|v| match v {
-                Json::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
+    let Some(Json::Arr(items)) = json.get("passes") else {
+        return Err(storage_msg(
+            "state dir manifest is missing the `passes` list".to_string(),
+        ));
     };
+    let passes = items
+        .iter()
+        .map(|p| {
+            Ok(PassSection {
+                id: manifest_str(p, "id")?,
+                markdown: manifest_str(p, "markdown")?,
+                summary: manifest_str(p, "summary")?,
+            })
+        })
+        .collect::<Result<_, StudyError>>()?;
     Ok(Some(Checkpoint {
         covered_extend_days,
         offered: manifest_u64(counters, "offered")?,
@@ -422,37 +449,44 @@ fn load_manifest(dir: &Path, config: &StudyConfig) -> Result<Option<Checkpoint>,
 }
 
 /// Opens the checkpointed days of `covered` as the history of `config`:
-/// every family's day file, except pair files of days outside the new
-/// run's pair window. Only headers are read here; the freeze streams and
-/// verifies the rows.
+/// every day segment, and the pair segments of days inside the new run's
+/// pair window. Only headers and section tables are read here, checked
+/// against each file's length and the config's families; the freeze
+/// verifies the rest. Returns the history and the segments opened.
 fn load_history(
     config: &StudyConfig,
     cp: &Checkpoint,
     covered: DateRange,
     dir: &Path,
-) -> Result<History, StudyError> {
+) -> Result<(History, Files), StudyError> {
     let t0 = Instant::now();
     let pair_win = windows::pair_window(config.sim_end());
-    let families = Family::all(config);
+    let families = day_families(config);
     let mut runs = FamilyRuns::new(&config.prefix_lengths);
+    let mut opened = Files::default();
     for day in covered.days() {
-        let day_dir = dir.join("days").join(format!("day{:03}", day.index()));
-        for &family in &families {
-            if family == Family::Pair && !pair_win.contains(day) {
-                continue;
+        let mut open = |path: PathBuf, families: &[Family]| -> Result<(), StudyError> {
+            let segment = Segment::open(&path, day, families)?;
+            opened.add(segment.bytes());
+            for (family, run) in segment.into_runs() {
+                runs.family_mut(family).push(run);
             }
-            let run = Run::checkpoint(&day_dir.join(family.file_name()))?;
-            family.runs(&mut runs).push(run);
+            Ok(())
+        };
+        open(day_path(dir, day), &families)?;
+        if pair_win.contains(day) {
+            open(pair_path(dir, day), &[Family::Pair])?;
         }
     }
-    Ok(History {
+    let history = History {
         runs,
         days: covered.num_days(),
         offered: cp.offered,
         users_seen: cp.users_seen,
         users_sampled: cp.users_sampled,
         load_wall: t0.elapsed(),
-    })
+    };
+    Ok((history, opened))
 }
 
 /// Runs the requested config against a state directory: a cold dir gets
@@ -477,7 +511,7 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
         let sections = render_sections(&results);
         let markdown = report::render_markdown(&results);
         let summary = report::render_summary(&results);
-        save_checkpoint(&study, &sections, state_dir)?;
+        save_checkpoint(&study, &sections, state_dir, None)?;
         let stats = study.report.incremental;
         return Ok(IncrementalRun {
             study,
@@ -499,7 +533,7 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
         config.full_range.start,
         config.full_range.end + cp.covered_extend_days,
     );
-    let history = load_history(&config, &cp, old_range, state_dir)?;
+    let (history, opened) = load_history(&config, &cp, old_range, state_dir)?;
     let load = t0.elapsed();
 
     let t_extend = Instant::now();
@@ -512,7 +546,7 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
     let to_run: Vec<&'static str> = experiments::experiment_ids()
         .filter(|&id| {
             (n > 0 && windows::invalidated_by_extension(id, old_range, new_range))
-                || !cp.passes.iter().any(|p| p.as_str() == id)
+                || !cp.passes.iter().any(|p| p.id == id)
         })
         .collect();
     let workers = study.config.effective_analysis_threads();
@@ -524,35 +558,30 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
     let mut summary = String::new();
     let mut sections = Vec::with_capacity(experiments::experiment_ids().count());
     for id in experiments::experiment_ids() {
-        let (md, sum) = match recomputed.iter().find(|(rid, _)| *rid == id) {
-            Some((_, out)) => (
-                report::render_pass_section(id, out),
-                report::render_summary_section(id, out),
-            ),
-            None => {
-                let stem = pass_file_stem(id);
-                let md_path = state_dir.join("passes").join(format!("{stem}.md"));
-                let sum_path = state_dir.join("passes").join(format!("{stem}.sum"));
-                (
-                    fs::read_to_string(&md_path)
-                        .map_err(|e| storage_err("reading", &md_path, &e))?,
-                    fs::read_to_string(&sum_path)
-                        .map_err(|e| storage_err("reading", &sum_path, &e))?,
-                )
-            }
+        let section = match recomputed.iter().find(|(rid, _)| *rid == id) {
+            Some((_, out)) => PassSection {
+                id: id.to_string(),
+                markdown: report::render_pass_section(id, out),
+                summary: report::render_summary_section(id, out),
+            },
+            // `to_run` holds every pass without a cached section.
+            None => cp
+                .passes
+                .iter()
+                .find(|p| p.id == id)
+                .cloned()
+                .ok_or_else(|| {
+                    storage_msg(format!("state dir manifest has no section for pass {id}"))
+                })?,
         };
-        markdown.push_str(&md);
-        summary.push_str(&sum);
-        sections.push(PassSection {
-            id: id.to_string(),
-            markdown: md,
-            summary: sum,
-        });
+        markdown.push_str(&section.markdown);
+        summary.push_str(&section.summary);
+        sections.push(section);
     }
     let render = t_render.elapsed();
 
     let t_checkpoint = Instant::now();
-    save_checkpoint(&study, &sections, state_dir)?;
+    let written = save_checkpoint(&study, &sections, state_dir, Some(old_range))?;
     let checkpoint = t_checkpoint.elapsed();
 
     let stats = IncrementalStat {
@@ -564,10 +593,18 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
     if study.config.instrument {
         study.report.spans.push(
             Span::new("resume", stats.extend_wall)
-                .with_child(Span::new("load", load))
+                .with_child(
+                    Span::new("load", load)
+                        .with_items(opened.count)
+                        .with_bytes(opened.bytes),
+                )
                 .with_child(Span::new("extend", extend).with_items(u64::from(n)))
                 .with_child(Span::new("render", render).with_items(sections.len() as u64))
-                .with_child(Span::new("checkpoint", checkpoint)),
+                .with_child(
+                    Span::new("checkpoint", checkpoint)
+                        .with_items(written.count)
+                        .with_bytes(written.bytes),
+                ),
         );
     }
     Ok(IncrementalRun {

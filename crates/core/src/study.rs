@@ -77,7 +77,7 @@ pub struct Study {
 pub(crate) struct DayCountsCache(Mutex<BTreeMap<SimDate, Arc<DayCounts>>>);
 
 /// The leading days of a run that are not simulated again: their runs
-/// (checkpoint day files or frozen day ranges) and the counters that
+/// (day segment sections or frozen day ranges) and the counters that
 /// cannot be re-derived from rows.
 #[derive(Debug, Default)]
 pub(crate) struct History {

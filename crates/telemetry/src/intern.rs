@@ -39,7 +39,7 @@ use crate::record::RequestRecord;
 pub struct IpId(u32);
 
 /// The family bit of an [`IpId`].
-const V6_BIT: u32 = 1 << 31;
+pub(crate) const V6_BIT: u32 = 1 << 31;
 
 impl IpId {
     /// Builds an id from a family and per-family index.
@@ -169,6 +169,16 @@ impl IpTable {
     /// Number of distinct IPv4 addresses.
     pub fn num_v4(&self) -> usize {
         self.v4.len()
+    }
+
+    /// The IPv4 keys in dense-id order (ascending).
+    pub(crate) fn v4_keys(&self) -> &[u32] {
+        &self.v4
+    }
+
+    /// The IPv6 keys in dense-id order (ascending).
+    pub(crate) fn v6_keys(&self) -> &[u128] {
+        &self.v6
     }
 
     /// The dense id of an interned address.
@@ -335,6 +345,11 @@ impl UserTable {
     #[inline]
     pub fn user(&self, dense: u32) -> UserId {
         UserId(self.raw[dense as usize])
+    }
+
+    /// The raw user keys in dense-id order (ascending).
+    pub(crate) fn keys(&self) -> &[u64] {
+        &self.raw
     }
 
     /// Heap bytes held by the table.

@@ -28,9 +28,12 @@
 //!   into, the production [`sink::ShardSink`] that applies the §3.1
 //!   samplers in-stream, and a closure adapter.
 //! - [`run`] — the run model: every dataset family is an ordered list of
-//!   runs in emission order (in memory, spilled, checkpointed, or
-//!   frozen), frozen by one verified read, one key ranking and one
-//!   radix-ordered gather per family.
+//!   runs in emission order (in memory, spilled, a day segment's section,
+//!   or frozen), frozen by one verified read, one key ranking and one
+//!   gather per family.
+//! - [`segment`] — the state dir's dictionary-coded day segments, which
+//!   the freeze gathers without hashing or sorting a row, and the atomic
+//!   write every state-dir file goes through.
 //! - [`spill`] — bounded out-of-core run storage: the run writer, spill
 //!   sessions, typed storage errors and I/O fault injection.
 //! - [`labels`] — the abusive-account label dataset with creation/detection
@@ -51,6 +54,7 @@ pub mod labels;
 pub mod record;
 pub mod run;
 pub mod sampler;
+pub mod segment;
 pub mod sink;
 pub mod spill;
 pub mod store;
@@ -67,11 +71,12 @@ pub use kernels::{
 };
 pub use labels::{AbuseInfo, AbuseLabels};
 pub use record::RequestRecord;
-pub use run::{
-    freeze_families, read_checkpoint_segment, write_checkpoint_segment, Families, FamilyRuns,
-    FrozenFamilies, Run,
-};
+pub use run::{freeze_families, Families, Family, FamilyRuns, FrozenFamilies, Run};
 pub use sampler::Samplers;
+pub use segment::{
+    read_checkpoint_segment, remove_temp_files, write_atomic, write_checkpoint_segment,
+    write_segment, Segment,
+};
 pub use sink::{FnSink, RequestSink, ShardPayload, ShardSink, SpillTarget};
 pub use spill::{
     IoOp, MemGauge, RunWriter, SpillError, SpillFaultPlan, SpillPolicy, SpillSession, SpillStats,

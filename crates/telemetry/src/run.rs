@@ -10,24 +10,31 @@
 //! - a framed run in a spill segment file
 //!   ([`StorageMode::Spill`](crate::StorageMode::Spill), one run per
 //!   `segment_rows` staged rows);
-//! - a checkpoint day file, which is a single frame ([`Run::checkpoint`]);
-//! - a day range of an existing [`FrozenStore`] ([`Run::frozen`]).
+//! - a day range of an existing [`FrozenStore`] ([`Run::frozen`]);
+//! - a section of a state dir's day segment
+//!   ([`Segment::into_runs`](crate::segment::Segment::into_runs)): one
+//!   family's canonical rows of one day, dictionary-coded.
 //!
 //! [`FamilyRuns`] holds one ordered list per dataset family, and
 //! [`freeze_families`] turns it into one [`FrozenStore`] per family in
 //! three steps:
 //!
-//! 1. **read** — every run is streamed exactly once (a frame's checksum
-//!    is verified as it streams) and dropped once read. Each key is
-//!    interned on first sight into a provisional id, and each row lands
-//!    in its family's exact-capacity staging columns (18 bytes a row);
+//! 1. **read** — every segment's dictionary is read, verified and
+//!    interned once, and every other run is streamed exactly once (a
+//!    frame's checksum is verified as it streams) and dropped once read.
+//!    Each key is interned on first sight into a provisional id, and each
+//!    streamed row lands in its family's exact-capacity staging columns
+//!    (18 bytes a row);
 //! 2. **intern** — the distinct keys are ranked once, which builds the
 //!    shared [`EntityTables`] and, per key family (v4, v6, user), a
-//!    provisional → dense id remap;
-//! 3. **gather** — per family, the stable LSB radix argsort of the
-//!    timestamp column orders the rows, and every column is gathered
-//!    through it (ids through the remap) into exact-size frozen columns.
-//!    Each staging column is dropped once gathered.
+//!    provisional → dense id remap; each segment's local → dense tables
+//!    follow from it;
+//! 3. **gather** — per family, exact-size frozen columns take the
+//!    segment sections first, read one by one through a reused buffer,
+//!    verified and mapped through their segment's local → dense tables.
+//!    Then the stable LSB radix argsort of the staged timestamps orders
+//!    the other runs' rows, and every staged column is gathered through
+//!    it (ids through the remap) after them, and dropped once gathered.
 //!
 //! # Determinism (stable sort of the plan-order concatenation)
 //!
@@ -37,13 +44,17 @@
 //! and the shards' lists concatenate in plan order, so reading a family's
 //! runs in list order yields exactly that concatenation — however the
 //! rows were split into runs. The gather's argsort is stable, so it
-//! reproduces the canonical order exactly; it is the only place rows are
-//! ordered between emission and the frozen stores.
+//! reproduces the canonical order exactly.
 //!
-//! History runs (checkpoint days, frozen day ranges) come first in a
+//! History runs (segment sections, frozen day ranges) come first in a
 //! list, hold canonical rows, and hold strictly earlier days than the
 //! runs of newly simulated days, so the sort keeps the history as it was
-//! and appends the new days after it.
+//! and appends the new days after it. Segment sections skip the sort
+//! altogether: they are gathered as they lie, ahead of a family's other
+//! runs, which the gather licenses by checking that every section row
+//! lies inside its segment's day, that the history never goes back in
+//! time, and that the first sorted suffix row is not earlier than the
+//! history's last.
 //!
 //! Intern tables depend only on the distinct key *sets* (the ranking
 //! sorts them), so the tables and every dense id are the same for any
@@ -51,19 +62,20 @@
 //!
 //! # Frames
 //!
-//! On disk a run is a frame: a [`RUN_HEADER_BYTES`]-byte header (magic
-//! `SPR1`, row count, xxHash64 chain checksum) followed by
+//! On disk a spilled run is a frame: a [`RUN_HEADER_BYTES`]-byte header
+//! (magic `SPR1`, row count, xxHash64 chain checksum) followed by
 //! [`SPILL_ROW_BYTES`]-byte rows. The read re-derives the checksum as it
 //! streams a frame. A bad header, a torn frame, an unknown row tag or a
 //! checksum mismatch surfaces as [`SpillError::Corrupt`] naming the file,
 //! run and byte offset, and fails the freeze: damaged bytes never reach
-//! a figure, and nothing here panics.
+//! a figure, and nothing here panics. Segments are verified the same way
+//! (see [`crate::segment`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::fs::File;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::net::IpAddr;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -76,6 +88,7 @@ use crate::columns::ColumnStore;
 use crate::ids::{Asn, Country, UserId};
 use crate::intern::{EntityTables, IpId, IpTable, UserTable};
 use crate::record::RequestRecord;
+use crate::segment::{Section, Segment};
 use crate::spill::{stream_id, IoOp, SpillError, SpillShared};
 use crate::store::FrozenStore;
 use crate::time::{DateRange, Timestamp};
@@ -95,17 +108,17 @@ const RUN_MAGIC: u32 = u32::from_le_bytes(*b"SPR1");
 const CHECKSUM_SEED: u64 = 0x5350_4C43; // "SPLC"
 
 /// Reads a little-endian u32 from the first four bytes of `b`.
-fn le_u32(b: &[u8]) -> u32 {
+pub(crate) fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// Reads a little-endian u64 from the first eight bytes of `b`.
-fn le_u64(b: &[u8]) -> u64 {
+pub(crate) fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
 /// Reads a little-endian u128 from the first sixteen bytes of `b`.
-fn le_u128(b: &[u8]) -> u128 {
+pub(crate) fn le_u128(b: &[u8]) -> u128 {
     let mut w = [0u8; 16];
     w.copy_from_slice(&b[..16]);
     u128::from_le_bytes(w)
@@ -225,10 +238,13 @@ enum Source {
     Rows(Vec<RequestRecord>),
     Framed(FramedRun),
     Frozen(FrozenStore, DateRange),
+    /// Section `.1` (0-based) of a day segment.
+    Section(Arc<Segment>, usize),
 }
 
-/// One run of rows in emission order: in memory, framed on disk, or a
-/// day range of a frozen store (see the module docs).
+/// One run of rows in emission order: in memory, framed on disk, a day
+/// range of a frozen store, or a section of a day segment (see the
+/// module docs).
 #[derive(Debug)]
 pub struct Run(Source);
 
@@ -248,48 +264,9 @@ impl Run {
         Run(Source::Frozen(store, days))
     }
 
-    /// Opens a checkpoint day file (see [`write_checkpoint_segment`]) as
-    /// a run. The header and the framed length are checked against the
-    /// file here; the rows and checksum are verified as the run streams.
-    pub fn checkpoint(path: &Path) -> Result<Self, SpillError> {
-        let run = FramedRun {
-            path: Arc::from(path),
-            index: 0,
-            meta: RunMeta {
-                offset: 0,
-                rows: 0,
-                checksum: 0,
-            },
-            shared: Arc::default(),
-        };
-        let mut file = File::open(path).map_err(|e| SpillError::io(path, IoOp::Open, &e))?;
-        let file_len = file
-            .metadata()
-            .map_err(|e| SpillError::io(path, IoOp::Open, &e))?
-            .len();
-        let mut hdr = [0u8; RUN_HEADER_BYTES];
-        file.read_exact(&mut hdr)
-            .map_err(|e| run.read_error(&e, 0))?;
-        let (rows, checksum) = parse_header(&hdr).map_err(|reason| run.corrupt(0, reason))?;
-        // Check the framed length against the file before trusting the
-        // header's row count with an allocation.
-        let framed_len = RUN_HEADER_BYTES as u128 + u128::from(rows) * SPILL_ROW_BYTES as u128;
-        if framed_len != u128::from(file_len) {
-            return Err(run.corrupt(
-                4,
-                format!(
-                    "header claims {rows} rows ({framed_len} bytes) but file is {file_len} bytes"
-                ),
-            ));
-        }
-        Ok(Run::framed(FramedRun {
-            meta: RunMeta {
-                offset: 0,
-                rows,
-                checksum,
-            },
-            ..run
-        }))
+    /// Section `index` (0-based) of `segment`.
+    pub(crate) fn section(segment: &Arc<Segment>, index: usize) -> Self {
+        Run(Source::Section(Arc::clone(segment), index))
     }
 
     /// Rows in the run.
@@ -298,16 +275,20 @@ impl Run {
             Source::Rows(rows) => rows.len() as u64,
             Source::Framed(run) => run.meta.rows,
             Source::Frozen(store, days) => store.in_range(*days).len() as u64,
+            Source::Section(segment, index) => segment.section_rows(*index),
         }
     }
 
-    /// Streams every row to `f` in run order, verifying a frame as it
-    /// goes.
+    /// Streams every row to `f` in run order, verifying a frame or
+    /// section as it goes.
     pub fn for_each(&self, f: impl FnMut(RequestRecord)) -> Result<(), SpillError> {
         match &self.0 {
             Source::Rows(rows) => rows.iter().copied().for_each(f),
             Source::Framed(run) => run.for_each(f)?,
             Source::Frozen(store, days) => store.in_range(*days).records().for_each(f),
+            Source::Section(segment, index) => {
+                segment.records(*index..*index + 1)?.into_iter().for_each(f);
+            }
         }
         Ok(())
     }
@@ -462,6 +443,23 @@ impl<'r> FrameReader<'r> {
     }
 }
 
+/// One dataset family: the key of a [`Families`] field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Record random sample.
+    Request,
+    /// User random sample.
+    User,
+    /// IP random sample.
+    Ip,
+    /// The IPv6 prefix random sample of one length.
+    Prefix(u8),
+    /// Full-fidelity abuse stream.
+    Abuse,
+    /// Full-fidelity pair-window stream.
+    Pair,
+}
+
 /// One value per dataset family: the runs a shard hands back and the
 /// freeze consumes ([`FamilyRuns`]), and the frozen stores it produces.
 #[derive(Debug, Default)]
@@ -508,6 +506,29 @@ impl<T> Families<T> {
         let mapped: Result<_, Infallible> = self.try_map(|v| Ok(f(v)));
         mapped.unwrap_or_else(|never| match never {})
     }
+
+    /// Every family, in the order [`Families::try_map`] visits them.
+    pub fn keys(&self) -> Vec<Family> {
+        let mut keys = vec![Family::Request, Family::User, Family::Ip];
+        keys.extend(self.prefixes.keys().map(|&len| Family::Prefix(len)));
+        keys.extend([Family::Abuse, Family::Pair]);
+        keys
+    }
+}
+
+impl<T: Default> Families<T> {
+    /// The value of `family`; a prefix length not yet present starts
+    /// empty.
+    pub fn family_mut(&mut self, family: Family) -> &mut T {
+        match family {
+            Family::Request => &mut self.request,
+            Family::User => &mut self.user,
+            Family::Ip => &mut self.ip,
+            Family::Prefix(len) => self.prefixes.entry(len).or_default(),
+            Family::Abuse => &mut self.abuse,
+            Family::Pair => &mut self.pair,
+        }
+    }
 }
 
 impl FamilyRuns {
@@ -542,53 +563,86 @@ pub struct FrozenFamilies {
     pub stores: Families<FrozenStore>,
     /// The intern tables every store is encoded against.
     pub tables: Arc<EntityTables>,
-    /// Rows read, which is rows frozen.
+    /// Rows frozen.
     pub rows: u64,
-    /// Wall of the verified read, which stages and interns every row.
+    /// Rows the read staged: every row but the segment sections'.
+    pub staged: u64,
+    /// Wall of the verified read, which interns every segment dictionary
+    /// and stages and interns every other run's rows.
     pub read_wall: Duration,
     /// Wall of ranking the distinct keys into the tables and remaps.
     pub intern_wall: Duration,
-    /// Wall of ordering and gathering every family.
+    /// Wall of gathering every family: the segment sections as they lie,
+    /// then the staged rows in radix order.
     pub gather_wall: Duration,
+}
+
+/// One family after the read: its segment sections, as (segment slot,
+/// section index) in list order, and its other runs' staged rows.
+struct Staged {
+    sections: Vec<(usize, usize)>,
+    cols: ColumnStore,
 }
 
 /// Freezes every family's runs into timestamp-sorted, densely encoded
 /// stores over one set of shared intern tables: one verified read, one
-/// ranking of the distinct keys, one radix-ordered gather per family (see
-/// the module docs). Each run is dropped as soon as it is read.
+/// ranking of the distinct keys, one gather per family (see the module
+/// docs). Each run is dropped as soon as it is read.
 ///
 /// The stores equal a [`RequestStore`](crate::RequestStore) stable sort
 /// of each family's rows in list order, encoded against
-/// [`EntityTables::build`] over every family's rows. A run that fails
-/// verification fails the freeze.
+/// [`EntityTables::build`] over every family's rows, provided each
+/// family's segment sections come first in its list (a family's sections
+/// are gathered ahead of its other runs wherever they sit). A run that
+/// fails verification fails the freeze, and so do segment sections whose
+/// rows would not be in order as they lie.
 pub fn freeze_families(runs: FamilyRuns) -> Result<FrozenFamilies, SpillError> {
     let t_read = Instant::now();
     let mut interner = Interner::default();
-    let mut rows = 0u64;
+    let mut segments = Segments::default();
+    let mut buf = Vec::new();
+    let mut staged_rows = 0u64;
     let staged = runs.try_map(|runs| {
-        let n: u64 = runs.iter().map(Run::rows).sum();
-        rows += n;
-        // Every source knows its row count up front (a checkpoint's was
-        // checked against its file length), so no column ever grows.
-        let mut cols = ColumnStore::with_capacity(n as usize);
+        let mut sections = Vec::new();
+        let mut others = Vec::new();
         for run in runs {
+            match run.0 {
+                Source::Section(segment, index) => {
+                    sections.push((segments.intern(segment, &mut interner, &mut buf)?, index));
+                }
+                source => others.push(Run(source)),
+            }
+        }
+        let n: u64 = others.iter().map(Run::rows).sum();
+        staged_rows += n;
+        // Every source knows its row count up front, so no column ever
+        // grows.
+        let mut cols = ColumnStore::with_capacity(n as usize);
+        for run in others {
             run.for_each(|r| interner.stage(&r, &mut cols))?;
         }
-        Ok(cols)
+        Ok(Staged { sections, cols })
     })?;
     let read_wall = t_read.elapsed();
 
     let t_intern = Instant::now();
     let (tables, remap) = interner.rank();
     let tables = Arc::new(tables);
+    let segments = segments.densify(&remap);
     let intern_wall = t_intern.elapsed();
 
     let t_gather = Instant::now();
-    let stores = staged.map(|cols| remap.gather(cols, &tables));
+    let mut rows = 0u64;
+    let stores = staged.try_map(|staged| {
+        let store = remap.gather(staged, &segments, &mut buf, &tables)?;
+        rows += store.len() as u64;
+        Ok(store)
+    })?;
     Ok(FrozenFamilies {
         stores,
         tables,
         rows,
+        staged: staged_rows,
         read_wall,
         intern_wall,
         gather_wall: t_gather.elapsed(),
@@ -717,66 +771,221 @@ struct Remap {
 }
 
 impl Remap {
-    /// Orders one family's staged rows canonically and encodes them
-    /// densely: the stable radix argsort of the timestamp column, then
-    /// every column gathered through it into an exact-size column. Each
-    /// staged column is dropped once gathered.
-    fn gather(&self, staged: ColumnStore, tables: &Arc<EntityTables>) -> FrozenStore {
-        let perm = crate::kernels::radix_sort_perm_u32(&staged.ts);
+    /// One family's frozen store: its segment sections as they lie, each
+    /// verified and mapped through its segment's local → dense tables,
+    /// then its staged rows in canonical order — the stable radix argsort
+    /// of the staged timestamps, every column gathered through it with
+    /// ids through the remap. All columns are exactly sized; each staged
+    /// column is dropped once gathered.
+    ///
+    /// The sections' rows must lie inside their segment's day and never
+    /// go back in time, and the first staged row in order must not
+    /// precede the sections' last, or the gather fails: that is what
+    /// makes skipping the sort of the sections exact.
+    fn gather(
+        &self,
+        staged: Staged,
+        segments: &[(Arc<Segment>, LocalIds<IpId>)],
+        buf: &mut Vec<u8>,
+        tables: &Arc<EntityTables>,
+    ) -> Result<FrozenStore, SpillError> {
+        let Staged {
+            sections,
+            cols: rest,
+        } = staged;
+        let history: u64 = sections
+            .iter()
+            .map(|&(slot, index)| segments[slot].0.section_rows(index))
+            .sum();
+        // Sections fill all five columns at once, so those start at their
+        // final size. Otherwise each column is allocated as it is
+        // gathered, after the staged column before it was dropped, which
+        // keeps the freeze's heap smaller.
+        let mut cols = if sections.is_empty() {
+            ColumnStore::default()
+        } else {
+            ColumnStore::with_capacity(history as usize + rest.len())
+        };
+        let mut last: Option<LastRow> = None;
+        for &(slot, index) in &sections {
+            let (segment, ids) = &segments[slot];
+            let section = segment.read_section(index, buf)?;
+            let start = cols.len();
+            cols.ts.extend(section.ts());
+            section.ips(&ids.v4, &ids.v6, &mut cols.ip)?;
+            section.users(&ids.users, &mut cols.user)?;
+            cols.asn.extend(section.asns());
+            cols.country.extend(section.countries());
+            check_in_order(&section, slot, index, &cols.ts[start..], &mut last)?;
+        }
+
+        let perm = crate::kernels::radix_sort_perm_u32(&rest.ts);
+        if let (Some(last), Some(&first)) = (last, perm.first()) {
+            let first = rest.ts[first as usize];
+            if first < last.ts {
+                let segment = &segments[last.slot].0;
+                return Err(segment.corrupt(
+                    last.index + 1,
+                    segment.ts_offset(last.index, last.row),
+                    format!(
+                        "history row at {} is later than the first new row at {first}",
+                        last.ts
+                    ),
+                ));
+            }
+        }
         let ColumnStore {
             ts,
             ip,
             user,
             asn,
             country,
-        } = staged;
-        let cols = ColumnStore {
-            ts: gather(&perm, ts, |ts| ts),
-            ip: gather(&perm, ip, |id| {
-                self.ips[id.index() + usize::from(id.is_v6()) * self.v6_base]
-            }),
-            user: gather(&perm, user, |u| self.users[u as usize]),
-            asn: gather(&perm, asn, |asn| asn),
-            country: gather(&perm, country, |c| c),
-        };
-        FrozenStore::from_sorted_parts(cols, Arc::clone(tables))
+        } = rest;
+        gather_into(&perm, ts, &mut cols.ts, |ts| ts);
+        gather_into(&perm, ip, &mut cols.ip, |id| {
+            self.ips[id.index() + usize::from(id.is_v6()) * self.v6_base]
+        });
+        gather_into(&perm, user, &mut cols.user, |u| self.users[u as usize]);
+        gather_into(&perm, asn, &mut cols.asn, |asn| asn);
+        gather_into(&perm, country, &mut cols.country, |c| c);
+        Ok(FrozenStore::from_sorted_parts(cols, Arc::clone(tables)))
     }
 }
 
-/// `col` permuted by `perm` through `f`, exactly sized; `col` is dropped
-/// on return.
-fn gather<T: Copy, U>(perm: &[u32], col: Vec<T>, f: impl Fn(T) -> U) -> Vec<U> {
-    perm.iter().map(|&i| f(col[i as usize])).collect()
+/// `col` permuted by `perm` through `f`, appended to `out` (grown to
+/// exactly fit); `col` is dropped on return.
+fn gather_into<T: Copy, U>(perm: &[u32], col: Vec<T>, out: &mut Vec<U>, f: impl Fn(T) -> U) {
+    out.reserve_exact(perm.len());
+    out.extend(perm.iter().map(|&i| f(col[i as usize])));
 }
 
-/// Writes `rows`, in the given order, to `path` as one frame: the
-/// incremental engine's checkpoint day file, which [`Run::checkpoint`]
-/// opens as a run. A state dir's day files hold canonical day slices.
-pub fn write_checkpoint_segment(path: &Path, rows: &[RequestRecord]) -> Result<(), SpillError> {
-    let (frame, _) = encode_frame(rows);
-    let mut f = File::create(path).map_err(|e| SpillError::io(path, IoOp::Create, &e))?;
-    f.write_all(&frame)
-        .map_err(|e| SpillError::io(path, IoOp::Write, &e))?;
-    f.sync_all()
-        .map_err(|e| SpillError::io(path, IoOp::Flush, &e))?;
+/// The last history row a family's gather has taken, and where it lies.
+#[derive(Debug, Clone, Copy)]
+struct LastRow {
+    ts: Timestamp,
+    slot: usize,
+    index: usize,
+    row: usize,
+}
+
+/// Checks the timestamps `ts` that section `index` of the segment in
+/// `slot` just gave a family: each inside the segment's day, and none
+/// earlier than the family's history row before it.
+fn check_in_order(
+    section: &Section<'_>,
+    slot: usize,
+    index: usize,
+    ts: &[Timestamp],
+    last: &mut Option<LastRow>,
+) -> Result<(), SpillError> {
+    let bounds = section.day_bounds();
+    for (row, &t) in ts.iter().enumerate() {
+        let reason = match (bounds, *last) {
+            (Some((lo, hi)), _) if t < lo || t > hi => Some(format!(
+                "row timestamp {t} lies outside the day {lo} – {hi}"
+            )),
+            (_, Some(prev)) if t < prev.ts => Some(format!(
+                "row timestamp {t} precedes the history row before it at {}",
+                prev.ts
+            )),
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            return Err(section.corrupt_ts(row, reason));
+        }
+        *last = Some(LastRow {
+            ts: t,
+            slot,
+            index,
+            row,
+        });
+    }
     Ok(())
 }
 
-/// Reads a checkpoint day file written by [`write_checkpoint_segment`]
-/// back in order, verifying the length framing and chain checksum. Torn,
-/// truncated or padded files surface as [`SpillError::Corrupt`], never as
-/// silently wrong rows.
-pub fn read_checkpoint_segment(path: &Path) -> Result<Vec<RequestRecord>, SpillError> {
-    let run = Run::checkpoint(path)?;
-    // The row count was checked against the file length.
-    let mut rows = Vec::with_capacity(run.rows() as usize);
-    run.for_each(|r| rows.push(r))?;
-    Ok(rows)
+/// One segment's dictionary, as ids: local v4, v6 and user ids index it.
+#[derive(Debug, Default)]
+struct LocalIds<I> {
+    v4: Vec<I>,
+    v6: Vec<I>,
+    users: Vec<u32>,
+}
+
+/// The segments a freeze reads, each with its dictionary interned once:
+/// local → provisional ids, until the ranking turns them into local →
+/// dense ids.
+#[derive(Debug, Default)]
+struct Segments {
+    slots: HashMap<*const Segment, usize>,
+    list: Vec<(Arc<Segment>, LocalIds<u32>)>,
+}
+
+impl Segments {
+    /// The slot of `segment`, reading, verifying and interning its
+    /// dictionary on first sight.
+    fn intern(
+        &mut self,
+        segment: Arc<Segment>,
+        interner: &mut Interner,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, SpillError> {
+        let key = Arc::as_ptr(&segment);
+        if let Some(&slot) = self.slots.get(&key) {
+            return Ok(slot);
+        }
+        let dict = segment.read_dictionary(buf)?;
+        let ids = LocalIds {
+            v4: dict
+                .v4
+                .into_iter()
+                .map(|k| provisional(&mut interner.v4, k))
+                .collect(),
+            v6: dict
+                .v6
+                .into_iter()
+                .map(|k| provisional(&mut interner.v6, k))
+                .collect(),
+            users: dict
+                .users
+                .into_iter()
+                .map(|k| provisional(&mut interner.users, k))
+                .collect(),
+        };
+        let slot = self.list.len();
+        self.slots.insert(key, slot);
+        self.list.push((segment, ids));
+        Ok(slot)
+    }
+
+    /// Every segment with its local → dense ids.
+    fn densify(self, remap: &Remap) -> Vec<(Arc<Segment>, LocalIds<IpId>)> {
+        let ip = |p: u32| remap.ips[p as usize];
+        self.list
+            .into_iter()
+            .map(|(segment, ids)| {
+                let dense = LocalIds {
+                    v4: ids.v4.into_iter().map(ip).collect(),
+                    v6: ids
+                        .v6
+                        .into_iter()
+                        .map(|p| ip(p + remap.v6_base as u32))
+                        .collect(),
+                    users: ids
+                        .users
+                        .into_iter()
+                        .map(|p| remap.users[p as usize])
+                        .collect(),
+                };
+                (segment, dense)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::ColumnSlice;
     use crate::spill::{RunWriter, SpillSession};
     use crate::store::RequestStore;
     use crate::time::SimDate;
@@ -847,73 +1056,6 @@ mod tests {
         encode_row(&rec(1, 0, "10.0.0.1"), &mut buf);
         buf[12] = 9;
         assert_eq!(decode_row(&buf), Err(9));
-    }
-
-    #[test]
-    fn checkpoint_segment_round_trips_in_order() {
-        let dir = std::env::temp_dir().join(format!("ipv6-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("day-roundtrip.seg");
-        // Deliberately NOT timestamp-sorted: the checkpoint codec must
-        // preserve the caller's order exactly.
-        let rows = vec![
-            rec(3, 9, "2001:db8::3"),
-            rec(1, 0, "10.0.0.1"),
-            rec(2, 9, "2001:db8::2"),
-        ];
-        write_checkpoint_segment(&path, &rows).unwrap();
-        assert_eq!(read_checkpoint_segment(&path).unwrap(), rows);
-        // A checkpoint file is exactly one frame of the shared codec.
-        assert_eq!(std::fs::read(&path).unwrap(), encode_frame(&rows).0);
-
-        write_checkpoint_segment(&path, &[]).unwrap();
-        assert_eq!(read_checkpoint_segment(&path).unwrap(), Vec::new());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_segment_detects_corruption_truncation_and_padding() {
-        let dir = std::env::temp_dir().join(format!("ipv6-ckpt-chaos-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("day-corrupt.seg");
-        let rows = vec![rec(1, 0, "10.0.0.1"), rec(2, 1, "2001:db8::2")];
-        write_checkpoint_segment(&path, &rows).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Flipped payload byte -> checksum mismatch.
-        let mut bad = good.clone();
-        bad[RUN_HEADER_BYTES + 3] ^= 0xA5;
-        std::fs::write(&path, &bad).unwrap();
-        match read_checkpoint_segment(&path).unwrap_err() {
-            SpillError::Corrupt { reason, .. } => assert!(reason.contains("checksum mismatch")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-
-        // Torn write -> length framing failure, not an allocation guess.
-        std::fs::write(&path, &good[..good.len() - 7]).unwrap();
-        match read_checkpoint_segment(&path).unwrap_err() {
-            SpillError::Corrupt { reason, .. } => assert!(reason.contains("but file is")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-
-        // Trailing garbage is also a framing failure.
-        let mut padded = good.clone();
-        padded.extend_from_slice(&[0u8; 5]);
-        std::fs::write(&path, &padded).unwrap();
-        assert!(matches!(
-            read_checkpoint_segment(&path).unwrap_err(),
-            SpillError::Corrupt { .. }
-        ));
-
-        // Bad magic.
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xFF;
-        std::fs::write(&path, &bad_magic).unwrap();
-        match read_checkpoint_segment(&path).unwrap_err() {
-            SpillError::Corrupt { reason, .. } => assert!(reason.contains("bad run magic")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// An on-disk bad tag reports path + run index + byte offset through
@@ -1032,7 +1174,7 @@ mod tests {
         assert_eq!(session.stats().checksum_failures, 0);
     }
 
-    /// A frozen day range and an empty checkpoint file are runs like any
+    /// A frozen day range and an empty segment section are runs like any
     /// other: the history precedes newer runs and empty runs change
     /// nothing.
     #[test]
@@ -1051,12 +1193,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ipv6-run-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let empty = dir.join("empty.seg");
-        write_checkpoint_segment(&empty, &[]).unwrap();
+        let day = SimDate::ymd(4, 13);
+        let tables = Arc::clone(history.tables());
+        let none = ColumnSlice::empty(&tables);
+        crate::segment::write_segment(&empty, &tables, &[(Family::Request, none)]).unwrap();
 
-        let mut runs = vec![
-            Run::frozen(history, DateRange::single(SimDate::ymd(4, 13))),
-            Run::checkpoint(&empty).unwrap(),
-        ];
+        let mut runs = vec![Run::frozen(history, DateRange::single(day))];
+        let segment = Segment::open(&empty, day, &[Family::Request]).unwrap();
+        runs.extend(segment.into_runs().into_iter().map(|(_, run)| run));
         runs.extend(runs_of(None, 0, 2, &late));
         assert_eq!(runs.iter().map(Run::rows).sum::<u64>(), 7);
         let frozen = freeze_one(runs).unwrap();
@@ -1087,13 +1231,12 @@ mod tests {
     }
 
     /// One family: up to five stretches of random rows, each in a random
-    /// source (in memory, spilled in frames of random size, a checkpoint
-    /// file, or a day range of a frozen store), some empty. Returns the
-    /// runs and the rows they yield, in order.
+    /// source (in memory, spilled in frames of random size, or a day
+    /// range of a frozen store), some empty. Returns the runs and the rows
+    /// they yield, in order.
     fn random_family(
         g: &mut TestGen,
         session: &SpillSession,
-        dir: &Path,
         files: &mut usize,
     ) -> (Vec<Run>, Vec<RequestRecord>) {
         let (mut runs, mut yields) = (Vec::new(), Vec::new());
@@ -1101,16 +1244,11 @@ mod tests {
             let len = g.below(40) as usize;
             let rows = g.vec_of(len, random_row);
             *files += 1;
-            match g.below(4) {
+            match g.below(3) {
                 0 => runs.push(Run::in_memory(rows.clone())),
                 1 => {
                     let segment_rows = 1 + g.below(8) as usize;
                     runs.extend(runs_of(Some(session), *files, segment_rows, &rows));
-                }
-                2 => {
-                    let path = dir.join(format!("day{files}.seg"));
-                    write_checkpoint_segment(&path, &rows).unwrap();
-                    runs.push(Run::checkpoint(&path).unwrap());
                 }
                 _ => {
                     let mut store = RequestStore::new();
@@ -1136,20 +1274,19 @@ mod tests {
     /// The freeze equals the reference — a `RequestStore` stable sort of
     /// each family's rows in run order, encoded against
     /// `EntityTables::from_records` over every family with `freeze_with`
-    /// — for random families of unsorted runs from every source, with
+    /// — for random families of unsorted runs from every row source, with
     /// heavy timestamp ties and empty runs, and sizes every column
-    /// exactly.
+    /// exactly. (Segment sections hold sorted days; the next test pins
+    /// them to this row path.)
     #[test]
     fn freeze_equals_the_reference_over_random_runs_from_every_source() {
         let session = SpillSession::create(None).unwrap();
-        let dir = std::env::temp_dir().join(format!("ipv6-run-prop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let mut g = TestGen::new(0x4652_5A31); // "FRZ1"
         let mut files = 0;
         for case in 0..40 {
             let mut yields = Vec::new();
             let runs = FamilyRuns::new(&[48, 64]).map(|_| {
-                let (runs, rows) = random_family(&mut g, &session, &dir, &mut files);
+                let (runs, rows) = random_family(&mut g, &session, &mut files);
                 yields.push(rows);
                 runs
             });
@@ -1176,6 +1313,160 @@ mod tests {
                 family += 1;
             });
             assert_eq!(family, 7);
+        }
+        assert_eq!(session.stats().checksum_failures, 0);
+    }
+
+    /// A random row on `day`: timestamps piled on the day's first and
+    /// last seconds and on a coarse grid between, so ties are heavy at
+    /// the day's boundaries; `v4` and `v6` say which families may appear.
+    fn random_day_row(g: &mut TestGen, day: SimDate, v4: bool, v6: bool) -> RequestRecord {
+        let sec = match g.below(4) {
+            0 => 0,
+            1 => 86_399,
+            _ => g.below(8) as u32 * 10_800,
+        };
+        let ip = if v4 && (!v6 || g.below(3) == 0) {
+            IpAddr::from(std::net::Ipv4Addr::from(0x0a00_0000 | g.below(12) as u32))
+        } else {
+            IpAddr::from(std::net::Ipv6Addr::from(
+                0x2001_0db8_u128 << 96 | u128::from(g.below(4)) << 64 | u128::from(g.below(9)),
+            ))
+        };
+        RequestRecord {
+            ts: Timestamp::from_secs(day.start().secs() + sec),
+            ip,
+            ..random_row(g)
+        }
+    }
+
+    /// Random multi-day histories written as day segments by the state
+    /// dir's writer, then frozen with memory and spilled suffix runs,
+    /// equal the row-path freeze of the same rows: tables, every column,
+    /// and exact column sizes. Histories include empty sections and empty
+    /// days, v4-only and v6-only days, a pair family that covers only the
+    /// last days, ties at both day boundaries, and suffix rows tied with
+    /// the history's last second.
+    #[test]
+    fn segment_histories_freeze_like_the_row_path() {
+        use crate::segment::write_segment;
+        let session = SpillSession::create(None).unwrap();
+        let dir = std::env::temp_dir().join(format!("ipv6-run-seg-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut g = TestGen::new(0x5345_4731); // "SEG1"
+        let first = SimDate::ymd(4, 6);
+        let template = FamilyRuns::new(&[48, 64]);
+        let families = template.keys();
+        let main: Vec<Family> = families
+            .iter()
+            .copied()
+            .filter(|&f| f != Family::Pair)
+            .collect();
+        let mut files = 0;
+        for case in 0..30 {
+            let days = g.below(6) as u16;
+            let pair_days = g.below(3) as u16;
+            let in_pair = |d: u16| d + pair_days >= days;
+            // Each family's history rows, day by day in canonical order.
+            let mut history: Vec<Vec<RequestRecord>> = vec![Vec::new(); families.len()];
+            for d in 0..days {
+                let day = first + d;
+                let (v4, v6) = [(true, true), (true, false), (false, true)][g.below(3) as usize];
+                let empty_day = g.below(5) == 0;
+                for (k, &family) in families.iter().enumerate() {
+                    if family == Family::Pair && !in_pair(d) {
+                        continue;
+                    }
+                    let n = if empty_day || g.below(4) == 0 {
+                        0
+                    } else {
+                        g.below(30)
+                    };
+                    let mut rows = g.vec_of(n as usize, |g| random_day_row(g, day, v4, v6));
+                    rows.sort_by_key(|r| r.ts);
+                    history[k].extend(rows);
+                }
+            }
+            let all: Vec<RequestRecord> = history.iter().flatten().copied().collect();
+            let tables = Arc::new(EntityTables::from_records(&all));
+            let stores: Vec<FrozenStore> = history
+                .iter()
+                .map(|rows| {
+                    let mut store = RequestStore::new();
+                    rows.iter().for_each(|&r| store.push(r));
+                    store.freeze_with(Arc::clone(&tables))
+                })
+                .collect();
+            let store =
+                |family: Family| &stores[families.iter().position(|&f| f == family).unwrap()];
+
+            let mut segmented = FamilyRuns::new(&[48, 64]);
+            for d in 0..days {
+                let day = first + d;
+                let mut write = |name: String, fams: &[Family]| {
+                    let path = dir.join(name);
+                    let sections: Vec<_> =
+                        fams.iter().map(|&f| (f, store(f).on_day(day))).collect();
+                    write_segment(&path, &tables, &sections).unwrap();
+                    for (family, run) in Segment::open(&path, day, fams).unwrap().into_runs() {
+                        segmented.family_mut(family).push(run);
+                    }
+                };
+                write(format!("case{case}-day{d}.seg"), &main);
+                if in_pair(d) {
+                    write(format!("case{case}-day{d}.pair.seg"), &[Family::Pair]);
+                }
+            }
+
+            // The suffix: stretches of unsorted rows on the two days after
+            // the history or on the last history day's last second.
+            let mut rows_only = FamilyRuns::new(&[48, 64]);
+            for (k, &family) in families.iter().enumerate() {
+                rows_only
+                    .family_mut(family)
+                    .push(Run::in_memory(history[k].clone()));
+                for _ in 0..g.below(3) {
+                    let n = g.below(25) as usize;
+                    let rows = g.vec_of(n, |g| {
+                        if days > 0 && g.below(5) == 0 {
+                            let last = first + (days - 1);
+                            RequestRecord {
+                                ts: Timestamp::from_secs(last.start().secs() + 86_399),
+                                ..random_row(g)
+                            }
+                        } else {
+                            let day = first + days + g.below(2) as u16;
+                            random_day_row(g, day, true, true)
+                        }
+                    });
+                    files += 1;
+                    let runs = if g.below(2) == 0 {
+                        vec![Run::in_memory(rows.clone())]
+                    } else {
+                        runs_of(Some(&session), files, 1 + g.below(8) as usize, &rows)
+                    };
+                    segmented.family_mut(family).extend(runs);
+                    rows_only.family_mut(family).push(Run::in_memory(rows));
+                }
+            }
+
+            let got = freeze_families(segmented).unwrap();
+            let want = freeze_families(rows_only).unwrap();
+            assert_eq!(*got.tables, *want.tables, "case {case}: tables");
+            assert_eq!(got.rows, want.rows, "case {case}: rows");
+            let mut want_stores = Vec::new();
+            want.stores.map(|s| want_stores.push(s));
+            let mut k = 0;
+            got.stores.map(|store| {
+                assert_eq!(store.all(), want_stores[k].all(), "case {case}, family {k}");
+                assert_eq!(
+                    store.bytes(),
+                    store.len() * 18,
+                    "case {case}: exact columns"
+                );
+                k += 1;
+            });
+            assert_eq!(k, families.len());
         }
         assert_eq!(session.stats().checksum_failures, 0);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -126,6 +126,10 @@ pub enum IoOp {
     Seek,
     /// Reading a header or row.
     Read,
+    /// Renaming a finished temporary file into place.
+    Rename,
+    /// Removing a stale temporary file.
+    Remove,
 }
 
 impl IoOp {
@@ -138,6 +142,8 @@ impl IoOp {
             IoOp::Open => "open",
             IoOp::Seek => "seek",
             IoOp::Read => "read",
+            IoOp::Rename => "rename",
+            IoOp::Remove => "remove",
         }
     }
 }
@@ -160,11 +166,14 @@ pub enum SpillError {
         detail: String,
     },
     /// On-disk data failed verification: bad header, torn (truncated)
-    /// run, unknown row tag, or checksum mismatch.
+    /// run, unknown row tag, or checksum mismatch; in a day segment also
+    /// a non-ascending dictionary, an out-of-range local id, or a row
+    /// outside its day (see [`crate::segment`]).
     Corrupt {
-        /// Segment file holding the bad bytes.
+        /// File holding the bad bytes.
         path: PathBuf,
-        /// Zero-based run index within the file.
+        /// Zero-based run index within a spill file. In a day segment, 0
+        /// is the header and dictionary and `k` the k-th section.
         run: usize,
         /// Absolute byte offset of the bad data within the file.
         offset: u64,

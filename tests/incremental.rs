@@ -345,6 +345,16 @@ fn warm_resume_report_times_every_step_and_the_rerun_passes() {
     let mut cfg = StudyConfig::tiny();
     cfg.instrument = true;
     incremental::run(cfg.clone(), &state.0).expect("cold run");
+    // The resume opens the 14 covered days' segments and the pair
+    // segments of the 3 covered days inside the new pair window.
+    let size =
+        |name: &str| std::fs::metadata(state.0.join("days").join(name)).map_or(0, |m| m.len());
+    let opened: u64 = (96..110)
+        .map(|d| size(&format!("day{d:03}.seg")))
+        .sum::<u64>()
+        + (107..110)
+            .map(|d| size(&format!("day{d:03}.pair.seg")))
+            .sum::<u64>();
     let mut ext_cfg = cfg;
     ext_cfg.extend_days = 1;
     let warm = incremental::run(ext_cfg.clone(), &state.0).expect("warm extend");
@@ -367,6 +377,18 @@ fn warm_resume_report_times_every_step_and_the_rerun_passes() {
         "the resume wall is the extend wall, checkpoint save included"
     );
     assert!(resume.children.iter().map(|s| s.wall).sum::<Duration>() <= resume.wall);
+    let load = report.span("resume/load").expect("resume/load");
+    assert_eq!((load.items, load.bytes), (17, opened), "segments opened");
+    // +1 day writes the day segment, the pair segment and the manifest.
+    let written = size("day110.seg")
+        + size("day110.pair.seg")
+        + std::fs::metadata(state.0.join("manifest.json")).map_or(0, |m| m.len());
+    let checkpoint = report.span("resume/checkpoint").expect("resume/checkpoint");
+    assert_eq!(
+        (checkpoint.items, checkpoint.bytes),
+        (3, written),
+        "files written"
+    );
 
     let passes = report
         .span("run/analysis/passes")
@@ -419,14 +441,14 @@ fn state_dir_rejects_mismatched_config_and_backward_runs() {
     // mistaken for a different configuration.
     let manifest = state.0.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).expect("read manifest");
-    assert!(text.contains("\"checkpoint_schema\": 2"), "{text}");
-    let old = text.replace("\"checkpoint_schema\": 2", "\"checkpoint_schema\": 1");
+    assert!(text.contains("\"checkpoint_schema\": 3"), "{text}");
+    let old = text.replace("\"checkpoint_schema\": 3", "\"checkpoint_schema\": 2");
     std::fs::write(&manifest, old).expect("rewrite manifest");
-    let err = incremental::run(cfg, &state.0).expect_err("schema 1");
+    let err = incremental::run(cfg, &state.0).expect_err("schema 2");
     assert!(
         matches!(err, StudyError::Config(ConfigError::Storage(ref msg))
-            if msg.contains("checkpoint_schema 1")
-                && msg.contains("checkpoint_schema 2")
+            if msg.contains("checkpoint_schema 2")
+                && msg.contains("checkpoint_schema 3")
                 && !msg.contains("different configuration")),
         "got {err}"
     );
@@ -451,11 +473,12 @@ fn listing(dir: &Path) -> Vec<(PathBuf, u64)> {
     files
 }
 
-/// A damaged day file fails the resume with a typed storage error naming
-/// the file, and nothing is written to the state dir. A truncated or
-/// missing file fails as the history's day files are opened, before any
-/// day is simulated; a flipped row byte keeps the file's length and
-/// fails the freeze's checksum check.
+/// A damaged day segment fails the resume with a typed storage error
+/// naming the file, and nothing is written to the state dir. A truncated
+/// or missing segment fails as the history's segments are opened, before
+/// any day is simulated; a flipped byte keeps the file's length and fails
+/// the check it meets first (the section table's family codes, or the
+/// dictionary's or a section's checksum).
 #[test]
 fn damaged_state_dir_fails_the_resume_with_a_typed_error() {
     let state = ScopedDir::new("damaged");
@@ -463,13 +486,12 @@ fn damaged_state_dir_fails_the_resume_with_a_typed_error() {
     let _ = incremental::run(cfg.clone(), &state.0).expect("cold run");
     let mut warm = cfg;
     warm.extend_days = 1;
-    let seg = state.0.join("days").join("day096").join("user.seg");
+    let seg = state.0.join("days").join("day096.seg");
 
-    // One bit flipped past the 20-byte frame header: same length, bad
-    // checksum.
-    let mut bytes = std::fs::read(&seg).expect("day 96 has a user file");
-    let _ = TestGen::new(0x464C_4950).flip_byte(&mut bytes, 20); // "FLIP"
-    std::fs::write(&seg, &bytes).expect("rewrite user.seg");
+    // One bit flipped past the 28-byte header: same length.
+    let mut bytes = std::fs::read(&seg).expect("day 96 has a segment");
+    let _ = TestGen::new(0x464C_4950).flip_byte(&mut bytes, 28); // "FLIP"
+    std::fs::write(&seg, &bytes).expect("rewrite day096.seg");
     let before = listing(&state.0);
     match incremental::run(warm.clone(), &state.0).map(drop) {
         Err(StudyError::Spill(SpillError::Corrupt { path, .. })) => assert_eq!(path, seg),
@@ -477,14 +499,14 @@ fn damaged_state_dir_fails_the_resume_with_a_typed_error() {
     }
     assert_eq!(listing(&state.0), before, "a failed resume writes nothing");
 
-    // Truncated to 100 bytes: the header no longer matches the file.
+    // Truncated to 100 bytes: the section table no longer fits the file.
     let len = bytes.len();
-    assert!(len > 100, "user.seg holds {len} bytes");
+    assert!(len > 100, "day096.seg holds {len} bytes");
     std::fs::OpenOptions::new()
         .write(true)
         .open(&seg)
         .and_then(|f| f.set_len(100))
-        .expect("truncate user.seg");
+        .expect("truncate day096.seg");
     let before = listing(&state.0);
     match incremental::run(warm.clone(), &state.0).map(drop) {
         Err(StudyError::Spill(SpillError::Corrupt { path, .. })) => assert_eq!(path, seg),
@@ -492,8 +514,8 @@ fn damaged_state_dir_fails_the_resume_with_a_typed_error() {
     }
     assert_eq!(listing(&state.0), before, "a failed resume writes nothing");
 
-    // Deleted: opening the day file fails.
-    std::fs::remove_file(&seg).expect("delete user.seg");
+    // Deleted: opening the segment fails.
+    std::fs::remove_file(&seg).expect("delete day096.seg");
     let before = listing(&state.0);
     match incremental::run(warm, &state.0).map(drop) {
         Err(StudyError::Spill(SpillError::Io {
@@ -505,4 +527,39 @@ fn damaged_state_dir_fails_the_resume_with_a_typed_error() {
         other => panic!("expected a NotFound open error, got {other:?}"),
     }
     assert_eq!(listing(&state.0), before, "a failed resume writes nothing");
+}
+
+/// The manifest is the one commit point. A +1-day resume whose manifest
+/// never landed (the previous manifest restored, the new day's segments
+/// left on disk) resumes correctly at the old range and at the new one:
+/// both render byte-identical to a from-scratch run.
+#[test]
+fn an_uncommitted_save_leaves_the_previous_checkpoint_intact() {
+    let state = ScopedDir::new("commit");
+    let cfg = StudyConfig::tiny();
+    let cold = incremental::run(cfg.clone(), &state.0).expect("cold run");
+    let manifest = state.0.join("manifest.json");
+    let committed = std::fs::read(&manifest).expect("read the cold manifest");
+    let mut ext = cfg.clone();
+    ext.extend_days = 1;
+    let _ = incremental::run(ext.clone(), &state.0).expect("warm extend");
+    std::fs::write(&manifest, &committed).expect("restore the cold manifest");
+    assert!(state.0.join("days").join("day110.seg").exists());
+
+    let old = incremental::run(cfg, &state.0).expect("resume at the old range");
+    assert_eq!(old.stats.days_computed, 0);
+    assert_eq!(old.markdown, cold.markdown, "old range == cold == scratch");
+    assert_eq!(old.summary, cold.summary);
+
+    let new = incremental::run(ext.clone(), &state.0).expect("resume at the new range");
+    assert_eq!(new.stats.days_computed, 1);
+    let mut scratch = Study::run(ext).expect("scratch extended run");
+    assert_studies_identical(&new.study, &scratch, "recommitted resume vs scratch");
+    let rs = run_all(&mut scratch);
+    assert_eq!(
+        new.markdown,
+        report::render_markdown(&rs),
+        "new range == scratch"
+    );
+    assert_eq!(new.summary, report::render_summary(&rs));
 }
