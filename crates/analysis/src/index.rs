@@ -26,17 +26,16 @@
 //!
 //! # Determinism
 //!
-//! [`DatasetIndex::build`] (sort-based) and [`DatasetIndex::build_naive`]
-//! (hash-group-then-sort-keys, the pre-index shape) produce byte-identical
-//! indexes: both order groups by ascending key, and both preserve the
-//! input (timestamp) order within a group. Because dense ids are assigned
-//! in ascending raw-key order (see
-//! [`ipv6_study_telemetry::EntityTables`]), ascending-dense
-//! group order is exactly the ascending `UserId` / `IpAddr` order the
-//! row-oriented index produced. The equivalence is pinned by a unit test
-//! here and end-to-end by `tests/analysis_equivalence.rs`.
+//! [`DatasetIndex::build`] orders groups by ascending key with a stable
+//! radix sort, so every group keeps the input (timestamp) order. Because
+//! dense ids are assigned in ascending raw-key order (see
+//! [`ipv6_study_telemetry::EntityTables`]), ascending-dense group order
+//! is exactly the ascending `UserId` / `IpAddr` order the row-oriented
+//! index produced. Hash-map grouping (the pre-index shape) is the oracle:
+//! the unit tests here compare against it, and
+//! `tests/analysis_equivalence.rs` does so on the tiny study's shared
+//! windows.
 
-use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -44,17 +43,6 @@ use ipv6_study_telemetry::columns::{ColumnSlice, ColumnStore};
 use ipv6_study_telemetry::intern::{EntityTables, IpId};
 use ipv6_study_telemetry::kernels::radix_sort_perm_u32;
 use ipv6_study_telemetry::{OwnedColumns, RequestRecord, UserId};
-
-/// How a [`DatasetIndex`] groups records — functionally identical paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexMode {
-    /// Stable sort by dense key (the fast production path).
-    #[default]
-    Sorted,
-    /// Hash-map grouping, keys sorted afterwards (the pre-index shape;
-    /// kept as the reference implementation for equivalence testing).
-    Naive,
-}
 
 /// An immutable group-by index over one windowed column slice.
 #[derive(Debug, Clone, Default)]
@@ -81,11 +69,12 @@ fn sort_perm<K: Ord>(n: usize, key_at: impl Fn(usize) -> K) -> Vec<u32> {
 
 /// The reference permutation: hash-map buckets (append order = input
 /// order), groups concatenated in ascending key order.
+#[cfg(test)]
 fn naive_perm<K: Ord + Eq + std::hash::Hash + Copy>(
     n: usize,
     key_at: impl Fn(usize) -> K,
 ) -> Vec<u32> {
-    let mut groups: HashMap<K, Vec<u32>> = HashMap::new();
+    let mut groups: std::collections::HashMap<K, Vec<u32>> = std::collections::HashMap::new();
     for i in 0..n as u32 {
         groups.entry(key_at(i as usize)).or_default().push(i);
     }
@@ -110,51 +99,6 @@ fn gather(cols: ColumnSlice<'_>, perm: &[u32]) -> ColumnStore {
     }
 }
 
-/// Copies one gathered row across stores (all five columns).
-fn push_row(out: &mut ColumnStore, src: &ColumnStore, i: usize) {
-    out.ts.push(src.ts[i]);
-    out.ip.push(src.ip[i]);
-    out.user.push(src.user[i]);
-    out.asn.push(src.asn[i]);
-    out.country.push(src.country[i]);
-}
-
-/// Merges two key-sorted gathered column sets into one. On key ties the
-/// whole of `a`'s run is taken before `b`'s — correct exactly when every
-/// `b` row follows every `a` row in window order, which is the
-/// append-a-newer-day contract of [`DatasetIndex::append_sorted_suffix`].
-fn merge_sorted_by<K: Ord + Copy>(
-    a: &ColumnStore,
-    b: &ColumnStore,
-    key: impl Fn(&ColumnStore, usize) -> K,
-) -> ColumnStore {
-    let mut out = ColumnStore::default();
-    out.ts.reserve_exact(a.len() + b.len());
-    out.ip.reserve_exact(a.len() + b.len());
-    out.user.reserve_exact(a.len() + b.len());
-    out.asn.reserve_exact(a.len() + b.len());
-    out.country.reserve_exact(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if key(a, i) <= key(b, j) {
-            push_row(&mut out, a, i);
-            i += 1;
-        } else {
-            push_row(&mut out, b, j);
-            j += 1;
-        }
-    }
-    while i < a.len() {
-        push_row(&mut out, a, i);
-        i += 1;
-    }
-    while j < b.len() {
-        push_row(&mut out, b, j);
-        j += 1;
-    }
-    out
-}
-
 /// Finds run boundaries in a key-sorted column. Returns the run keys and
 /// start offsets, with a trailing sentinel offset (`keys.len()`).
 fn runs<K: PartialEq + Copy>(col: &[K]) -> (Vec<K>, Vec<usize>) {
@@ -171,14 +115,15 @@ fn runs<K: PartialEq + Copy>(col: &[K]) -> (Vec<K>, Vec<usize>) {
 }
 
 impl DatasetIndex {
-    /// Builds the index with stable sorts (the production path).
+    /// Builds the index: stable radix sorts of the window's dense user
+    /// and address ids.
     pub fn build(cols: ColumnSlice<'_>) -> Self {
-        Self::with_mode(cols, IndexMode::Sorted)
-    }
-
-    /// Builds the index via hash-map grouping (the reference path).
-    pub fn build_naive(cols: ColumnSlice<'_>) -> Self {
-        Self::with_mode(cols, IndexMode::Naive)
+        // Stable LSB radix over the packed u32 keys: identical
+        // permutation to a stable comparison sort (pinned by
+        // `sorted_radix_and_naive_perms_agree`), at counting-sort cost.
+        let user_perm = radix_sort_perm_u32(cols.users_dense());
+        let ip_perm = radix_sort_perm_u32(cols.ip_ids());
+        Self::from_perms(cols, &user_perm, &ip_perm)
     }
 
     /// Builds the index from a row slice by interning a local table set —
@@ -188,73 +133,18 @@ impl DatasetIndex {
         Self::build(owned.as_slice())
     }
 
-    /// Builds the index using the given grouping mode.
-    pub fn with_mode(cols: ColumnSlice<'_>, mode: IndexMode) -> Self {
-        let n = cols.len();
-        let user_col = cols.users_dense();
-        let ip_col = cols.ip_ids();
-        let (user_perm, ip_perm) = match mode {
-            // Stable LSB radix over the packed u32 keys: identical
-            // permutation to the old `perm.sort_by_key(|&i| col[i])`
-            // (stability pinned by `sorted_radix_and_naive_perms_agree`),
-            // at counting-sort cost.
-            IndexMode::Sorted => (radix_sort_perm_u32(user_col), radix_sort_perm_u32(ip_col)),
-            IndexMode::Naive => (naive_perm(n, |i| user_col[i]), naive_perm(n, |i| ip_col[i])),
-        };
+    /// The index whose user and address groups the two permutations of
+    /// the window lay out.
+    fn from_perms(cols: ColumnSlice<'_>, user_perm: &[u32], ip_perm: &[u32]) -> Self {
         let tables = cols.tables_arc();
-        let by_user = gather(cols, &user_perm);
+        let by_user = gather(cols, user_perm);
         let (user_keys, user_starts) = runs(&by_user.user);
         let users = user_keys.iter().map(|&d| tables.users.user(d)).collect();
-        let by_ip = gather(cols, &ip_perm);
+        let by_ip = gather(cols, ip_perm);
         let (ip_ids, ip_starts) = runs(&by_ip.ip);
         let ips = ip_ids.iter().map(|&id| tables.ips.addr(id)).collect();
         Self {
             tables,
-            by_user,
-            users,
-            user_starts,
-            by_ip,
-            ips,
-            ip_ids,
-            ip_starts,
-        }
-    }
-
-    /// Extends the index with a strictly-later slice of the same window —
-    /// the incremental-engine path: when a simulated day is appended, the
-    /// standing per-window index absorbs the one-day suffix by merging two
-    /// key-sorted runs (`O(old + new)` copies) instead of re-sorting the
-    /// whole grown window.
-    ///
-    /// Contract (asserted / relied upon):
-    ///
-    /// - `suffix` is encoded against the **same** intern tables as `self`
-    ///   (same `Arc`) — after a timeline extension the caller re-encodes
-    ///   stores against the union tables before slicing, so both operands
-    ///   share one table set;
-    /// - every suffix row follows every existing row in window
-    ///   (timestamp) order, so on key ties the existing run is taken
-    ///   whole before the suffix run — exactly the stable-sort order a
-    ///   from-scratch [`DatasetIndex::build`] over the concatenated
-    ///   window produces. The equivalence is pinned by
-    ///   `append_sorted_suffix_equals_full_rebuild`.
-    pub fn append_sorted_suffix(&self, suffix: ColumnSlice<'_>) -> Self {
-        assert!(
-            Arc::ptr_eq(&self.tables, &suffix.tables_arc()),
-            "append_sorted_suffix: suffix must share the index's intern tables"
-        );
-        let sfx = Self::build(suffix);
-        let by_user = merge_sorted_by(&self.by_user, &sfx.by_user, |c, i| c.user[i]);
-        let (user_keys, user_starts) = runs(&by_user.user);
-        let users = user_keys
-            .iter()
-            .map(|&d| self.tables.users.user(d))
-            .collect();
-        let by_ip = merge_sorted_by(&self.by_ip, &sfx.by_ip, |c, i| c.ip[i]);
-        let (ip_ids, ip_starts) = runs(&by_ip.ip);
-        let ips = ip_ids.iter().map(|&id| self.tables.ips.addr(id)).collect();
-        Self {
-            tables: Arc::clone(&self.tables),
             by_user,
             users,
             user_starts,
@@ -407,12 +297,21 @@ mod tests {
         assert!(idx.bytes() > 0);
     }
 
+    /// The index the hash-grouping oracle lays out.
+    fn build_naive(cols: ColumnSlice<'_>) -> DatasetIndex {
+        let n = cols.len();
+        let (user_col, ip_col) = (cols.users_dense(), cols.ip_ids());
+        let user_perm = naive_perm(n, |i| user_col[i]);
+        let ip_perm = naive_perm(n, |i| ip_col[i]);
+        DatasetIndex::from_perms(cols, &user_perm, &ip_perm)
+    }
+
     #[test]
     fn naive_and_sorted_paths_are_identical() {
         let recs = window();
         let owned = OwnedColumns::from_records(&recs);
         let a = DatasetIndex::build(owned.as_slice());
-        let b = DatasetIndex::build_naive(owned.as_slice());
+        let b = build_naive(owned.as_slice());
         assert_eq!(a.by_user, b.by_user);
         assert_eq!(a.users, b.users);
         assert_eq!(a.user_starts, b.user_starts);
@@ -421,9 +320,9 @@ mod tests {
         assert_eq!(a.ip_starts, b.ip_starts);
     }
 
-    /// Satellite: the three grouping paths — radix permutation (the
-    /// production `Sorted` mode), the old comparison-sort permutation,
-    /// and naive hash-grouping — must be byte-identical on seeded inputs
+    /// The three grouping paths — radix permutation (the production
+    /// path), the old comparison-sort permutation, and naive
+    /// hash-grouping — must be byte-identical on seeded inputs
     /// with heavy key duplication (which is what makes this a stability
     /// check: within a duplicate run, all three must preserve input
     /// order), and on empty / single-row windows.
@@ -460,9 +359,9 @@ mod tests {
                 "ip perm, n={n}"
             );
 
-            // Index level: Sorted (radix) == Naive (hash-group).
-            let a = DatasetIndex::with_mode(cols, IndexMode::Sorted);
-            let b = DatasetIndex::with_mode(cols, IndexMode::Naive);
+            // Index level: radix == hash-group oracle.
+            let a = DatasetIndex::build(cols);
+            let b = build_naive(cols);
             assert_eq!(a.by_user, b.by_user, "by_user columns, n={n}");
             assert_eq!(a.users, b.users);
             assert_eq!(a.user_starts, b.user_starts);
@@ -473,78 +372,13 @@ mod tests {
         }
     }
 
-    /// Asserts two indexes are identical field-for-field (tables aside).
-    fn assert_same_index(a: &DatasetIndex, b: &DatasetIndex, ctx: &str) {
-        assert_eq!(a.by_user, b.by_user, "by_user columns, {ctx}");
-        assert_eq!(a.users, b.users, "users, {ctx}");
-        assert_eq!(a.user_starts, b.user_starts, "user_starts, {ctx}");
-        assert_eq!(a.by_ip, b.by_ip, "by_ip columns, {ctx}");
-        assert_eq!(a.ips, b.ips, "ips, {ctx}");
-        assert_eq!(a.ip_ids, b.ip_ids, "ip_ids, {ctx}");
-        assert_eq!(a.ip_starts, b.ip_starts, "ip_starts, {ctx}");
-    }
-
-    /// Tentpole: appending a timestamp-later suffix to an existing index
-    /// must be byte-identical to building the index from scratch over the
-    /// concatenated window — at every split point of a hand-built window.
-    #[test]
-    fn append_sorted_suffix_equals_full_rebuild() {
-        let recs = window();
-        let owned = OwnedColumns::from_records(&recs);
-        let cols = owned.as_slice();
-        let full = DatasetIndex::build(cols);
-        for split in 0..=recs.len() {
-            let prefix = DatasetIndex::build(cols.slice(0..split));
-            let merged = prefix.append_sorted_suffix(cols.slice(split..recs.len()));
-            assert_same_index(&merged, &full, &format!("split={split}"));
-        }
-    }
-
-    /// TestGen property: same equivalence over seeded windows with heavy
-    /// key duplication (long duplicate runs make this a stability check —
-    /// the merge must keep the existing run ahead of the suffix run on
-    /// key ties), sorted by timestamp so every suffix row is later.
-    #[test]
-    fn append_sorted_suffix_property_matches_build() {
-        use ipv6_study_stats::testgen::TestGen;
-        let mut g = TestGen::new(0x4150_5058); // "APPX"
-        for n in [1usize, 2, 64, 500] {
-            let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| {
-                let host = g.below(6);
-                let ip = if g.below(2) == 1 {
-                    format!("2001:db8::{host:x}")
-                } else {
-                    format!("10.0.0.{host}")
-                };
-                rec(g.below(4), (g.below(24)) as u8, (g.below(60)) as u8, &ip)
-            });
-            recs.sort_by_key(|r| r.ts);
-            let owned = OwnedColumns::from_records(&recs);
-            let cols = owned.as_slice();
-            let full = DatasetIndex::build(cols);
-            for split in [0, 1, n / 3, n / 2, n - 1, n] {
-                let prefix = DatasetIndex::build(cols.slice(0..split));
-                let merged = prefix.append_sorted_suffix(cols.slice(split..n));
-                assert_same_index(&merged, &full, &format!("n={n} split={split}"));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "intern tables")]
-    fn append_sorted_suffix_rejects_foreign_tables() {
-        let recs = window();
-        let a = OwnedColumns::from_records(&recs);
-        let b = OwnedColumns::from_records(&recs);
-        let idx = DatasetIndex::build(a.as_slice());
-        let _ = idx.append_sorted_suffix(b.as_slice());
-    }
-
     #[test]
     fn empty_window_is_safe() {
-        for mode in [IndexMode::Sorted, IndexMode::Naive] {
-            let owned = OwnedColumns::from_records(&[]);
-            let idx = DatasetIndex::with_mode(owned.as_slice(), mode);
+        let owned = OwnedColumns::from_records(&[]);
+        for idx in [
+            DatasetIndex::build(owned.as_slice()),
+            build_naive(owned.as_slice()),
+        ] {
             assert!(idx.is_empty());
             assert_eq!(idx.user_groups().count(), 0);
             assert_eq!(idx.ip_groups().count(), 0);

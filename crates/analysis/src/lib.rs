@@ -41,5 +41,5 @@ pub mod similarity;
 pub mod user_centric;
 pub mod windows;
 
-pub use index::{DatasetIndex, IndexMode};
+pub use index::DatasetIndex;
 pub use report::{CdfSeries, FigureReport, TableReport};

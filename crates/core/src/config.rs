@@ -49,7 +49,11 @@ pub enum ConfigError {
     /// [`StorageMode::InMemory`]: the budget governs spill writes only,
     /// so setting it without spill storage is a misconfiguration.
     DiskBudgetWithoutSpill,
-    /// The spill session directory cannot be created or used.
+    /// Storage the configuration names cannot be used: the spill
+    /// session directory cannot be created, or a state dir is refused
+    /// (another checkpoint schema or configuration, or a range shorter
+    /// than the one it covers). Disk failures and damaged files are
+    /// [`crate::StudyError::Spill`] instead.
     Storage(String),
     /// A fixed sampling rate is not a probability in `(0, 1]` (or NaN).
     InvalidSamplingRate(f64),
@@ -119,7 +123,7 @@ impl fmt::Display for ConfigError {
                     "disk_budget_bytes requires the spill storage mode (it caps on-disk bytes)"
                 )
             }
-            ConfigError::Storage(msg) => write!(f, "spill storage unusable: {msg}"),
+            ConfigError::Storage(msg) => write!(f, "storage unusable: {msg}"),
             ConfigError::InvalidSamplingRate(r) => {
                 write!(f, "sampling rate {r} must be within (0, 1]")
             }

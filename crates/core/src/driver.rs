@@ -17,7 +17,7 @@
 //!    campaign counts), never of `threads`;
 //! 2. workers claim shard indices from a shared queue — claiming order
 //!    is racy, but each shard's output is entirely local;
-//! 3. the merge walks shards in plan order, so each family's run list
+//! 3. the merge walks shards in plan order, so the segment list
 //!    ("shard-major": benign shards ascending, then campaign shards
 //!    ascending) is a constant of the config.
 //!
@@ -54,8 +54,8 @@ use ipv6_study_behavior::schedule::day_plan;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{rate_per_sec, Span};
 use ipv6_study_telemetry::{
-    freeze_families, DateRange, Families, FamilyRuns, FrozenDatasets, FrozenFamilies, FrozenStore,
-    MemGauge, RequestSink, Samplers, ShardPayload, ShardSink, SimDate, SpillError, SpillSession,
+    freeze_families, DateRange, Families, FrozenDatasets, FrozenFamilies, FrozenStore, MemGauge,
+    RequestSink, Samplers, Segment, ShardPayload, ShardSink, SimDate, SpillError, SpillSession,
     SpillTarget, StorageMode,
 };
 
@@ -138,18 +138,19 @@ pub struct RunMetrics {
     pub plan_wall: Duration,
     /// Wall-clock of the parallel simulation phase.
     pub sim_wall: Duration,
-    /// Wall-clock of the merge phase: concatenating the shards' runs in
-    /// plan order, plus opening any history's runs.
+    /// Wall-clock of the merge phase: concatenating the shards' segments
+    /// in plan order, plus opening or encoding any history's segments.
     pub merge_wall: Duration,
-    /// Wall-clock of the freeze: the verified read of every run, the key
-    /// ranking and the gather into frozen columns.
+    /// Wall-clock of the freeze: the verified read of every segment, the
+    /// key ranking and the gather into frozen columns.
     pub sort_wall: Duration,
     /// Wall-clock of the whole [`crate::Study::run`], set by the caller.
     pub total_wall: Duration,
-    /// High-water mark of mutable row bytes held in memory during the sim
-    /// phase (in-memory runs plus staging buffers; frozen columns, intern
-    /// tables, and the freeze's staging columns excluded). This is the
-    /// number [`StorageMode::Spill`] bounds.
+    /// High-water mark of the bytes the sim phase holds in memory for the
+    /// freeze (staged rows, shard dictionaries and sealed in-memory
+    /// segments; frozen columns, intern tables, and the freeze's staging
+    /// columns excluded). This is the number [`StorageMode::Spill`]
+    /// bounds.
     ///
     /// [`StorageMode::Spill`]: ipv6_study_telemetry::StorageMode::Spill
     pub peak_store_bytes: u64,
@@ -262,10 +263,11 @@ impl<'w> SimInputs<'w> {
     }
 }
 
-/// What the sim phase hands to the freeze: every family's runs in plan
-/// order, the counters the runs do not carry, metrics and faults.
+/// What the sim phase hands to the freeze: every shard's segments in
+/// plan order, the counters the segments do not carry, metrics and
+/// faults.
 pub(crate) struct Simulated {
-    pub runs: FamilyRuns,
+    pub segments: Vec<Segment>,
     /// Records offered to the samplers.
     pub offered: u64,
     /// Distinct benign users enumerated on the first study day, summed
@@ -283,7 +285,7 @@ impl Simulated {
     /// already covers the requested range).
     pub(crate) fn nothing(config: &StudyConfig) -> Self {
         Self {
-            runs: FamilyRuns::new(&config.prefix_lengths),
+            segments: Vec::new(),
             offered: 0,
             users_seen: 0,
             users_sampled: 0,
@@ -343,15 +345,15 @@ struct ShardEnv<'a> {
     pair_start: SimDate,
     /// The run's spill session when `config.storage` is `Spill`.
     spill: Option<&'a SpillSession>,
-    /// Rows staged per family before a run is spilled.
+    /// Rows a family stages before a spilling shard seals a segment.
     segment_rows: usize,
     /// Run-wide mutable-row-bytes high-water gauge.
     gauge: &'a MemGauge,
 }
 
 /// Simulates one shard attempt through one [`ShardSink`] that applies the
-/// §3.1 samplers in-stream and seals each family into runs, in memory or
-/// spilled per the configured storage mode.
+/// §3.1 samplers in-stream and seals the retained rows into segments, in
+/// memory or spilled per the configured storage mode.
 ///
 /// `progress` is updated with the running record count at every day
 /// boundary; when the attempt fails (injected or real), the caller reads
@@ -361,7 +363,7 @@ struct ShardEnv<'a> {
 /// [`FaultDecision::default`] when injection is off.
 ///
 /// Storage faults surface as a typed `Err(SpillError)`: the sink latches
-/// the first writer error, this loop polls it at every day boundary to
+/// the first seal error, this loop polls it at every day boundary to
 /// stop simulating into a dead sink, and `into_payload` refuses partial
 /// data at the end.
 fn run_shard(
@@ -545,15 +547,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Simulates `days` on the shard plan and concatenates the shards' runs
-/// in plan order.
+/// Simulates `days` on the shard plan and concatenates the shards'
+/// segments in plan order.
 ///
 /// The shard plan, samplers, and campaign placement are config-derived,
 /// so for any day this emits exactly the rows a run over the whole
 /// `config.sim_range()` would — the incremental engine simulates only
 /// the days its history does not cover. `spill` is the run's spill
 /// session when `config.storage` is `Spill`; the caller owns it so its
-/// files outlive the runs the freeze reads.
+/// files outlive the segments the freeze reads.
 ///
 /// Returns `Err(StudyError::ShardsFailed)` when shard failures exceed
 /// what `config.failure_policy` tolerates; otherwise the output's
@@ -655,8 +657,8 @@ pub(crate) fn simulate(
                 };
                 // The failed attempt's buffers are gone (dropped by the
                 // unwind, or never handed over by the typed-error return);
-                // give back its gauge slice and delete any segment files
-                // the attempt spilled so a retry starts from nothing.
+                // give back its gauge slice and delete the spill file the
+                // attempt wrote so a retry starts from nothing.
                 gauge.release(&published);
                 if let Some(session) = spill {
                     session.remove_attempt(i, attempt);
@@ -715,12 +717,12 @@ pub(crate) fn simulate(
         return Err(StudyError::ShardsFailed(faults));
     }
 
-    // Merge phase: walk the slots in plan order and concatenate each
-    // family's runs. No record moves; all ordering is left to the
+    // Merge phase: walk the slots in plan order and concatenate the
+    // shards' segments. No record moves; all ordering is left to the
     // freeze's stable sort.
     let t1 = Instant::now();
     let mut shards = Vec::with_capacity(plan.len());
-    let mut runs = FamilyRuns::new(&config.prefix_lengths);
+    let mut segments = Vec::new();
     let (mut offered, mut users_seen, mut users_sampled) = (0u64, 0u64, 0u64);
     for (i, (work, slot)) in plan.iter().zip(slots).enumerate() {
         // Poison recovery (see WorkQueue::claim); an empty slot is a shard
@@ -733,7 +735,7 @@ pub(crate) fn simulate(
             continue;
         };
         let ShardPayload {
-            runs: shard_runs,
+            segments: shard_segments,
             offered: shard_offered,
             records,
         } = out.payload;
@@ -746,12 +748,12 @@ pub(crate) fn simulate(
         offered += shard_offered;
         users_seen += out.users_seen;
         users_sampled += out.users_sampled;
-        runs.append(shard_runs);
+        segments.extend(shard_segments);
     }
     let merge_wall = t1.elapsed();
 
     Ok(Simulated {
-        runs,
+        segments,
         offered,
         users_seen,
         users_sampled,
@@ -776,17 +778,19 @@ pub(crate) struct Frozen {
     pub pair_store: FrozenStore,
     /// `freeze` (items = rows frozen, bytes = frozen store bytes, intern
     /// tables counted once) with its `read` (items = rows staged: every
-    /// row but the history segments'), `intern` (items = distinct keys,
-    /// bytes = tables) and `gather` (items = rows) children.
+    /// emitted segment's), `intern` (items = distinct keys, bytes =
+    /// tables) and `gather` (items = rows) children.
     pub span: Span,
 }
 
-/// The one freeze: [`freeze_families`] over every family's runs, packaged
-/// as the study's stores with its span. Cold runs, extensions and
-/// state-dir resumes all freeze through here, so equal runs give equal
-/// bytes whichever storage they came from.
+/// The one freeze: [`freeze_families`] over the segment list (history
+/// first) with `config`'s families, packaged as the study's stores with
+/// its span. Cold runs, extensions and state-dir resumes all freeze
+/// through here, so equal runs give equal bytes whichever storage they
+/// came from.
 pub(crate) fn freeze(
-    runs: FamilyRuns,
+    segments: Vec<Segment>,
+    config: &StudyConfig,
     samplers: Samplers,
     offered: u64,
 ) -> Result<Frozen, SpillError> {
@@ -799,7 +803,7 @@ pub(crate) fn freeze(
         read_wall,
         intern_wall,
         gather_wall,
-    } = freeze_families(runs)?;
+    } = freeze_families(segments, &config.prefix_lengths)?;
     let Families {
         request,
         user,

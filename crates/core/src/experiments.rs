@@ -35,7 +35,7 @@ use ipv6_study_analysis::user_centric::{
     address_lifespans, addrs_per_user, prefix_lifespans, prefixes_per_user,
 };
 use ipv6_study_analysis::windows;
-use ipv6_study_analysis::{CdfSeries, DatasetIndex, FigureReport, IndexMode, TableReport};
+use ipv6_study_analysis::{CdfSeries, DatasetIndex, FigureReport, TableReport};
 use ipv6_study_obs::Span;
 use ipv6_study_secapp::actioning::{
     actioning_roc_between, operating_points, DayCounts, Granularity,
@@ -60,7 +60,7 @@ use crate::study::Study;
 /// The shared windows cover the focus day/week of the user and IP
 /// samples, the 28-day lifespan lookback, and the abuse store's focus
 /// week; passes with one-off windows build them through
-/// [`AnalysisCtx::index`] (which honors the configured [`IndexMode`]).
+/// [`AnalysisCtx::index`].
 ///
 /// Each shared window lives in a [`OnceLock`] and is built on first
 /// access: a full [`run_all`] forces all six up front (so the
@@ -72,7 +72,6 @@ use crate::study::Study;
 pub struct AnalysisCtx<'a> {
     /// The completed study this analysis reads.
     pub study: &'a Study,
-    mode: IndexMode,
     user_week: OnceLock<DatasetIndex>,
     user_day: OnceLock<DatasetIndex>,
     user_lookback: OnceLock<DatasetIndex>,
@@ -82,17 +81,10 @@ pub struct AnalysisCtx<'a> {
 }
 
 impl<'a> AnalysisCtx<'a> {
-    /// Wraps a study with the production grouping mode.
+    /// Wraps a study; windows build on first access.
     pub fn new(study: &'a Study) -> Self {
-        Self::with_mode(study, IndexMode::Sorted)
-    }
-
-    /// Wraps a study with an explicit grouping mode (the naive path
-    /// exists for the equivalence suite). Windows build on first access.
-    pub fn with_mode(study: &'a Study, mode: IndexMode) -> Self {
         Self {
             study,
-            mode,
             user_week: OnceLock::new(),
             user_day: OnceLock::new(),
             user_lookback: OnceLock::new(),
@@ -172,9 +164,9 @@ impl<'a> AnalysisCtx<'a> {
         }
     }
 
-    /// Indexes a one-off window with this context's grouping mode.
+    /// Indexes a one-off window.
     pub fn index(&self, records: ColumnSlice<'_>) -> DatasetIndex {
-        DatasetIndex::with_mode(records, self.mode)
+        DatasetIndex::build(records)
     }
 
     fn built(&self) -> impl Iterator<Item = &DatasetIndex> {
@@ -1464,11 +1456,10 @@ fn analyse(
     study: &mut Study,
     registry: &[Experiment],
     workers: usize,
-    mode: IndexMode,
     index_all: bool,
 ) -> (Vec<(&'static str, ExperimentOutput)>, usize) {
     let t0 = Instant::now();
-    let ctx = AnalysisCtx::with_mode(study, mode);
+    let ctx = AnalysisCtx::new(study);
     let index = index_all.then(|| ctx.build_all());
     // Claim order cannot affect output: passes only read the frozen
     // study and the shared context.
@@ -1522,26 +1513,18 @@ fn analyse(
 /// per shared window) and `passes` (one child per experiment, items =
 /// its input records). A second call replaces the span.
 pub fn run_all(study: &mut Study) -> Vec<(&'static str, ExperimentOutput)> {
-    run_all_with(
-        study,
-        study.config.effective_analysis_threads(),
-        IndexMode::Sorted,
-    )
+    run_all_with(study, study.config.effective_analysis_threads())
 }
 
-/// [`run_all`] with explicit worker count and index mode (the equivalence
-/// suite exercises both knobs; production goes through [`run_all`]).
+/// [`run_all`] with an explicit worker count (the equivalence suite
+/// varies it; production goes through [`run_all`]).
 ///
 /// Output is byte-identical at any `workers` value: like the simulation
 /// driver, workers claim passes from a shared cursor in racy order, but
 /// each result lands in its registry-indexed slot and the merge walks
 /// slots in registry order.
-pub fn run_all_with(
-    study: &mut Study,
-    workers: usize,
-    mode: IndexMode,
-) -> Vec<(&'static str, ExperimentOutput)> {
-    analyse(study, &EXPERIMENTS, workers, mode, true).0
+pub fn run_all_with(study: &mut Study, workers: usize) -> Vec<(&'static str, ExperimentOutput)> {
+    analyse(study, &EXPERIMENTS, workers, true).0
 }
 
 /// Runs the extended (beyond-paper) registry, on
@@ -1551,22 +1534,14 @@ pub fn run_all_with(
 /// pass must leave the default BENCH_run.json exactly as untouched as it
 /// leaves EXPERIMENTS.md.
 pub fn run_extended(study: &Study) -> Vec<(&'static str, ExperimentOutput)> {
-    run_extended_with(
-        study,
-        study.config.effective_analysis_threads(),
-        IndexMode::Sorted,
-    )
+    run_extended_with(study, study.config.effective_analysis_threads())
 }
 
-/// [`run_extended`] with explicit worker count and index mode (exercised
-/// by the extended-equivalence suite; production goes through
+/// [`run_extended`] with an explicit worker count (exercised by the
+/// extended-equivalence suite; production goes through
 /// [`run_extended`]). Byte-identical at any `workers` value.
-pub fn run_extended_with(
-    study: &Study,
-    workers: usize,
-    mode: IndexMode,
-) -> Vec<(&'static str, ExperimentOutput)> {
-    let ctx = AnalysisCtx::with_mode(study, mode);
+pub fn run_extended_with(study: &Study, workers: usize) -> Vec<(&'static str, ExperimentOutput)> {
+    let ctx = AnalysisCtx::new(study);
     let outs = run_pool(&EXTENDED_EXPERIMENTS, &ctx, workers);
     EXTENDED_EXPERIMENTS
         .iter()
@@ -1609,7 +1584,7 @@ pub fn run_selected(
     if registry.is_empty() {
         return (Vec::new(), 0);
     }
-    analyse(study, &registry, workers, IndexMode::Sorted, false)
+    analyse(study, &registry, workers, false)
 }
 
 #[cfg(test)]

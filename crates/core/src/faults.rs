@@ -180,22 +180,23 @@ pub struct FaultInjector {
 }
 
 /// Deterministic I/O fault rates for the spill layer, keyed off
-/// `(seed, shard, attempt, op index)` — the stream hash covers shard,
-/// attempt and family; the op index covers position in the stream. All
-/// zero by default (no I/O faults).
+/// `(seed, shard, attempt, op index)` — the stream hash covers shard and
+/// attempt; the op index covers position in the attempt's spill file.
+/// All zero by default (no I/O faults).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoFaultSpec {
-    /// Probability in `[0, 1]` that a run-frame write op fails
+    /// Probability in `[0, 1]` that a segment append op fails
     /// transiently.
     pub write_fail_rate: f64,
-    /// Probability in `[0, 1]` that a header/row read op fails
+    /// Probability in `[0, 1]` that a segment read op fails
     /// transiently.
     pub read_fail_rate: f64,
     /// Of faulted writes, the fraction that tear a short prefix onto
     /// disk before failing (exercising the all-or-nothing rollback).
     pub short_write_rate: f64,
-    /// Probability in `[0, 1]` that a written run gets one byte flipped —
-    /// detected by the read-side checksum as [`SpillError::Corrupt`].
+    /// Probability in `[0, 1]` that a written segment gets one byte
+    /// flipped — detected by the read-side checks as
+    /// [`SpillError::Corrupt`].
     pub corrupt_rate: f64,
     /// How many consecutive io attempts a faulted op fails before it
     /// succeeds; values above the op-retry budget make the op error out
@@ -258,7 +259,7 @@ impl FaultInjector {
         self
     }
 
-    /// Sets the transient write-failure rate for spill run writes.
+    /// Sets the transient write-failure rate for spill segment appends.
     pub fn with_io_write_fail_rate(mut self, rate: f64) -> Self {
         self.io.write_fail_rate = rate;
         self
@@ -277,8 +278,8 @@ impl FaultInjector {
         self
     }
 
-    /// Sets the per-run byte-corruption rate (caught by the read-side
-    /// checksum as a typed [`SpillError::Corrupt`]).
+    /// Sets the per-segment byte-corruption rate (caught by the
+    /// read-side checks as a typed [`SpillError::Corrupt`]).
     pub fn with_corrupt_rate(mut self, rate: f64) -> Self {
         self.io.corrupt_rate = rate;
         self
@@ -472,9 +473,9 @@ pub enum StudyError {
     /// any failure under `Abort`, or an exhausted-retry shard under
     /// `Retry`. The report lists every failed shard.
     ShardsFailed(FaultReport),
-    /// The storage layer failed outside any single shard attempt — during
-    /// the merge of spill runs into the frozen store, or while tearing the
-    /// session down.
+    /// The storage layer failed outside any single shard attempt: the
+    /// freeze's read of a spilled segment, or a state-dir file or
+    /// directory (a day segment, the manifest, the `days` directory).
     Spill(SpillError),
 }
 
@@ -490,7 +491,7 @@ impl fmt::Display for StudyError {
                     r.policy
                 )
             }
-            StudyError::Spill(e) => write!(f, "storage failure during merge: {e}"),
+            StudyError::Spill(e) => write!(f, "storage failure: {e}"),
         }
     }
 }
@@ -600,7 +601,9 @@ mod tests {
         assert_eq!(FaultKind::Corrupt.to_string(), "corrupt");
         // Spill errors lift into StudyError with a source chain.
         let e = StudyError::from(corrupt);
-        assert!(e.to_string().contains("merge"));
+        assert!(e
+            .to_string()
+            .starts_with("storage failure: corrupt data in"));
         assert!(std::error::Error::source(&e).is_some());
     }
 

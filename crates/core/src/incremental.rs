@@ -14,11 +14,11 @@
 //!    `driver::simulate`).
 //! 2. **Order stability.** Frozen stores order rows by timestamp with
 //!    plan-order tie-breaks; days are timestamp-disjoint, so the
-//!    history's canonical rows followed by the suffix's runs *are* the
+//!    history's canonical rows followed by the suffix's rows *are* the
 //!    longer run's canonical order. The history enters the one freeze
-//!    as runs — the old study's frozen stores, or the state dir's day
-//!    files — placed before the suffix runs, and the freeze's stable
-//!    sort keeps that order.
+//!    as day segments — the state dir's files, or the same segments
+//!    encoded in memory from the old study's stores — placed before the
+//!    suffix's segments, and the freeze gathers them as they lie.
 //! 3. **Order-isomorphism.** Intern tables depend only on the
 //!    distinct raw-key *sets*, and dense ids are assigned in ascending
 //!    raw-key order — so the union tables equal the longer run's tables
@@ -57,9 +57,11 @@
 //! manifest. Pair segments are pruned once neither the committed nor the
 //! new pair window holds their day.
 //!
-//! A resume opens the covered days' segments as runs, and the freeze
-//! gathers them straight into the frozen columns, interning only each
-//! segment's dictionary and never hashing or sorting a history row. Only
+//! A resume opens the covered days' segments, and the freeze gathers
+//! them straight into the frozen columns, interning only each segment's
+//! dictionary and never hashing or sorting a history row. An in-process
+//! [`Study::extend_days`] hands the freeze the same segments, encoded in
+//! memory by the same writer, so both paths freeze the same history. Only
 //! the passes whose read windows cover the new days (per
 //! [`windows::invalidated_by_extension`], the single source of truth)
 //! are re-run — everything else is spliced from the manifest's sections,
@@ -68,13 +70,13 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ipv6_study_analysis::windows;
 use ipv6_study_obs::{IncrementalStat, Json, Span};
 use ipv6_study_telemetry::{
-    remove_temp_files, write_atomic, write_segment, DateRange, Family, FamilyRuns, FrozenStore,
-    Run, Segment, SimDate,
+    remove_temp_files, write_atomic, write_segment, ColumnSlice, DateRange, Families, Family,
+    FrozenStore, IoOp, Segment, SimDate, SpillError,
 };
 
 use crate::config::{ConfigError, StudyConfig};
@@ -136,22 +138,25 @@ impl Files {
     }
 }
 
-/// Wraps a filesystem problem in the state dir as a config/storage
-/// error (the checkpoint is configuration-supplied storage).
-fn storage_err(what: &str, path: &Path, e: &std::io::Error) -> StudyError {
-    StudyError::Config(ConfigError::Storage(format!(
-        "state dir: {what} {} failed: {e}",
-        path.display()
-    )))
-}
-
-/// A state-dir consistency problem (bad manifest, config mismatch).
+/// A refusal to use the state dir (schema, identity, or a backward
+/// range): the configuration asks for something the dir cannot give.
 fn storage_msg(msg: String) -> StudyError {
     StudyError::Config(ConfigError::Storage(msg))
 }
 
+/// A manifest that does not parse or lacks a field: damaged storage.
+fn manifest_corrupt(path: &Path, offset: u64, reason: String) -> StudyError {
+    StudyError::Spill(SpillError::Corrupt {
+        path: path.to_path_buf(),
+        run: 0,
+        offset,
+        reason,
+    })
+}
+
 /// Extends `study` by `n` simulated days: its frozen stores become the
-/// history's runs, the driver simulates only the suffix days, and the
+/// history's day segments, encoded in memory exactly as a checkpoint
+/// save writes them, the driver simulates only the suffix days, and the
 /// one freeze merges both. See the module docs for why the result is
 /// byte-identical to a from-scratch run of the longer range.
 pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), StudyError> {
@@ -178,41 +183,40 @@ pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), S
     let pair_win = windows::pair_window(config.sim_end());
     let carried = study.take_day_counts(pair_win);
 
-    let Study {
-        world,
-        datasets,
-        abuse_store,
-        pair_store,
-        users_seen,
-        users_sampled,
-        ..
-    } = study;
-    let mut runs = FamilyRuns {
-        request: vec![Run::frozen(datasets.request_sample, old_range)],
-        user: vec![Run::frozen(datasets.user_sample, old_range)],
-        ip: vec![Run::frozen(datasets.ip_sample, old_range)],
-        prefixes: datasets
-            .prefix_samples
-            .into_iter()
-            .map(|(len, store)| (len, vec![Run::frozen(store, old_range)]))
-            .collect(),
-        abuse: vec![Run::frozen(abuse_store, old_range)],
-        pair: Vec::new(),
-    };
-    // The pair store slides: keep only the old days still inside the new
-    // window (the suffix run routes its days against that window).
-    if pair_win.start <= old_range.end {
-        let kept = DateRange::new(pair_win.start, old_range.end);
-        runs.pair.push(Run::frozen(pair_store, kept));
+    // The history: every old day's segment, and the pair segments of the
+    // old days still inside the new pair window (the suffix run routes
+    // its days against that window).
+    let t_encode = Instant::now();
+    let families = day_families(&config);
+    let tables = study.pair_store().tables();
+    let mut segments = Vec::new();
+    for day in old_range.days() {
+        let sections = day_sections(&study, &families, day);
+        segments.push(Segment::encoded(
+            &day_path(Path::new(""), day),
+            day,
+            tables,
+            &sections,
+        )?);
+        if pair_win.contains(day) {
+            segments.push(Segment::encoded(
+                &pair_path(Path::new(""), day),
+                day,
+                tables,
+                &pair_section(&study, day),
+            )?);
+        }
     }
     let history = History {
-        runs,
+        segments,
         days: old_range.num_days(),
-        offered: datasets.offered,
-        users_seen,
-        users_sampled,
-        load_wall: Duration::ZERO,
+        offered: study.datasets.offered,
+        users_seen: study.users_seen,
+        users_sampled: study.users_sampled,
+        load_wall: t_encode.elapsed(),
     };
+    // The old stores are dropped here; the segments hold the history.
+    let Study { world, .. } = study;
     let mut extended = Study::absorb(config, world, history, t0)?;
     extended.seed_day_counts(carried);
     let stats = IncrementalStat {
@@ -239,9 +243,26 @@ fn family_store(study: &Study, family: Family) -> &FrozenStore {
 /// The families of a day segment, in section order: every family of
 /// `config` but pair.
 fn day_families(config: &StudyConfig) -> Vec<Family> {
-    let mut families = FamilyRuns::new(&config.prefix_lengths).keys();
+    let mut families = Families::<()>::new(&config.prefix_lengths).keys();
     families.retain(|&f| f != Family::Pair);
     families
+}
+
+/// The sections of `day`'s day segment: each of `families` on that day.
+fn day_sections<'s>(
+    study: &'s Study,
+    families: &[Family],
+    day: SimDate,
+) -> Vec<(Family, ColumnSlice<'s>)> {
+    families
+        .iter()
+        .map(|&f| (f, family_store(study, f).on_day(day)))
+        .collect()
+}
+
+/// The one section of `day`'s pair segment.
+fn pair_section(study: &Study, day: SimDate) -> [(Family, ColumnSlice<'_>); 1] {
+    [(Family::Pair, study.pair_store().on_day(day))]
 }
 
 /// The day segment of `day` under `dir`.
@@ -308,7 +329,7 @@ fn save_checkpoint(
     committed: Option<DateRange>,
 ) -> Result<Files, StudyError> {
     let days_dir = dir.join("days");
-    fs::create_dir_all(&days_dir).map_err(|e| storage_err("creating", &days_dir, &e))?;
+    fs::create_dir_all(&days_dir).map_err(|e| SpillError::io(&days_dir, IoOp::Create, &e))?;
     remove_temp_files(dir)?;
     remove_temp_files(&days_dir)?;
     let config = &study.config;
@@ -321,22 +342,18 @@ fn save_checkpoint(
     for day in config.sim_range().days() {
         let covered = committed.is_some_and(|c| c.contains(day));
         if !covered {
-            let sections: Vec<_> = families
-                .iter()
-                .map(|&f| (f, family_store(study, f).on_day(day)))
-                .collect();
+            let sections = day_sections(study, &families, day);
             written.add(write_segment(&day_path(dir, day), tables, &sections)?);
         }
         let pair = pair_path(dir, day);
         if pair_win.contains(day) {
             if !covered {
-                let section = [(Family::Pair, study.pair_store().on_day(day))];
-                written.add(write_segment(&pair, tables, &section)?);
+                written.add(write_segment(&pair, tables, &pair_section(study, day))?);
             }
         } else if !committed_pair_win.is_some_and(|w| w.contains(day)) {
             match fs::remove_file(&pair) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                    return Err(storage_err("pruning", &pair, &e));
+                    return Err(SpillError::io(&pair, IoOp::Remove, &e).into());
                 }
                 _ => {}
             }
@@ -372,36 +389,49 @@ fn save_checkpoint(
     Ok(written)
 }
 
-/// Reads one `u64` field out of a manifest object.
-fn manifest_u64(obj: &Json, key: &str) -> Result<u64, StudyError> {
+/// Reads one `u64` field out of the manifest at `path`.
+fn manifest_u64(path: &Path, obj: &Json, key: &str) -> Result<u64, StudyError> {
     match obj.get(key) {
         Some(Json::UInt(v)) => Ok(*v),
-        _ => Err(storage_msg(format!(
-            "state dir manifest is missing the `{key}` field"
-        ))),
+        _ => Err(manifest_corrupt(
+            path,
+            0,
+            format!("manifest is missing the `{key}` field"),
+        )),
     }
 }
 
-/// Reads one string field out of a manifest object.
-fn manifest_str(obj: &Json, key: &str) -> Result<String, StudyError> {
+/// Reads one string field out of the manifest at `path`.
+fn manifest_str(path: &Path, obj: &Json, key: &str) -> Result<String, StudyError> {
     match obj.get(key) {
         Some(Json::Str(v)) => Ok(v.clone()),
-        _ => Err(storage_msg(format!(
-            "state dir manifest is missing the `{key}` field"
-        ))),
+        _ => Err(manifest_corrupt(
+            path,
+            0,
+            format!("manifest is missing the `{key}` field"),
+        )),
     }
 }
 
-/// Loads and validates the manifest, or `Ok(None)` for a fresh dir.
+/// Loads and validates the manifest, or `Ok(None)` for a fresh dir. A
+/// manifest that cannot be read, does not parse or lacks a field is a
+/// storage error naming it; one written for another schema or
+/// configuration is refused as a config error.
 fn load_manifest(dir: &Path, config: &StudyConfig) -> Result<Option<Checkpoint>, StudyError> {
     let path = dir.join("manifest.json");
     if !path.exists() {
         return Ok(None);
     }
-    let text = fs::read_to_string(&path).map_err(|e| storage_err("reading", &path, &e))?;
-    let json = Json::parse(&text)
-        .map_err(|e| storage_msg(format!("state dir manifest is not valid JSON: {e}")))?;
-    let schema = manifest_u64(&json, "checkpoint_schema")?;
+    let text = fs::read_to_string(&path).map_err(|e| SpillError::io(&path, IoOp::Read, &e))?;
+    let json = Json::parse(&text).map_err(|e| {
+        manifest_corrupt(
+            &path,
+            e.offset as u64,
+            format!("manifest is not valid JSON: {}", e.message),
+        )
+    })?;
+    let field = |obj: &Json, key: &str| manifest_u64(&path, obj, key);
+    let schema = field(&json, "checkpoint_schema")?;
     if schema != CHECKPOINT_SCHEMA {
         return Err(storage_msg(format!(
             "state dir manifest has checkpoint_schema {schema}, but this build reads only \
@@ -410,7 +440,7 @@ fn load_manifest(dir: &Path, config: &StudyConfig) -> Result<Option<Checkpoint>,
     }
     let identity = json
         .get("identity")
-        .ok_or_else(|| storage_msg("state dir manifest has no identity echo".to_string()))?;
+        .ok_or_else(|| manifest_corrupt(&path, 0, "manifest has no identity echo".into()))?;
     if *identity != identity_json(config) {
         return Err(storage_msg(
             "state dir was produced by a different configuration (seed, scale, windows, \
@@ -418,32 +448,39 @@ fn load_manifest(dir: &Path, config: &StudyConfig) -> Result<Option<Checkpoint>,
                 .to_string(),
         ));
     }
-    let covered = manifest_u64(&json, "covered_extend_days")?;
-    let covered_extend_days = u16::try_from(covered)
-        .map_err(|_| storage_msg(format!("covered_extend_days {covered} is out of range")))?;
+    let covered = field(&json, "covered_extend_days")?;
+    let covered_extend_days = u16::try_from(covered).map_err(|_| {
+        manifest_corrupt(
+            &path,
+            0,
+            format!("covered_extend_days {covered} is out of range"),
+        )
+    })?;
     let counters = json
         .get("counters")
-        .ok_or_else(|| storage_msg("state dir manifest has no counters".to_string()))?;
+        .ok_or_else(|| manifest_corrupt(&path, 0, "manifest has no counters".into()))?;
     let Some(Json::Arr(items)) = json.get("passes") else {
-        return Err(storage_msg(
-            "state dir manifest is missing the `passes` list".to_string(),
+        return Err(manifest_corrupt(
+            &path,
+            0,
+            "manifest is missing the `passes` list".into(),
         ));
     };
     let passes = items
         .iter()
         .map(|p| {
             Ok(PassSection {
-                id: manifest_str(p, "id")?,
-                markdown: manifest_str(p, "markdown")?,
-                summary: manifest_str(p, "summary")?,
+                id: manifest_str(&path, p, "id")?,
+                markdown: manifest_str(&path, p, "markdown")?,
+                summary: manifest_str(&path, p, "summary")?,
             })
         })
         .collect::<Result<_, StudyError>>()?;
     Ok(Some(Checkpoint {
         covered_extend_days,
-        offered: manifest_u64(counters, "offered")?,
-        users_seen: manifest_u64(counters, "users_seen")?,
-        users_sampled: manifest_u64(counters, "users_sampled")?,
+        offered: field(counters, "offered")?,
+        users_seen: field(counters, "users_seen")?,
+        users_sampled: field(counters, "users_sampled")?,
         passes,
     }))
 }
@@ -462,15 +499,13 @@ fn load_history(
     let t0 = Instant::now();
     let pair_win = windows::pair_window(config.sim_end());
     let families = day_families(config);
-    let mut runs = FamilyRuns::new(&config.prefix_lengths);
+    let mut segments = Vec::new();
     let mut opened = Files::default();
     for day in covered.days() {
         let mut open = |path: PathBuf, families: &[Family]| -> Result<(), StudyError> {
             let segment = Segment::open(&path, day, families)?;
             opened.add(segment.bytes());
-            for (family, run) in segment.into_runs() {
-                runs.family_mut(family).push(run);
-            }
+            segments.push(segment);
             Ok(())
         };
         open(day_path(dir, day), &families)?;
@@ -479,7 +514,7 @@ fn load_history(
         }
     }
     let history = History {
-        runs,
+        segments,
         days: covered.num_days(),
         offered: cp.offered,
         users_seen: cp.users_seen,
@@ -497,7 +532,7 @@ fn load_history(
 /// from-scratch run of the same config either way.
 ///
 /// An instrumented warm resume reports the `resume` span root — `load`
-/// (manifest and history runs), `extend` (suffix simulation, the one
+/// (manifest and history segments), `extend` (suffix simulation, the one
 /// freeze and the re-run passes, which also land under
 /// `run/analysis/passes`), `render` (the splice) and `checkpoint` (the
 /// save) — whose wall is [`IncrementalStat::extend_wall`].
@@ -571,7 +606,11 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
                 .find(|p| p.id == id)
                 .cloned()
                 .ok_or_else(|| {
-                    storage_msg(format!("state dir manifest has no section for pass {id}"))
+                    manifest_corrupt(
+                        &state_dir.join("manifest.json"),
+                        0,
+                        format!("manifest has no section for pass {id}"),
+                    )
                 })?,
         };
         markdown.push_str(&section.markdown);

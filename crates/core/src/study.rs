@@ -9,7 +9,7 @@ use ipv6_study_netmodel::World;
 use ipv6_study_obs::{FaultStat, Json, RunReport, Span};
 use ipv6_study_secapp::actioning::DayCounts;
 use ipv6_study_telemetry::{
-    AbuseLabels, DateRange, FamilyRuns, FrozenDatasets, FrozenStore, SimDate, SpillPolicy,
+    AbuseLabels, DateRange, FrozenDatasets, FrozenStore, Segment, SimDate, SpillPolicy,
     SpillSession, SpillStats, StorageMode,
 };
 
@@ -76,18 +76,19 @@ pub struct Study {
 #[derive(Default)]
 pub(crate) struct DayCountsCache(Mutex<BTreeMap<SimDate, Arc<DayCounts>>>);
 
-/// The leading days of a run that are not simulated again: their runs
-/// (day segment sections or frozen day ranges) and the counters that
-/// cannot be re-derived from rows.
+/// The leading days of a run that are not simulated again: their day
+/// segments (a state dir's, or encoded from an old study's stores) and
+/// the counters that cannot be re-derived from rows.
 #[derive(Debug, Default)]
 pub(crate) struct History {
-    pub runs: FamilyRuns,
-    /// How many leading days of `sim_range()` the runs cover.
+    pub segments: Vec<Segment>,
+    /// How many leading days of `sim_range()` the segments cover.
     pub days: u16,
     pub offered: u64,
     pub users_seen: u64,
     pub users_sampled: u64,
-    /// Wall spent opening the runs, reported as part of the merge phase.
+    /// Wall spent opening or encoding the segments, reported as part of
+    /// the merge phase.
     pub load_wall: Duration,
 }
 
@@ -125,7 +126,7 @@ impl Study {
     }
 
     /// Simulates the days of `config.sim_range()` after `history`, then
-    /// freezes the history's runs and the new ones in one pass — the path
+    /// freezes the history's segments and the new ones in one pass — the path
     /// behind [`Study::run`], [`Study::extend_days`] and a warm
     /// [`crate::incremental::run`]. `world` must be
     /// [`SimInputs::world`] of `config`; `started` anchors the run's
@@ -138,11 +139,11 @@ impl Study {
     ) -> StudyOutcome {
         let inputs = SimInputs::new(&config, &world);
         // The spill session (when configured) lives until the freeze has
-        // streamed its segment files into frozen columns.
+        // read its spilled segments into frozen columns.
         let spill = open_spill(&config)?;
         let range = config.sim_range();
         let Simulated {
-            runs,
+            segments,
             offered,
             users_seen,
             users_sampled,
@@ -155,25 +156,26 @@ impl Study {
             Simulated::nothing(&config)
         };
 
-        // History runs hold earlier days, so they go first.
+        // History segments hold earlier days, so they go first.
         let t_merge = Instant::now();
-        let mut all = history.runs;
-        all.append(runs);
+        let mut all = history.segments;
+        all.extend(segments);
         metrics.merge_wall += history.load_wall + t_merge.elapsed();
 
+        let offered = history.offered + offered;
         let Frozen {
             datasets,
             abuse_store,
             pair_store,
             span: freeze,
-        } = driver::freeze(all, inputs.samplers.clone(), history.offered + offered)?;
+        } = driver::freeze(all, &config, inputs.samplers.clone(), offered)?;
         metrics.sort_wall = freeze.wall;
-        // The freeze's read verifies every run checksum; fold the final
-        // storage counters into the fault report.
+        // The freeze's read verifies every segment checksum; fold the
+        // final storage counters into the fault report.
         let spill_stats = spill.as_ref().map(SpillSession::stats).unwrap_or_default();
         faults.io_retries = spill_stats.io_retries;
         faults.checksum_failures = spill_stats.checksum_failures;
-        // Every record now lives in frozen columns; delete the segment
+        // Every record now lives in frozen columns; delete the spill
         // files before the (potentially long) analysis phase.
         drop(spill);
 
@@ -362,8 +364,9 @@ fn open_spill(config: &StudyConfig) -> Result<Option<SpillSession>, StudyError> 
                 ..SpillPolicy::default()
             };
             Ok(Some(
-                SpillSession::create_with(dir.as_deref(), policy)
-                    .map_err(|e| StudyError::Config(ConfigError::Storage(e.to_string())))?,
+                SpillSession::create_with(dir.as_deref(), policy).map_err(|e| {
+                    StudyError::Config(ConfigError::Storage(format!("spill directory: {e}")))
+                })?,
             ))
         }
         StorageMode::InMemory => Ok(None),

@@ -82,6 +82,15 @@ impl ColumnStore {
         self.ts.is_empty()
     }
 
+    /// Removes every row, keeping the columns' capacity.
+    pub fn clear(&mut self) {
+        self.ts.clear();
+        self.ip.clear();
+        self.user.clear();
+        self.asn.clear();
+        self.country.clear();
+    }
+
     /// Reserves room for `n` more rows on every column.
     pub fn reserve(&mut self, n: usize) {
         self.ts.reserve(n);

@@ -22,12 +22,15 @@
 //! order the row-oriented code did, which is what keeps `EXPERIMENTS.md`
 //! byte-identical across the columnar refactor.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::net::IpAddr;
 
 use ipv6_study_netaddr::{Ipv4Prefix, Ipv6Prefix};
 
 use crate::ids::UserId;
 use crate::record::RequestRecord;
+use crate::segment::Dictionary;
 
 /// A dense interned address id: bit 31 is the family (1 = IPv6), the low
 /// 31 bits are the per-family index in ascending numeric address order.
@@ -388,6 +391,123 @@ impl EntityTables {
     pub fn bytes(&self) -> usize {
         self.ips.bytes() + self.users.bytes()
     }
+}
+
+/// Hashes the interner's integer keys with one folded multiply per
+/// 64-bit word. The interner's maps are probed, never iterated into
+/// output (ranking sorts their keys), so the hash needs spread, not
+/// stability, and a full xxHash64 per key would cost more than the rest
+/// of a row's staging. Keys come from this program's own simulator, so
+/// no caller can craft them to collide.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// An odd 64-bit constant (the fractional bits of π).
+    const MUL: u64 = 0x243f_6a88_85a3_08d3;
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let p = u128::from(self.0 ^ v) * u128::from(Self::MUL);
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
+    }
+}
+
+/// A provisional-id map of one key family.
+pub(crate) type KeyIds<K> = HashMap<K, u32, BuildHasherDefault<KeyHasher>>;
+
+/// The provisional id of `key`, assigning the next one on first sight.
+fn provisional<K: Hash + Eq>(ids: &mut KeyIds<K>, key: K) -> u32 {
+    let next = ids.len() as u32;
+    *ids.entry(key).or_insert(next)
+}
+
+/// A first-sight dictionary: provisional ids for the keys seen so far,
+/// assigned in first-sight order, one id space per key family. A shard's
+/// staged rows carry its ids until a seal ranks them; the freeze maps
+/// every segment dictionary into one before it ranks the whole run's
+/// keys.
+#[derive(Debug, Default)]
+pub(crate) struct Interner {
+    pub v4: KeyIds<u32>,
+    pub v6: KeyIds<u128>,
+    pub users: KeyIds<u64>,
+}
+
+/// One dictionary's local ids mapped into another id space: local v4,
+/// v6 and user ids index these tables.
+#[derive(Debug, Default)]
+pub(crate) struct LocalIds {
+    pub v4: Vec<IpId>,
+    pub v6: Vec<IpId>,
+    pub users: Vec<u32>,
+}
+
+impl Interner {
+    /// The provisional ids of `r`'s address and user. An address id keeps
+    /// the family bit; its index counts within the family.
+    pub fn intern(&mut self, r: &RequestRecord) -> (IpId, u32) {
+        let ip = match r.ip {
+            IpAddr::V4(a) => IpId::new(false, provisional(&mut self.v4, u32::from(a)) as usize),
+            IpAddr::V6(a) => IpId::new(true, provisional(&mut self.v6, u128::from(a)) as usize),
+        };
+        (ip, provisional(&mut self.users, r.user.raw()))
+    }
+
+    /// Interns every key of `dict`: its local → provisional tables.
+    pub fn intern_dictionary(&mut self, dict: &Dictionary) -> LocalIds {
+        LocalIds {
+            v4: (dict.v4.iter())
+                .map(|&k| IpId::new(false, provisional(&mut self.v4, k) as usize))
+                .collect(),
+            v6: (dict.v6.iter())
+                .map(|&k| IpId::new(true, provisional(&mut self.v6, k) as usize))
+                .collect(),
+            users: (dict.users.iter())
+                .map(|&k| provisional(&mut self.users, k))
+                .collect(),
+        }
+    }
+
+    /// Heap bytes of the entries: each key and its `u32` id.
+    pub fn bytes(&self) -> u64 {
+        (self.v4.len() * std::mem::size_of::<(u32, u32)>()
+            + self.v6.len() * std::mem::size_of::<(u128, u32)>()
+            + self.users.len() * std::mem::size_of::<(u64, u32)>()) as u64
+    }
+}
+
+/// A key family's distinct keys in ascending order, and the rank of each
+/// provisional id among them.
+pub(crate) fn rank_keys<K: Ord + Copy>(ids: impl Iterator<Item = (K, u32)>) -> (Vec<K>, Vec<u32>) {
+    let mut by_key: Vec<(K, u32)> = ids.collect();
+    // Keys are distinct, so the map's iteration order cannot show.
+    by_key.sort_unstable();
+    let mut rank = vec![0; by_key.len()];
+    for (r, &(_, id)) in by_key.iter().enumerate() {
+        rank[id as usize] = r as u32;
+    }
+    (by_key.into_iter().map(|(key, _)| key).collect(), rank)
 }
 
 #[cfg(test)]

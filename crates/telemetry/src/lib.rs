@@ -26,16 +26,16 @@
 //! - [`sink`] — the sealed [`sink::RequestSink`] consumer trait (with its
 //!   `push`/`flush_segment`/`finish` lifecycle) that simulator crates emit
 //!   into, the production [`sink::ShardSink`] that applies the §3.1
-//!   samplers in-stream, and a closure adapter.
-//! - [`run`] — the run model: every dataset family is an ordered list of
-//!   runs in emission order (in memory, spilled, a day segment's section,
-//!   or frozen), frozen by one verified read, one key ranking and one
-//!   gather per family.
-//! - [`segment`] — the state dir's dictionary-coded day segments, which
-//!   the freeze gathers without hashing or sorting a row, and the atomic
-//!   write every state-dir file goes through.
-//! - [`spill`] — bounded out-of-core run storage: the run writer, spill
-//!   sessions, typed storage errors and I/O fault injection.
+//!   samplers in-stream and seals segments, and a closure adapter.
+//! - [`segment`] — dictionary-coded segments, the one format every row
+//!   takes between the sim and the frozen columns: what shards seal,
+//!   what the state dir keeps per day, and the atomic write every
+//!   state-dir file goes through.
+//! - [`run`] — the freeze: one ordered list of segments, history first,
+//!   frozen by one verified read, one key ranking and one gather per
+//!   family.
+//! - [`spill`] — bounded out-of-core storage: spill sessions and their
+//!   files, typed storage errors and I/O fault injection.
 //! - [`labels`] — the abusive-account label dataset with creation/detection
 //!   dates (the paper's labels are lifetime-censored by detection; ours
 //!   record both dates so analyses can reproduce that censoring).
@@ -71,7 +71,7 @@ pub use kernels::{
 };
 pub use labels::{AbuseInfo, AbuseLabels};
 pub use record::RequestRecord;
-pub use run::{freeze_families, Families, Family, FamilyRuns, FrozenFamilies, Run};
+pub use run::{freeze_families, Families, Family, FrozenFamilies};
 pub use sampler::Samplers;
 pub use segment::{
     read_checkpoint_segment, remove_temp_files, write_atomic, write_checkpoint_segment,
@@ -79,8 +79,8 @@ pub use segment::{
 };
 pub use sink::{FnSink, RequestSink, ShardPayload, ShardSink, SpillTarget};
 pub use spill::{
-    IoOp, MemGauge, RunWriter, SpillError, SpillFaultPlan, SpillPolicy, SpillSession, SpillStats,
-    StorageMode, DEFAULT_IO_RETRIES, DEFAULT_SEGMENT_ROWS,
+    IoOp, MemGauge, SpillError, SpillFaultPlan, SpillPolicy, SpillSession, SpillStats, StorageMode,
+    DEFAULT_IO_RETRIES, DEFAULT_SEGMENT_ROWS,
 };
 pub use store::{FrozenStore, RequestStore};
 pub use time::{DateRange, SimDate, Timestamp};

@@ -1,14 +1,30 @@
-//! Dictionary-coded day segments: the state dir's on-disk day format.
+//! Dictionary-coded segments: the one format every row takes between the
+//! sim and the frozen columns.
 //!
-//! A warm resume appends one day to a long history that an earlier run
-//! already froze in canonical order. A segment keeps a day in the frozen
-//! columns' own shape, with ids local to the file, so the freeze can
-//! gather it straight into frozen columns without decoding, hashing or
-//! sorting a history row (see [`crate::run`]).
+//! A segment keeps rows in the frozen columns' own shape, with ids local
+//! to the segment, so the freeze reads every row through one codec (see
+//! [`crate::run`]). Segments come from three places, and whoever makes
+//! one marks it as history or as emitted:
+//!
+//! - a shard sink seals its retained rows into emitted segments
+//!   ([`crate::sink`]): one at the end of the shard in memory, or one
+//!   each time a family has staged `segment_rows` rows when spilling,
+//!   appended to the shard attempt's spill file;
+//! - the state dir keeps one history segment per day
+//!   (`days/day<NNN>.seg`, plus a pair segment), opened by
+//!   [`Segment::open`];
+//! - an in-process extension encodes the same day segments from the old
+//!   study's stores in memory ([`Segment::encoded`]).
+//!
+//! Two encoders share the one layout writer: the row → segment encoder
+//! (the sink's staging, and [`write_checkpoint_segment`]) interns each
+//! row's keys on first sight and ranks them at the seal; the frozen →
+//! segment encoder ([`write_segment`], [`Segment::encoded`]) reads a
+//! day's dictionary off its sorted dense ids.
 //!
 //! # Format
 //!
-//! One file holds one day of one or more dataset families, all integers
+//! One segment holds one or more dataset families, all integers
 //! little-endian:
 //!
 //! ```text
@@ -26,13 +42,11 @@
 //!                      asn (4), country (2)
 //! ```
 //!
-//! A local address id keeps [`IpId`](crate::IpId)'s family bit, and its
-//! low 31 bits index the file's v4 or v6 keys; a local user id indexes
+//! A local address id keeps [`IpId`]'s family bit, and its
+//! low 31 bits index the segment's v4 or v6 keys; a local user id indexes
 //! its user keys. This is phone-number-style addressing: ids stay short
-//! and local to a day, and the freeze builds one monotone local → dense
-//! table per file. The writer needs no hashing either: frozen dense ids
-//! are order-isomorphic to their keys, so a day's sorted distinct ids
-//! already list its dictionary in key order.
+//! and local to a segment, and the freeze builds one local → global
+//! table per segment, so it hashes dictionary keys, never a row.
 //!
 //! # Verification
 //!
@@ -40,44 +54,48 @@
 //! names the file, the section (`run` 0 is the header and dictionary,
 //! `k` the k-th section) and the byte offset:
 //!
-//! - [`Segment::open`] checks the magic, the header and section table
-//!   against the file length (so a torn or padded file fails before any
-//!   count is trusted with an allocation), every family code, and the
-//!   families against the ones the caller expects;
+//! - opening checks the magic, the header and section table against the
+//!   segment's length (so a torn or padded file fails before any count
+//!   is trusted with an allocation), every family code, and the families
+//!   against the ones the caller expects; a spilled segment's header on
+//!   disk must equal the one its writer recorded;
 //! - the dictionary and every section carry their own checksum, checked
 //!   as they are read;
 //! - each dictionary key family must be strictly ascending, and every
 //!   local id must index it: lookups are bounds-checked, never trusted.
 //!
-//! The codec keeps rows in the order written. The timestamp checks that
-//! let the freeze skip sorting a history (every row inside its file's
-//! day, non-decreasing) belong to the freeze.
+//! Reads of a spilled segment go through its session's fault plan and
+//! count toward its `io_retries`, `checksum_failures` and
+//! `bytes_verified`. The codec keeps rows in the order written. The
+//! timestamp checks that let the freeze skip sorting a history (every row
+//! inside its segment's day, non-decreasing) belong to the freeze.
 //!
 //! Every state-dir file, a segment or the manifest, is written through
 //! [`write_atomic`]: a file exists under its name only once complete.
 
+use std::cell::OnceCell;
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ipv6_study_stats::hash::stable_hash64;
 
 use crate::columns::{ColumnSlice, ColumnStore};
 use crate::ids::{Asn, Country, UserId};
-use crate::intern::{EntityTables, V6_BIT};
+use crate::intern::{rank_keys, EntityTables, Interner, IpId, V6_BIT};
 use crate::kernels::radix_sort_u32;
 use crate::record::RequestRecord;
-use crate::run::{le_u128, le_u32, le_u64, Family, Run};
-use crate::spill::{IoOp, SpillError};
+use crate::run::Family;
+use crate::spill::{IoOp, SpillError, SpillShared};
 use crate::time::{DateRange, SimDate, Timestamp};
 
 /// Bytes of one row across a section's five columns.
-const ROW_BYTES: usize = 18;
+pub(crate) const ROW_BYTES: usize = 18;
 
-/// Magic opening every segment file.
+/// Magic opening every segment.
 const MAGIC: u32 = u32::from_le_bytes(*b"DSG3");
 
 /// Header bytes: magic, three dictionary sizes, section count,
@@ -95,6 +113,23 @@ const SECTION_SEED: u64 = 0x4453_5331; // "DSS1"
 
 /// Suffix of the temporary file [`write_atomic`] renames into place.
 const TEMP_SUFFIX: &str = ".tmp";
+
+/// Reads a little-endian u32 from the first four bytes of `b`.
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// Reads a little-endian u64 from the first eight bytes of `b`.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// Reads a little-endian u128 from the first sixteen bytes of `b`.
+fn le_u128(b: &[u8]) -> u128 {
+    let mut w = [0u8; 16];
+    w.copy_from_slice(&b[..16]);
+    u128::from_le_bytes(w)
+}
 
 /// A family's code in the section table.
 fn family_code(family: Family) -> u32 {
@@ -121,8 +156,81 @@ fn family_of(code: u32) -> Option<Family> {
     })
 }
 
-/// Encodes `sections` as one segment; every slice must be encoded
-/// against `tables`.
+/// The one layout writer: both encoders write a segment through it, part
+/// by part — the dictionary, then each section in table order.
+struct LayoutWriter {
+    out: Vec<u8>,
+    /// The next section's table entry.
+    next: usize,
+}
+
+impl LayoutWriter {
+    /// A segment of `keys` dictionary keys (v4, v6, user), `sections`
+    /// sections and `rows` rows in all; its header and an empty section
+    /// table are written.
+    fn new(keys: [usize; 3], sections: usize, rows: usize) -> Self {
+        let dict_start = HEADER_BYTES + ENTRY_BYTES * sections;
+        let dict_len = 4 * keys[0] + 16 * keys[1] + 8 * keys[2];
+        let mut out = Vec::with_capacity(dict_start + dict_len + ROW_BYTES * rows);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        for count in [keys[0], keys[1], keys[2], sections] {
+            out.extend_from_slice(&(count as u32).to_le_bytes());
+        }
+        out.resize(dict_start, 0); // checksum and section table patched later
+        Self { out, next: 0 }
+    }
+
+    /// Writes the dictionary: every key family strictly ascending, with
+    /// as many keys as [`LayoutWriter::new`] was told.
+    fn dictionary(
+        &mut self,
+        v4: impl Iterator<Item = u32>,
+        v6: impl Iterator<Item = u128>,
+        users: impl Iterator<Item = u64>,
+    ) {
+        let start = self.out.len();
+        v4.for_each(|k| self.out.extend_from_slice(&k.to_le_bytes()));
+        v6.for_each(|k| self.out.extend_from_slice(&k.to_le_bytes()));
+        users.for_each(|k| self.out.extend_from_slice(&k.to_le_bytes()));
+        let sum = stable_hash64(DICT_SEED, &self.out[start..]);
+        self.out[20..28].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Writes the next section: `family`'s rows column by column, with
+    /// `ips` and `users` the rows' local ids.
+    fn section(
+        &mut self,
+        family: Family,
+        ts: &[Timestamp],
+        ips: impl Iterator<Item = u32>,
+        users: impl Iterator<Item = u32>,
+        asns: &[Asn],
+        countries: &[Country],
+    ) {
+        let start = self.out.len();
+        let out = &mut self.out;
+        ts.iter()
+            .for_each(|t| out.extend_from_slice(&t.secs().to_le_bytes()));
+        ips.for_each(|id| out.extend_from_slice(&id.to_le_bytes()));
+        users.for_each(|id| out.extend_from_slice(&id.to_le_bytes()));
+        asns.iter()
+            .for_each(|a| out.extend_from_slice(&a.0.to_le_bytes()));
+        countries.iter().for_each(|c| out.extend_from_slice(&c.0));
+        let sum = stable_hash64(SECTION_SEED, &out[start..]);
+        let entry = HEADER_BYTES + ENTRY_BYTES * self.next;
+        out[entry..entry + 4].copy_from_slice(&family_code(family).to_le_bytes());
+        out[entry + 4..entry + 12].copy_from_slice(&(ts.len() as u64).to_le_bytes());
+        out[entry + 12..entry + 20].copy_from_slice(&sum.to_le_bytes());
+        self.next += 1;
+    }
+
+    fn finish(self) -> Vec<u8> {
+        self.out
+    }
+}
+
+/// The frozen → segment encoder: `sections` as one segment; every slice
+/// must be encoded against `tables`.
 fn encode(tables: &EntityTables, sections: &[(Family, ColumnSlice<'_>)]) -> Vec<u8> {
     // Dense ids are order-isomorphic to keys (v4 ids below v6 ids), so
     // the sorted distinct ids list the dictionary in key order.
@@ -158,51 +266,112 @@ fn encode(tables: &EntityTables, sections: &[(Family, ColumnSlice<'_>)]) -> Vec<
         user_local[dense as usize] = local as u32;
     }
 
-    let rows: usize = sections.iter().map(|(_, s)| s.len()).sum();
-    let dict_start = HEADER_BYTES + ENTRY_BYTES * sections.len();
-    let dict_len = 4 * n4 + 16 * (ips.len() - n4) + 8 * users.len();
-    let mut out = Vec::with_capacity(dict_start + dict_len + ROW_BYTES * rows);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    for count in [n4, ips.len() - n4, users.len(), sections.len()] {
-        out.extend_from_slice(&(count as u32).to_le_bytes());
+    let rows = sections.iter().map(|(_, s)| s.len()).sum();
+    let mut w = LayoutWriter::new([n4, ips.len() - n4, users.len()], sections.len(), rows);
+    w.dictionary(
+        ips[..n4].iter().map(|&raw| v4_keys[raw as usize]),
+        ips[n4..]
+            .iter()
+            .map(|&raw| v6_keys[(raw & !V6_BIT) as usize]),
+        users.iter().map(|&dense| user_keys[dense as usize]),
+    );
+    for (family, s) in sections {
+        w.section(
+            *family,
+            s.ts(),
+            s.ip_ids().iter().map(|id| ip_local[slot(id.raw())]),
+            s.users_dense().iter().map(|&u| user_local[u as usize]),
+            s.asns(),
+            s.countries(),
+        );
     }
-    out.resize(dict_start, 0); // checksums and section table patched below
-    for &raw in &ips[..n4] {
-        out.extend_from_slice(&v4_keys[raw as usize].to_le_bytes());
-    }
-    for &raw in &ips[n4..] {
-        out.extend_from_slice(&v6_keys[(raw & !V6_BIT) as usize].to_le_bytes());
-    }
-    for &dense in &users {
-        out.extend_from_slice(&user_keys[dense as usize].to_le_bytes());
-    }
-    let dict_sum = stable_hash64(DICT_SEED, &out[dict_start..]);
-    out[20..28].copy_from_slice(&dict_sum.to_le_bytes());
+    w.finish()
+}
 
-    for (k, (family, s)) in sections.iter().enumerate() {
-        let start = out.len();
-        for ts in s.ts() {
-            out.extend_from_slice(&ts.secs().to_le_bytes());
+/// Rows staged for one segment under a first-sight dictionary: the row →
+/// segment encoder behind every shard sink and
+/// [`write_checkpoint_segment`]. A row's keys are interned once, however
+/// many families keep it; the seal ranks the dictionary into ascending
+/// keys and relabels every id to its rank.
+#[derive(Debug)]
+pub(crate) struct Staging {
+    dict: Interner,
+    families: Vec<(Family, ColumnStore)>,
+    rows: usize,
+}
+
+impl Staging {
+    /// Empty staging for `families`, in section order.
+    pub(crate) fn new(families: impl IntoIterator<Item = Family>) -> Self {
+        Self {
+            dict: Interner::default(),
+            families: families
+                .into_iter()
+                .map(|f| (f, ColumnStore::default()))
+                .collect(),
+            rows: 0,
         }
-        for id in s.ip_ids() {
-            out.extend_from_slice(&ip_local[slot(id.raw())].to_le_bytes());
-        }
-        for &user in s.users_dense() {
-            out.extend_from_slice(&user_local[user as usize].to_le_bytes());
-        }
-        for asn in s.asns() {
-            out.extend_from_slice(&asn.0.to_le_bytes());
-        }
-        for country in s.countries() {
-            out.extend_from_slice(&country.0);
-        }
-        let sum = stable_hash64(SECTION_SEED, &out[start..]);
-        let entry = HEADER_BYTES + ENTRY_BYTES * k;
-        out[entry..entry + 4].copy_from_slice(&family_code(*family).to_le_bytes());
-        out[entry + 4..entry + 12].copy_from_slice(&(s.len() as u64).to_le_bytes());
-        out[entry + 12..entry + 20].copy_from_slice(&sum.to_le_bytes());
     }
-    out
+
+    /// The local ids of `r`'s address and user, interned on first sight.
+    pub(crate) fn intern(&mut self, r: &RequestRecord) -> (IpId, u32) {
+        self.dict.intern(r)
+    }
+
+    /// Appends `r`, under the local `ids` [`Staging::intern`] gave it, to
+    /// family `k` (its index in [`Staging::new`]'s order); returns the
+    /// rows that family now stages.
+    pub(crate) fn push(&mut self, k: usize, r: &RequestRecord, (ip, user): (IpId, u32)) -> usize {
+        let cols = &mut self.families[k].1;
+        cols.ts.push(r.ts);
+        cols.ip.push(ip);
+        cols.user.push(user);
+        cols.asn.push(r.asn);
+        cols.country.push(r.country);
+        self.rows += 1;
+        cols.len()
+    }
+
+    /// Whether no row is staged.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Bytes held: 18 a staged row, and the dictionary's entries.
+    pub(crate) fn bytes(&self) -> u64 {
+        (self.rows * ROW_BYTES) as u64 + self.dict.bytes()
+    }
+
+    /// Encodes the staged rows as one segment, one section per family in
+    /// order, and starts over empty (keeping the buffers).
+    pub(crate) fn seal(&mut self) -> Vec<u8> {
+        let (v4, v4_rank) = rank_keys(self.dict.v4.drain());
+        let (v6, v6_rank) = rank_keys(self.dict.v6.drain());
+        let (users, user_rank) = rank_keys(self.dict.users.drain());
+        let keys = [v4.len(), v6.len(), users.len()];
+        let mut w = LayoutWriter::new(keys, self.families.len(), self.rows);
+        w.dictionary(v4.into_iter(), v6.into_iter(), users.into_iter());
+        for (family, cols) in &mut self.families {
+            let local = |id: &IpId| {
+                if id.is_v6() {
+                    V6_BIT | v6_rank[id.index()]
+                } else {
+                    v4_rank[id.index()]
+                }
+            };
+            w.section(
+                *family,
+                &cols.ts,
+                cols.ip.iter().map(local),
+                cols.user.iter().map(|&u| user_rank[u as usize]),
+                &cols.asn,
+                &cols.country,
+            );
+            cols.clear();
+        }
+        self.rows = 0;
+        w.finish()
+    }
 }
 
 /// Writes `sections` (one family's rows each, every slice encoded
@@ -281,18 +450,13 @@ struct SectionMeta {
     family: Family,
     rows: u64,
     checksum: u64,
-    /// Byte offset of the section's first column.
+    /// Byte offset of the section's first column in the segment.
     offset: u64,
 }
 
-/// A segment file, opened and checked against its length. Its rows stay
-/// on disk until the freeze reads them.
+/// A segment's header and section table, checked against its length.
 #[derive(Debug)]
-pub struct Segment {
-    path: PathBuf,
-    file: File,
-    /// The day every row must fall on, checked by the freeze.
-    day: Option<SimDate>,
+struct Layout {
     bytes: u64,
     /// Dictionary sizes: v4, v6 and user keys.
     keys: [u64; 3],
@@ -300,56 +464,40 @@ pub struct Segment {
     sections: Vec<SectionMeta>,
 }
 
-/// A segment's dictionary: its sorted distinct keys.
-#[derive(Debug)]
-pub(crate) struct Dictionary {
-    pub v4: Vec<u32>,
-    pub v6: Vec<u128>,
-    pub users: Vec<u64>,
-}
-
-impl Segment {
-    /// Opens the segment at `path` holding day `day`, and checks that its
-    /// sections hold exactly `families`, in order. Only the header and
-    /// section table are read; the freeze verifies the rest.
-    pub fn open(path: &Path, day: SimDate, families: &[Family]) -> Result<Self, SpillError> {
-        let segment = Self::open_any(path, Some(day))?;
-        let found: Vec<Family> = segment.sections.iter().map(|s| s.family).collect();
-        if let Some(k) =
-            (0..found.len().max(families.len())).find(|&k| found.get(k) != families.get(k))
-        {
-            return Err(segment.corrupt(
-                0,
-                (HEADER_BYTES + ENTRY_BYTES * k) as u64,
-                format!("sections hold {found:?}, expected {families:?}"),
-            ));
-        }
-        Ok(segment)
+impl Layout {
+    /// The layout of the segment `bytes`, named `path` in errors.
+    fn of(path: &Path, bytes: &[u8]) -> Result<Self, SpillError> {
+        Self::read(path, bytes.len() as u64, |at, len| {
+            Ok(bytes[at as usize..at as usize + len].to_vec())
+        })
     }
 
-    /// Opens any segment: checks the magic, the family codes and the
-    /// header and section table against the file length.
-    fn open_any(path: &Path, day: Option<SimDate>) -> Result<Self, SpillError> {
+    /// Bytes of the header and section table.
+    fn table_end(&self) -> u64 {
+        (HEADER_BYTES + ENTRY_BYTES * self.sections.len()) as u64
+    }
+
+    /// Checks the magic, the family codes and the header and section
+    /// table of a `bytes`-byte segment at `path` against its length;
+    /// `read(offset, len)` returns its bytes at `offset`.
+    fn read(
+        path: &Path,
+        bytes: u64,
+        mut read: impl FnMut(u64, usize) -> Result<Vec<u8>, SpillError>,
+    ) -> Result<Self, SpillError> {
         let corrupt = |offset: u64, reason: String| SpillError::Corrupt {
             path: path.to_path_buf(),
             run: 0,
             offset,
             reason,
         };
-        let mut file = File::open(path).map_err(|e| SpillError::io(path, IoOp::Open, &e))?;
-        let bytes = file
-            .metadata()
-            .map_err(|e| SpillError::io(path, IoOp::Open, &e))?
-            .len();
         if bytes < HEADER_BYTES as u64 {
             return Err(corrupt(
                 bytes,
                 format!("header needs {HEADER_BYTES} bytes but file is {bytes} bytes"),
             ));
         }
-        let mut hdr = [0u8; HEADER_BYTES];
-        file.read_exact(&mut hdr)
-            .map_err(|e| SpillError::io(path, IoOp::Read, &e))?;
+        let hdr = read(0, HEADER_BYTES)?;
         let magic = le_u32(&hdr);
         if magic != MAGIC {
             return Err(corrupt(0, format!("bad segment magic {magic:#010x}")));
@@ -365,9 +513,7 @@ impl Segment {
                 ),
             ));
         }
-        let mut table = vec![0u8; table_end as usize - HEADER_BYTES];
-        file.read_exact(&mut table)
-            .map_err(|e| SpillError::io(path, IoOp::Read, &e))?;
+        let table = read(HEADER_BYTES as u64, table_end as usize - HEADER_BYTES)?;
         // u128 sums: a damaged count cannot overflow the length check.
         let mut end = u128::from(table_end)
             + u128::from(keys[0]) * 4
@@ -398,95 +544,310 @@ impl Segment {
             ));
         }
         Ok(Self {
-            path: path.to_path_buf(),
-            file,
-            day,
             bytes,
             keys,
             dict_checksum: le_u64(&hdr[20..]),
             sections,
         })
     }
+}
 
-    /// The file's size in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
+/// Where a segment's bytes are.
+#[derive(Debug)]
+enum Source {
+    /// Held in memory.
+    Memory(Vec<u8>),
+    /// A state-dir file, open from the start.
+    File(File),
+    /// Appended to a spill file; see [`Spilled`].
+    Spilled(Spilled),
+}
+
+/// A segment appended to a spill file. Its file stays closed until the
+/// freeze reads it; every read goes through the session's fault plan.
+#[derive(Debug)]
+struct Spilled {
+    /// Byte offset of the segment in the file.
+    offset: u64,
+    /// The header and section table as written, which the file must hold.
+    header: Box<[u8]>,
+    shared: Arc<SpillShared>,
+    /// The file's fault-plan stream.
+    stream: u64,
+    file: OnceCell<File>,
+}
+
+/// What a segment holds, as marked by whoever opened it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Canonical rows of one day, which the freeze gathers as they lie.
+    History(SimDate),
+    /// Rows in emission order, which the freeze stages and sorts.
+    Emitted,
+}
+
+/// One segment: its checked header and section table, where its bytes
+/// are, and whether it holds history or emitted rows. Its sections stay
+/// where they are until the freeze reads them.
+#[derive(Debug)]
+pub struct Segment {
+    /// Names the segment in errors: its file, or what made it.
+    path: PathBuf,
+    source: Source,
+    role: Role,
+    layout: Layout,
+}
+
+/// A segment's dictionary: its sorted distinct keys.
+#[derive(Debug)]
+pub(crate) struct Dictionary {
+    pub v4: Vec<u32>,
+    pub v6: Vec<u128>,
+    pub users: Vec<u64>,
+}
+
+impl Segment {
+    /// Opens the state-dir segment at `path` as the history of day
+    /// `day`, and checks that its sections hold exactly `families`, in
+    /// order. Only the header and section table are read; the freeze
+    /// verifies the rest.
+    pub fn open(path: &Path, day: SimDate, families: &[Family]) -> Result<Self, SpillError> {
+        let segment = Self::open_file(path, Role::History(day))?;
+        let found: Vec<Family> = segment.layout.sections.iter().map(|s| s.family).collect();
+        if let Some(k) =
+            (0..found.len().max(families.len())).find(|&k| found.get(k) != families.get(k))
+        {
+            return Err(segment.corrupt(
+                0,
+                (HEADER_BYTES + ENTRY_BYTES * k) as u64,
+                format!("sections hold {found:?}, expected {families:?}"),
+            ));
+        }
+        Ok(segment)
     }
 
-    /// One run per section, with the section's family, sharing the open
-    /// segment.
-    pub fn into_runs(self) -> Vec<(Family, Run)> {
-        let families: Vec<Family> = self.sections.iter().map(|s| s.family).collect();
-        let segment = Arc::new(self);
-        families
-            .into_iter()
-            .enumerate()
-            .map(|(k, family)| (family, Run::section(&segment, k)))
-            .collect()
+    /// Opens the segment file at `path` and checks its layout.
+    fn open_file(path: &Path, role: Role) -> Result<Self, SpillError> {
+        let mut file = File::open(path).map_err(|e| SpillError::io(path, IoOp::Open, &e))?;
+        let bytes = file
+            .metadata()
+            .map_err(|e| SpillError::io(path, IoOp::Open, &e))?
+            .len();
+        let layout = Layout::read(path, bytes, |_, len| {
+            let mut buf = vec![0u8; len];
+            file.read_exact(&mut buf)
+                .map_err(|e| SpillError::io(path, IoOp::Read, &e))?;
+            Ok(buf)
+        })?;
+        Ok(Self {
+            path: path.to_path_buf(),
+            source: Source::File(file),
+            role,
+            layout,
+        })
+    }
+
+    /// A segment over `bytes` in memory.
+    fn in_memory(path: PathBuf, role: Role, bytes: Vec<u8>) -> Result<Self, SpillError> {
+        let layout = Layout::of(&path, &bytes)?;
+        Ok(Self {
+            path,
+            source: Source::Memory(bytes),
+            role,
+            layout,
+        })
+    }
+
+    /// The day segment [`write_segment`] would write to `path`, encoded
+    /// from `sections` (every slice encoded against `tables`) and held in
+    /// memory as the history of day `day`.
+    pub fn encoded(
+        path: &Path,
+        day: SimDate,
+        tables: &EntityTables,
+        sections: &[(Family, ColumnSlice<'_>)],
+    ) -> Result<Self, SpillError> {
+        Self::in_memory(
+            path.to_path_buf(),
+            Role::History(day),
+            encode(tables, sections),
+        )
+    }
+
+    /// An emitted segment held in memory, named `name` in errors.
+    pub(crate) fn emitted(name: PathBuf, bytes: Vec<u8>) -> Result<Self, SpillError> {
+        Self::in_memory(name, Role::Emitted, bytes)
+    }
+
+    /// The emitted segment `bytes` that were appended to the spill file
+    /// at `path` at `offset`; `stream` keys the file's fault plan.
+    pub(crate) fn spilled(
+        path: &Path,
+        offset: u64,
+        bytes: &[u8],
+        shared: &Arc<SpillShared>,
+        stream: u64,
+    ) -> Result<Self, SpillError> {
+        let layout = Layout::of(path, bytes)?;
+        let header = bytes[..layout.table_end() as usize].into();
+        Ok(Self {
+            path: path.to_path_buf(),
+            source: Source::Spilled(Spilled {
+                offset,
+                header,
+                shared: Arc::clone(shared),
+                stream,
+                file: OnceCell::new(),
+            }),
+            role: Role::Emitted,
+            layout,
+        })
+    }
+
+    /// The segment's size in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.layout.bytes
+    }
+
+    /// Each section's family and rows, in table order.
+    pub fn sections(&self) -> impl Iterator<Item = (Family, u64)> + '_ {
+        self.layout.sections.iter().map(|s| (s.family, s.rows))
+    }
+
+    /// Whether the segment holds a day of history rather than emitted
+    /// rows.
+    pub fn is_history(&self) -> bool {
+        matches!(self.role, Role::History(_))
+    }
+
+    /// Byte offset of the segment in its file.
+    fn base(&self) -> u64 {
+        match &self.source {
+            Source::Spilled(s) => s.offset,
+            Source::Memory(_) | Source::File(_) => 0,
+        }
     }
 
     /// Rows in section `index` (0-based).
     pub(crate) fn section_rows(&self, index: usize) -> u64 {
-        self.sections.get(index).map_or(0, |s| s.rows)
+        self.layout.sections.get(index).map_or(0, |s| s.rows)
     }
 
-    /// Byte offset of row `row`'s timestamp in section `index`.
+    /// Byte offset, in the segment, of row `row`'s timestamp in section
+    /// `index`.
     pub(crate) fn ts_offset(&self, index: usize, row: usize) -> u64 {
-        self.sections
-            .get(index)
-            .map_or(0, |s| s.offset + 4 * row as u64)
+        (self.layout.sections.get(index)).map_or(0, |s| s.offset + 4 * row as u64)
     }
 
-    /// A verification failure in this file; `run` 0 is the header and
-    /// dictionary, `k` the k-th section.
+    /// A verification failure at `offset` in the segment (reported as an
+    /// offset in its file); `run` 0 is the header and dictionary, `k` the
+    /// k-th section. A spilled segment counts it as a checksum failure.
     pub(crate) fn corrupt(&self, run: usize, offset: u64, reason: String) -> SpillError {
+        if let Source::Spilled(s) = &self.source {
+            s.shared.checksum_failures.fetch_add(1, Ordering::Relaxed);
+        }
         SpillError::Corrupt {
             path: self.path.clone(),
             run,
-            offset,
+            offset: self.base() + offset,
             reason,
         }
     }
 
-    /// Reads `len` bytes at `offset` into `buf` (grown as needed, never
-    /// shrunk) and returns them.
+    /// Reads `len` bytes at `offset` in the segment, into `buf` (grown as
+    /// needed, never shrunk) unless they are in memory, and returns them.
+    /// A spilled read rolls the fault plan first, keyed by the read's
+    /// offset in the file.
     fn read_at<'b>(
-        &self,
+        &'b self,
         run: usize,
         offset: u64,
         len: usize,
         buf: &'b mut Vec<u8>,
     ) -> Result<&'b [u8], SpillError> {
-        if buf.len() < len {
-            buf.resize(len, 0);
-        }
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(offset))
-            .map_err(|e| SpillError::io(&self.path, IoOp::Seek, &e))?;
-        file.read_exact(&mut buf[..len]).map_err(|e| {
+        let torn = |e: std::io::Error| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 self.corrupt(run, offset, "unexpected end of file (torn write?)".into())
             } else {
                 SpillError::io(&self.path, IoOp::Read, &e)
             }
-        })?;
+        };
+        let mut file = match &self.source {
+            Source::Memory(bytes) => {
+                return (bytes.get(offset as usize..offset as usize + len))
+                    .ok_or_else(|| self.corrupt(run, offset, "read past the segment".into()));
+            }
+            _ if len == 0 => return Ok(&[]),
+            Source::File(file) => file,
+            Source::Spilled(s) => {
+                self.fault_op(s, s.offset + offset)?;
+                match s.file.get() {
+                    Some(file) => file,
+                    None => {
+                        let file = File::open(&self.path)
+                            .map_err(|e| SpillError::io(&self.path, IoOp::Open, &e))?;
+                        s.file.get_or_init(|| file)
+                    }
+                }
+            }
+        };
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        file.seek(SeekFrom::Start(self.base() + offset))
+            .map_err(|e| SpillError::io(&self.path, IoOp::Seek, &e))?;
+        file.read_exact(&mut buf[..len]).map_err(torn)?;
         Ok(&buf[..len])
     }
 
+    /// Rolls the fault plan for the read op `op` of a spilled segment.
+    /// Injected faults are decided before the data moves, so an op-level
+    /// retry re-issues the same read; past the retry budget the op fails.
+    fn fault_op(&self, s: &Spilled, op: u64) -> Result<(), SpillError> {
+        let Some(plan) = s.shared.policy.faults.as_ref() else {
+            return Ok(());
+        };
+        let mut io_attempt = 0u32;
+        while plan.read_failure(s.stream, op, io_attempt) {
+            if io_attempt >= s.shared.policy.max_io_retries {
+                return Err(SpillError::Io {
+                    path: self.path.clone(),
+                    op: IoOp::Read,
+                    kind: std::io::ErrorKind::Interrupted,
+                    detail: "injected transient read fault".into(),
+                });
+            }
+            s.shared.io_retries.fetch_add(1, Ordering::Relaxed);
+            io_attempt += 1;
+        }
+        Ok(())
+    }
+
     /// Reads and verifies the dictionary: its checksum, and every key
-    /// family strictly ascending.
+    /// family strictly ascending. A spilled segment first checks its
+    /// header on disk against the one written.
     pub(crate) fn read_dictionary(&self, buf: &mut Vec<u8>) -> Result<Dictionary, SpillError> {
-        let start = (HEADER_BYTES + ENTRY_BYTES * self.sections.len()) as u64;
-        let [n4, n6, nu] = self.keys.map(|n| n as usize);
+        if let Source::Spilled(s) = &self.source {
+            let on_disk = self.read_at(0, 0, s.header.len(), buf)?;
+            if let Some(at) = (0..s.header.len()).find(|&i| on_disk[i] != s.header[i]) {
+                return Err(self.corrupt(
+                    0,
+                    at as u64,
+                    "header on disk differs from the header written".into(),
+                ));
+            }
+        }
+        let start = self.layout.table_end();
+        let [n4, n6, nu] = self.layout.keys.map(|n| n as usize);
         let bytes = self.read_at(0, start, 4 * n4 + 16 * n6 + 8 * nu, buf)?;
         let sum = stable_hash64(DICT_SEED, bytes);
-        if sum != self.dict_checksum {
+        if sum != self.layout.dict_checksum {
             return Err(self.corrupt(
                 0,
                 start,
                 format!(
                     "dictionary checksum mismatch: computed {sum:#018x}, expected {:#018x}",
-                    self.dict_checksum
+                    self.layout.dict_checksum
                 ),
             ));
         }
@@ -524,17 +885,14 @@ impl Segment {
         Ok(out)
     }
 
-    /// Reads section `index` (0-based) into `buf` and verifies its
-    /// checksum.
+    /// Reads section `index` (0-based) and verifies its checksum.
     pub(crate) fn read_section<'b>(
         &'b self,
         index: usize,
         buf: &'b mut Vec<u8>,
     ) -> Result<Section<'b>, SpillError> {
-        let meta =
-            self.sections.get(index).copied().ok_or_else(|| {
-                self.corrupt(0, 16, format!("no section {} in the table", index + 1))
-            })?;
+        let meta = (self.layout.sections.get(index).copied())
+            .ok_or_else(|| self.corrupt(0, 16, format!("no section {} in the table", index + 1)))?;
         let run = index + 1;
         let bytes = self.read_at(run, meta.offset, meta.rows as usize * ROW_BYTES, buf)?;
         let sum = stable_hash64(SECTION_SEED, bytes);
@@ -557,17 +915,24 @@ impl Segment {
         })
     }
 
-    /// Decodes sections `range` (0-based) back into records through the
-    /// dictionary, in order.
-    pub(crate) fn records(&self, range: Range<usize>) -> Result<Vec<RequestRecord>, SpillError> {
+    /// Counts a fully read spilled segment's bytes as verified.
+    pub(crate) fn verified(&self) {
+        if let Source::Spilled(s) = &self.source {
+            (s.shared.bytes_verified).fetch_add(self.layout.bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// Decodes every section back into records through the dictionary,
+    /// in order.
+    fn records(&self) -> Result<Vec<RequestRecord>, SpillError> {
         let mut buf = Vec::new();
         let dict = self.read_dictionary(&mut buf)?;
         let v4: Vec<IpAddr> = dict.v4.iter().map(|&a| Ipv4Addr::from(a).into()).collect();
         let v6: Vec<IpAddr> = dict.v6.iter().map(|&a| Ipv6Addr::from(a).into()).collect();
         let users: Vec<UserId> = dict.users.into_iter().map(UserId).collect();
-        let rows = range.clone().map(|k| self.section_rows(k)).sum::<u64>();
+        let rows = self.sections().map(|(_, rows)| rows).sum::<u64>();
         let mut out = Vec::with_capacity(rows as usize);
-        for k in range {
+        for k in 0..self.layout.sections.len() {
             let section = self.read_section(k, &mut buf)?;
             let (mut ips, mut us) = (Vec::new(), Vec::new());
             section.ips(&v4, &v6, &mut ips)?;
@@ -593,16 +958,19 @@ pub(crate) struct Section<'b> {
     segment: &'b Segment,
     /// The section's `run` number in errors (1-based).
     run: usize,
+    /// Byte offset of the section in its segment.
     offset: u64,
     rows: usize,
     bytes: &'b [u8],
 }
 
 impl<'b> Section<'b> {
-    /// The first and last timestamps of the segment's day, when it has
-    /// one.
+    /// The first and last timestamps of a history segment's day.
     pub(crate) fn day_bounds(&self) -> Option<(Timestamp, Timestamp)> {
-        self.segment.day.map(|d| DateRange::single(d).ts_bounds())
+        match self.segment.role {
+            Role::History(day) => Some(DateRange::single(day).ts_bounds()),
+            Role::Emitted => None,
+        }
     }
 
     /// A failed timestamp check at `row`.
@@ -682,13 +1050,15 @@ impl<'b> Section<'b> {
 
 /// Writes `rows`, in the given order, to `path` as a one-section segment
 /// (the request family) whose dictionary is exactly the rows' keys,
-/// through [`write_atomic`]. The codec the state dir uses, on rows from
-/// anywhere.
+/// through [`write_atomic`]: the row → segment encoder the shard sinks
+/// use, on rows from anywhere.
 pub fn write_checkpoint_segment(path: &Path, rows: &[RequestRecord]) -> Result<(), SpillError> {
-    let tables = Arc::new(EntityTables::from_records(rows));
-    let cols = ColumnStore::encode(rows.iter(), &tables);
-    let section = cols.slice(0..cols.len(), &tables);
-    write_segment(path, &tables, &[(Family::Request, section)]).map(drop)
+    let mut staging = Staging::new([Family::Request]);
+    for r in rows {
+        let ids = staging.intern(r);
+        staging.push(0, r, ids);
+    }
+    write_atomic(path, &staging.seal())
 }
 
 /// Reads back every section of the segment at `path`, in order, through
@@ -697,15 +1067,16 @@ pub fn write_checkpoint_segment(path: &Path, rows: &[RequestRecord]) -> Result<(
 /// of range surface as [`SpillError::Corrupt`], never as silently wrong
 /// rows.
 pub fn read_checkpoint_segment(path: &Path) -> Result<Vec<RequestRecord>, SpillError> {
-    let segment = Segment::open_any(path, None)?;
-    segment.records(0..segment.sections.len())
+    Segment::open_file(path, Role::Emitted)?.records()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{freeze_families, FamilyRuns};
+    use crate::run::freeze_families;
+    use crate::spill::{SpillPolicy, SpillSession};
     use crate::store::RequestStore;
+    use ipv6_study_stats::testgen::TestGen;
 
     /// The day every test segment holds.
     fn day() -> SimDate {
@@ -823,15 +1194,21 @@ mod tests {
     /// The day's two sections: the request family, then the abuse family.
     const FAMILIES: [Family; 2] = [Family::Request, Family::Abuse];
 
+    /// `rows` as one emitted request segment, sealed in memory.
+    fn emitted(rows: &[RequestRecord]) -> Segment {
+        let mut staging = Staging::new([Family::Request]);
+        for r in rows {
+            let ids = staging.intern(r);
+            staging.push(0, r, ids);
+        }
+        Segment::emitted("emitted".into(), staging.seal()).unwrap()
+    }
+
     /// Freezes the segment at `path` as the history of a request suffix
     /// of `suffix` rows.
     fn freeze(path: &Path, suffix: Vec<RequestRecord>) -> Result<(), SpillError> {
-        let mut runs = FamilyRuns::default();
-        for (family, run) in Segment::open(path, day(), &FAMILIES)?.into_runs() {
-            runs.family_mut(family).push(run);
-        }
-        runs.request.push(Run::in_memory(suffix));
-        freeze_families(runs).map(drop)
+        let history = Segment::open(path, day(), &FAMILIES)?;
+        freeze_families(vec![history, emitted(&suffix)], &[]).map(drop)
     }
 
     /// Every check of the segment format and of the freeze's gather fails
@@ -1002,5 +1379,166 @@ mod tests {
             "{err:?}"
         );
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fixed row set: unsorted, both address families, repeated keys.
+    fn pinned_rows() -> Vec<RequestRecord> {
+        let mut g = TestGen::new(0x5049_4E31); // "PIN1"
+        g.vec_of(300, |g| RequestRecord {
+            ts: Timestamp::from_secs(day().start().secs() + g.below(86_400) as u32),
+            user: UserId(g.below(40) << 33 | g.below(5)),
+            ip: if g.below(3) == 0 {
+                IpAddr::from(Ipv4Addr::from(0x0a00_0000 | g.below(50) as u32))
+            } else {
+                IpAddr::from(Ipv6Addr::from(
+                    0x2001_0db8_u128 << 96 | u128::from(g.below(7)) << 64 | u128::from(g.below(60)),
+                ))
+            },
+            asn: Asn(64_496 + g.below(4) as u32),
+            country: [Country::new("US"), Country::new("DE"), Country::new("BR")]
+                [g.below(3) as usize],
+        })
+    }
+
+    /// `write_checkpoint_segment` writes the bytes it wrote before the
+    /// sink's encoder replaced its table-and-encode path: length and
+    /// digest pinned from that encoder.
+    #[test]
+    fn checkpoint_segment_bytes_are_pinned() {
+        let dir = scratch("pin");
+        let path = dir.join("pinned.seg");
+        let rows = pinned_rows();
+        write_checkpoint_segment(&path, &rows).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 9564);
+        assert_eq!(stable_hash64(0x5049_4E32, &bytes), 0xb2ff_8283_2e87_dcb1);
+        assert_eq!(read_checkpoint_segment(&path).unwrap(), rows);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Sealed `rows` (request family) appended to a spill file of
+    /// `session`: the segment handle and the file it lives in.
+    fn spilled(session: &SpillSession, bytes: &[u8]) -> (Segment, PathBuf) {
+        let mut file = session.spill_file(2, 0);
+        let first = file.append(&emitted_bytes(&pinned_rows()[..5])).unwrap();
+        drop(first);
+        let segment = file.append(bytes).unwrap();
+        let path = session.dir().join("s00002-a00.seg");
+        (segment, path)
+    }
+
+    /// `rows` sealed as one request segment's bytes.
+    fn emitted_bytes(rows: &[RequestRecord]) -> Vec<u8> {
+        let mut staging = Staging::new([Family::Request]);
+        for r in rows {
+            let ids = staging.intern(r);
+            staging.push(0, r, ids);
+        }
+        staging.seal()
+    }
+
+    /// Damage to a spilled segment, found by the freeze's one read, is a
+    /// typed `Corrupt` naming the spill file, the section and the byte
+    /// offset in the file; it counts one checksum failure and verifies
+    /// nothing. The segment under test is the file's second, so every
+    /// offset includes the first's length.
+    #[test]
+    fn spilled_segment_damage_is_a_typed_error_naming_file_section_and_offset() {
+        let rows = pinned_rows();
+        let good = emitted_bytes(&rows);
+        let offset = emitted_bytes(&rows[..5]).len();
+        // The one section is the segment's last 300 rows.
+        let section = good.len() - 300 * ROW_BYTES;
+        let expect = |bytes: &[u8], flip: Option<usize>, run: usize, at: usize, what: &str| {
+            let session = SpillSession::create(None).unwrap();
+            let (segment, path) = spilled(&session, bytes);
+            if let Some(i) = flip {
+                let mut on_disk = fs::read(&path).unwrap();
+                on_disk[offset + i] ^= 0x10;
+                fs::write(&path, &on_disk).unwrap();
+            }
+            let err = freeze_families(vec![segment], &[]).unwrap_err();
+            let stats = session.stats();
+            assert_eq!(
+                (stats.checksum_failures, stats.bytes_verified),
+                (1, 0),
+                "{what}"
+            );
+            match err {
+                SpillError::Corrupt {
+                    path: p,
+                    run: r,
+                    offset: o,
+                    reason,
+                } => {
+                    assert_eq!(p, path, "{what}: names the spill file");
+                    assert_eq!((r, o), (run, (offset + at) as u64), "{what}: {reason}");
+                    reason
+                }
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        };
+
+        // A flipped section byte fails the section's checksum.
+        let reason = expect(&good, Some(section + 7), 1, section, "flipped section byte");
+        assert!(reason.contains("checksum mismatch"), "{reason}");
+        // A flipped header byte differs from the header written.
+        let reason = expect(&good, Some(6), 0, 6, "flipped header byte");
+        assert!(
+            reason.contains("differs from the header written"),
+            "{reason}"
+        );
+        // An address id one past the v6 keys, re-checksummed before the
+        // append so that only the id check can catch it.
+        let mut past = good.clone();
+        let ip_col = section + 4 * 300 + 4 * 3;
+        let n6 = le_u32(&good[8..]);
+        past[ip_col..ip_col + 4].copy_from_slice(&(V6_BIT | n6).to_le_bytes());
+        rechecksum(&mut past);
+        let reason = expect(&past, None, 1, ip_col, "out-of-range address id");
+        assert!(reason.contains("is out of range"), "{reason}");
+    }
+
+    /// A spill file cut short is a torn write, found by the read of the
+    /// first section past the cut.
+    #[test]
+    fn truncated_spill_file_is_reported_as_torn_write() {
+        let session = SpillSession::create(None).unwrap();
+        let (segment, path) = spilled(&session, &emitted_bytes(&pinned_rows()));
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        let err = freeze_families(vec![segment], &[]).unwrap_err();
+        assert!(
+            matches!(err, SpillError::Corrupt { run: 1, ref reason, .. }
+                if reason.contains("torn write")),
+            "{err:?}"
+        );
+        assert_eq!(session.stats().bytes_verified, 0);
+    }
+
+    /// Transient read faults on a spilled segment are retried in place:
+    /// the freeze reads the same rows and counts the retries.
+    #[test]
+    fn injected_read_faults_retry_transparently() {
+        let policy = SpillPolicy {
+            faults: Some(crate::spill::SpillFaultPlan {
+                seed: 7,
+                read_fail_rate: 0.6,
+                fail_attempts: 1,
+                ..Default::default()
+            }),
+            ..SpillPolicy::default()
+        };
+        let session = SpillSession::create_with(None, policy).unwrap();
+        let rows = pinned_rows();
+        let (segment, _) = spilled(&session, &emitted_bytes(&rows));
+        let bytes = segment.bytes();
+        let frozen = freeze_families(vec![segment], &[]).unwrap().stores.request;
+        let mut sorted = rows.clone();
+        sorted.sort_by_key(|r| r.ts);
+        assert_eq!(frozen.all().records().collect::<Vec<_>>(), sorted);
+        let stats = session.stats();
+        assert!(stats.io_retries > 0, "read faults must have fired");
+        assert_eq!(stats.bytes_verified, bytes);
     }
 }

@@ -3,14 +3,14 @@
 //! Emitters (the behavior and abuse simulators) produce a stream of
 //! [`RequestRecord`]s; what happens to each record — sampling into the
 //! study datasets, wholesale retention in a [`RequestStore`], sealing into
-//! runs — is the caller's business. [`RequestSink`] is that seam:
+//! segments — is the caller's business. [`RequestSink`] is that seam:
 //! emitters take `&mut dyn RequestSink`, and this module provides the
 //! standard implementations:
 //!
 //! - [`ShardSink`] — the production path: routes each record through the
-//!   deterministic §3.1 samplers *during* the sim phase and seals each
-//!   dataset family into runs in emission order, in memory or spilled
-//!   ([`SpillTarget`]),
+//!   deterministic §3.1 samplers *during* the sim phase and seals every
+//!   retained row into dictionary-coded segments in emission order, kept
+//!   in memory or spilled ([`SpillTarget`]),
 //! - [`StudyDatasets`] — routes through the samplers into in-memory
 //!   stores only (tests and ad-hoc pipelines),
 //! - [`RequestStore`] — keeps everything (tests),
@@ -26,9 +26,9 @@
 //! 2. [`RequestSink::flush_segment`] at stream-defined boundaries (the
 //!    driver calls it once per simulated day) — sinks may publish
 //!    progress/memory telemetry; spill-backed sinks need no forcing here
-//!    because runs seal automatically at `segment_rows`;
-//! 3. [`RequestSink::finish`] exactly once at end of stream — staging
-//!    buffers seal into their final runs.
+//!    because segments seal automatically at `segment_rows`;
+//! 3. [`RequestSink::finish`] exactly once at end of stream — the staged
+//!    rows seal into the final segment.
 //!
 //! For simple sinks `flush_segment` and `finish` are no-ops.
 //!
@@ -36,21 +36,24 @@
 //!
 //! `push` is deliberately infallible — emitters are pure simulation code
 //! and never handle I/O. A spill-backed [`ShardSink`] instead **latches**
-//! the first typed [`SpillError`] its writers raise: subsequent records
+//! the first typed [`SpillError`] its seals raise: subsequent records
 //! are counted but no longer routed, [`ShardSink::io_error`] exposes the
 //! latched error (the driver polls it at day boundaries to fail fast),
 //! and [`ShardSink::into_payload`] refuses to produce a payload, so a
 //! faulted attempt can never feed partial data into the freeze.
 
+use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 
 use ipv6_study_netaddr::Ipv6Prefix;
 
 use crate::dataset::StudyDatasets;
+use crate::intern::IpId;
 use crate::record::RequestRecord;
-use crate::run::FamilyRuns;
+use crate::run::Family;
 use crate::sampler::Samplers;
-use crate::spill::{MemGauge, RunWriter, SpillError, SpillSession};
+use crate::segment::{Segment, Staging};
+use crate::spill::{MemGauge, SpillError, SpillFile, SpillSession};
 use crate::store::RequestStore;
 
 mod sealed {
@@ -74,8 +77,9 @@ pub trait RequestSink: sealed::Sealed {
     /// does nothing.
     fn flush_segment(&mut self) {}
 
-    /// Marks end of stream: buffered state must become final (staging
-    /// seals into runs). Called exactly once; the default does nothing.
+    /// Marks end of stream: buffered state must become final (staged
+    /// rows seal into a segment). Called exactly once; the default does
+    /// nothing.
     fn finish(&mut self) {}
 }
 
@@ -125,17 +129,17 @@ impl<F: FnMut(RequestRecord)> RequestSink for FnSink<F> {
     }
 }
 
-/// Where a spilling [`ShardSink`] writes its runs.
+/// Where a spilling [`ShardSink`] writes its segments.
 #[derive(Debug, Clone, Copy)]
 pub struct SpillTarget<'a> {
     /// The run's spill session (owns the directory).
     pub session: &'a SpillSession,
-    /// Shard index (names the spill files).
+    /// Shard index (names the spill file).
     pub shard: usize,
-    /// Attempt number (names the spill files, so a failed attempt's
-    /// files can be removed without touching a retry's).
+    /// Attempt number (names the spill file, so a failed attempt's file
+    /// can be removed without touching a retry's).
     pub attempt: u32,
-    /// Rows staged per family before a run is appended.
+    /// Rows a family stages before the shard seals a segment.
     pub segment_rows: usize,
 }
 
@@ -143,8 +147,8 @@ pub struct SpillTarget<'a> {
 /// driver for the merge phase.
 #[derive(Debug)]
 pub struct ShardPayload {
-    /// Every family's runs, in emission order.
-    pub runs: FamilyRuns,
+    /// The shard's emitted segments, in the order sealed.
+    pub segments: Vec<Segment>,
     /// Records offered to the samplers (excludes nothing; the abuse
     /// stream sees the same records before sampling).
     pub offered: u64,
@@ -152,9 +156,104 @@ pub struct ShardPayload {
     pub records: u64,
 }
 
+/// A shard attempt's segments: the rows staged for the next one under
+/// its first-sight dictionary, and the ones sealed so far, in memory or
+/// in the attempt's spill file.
+#[derive(Debug)]
+pub(crate) struct Sealer {
+    staging: Staging,
+    /// Rows any family may stage before a seal; `usize::MAX` in memory.
+    segment_rows: usize,
+    spill: Option<SpillFile>,
+    sealed: Vec<Segment>,
+    /// Bytes of the sealed segments held in memory.
+    held: u64,
+    /// Whether some family has staged `segment_rows` rows.
+    full: bool,
+}
+
+impl Sealer {
+    /// A sealer of `families`, in section order: spilled to `spill`, or
+    /// kept in memory and sealed once at [`Sealer::seal`].
+    pub(crate) fn new(families: Vec<Family>, spill: Option<SpillTarget<'_>>) -> Self {
+        Self {
+            staging: Staging::new(families),
+            segment_rows: spill.map_or(usize::MAX, |t| t.segment_rows),
+            spill: spill.map(|t| t.session.spill_file(t.shard, t.attempt)),
+            sealed: Vec::new(),
+            held: 0,
+            full: false,
+        }
+    }
+
+    /// Stages `rec` in family `k`, interning its keys on the record's
+    /// first kept family (`ids` carries them to the next).
+    pub(crate) fn keep(&mut self, k: usize, rec: &RequestRecord, ids: &mut Option<(IpId, u32)>) {
+        let staging = &mut self.staging;
+        let ids = *ids.get_or_insert_with(|| staging.intern(rec));
+        if staging.push(k, rec, ids) >= self.segment_rows {
+            self.full = true;
+        }
+    }
+
+    /// Seals once some family has staged `segment_rows` rows; called
+    /// after each record, so a record's rows share a segment.
+    pub(crate) fn end_record(&mut self) -> Result<(), SpillError> {
+        if self.full {
+            self.seal()?;
+        }
+        Ok(())
+    }
+
+    /// Seals the staged rows, if any, into one segment: appended to the
+    /// spill file, or kept in memory.
+    pub(crate) fn seal(&mut self) -> Result<(), SpillError> {
+        self.full = false;
+        if self.staging.is_empty() {
+            return Ok(());
+        }
+        let bytes = self.staging.seal();
+        let segment = match &mut self.spill {
+            Some(file) => file.append(&bytes)?,
+            None => {
+                self.held += bytes.len() as u64;
+                let name = PathBuf::from(format!("in-memory segment {}", self.sealed.len()));
+                Segment::emitted(name, bytes)?
+            }
+        };
+        self.sealed.push(segment);
+        Ok(())
+    }
+
+    /// Bytes held for the freeze: staged rows, the dictionary and sealed
+    /// in-memory segments.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.staging.bytes() + self.held
+    }
+
+    /// The sealed segments, in order; [`Sealer::seal`] must have run
+    /// last.
+    pub(crate) fn into_segments(self) -> Vec<Segment> {
+        debug_assert!(
+            self.staging.is_empty(),
+            "into_segments before the last seal"
+        );
+        self.sealed
+    }
+}
+
+/// Family indices of a [`ShardSink`]'s sealer: request, user and ip,
+/// then the prefix lengths ascending, then abuse (abuse shards) and pair.
+const REQUEST: usize = 0;
+const USER: usize = 1;
+const IP: usize = 2;
+const PREFIX: usize = 3;
+
 /// The production per-shard sink: applies the §3.1 [`Samplers`] to every
-/// record *during* the sim phase and seals each dataset family into runs
-/// in emission order, in memory or spilled to a [`SpillTarget`].
+/// record *during* the sim phase and stages each retained record once,
+/// its address and user interned into the shard's dictionary, in every
+/// family that keeps it; the staged rows seal into segments in memory or
+/// spilled to a [`SpillTarget`].
 ///
 /// One sink lives for one shard attempt. The routing order per record is
 /// fixed (it defines emission order within every family, which the golden
@@ -163,18 +262,19 @@ pub struct ShardPayload {
 /// then the pair-window stream when [`ShardSink::set_pair_routing`] is on.
 pub struct ShardSink<'a> {
     samplers: Samplers,
-    request: RunWriter,
-    user: RunWriter,
-    ip: RunWriter,
-    prefixes: Vec<(u8, RunWriter)>,
-    abuse: Option<RunWriter>,
-    pair: RunWriter,
+    /// Prefix lengths, ascending; the i-th is family `PREFIX + i`.
+    lengths: Vec<u8>,
+    /// The abuse family's index, on abuse shards.
+    abuse: Option<usize>,
+    /// The pair family's index.
+    pair: usize,
+    sealer: Sealer,
     pair_routing: bool,
     offered: u64,
     records: u64,
     gauge: Option<(&'a MemGauge, &'a AtomicU64)>,
-    /// The first storage error a spill writer raised; once set, records
-    /// are counted but no longer routed (see "Storage faults" above).
+    /// The first storage error a seal raised; once set, records are
+    /// counted but no longer routed (see "Storage faults" above).
     error: Option<SpillError>,
 }
 
@@ -183,8 +283,8 @@ impl<'a> ShardSink<'a> {
     ///
     /// `prefix_lengths` need not be sorted or unique; the sink routes in
     /// ascending-length order. `collect_abuse` turns on the full-fidelity
-    /// abuse stream (abuse shards). `spill` sends runs to disk; `None`
-    /// keeps one run per family in memory. `gauge` is the run-wide memory
+    /// abuse stream (abuse shards). `spill` sends segments to disk;
+    /// `None` keeps one segment in memory. `gauge` is the run-wide memory
     /// high-water gauge plus this attempt's published counter; pass
     /// `None` to skip memory telemetry.
     pub fn new(
@@ -194,25 +294,22 @@ impl<'a> ShardSink<'a> {
         spill: Option<SpillTarget<'a>>,
         gauge: Option<(&'a MemGauge, &'a AtomicU64)>,
     ) -> Self {
-        let writer = |family: &str| match spill {
-            Some(t) => t.session.writer(t.shard, t.attempt, family, t.segment_rows),
-            None => RunWriter::in_memory(),
-        };
         let mut lengths: Vec<u8> = prefix_lengths.to_vec();
         lengths.sort_unstable();
         lengths.dedup();
-        let prefixes = lengths
-            .into_iter()
-            .map(|len| (len, writer(&format!("p{len}"))))
-            .collect();
+        let mut families = vec![Family::Request, Family::User, Family::Ip];
+        families.extend(lengths.iter().map(|&len| Family::Prefix(len)));
+        let abuse = collect_abuse.then(|| {
+            families.push(Family::Abuse);
+            families.len() - 1
+        });
+        families.push(Family::Pair);
         Self {
             samplers,
-            request: writer("request"),
-            user: writer("user"),
-            ip: writer("ip"),
-            prefixes,
-            abuse: collect_abuse.then(|| writer("abuse")),
-            pair: writer("pair"),
+            lengths,
+            abuse,
+            pair: families.len() - 1,
+            sealer: Sealer::new(families, spill),
             pair_routing: false,
             offered: 0,
             records: 0,
@@ -232,101 +329,63 @@ impl<'a> ShardSink<'a> {
         self.records
     }
 
-    /// The latched storage error, if a spill writer has failed. The
-    /// driver polls this at day boundaries so a faulted attempt stops
-    /// simulating instead of pushing into a dead sink.
+    /// The latched storage error, if a seal has failed. The driver polls
+    /// this at day boundaries so a faulted attempt stops simulating
+    /// instead of pushing into a dead sink.
     pub fn io_error(&self) -> Option<&SpillError> {
         self.error.as_ref()
     }
 
-    /// Routes one record through the samplers into the family writers,
-    /// surfacing the first storage error.
+    /// Routes one record through the samplers into the families that keep
+    /// it, sealing a full segment and surfacing the first storage error.
     fn route(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
-        if let Some(abuse) = &mut self.abuse {
-            abuse.push(rec)?;
+        let sealer = &mut self.sealer;
+        let mut ids = None;
+        if let Some(k) = self.abuse {
+            sealer.keep(k, &rec, &mut ids);
         }
         self.offered += 1;
         if self.samplers.request_sampled(&rec) {
-            self.request.push(rec)?;
+            sealer.keep(REQUEST, &rec, &mut ids);
         }
         if self.samplers.user_sampled(rec.user) {
-            self.user.push(rec)?;
+            sealer.keep(USER, &rec, &mut ids);
         }
         if self.samplers.ip_sampled(&rec) {
-            self.ip.push(rec)?;
+            sealer.keep(IP, &rec, &mut ids);
         }
         if let Some(addr) = rec.ipv6() {
-            for (len, writer) in &mut self.prefixes {
+            for (i, &len) in self.lengths.iter().enumerate() {
                 if self
                     .samplers
-                    .prefix_sampled(Ipv6Prefix::containing(addr, *len))
+                    .prefix_sampled(Ipv6Prefix::containing(addr, len))
                 {
-                    writer.push(rec)?;
+                    sealer.keep(PREFIX + i, &rec, &mut ids);
                 }
             }
         }
         if self.pair_routing {
-            self.pair.push(rec)?;
+            sealer.keep(self.pair, &rec, &mut ids);
         }
-        Ok(())
-    }
-
-    /// Finishes every family writer, surfacing the first storage error.
-    fn finish_families(&mut self) -> Result<(), SpillError> {
-        self.request.finish()?;
-        self.user.finish()?;
-        self.ip.finish()?;
-        for (_, writer) in &mut self.prefixes {
-            writer.finish()?;
-        }
-        if let Some(abuse) = &mut self.abuse {
-            abuse.finish()?;
-        }
-        self.pair.finish()
-    }
-
-    /// Mutable row bytes currently held in memory across all families.
-    fn live_bytes(&self) -> u64 {
-        let mut bytes = self.request.live_bytes()
-            + self.user.live_bytes()
-            + self.ip.live_bytes()
-            + self.pair.live_bytes();
-        for (_, writer) in &self.prefixes {
-            bytes += writer.live_bytes();
-        }
-        if let Some(abuse) = &self.abuse {
-            bytes += abuse.live_bytes();
-        }
-        bytes
+        sealer.end_record()
     }
 
     fn publish_gauge(&self) {
         if let Some((gauge, published)) = self.gauge {
-            gauge.publish(published, self.live_bytes());
+            gauge.publish(published, self.sealer.bytes());
         }
     }
 
     /// Consumes the sink into its payload. [`RequestSink::finish`] must
-    /// have been called first (the writers debug-assert it). A sink that
-    /// latched a storage error refuses to produce a payload — the typed
-    /// error surfaces instead, so partial data never reaches the freeze.
+    /// have been called first. A sink that latched a storage error
+    /// refuses to produce a payload — the typed error surfaces instead,
+    /// so partial data never reaches the freeze.
     pub fn into_payload(self) -> Result<ShardPayload, SpillError> {
         if let Some(e) = self.error {
             return Err(e);
         }
         Ok(ShardPayload {
-            runs: FamilyRuns {
-                request: self.request.into_runs(),
-                user: self.user.into_runs(),
-                ip: self.ip.into_runs(),
-                prefixes: self
-                    .prefixes
-                    .into_iter()
-                    .map(|(len, writer)| (len, writer.into_runs()))
-                    .collect(),
-                abuse: self.abuse.map(RunWriter::into_runs).unwrap_or_default(),
-                pair: self.pair.into_runs(),
-            },
+            segments: self.sealer.into_segments(),
             offered: self.offered,
             records: self.records,
         })
@@ -351,7 +410,7 @@ impl RequestSink for ShardSink<'_> {
 
     fn finish(&mut self) {
         if self.error.is_none() {
-            if let Err(e) = self.finish_families() {
+            if let Err(e) = self.sealer.seal() {
                 self.error = Some(e);
             }
         }
@@ -363,7 +422,7 @@ impl RequestSink for ShardSink<'_> {
 mod tests {
     use super::*;
     use crate::ids::{Asn, Country, UserId};
-    use crate::run::{freeze_families, Run};
+    use crate::run::freeze_families;
     use crate::sampler::Samplers;
     use crate::time::SimDate;
 
@@ -384,11 +443,6 @@ mod tests {
             ip_rate: 1.0,
             prefix_rate: 0.0,
         }
-    }
-
-    /// Rows held by a family's runs.
-    fn rows(runs: &[Run]) -> usize {
-        runs.iter().map(|r| r.rows() as usize).sum()
     }
 
     #[test]
@@ -447,22 +501,34 @@ mod tests {
 
         assert_eq!(payload.offered, reference.offered);
         assert_eq!(payload.records, 2_000);
-        let runs = &payload.runs;
-        assert!(runs.abuse.is_empty());
-        // In memory, each family is one run (or none when empty).
-        let lists = [&runs.request, &runs.user, &runs.ip, &runs.pair];
-        for list in lists.into_iter().chain(runs.prefixes.values()) {
-            assert!(list.len() <= 1 && list.iter().all(|r| r.rows() > 0));
-        }
-        assert_eq!(runs.request.len(), 1);
-        assert_eq!(rows(&runs.request), reference.request_sample.len());
-        assert_eq!(rows(&runs.user), reference.user_sample.len());
-        assert_eq!(rows(&runs.ip), reference.ip_sample.len());
-        assert_eq!(rows(&runs.pair), ref_pair.len());
-        // Duplicated/unsorted prefix lengths collapse to ascending order.
-        assert_eq!(runs.prefixes.keys().copied().collect::<Vec<_>>(), [48, 64]);
-        for (len, p) in &runs.prefixes {
-            assert_eq!(rows(p), reference.prefix_sample(*len).len(), "/{len}");
+        // In memory, the shard is one segment: request, user, ip, the
+        // prefix lengths ascending (duplicates and order collapse), pair.
+        assert_eq!(payload.segments.len(), 1);
+        let families: Vec<Family> = payload.segments[0].sections().map(|(f, _)| f).collect();
+        assert_eq!(
+            families,
+            [
+                Family::Request,
+                Family::User,
+                Family::Ip,
+                Family::Prefix(48),
+                Family::Prefix(64),
+                Family::Pair
+            ]
+        );
+        let frozen = freeze_families(payload.segments, &[48, 64]).unwrap().stores;
+        let rows = |store: &crate::FrozenStore| store.all().records().collect::<Vec<_>>();
+        assert_eq!(rows(&frozen.request), reference.request_sample.all());
+        assert_eq!(rows(&frozen.user), reference.user_sample.all());
+        assert_eq!(rows(&frozen.ip), reference.ip_sample.all());
+        assert_eq!(rows(&frozen.pair), ref_pair.all());
+        assert!(frozen.abuse.is_empty());
+        for len in [48, 64] {
+            assert_eq!(
+                rows(&frozen.prefixes[&len]),
+                reference.prefix_sample(len).all(),
+                "/{len}"
+            );
         }
     }
 
@@ -475,13 +541,19 @@ mod tests {
             sink.push(rec(i, i as u32));
         }
         sink.flush_segment();
-        // 10 records × (abuse + request + user + ip) families × 40 bytes.
-        let expected = 10 * 4 * std::mem::size_of::<RequestRecord>() as u64;
-        assert_eq!(gauge.current(), expected);
-        // Sealed in-memory runs are still resident row bytes.
+        // 10 records × (abuse + request + user + ip) families × 18 bytes,
+        // and a dictionary of one address and ten users.
+        let dict = std::mem::size_of::<(u128, u32)>() + 10 * std::mem::size_of::<(u64, u32)>();
+        let staged = (10 * 4 * 18 + dict) as u64;
+        assert_eq!(gauge.current(), staged);
+        // The sealed segment is still held for the freeze: a header, a
+        // table of five sections (pair too), the dictionary and the rows.
         sink.finish();
-        assert_eq!(gauge.current(), expected);
-        assert_eq!(gauge.peak(), expected);
+        let sealed = (28 + 5 * 20 + 16 + 10 * 8 + 10 * 4 * 18) as u64;
+        assert_eq!(gauge.current(), sealed);
+        assert_eq!(gauge.peak(), staged.max(sealed));
+        let payload = sink.into_payload().unwrap();
+        assert_eq!(payload.segments[0].bytes(), sealed);
     }
 
     #[test]
@@ -506,12 +578,13 @@ mod tests {
             segment_rows: 128,
         }));
         assert_eq!(memory.offered, spilled.offered);
-        assert!(spilled.runs.request.len() > 1, "spilled in several runs");
+        assert_eq!(memory.segments.len(), 1);
+        assert!(spilled.segments.len() > 1, "spilled in several segments");
 
         // The same rows freeze to the same columns either way.
         let records = |store: &crate::FrozenStore| store.all().records().collect::<Vec<_>>();
-        let m = freeze_families(memory.runs).unwrap().stores;
-        let s = freeze_families(spilled.runs).unwrap().stores;
+        let m = freeze_families(memory.segments, &[64]).unwrap().stores;
+        let s = freeze_families(spilled.segments, &[64]).unwrap().stores;
         for (m, s, what) in [
             (&m.prefixes[&64], &s.prefixes[&64], "p64"),
             (&m.request, &s.request, "request"),

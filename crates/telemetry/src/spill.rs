@@ -1,16 +1,14 @@
-//! Out-of-core run storage: bounded, crash-safe spill of request
-//! streams to disk.
+//! Out-of-core storage: bounded, crash-safe spill of shard segments to
+//! disk.
 //!
-//! Every dataset family reaches the freeze as a list of runs in emission
-//! order (see [`crate::run`]). A [`RunWriter`] stages a family's records
-//! and seals them into runs. Under [`StorageMode::InMemory`] it keeps one
-//! run per shard and family in RAM, which costs O(retained records) × 40
-//! bytes until the freeze. Under [`StorageMode::Spill`] it stages at most
-//! `segment_rows` records and appends each full segment to a per-family
-//! segment file as one framed run, so peak memory no longer grows with
-//! the population. The freeze reads each run once, straight into
-//! 18-byte-a-row staging columns; no record is ever re-buffered in row
-//! form.
+//! Every row reaches the freeze as a section of a dictionary-coded
+//! segment (see [`crate::segment`]). Under [`StorageMode::InMemory`] a
+//! shard seals one segment at its end and keeps the bytes, about 18 a
+//! row. Under [`StorageMode::Spill`] it seals a segment whenever a family
+//! has staged `segment_rows` rows and appends it to the shard attempt's
+//! spill file in the [`SpillSession`] directory, so peak memory no longer
+//! grows with the population. The freeze reads each spilled segment
+//! once, checking its header against the one written and every checksum.
 //!
 //! # Fault safety
 //!
@@ -18,22 +16,21 @@
 //! typed [`SpillError`]:
 //!
 //! * [`SpillError::Io`] — an operating-system error (create/write/flush/
-//!   open/seek/read), with the path and operation that failed. Run writes
-//!   are all-or-nothing: a failed frame write truncates the file back to
-//!   the pre-run length and is retried up to
+//!   open/seek/read), with the path and operation that failed. Segment
+//!   appends are all-or-nothing: a failed write truncates the file back
+//!   to its length before the segment and is retried up to
 //!   [`SpillPolicy::max_io_retries`] times before surfacing, so a
-//!   transient error never leaves a torn run behind.
-//! * [`SpillError::Corrupt`] — on-disk data failed verification at read
-//!   time: a bad run header, a truncated (torn) run, an unknown row tag,
-//!   or a checksum mismatch. Reported with path, run index and byte
-//!   offset.
-//! * [`SpillError::Budget`] — admitting the next run would exceed the
-//!   session's [`SpillPolicy::disk_budget_bytes`]. The driver maps this
-//!   to a policy-governed degradation instead of filling the disk.
+//!   transient error never leaves a torn segment behind.
+//! * [`SpillError::Corrupt`] — data failed verification at read time: a
+//!   header that differs from the one written, a truncated (torn)
+//!   segment, a checksum mismatch, or a local id out of range. Reported
+//!   with path, section and byte offset.
+//! * [`SpillError::Budget`] — admitting the next segment would exceed
+//!   the session's [`SpillPolicy::disk_budget_bytes`]. The driver maps
+//!   this to a policy-governed degradation instead of filling the disk.
 //!
-//! The freeze's one read re-derives each frame's checksum and length, so
-//! torn writes and flipped bytes are *detected*, never decoded into
-//! figures. A failed attempt's partial files are deleted by
+//! Torn writes and flipped bytes are therefore *detected*, never decoded
+//! into figures. A failed attempt's spill file is deleted by
 //! [`SpillSession::remove_attempt`]; the whole session directory is
 //! removed when the [`SpillSession`] drops — on success and on failure
 //! paths alike.
@@ -41,7 +38,8 @@
 //! Deterministic I/O fault injection for chaos tests rides on
 //! [`SpillFaultPlan`]: every decision is a pure function of (seed, stream
 //! id, op index, io attempt), where the stream id hashes the file name —
-//! which encodes shard, attempt and family — so injected faults are
+//! which encodes shard and attempt — and the op index counts a file's
+//! appends or names a read's byte offset, so injected faults are
 //! byte-reproducible at any thread count.
 
 use std::fs::File;
@@ -53,34 +51,35 @@ use std::sync::Arc;
 use ipv6_study_stats::dist::uniform01;
 use ipv6_study_stats::hash::{stable_hash64, StableHasher};
 
-use crate::record::RequestRecord;
-use crate::run::{encode_frame, FramedRun, Run, RunMeta, RUN_HEADER_BYTES};
+use crate::segment::Segment;
 
-/// Default rows staged per spill segment. Chosen so a shard's staging
-/// buffers stay a few megabytes across all dataset families while each
-/// run's frame header and file open stay a small share of its rows.
+/// Default rows a family stages before its shard seals a spill segment.
+/// Chosen so a shard's staging stays a few megabytes across all dataset
+/// families while each segment's header and dictionary stay a small
+/// share of its rows.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
 
 /// Default op-level retry budget for a failed spill read or write.
 pub const DEFAULT_IO_RETRIES: u32 = 2;
 
-/// Where a study keeps its runs between the sim phase and the freeze.
+/// Where a study keeps its segments between the sim phase and the
+/// freeze.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum StorageMode {
-    /// Each shard keeps one run per family in memory until the freeze.
-    /// Peak memory is O(retained records).
+    /// Each shard keeps one segment in memory until the freeze. Peak
+    /// memory is O(retained records).
     #[default]
     InMemory,
-    /// Shards stream every dataset family into bounded runs on disk; peak
-    /// memory is O(`segment_rows` × families × worker threads),
+    /// Shards stream every dataset family into bounded segments on disk;
+    /// peak memory is O(`segment_rows` × families × worker threads),
     /// independent of the population.
     Spill {
         /// Parent directory for the per-run spill session directory;
         /// `None` uses [`std::env::temp_dir`]. The session directory is
         /// removed when the run completes (or fails).
         dir: Option<PathBuf>,
-        /// Rows staged in memory per family before a segment is
-        /// appended to disk as one run. Must be non-zero.
+        /// Rows a family stages in memory before its shard appends a
+        /// segment to disk. Must be non-zero.
         segment_rows: usize,
     },
 }
@@ -114,21 +113,21 @@ impl StorageMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IoOp {
-    /// Creating a segment file or the session directory.
+    /// Creating a file or a directory.
     Create,
-    /// Appending a run frame.
+    /// Appending a segment or writing a file.
     Write,
     /// Flushing buffered bytes to the OS.
     Flush,
-    /// Opening a segment file for reading.
+    /// Opening a file for reading.
     Open,
-    /// Seeking to a run or rolling a torn frame back.
+    /// Seeking to a segment or rolling a torn append back.
     Seek,
-    /// Reading a header or row.
+    /// Reading a header, dictionary, section or file.
     Read,
     /// Renaming a finished temporary file into place.
     Rename,
-    /// Removing a stale temporary file.
+    /// Removing a file.
     Remove,
 }
 
@@ -156,7 +155,7 @@ pub enum SpillError {
     /// The operating system refused an I/O operation (after the op-level
     /// retry budget was spent).
     Io {
-        /// Segment file (or directory) the operation targeted.
+        /// File or directory the operation targeted.
         path: PathBuf,
         /// Which operation failed.
         op: IoOp,
@@ -165,22 +164,23 @@ pub enum SpillError {
         /// Human-readable detail from the underlying error.
         detail: String,
     },
-    /// On-disk data failed verification: bad header, torn (truncated)
-    /// run, unknown row tag, or checksum mismatch; in a day segment also
-    /// a non-ascending dictionary, an out-of-range local id, or a row
-    /// outside its day (see [`crate::segment`]).
+    /// Stored data failed verification: a bad or changed header, a torn
+    /// (truncated) segment, a checksum mismatch, a non-ascending
+    /// dictionary, an out-of-range local id, or a history row outside its
+    /// day (see [`crate::segment`]); or a state-dir manifest that does
+    /// not parse or lacks a field.
     Corrupt {
         /// File holding the bad bytes.
         path: PathBuf,
-        /// Zero-based run index within a spill file. In a day segment, 0
-        /// is the header and dictionary and `k` the k-th section.
+        /// Where in a segment: 0 is the header and dictionary, `k` the
+        /// k-th section.
         run: usize,
         /// Absolute byte offset of the bad data within the file.
         offset: u64,
         /// What failed to verify.
         reason: String,
     },
-    /// Admitting the next run frame would exceed the session's disk
+    /// Admitting the next segment would exceed the session's disk
     /// budget.
     Budget {
         /// The configured [`SpillPolicy::disk_budget_bytes`].
@@ -191,7 +191,8 @@ pub enum SpillError {
 }
 
 impl SpillError {
-    pub(crate) fn io(path: &Path, op: IoOp, e: &std::io::Error) -> Self {
+    /// The [`SpillError::Io`] of `op` on `path` failing with `e`.
+    pub fn io(path: &Path, op: IoOp, e: &std::io::Error) -> Self {
         SpillError::Io {
             path: path.to_path_buf(),
             op,
@@ -218,7 +219,7 @@ impl std::fmt::Display for SpillError {
                 detail,
             } => write!(
                 f,
-                "spill {} {} failed ({kind:?}): {detail}",
+                "{} {} failed ({kind:?}): {detail}",
                 op.as_str(),
                 path.display()
             ),
@@ -229,7 +230,7 @@ impl std::fmt::Display for SpillError {
                 reason,
             } => write!(
                 f,
-                "corrupt spill data in {} (run {run}, byte offset {offset}): {reason}",
+                "corrupt data in {} (run {run}, byte offset {offset}): {reason}",
                 path.display()
             ),
             SpillError::Budget {
@@ -237,7 +238,7 @@ impl std::fmt::Display for SpillError {
                 attempted_bytes,
             } => write!(
                 f,
-                "spill disk budget exceeded: write would reach {attempted_bytes} bytes \
+                "disk budget exceeded: write would reach {attempted_bytes} bytes \
                  (budget {budget_bytes})"
             ),
         }
@@ -248,21 +249,21 @@ impl std::error::Error for SpillError {}
 
 /// Deterministic I/O fault script for chaos tests. Every decision is a
 /// pure function of `(seed, stream id, op index, io attempt)` — the
-/// stream id hashes the segment file name, which encodes shard, attempt
-/// and family — so the same faults fire at any thread count.
+/// stream id hashes the spill file name, which encodes shard and attempt
+/// — so the same faults fire at any thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpillFaultPlan {
     /// Study seed mixed into every roll.
     pub seed: u64,
-    /// Probability that a run-frame write op is faulted.
+    /// Probability that a segment append op is faulted.
     pub write_fail_rate: f64,
-    /// Probability that a header/row read op is faulted.
+    /// Probability that a segment read op is faulted.
     pub read_fail_rate: f64,
     /// Of faulted writes, the fraction that tear a short prefix of the
-    /// frame onto disk before failing (exercising the rollback path).
+    /// segment onto disk before failing (exercising the rollback path).
     pub short_write_rate: f64,
-    /// Probability that a successfully written run gets one byte flipped
-    /// afterwards (detected later by the checksum, never repaired).
+    /// Probability that a successfully written segment gets one byte
+    /// flipped afterwards (detected later, never repaired).
     pub corrupt_rate: f64,
     /// How many consecutive io attempts a faulted op fails before
     /// succeeding; values above the retry budget make the op error out.
@@ -291,15 +292,9 @@ impl SpillFaultPlan {
     }
 
     /// The injected failure for write op `op` on `stream` at `io_attempt`,
-    /// if any: `Some(short_bytes)` tears that many frame bytes onto disk
+    /// if any: `Some(short_bytes)` tears that many segment bytes onto disk
     /// first; `Some(0)` fails cleanly.
-    fn write_failure(
-        &self,
-        stream: u64,
-        op: u64,
-        io_attempt: u32,
-        frame_len: usize,
-    ) -> Option<usize> {
+    fn write_failure(&self, stream: u64, op: u64, io_attempt: u32, len: usize) -> Option<usize> {
         if io_attempt >= self.fail_attempts
             || self.roll(0x5346_5057, stream, op) >= self.write_fail_rate
         {
@@ -308,7 +303,7 @@ impl SpillFaultPlan {
         if self.roll(0x5346_5053, stream, op) < self.short_write_rate {
             let mut h = StableHasher::new(0x5346_504C);
             h.write_u64(self.seed).write_u64(stream).write_u64(op);
-            Some((h.finish() % frame_len.max(1) as u64) as usize)
+            Some((h.finish() % len.max(1) as u64) as usize)
         } else {
             Some(0)
         }
@@ -319,15 +314,15 @@ impl SpillFaultPlan {
         io_attempt < self.fail_attempts && self.roll(0x5346_5052, stream, op) < self.read_fail_rate
     }
 
-    /// The payload byte to flip after write op `op`, if this run is
-    /// selected for corruption.
-    fn corrupt_offset(&self, stream: u64, op: u64, payload_len: u64) -> Option<u64> {
-        if payload_len == 0 || self.roll(0x5346_5043, stream, op) >= self.corrupt_rate {
+    /// The byte to flip after write op `op`, if this segment is selected
+    /// for corruption.
+    fn corrupt_offset(&self, stream: u64, op: u64, len: u64) -> Option<u64> {
+        if len == 0 || self.roll(0x5346_5043, stream, op) >= self.corrupt_rate {
             return None;
         }
         let mut h = StableHasher::new(0x5346_504F);
         h.write_u64(self.seed).write_u64(stream).write_u64(op);
-        Some(h.finish() % payload_len)
+        Some(h.finish() % len)
     }
 
     /// Whether every rate is zero (the plan can be dropped).
@@ -366,17 +361,16 @@ impl Default for SpillPolicy {
 pub struct SpillStats {
     /// Read/write ops that failed once and were retried in place.
     pub io_retries: u64,
-    /// Runs whose checksum (or framing) failed verification.
+    /// Spilled segments that failed verification.
     pub checksum_failures: u64,
-    /// Payload bytes that passed checksum verification in the freeze's
-    /// one read.
+    /// Spilled segment bytes the freeze's one read verified.
     pub bytes_verified: u64,
-    /// Current on-disk bytes across every live segment file.
+    /// Current on-disk bytes across every live spill file.
     pub bytes_written: u64,
 }
 
 /// Shared mutable state of one session: the policy plus fault counters,
-/// handed by `Arc` to every writer and framed run.
+/// handed by `Arc` to every spill file and spilled segment.
 #[derive(Debug, Default)]
 pub(crate) struct SpillShared {
     pub(crate) policy: SpillPolicy,
@@ -397,7 +391,7 @@ impl SpillShared {
     }
 
     /// Releases `len` bytes of on-disk accounting (saturating — a failed
-    /// rollback can leave the file longer than the accounted frames).
+    /// rollback can leave the file longer than the accounted segments).
     fn release_bytes(&self, len: u64) {
         let mut cur = self.bytes_written.load(Ordering::Relaxed);
         while let Err(actual) = self.bytes_written.compare_exchange_weak(
@@ -412,7 +406,7 @@ impl SpillShared {
 }
 
 /// Stable per-file stream id for fault keying: hashes the file name,
-/// which encodes `(shard, attempt, family)`.
+/// which encodes `(shard, attempt)`.
 pub(crate) fn stream_id(path: &Path) -> u64 {
     let name = path
         .file_name()
@@ -421,11 +415,12 @@ pub(crate) fn stream_id(path: &Path) -> u64 {
     stable_hash64(0x5354_524D, name.as_bytes()) // "STRM"
 }
 
-/// A shared high-water-mark gauge over the mutable (row-format) bytes the
-/// sim phase holds in memory: shard-local in-memory runs plus staging
-/// buffers. Frozen columnar output, intern tables, and the freeze's
-/// staging columns are excluded — the gauge measures what *scales with work in
-/// flight*, which is what the out-of-core pipeline bounds.
+/// A shared high-water-mark gauge over the bytes the sim phase holds in
+/// memory for the freeze: every shard's staged rows (18 bytes each), its
+/// dictionary's entries and its sealed in-memory segments. Frozen
+/// columnar output, intern tables, and the freeze's own staging are
+/// excluded — the gauge measures what *scales with work in flight*,
+/// which is what the out-of-core pipeline bounds.
 #[derive(Debug, Default)]
 pub struct MemGauge {
     current: AtomicU64,
@@ -473,9 +468,10 @@ impl MemGauge {
 /// collide on a directory name.
 static SESSION_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// One run's private spill directory. Files are created lazily by
-/// [`RunWriter`]s; the directory (and everything in it) is removed on
-/// drop, so a completed — or aborted — run leaves nothing behind.
+/// One run's private spill directory. Each shard attempt's spill file
+/// is created lazily on its first segment; the directory (and
+/// everything in it) is removed on drop, so a completed — or aborted —
+/// run leaves nothing behind.
 #[derive(Debug)]
 pub struct SpillSession {
     dir: PathBuf,
@@ -517,58 +513,33 @@ impl SpillSession {
         self.shared.stats()
     }
 
-    /// The filename prefix shared by every file of one shard attempt.
-    fn attempt_prefix(shard: usize, attempt: u32) -> String {
-        format!("s{shard:05}-a{attempt:02}-")
+    /// The spill file of one shard attempt.
+    fn attempt_path(&self, shard: usize, attempt: u32) -> PathBuf {
+        self.dir.join(format!("s{shard:05}-a{attempt:02}.seg"))
     }
 
-    /// A writer spilling one `(shard, attempt, family)` stream to its
-    /// segment file, one run per `segment_rows` staged rows.
-    pub fn writer(
-        &self,
-        shard: usize,
-        attempt: u32,
-        family: &str,
-        segment_rows: usize,
-    ) -> RunWriter {
-        let name = format!("{}{family}.seg", Self::attempt_prefix(shard, attempt));
-        let path: Arc<Path> = Arc::from(self.dir.join(name));
-        RunWriter {
-            staging: Vec::new(),
-            segment_rows,
-            runs: Vec::new(),
-            resident_rows: 0,
-            file: Some(SegmentFile {
-                stream: stream_id(&path),
-                path,
-                file: None,
-                len: 0,
-                write_ops: 0,
-                shared: Arc::clone(&self.shared),
-            }),
+    /// The spill file one `(shard, attempt)` appends its segments to.
+    pub(crate) fn spill_file(&self, shard: usize, attempt: u32) -> SpillFile {
+        let path = self.attempt_path(shard, attempt);
+        SpillFile {
+            stream: stream_id(&path),
+            path,
+            file: None,
+            len: 0,
+            write_ops: 0,
+            shared: Arc::clone(&self.shared),
         }
     }
 
-    /// Best-effort removal of every file a failed attempt wrote, so a
-    /// retried shard starts from a clean directory and a completed run
+    /// Best-effort removal of the spill file a failed attempt wrote, so
+    /// a retried shard starts from a clean directory and a completed run
     /// holds only the files of successful attempts. Removed bytes are
     /// released back to the disk budget.
     pub fn remove_attempt(&self, shard: usize, attempt: u32) {
-        let prefix = Self::attempt_prefix(shard, attempt);
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            if entry
-                .file_name()
-                .to_str()
-                .is_some_and(|n| n.starts_with(&prefix))
-            {
-                let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                if std::fs::remove_file(entry.path()).is_ok() {
-                    self.shared.release_bytes(len);
-                }
-            }
+        let path = self.attempt_path(shard, attempt);
+        let len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        if std::fs::remove_file(&path).is_ok() {
+            self.shared.release_bytes(len);
         }
     }
 }
@@ -579,34 +550,16 @@ impl Drop for SpillSession {
     }
 }
 
-/// Stages one family's records and seals them into runs in emission
-/// order: kept in memory ([`RunWriter::in_memory`], one run at
-/// [`RunWriter::finish`]) or appended to a spill segment file
-/// ([`SpillSession::writer`], one run per `segment_rows` records).
-///
-/// Sealing never reorders: the freeze's stable sort of the concatenated
-/// runs is the one ordering decision. On disk each run is one
-/// checksummed frame, and the file is created lazily on the first run, so
-/// record-free families cost nothing. Frame writes are all-or-nothing:
-/// on any write failure (real or injected) the file is truncated back to
-/// the pre-run length and the whole frame is retried up to the policy's
-/// op-retry budget, after which the error surfaces as a typed
+/// A shard attempt's spill file and its write state. Segments are
+/// appended whole; the file is created lazily on the first, so a shard
+/// that seals nothing costs nothing. Appends are all-or-nothing: on any
+/// write failure (real or injected) the file is truncated back to its
+/// length before the segment and the whole segment is retried up to the
+/// policy's op-retry budget, after which the error surfaces as a typed
 /// [`SpillError`].
 #[derive(Debug)]
-pub struct RunWriter {
-    staging: Vec<RequestRecord>,
-    segment_rows: usize,
-    runs: Vec<Run>,
-    /// Rows held by in-memory runs (counted by [`RunWriter::live_bytes`]).
-    resident_rows: usize,
-    /// The segment file; `None` keeps runs in memory.
-    file: Option<SegmentFile>,
-}
-
-/// A spill segment file and its write state.
-#[derive(Debug)]
-struct SegmentFile {
-    path: Arc<Path>,
+pub(crate) struct SpillFile {
+    path: PathBuf,
     stream: u64,
     file: Option<File>,
     len: u64,
@@ -614,118 +567,36 @@ struct SegmentFile {
     shared: Arc<SpillShared>,
 }
 
-impl RunWriter {
-    /// A writer that keeps its family as one in-memory run.
-    pub fn in_memory() -> Self {
-        Self {
-            staging: Vec::new(),
-            segment_rows: usize::MAX,
-            runs: Vec::new(),
-            resident_rows: 0,
-            file: None,
-        }
-    }
-
-    /// Appends one record, sealing a full segment into a run.
-    pub fn push(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
-        self.staging.push(rec);
-        if self.staging.len() >= self.segment_rows {
-            self.seal_run()?;
-        }
-        Ok(())
-    }
-
-    /// Row-format bytes this writer holds in memory: staged records plus
-    /// in-memory runs (the unit the [`MemGauge`] tracks).
-    pub fn live_bytes(&self) -> u64 {
-        ((self.staging.len() + self.resident_rows) * std::mem::size_of::<RequestRecord>()) as u64
-    }
-
-    /// Seals the staged records into one run, in emission order.
-    fn seal_run(&mut self) -> Result<(), SpillError> {
-        if self.staging.is_empty() {
-            return Ok(());
-        }
-        let Some(seg) = self.file.as_mut() else {
-            self.resident_rows += self.staging.len();
-            let mut rows = std::mem::take(&mut self.staging);
-            // Drop the staging buffer's growth slack: the run is held
-            // until the freeze.
-            rows.shrink_to_fit();
-            self.runs.push(Run::in_memory(rows));
-            return Ok(());
-        };
-        // The whole frame is built in memory (bounded by the segment the
-        // staging buffer already holds) so the write is one op.
-        let (frame, checksum) = encode_frame(&self.staging);
-        let offset = seg.len;
-        seg.append(&frame)?;
-        self.runs.push(Run::framed(FramedRun {
-            path: Arc::clone(&seg.path),
-            index: self.runs.len(),
-            meta: RunMeta {
-                offset,
-                rows: self.staging.len() as u64,
-                checksum,
-            },
-            shared: Arc::clone(&seg.shared),
-        }));
-        self.staging.clear();
-        Ok(())
-    }
-
-    /// Seals the final partial run and flushes the segment file.
-    /// Idempotent.
-    pub fn finish(&mut self) -> Result<(), SpillError> {
-        self.seal_run()?;
-        if let Some(seg) = &mut self.file {
-            if let Some(f) = &mut seg.file {
-                f.flush()
-                    .map_err(|e| SpillError::io(&seg.path, IoOp::Flush, &e))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Consumes the writer into its runs, in emission order.
-    /// [`RunWriter::finish`] must have been called (debug-asserted).
-    pub fn into_runs(self) -> Vec<Run> {
-        debug_assert!(self.staging.is_empty(), "into_runs before finish()");
-        self.runs
-    }
-}
-
-impl SegmentFile {
-    /// Admits one frame against the disk budget and appends it.
-    fn append(&mut self, frame: &[u8]) -> Result<(), SpillError> {
-        let frame_len = frame.len() as u64;
-        // Disk-budget admission: reserve the frame before writing; the
+impl SpillFile {
+    /// Admits a sealed segment against the disk budget, appends it, and
+    /// returns its handle, closed until the freeze reads it.
+    pub(crate) fn append(&mut self, segment: &[u8]) -> Result<Segment, SpillError> {
+        let len = segment.len() as u64;
+        // Disk-budget admission: reserve the segment before writing; the
         // reservation is released again on failure (and by
-        // `remove_attempt` when a failed attempt's files are deleted).
-        let prev = self
-            .shared
-            .bytes_written
-            .fetch_add(frame_len, Ordering::Relaxed);
+        // `remove_attempt` when a failed attempt's file is deleted).
+        let prev = self.shared.bytes_written.fetch_add(len, Ordering::Relaxed);
         if let Some(budget) = self.shared.policy.disk_budget_bytes {
-            if prev + frame_len > budget {
-                self.shared.release_bytes(frame_len);
+            if prev + len > budget {
+                self.shared.release_bytes(len);
                 return Err(SpillError::Budget {
                     budget_bytes: budget,
-                    attempted_bytes: prev + frame_len,
+                    attempted_bytes: prev + len,
                 });
             }
         }
-        if let Err(e) = self.write_frame(frame) {
-            self.shared.release_bytes(frame_len);
+        let offset = self.len;
+        if let Err(e) = self.write(segment) {
+            self.shared.release_bytes(len);
             return Err(e);
         }
-        self.len += frame_len;
-        Ok(())
+        self.len += len;
+        Segment::spilled(&self.path, offset, segment, &self.shared, self.stream)
     }
 
-    /// Writes one frame at the current end of file, rolling a torn write
+    /// Writes `bytes` at the current end of file, rolling a torn write
     /// back and retrying within the op budget.
-    fn write_frame(&mut self, frame: &[u8]) -> Result<(), SpillError> {
+    fn write(&mut self, bytes: &[u8]) -> Result<(), SpillError> {
         let op = self.write_ops;
         self.write_ops += 1;
         let start = self.len;
@@ -739,23 +610,23 @@ impl SegmentFile {
         let f = match file {
             Some(f) => f,
             None => file
-                .insert(File::create(&**path).map_err(|e| SpillError::io(path, IoOp::Create, &e))?),
+                .insert(File::create(&*path).map_err(|e| SpillError::io(path, IoOp::Create, &e))?),
         };
         let faults = shared.policy.faults.as_ref();
         let mut io_attempt = 0u32;
         loop {
             let result =
-                match faults.and_then(|p| p.write_failure(*stream, op, io_attempt, frame.len())) {
+                match faults.and_then(|p| p.write_failure(*stream, op, io_attempt, bytes.len())) {
                     Some(short) => {
-                        // Tear `short` frame bytes onto disk, then report the
+                        // Tear `short` bytes onto disk, then report the
                         // injected transient failure.
-                        let _ = f.write_all(&frame[..short]);
+                        let _ = f.write_all(&bytes[..short]);
                         Err(std::io::Error::new(
                             std::io::ErrorKind::Interrupted,
                             "injected transient write fault",
                         ))
                     }
-                    None => f.write_all(frame),
+                    None => f.write_all(bytes),
                 };
             let Err(e) = result else { break };
             // All-or-nothing: drop whatever prefix landed.
@@ -770,16 +641,14 @@ impl SegmentFile {
             io_attempt += 1;
         }
         // Deterministic post-write corruption (chaos tests): flip one
-        // payload byte so the read-side checksum must catch it.
-        let payload_len = (frame.len() - RUN_HEADER_BYTES) as u64;
-        if let Some(off) = faults.and_then(|p| p.corrupt_offset(*stream, op, payload_len)) {
-            let pos = start + RUN_HEADER_BYTES as u64 + off;
-            let flipped = [frame[RUN_HEADER_BYTES + off as usize] ^ 0xA5];
-            f.seek(SeekFrom::Start(pos))
+        // byte so the read-side checks must catch it.
+        if let Some(off) = faults.and_then(|p| p.corrupt_offset(*stream, op, bytes.len() as u64)) {
+            let flipped = [bytes[off as usize] ^ 0xA5];
+            f.seek(SeekFrom::Start(start + off))
                 .map_err(|e| SpillError::io(path, IoOp::Seek, &e))?;
             f.write_all(&flipped)
                 .map_err(|e| SpillError::io(path, IoOp::Write, &e))?;
-            f.seek(SeekFrom::Start(start + frame.len() as u64))
+            f.seek(SeekFrom::Start(start + bytes.len() as u64))
                 .map_err(|e| SpillError::io(path, IoOp::Seek, &e))?;
         }
         Ok(())
@@ -790,7 +659,9 @@ impl SegmentFile {
 mod tests {
     use super::*;
     use crate::ids::{Asn, Country, UserId};
-    use crate::run::{freeze_families, FamilyRuns, SPILL_ROW_BYTES};
+    use crate::record::RequestRecord;
+    use crate::run::{freeze_families, Family};
+    use crate::sink::{Sealer, SpillTarget};
     use crate::time::{SimDate, Timestamp};
 
     fn rec(user: u64, sec: u32, ip: &str) -> RequestRecord {
@@ -803,14 +674,26 @@ mod tests {
         }
     }
 
-    /// Spills `records` through one writer and returns its runs.
-    fn spill(session: &SpillSession, segment_rows: usize, records: &[RequestRecord]) -> Vec<Run> {
-        let mut w = session.writer(4, 1, "request", segment_rows);
-        for &r in records {
-            w.push(r).unwrap();
+    /// A sealer of the request family: spilled under `(shard 4, attempt
+    /// 1)` at `segment_rows` when `session` is given, else in memory.
+    fn sealer(session: Option<&SpillSession>, segment_rows: usize) -> Sealer {
+        let target = session.map(|session| SpillTarget {
+            session,
+            shard: 4,
+            attempt: 1,
+            segment_rows,
+        });
+        Sealer::new(vec![Family::Request], target)
+    }
+
+    /// Seals `records` as the request family; returns the segments.
+    fn seal(mut sealer: Sealer, records: &[RequestRecord]) -> Result<Vec<Segment>, SpillError> {
+        for r in records {
+            sealer.keep(0, r, &mut None);
+            sealer.end_record()?;
         }
-        w.finish().unwrap();
-        w.into_runs()
+        sealer.seal()?;
+        Ok(sealer.into_segments())
     }
 
     #[test]
@@ -820,9 +703,9 @@ mod tests {
             .collect();
         let write = |policy: SpillPolicy| {
             let session = SpillSession::create_with(None, policy).unwrap();
-            let runs = spill(&session, 8, &records);
-            assert_eq!(runs.len(), 7);
-            let bytes = std::fs::read(session.dir().join("s00004-a01-request.seg")).unwrap();
+            let segments = seal(sealer(Some(&session), 8), &records).unwrap();
+            assert_eq!(segments.len(), 7);
+            let bytes = std::fs::read(session.dir().join("s00004-a01.seg")).unwrap();
             (bytes, session.stats())
         };
         let (clean, clean_stats) = write(SpillPolicy::default());
@@ -842,30 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_read_faults_retry_transparently() {
-        let policy = SpillPolicy {
-            faults: Some(SpillFaultPlan {
-                seed: 7,
-                read_fail_rate: 0.6,
-                fail_attempts: 1,
-                ..SpillFaultPlan::default()
-            }),
-            ..SpillPolicy::default()
-        };
-        let session = SpillSession::create_with(None, policy).unwrap();
-        let records: Vec<RequestRecord> = (0..20).map(|i| rec(i, i as u32, "10.0.0.1")).collect();
-        let mut seen = Vec::new();
-        for run in spill(&session, 4, &records) {
-            run.for_each(|r| seen.push(r)).unwrap();
-        }
-        assert_eq!(seen, records);
-        assert!(
-            session.stats().io_retries > 0,
-            "read faults must have fired"
-        );
-    }
-
-    #[test]
     fn exhausted_retry_budget_surfaces_a_typed_io_error() {
         let policy = SpillPolicy {
             max_io_retries: 1,
@@ -878,9 +737,8 @@ mod tests {
             ..SpillPolicy::default()
         };
         let session = SpillSession::create_with(None, policy).unwrap();
-        let mut w = session.writer(0, 0, "request", 2);
-        w.push(rec(1, 0, "10.0.0.1")).unwrap();
-        let err = w.push(rec(2, 1, "10.0.0.1")).unwrap_err();
+        let records = [rec(1, 0, "10.0.0.1"), rec(2, 1, "10.0.0.1")];
+        let err = seal(sealer(Some(&session), 2), &records).unwrap_err();
         assert!(
             matches!(err, SpillError::Io { op: IoOp::Write, kind, .. }
                 if kind == std::io::ErrorKind::Interrupted),
@@ -891,26 +749,28 @@ mod tests {
 
     #[test]
     fn disk_budget_is_enforced_and_released_by_remove_attempt() {
-        let frame = (RUN_HEADER_BYTES + 2 * SPILL_ROW_BYTES) as u64;
+        let records = [rec(1, 0, "10.0.0.1"), rec(2, 1, "10.0.0.1")];
+        // The bytes of one two-row segment.
+        let segment = seal(sealer(None, usize::MAX), &records).unwrap()[0].bytes();
         let policy = SpillPolicy {
-            disk_budget_bytes: Some(frame), // exactly one 2-row frame
+            disk_budget_bytes: Some(segment), // exactly one segment
             ..SpillPolicy::default()
         };
         let session = SpillSession::create_with(None, policy).unwrap();
-        let mut w = session.writer(0, 0, "request", 2);
-        w.push(rec(1, 0, "10.0.0.1")).unwrap();
-        w.push(rec(2, 1, "10.0.0.1")).unwrap(); // first frame fits
-        assert_eq!(session.stats().bytes_written, frame);
-        w.push(rec(3, 2, "10.0.0.1")).unwrap();
-        let err = w.push(rec(4, 3, "10.0.0.1")).unwrap_err();
+        let mut w = sealer(Some(&session), 2);
+        for r in &records {
+            w.keep(0, r, &mut None);
+            w.end_record().unwrap(); // the first segment fits
+        }
+        assert_eq!(session.stats().bytes_written, segment);
+        let err = seal(w, &records).unwrap_err();
         assert!(
             matches!(err, SpillError::Budget { budget_bytes, attempted_bytes }
-                if budget_bytes == frame && attempted_bytes == 2 * frame),
+                if budget_bytes == segment && attempted_bytes == 2 * segment),
             "{err:?}"
         );
         assert!(!err.is_retryable(), "budget overruns are not transient");
-        drop(w);
-        session.remove_attempt(0, 0);
+        session.remove_attempt(4, 1);
         assert_eq!(
             session.stats().bytes_written,
             0,
@@ -927,10 +787,14 @@ mod tests {
             let session = SpillSession::create(Some(&parent)).unwrap();
             dir = session.dir().to_path_buf();
             for attempt in [0, 1] {
-                let mut w = session.writer(3, attempt, "pair", 2);
-                w.push(rec(1, 0, "10.0.0.1")).unwrap();
-                w.finish().unwrap();
-                assert_eq!(w.into_runs().len(), 1);
+                let target = SpillTarget {
+                    session: &session,
+                    shard: 3,
+                    attempt,
+                    segment_rows: 2,
+                };
+                let w = Sealer::new(vec![Family::Pair], Some(target));
+                assert_eq!(seal(w, &[rec(1, 0, "10.0.0.1")]).unwrap().len(), 1);
             }
             assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
             session.remove_attempt(3, 0);
@@ -939,67 +803,62 @@ mod tests {
                 .flatten()
                 .map(|e| e.file_name().to_string_lossy().into_owned())
                 .collect();
-            assert_eq!(left, vec!["s00003-a01-pair.seg".to_string()]);
+            assert_eq!(left, vec!["s00003-a01.seg".to_string()]);
         }
         assert!(!dir.exists(), "session dir removed on drop");
         let _ = std::fs::remove_dir_all(&parent);
     }
 
     #[test]
-    fn empty_family_writes_no_file() {
+    fn empty_shard_writes_no_file() {
         let session = SpillSession::create(None).unwrap();
-        let mut w = session.writer(0, 0, "abuse", 64);
-        w.finish().unwrap();
-        assert!(w.into_runs().is_empty());
+        assert!(seal(sealer(Some(&session), 64), &[]).unwrap().is_empty());
         assert_eq!(std::fs::read_dir(session.dir()).unwrap().count(), 0);
         // Freezing nothing is empty stores over empty tables.
-        let frozen = freeze_families(FamilyRuns::default()).unwrap();
+        let frozen = freeze_families(Vec::new(), &[64]).unwrap();
         assert!(frozen.stores.request.is_empty());
+        assert!(frozen.stores.prefixes[&64].is_empty());
         assert_eq!((frozen.rows, frozen.tables.bytes()), (0, 0));
     }
 
-    /// The memory writer seals one run at `finish` and counts its rows as
-    /// live bytes; the spill writer holds only its staging buffer. Both
+    /// The memory sealer seals one segment at the end and holds its bytes;
+    /// the spilling one holds only its staged rows and dictionary. Both
     /// keep emission order, and both freeze to the timestamp order.
     #[test]
-    fn memory_and_spill_writers_seal_the_same_rows() {
+    fn memory_and_spill_sealers_freeze_the_same_rows() {
         let records: Vec<RequestRecord> = (0..10)
             .map(|i| rec(i, (9 - i) as u32, "2001:db8::1"))
             .collect();
-        let row_bytes = std::mem::size_of::<RequestRecord>() as u64;
-        let mut memory = RunWriter::in_memory();
-        for &r in &records {
-            memory.push(r).unwrap();
+        let mut memory = sealer(None, usize::MAX);
+        for r in &records {
+            memory.keep(0, r, &mut None);
         }
-        memory.finish().unwrap();
-        assert_eq!(memory.live_bytes(), 10 * row_bytes);
+        // 10 staged rows, one address and ten users in the dictionary.
+        let dict = std::mem::size_of::<(u128, u32)>() + 10 * std::mem::size_of::<(u64, u32)>();
+        assert_eq!(memory.bytes(), (10 * 18 + dict) as u64);
+        memory.seal().unwrap();
+        let memory = memory.into_segments();
+        assert_eq!(memory.len(), 1);
 
         let session = SpillSession::create(None).unwrap();
-        let mut spilled = session.writer(0, 0, "user", 4);
-        for &r in &records {
-            spilled.push(r).unwrap();
+        let mut spilled = sealer(Some(&session), 4);
+        for r in &records {
+            spilled.keep(0, r, &mut None);
+            spilled.end_record().unwrap();
         }
-        assert_eq!(spilled.live_bytes(), 2 * row_bytes, "8 of 10 rows on disk");
-        spilled.finish().unwrap();
-        assert_eq!(spilled.live_bytes(), 0);
+        let dict = std::mem::size_of::<(u128, u32)>() + 2 * std::mem::size_of::<(u64, u32)>();
+        assert_eq!(
+            spilled.bytes(),
+            (2 * 18 + dict) as u64,
+            "8 of 10 rows on disk"
+        );
+        spilled.seal().unwrap();
+        assert_eq!(spilled.bytes(), 0);
+        let spilled = spilled.into_segments();
+        assert_eq!(spilled.len(), 3);
 
-        let (memory, spilled) = (memory.into_runs(), spilled.into_runs());
-        assert_eq!((memory.len(), spilled.len()), (1, 3));
-        let rows = |runs: &[Run]| {
-            let mut out = Vec::new();
-            for run in runs {
-                run.for_each(|r| out.push(r)).unwrap();
-            }
-            out
-        };
-        assert_eq!(rows(&memory), records, "one run, in emission order");
-        assert_eq!(rows(&spilled), records, "three runs, in emission order");
-        let frozen = |runs: Vec<Run>| {
-            let runs = FamilyRuns {
-                user: runs,
-                ..FamilyRuns::default()
-            };
-            let frozen = freeze_families(runs).unwrap().stores.user;
+        let frozen = |segments: Vec<Segment>| {
+            let frozen = freeze_families(segments, &[]).unwrap().stores.request;
             frozen.all().records().collect::<Vec<_>>()
         };
         let mut sorted = records.clone();

@@ -4,7 +4,7 @@
 //! A [`RequestStore`] holds one dataset's records as rows for tests and
 //! ad-hoc pipelines; it sorts lazily on first query and then serves
 //! date-range slices by binary search. The study itself builds its
-//! [`FrozenStore`]s from runs (see [`crate::run`]). Group-by
+//! [`FrozenStore`]s from segments (see [`crate::run`]). Group-by
 //! helpers build the (entity → observations) maps over row slices.
 
 use std::collections::HashMap;
@@ -148,7 +148,7 @@ pub struct FrozenStore {
 
 impl FrozenStore {
     /// Assembles a frozen store from already-sorted, already-encoded
-    /// columns — the run freeze's entry point, which orders and encodes
+    /// columns — the freeze's entry point, which orders and encodes
     /// its columns itself (see [`crate::run`]). The columns must be
     /// timestamp-sorted (debug-asserted) and encoded against `tables`.
     pub fn from_sorted_parts(cols: ColumnStore, tables: Arc<EntityTables>) -> Self {

@@ -1,15 +1,21 @@
 //! The analysis engine's determinism contract: the full experiment
 //! registry renders byte-identical output at any `analysis_threads`
-//! count, through the sorted-index and naive grouping paths alike, and
-//! matches the pre-engine serial output pinned by a golden digest.
+//! count and matches the pre-engine serial output pinned by a golden
+//! digest, and every shared index window groups its rows exactly as
+//! hash-map grouping does.
 //!
 //! See `crates/core/src/experiments.rs` for why this holds by
 //! construction (registry-indexed result slots, merge in registry order).
 
-use ipv6_user_study::analysis::IndexMode;
-use ipv6_user_study::experiments::run_all_with;
+use std::collections::HashMap;
+use std::hash::Hash;
+
+use ipv6_user_study::analysis::windows::lookback_window;
+use ipv6_user_study::experiments::{run_all_with, AnalysisCtx};
 use ipv6_user_study::report::{render_markdown, render_summary};
 use ipv6_user_study::stats::hash::stable_hash64;
+use ipv6_user_study::telemetry::time::{focus_day_ip, focus_day_user, focus_week};
+use ipv6_user_study::telemetry::{ColumnSlice, RequestRecord};
 use ipv6_user_study::{Study, StudyConfig};
 
 /// `stable_hash64("ANEQ", markdown)` of the tiny-scale serial
@@ -28,18 +34,18 @@ fn tiny_study() -> Study {
     Study::run(StudyConfig::tiny()).expect("tiny preset is valid")
 }
 
-/// Renders the registry output for one engine configuration.
-fn rendered(threads: usize, mode: IndexMode) -> (String, String) {
+/// Renders the registry output at `threads` analysis workers.
+fn rendered(threads: usize) -> (String, String) {
     let mut study = tiny_study();
-    let results = run_all_with(&mut study, threads, mode);
+    let results = run_all_with(&mut study, threads);
     (render_markdown(&results), render_summary(&results))
 }
 
 #[test]
 fn parallel_engine_matches_serial_at_every_thread_count() {
-    let (serial_md, serial_summary) = rendered(1, IndexMode::Sorted);
+    let (serial_md, serial_summary) = rendered(1);
     for threads in [2usize, 8] {
-        let (md, summary) = rendered(threads, IndexMode::Sorted);
+        let (md, summary) = rendered(threads);
         assert_eq!(
             serial_md, md,
             "markdown differs at analysis_threads={threads}"
@@ -51,33 +57,76 @@ fn parallel_engine_matches_serial_at_every_thread_count() {
     }
 }
 
+/// The hash-grouping oracle: `rows` bucketed by `key` in window order,
+/// buckets in ascending key order.
+fn hash_groups<K: Ord + Hash + Copy>(
+    rows: &[RequestRecord],
+    key: impl Fn(&RequestRecord) -> K,
+) -> Vec<(K, Vec<RequestRecord>)> {
+    let mut groups: HashMap<K, Vec<RequestRecord>> = HashMap::new();
+    for r in rows {
+        groups.entry(key(r)).or_default().push(*r);
+    }
+    let mut groups: Vec<_> = groups.into_iter().collect();
+    groups.sort_unstable_by_key(|&(k, _)| k);
+    groups
+}
+
+/// Every shared window of the tiny study groups its rows exactly as the
+/// hash-grouping oracle does: user and address groups in ascending key
+/// order, each group's rows in window order.
 #[test]
 fn naive_grouping_matches_the_sorted_index_path() {
-    let (sorted_md, sorted_summary) = rendered(1, IndexMode::Sorted);
-    for threads in [1usize, 8] {
-        let (md, summary) = rendered(threads, IndexMode::Naive);
-        assert_eq!(
-            sorted_md, md,
-            "naive-index markdown differs at analysis_threads={threads}"
-        );
-        assert_eq!(
-            sorted_summary, summary,
-            "naive-index summary differs at analysis_threads={threads}"
-        );
+    let study = tiny_study();
+    let ctx = AnalysisCtx::new(&study);
+    let d = study.datasets();
+    let lookback = lookback_window(focus_day_user());
+    let windows = [
+        (
+            "user_week",
+            ctx.user_week(),
+            d.user_sample.in_range(focus_week()),
+        ),
+        (
+            "user_day",
+            ctx.user_day(),
+            d.user_sample.on_day(focus_day_user()),
+        ),
+        (
+            "user_lookback",
+            ctx.user_lookback(),
+            d.user_sample.in_range(lookback),
+        ),
+        ("ip_day", ctx.ip_day(), d.ip_sample.on_day(focus_day_ip())),
+        ("ip_week", ctx.ip_week(), d.ip_sample.in_range(focus_week())),
+        (
+            "abuse_week",
+            ctx.abuse_week(),
+            study.abuse_store().in_range(focus_week()),
+        ),
+    ];
+    let rows_of = |g: ColumnSlice<'_>| g.records().collect::<Vec<_>>();
+    for (name, index, window) in windows {
+        let rows = rows_of(window);
+        assert!(!rows.is_empty(), "{name}: the window holds rows");
+        let users: Vec<_> = index.user_groups().map(|(u, g)| (u, rows_of(g))).collect();
+        assert_eq!(users, hash_groups(&rows, |r| r.user), "{name}: user groups");
+        let ips: Vec<_> = index.ip_groups().map(|(ip, g)| (ip, rows_of(g))).collect();
+        assert_eq!(ips, hash_groups(&rows, |r| r.ip), "{name}: address groups");
     }
 }
 
 #[test]
 fn repeated_runs_produce_the_same_digest() {
     let digest = |md: &str| stable_hash64(DIGEST_SEED, md.as_bytes());
-    let (a, _) = rendered(8, IndexMode::Sorted);
-    let (b, _) = rendered(8, IndexMode::Sorted);
+    let (a, _) = rendered(8);
+    let (b, _) = rendered(8);
     assert_eq!(digest(&a), digest(&b), "same config, different output");
 }
 
 #[test]
 fn serial_output_matches_the_pinned_golden_digest() {
-    let (md, _) = rendered(1, IndexMode::Sorted);
+    let (md, _) = rendered(1);
     let digest = stable_hash64(DIGEST_SEED, md.as_bytes());
     assert_eq!(
         digest, GOLDEN_TINY_MARKDOWN_DIGEST,
@@ -94,7 +143,7 @@ fn serial_output_matches_the_pinned_golden_digest() {
 #[test]
 fn columnar_engine_matches_the_row_golden_at_1_and_8_threads() {
     for threads in [1usize, 8] {
-        let (md, _) = rendered(threads, IndexMode::Sorted);
+        let (md, _) = rendered(threads);
         let digest = stable_hash64(DIGEST_SEED, md.as_bytes());
         assert_eq!(
             digest, GOLDEN_TINY_MARKDOWN_DIGEST,

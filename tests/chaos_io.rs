@@ -9,14 +9,14 @@
 //!    attempts recovered by shard-level retries, leave the merged
 //!    datasets byte-identical to a fault-free run at any thread count.
 //! 2. **Typed corruption** — flipped on-disk bytes surface as
-//!    [`SpillError::Corrupt`] naming the file, run, and byte offset —
+//!    [`SpillError::Corrupt`] naming the file, section, and byte offset —
 //!    never as a panic — and the failed run leaves no orphan spill files.
 //! 3. **Budget degradation** — a too-small `disk_budget_bytes` fails
 //!    shards with a non-retryable budget fault; under
 //!    `FailurePolicy::Degrade` the run completes and reports every
 //!    dropped shard with `kind: "budget"`.
 //! 4. **Sparse shards** — near-empty populations (zero-record families,
-//!    empty run manifests) flow through the fallible merge unchanged.
+//!    shards that seal nothing) flow through the fallible merge unchanged.
 //!
 //! Every fault here is a pure function of the study seed, so each test
 //! replays bit-for-bit.
@@ -181,8 +181,8 @@ fn exhausted_op_retries_fail_the_shard_and_a_shard_retry_recovers_it() {
     }
 }
 
-/// Flipped on-disk bytes are detected by the merge-time checksum pass
-/// and surface as a typed [`SpillError::Corrupt`] naming the file, run,
+/// Flipped on-disk bytes are detected by the freeze's verified read and
+/// surface as a typed [`SpillError::Corrupt`] naming the file, section,
 /// and offset — never a panic — and the failed session leaves nothing
 /// on disk (the mid-merge `StudyError` orphan check).
 #[test]
@@ -196,7 +196,7 @@ fn injected_corruption_is_a_typed_error_and_leaves_no_orphans() {
         dir: Some(PathBuf::from(&parent)),
         segment_rows: 256,
     };
-    // Every successfully written run gets one byte flipped afterwards.
+    // Every successfully written segment gets one byte flipped afterwards.
     cfg.faults = Some(FaultInjector::new().with_corrupt_rate(1.0));
 
     match Study::run(cfg) {
@@ -281,8 +281,8 @@ fn disk_budget_exhaustion_degrades_gracefully_with_budget_kind() {
 }
 
 /// Near-empty populations — where whole families spill zero records and
-/// some shards seal empty run manifests — flow through the fallible
-/// merge and still match the in-memory path byte for byte.
+/// some shards seal nothing — flow through the fallible merge and still
+/// match the in-memory path byte for byte.
 #[test]
 fn sparse_shards_with_empty_families_merge_identically() {
     let tiny_pop = |storage: StorageMode| {

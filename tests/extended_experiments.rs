@@ -1,10 +1,8 @@
 //! The extended (beyond-paper) registry's contracts: the
 //! entropy-clustered blocklisting experiment renders byte-identical
-//! output at any `analysis_threads` count and through either grouping
-//! mode, matches its own pinned golden digest, and never perturbs the
-//! default registry's rendered output.
+//! output at any `analysis_threads` count, matches its own pinned golden
+//! digest, and never perturbs the default registry's rendered output.
 
-use ipv6_user_study::analysis::IndexMode;
 use ipv6_user_study::experiments::{run_all_with, run_extended_with};
 use ipv6_user_study::report::render_markdown;
 use ipv6_user_study::stats::hash::stable_hash64;
@@ -22,15 +20,15 @@ fn tiny_study() -> Study {
     Study::run(StudyConfig::tiny()).expect("tiny preset is valid")
 }
 
-/// Renders the extended registry for one engine configuration.
-fn rendered_extended(threads: usize, mode: IndexMode) -> String {
+/// Renders the extended registry at `threads` analysis workers.
+fn rendered_extended(threads: usize) -> String {
     let study = tiny_study();
-    render_markdown(&run_extended_with(&study, threads, mode))
+    render_markdown(&run_extended_with(&study, threads))
 }
 
 #[test]
 fn extended_output_is_thread_invariant_and_matches_the_golden() {
-    let serial = rendered_extended(1, IndexMode::Sorted);
+    let serial = rendered_extended(1);
     let digest = stable_hash64(DIGEST_SEED, serial.as_bytes());
     assert_eq!(
         digest, GOLDEN_TINY_EXTENDED_DIGEST,
@@ -40,22 +38,17 @@ fn extended_output_is_thread_invariant_and_matches_the_golden() {
     );
     assert_eq!(
         serial,
-        rendered_extended(8, IndexMode::Sorted),
+        rendered_extended(8),
         "extended markdown differs at analysis_threads=8"
-    );
-    assert_eq!(
-        serial,
-        rendered_extended(1, IndexMode::Naive),
-        "extended markdown differs through the naive grouping path"
     );
 }
 
 #[test]
 fn extended_pass_leaves_the_default_registry_output_unchanged() {
     let mut study = tiny_study();
-    let before = render_markdown(&run_all_with(&mut study, 1, IndexMode::Sorted));
-    let _ = run_extended_with(&study, 8, IndexMode::Sorted);
-    let after = render_markdown(&run_all_with(&mut study, 1, IndexMode::Sorted));
+    let before = render_markdown(&run_all_with(&mut study, 1));
+    let _ = run_extended_with(&study, 8);
+    let after = render_markdown(&run_all_with(&mut study, 1));
     assert_eq!(
         before, after,
         "running the extended registry changed the default render"

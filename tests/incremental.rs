@@ -529,6 +529,47 @@ fn damaged_state_dir_fails_the_resume_with_a_typed_error() {
     assert_eq!(listing(&state.0), before, "a failed resume writes nothing");
 }
 
+/// State-dir disk failures are storage errors naming the file or
+/// directory, not configuration errors: a `days` entry that is a regular
+/// file fails the cold save's directory creation, and a truncated
+/// manifest fails the resume as damaged storage.
+#[test]
+fn state_dir_disk_failures_are_typed_storage_errors() {
+    let state = ScopedDir::new("disk");
+    let cfg = StudyConfig::tiny();
+    let days = state.0.join("days");
+    std::fs::write(&days, b"not a directory").expect("block the days directory");
+    match incremental::run(cfg.clone(), &state.0).map(drop) {
+        Err(StudyError::Spill(SpillError::Io {
+            op: IoOp::Create,
+            path,
+            ..
+        })) => assert_eq!(path, days),
+        other => panic!(
+            "expected a create error naming {}, got {other:?}",
+            days.display()
+        ),
+    }
+
+    std::fs::remove_file(&days).expect("unblock the days directory");
+    let _ = incremental::run(cfg.clone(), &state.0).expect("cold run");
+    let manifest = state.0.join("manifest.json");
+    let text = std::fs::read(&manifest).expect("read manifest");
+    std::fs::write(&manifest, &text[..text.len() / 2]).expect("truncate manifest");
+    let mut warm = cfg;
+    warm.extend_days = 1;
+    match incremental::run(warm, &state.0).map(drop) {
+        Err(StudyError::Spill(SpillError::Corrupt { path, reason, .. })) => {
+            assert_eq!(path, manifest);
+            assert!(reason.contains("not valid JSON"), "{reason}");
+        }
+        other => panic!(
+            "expected Corrupt naming {}, got {other:?}",
+            manifest.display()
+        ),
+    }
+}
+
 /// The manifest is the one commit point. A +1-day resume whose manifest
 /// never landed (the previous manifest restored, the new day's segments
 /// left on disk) resumes correctly at the old range and at the new one:

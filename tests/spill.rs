@@ -2,11 +2,11 @@
 //! byte-identical to an in-memory run of the same config — at any thread
 //! count, any segment size, and across mid-run shard failures.
 //!
-//! Why this holds: each shard's runs keep emission order whether they sit
-//! in memory or in spill frames, the merge concatenates per-family run
-//! lists in plan order, and the freeze stable-sorts that plan-order
-//! concatenation by timestamp in both modes, so only the split into runs
-//! differs. Entity tables are order-independent (ranked key sets), so
+//! Why this holds: each shard's segments keep emission order whether
+//! they sit in memory or in its spill file, the merge concatenates the
+//! shards' segment lists in plan order, and the freeze stable-sorts each
+//! family's plan-order concatenation by timestamp in both modes, so only
+//! the split into segments differs. Entity tables are order-independent (ranked key sets), so
 //! dense ids — and therefore every frozen column byte — agree too.
 
 use std::path::PathBuf;
@@ -114,9 +114,9 @@ fn spill_runs_match_memory_runs_through_the_full_analysis_at_1_and_8_threads() {
 }
 
 /// Segment-boundary property: the merged output cannot depend on where
-/// run boundaries fall — tiny runs (many segment flushes per shard), the
-/// default, and `usize::MAX` (one whole-shard run per family, never a
-/// mid-shard flush) all produce the same bytes.
+/// segment boundaries fall — tiny segments (many seals per shard), the
+/// default, and `usize::MAX` (one whole-shard segment, never a mid-shard
+/// seal) all produce the same bytes.
 #[test]
 fn digest_is_invariant_under_segment_row_boundaries() {
     let memory = Study::run(StudyConfig::tiny()).expect("in-memory run");
