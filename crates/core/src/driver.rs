@@ -6,7 +6,8 @@
 //! interact. The driver exploits this by partitioning the run into
 //! **shards** — contiguous household ranges plus contiguous campaign
 //! ranges — and simulating each shard's *entire* study window into
-//! shard-local accumulators on a pool of worker threads.
+//! segments it seals itself, on the crate's one claim-order worker pool
+//! (the calling thread is worker 0).
 //!
 //! # Determinism
 //!
@@ -15,35 +16,34 @@
 //!
 //! 1. the shard plan is a function of the *config only* (household and
 //!    campaign counts), never of `threads`;
-//! 2. workers claim shard indices from a shared queue — claiming order
-//!    is racy, but each shard's output is entirely local;
+//! 2. workers claim shard indices from one atomic cursor — claiming
+//!    order is racy, but each shard's output is entirely local and comes
+//!    back by value, in plan order;
 //! 3. the merge walks shards in plan order, so the segment list
 //!    ("shard-major": benign shards ascending, then campaign shards
 //!    ascending) is a constant of the config.
 //!
-//! The freeze stable-sorts each family's plan-order concatenation by
-//! timestamp, so equal-timestamp ties resolve by that plan order —
-//! identical in every run (see `ipv6_study_telemetry::run`). A
-//! `threads = 1` run executes the same plan on one worker and produces
-//! the same bytes.
+//! The freeze's stable radix argsort orders each family's plan-order
+//! concatenation by timestamp, so equal-timestamp ties resolve by that
+//! plan order — identical in every run (see `ipv6_study_telemetry::run`).
+//! A `threads = 1` run executes the same plan on the calling thread alone
+//! and produces the same bytes.
 //!
 //! # Fault tolerance
 //!
 //! Every shard attempt runs behind `std::panic::catch_unwind`, so a
-//! panicking shard unwinds into a captured payload instead of poisoning
-//! the merge mutex or killing sibling workers; its half-filled local
-//! buffers are dropped with the unwind. Failed shards are re-enqueued up
-//! to `max_shard_retries` extra attempts (a retry of a pure function
+//! panicking shard unwinds into a captured payload instead of killing
+//! its worker; its half-filled local buffers are dropped with the
+//! unwind. A failed shard retries in place, on the same worker, up to
+//! `max_shard_retries` extra attempts (a retry of a pure function
 //! reproduces the exact bytes, so determinism survives), and what
 //! happens after exhaustion is the [`FailurePolicy`]'s call: `Abort` and
 //! `Retry` fail the run with a [`FaultReport`], `Degrade` drops the
 //! shard and completes on the survivors. See [`crate::faults`].
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ipv6_study_analysis::windows;
@@ -63,6 +63,7 @@ use crate::config::StudyConfig;
 use crate::faults::{
     FailurePolicy, FaultDecision, FaultKind, FaultReport, ShardFailure, StudyError,
 };
+use crate::pool;
 
 /// Target number of benign shards (the plan clamps so small runs still
 /// get meaningfully sized shards).
@@ -458,82 +459,90 @@ fn run_shard(
     })
 }
 
-/// The shared work queue: a cursor over fresh shards, a retry queue for
-/// failed ones, and the run-level completion/abort state.
+/// Runs shard `shard` in place: one attempt, then up to
+/// `max_shard_retries` more, each behind `catch_unwind`, until one
+/// succeeds or the failure policy gives up. Returns the shard's output
+/// and its [`ShardFailure`] (present iff some attempt failed, recovered
+/// or not).
 ///
-/// Claim order is racy by design — it cannot affect output, because every
-/// shard's result lands in its own plan-indexed slot and the merge walks
-/// slots in plan order.
-struct WorkQueue {
-    /// Cursor over not-yet-claimed plan indices.
-    next: AtomicUsize,
-    /// Number of plan entries.
-    total: usize,
-    /// Failed shards awaiting another attempt, as `(shard, attempt)`.
-    retries: Mutex<Vec<(usize, u32)>>,
-    /// Shards not yet resolved (succeeded or permanently failed).
-    outstanding: AtomicUsize,
-    /// Set when the failure policy decides the run is lost; workers stop
-    /// claiming and drain out.
-    aborted: AtomicBool,
-}
-
-impl WorkQueue {
-    fn new(total: usize) -> Self {
-        Self {
-            next: AtomicUsize::new(0),
-            total,
-            retries: Mutex::new(Vec::new()),
-            outstanding: AtomicUsize::new(total),
-            aborted: AtomicBool::new(false),
+/// `aborted` is the run's abort flag: checked before every attempt, and
+/// set when a shard exhausts its attempts under `Abort` or `Retry`.
+fn run_attempts(
+    env: &ShardEnv<'_>,
+    work: &ShardWork,
+    shard: usize,
+    aborted: &AtomicBool,
+) -> (Option<ShardOutput>, Option<ShardFailure>) {
+    let policy = env.config.failure_policy;
+    // Abort never retries: the first failure already decides the run.
+    let max_retries = match policy {
+        FailurePolicy::Abort => 0,
+        FailurePolicy::Retry | FailurePolicy::Degrade => env.config.max_shard_retries,
+    };
+    let mut failure: Option<ShardFailure> = None;
+    for attempt in 0..=max_retries {
+        if aborted.load(Ordering::Acquire) {
+            break;
+        }
+        let fault = env
+            .config
+            .faults
+            .as_ref()
+            .map_or_else(FaultDecision::default, |f| {
+                f.decide(env.config.seed, shard, attempt)
+            });
+        if !fault.delay.is_zero() {
+            std::thread::sleep(fault.delay);
+        }
+        let progress = AtomicU64::new(0);
+        let published = AtomicU64::new(0);
+        // AssertUnwindSafe: on Err every value the closure touched
+        // mutably (the shard-local accumulators) is dropped by the
+        // unwind; the shared inputs are `&`-borrows.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_shard(env, work, shard, attempt, fault, &progress, &published)
+        }));
+        let (kind, msg) = match result {
+            Ok(Ok(out)) => {
+                // A recovered retry counts its successful attempt, so
+                // `attempts` = first try + retries.
+                if let Some(f) = &mut failure {
+                    f.attempts = attempt + 1;
+                }
+                return (Some(out), failure);
+            }
+            Ok(Err(e)) => (FaultKind::from_spill(&e), e.to_string()),
+            Err(payload) => (FaultKind::Panic, panic_message(payload)),
+        };
+        // The failed attempt's buffers are gone (dropped by the unwind,
+        // or never handed over by the typed-error return); give back its
+        // gauge slice and delete the spill file the attempt wrote so a
+        // retry starts from nothing.
+        env.gauge.release(&published);
+        if let Some(session) = env.spill {
+            session.remove_attempt(shard, attempt);
+        }
+        // Corrupt and Budget failures never retry: re-running the same
+        // pure work cannot repair bit rot or shrink the budget, so
+        // burning the retry budget would only delay the verdict.
+        let exhausted = attempt >= max_retries || !kind.is_retryable();
+        failure = Some(ShardFailure {
+            shard,
+            label: shard_label(work),
+            attempts: attempt + 1,
+            kind,
+            panic_msg: msg,
+            dropped: exhausted && policy == FailurePolicy::Degrade,
+            records_lost: progress.load(Ordering::Relaxed),
+        });
+        if exhausted {
+            if policy != FailurePolicy::Degrade {
+                aborted.store(true, Ordering::Release);
+            }
+            break;
         }
     }
-
-    /// Claims a retry if one is queued, else the next fresh shard.
-    fn claim(&self) -> Option<(usize, u32)> {
-        // Poison recovery is sound here (and on every mutex below): a
-        // panicking shard unwinds *outside* any lock — all shard state is
-        // attempt-local — so a poisoned mutex can only mean some holder
-        // panicked between lock and unlock of these tiny critical
-        // sections, which touch plain Vec/BTreeMap state that every
-        // operation leaves consistent.
-        if let Some(job) = self
-            .retries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-        {
-            return Some(job);
-        }
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.total).then_some((i, 0))
-    }
-
-    /// Re-enqueues a failed shard for another attempt.
-    fn requeue(&self, shard: usize, attempt: u32) {
-        self.retries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((shard, attempt));
-    }
-
-    /// Marks one shard resolved (merged output or permanent failure).
-    fn resolve(&self) {
-        self.outstanding.fetch_sub(1, Ordering::Release);
-    }
-
-    /// True when every shard is resolved.
-    fn done(&self) -> bool {
-        self.outstanding.load(Ordering::Acquire) == 0
-    }
-
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
-    }
-
-    fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
+    (None, failure)
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -576,14 +585,7 @@ pub(crate) fn simulate(
     let t_plan = Instant::now();
     let plan = plan_shards(config);
     let plan_wall = t_plan.elapsed();
-    let workers = config.threads.min(plan.len()).max(1);
-    let policy = config.failure_policy;
-    // Abort never retries: the first failure already decides the run.
-    let max_retries = match policy {
-        FailurePolicy::Abort => 0,
-        FailurePolicy::Retry | FailurePolicy::Degrade => config.max_shard_retries,
-    };
-    let injector = config.faults.as_ref();
+    let workers = pool::worker_count(plan.len(), config.threads);
     let segment_rows = match &config.storage {
         StorageMode::Spill { segment_rows, .. } => *segment_rows,
         StorageMode::InMemory => usize::MAX,
@@ -601,136 +603,41 @@ pub(crate) fn simulate(
     };
 
     let t0 = Instant::now();
-    let queue = WorkQueue::new(plan.len());
-    let slots: Vec<Mutex<Option<ShardOutput>>> = plan.iter().map(|_| Mutex::new(None)).collect();
-    let failures: Mutex<BTreeMap<usize, ShardFailure>> = Mutex::new(BTreeMap::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if queue.is_aborted() {
-                    break;
-                }
-                let Some((i, attempt)) = queue.claim() else {
-                    if queue.done() {
-                        break;
-                    }
-                    // All remaining work is in flight on other workers
-                    // (and may yet be re-enqueued); stay available.
-                    std::thread::yield_now();
-                    continue;
-                };
-                let work = &plan[i];
-                let fault = injector.map_or_else(FaultDecision::default, |f| {
-                    f.decide(config.seed, i, attempt)
-                });
-                if !fault.delay.is_zero() {
-                    std::thread::sleep(fault.delay);
-                }
-                let progress = AtomicU64::new(0);
-                let published = AtomicU64::new(0);
-                // AssertUnwindSafe: on Err every value the closure touched
-                // mutably (the shard-local accumulators) is dropped by the
-                // unwind; the shared inputs are `&`-borrows.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_shard(&env, work, i, attempt, fault, &progress, &published)
-                }));
-                let (kind, msg) = match result {
-                    Ok(Ok(out)) => {
-                        if attempt > 0 {
-                            // A recovered retry: count the successful
-                            // attempt so `attempts` = first try + retries.
-                            failures
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .entry(i)
-                                .and_modify(|f| f.attempts = attempt + 1);
-                        }
-                        // See WorkQueue::claim for why poison recovery is
-                        // sound: failed shards' buffers are discarded with
-                        // the unwind, never written through this mutex.
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                        queue.resolve();
-                        continue;
-                    }
-                    Ok(Err(e)) => (FaultKind::from_spill(&e), e.to_string()),
-                    Err(payload) => (FaultKind::Panic, panic_message(payload)),
-                };
-                // The failed attempt's buffers are gone (dropped by the
-                // unwind, or never handed over by the typed-error return);
-                // give back its gauge slice and delete the spill file the
-                // attempt wrote so a retry starts from nothing.
-                gauge.release(&published);
-                if let Some(session) = spill {
-                    session.remove_attempt(i, attempt);
-                }
-                // Corrupt and Budget failures never retry: re-running the
-                // same pure work cannot repair bit rot or shrink the
-                // budget, so burning the retry budget would only delay the
-                // verdict.
-                let exhausted = attempt >= max_retries || !kind.is_retryable();
-                {
-                    let mut failed = failures.lock().unwrap_or_else(PoisonError::into_inner);
-                    let entry = failed.entry(i).or_insert_with(|| ShardFailure {
-                        shard: i,
-                        label: shard_label(work),
-                        attempts: 0,
-                        kind: FaultKind::Panic,
-                        panic_msg: String::new(),
-                        dropped: false,
-                        records_lost: 0,
-                    });
-                    entry.attempts = attempt + 1;
-                    entry.kind = kind;
-                    entry.panic_msg = msg;
-                    entry.records_lost = progress.load(Ordering::Relaxed);
-                    if exhausted && policy == FailurePolicy::Degrade {
-                        entry.dropped = true;
-                    }
-                }
-                if !exhausted {
-                    queue.requeue(i, attempt + 1);
-                } else {
-                    queue.resolve();
-                    if policy != FailurePolicy::Degrade {
-                        queue.abort();
-                    }
-                }
-            });
-        }
+    let aborted = AtomicBool::new(false);
+    let results = pool::run_indexed(plan.len(), workers, |i| {
+        run_attempts(&env, &plan[i], i, &aborted)
     });
     let sim_wall = t0.elapsed();
     let peak_store_bytes = gauge.peak();
 
-    let failures: Vec<ShardFailure> = failures
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_values()
-        .collect();
+    // The results are in plan order, so the failures come out ascending
+    // by shard.
+    let (outputs, failures): (Vec<_>, Vec<_>) = results.into_iter().unzip();
     let sim_stats = spill.map(SpillSession::stats).unwrap_or_default();
     let faults = FaultReport {
-        policy,
-        failures,
+        policy: config.failure_policy,
+        failures: failures.into_iter().flatten().collect(),
         io_retries: sim_stats.io_retries,
         checksum_failures: sim_stats.checksum_failures,
     };
-    if queue.is_aborted() {
+    if aborted.into_inner() {
         return Err(StudyError::ShardsFailed(faults));
     }
 
-    // Merge phase: walk the slots in plan order and concatenate the
+    // Merge phase: walk the outputs in plan order and concatenate the
     // shards' segments. No record moves; all ordering is left to the
-    // freeze's stable sort.
+    // freeze.
     let t1 = Instant::now();
     let mut shards = Vec::with_capacity(plan.len());
     let mut segments = Vec::new();
     let (mut offered, mut users_seen, mut users_sampled) = (0u64, 0u64, 0u64);
-    for (i, (work, slot)) in plan.iter().zip(slots).enumerate() {
-        // Poison recovery (see WorkQueue::claim); an empty slot is a shard
-        // dropped under Degrade — it must be in the fault report.
-        let Some(out) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) else {
+    for (i, (work, out)) in plan.iter().zip(outputs).enumerate() {
+        // A shard without output was dropped under Degrade — it must be
+        // in the fault report.
+        let Some(out) = out else {
             debug_assert!(
                 faults.dropped().any(|f| f.shard == i),
-                "unfilled slot {i} without a dropped-shard record"
+                "shard {i} has no output and no dropped-shard record"
             );
             continue;
         };
@@ -889,25 +796,6 @@ mod tests {
                 .iter()
                 .all(|w| matches!(w, ShardWork::Benign(_))));
         }
-    }
-
-    #[test]
-    fn work_queue_retries_before_fresh_claims_and_terminates() {
-        let q = WorkQueue::new(3);
-        assert_eq!(q.claim(), Some((0, 0)));
-        q.requeue(0, 1);
-        assert_eq!(q.claim(), Some((0, 1)), "retries take priority");
-        assert_eq!(q.claim(), Some((1, 0)));
-        assert_eq!(q.claim(), Some((2, 0)));
-        assert_eq!(q.claim(), None);
-        assert!(!q.done(), "claimed but unresolved shards keep the run open");
-        q.resolve();
-        q.resolve();
-        q.resolve();
-        assert!(q.done());
-        assert!(!q.is_aborted());
-        q.abort();
-        assert!(q.is_aborted());
     }
 
     #[test]

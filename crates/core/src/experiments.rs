@@ -8,16 +8,15 @@
 //! the `repro` binary compares them against [`crate::paper`]'s reference
 //! values to build EXPERIMENTS.md.
 //!
-//! [`run_all`] executes the registry on a deterministic worker pool (the
-//! analysis mirror of [`crate::driver`]'s shard pool): workers claim passes
-//! from a shared cursor, results land in per-pass slots, and outputs merge
-//! in registry order — so the rendered figures and stats are
+//! [`run_all`] executes the registry on the same claim-order worker pool
+//! as [`crate::driver`]'s shards, the calling thread as worker 0: workers
+//! claim passes from one atomic cursor, and each pass's output comes back
+//! by value in registry order — so the rendered figures and stats are
 //! byte-identical at any `analysis_threads` count, and the run report's
 //! `run/analysis` span lists its passes in registry order.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ipv6_study_analysis::characterize::{
@@ -50,6 +49,7 @@ use ipv6_study_telemetry::kernels::{mask_from, scratch_reset};
 use ipv6_study_telemetry::time::{focus_day_ip, focus_day_user, focus_week};
 use ipv6_study_telemetry::{ColumnSlice, SimDate, UserId};
 
+use crate::pool;
 use crate::study::Study;
 
 /// The shared, immutable input of every experiment: the study plus the
@@ -1406,44 +1406,15 @@ const EXPERIMENTS: [Experiment; 20] = [
 /// extended pass runs.
 const EXTENDED_EXPERIMENTS: [Experiment; 1] = [("EC1", ec_entropy_blocklist)];
 
-/// Runs `registry` on a claim-order worker pool. Workers claim passes
-/// from a shared cursor in racy order, but each result lands in its
-/// registry-indexed slot and comes back in registry order, with its wall
-/// — so the outputs are byte-identical at any `workers` value.
-fn run_pool(
-    registry: &[Experiment],
-    ctx: &AnalysisCtx<'_>,
-    workers: usize,
-) -> Vec<(ExperimentOutput, Duration)> {
-    let workers = workers.clamp(1, registry.len());
-    let slots: Vec<Mutex<Option<(ExperimentOutput, Duration)>>> =
-        (0..registry.len()).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(_, func)) = registry.get(i) else {
-                    break;
-                };
-                let t0 = Instant::now();
-                let out = func(ctx);
-                *slots[i].lock().expect("no poisoned pass slot") = Some((out, t0.elapsed()));
-                // Pass boundary: assert the worker's scratch leases are
-                // balanced; pooled kernel buffers stay warm for the next
-                // claimed pass.
-                scratch_reset();
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned pass slot")
-                .expect("every pass slot filled")
-        })
-        .collect()
+/// Runs one pass, timed, then marks its worker's pass boundary: the
+/// scratch leases are asserted balanced, and the pooled kernel buffers
+/// stay warm for the next pass the worker claims.
+fn run_pass(ctx: &AnalysisCtx<'_>, &(_, func): &Experiment) -> (ExperimentOutput, Duration) {
+    let t0 = Instant::now();
+    let out = func(ctx);
+    let wall = t0.elapsed();
+    scratch_reset();
+    (out, wall)
 }
 
 /// Runs `registry` over `study` on `workers` workers, forcing every
@@ -1464,7 +1435,7 @@ fn analyse(
     // Claim order cannot affect output: passes only read the frozen
     // study and the shared context.
     let t_passes = Instant::now();
-    let outs = run_pool(registry, &ctx, workers);
+    let outs = pool::run_indexed(registry.len(), workers, |i| run_pass(&ctx, &registry[i]));
     let passes_wall = t_passes.elapsed();
     let (built, index_bytes) = (ctx.windows_built(), ctx.index_bytes());
     drop(ctx);
@@ -1521,8 +1492,7 @@ pub fn run_all(study: &mut Study) -> Vec<(&'static str, ExperimentOutput)> {
 ///
 /// Output is byte-identical at any `workers` value: like the simulation
 /// driver, workers claim passes from a shared cursor in racy order, but
-/// each result lands in its registry-indexed slot and the merge walks
-/// slots in registry order.
+/// the outputs come back in registry order.
 pub fn run_all_with(study: &mut Study, workers: usize) -> Vec<(&'static str, ExperimentOutput)> {
     analyse(study, &EXPERIMENTS, workers, true).0
 }
@@ -1542,7 +1512,9 @@ pub fn run_extended(study: &Study) -> Vec<(&'static str, ExperimentOutput)> {
 /// [`run_extended`]). Byte-identical at any `workers` value.
 pub fn run_extended_with(study: &Study, workers: usize) -> Vec<(&'static str, ExperimentOutput)> {
     let ctx = AnalysisCtx::new(study);
-    let outs = run_pool(&EXTENDED_EXPERIMENTS, &ctx, workers);
+    let outs = pool::run_indexed(EXTENDED_EXPERIMENTS.len(), workers, |i| {
+        run_pass(&ctx, &EXTENDED_EXPERIMENTS[i])
+    });
     EXTENDED_EXPERIMENTS
         .iter()
         .zip(outs)

@@ -2,15 +2,15 @@
 //! report, and a seeded fault-injection harness.
 //!
 //! The driver (see [`crate::driver`]) isolates every shard attempt behind
-//! `std::panic::catch_unwind`, so a panicking shard never poisons the
-//! merge mutex or kills sibling workers. What happens *next* is governed
-//! by the [`FailurePolicy`]:
+//! `std::panic::catch_unwind`, so a panicking shard never kills its
+//! worker or reaches the merge. What happens *next* is governed by the
+//! [`FailurePolicy`]:
 //!
 //! - [`FailurePolicy::Abort`] — any shard failure fails the run (after
 //!   in-flight shards finish their current attempt). This is the default:
 //!   a deterministic simulation that panics has hit a bug, and retrying a
 //!   pure function of `(seed, shard)` would reproduce the same panic.
-//! - [`FailurePolicy::Retry`] — failed shards are re-enqueued up to
+//! - [`FailurePolicy::Retry`] — a failed shard retries in place up to
 //!   `max_shard_retries` extra attempts; a shard that exhausts its
 //!   retries fails the run. Because each shard is a pure function of the
 //!   config, a successful retry produces the *exact bytes* the first
@@ -42,7 +42,7 @@ pub enum FailurePolicy {
     /// Fail the run on the first shard failure (the default).
     #[default]
     Abort,
-    /// Re-enqueue failed shards up to `max_shard_retries` extra attempts;
+    /// Retry a failed shard up to `max_shard_retries` extra attempts;
     /// fail the run if any shard exhausts them.
     Retry,
     /// Retry like [`FailurePolicy::Retry`], but drop shards that exhaust

@@ -49,6 +49,7 @@ pub mod experiments;
 pub mod faults;
 pub mod incremental;
 pub mod paper;
+mod pool;
 pub mod report;
 pub mod study;
 

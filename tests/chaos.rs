@@ -96,6 +96,7 @@ fn fault_injected_runs_are_byte_identical_to_fault_free() {
     let clean = Study::run(StudyConfig::tiny()).expect("fault-free run");
     assert!(clean.faults().is_clean());
 
+    let mut reports = Vec::new();
     for threads in [1usize, 2, 8] {
         let chaotic = Study::run(chaotic_config(threads)).expect("retries recover every shard");
         // The injector really fired: 2 + 1 retries across two shards.
@@ -115,6 +116,14 @@ fn fault_injected_runs_are_byte_identical_to_fault_free() {
             &chaotic,
             &format!("fault-free vs chaotic threads={threads}"),
         );
+        reports.push(chaotic.faults().clone());
+    }
+    // A shard retries in place on the worker that claimed it, and every
+    // attempt is a pure function of (seed, shard, attempt): the whole
+    // report — attempts, kinds, messages, records lost — is the same at
+    // every thread count.
+    for (threads, report) in [2, 8].into_iter().zip(&reports[1..]) {
+        assert_eq!(report, &reports[0], "threads={threads} vs 1");
     }
 }
 

@@ -141,12 +141,16 @@ fn absorbed_io_faults_leave_runs_byte_identical_at_1_and_8_threads() {
 
 /// Write faults that outlast the op-level retry budget fail the shard
 /// attempt with a typed Io fault; the shard-level retry re-runs the pure
-/// shard function and the recovered run stays byte-identical.
+/// shard function and the recovered run stays byte-identical, with the
+/// same failures at 1 and 8 threads.
+///
+/// The fault rate is the lowest of an ascending ladder at which a serial
+/// run fails some attempt, so the test fires by construction however few
+/// appends a run makes.
 #[test]
 fn exhausted_op_retries_fail_the_shard_and_a_shard_retry_recovers_it() {
     let clean = Study::run(spill_config(2, 256)).expect("fault-free spill run");
-
-    for threads in [1usize, 8] {
+    let faulty = |threads: usize, rate: f64| {
         let mut cfg = spill_config(threads, 256);
         cfg.failure_policy = FailurePolicy::Retry;
         cfg.max_shard_retries = 8;
@@ -154,31 +158,46 @@ fn exhausted_op_retries_fail_the_shard_and_a_shard_retry_recovers_it() {
         // op budget — so the owning shard attempt fails with Io.
         cfg.faults = Some(
             FaultInjector::new()
-                .with_io_write_fail_rate(0.001)
+                .with_io_write_fail_rate(rate)
                 .with_io_fail_attempts(16),
         );
-        let chaotic = Study::run(cfg).expect("shard retries recover io-failed attempts");
+        Study::run(cfg).expect("shard retries recover io-failed attempts")
+    };
+    let (rate, serial) = [0.001, 0.004, 0.016, 0.064, 0.256]
+        .into_iter()
+        .map(|rate| (rate, faulty(1, rate)))
+        .find(|(_, run)| !run.faults().is_clean())
+        .expect("some rate of the ladder fails a shard attempt");
+    let parallel = faulty(8, rate);
+
+    for (threads, run) in [(1, &serial), (8, &parallel)] {
         assert!(
-            !chaotic.faults().is_clean(),
-            "threads={threads}: some shard attempt must have failed"
-        );
-        assert!(
-            chaotic
-                .faults()
+            run.faults()
                 .failures
                 .iter()
                 .all(|f| f.kind == FaultKind::Io && !f.dropped),
             "threads={threads}: {:?}",
-            chaotic.faults().failures
+            run.faults().failures
         );
-        let rendered = chaotic.faults().render();
+        let rendered = run.faults().render();
         assert!(rendered.contains("last io:"), "{rendered}");
         assert_identical(
             &clean,
-            &chaotic,
-            &format!("io shard retry threads={threads}"),
+            run,
+            &format!("io shard retry threads={threads} rate={rate}"),
         );
     }
+    // The messages name the session directory, so compare what else a
+    // failure shows.
+    let shown = |run: &Study| {
+        run.faults()
+            .failures
+            .iter()
+            .map(|f| (f.shard, f.attempts, f.kind, f.records_lost, f.dropped))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(shown(&serial), shown(&parallel), "rate={rate}");
+    assert_eq!(serial.faults().io_retries, parallel.faults().io_retries);
 }
 
 /// Flipped on-disk bytes are detected by the freeze's verified read and
