@@ -1,7 +1,7 @@
 //! §4 — data characterization: prevalence over time, by ASN, by country,
 //! and client address patterns.
 //!
-//! The per-user analyses ([`client_patterns`], [`requests_per_user`]) walk a
+//! The per-user analysis ([`client_patterns`]) walks a
 //! [`DatasetIndex`]; the series and ratio tables take windowed
 //! [`ColumnSlice`]s directly — they bucket by day or by ASN/country, which
 //! the per-user/per-address index does not accelerate, and their inner
@@ -12,8 +12,7 @@ use std::net::Ipv6Addr;
 
 use ipv6_study_netaddr::iid::iid;
 use ipv6_study_netaddr::{EntropyProfile, IidClass};
-use ipv6_study_stats::counter::CountOfCounts;
-use ipv6_study_telemetry::{Asn, ColumnSlice, Country, DateRange, SimDate, UserId};
+use ipv6_study_telemetry::{Asn, ColumnSlice, Country, DateRange, SimDate};
 
 use crate::index::DatasetIndex;
 
@@ -244,20 +243,10 @@ pub fn client_patterns(index: &DatasetIndex) -> ClientPatterns {
     }
 }
 
-/// Requests per user over a window (diagnostic used when characterizing
-/// dataset volume, §3.1).
-pub fn requests_per_user(index: &DatasetIndex) -> CountOfCounts<UserId> {
-    let mut c = CountOfCounts::new();
-    for (user, group) in index.user_groups() {
-        c.add(user, group.len() as u64);
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipv6_study_telemetry::{OwnedColumns, RequestRecord};
+    use ipv6_study_telemetry::{OwnedColumns, RequestRecord, UserId};
 
     fn cols(recs: &[RequestRecord]) -> OwnedColumns {
         OwnedColumns::from_records(recs)
@@ -383,18 +372,5 @@ mod tests {
         ];
         let p = client_patterns(&DatasetIndex::from_records(&recs));
         assert_eq!(p.iid_reuse_share, 0.0);
-    }
-
-    #[test]
-    fn requests_per_user_tallies() {
-        let day = d(4, 13);
-        let recs = vec![
-            rec(1, day, "10.0.0.1", 1, "US"),
-            rec(1, day, "10.0.0.1", 1, "US"),
-            rec(2, day, "10.0.0.2", 1, "US"),
-        ];
-        let c = requests_per_user(&DatasetIndex::from_records(&recs));
-        assert_eq!(c.get(&UserId(1)), 2);
-        assert_eq!(c.total(), 3);
     }
 }

@@ -49,26 +49,6 @@ pub fn most_similar(reference: &Ecdf, candidates: &[(u8, Ecdf)]) -> SimilarityRe
     }
 }
 
-/// Scalar similarity between two step series sampled on a shared grid
-/// (used for Figure 6's curve-shape comparisons, where the objects are
-/// per-length fraction rows rather than ECDFs): mean absolute difference.
-pub fn series_distance(a: &[(u8, f64)], b: &[(u8, f64)]) -> f64 {
-    let bmap: std::collections::HashMap<u8, f64> = b.iter().copied().collect();
-    let mut n = 0u32;
-    let mut acc = 0.0;
-    for &(x, ya) in a {
-        if let Some(&yb) = bmap.get(&x) {
-            acc += (ya - yb).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        1.0
-    } else {
-        acc / f64::from(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,13 +78,5 @@ mod tests {
     #[should_panic(expected = "at least one candidate")]
     fn empty_candidates_panic() {
         most_similar(&Ecdf::from_values([1u64]), &[]);
-    }
-
-    #[test]
-    fn series_distance_basics() {
-        let a = vec![(64u8, 0.5), (56, 0.7)];
-        let b = vec![(64u8, 0.6), (56, 0.7), (48, 0.9)];
-        assert!((series_distance(&a, &b) - 0.05).abs() < 1e-12);
-        assert_eq!(series_distance(&a, &[]), 1.0);
     }
 }

@@ -148,34 +148,6 @@ pub fn prefixes_per_user(
         .collect()
 }
 
-/// The per-user distinct-prefix counts at one length (outlier drill-down
-/// for §5.2.3).
-pub fn prefix_counts_per_user(
-    index: &DatasetIndex,
-    len: u8,
-    filter: impl Fn(UserId) -> bool,
-) -> StableHashMap<UserId, u64> {
-    let mut counts: StableHashMap<UserId, u64> = StableHashMap::default();
-    let ips = &index.tables().ips;
-    for (user, group) in index.user_groups() {
-        if !filter(user) {
-            continue;
-        }
-        let mut prefixes: Vec<u128> = group
-            .ip_ids()
-            .iter()
-            .filter(|id| id.is_v6())
-            .map(|&id| ips.v6_bits(id) & Ipv6Prefix::mask(len))
-            .collect();
-        prefixes.sort_unstable();
-        prefixes.dedup();
-        if !prefixes.is_empty() {
-            counts.insert(user, prefixes.len() as u64);
-        }
-    }
-    counts
-}
-
 /// Life spans of (user, address) pairs present on a focus day (Figure 5).
 #[derive(Debug, Clone)]
 pub struct LifespanCdfs {
@@ -399,19 +371,6 @@ mod tests {
         assert_eq!(at(64).le1, 0.5, "user 1 collapses at /64");
         assert_eq!(at(48).le1, 1.0, "both collapse at /48");
         assert_eq!(at(128).le3, 1.0, "user 1 has exactly 3 addresses");
-    }
-
-    #[test]
-    fn prefix_counts_report_raw_numbers() {
-        let recs = vec![
-            rec(1, d(4, 13), "2001:db8:1:2::a"),
-            rec(1, d(4, 13), "2001:db8:2:2::a"),
-            rec(1, d(4, 13), "2001:db8:3:2::a"),
-        ];
-        let counts = prefix_counts_per_user(&idx(&recs), 48, |_| true);
-        assert_eq!(counts[&UserId(1)], 3);
-        let counts32 = prefix_counts_per_user(&idx(&recs), 32, |_| true);
-        assert_eq!(counts32[&UserId(1)], 1);
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! The single source of truth for which analysis passes read which days.
+//! The window recipes: every day range an analysis pass reads.
 //!
-//! Window construction used to be duplicated — `AnalysisCtx` built the
-//! focus day/week/lookback windows from calendar constants while the
-//! driver and the Figure-11/§7.2/EC1 passes re-derived the "last four
-//! days" pair window by hand. The incremental engine
-//! (`ipv6_study_core::incremental`) needs one authoritative answer to
-//! "which passes must rerun when the timeline grows by a day", so every
-//! window recipe lives here, split into two kinds:
+//! Each entry of the experiment registry
+//! (`ipv6_study_core::experiments`) declares its inputs as (dataset
+//! family, [`Recipe`]) pairs, and the incremental engine derives which
+//! passes an extension invalidates from those declarations alone. The
+//! recipes come in two kinds:
 //!
-//! - **anchored** windows are fixed calendar spans inside the base study
-//!   range (the Apr 13–19 focus week, the 28-day lookback behind Apr 19,
-//!   the Jan/Feb comparison weeks). Appending days after the base range
-//!   never changes their contents, so passes that read only anchored
-//!   windows are *not* invalidated by an extension.
-//! - **end-relative** windows slide with the last simulated day (the
-//!   four-day pair window behind Figure 11, the day-*n*/day-*n+1* pairs
+//! - **anchored** recipes are fixed calendar spans (the Apr 13–19 focus
+//!   week, the 28-day lookback behind Apr 19, the Jan/Feb comparison
+//!   weeks). Appending days after the base range never changes their
+//!   contents, so a pass that reads only anchored recipes is *not*
+//!   invalidated by an extension.
+//! - **end-relative** recipes slide with the last simulated day (the
+//!   four-day pair window behind Figure 11, the day-*n*/day-*n+1* pair
 //!   behind §7.2-ML and EC1, Figure 1's whole-timeline prevalence span).
-//!   Passes reading them must rerun after every extension.
+//!   A pass reading one must rerun after every extension.
 //!
 //! All builders use [`SimDate::checked_days_since`]-style checked
 //! arithmetic: a window that would underflow the 2020 calendar is a
@@ -58,141 +56,75 @@ pub fn pair_window(sim_end: SimDate) -> DateRange {
     window_ending(sim_end, PAIR_BACK_DAYS)
 }
 
-/// The day-*n* / day-*n+1* pair scored by the §7.2 ML-transfer and EC1
-/// entropy-blocklist passes: the last two simulated days.
-pub fn ml_pair_days(sim_end: SimDate) -> (SimDate, SimDate) {
-    (window_ending(sim_end, 1).start, sim_end)
+/// A window recipe: the days one declared analysis input covers, as a
+/// function of the simulated range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recipe {
+    /// Every simulated day (end-relative).
+    Sim,
+    /// The Apr 13–19 focus week.
+    Week,
+    /// Apr 19, the user-sample focus day.
+    Apr19,
+    /// Apr 13, the IP-sample focus day.
+    Apr13,
+    /// The 28-day lifespan lookback behind Apr 19 (§5.3).
+    Lookback,
+    /// The Jan 23–29 comparison week of Table 2.
+    JanWeek,
+    /// The Feb 12–18 pre-pandemic week of Appendix A.3.
+    FebWeek,
+    /// Appendix A.5's 27-day lookback behind Feb 18 (the appendix's
+    /// shorter span).
+    FebLookback,
+    /// Appendix A.5's 27-day lookback behind Apr 19.
+    AprLookback,
+    /// The four-day pair window (end-relative).
+    PairWindow,
+    /// The day-*n* / day-*n+1* pair scored by §7.2's ML transfer and EC1:
+    /// the last two simulated days (end-relative).
+    MlPair,
 }
 
-/// The Jan 23–29 comparison week used by Table 2 (country ratios over
-/// time).
-pub fn comparison_week_jan() -> DateRange {
-    DateRange::new(SimDate::ymd(1, 23), SimDate::ymd(1, 29))
-}
-
-/// The Apr 13 blocklist listing day of §7.2, plus its six evaluation
-/// days: the rest of the focus week.
-pub fn blocklist_window() -> DateRange {
-    DateRange::new(focus_day_ip(), focus_day_ip() + 6)
-}
-
-/// The pre-pandemic lookback behind Feb 18 used by Appendix A.5's
-/// lifespan comparison (27 days, matching the appendix's shorter span).
-pub fn apx_lookback(focus: SimDate) -> DateRange {
-    window_ending(focus, 26)
-}
-
-/// Everything one experiment pass reads, derived from the effective
-/// simulated range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassReads {
-    /// The day ranges the pass reads (anchored and end-relative alike),
-    /// evaluated at a concrete `sim_range`.
-    pub ranges: Vec<DateRange>,
-    /// Whether any of those ranges is derived from the *end* of the
-    /// simulated range (and therefore slides when the timeline grows).
-    pub end_relative: bool,
-}
-
-impl PassReads {
-    /// Whether the pass reads any day inside `days`.
-    pub fn covers_any(&self, days: DateRange) -> bool {
-        self.ranges
-            .iter()
-            .any(|r| r.start <= days.end && days.start <= r.end)
-    }
-}
-
-/// The registry: what experiment `pass` reads when the simulation covers
-/// `sim_range`. Returns `None` for an unregistered pass id — callers
-/// must treat that conservatively (assume it reads everything).
-///
-/// Pass ids are the registry ids of
-/// `ipv6_study_core::experiments::EXPERIMENTS` (plus the extended
-/// registry); a core-side test pins that every registered pass is known
-/// here, so the two lists cannot drift apart silently.
-pub fn pass_reads(pass: &str, sim_range: DateRange) -> Option<PassReads> {
-    let focus = focus_day_user();
-    let single = DateRange::single;
-    let (end_relative, ranges) = match pass {
-        // Whole-timeline prevalence: every simulated day.
-        "F1" => (true, vec![sim_range]),
-        // Focus-week-only passes.
-        "T1" | "C4.4" | "O5.1" | "F4" | "O6.1" | "F9" | "F10" => (false, vec![focus_week()]),
-        "T2/F12" => (false, vec![comparison_week_jan(), focus_week()]),
-        "F2" => (false, vec![single(focus), focus_week()]),
-        "F3" => (false, vec![single(focus)]),
-        "F5" | "F6" => (false, vec![lookback_window(focus)]),
-        "F7" | "F8" => (false, vec![single(focus_day_ip()), focus_week()]),
-        "O6.2" => (false, vec![focus_week()]),
-        // The actioning ROC reads the sliding pair window.
-        "F11" => (true, vec![pair_window(sim_range.end)]),
-        // §7.2: anchored blocklist/rate-limit windows plus the sliding
-        // ML day pair.
-        "S7.2" => {
-            let (d0, d1) = ml_pair_days(sim_range.end);
-            (
-                true,
-                vec![blocklist_window(), focus_week(), DateRange::new(d0, d1)],
-            )
+impl Recipe {
+    /// The days the recipe covers when the simulation covers `sim`.
+    pub fn days(self, sim: DateRange) -> DateRange {
+        match self {
+            Recipe::Sim => sim,
+            Recipe::Week => focus_week(),
+            Recipe::Apr19 => DateRange::single(focus_day_user()),
+            Recipe::Apr13 => DateRange::single(focus_day_ip()),
+            Recipe::Lookback => lookback_window(focus_day_user()),
+            Recipe::JanWeek => DateRange::new(SimDate::ymd(1, 23), SimDate::ymd(1, 29)),
+            Recipe::FebWeek => prepandemic_week(),
+            Recipe::FebLookback => window_ending(SimDate::ymd(2, 18), 26),
+            Recipe::AprLookback => window_ending(focus_day_user(), 26),
+            Recipe::PairWindow => pair_window(sim.end),
+            Recipe::MlPair => window_ending(sim.end, 1),
         }
-        "X8.1" => (
-            false,
-            vec![
-                single(focus_day_ip()),
-                single(focus),
-                lookback_window(focus),
-            ],
-        ),
-        "ApxA" => (
-            false,
-            vec![
-                prepandemic_week(),
-                focus_week(),
-                apx_lookback(SimDate::ymd(2, 18)),
-                apx_lookback(focus),
-            ],
-        ),
-        // Extended registry: EC1 scores the sliding ML day pair.
-        "EC1" => {
-            let (d0, d1) = ml_pair_days(sim_range.end);
-            (true, vec![DateRange::new(d0, d1)])
-        }
-        _ => return None,
-    };
-    Some(PassReads {
-        ranges,
-        end_relative,
-    })
-}
+    }
 
-/// Whether `pass` must rerun after the simulated range grows from `old`
-/// to `new` (same start, later end). True when the pass's read set
-/// changed between the two ranges, when it covers any newly appended
-/// day, or when the pass is unknown to the registry (conservative
-/// default).
-pub fn invalidated_by_extension(pass: &str, old: DateRange, new: DateRange) -> bool {
-    debug_assert_eq!(old.start, new.start, "extension keeps the range start");
-    debug_assert!(old.end <= new.end, "extension only appends days");
-    let (Some(before), Some(after)) = (pass_reads(pass, old), pass_reads(pass, new)) else {
-        return true;
-    };
-    if before != after {
-        return true;
+    /// The recipe's name in span paths and messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            Recipe::Sim => "sim",
+            Recipe::Week => "week",
+            Recipe::Apr19 => "apr19",
+            Recipe::Apr13 => "apr13",
+            Recipe::Lookback => "lookback",
+            Recipe::JanWeek => "jan_week",
+            Recipe::FebWeek => "feb_week",
+            Recipe::FebLookback => "feb_lookback",
+            Recipe::AprLookback => "apr_lookback",
+            Recipe::PairWindow => "last4",
+            Recipe::MlPair => "last2",
+        }
     }
-    if old.end == new.end {
-        return false;
-    }
-    after.covers_any(DateRange::new(old.end + 1, new.end))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn base() -> DateRange {
-        DateRange::new(SimDate::ymd(4, 6), SimDate::ymd(4, 19))
-    }
 
     #[test]
     fn window_shapes() {
@@ -203,72 +135,20 @@ mod tests {
             SimDate::ymd(4, 16),
             "pair window is the driver's routing window"
         );
-        let (d0, d1) = ml_pair_days(SimDate::ymd(4, 20));
-        assert_eq!(d0, SimDate::ymd(4, 19));
-        assert_eq!(d1, SimDate::ymd(4, 20));
-        assert_eq!(blocklist_window().num_days(), 7);
-        assert_eq!(apx_lookback(SimDate::ymd(2, 18)).num_days(), 27);
+        let sim = DateRange::new(SimDate::ymd(4, 6), SimDate::ymd(4, 20));
+        let ml = Recipe::MlPair.days(sim);
+        assert_eq!(
+            (ml.start, ml.end),
+            (SimDate::ymd(4, 19), SimDate::ymd(4, 20))
+        );
+        assert_eq!(Recipe::FebLookback.days(sim).num_days(), 27);
+        assert_eq!(Recipe::AprLookback.days(sim).end, focus_day_user());
+        assert_eq!(Recipe::JanWeek.days(sim).num_days(), 7);
     }
 
     #[test]
     #[should_panic(expected = "underflows the calendar")]
     fn underflowing_window_panics_instead_of_clamping() {
         let _ = window_ending(SimDate::ymd(1, 3), 10);
-    }
-
-    #[test]
-    fn anchored_passes_survive_extension() {
-        let old = base();
-        let new = DateRange::new(old.start, old.end + 3);
-        for pass in [
-            "T1", "T2/F12", "C4.4", "F2", "F3", "O5.1", "F4", "F5", "F6", "F7", "F8", "O6.1", "F9",
-            "F10", "O6.2", "X8.1", "ApxA",
-        ] {
-            assert!(
-                !invalidated_by_extension(pass, old, new),
-                "anchored pass {pass} must not rerun on extension"
-            );
-        }
-    }
-
-    #[test]
-    fn end_relative_passes_rerun_on_extension() {
-        let old = base();
-        let new = DateRange::new(old.start, old.end + 1);
-        for pass in ["F1", "F11", "S7.2", "EC1"] {
-            assert!(
-                pass_reads(pass, old).unwrap().end_relative,
-                "{pass} is end-relative"
-            );
-            assert!(
-                invalidated_by_extension(pass, old, new),
-                "end-relative pass {pass} must rerun on extension"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_extension_invalidates_nothing() {
-        let r = base();
-        for pass in ["F1", "T1", "F11", "S7.2", "EC1", "ApxA"] {
-            assert!(!invalidated_by_extension(pass, r, r), "{pass}");
-        }
-    }
-
-    #[test]
-    fn unknown_pass_is_conservatively_invalidated() {
-        assert!(pass_reads("NOPE", base()).is_none());
-        assert!(invalidated_by_extension(
-            "NOPE",
-            base(),
-            DateRange::new(base().start, base().end + 1)
-        ));
-    }
-
-    #[test]
-    fn pair_window_covers_only_its_days() {
-        let reads = pass_reads("F11", base()).unwrap();
-        assert!(reads.covers_any(DateRange::single(SimDate::ymd(4, 16))));
-        assert!(!reads.covers_any(DateRange::single(SimDate::ymd(4, 15))));
     }
 }

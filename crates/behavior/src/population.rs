@@ -117,11 +117,6 @@ impl<'w> Population<'w> {
         self.world
     }
 
-    /// Number of households.
-    pub fn num_households(&self) -> u64 {
-        self.households
-    }
-
     /// Expected number of users (~[`USERS_PER_HOUSEHOLD`] members per
     /// household).
     pub fn approx_users(&self) -> u64 {

@@ -1,12 +1,17 @@
 //! The experiment registry: one function per table/figure in the paper.
 //!
-//! Every function takes an [`AnalysisCtx`] — a completed [`Study`] plus the
-//! shared per-window [`DatasetIndex`]es built once for all passes — and
-//! returns an [`ExperimentOutput`] — figures (plottable series), tables, and
-//! named scalar statistics. The scalar statistics are the quantities the
-//! paper quotes in prose (e.g. "95% of IPv6 addresses had a single user");
-//! the `repro` binary compares them against [`crate::paper`]'s reference
-//! values to build EXPERIMENTS.md.
+//! Every function takes an [`AnalysisCtx`] — the rows, indexes and day
+//! tries of the (family, window) inputs its registry entry declares —
+//! and returns an [`ExperimentOutput`] — figures (plottable series),
+//! tables, and named scalar statistics. The scalar statistics are the
+//! quantities the paper quotes in prose (e.g. "95% of IPv6 addresses had
+//! a single user"); the `repro` binary compares them against
+//! [`crate::paper`]'s reference values to build EXPERIMENTS.md.
+//!
+//! The declarations are the one input plan: [`crate::ctx`] serves a pass
+//! nothing else and memoizes each index across the passes that declare
+//! it, and [`invalidated_by_extension`] derives which passes an
+//! extension invalidates from them.
 //!
 //! [`run_all`] executes the registry on the same claim-order worker pool
 //! as [`crate::driver`]'s shards, the calling thread as worker 0: workers
@@ -16,11 +21,11 @@
 //! `run/analysis` span lists its passes in registry order.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ipv6_study_analysis::characterize::{
     asn_low_v6_shares, asn_ratio_table, client_patterns, country_ratio_table, prevalence_series,
+    RatioRow,
 };
 use ipv6_study_analysis::ip_centric::{
     abuse_per_ip, abuse_per_prefix, users_per_ip, users_per_prefix, users_per_v4_addr,
@@ -31,173 +36,27 @@ use ipv6_study_analysis::outliers::{
 };
 use ipv6_study_analysis::similarity::most_similar;
 use ipv6_study_analysis::user_centric::{
-    address_lifespans, addrs_per_user, prefix_lifespans, prefixes_per_user,
+    address_lifespans, addrs_per_user, prefix_lifespans, prefixes_per_user, LifespanCdfs,
+    PrefixSpanRow,
 };
-use ipv6_study_analysis::windows;
+use ipv6_study_analysis::windows::Recipe::*;
 use ipv6_study_analysis::{CdfSeries, DatasetIndex, FigureReport, TableReport};
 use ipv6_study_obs::Span;
-use ipv6_study_secapp::actioning::{
-    actioning_roc_between, operating_points, DayCounts, Granularity,
-};
+use ipv6_study_secapp::actioning::{actioning_roc_between, operating_points, Granularity};
 use ipv6_study_secapp::blocklist::{evaluate_over_days, Blocklist};
 use ipv6_study_secapp::mlfeatures::{training_set, LogisticModel};
 use ipv6_study_secapp::ratelimit::recommend_threshold;
 use ipv6_study_secapp::signatures::HeavyAddressPredictor;
 use ipv6_study_secapp::threat_exchange::{half_life, value_decay};
 use ipv6_study_stats::Ecdf;
-use ipv6_study_telemetry::kernels::{mask_from, scratch_reset};
-use ipv6_study_telemetry::time::{focus_day_ip, focus_day_user, focus_week};
-use ipv6_study_telemetry::{ColumnSlice, SimDate, UserId};
+use ipv6_study_telemetry::kernels::{scratch_reset, with_scratch, ScratchArena};
+use ipv6_study_telemetry::time::{focus_day_ip, focus_day_user};
+use ipv6_study_telemetry::{ColumnSlice, DateRange, Family::*, SimDate, UserId};
 
+pub use crate::ctx::AnalysisCtx;
+use crate::ctx::{Input, Plan};
 use crate::pool;
 use crate::study::Study;
-
-/// The shared, immutable input of every experiment: the study plus the
-/// [`DatasetIndex`]es of the windows most passes group over, built lazily
-/// and shared so parallel passes re-use them instead of re-grouping per
-/// pass.
-///
-/// The shared windows cover the focus day/week of the user and IP
-/// samples, the 28-day lifespan lookback, and the abuse store's focus
-/// week; passes with one-off windows build them through
-/// [`AnalysisCtx::index`].
-///
-/// Each shared window lives in a [`OnceLock`] and is built on first
-/// access: a full [`run_all`] forces all six up front (so the
-/// `run/analysis/index` span holds the whole index cost), while the
-/// incremental engine's [`run_selected`] re-run of a few invalidated
-/// passes only pays for the windows those passes actually touch — this
-/// is what "no re-indexing of prior days" means in practice, since the
-/// anchored windows' outputs are carried forward instead of rebuilt.
-pub struct AnalysisCtx<'a> {
-    /// The completed study this analysis reads.
-    pub study: &'a Study,
-    user_week: OnceLock<DatasetIndex>,
-    user_day: OnceLock<DatasetIndex>,
-    user_lookback: OnceLock<DatasetIndex>,
-    ip_day: OnceLock<DatasetIndex>,
-    ip_week: OnceLock<DatasetIndex>,
-    abuse_week: OnceLock<DatasetIndex>,
-}
-
-impl<'a> AnalysisCtx<'a> {
-    /// Wraps a study; windows build on first access.
-    pub fn new(study: &'a Study) -> Self {
-        Self {
-            study,
-            user_week: OnceLock::new(),
-            user_day: OnceLock::new(),
-            user_lookback: OnceLock::new(),
-            ip_day: OnceLock::new(),
-            ip_week: OnceLock::new(),
-            abuse_week: OnceLock::new(),
-        }
-    }
-
-    /// The user sample over the Apr 13–19 focus week.
-    pub fn user_week(&self) -> &DatasetIndex {
-        self.user_week
-            .get_or_init(|| self.index(self.study.datasets.user_sample.in_range(focus_week())))
-    }
-
-    /// The user sample on the Apr 19 focus day.
-    pub fn user_day(&self) -> &DatasetIndex {
-        self.user_day
-            .get_or_init(|| self.index(self.study.datasets.user_sample.on_day(focus_day_user())))
-    }
-
-    /// The user sample over the 28-day lifespan lookback behind Apr 19.
-    pub fn user_lookback(&self) -> &DatasetIndex {
-        self.user_lookback.get_or_init(|| {
-            let lookback = windows::lookback_window(focus_day_user());
-            self.index(self.study.datasets.user_sample.in_range(lookback))
-        })
-    }
-
-    /// The IP sample on the Apr 13 focus day.
-    pub fn ip_day(&self) -> &DatasetIndex {
-        self.ip_day
-            .get_or_init(|| self.index(self.study.datasets.ip_sample.on_day(focus_day_ip())))
-    }
-
-    /// The IP sample over the focus week.
-    pub fn ip_week(&self) -> &DatasetIndex {
-        self.ip_week
-            .get_or_init(|| self.index(self.study.datasets.ip_sample.in_range(focus_week())))
-    }
-
-    /// The abuse stream over the focus week.
-    pub fn abuse_week(&self) -> &DatasetIndex {
-        self.abuse_week
-            .get_or_init(|| self.index(self.study.abuse_store.in_range(focus_week())))
-    }
-
-    /// Forces every shared window, so a full registry run pays the whole
-    /// index cost inside its `index` span (not attributed to whichever
-    /// pass happens to touch a window first). Returns that span: one
-    /// child per window, items = indexed records, bytes = index bytes.
-    pub fn build_all(&self) -> Span {
-        let t0 = Instant::now();
-        let windows: [(&str, Window<'a>); 6] = [
-            ("user_week", Self::user_week),
-            ("user_day", Self::user_day),
-            ("user_lookback", Self::user_lookback),
-            ("ip_day", Self::ip_day),
-            ("ip_week", Self::ip_week),
-            ("abuse_week", Self::abuse_week),
-        ];
-        let children: Vec<Span> = windows
-            .into_iter()
-            .map(|(name, window)| {
-                let t = Instant::now();
-                let index = window(self);
-                Span::new(name, t.elapsed())
-                    .with_items(index.len() as u64)
-                    .with_bytes(index.bytes() as u64)
-            })
-            .collect();
-        Span {
-            items: children.iter().map(|c| c.items).sum(),
-            bytes: children.iter().map(|c| c.bytes).sum(),
-            children,
-            ..Span::new("index", t0.elapsed())
-        }
-    }
-
-    /// Indexes a one-off window.
-    pub fn index(&self, records: ColumnSlice<'_>) -> DatasetIndex {
-        DatasetIndex::build(records)
-    }
-
-    fn built(&self) -> impl Iterator<Item = &DatasetIndex> {
-        [
-            self.user_week.get(),
-            self.user_day.get(),
-            self.user_lookback.get(),
-            self.ip_day.get(),
-            self.ip_week.get(),
-            self.abuse_week.get(),
-        ]
-        .into_iter()
-        .flatten()
-    }
-
-    /// How many of the six shared windows have been built — the
-    /// incremental suite asserts a selected re-run builds only what its
-    /// passes read.
-    pub fn windows_built(&self) -> usize {
-        self.built().count()
-    }
-
-    /// Total heap bytes across the built shared windows (the
-    /// `run/analysis` span's bytes).
-    fn index_bytes(&self) -> usize {
-        self.built().map(DatasetIndex::bytes).sum()
-    }
-}
-
-/// One shared-window accessor of [`AnalysisCtx`].
-type Window<'a> = for<'c> fn(&'c AnalysisCtx<'a>) -> &'c DatasetIndex;
 
 /// The output of one experiment.
 #[derive(Debug, Default)]
@@ -234,10 +93,9 @@ impl ExperimentOutput {
 
 /// Figure 1 — daily IPv6 share of users and of requests.
 pub fn fig1_prevalence(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let range = study.config.sim_range();
-    let user = study.datasets.user_sample.in_range(range);
-    let req = study.datasets.request_sample.in_range(range);
+    let range = ctx.days(Sim);
+    let user = ctx.rows(User, Sim);
+    let req = ctx.rows(Request, Sim);
     let pts = prevalence_series(user, req, range);
     let mut out = ExperimentOutput::default();
     out.record_input(user.len() + req.len());
@@ -253,36 +111,27 @@ pub fn fig1_prevalence(ctx: &AnalysisCtx) -> ExperimentOutput {
         ));
     out.figures.push(fig);
 
-    let mean = |f: &dyn Fn(&ipv6_study_analysis::characterize::PrevalencePoint) -> f64,
-                lo: SimDate,
-                hi: SimDate| {
+    // The mean of share `i` (0: users, 1: requests) over the days lo..=hi.
+    let mean = |i: usize, lo: SimDate, hi: SimDate| {
         let sel: Vec<f64> = pts
             .iter()
             .filter(|p| p.day >= lo && p.day <= hi)
-            .map(f)
+            .map(|p| [p.user_share, p.request_share][i])
             .collect();
         sel.iter().sum::<f64>() / sel.len().max(1) as f64
     };
     let early_end = range.start + 13;
     let late_start = range.end - 13;
-    out.stat(
-        "fig1.user_share_mean",
-        mean(&|p| p.user_share, range.start, range.end),
-    );
-    out.stat(
-        "fig1.request_share_mean",
-        mean(&|p| p.request_share, range.start, range.end),
-    );
-    out.stat(
-        "fig1.user_share_lockdown_delta",
-        mean(&|p| p.user_share, late_start, range.end)
-            - mean(&|p| p.user_share, range.start, early_end),
-    );
-    out.stat(
-        "fig1.request_share_lockdown_delta",
-        mean(&|p| p.request_share, late_start, range.end)
-            - mean(&|p| p.request_share, range.start, early_end),
-    );
+    for (i, name) in ["user_share", "request_share"].into_iter().enumerate() {
+        out.stat(
+            &format!("fig1.{name}_mean"),
+            mean(i, range.start, range.end),
+        );
+    }
+    for (i, name) in ["user_share", "request_share"].into_iter().enumerate() {
+        let delta = mean(i, late_start, range.end) - mean(i, range.start, early_end);
+        out.stat(&format!("fig1.{name}_lockdown_delta"), delta);
+    }
     // Weekend effect: mean over weekends minus weekdays (pre-lockdown part).
     let pre = SimDate::ymd(3, 7);
     let (mut we, mut wd) = (Vec::new(), Vec::new());
@@ -303,8 +152,7 @@ pub fn fig1_prevalence(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Table 1 — top ASNs by IPv6 user ratio (plus §4.2's low-deployment tail).
 pub fn tab1_asns(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let recs = study.datasets.user_sample.in_range(focus_week());
+    let recs = ctx.rows(User, Week);
     // The paper requires ≥1k users per ASN, i.e. ~0.04% of its 2.6M
     // sampled users; scale that floor to our sampled-user count. The
     // distinct-user table is memoized on the shared focus-week index.
@@ -319,7 +167,7 @@ pub fn tab1_asns(ctx: &AnalysisCtx) -> ExperimentOutput {
         &["Rank", "ASN", "Name", "Kind", "Country", "Users", "Ratio"],
     );
     for (i, row) in rows.iter().take(10).enumerate() {
-        let net = study.world.find_by_asn(row.key);
+        let net = ctx.world().find_by_asn(row.key);
         table.push_row(vec![
             (i + 1).to_string(),
             row.key.to_string(),
@@ -341,10 +189,8 @@ pub fn tab1_asns(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Table 2 + Figure 12 — top countries by IPv6 user ratio, Jan vs Apr.
 pub fn tab2_countries(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let jan = windows::comparison_week_jan();
-    let jan_recs = study.datasets.user_sample.in_range(jan);
-    let apr_recs = study.datasets.user_sample.in_range(focus_week());
+    let jan_recs = ctx.rows(User, JanWeek);
+    let apr_recs = ctx.rows(User, Week);
     let distinct_users = ctx.user_week().distinct_users().len();
     let min_users = ((distinct_users as f64) * 0.004).ceil().max(12.0) as u64;
     let jan_rows = country_ratio_table(jan_recs, min_users);
@@ -387,7 +233,7 @@ pub fn tab2_countries(ctx: &AnalysisCtx) -> ExperimentOutput {
     // Rico, Belarus) stay visible at every simulation scale.
     let jan_all = country_ratio_table(jan_recs, 5);
     let apr_all = country_ratio_table(apr_recs, 5);
-    let ratio_of = |rows: &[ipv6_study_analysis::characterize::RatioRow<_>], code: &str| {
+    let ratio_of = |rows: &[RatioRow<_>], code: &str| {
         rows.iter()
             .find(|r| r.key == ipv6_study_telemetry::Country::new(code))
             .map_or(f64::NAN, |r| r.ratio)
@@ -396,18 +242,10 @@ pub fn tab2_countries(ctx: &AnalysisCtx) -> ExperimentOutput {
     out.stat("tab2.us_apr", ratio_of(&apr_all, "US"));
     out.stat("tab2.de_jan", ratio_of(&jan_all, "DE"));
     out.stat("tab2.de_apr", ratio_of(&apr_all, "DE"));
-    out.stat(
-        "tab2.de_delta",
-        ratio_of(&apr_all, "DE") - ratio_of(&jan_all, "DE"),
-    );
-    out.stat(
-        "tab2.by_delta",
-        ratio_of(&apr_all, "BY") - ratio_of(&jan_all, "BY"),
-    );
-    out.stat(
-        "tab2.pr_delta",
-        ratio_of(&apr_all, "PR") - ratio_of(&jan_all, "PR"),
-    );
+    for code in ["DE", "BY", "PR"] {
+        let delta = ratio_of(&apr_all, code) - ratio_of(&jan_all, code);
+        out.stat(&format!("tab2.{}_delta", code.to_lowercase()), delta);
+    }
     out
 }
 
@@ -430,8 +268,7 @@ fn cdf_series(label: &str, e: &Ecdf, max_x: u64) -> CdfSeries {
 
 /// Figure 2 — addresses per user (benign), one day and one week.
 pub fn fig2_addrs_per_user(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let filter = |u: UserId| !study.labels.is_abusive(u);
+    let filter = |u: UserId| !ctx.labels().is_abusive(u);
     let day = addrs_per_user(ctx.user_day(), filter);
     let week = addrs_per_user(ctx.user_week(), filter);
     let mut out = ExperimentOutput::default();
@@ -454,12 +291,10 @@ pub fn fig2_addrs_per_user(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Figure 3 — addresses per abusive account, one day.
 pub fn fig3_aa_addrs(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let day_recs = study.abuse_store.on_day(focus_day_user());
-    let day = ctx.index(day_recs);
-    let aa = addrs_per_user(&day, |_| true);
+    let day = ctx.index_of(Abuse, Apr19);
+    let aa = addrs_per_user(day, |_| true);
     let mut out = ExperimentOutput::default();
-    out.record_input(day_recs.len());
+    out.record_input(day.len());
     out.figures.push(
         FigureReport::new("Figure 3", "CDFs of addresses per abusive account, 1 day")
             .with(cdf_series("IPv6: 1 Day", &aa.v6, 10))
@@ -474,8 +309,7 @@ pub fn fig3_aa_addrs(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// §5.1.3 — outlier users by address count, benign and abusive.
 pub fn o51_user_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let filter = |u: UserId| !study.labels.is_abusive(u);
+    let filter = |u: UserId| !ctx.labels().is_abusive(u);
     let week = addrs_per_user(ctx.user_week(), filter);
     let aa_week = addrs_per_user(ctx.abuse_week(), |_| true);
 
@@ -522,28 +356,21 @@ pub fn o51_user_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Figure 4 — IPv6 prefixes per user (users and abusive accounts).
 pub fn fig4_prefix_span(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
     let lengths: Vec<u8> = vec![32, 36, 40, 44, 48, 52, 56, 60, 64, 68, 72, 80, 96, 112, 128];
-    let filter = |u: UserId| !study.labels.is_abusive(u);
+    let filter = |u: UserId| !ctx.labels().is_abusive(u);
     let users = prefixes_per_user(ctx.user_week(), &lengths, filter);
     let aas = prefixes_per_user(ctx.abuse_week(), &lengths, |_| true);
 
-    let to_fig =
-        |id: &str, caption: &str, rows: &[ipv6_study_analysis::user_centric::PrefixSpanRow]| {
-            FigureReport::new(id, caption)
-                .with(CdfSeries::from_u64(
-                    "1",
-                    rows.iter().map(|r| (u64::from(r.len), r.le1)),
-                ))
-                .with(CdfSeries::from_u64(
-                    "<=2",
-                    rows.iter().map(|r| (u64::from(r.len), r.le2)),
-                ))
-                .with(CdfSeries::from_u64(
-                    "<=3",
-                    rows.iter().map(|r| (u64::from(r.len), r.le3)),
-                ))
-        };
+    let to_fig = |id: &str, caption: &str, rows: &[PrefixSpanRow]| {
+        let mut fig = FigureReport::new(id, caption);
+        for (k, label) in ["1", "<=2", "<=3"].into_iter().enumerate() {
+            let pts = rows
+                .iter()
+                .map(|r| (u64::from(r.len), [r.le1, r.le2, r.le3][k]));
+            fig = fig.with(CdfSeries::from_u64(label, pts));
+        }
+        fig
+    };
     let mut out = ExperimentOutput::default();
     out.record_input(ctx.user_week().len() + ctx.abuse_week().len());
     out.figures.push(to_fig(
@@ -556,9 +383,8 @@ pub fn fig4_prefix_span(ctx: &AnalysisCtx) -> ExperimentOutput {
         "% of abusive accounts whose v6 addresses span <=k prefixes",
         &aas,
     ));
-    let at = |rows: &[ipv6_study_analysis::user_centric::PrefixSpanRow], len: u8| {
-        rows.iter().find(|r| r.len == len).map_or(0.0, |r| r.le1)
-    };
+    let at =
+        |rows: &[PrefixSpanRow], len: u8| rows.iter().find(|r| r.len == len).map_or(0.0, |r| r.le1);
     out.stat("fig4.users_le1_at128", at(&users, 128));
     out.stat("fig4.users_le1_at72", at(&users, 72));
     out.stat("fig4.users_le1_at64", at(&users, 64));
@@ -571,9 +397,8 @@ pub fn fig4_prefix_span(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Figure 5 — (user, address) life spans.
 pub fn fig5_lifespans(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
     let focus = focus_day_user();
-    let filter = |u: UserId| !study.labels.is_abusive(u);
+    let filter = |u: UserId| !ctx.labels().is_abusive(u);
     let l = address_lifespans(ctx.user_lookback(), focus, filter);
     let mut out = ExperimentOutput::default();
     out.record_input(ctx.user_lookback().len());
@@ -595,14 +420,11 @@ pub fn fig5_lifespans(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Figure 6 — (user, prefix) life spans across prefix lengths.
 pub fn fig6_prefix_lifespans(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
     let focus = focus_day_user();
-    let lookback = windows::lookback_window(focus);
-    let aa_recs = study.abuse_store.in_range(lookback);
-    let aa_history = ctx.index(aa_recs);
+    let aa_history = ctx.index_of(Abuse, Lookback);
     let v6_lengths: Vec<u8> = vec![16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 112, 128];
     let v4_lengths: Vec<u8> = vec![8, 16, 24, 32];
-    let filter = |u: UserId| !study.labels.is_abusive(u);
+    let filter = |u: UserId| !ctx.labels().is_abusive(u);
 
     let mut out = ExperimentOutput::default();
     out.record_input(ctx.user_lookback().len() + aa_history.len());
@@ -610,36 +432,20 @@ pub fn fig6_prefix_lifespans(ctx: &AnalysisCtx) -> ExperimentOutput {
     type Case<'a> = (&'a str, &'a DatasetIndex, &'a dyn Fn(UserId) -> bool);
     let cases: [Case; 2] = [
         ("Figure 6a", ctx.user_lookback(), &filter),
-        ("Figure 6b", &aa_history, &always),
+        ("Figure 6b", aa_history, &always),
     ];
     for (id, history, f) in cases {
         let v6 = prefix_lifespans(history, focus, &v6_lengths, true, f);
         let v4 = prefix_lifespans(history, focus, &v4_lengths, false, f);
-        let fig = FigureReport::new(id, "share of (user, prefix) pairs aged <=1/2/3 days")
-            .with(CdfSeries::from_u64(
-                "IPv6: 1d",
-                v6.iter().map(|r| (u64::from(r.len), r.d1)),
-            ))
-            .with(CdfSeries::from_u64(
-                "IPv6: <=2d",
-                v6.iter().map(|r| (u64::from(r.len), r.d2)),
-            ))
-            .with(CdfSeries::from_u64(
-                "IPv6: <=3d",
-                v6.iter().map(|r| (u64::from(r.len), r.d3)),
-            ))
-            .with(CdfSeries::from_u64(
-                "IPv4: 1d",
-                v4.iter().map(|r| (u64::from(r.len), r.d1)),
-            ))
-            .with(CdfSeries::from_u64(
-                "IPv4: <=2d",
-                v4.iter().map(|r| (u64::from(r.len), r.d2)),
-            ))
-            .with(CdfSeries::from_u64(
-                "IPv4: <=3d",
-                v4.iter().map(|r| (u64::from(r.len), r.d3)),
-            ));
+        let mut fig = FigureReport::new(id, "share of (user, prefix) pairs aged <=1/2/3 days");
+        for (proto, rows) in [("IPv6", &v6), ("IPv4", &v4)] {
+            for (k, age) in ["1d", "<=2d", "<=3d"].into_iter().enumerate() {
+                let pts = rows
+                    .iter()
+                    .map(|r| (u64::from(r.len), [r.d1, r.d2, r.d3][k]));
+                fig = fig.with(CdfSeries::from_u64(format!("{proto}: {age}"), pts));
+            }
+        }
         if id == "Figure 6a" {
             let at = |len: u8| v6.iter().find(|r| r.len == len).map_or(0.0, |r| r.d1);
             out.stat("fig6.v6_new_at128", at(128));
@@ -680,9 +486,8 @@ pub fn fig7_users_per_ip(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Figure 8 — abusive accounts and benign users per address-with-abuse.
 pub fn fig8_aa_per_ip(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let day = abuse_per_ip(ctx.ip_day(), &study.labels);
-    let week = abuse_per_ip(ctx.ip_week(), &study.labels);
+    let day = abuse_per_ip(ctx.ip_day(), ctx.labels());
+    let week = abuse_per_ip(ctx.ip_week(), ctx.labels());
     let mut out = ExperimentOutput::default();
     out.record_input(ctx.ip_day().len() + ctx.ip_week().len());
     out.figures.push(
@@ -708,23 +513,18 @@ pub fn fig8_aa_per_ip(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// §6.1.3 — heavy addresses: tails, ASN concentration, predictability.
 pub fn o61_ip_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
     let week = users_per_ip(ctx.ip_week());
     // Thresholds scaled to the simulation: a "heavy" address hosts >X
     // users; the paper's 1k/200k translate down with population size.
     // Scale-aware: a "heavy" address hosts more users than ~1/1500th of
     // the simulated population (the paper's 10K+ of ~2.5B scales likewise).
-    let heavy = (study.approx_users / 1_500).max(8);
+    let heavy = (ctx.approx_users() / 1_500).max(8);
     let mega = heavy * 3;
-    let mut v4_counts = HashMap::new();
-    let mut v6_counts = HashMap::new();
-    for (ip, &c) in &week.counts {
-        if matches!(ip, std::net::IpAddr::V6(_)) {
-            v6_counts.insert(*ip, c);
-        } else {
-            v4_counts.insert(*ip, c);
-        }
-    }
+    let (v6_counts, v4_counts): (HashMap<_, _>, HashMap<_, _>) = week
+        .counts
+        .iter()
+        .map(|(&ip, &c)| (ip, c))
+        .partition(|(ip, _)| ip.is_ipv6());
     let v4 = tail_stats(&v4_counts, &[heavy, mega]);
     let v6 = tail_stats(&v6_counts, &[heavy, mega]);
     let conc_v6 = heavy_ip_asn_concentration(ctx.ip_week(), &week.counts, heavy, true);
@@ -746,24 +546,17 @@ pub fn o61_ip_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
             "Top1 ASN share",
         ],
     );
-    t.push_row(vec![
-        "IPv4".into(),
-        v4.total.to_string(),
-        v4.above(heavy).to_string(),
-        v4.above(mega).to_string(),
-        v4.max.to_string(),
-        conc_v4.asns.to_string(),
-        format!("{:.2}", conc_v4.top1_share),
-    ]);
-    t.push_row(vec![
-        "IPv6".into(),
-        v6.total.to_string(),
-        v6.above(heavy).to_string(),
-        v6.above(mega).to_string(),
-        v6.max.to_string(),
-        conc_v6.asns.to_string(),
-        format!("{:.2}", conc_v6.top1_share),
-    ]);
+    for (proto, s, conc) in [("IPv4", &v4, &conc_v4), ("IPv6", &v6, &conc_v6)] {
+        t.push_row(vec![
+            proto.into(),
+            s.total.to_string(),
+            s.above(heavy).to_string(),
+            s.above(mega).to_string(),
+            s.max.to_string(),
+            conc.asns.to_string(),
+            format!("{:.2}", conc.top1_share),
+        ]);
+    }
     out.tables.push(t);
     out.stat("o61.v4_max_users", v4.max as f64);
     out.stat("o61.v6_max_users", v6.max as f64);
@@ -791,18 +584,14 @@ pub fn o61_ip_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Figure 9 — users per IPv6 prefix across lengths, with the IPv4 curve.
 pub fn fig9_users_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let week = focus_week();
     let lengths = [128u8, 72, 68, 64, 48, 44];
     let mut out = ExperimentOutput::default();
     let mut fig = FigureReport::new("Figure 9", "CDFs of users per IPv6 prefix (1 week)");
-    let mut singles: Vec<(u8, f64)> = Vec::new();
     let mut candidates: Vec<(u8, Ecdf)> = Vec::new();
     for len in lengths {
-        let recs = study.datasets.prefix_sample(len).in_range(week);
-        out.record_input(recs.len());
-        let upp = users_per_prefix(&ctx.index(recs), len);
-        singles.push((len, upp.ecdf.fraction_le(1)));
+        let index = ctx.index_of(Prefix(len), Week);
+        out.record_input(index.len());
+        let upp = users_per_prefix(index, len);
         fig = fig.with(cdf_series(&format!("/{len}"), &upp.ecdf, 10));
         candidates.push((len, upp.ecdf));
     }
@@ -810,8 +599,8 @@ pub fn fig9_users_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
     let v4 = users_per_v4_addr(ctx.ip_week());
     fig = fig.with(cdf_series("IPv4", &v4, 10));
     out.figures.push(fig);
-    for (len, s) in &singles {
-        out.stat(&format!("fig9.single_user_at{len}"), *s);
+    for (len, e) in &candidates {
+        out.stat(&format!("fig9.single_user_at{len}"), e.fraction_le(1));
     }
     // Which prefix length matches IPv4 best (paper: /48)?
     let sim = most_similar(&v4, &candidates);
@@ -822,8 +611,6 @@ pub fn fig9_users_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// Figure 10 — abusive accounts and benign users per prefix-with-abuse.
 pub fn fig10_aa_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
-    let week = focus_week();
     let mut out = ExperimentOutput::default();
 
     // (a) abusive accounts per prefix.
@@ -831,14 +618,14 @@ pub fn fig10_aa_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
     let mut fig_a = FigureReport::new("Figure 10a", "abusive accounts per prefix (1 week)");
     let mut aa_candidates: Vec<(u8, Ecdf)> = Vec::new();
     for len in lengths_a {
-        let recs = study.datasets.prefix_sample(len).in_range(week);
-        out.record_input(recs.len());
-        let app = abuse_per_prefix(&ctx.index(recs), &study.labels, len);
+        let index = ctx.index_of(Prefix(len), Week);
+        out.record_input(index.len());
+        let app = abuse_per_prefix(index, ctx.labels(), len);
         fig_a = fig_a.with(cdf_series(&format!("/{len}"), &app.aa, 10));
         aa_candidates.push((len, app.aa));
     }
     out.record_input(ctx.ip_week().len());
-    let v4_view = abuse_per_ip(ctx.ip_week(), &study.labels);
+    let v4_view = abuse_per_ip(ctx.ip_week(), ctx.labels());
     fig_a = fig_a.with(cdf_series("IPv4", &v4_view.aa_v4, 10));
     out.figures.push(fig_a);
 
@@ -850,9 +637,9 @@ pub fn fig10_aa_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
     );
     let mut benign_candidates: Vec<(u8, Ecdf)> = Vec::new();
     for len in lengths_b {
-        let recs = study.datasets.prefix_sample(len).in_range(week);
-        out.record_input(recs.len());
-        let app = abuse_per_prefix(&ctx.index(recs), &study.labels, len);
+        let index = ctx.index_of(Prefix(len), Week);
+        out.record_input(index.len());
+        let app = abuse_per_prefix(index, ctx.labels(), len);
         fig_b = fig_b.with(cdf_series(&format!("/{len}"), &app.benign, 10));
         benign_candidates.push((len, app.benign));
     }
@@ -867,13 +654,7 @@ pub fn fig10_aa_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
     };
     out.stat("fig10.aa_single_at64", single_at(&aa_candidates, 64));
     out.stat("fig10.aa_single_at56", single_at(&aa_candidates, 56));
-    out.stat(
-        "fig10.benign_le1_at64",
-        benign_candidates
-            .iter()
-            .find(|(l, _)| *l == 64)
-            .map_or(0.0, |(_, e)| e.fraction_le(1)),
-    );
+    out.stat("fig10.benign_le1_at64", single_at(&benign_candidates, 64));
     // The paper's /56 ≈ IPv4 similarity claims.
     let sim_aa = most_similar(&v4_view.aa_v4, &aa_candidates);
     out.stat("fig10.v4_aa_best_match_len", f64::from(sim_aa.best_len));
@@ -887,28 +668,24 @@ pub fn fig10_aa_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
 
 /// §6.2.3 — heavy prefixes: /112 domination and ASN concentration.
 pub fn o62_prefix_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
     // §6.2.3's own method: the interesting prefixes are far too few for
     // the prefix random sample to hit, so the paper (and we) count *user
     // sample members per prefix* and extrapolate — a prefix with k sampled
     // users has k/rate users in expectation.
-    let week = focus_week();
-    let rate = study.user_sample_rate();
-    let heavy_pop = (study.approx_users / 1_500).max(8);
+    let rate = ctx.user_sample_rate();
+    let heavy_pop = (ctx.approx_users() / 1_500).max(8);
     // Require a few sampled users on top of the expected-population bar,
     // to keep noise out at small scales.
     let heavy_sampled = ((heavy_pop as f64 * rate).ceil() as u64).max(3);
-    let recs = study.datasets.user_sample.in_range(week);
+    let recs = ctx.rows(User, Week);
     let mut out = ExperimentOutput::default();
     out.record_input(recs.len());
     let mut per_len = HashMap::new();
     for len in [112u8, 64, 48] {
         let upp = users_per_prefix(ctx.user_week(), len);
         let stats = tail_stats(&upp.counts, &[heavy_sampled]);
-        out.stat(
-            &format!("o62.heavy_p{len}_count"),
-            stats.above(heavy_sampled) as f64,
-        );
+        let heavy = stats.above(heavy_sampled) as f64;
+        out.stat(&format!("o62.heavy_p{len}_count"), heavy);
         out.stat(&format!("o62.max_users_p{len}"), stats.max as f64 / rate);
         per_len.insert(len, upp);
     }
@@ -938,15 +715,15 @@ pub fn o62_prefix_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
 /// several days; pooling keeps small-scale runs statistically stable).
 ///
 /// The sweep is one-pass: each of the four days is folded into a
-/// [`DayCounts`] aggregation-trie pair exactly once (one sort per family
-/// per day), and every granularity cut then reads its per-unit distinct
-/// user counts straight off the shared tries — O(records + nodes) for the
-/// whole sweep instead of a re-sort per (granularity, pair) combination.
+/// [`DayCounts`](ipv6_study_secapp::actioning::DayCounts) aggregation-trie
+/// pair exactly once (one sort per family per day), and every granularity
+/// cut then reads its per-unit distinct user counts straight off the
+/// shared tries — O(records + nodes) for the whole sweep instead of a
+/// re-sort per (granularity, pair) combination.
 /// The per-unit scores and outcomes are identical to the naive per-cut
 /// tally (property-tested in `secapp::actioning`), so the curves are
 /// byte-for-byte what the record-level path produced.
 pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
     let mut out = ExperimentOutput::default();
     let mut fig = FigureReport::new("Figure 11", "day-over-day actioning ROC");
     let thresholds: Vec<f64> = (0..=100).map(|i| i as f64 / 100.0).collect();
@@ -963,13 +740,14 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
     // an extended run scores the appended days, not the base focus week.
     // Day j holds `pair.start + j`; pair k scores day `last-(k+1)`
     // against outcomes on day `last-k`.
-    let pair = windows::pair_window(study.config.sim_end());
-    let day_recs: Vec<ColumnSlice<'_>> = pair.days().map(|d| study.pair_store.on_day(d)).collect();
-    for w in day_recs.windows(2) {
-        out.record_input(w[0].len() + w[1].len());
-    }
+    let pair = ctx.days(PairWindow);
+    let day_recs: Vec<ColumnSlice<'_>> = pair
+        .days()
+        .map(|d| ctx.rows_on(Pair, PairWindow, d))
+        .collect();
+    out.record_input(day_recs.windows(2).map(|w| w[0].len() + w[1].len()).sum());
     let t_build = Instant::now();
-    let day_counts: Vec<Arc<DayCounts>> = pair.days().map(|d| study.day_counts(d)).collect();
+    let day_counts: Vec<_> = pair.days().map(|d| ctx.day_counts(PairWindow, d)).collect();
     let build = Span::new("build", t_build.elapsed()).with_items(day_counts.len() as u64);
     let mut read = Span::new("read", Duration::ZERO);
     for gran in grans {
@@ -988,14 +766,10 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
         read.items += cut.items;
         read.children.push(cut);
         let pts = curve.sweep(&thresholds, None);
-        fig = fig.with(CdfSeries {
-            label: gran.label(),
-            points: {
-                let mut p: Vec<(f64, f64)> = pts.iter().map(|p| (p.fpr, p.tpr)).collect();
-                p.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-                p
-            },
-        });
+        let mut points: Vec<(f64, f64)> = pts.iter().map(|p| (p.fpr, p.tpr)).collect();
+        points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+        let label = gran.label();
+        fig = fig.with(CdfSeries { label, points });
         let op = operating_points(&curve);
         let tag = gran.label().replace('/', "p");
         out.stat(&format!("fig11.{tag}_max_tpr"), op.max_tpr);
@@ -1003,10 +777,8 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
         out.stat(&format!("fig11.{tag}_t10_tpr"), op.t10.0);
         out.stat(&format!("fig11.{tag}_t10_fpr"), op.t10.1);
         out.stat(&format!("fig11.{tag}_t100_tpr"), op.t100.0);
-        out.stat(
-            &format!("fig11.{tag}_tpr_at_fpr_1pct"),
-            curve.tpr_at_fpr(0.01, None),
-        );
+        let tpr_at_1pct = curve.tpr_at_fpr(0.01, None);
+        out.stat(&format!("fig11.{tag}_tpr_at_fpr_1pct"), tpr_at_1pct);
     }
     out.figures.push(fig);
     out.spans.push(
@@ -1020,9 +792,9 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
 /// §7.2 — defense mechanisms: blocklist decay, threat-exchange half-life,
 /// rate-limit thresholds, and the ML protocol-transfer gap.
 pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
+    let labels = ctx.labels();
     let mut out = ExperimentOutput::default();
-    let list_day = windows::blocklist_window().start;
+    let list_day = focus_day_ip();
 
     // Blocklist decay at three granularities.
     for (gran, name) in [
@@ -1030,34 +802,18 @@ pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
         (Granularity::V6Prefix(64), "v6_p64"),
         (Granularity::V4Full, "v4_addr"),
     ] {
-        let (store_day, later): (ColumnSlice<'_>, Vec<(SimDate, ColumnSlice<'_>)>) = match gran {
-            Granularity::V6Prefix(len) => (
-                study.datasets.prefix_sample(len).on_day(list_day),
-                (1..=6u16)
-                    .map(|k| {
-                        let d = list_day + k;
-                        (d, study.datasets.prefix_sample(len).on_day(d))
-                    })
-                    .collect(),
-            ),
-            _ => (
-                study.datasets.ip_sample.on_day(list_day),
-                (1..=6u16)
-                    .map(|k| {
-                        let d = list_day + k;
-                        (d, study.datasets.ip_sample.on_day(d))
-                    })
-                    .collect(),
-            ),
+        let family = match gran {
+            Granularity::V6Prefix(len) => Prefix(len),
+            _ => Ip,
         };
+        let store_day = ctx.rows_on(family, Week, list_day);
+        // The listing day and its six evaluation days: the focus week.
+        let later: Vec<(SimDate, ColumnSlice<'_>)> = (1..=6u16)
+            .map(|k| (list_day + k, ctx.rows_on(family, Week, list_day + k)))
+            .collect();
         out.record_input(store_day.len() + later.iter().map(|(_, r)| r.len()).sum::<usize>());
-        let bl = Blocklist::from_day(store_day, &study.labels, gran, 0.5, list_day, 14);
-        let evals = evaluate_over_days(
-            &bl,
-            &study.labels,
-            list_day,
-            later.iter().map(|&(d, r)| (d, r)),
-        );
+        let bl = Blocklist::from_day(store_day, labels, gran, 0.5, list_day, 14);
+        let evals = evaluate_over_days(&bl, labels, list_day, later.iter().map(|&(d, r)| (d, r)));
         if let Some(first) = evals.first() {
             out.stat(&format!("s72.blocklist_{name}_day1_recall"), first.recall);
             out.stat(
@@ -1072,33 +828,28 @@ pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
         // Threat-exchange decay on the same data.
         let decay = value_decay(
             store_day,
-            &study.labels,
+            labels,
             gran,
             later.iter().map(|&(d, r)| (d.days_since(list_day), r)),
         );
-        let fig_label = format!("exchange decay: {name}");
-        out.figures.push(
-            FigureReport::new(format!("§7.2 decay {name}"), fig_label).with(CdfSeries::from_u64(
-                "residual recall",
-                decay
-                    .iter()
-                    .map(|p| (u64::from(p.offset), p.residual_recall)),
-            )),
-        );
-        out.stat(
-            &format!("s72.exchange_{name}_half_life"),
-            half_life(&decay).map_or(7.0, f64::from),
-        );
+        let recall = decay
+            .iter()
+            .map(|p| (u64::from(p.offset), p.residual_recall));
+        let series = CdfSeries::from_u64("residual recall", recall);
+        let caption = format!("exchange decay: {name}");
+        out.figures
+            .push(FigureReport::new(format!("§7.2 decay {name}"), caption).with(series));
+        let half = half_life(&decay).map_or(7.0, f64::from);
+        out.stat(&format!("s72.exchange_{name}_half_life"), half);
     }
 
     // Rate-limit recommendations from users-per-key distributions.
-    let week = focus_week();
     out.record_input(ctx.ip_week().len());
     let per_ip = users_per_ip(ctx.ip_week());
     let per_p64 = {
-        let recs = study.datasets.prefix_sample(64).in_range(week);
-        out.record_input(recs.len());
-        users_per_prefix(&ctx.index(recs), 64).ecdf
+        let index = ctx.index_of(Prefix(64), Week);
+        out.record_input(index.len());
+        users_per_prefix(index, 64).ecdf
     };
     let q = 0.999;
     let per_user_budget = 200;
@@ -1116,12 +867,12 @@ pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
     // ML transfer: train/test within and across protocols, on the
     // full-population day pair (end-relative: the last two simulated
     // days, so an extension re-scores the fresh pair).
-    let (d0, d1) = windows::ml_pair_days(study.config.sim_end());
-    let day = study.pair_store.on_day(d0);
-    let next = study.pair_store.on_day(d1);
+    let ml = ctx.days(MlPair);
+    let day = ctx.rows_on(Pair, MlPair, ml.start);
+    let next = ctx.rows_on(Pair, MlPair, ml.end);
     out.record_input(day.len() + next.len());
-    let v4_set = training_set(day, next, &study.labels, Some(false));
-    let v6_set = training_set(day, next, &study.labels, Some(true));
+    let v4_set = training_set(day, next, labels, Some(false));
+    let v6_set = training_set(day, next, labels, Some(true));
     if !v4_set.is_empty() && !v6_set.is_empty() {
         let m_v4 = LogisticModel::train(&v4_set, 200, 0.3);
         let m_v6 = LogisticModel::train(&v6_set, 200, 0.3);
@@ -1140,18 +891,13 @@ pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
 /// how ephemeral (user, address) pairs are.
 pub fn x81_network_breakdown(ctx: &AnalysisCtx) -> ExperimentOutput {
     use ipv6_study_netmodel::NetworkKind;
-    let study = ctx.study;
     let mut out = ExperimentOutput::default();
-    let day_recs = study.datasets.ip_sample.on_day(focus_day_ip());
-    let user_day = study.datasets.user_sample.on_day(focus_day_user());
-    let focus = focus_day_user();
-    let lookback = windows::lookback_window(focus);
-    let history = study.datasets.user_sample.in_range(lookback);
-    out.record_input(day_recs.len() + user_day.len() + history.len());
+    let inputs = [(Ip, Apr13), (User, Apr19), (User, Lookback)];
+    out.record_input(inputs.iter().map(|&(f, r)| ctx.rows(f, r).len()).sum());
 
     // ASN → kind map from the world.
-    let kind_of: HashMap<u32, NetworkKind> = study
-        .world
+    let kind_of: HashMap<u32, NetworkKind> = ctx
+        .world()
         .networks()
         .iter()
         .map(|n| (n.asn.0, n.kind))
@@ -1167,25 +913,16 @@ pub fn x81_network_breakdown(ctx: &AnalysisCtx) -> ExperimentOutput {
             "v4 users/addr (mean)",
         ],
     );
-    let labels = &study.labels;
+    let benign = |u: UserId| !ctx.labels().is_abusive(u);
     for kind in NetworkKind::ALL {
         // Columnar selection: a branchless mask over the ASN column, then
-        // a five-column gather. The gathered windows share the global
-        // intern tables (no row rematerialization, no re-interning) —
-        // this replaced `OwnedColumns::encode_with(tables,
-        // win.records().filter(..))`, the last row-at-a-time filter on
-        // the pass hot path.
-        let select = |win: ColumnSlice<'_>| {
-            let mask = mask_from(win.asns(), |asn| kind_of.get(&asn.0) == Some(&kind));
-            win.gather(&mask)
-        };
-        let (ip_recs, us_recs, hist) = (select(day_recs), select(user_day), select(history));
-        let upi = users_per_ip(&ctx.index(ip_recs.as_slice()));
-        let apu = addrs_per_user(&ctx.index(us_recs.as_slice()), |u| !labels.is_abusive(u));
-        let life = address_lifespans(&ctx.index(hist.as_slice()), focus, |u| {
-            !labels.is_abusive(u)
-        });
+        // a five-column gather sharing the global intern tables (no row
+        // rematerialization, no re-interning), indexed per kind.
         let tag = kind.to_string();
+        let index = |input| ctx.index_where(input, &tag, |asn| kind_of.get(&asn.0) == Some(&kind));
+        let upi = users_per_ip(&index(inputs[0]));
+        let apu = addrs_per_user(&index(inputs[1]), benign);
+        let life = address_lifespans(&index(inputs[2]), focus_day_user(), benign);
         let users_per_addr = upi.v6.mean().unwrap_or(0.0);
         let addrs_per = apu.v6.mean().unwrap_or(0.0);
         let newborn = life.v6_pairs.fraction_le(0);
@@ -1212,39 +949,27 @@ pub fn x81_network_breakdown(ctx: &AnalysisCtx) -> ExperimentOutput {
 /// life spans during lockdowns, "no data point differs by more than 4%"
 /// (A.5). We regenerate that comparison from the panel data.
 pub fn apx_pandemic_compare(ctx: &AnalysisCtx) -> ExperimentOutput {
-    let study = ctx.study;
     let mut out = ExperimentOutput::default();
-    let filter = |u: UserId| !study.labels.is_abusive(u);
+    let filter = |u: UserId| !ctx.labels().is_abusive(u);
 
     // Addresses per user, pre-pandemic week vs focus week (A.3).
-    let pre_week = ipv6_study_telemetry::time::prepandemic_week();
-    let pre_recs = study.datasets.user_sample.in_range(pre_week);
-    out.record_input(pre_recs.len() + ctx.user_week().len());
-    let pre = addrs_per_user(&ctx.index(pre_recs), filter);
+    let pre_week = ctx.index_of(User, FebWeek);
+    out.record_input(pre_week.len() + ctx.user_week().len());
+    let pre = addrs_per_user(pre_week, filter);
     let apr = addrs_per_user(ctx.user_week(), filter);
-    out.stat("apx.v6_week_mean_feb", pre.v6.mean().unwrap_or(0.0));
-    out.stat("apx.v6_week_mean_apr", apr.v6.mean().unwrap_or(0.0));
-    out.stat("apx.v4_week_mean_feb", pre.v4.mean().unwrap_or(0.0));
-    out.stat("apx.v4_week_mean_apr", apr.v4.mean().unwrap_or(0.0));
-    out.stat(
-        "apx.v6_diversity_delta",
-        apr.v6.mean().unwrap_or(0.0) - pre.v6.mean().unwrap_or(0.0),
-    );
+    let mean = |e: &Ecdf| e.mean().unwrap_or(0.0);
+    out.stat("apx.v6_week_mean_feb", mean(&pre.v6));
+    out.stat("apx.v6_week_mean_apr", mean(&apr.v6));
+    out.stat("apx.v4_week_mean_feb", mean(&pre.v4));
+    out.stat("apx.v4_week_mean_apr", mean(&apr.v4));
+    out.stat("apx.v6_diversity_delta", mean(&apr.v6) - mean(&pre.v6));
 
     // Life spans, Feb 18 vs Apr 19 focus days (A.5).
-    let feb_focus = SimDate::ymd(2, 18);
-    let feb_hist = study
-        .datasets
-        .user_sample
-        .in_range(windows::apx_lookback(feb_focus));
-    let feb_life = address_lifespans(&ctx.index(feb_hist), feb_focus, filter);
-    let apr_focus = focus_day_user();
-    let apr_hist = study
-        .datasets
-        .user_sample
-        .in_range(windows::apx_lookback(apr_focus));
+    let feb_hist = ctx.index_of(User, FebLookback);
+    let feb_life = address_lifespans(feb_hist, SimDate::ymd(2, 18), filter);
+    let apr_hist = ctx.index_of(User, AprLookback);
     out.record_input(feb_hist.len() + apr_hist.len());
-    let apr_life = address_lifespans(&ctx.index(apr_hist), apr_focus, filter);
+    let apr_life = address_lifespans(apr_hist, focus_day_user(), filter);
     out.stat("apx.v6_newborn_feb", feb_life.v6_pairs.fraction_le(0));
     out.stat("apx.v6_newborn_apr", apr_life.v6_pairs.fraction_le(0));
     out.stat("apx.v4_newborn_feb", feb_life.v4_pairs.fraction_le(0));
@@ -1260,21 +985,23 @@ pub fn apx_pandemic_compare(ctx: &AnalysisCtx) -> ExperimentOutput {
         "pre-pandemic (Feb 12-18) vs pandemic (Apr 13-19) user behavior",
         &["Metric", "Feb", "Apr"],
     );
-    t.push_row(vec![
-        "v6 addrs/user/week (mean)".into(),
-        format!("{:.2}", pre.v6.mean().unwrap_or(0.0)),
-        format!("{:.2}", apr.v6.mean().unwrap_or(0.0)),
-    ]);
-    t.push_row(vec![
-        "v4 addrs/user/week (mean)".into(),
-        format!("{:.2}", pre.v4.mean().unwrap_or(0.0)),
-        format!("{:.2}", apr.v4.mean().unwrap_or(0.0)),
-    ]);
-    t.push_row(vec![
-        "v6 newborn pair share".into(),
-        format!("{:.3}", feb_life.v6_pairs.fraction_le(0)),
-        format!("{:.3}", apr_life.v6_pairs.fraction_le(0)),
-    ]);
+    let newborn = |l: &LifespanCdfs| l.v6_pairs.fraction_le(0);
+    for (metric, feb, apr, digits) in [
+        ("v6 addrs/user/week (mean)", mean(&pre.v6), mean(&apr.v6), 2),
+        ("v4 addrs/user/week (mean)", mean(&pre.v4), mean(&apr.v4), 2),
+        (
+            "v6 newborn pair share",
+            newborn(&feb_life),
+            newborn(&apr_life),
+            3,
+        ),
+    ] {
+        t.push_row(vec![
+            metric.into(),
+            format!("{feb:.digits$}"),
+            format!("{apr:.digits$}"),
+        ]);
+    }
     out.tables.push(t);
     out
 }
@@ -1297,17 +1024,14 @@ pub fn ec_entropy_blocklist(ctx: &AnalysisCtx) -> ExperimentOutput {
     const ENTROPY_THRESHOLD: f64 = 2.0;
     const SCORE_THRESHOLD: f64 = 0.5;
 
-    let study = ctx.study;
     let mut out = ExperimentOutput::default();
-    let (d0, d1) = windows::ml_pair_days(study.config.sim_end());
-    let day_n = study.pair_store.on_day(d0);
-    let day_n1 = study.pair_store.on_day(d1);
-    out.record_input(day_n.len() + day_n1.len());
+    let ml = ctx.days(MlPair);
+    out.record_input(ctx.rows(Pair, MlPair).len());
     // Shared with Figure 11 through the study's per-day trie cache: the
     // two ML-pair days are the tail of the four-day pair window, so an
     // incremental re-run builds each day's tries exactly once.
-    let scores = study.day_counts(d0);
-    let outcomes = study.day_counts(d1);
+    let scores = ctx.day_counts(MlPair, ml.start);
+    let outcomes = ctx.day_counts(MlPair, ml.end);
     let ratio = |num: u64, den: u64| {
         if den == 0 {
             0.0
@@ -1373,117 +1097,130 @@ pub fn ec_entropy_blocklist(ctx: &AnalysisCtx) -> ExperimentOutput {
     out
 }
 
-/// One experiment: paper-artifact id plus its registry function.
-type Experiment = (&'static str, fn(&AnalysisCtx) -> ExperimentOutput);
+/// One registry entry: the paper-artifact id, the inputs its pass reads
+/// (its [`AnalysisCtx`] serves nothing else), and the pass.
+pub(crate) type Experiment = (
+    &'static str,
+    &'static [Input],
+    fn(&AnalysisCtx) -> ExperimentOutput,
+);
 
-/// Every experiment in paper order.
-const EXPERIMENTS: [Experiment; 20] = [
-    ("F1", fig1_prevalence),
-    ("T1", tab1_asns),
-    ("T2/F12", tab2_countries),
-    ("C4.4", c44_client_patterns),
-    ("F2", fig2_addrs_per_user),
-    ("F3", fig3_aa_addrs),
-    ("O5.1", o51_user_outliers),
-    ("F4", fig4_prefix_span),
-    ("F5", fig5_lifespans),
-    ("F6", fig6_prefix_lifespans),
-    ("F7", fig7_users_per_ip),
-    ("F8", fig8_aa_per_ip),
-    ("O6.1", o61_ip_outliers),
-    ("F9", fig9_users_per_prefix),
-    ("F10", fig10_aa_per_prefix),
-    ("O6.2", o62_prefix_outliers),
-    ("F11", fig11_roc),
-    ("S7.2", s72_defenses),
-    ("X8.1", x81_network_breakdown),
-    ("ApxA", apx_pandemic_compare),
+/// Every experiment in paper order, with the inputs it declares.
+#[rustfmt::skip]
+pub(crate) const EXPERIMENTS: [Experiment; 20] = [
+    ("F1", &[(User, Sim), (Request, Sim)], fig1_prevalence),
+    ("T1", &[(User, Week)], tab1_asns),
+    ("T2/F12", &[(User, JanWeek), (User, Week)], tab2_countries),
+    ("C4.4", &[(User, Week)], c44_client_patterns),
+    ("F2", &[(User, Apr19), (User, Week)], fig2_addrs_per_user),
+    ("F3", &[(Abuse, Apr19)], fig3_aa_addrs),
+    ("O5.1", &[(User, Week), (Abuse, Week)], o51_user_outliers),
+    ("F4", &[(User, Week), (Abuse, Week)], fig4_prefix_span),
+    ("F5", &[(User, Lookback)], fig5_lifespans),
+    ("F6", &[(User, Lookback), (Abuse, Lookback)], fig6_prefix_lifespans),
+    ("F7", &[(Ip, Apr13), (Ip, Week)], fig7_users_per_ip),
+    ("F8", &[(Ip, Apr13), (Ip, Week)], fig8_aa_per_ip),
+    ("O6.1", &[(Ip, Week)], o61_ip_outliers),
+    ("F9", &[(Prefix(128), Week), (Prefix(72), Week), (Prefix(68), Week), (Prefix(64), Week),
+        (Prefix(48), Week), (Prefix(44), Week), (Ip, Week)], fig9_users_per_prefix),
+    ("F10", &[(Prefix(128), Week), (Prefix(64), Week), (Prefix(60), Week), (Prefix(56), Week),
+        (Prefix(52), Week), (Prefix(96), Week), (Prefix(72), Week), (Prefix(68), Week),
+        (Ip, Week)], fig10_aa_per_prefix),
+    ("O6.2", &[(User, Week)], o62_prefix_outliers),
+    ("F11", &[(Pair, PairWindow)], fig11_roc),
+    ("S7.2", &[(Ip, Week), (Prefix(64), Week), (Pair, MlPair)], s72_defenses),
+    ("X8.1", &[(Ip, Apr13), (User, Apr19), (User, Lookback)], x81_network_breakdown),
+    ("ApxA", &[(User, FebWeek), (User, Week), (User, FebLookback), (User, AprLookback)],
+        apx_pandemic_compare),
 ];
 
 /// Experiments beyond the paper's own artifact list, opt-in via
 /// `repro --extended`. Kept out of [`EXPERIMENTS`] so the default
 /// EXPERIMENTS.md and run report stay byte-identical whether or not the
 /// extended pass runs.
-const EXTENDED_EXPERIMENTS: [Experiment; 1] = [("EC1", ec_entropy_blocklist)];
+pub(crate) const EXTENDED_EXPERIMENTS: [Experiment; 1] =
+    [("EC1", &[(Pair, MlPair)], ec_entropy_blocklist)];
 
-/// Runs one pass, timed, then marks its worker's pass boundary: the
-/// scratch leases are asserted balanced, and the pooled kernel buffers
-/// stay warm for the next pass the worker claims.
-fn run_pass(ctx: &AnalysisCtx<'_>, &(_, func): &Experiment) -> (ExperimentOutput, Duration) {
+/// Every pass's id and output, in registry order.
+type Results = Vec<(&'static str, ExperimentOutput)>;
+
+/// Runs `registry` over `study` on `workers` workers, each pass through a
+/// view of its own declarations, and trims the calling thread's scratch
+/// arena. Returns the outputs in registry order and the `analysis` span:
+/// `passes`, one child per pass with its input records as items, the
+/// index builds it is first to declare under `index` and the sub-steps
+/// it timed itself; the span's bytes are the builds' bytes.
+fn analyse(study: &Study, registry: &[Experiment], workers: usize) -> (Results, Span) {
     let t0 = Instant::now();
-    let out = func(ctx);
-    let wall = t0.elapsed();
-    scratch_reset();
-    (out, wall)
+    let plan = Plan::new(study, registry.iter().map(|&(id, inputs, _)| (id, inputs)));
+    // Claim order cannot affect output: passes only read the frozen
+    // study, and an index is dropped only after its last declaring pass.
+    let outs = pool::run_indexed(registry.len(), workers, |i| {
+        let ctx = plan.view(i);
+        let t = Instant::now();
+        let out = (registry[i].2)(&ctx);
+        let wall = t.elapsed();
+        let local = ctx.finish();
+        // The worker's pass boundary: leases balanced, buffers kept warm.
+        scratch_reset();
+        (out, wall, local)
+    });
+    let passes_wall = t0.elapsed();
+    with_scratch(ScratchArena::trim);
+
+    let (mut results, mut children, mut bytes) = (Vec::new(), Vec::new(), 0);
+    for ((&(id, ..), (out, wall, local)), shared) in registry.iter().zip(outs).zip(plan.builds()) {
+        let builds: Vec<Span> = shared.into_iter().chain(local).collect();
+        bytes += builds.iter().map(|b| b.bytes).sum::<u64>();
+        let index = (!builds.is_empty()).then(|| Span {
+            items: builds.iter().map(|b| b.items).sum(),
+            bytes: builds.iter().map(|b| b.bytes).sum(),
+            children: builds.clone(),
+            ..Span::new("index", builds.iter().map(|b| b.wall).sum())
+        });
+        children.push(Span {
+            items: out.input_records,
+            children: index.into_iter().chain(out.spans.iter().cloned()).collect(),
+            ..Span::new(id, wall)
+        });
+        results.push((id, out));
+    }
+    let items = children.iter().map(|c| c.items).sum();
+    let passes = Span {
+        items,
+        children,
+        ..Span::new("passes", passes_wall)
+    };
+    let analysis = Span {
+        items,
+        bytes,
+        children: vec![passes],
+        ..Span::new("analysis", t0.elapsed())
+    };
+    (results, analysis)
 }
 
-/// Runs `registry` over `study` on `workers` workers, forcing every
-/// shared window first when `index_all` is set. When the study is
-/// instrumented, records the `run/analysis` span — `index` (if forced)
-/// and `passes`, one child per pass with its input records as items —
-/// replacing any earlier one, and extends the `run` wall by it. Returns
-/// the outputs in registry order and how many shared windows were built.
-fn analyse(
-    study: &mut Study,
-    registry: &[Experiment],
-    workers: usize,
-    index_all: bool,
-) -> (Vec<(&'static str, ExperimentOutput)>, usize) {
-    let t0 = Instant::now();
-    let ctx = AnalysisCtx::new(study);
-    let index = index_all.then(|| ctx.build_all());
-    // Claim order cannot affect output: passes only read the frozen
-    // study and the shared context.
-    let t_passes = Instant::now();
-    let outs = pool::run_indexed(registry.len(), workers, |i| run_pass(&ctx, &registry[i]));
-    let passes_wall = t_passes.elapsed();
-    let (built, index_bytes) = (ctx.windows_built(), ctx.index_bytes());
-    drop(ctx);
-
-    let (results, walls): (Vec<_>, Vec<_>) = registry
-        .iter()
-        .zip(outs)
-        .map(|(&(id, _), (out, wall))| ((id, out), wall))
-        .unzip();
-    if study.config.instrument {
-        let children: Vec<Span> = results
-            .iter()
-            .zip(walls)
-            .map(|((id, out), wall)| Span {
-                items: out.input_records,
-                children: out.spans.clone(),
-                ..Span::new(id, wall)
-            })
-            .collect();
-        let items = children.iter().map(|c| c.items).sum();
-        let passes = Span {
-            items,
-            children,
-            ..Span::new("passes", passes_wall)
-        };
-        let analysis = Span {
-            items,
-            bytes: index_bytes as u64,
-            children: index.into_iter().chain([passes]).collect(),
-            ..Span::new("analysis", t0.elapsed())
-        };
-        let total_wall = study.metrics.total_wall;
-        if let Some(run) = study.report.spans.iter_mut().find(|s| s.name == "run") {
-            run.wall = total_wall + analysis.wall;
-            run.set_child(analysis);
-        }
+/// Records `analysis` as the `run/analysis` span of an instrumented
+/// study, replacing any earlier one, extends the `run` wall by it, and
+/// returns the outputs.
+fn record(study: &mut Study, (results, analysis): (Results, Span)) -> Results {
+    let total_wall = study.metrics.total_wall;
+    let run = study.report.spans.iter_mut().find(|s| s.name == "run");
+    if let Some(run) = run.filter(|_| study.config.instrument) {
+        run.wall = total_wall + analysis.wall;
+        run.set_child(analysis);
     }
-    (results, built)
+    results
 }
 
 /// Runs every experiment in paper order, on
 /// `config.effective_analysis_threads()` workers.
 ///
 /// When the study was run with `config.instrument`, the engine's walls
-/// land in the run report as the `run/analysis` span: `index` (one child
-/// per shared window) and `passes` (one child per experiment, items =
-/// its input records). A second call replaces the span.
-pub fn run_all(study: &mut Study) -> Vec<(&'static str, ExperimentOutput)> {
+/// land in the run report as the `run/analysis` span: `passes`, one
+/// child per experiment (items = its input records) holding the index
+/// builds it is first to declare. A second call replaces the span.
+pub fn run_all(study: &mut Study) -> Results {
     run_all_with(study, study.config.effective_analysis_threads())
 }
 
@@ -1493,8 +1230,9 @@ pub fn run_all(study: &mut Study) -> Vec<(&'static str, ExperimentOutput)> {
 /// Output is byte-identical at any `workers` value: like the simulation
 /// driver, workers claim passes from a shared cursor in racy order, but
 /// the outputs come back in registry order.
-pub fn run_all_with(study: &mut Study, workers: usize) -> Vec<(&'static str, ExperimentOutput)> {
-    analyse(study, &EXPERIMENTS, workers, true).0
+pub fn run_all_with(study: &mut Study, workers: usize) -> Results {
+    let analysed = analyse(study, &EXPERIMENTS, workers);
+    record(study, analysed)
 }
 
 /// Runs the extended (beyond-paper) registry, on
@@ -1503,60 +1241,62 @@ pub fn run_all_with(study: &mut Study, workers: usize) -> Vec<(&'static str, Exp
 /// Unlike [`run_all`] this never writes to `study.report`: the extended
 /// pass must leave the default BENCH_run.json exactly as untouched as it
 /// leaves EXPERIMENTS.md.
-pub fn run_extended(study: &Study) -> Vec<(&'static str, ExperimentOutput)> {
+pub fn run_extended(study: &Study) -> Results {
     run_extended_with(study, study.config.effective_analysis_threads())
 }
 
 /// [`run_extended`] with an explicit worker count (exercised by the
 /// extended-equivalence suite; production goes through
 /// [`run_extended`]). Byte-identical at any `workers` value.
-pub fn run_extended_with(study: &Study, workers: usize) -> Vec<(&'static str, ExperimentOutput)> {
-    let ctx = AnalysisCtx::new(study);
-    let outs = pool::run_indexed(EXTENDED_EXPERIMENTS.len(), workers, |i| {
-        run_pass(&ctx, &EXTENDED_EXPERIMENTS[i])
-    });
-    EXTENDED_EXPERIMENTS
-        .iter()
-        .zip(outs)
-        .map(|(&(id, _), (out, _))| (id, out))
-        .collect()
+pub fn run_extended_with(study: &Study, workers: usize) -> Results {
+    analyse(study, &EXTENDED_EXPERIMENTS, workers).0
 }
 
 /// The default registry's ids in paper order — the section order of
 /// EXPERIMENTS.md and the id universe of the incremental engine's
 /// pass-invalidation manifest.
 pub fn experiment_ids() -> impl Iterator<Item = &'static str> {
-    EXPERIMENTS.iter().map(|&(id, _)| id)
-}
-
-/// Extended-registry ids (the `repro --extended` passes).
-pub fn extended_experiment_ids() -> impl Iterator<Item = &'static str> {
-    EXTENDED_EXPERIMENTS.iter().map(|&(id, _)| id)
+    EXPERIMENTS.iter().map(|&(id, ..)| id)
 }
 
 /// Runs only the default-registry passes whose ids are in `ids`, in
-/// registry order, plus how many of the six shared windows the re-run
-/// had to build — the incremental engine's re-run of the passes
-/// invalidated by a timeline extension. Windows build lazily, inside
-/// the passes that read them. When instrumented, the re-run passes are
-/// recorded like [`run_all`]'s, under `run/analysis/passes` (without an
-/// `index` child). Unknown ids are ignored; the invalidation registry is
-/// pinned to the experiment registry by test, so an unknown id here is a
-/// caller bug, not silent drift.
-pub fn run_selected(
-    study: &mut Study,
-    ids: &[&str],
-    workers: usize,
-) -> (Vec<(&'static str, ExperimentOutput)>, usize) {
+/// registry order — the incremental engine's re-run of the passes
+/// invalidated by a timeline extension. Each index is built by the first
+/// re-run pass that reads it. When instrumented, the re-run passes are
+/// recorded like [`run_all`]'s. Unknown ids are ignored.
+pub fn run_selected(study: &mut Study, ids: &[&str], workers: usize) -> Results {
     let registry: Vec<Experiment> = EXPERIMENTS
         .iter()
-        .filter(|(id, _)| ids.contains(id))
+        .filter(|(id, ..)| ids.contains(id))
         .copied()
         .collect();
     if registry.is_empty() {
-        return (Vec::new(), 0);
+        return Vec::new();
     }
-    analyse(study, &registry, workers, false)
+    let analysed = analyse(study, &registry, workers);
+    record(study, analysed)
+}
+
+/// The day ranges pass `id` reads when the simulation covers `sim`, from
+/// its declared inputs; `None` for an id in neither registry.
+pub fn pass_reads(id: &str, sim: DateRange) -> Option<Vec<DateRange>> {
+    let mut registry = EXPERIMENTS.iter().chain(&EXTENDED_EXPERIMENTS);
+    let (_, inputs, _) = registry.find(|(pass, ..)| *pass == id)?;
+    Some(inputs.iter().map(|&(_, recipe)| recipe.days(sim)).collect())
+}
+
+/// Whether pass `id` must rerun after the simulated range grows from
+/// `old` to `new` (same start, later end): when one of its declared
+/// windows moved, or covers an appended day. An unknown id is always
+/// invalidated.
+pub fn invalidated_by_extension(id: &str, old: DateRange, new: DateRange) -> bool {
+    debug_assert_eq!(old.start, new.start, "extension keeps the range start");
+    debug_assert!(old.end <= new.end, "extension only appends days");
+    let (Some(before), Some(after)) = (pass_reads(id, old), pass_reads(id, new)) else {
+        return true;
+    };
+    before != after
+        || (old.end < new.end && after.iter().any(|r| r.start <= new.end && old.end < r.end))
 }
 
 #[cfg(test)]
@@ -1582,13 +1322,17 @@ mod tests {
             }
         }
         // Instrumentation: one pass span per experiment, at least one
-        // with nonzero input cardinality, the shared windows, and an
-        // analysis wall covering both engine phases.
+        // with nonzero input cardinality, the index builds under their
+        // passes, and an analysis wall covering the passes.
         let analysis = study.report.span("run/analysis").expect("analysis span");
         let passes = analysis.get("passes").expect("passes span");
         assert_eq!(passes.children.len(), 20);
         assert!(passes.children.iter().any(|p| p.items > 0));
-        assert_eq!(analysis.get("index").map(|i| i.children.len()), Some(6));
+        assert_eq!(
+            analysis.get("passes/X8.1/index").map(|i| i.children.len()),
+            Some(12),
+            "one build per network kind and input"
+        );
         assert!(analysis.children.iter().all(|p| p.wall <= analysis.wall));
         assert_eq!(
             analysis
@@ -1599,42 +1343,126 @@ mod tests {
         );
     }
 
-    /// Every registered pass must be known to the windows registry —
-    /// otherwise the incremental engine would silently treat it as
-    /// always-invalidated (or worse, the registries would drift apart).
+    /// The calendars the invalidation rules are checked at: the tiny
+    /// preset's two weeks, and the default study range, where the
+    /// anchored January and February windows hold days.
+    fn calendars() -> [DateRange; 2] {
+        [
+            StudyConfig::tiny().full_range,
+            StudyConfig::default_scale().full_range,
+        ]
+    }
+
+    const ANCHORED: [&str; 17] = [
+        "T1", "T2/F12", "C4.4", "F2", "F3", "O5.1", "F4", "F5", "F6", "F7", "F8", "O6.1", "F9",
+        "F10", "O6.2", "X8.1", "ApxA",
+    ];
+    const END_RELATIVE: [&str; 4] = ["F1", "F11", "S7.2", "EC1"];
+
     #[test]
-    fn every_pass_is_known_to_the_windows_registry() {
-        let range = StudyConfig::tiny().full_range;
-        for (id, _) in EXPERIMENTS.iter().chain(EXTENDED_EXPERIMENTS.iter()) {
-            assert!(
-                windows::pass_reads(id, range).is_some(),
-                "pass {id} is missing from analysis::windows::pass_reads"
-            );
+    fn anchored_passes_survive_extension() {
+        for old in calendars() {
+            let new = DateRange::new(old.start, old.end + 3);
+            for pass in ANCHORED {
+                assert!(
+                    !invalidated_by_extension(pass, old, new),
+                    "anchored pass {pass} must not rerun on extension of {old:?}"
+                );
+            }
         }
     }
 
-    /// The windows registry and a selected re-run agree: after a one-day
-    /// extension exactly the four end-relative passes rerun, and the
-    /// re-run builds only the one shared window (§7.2's ip_week) those
-    /// passes touch.
     #[test]
-    fn selected_rerun_builds_only_the_windows_it_reads() {
+    fn end_relative_passes_rerun_on_extension() {
+        for old in calendars() {
+            let new = DateRange::new(old.start, old.end + 1);
+            for pass in END_RELATIVE {
+                assert_ne!(
+                    pass_reads(pass, old),
+                    pass_reads(pass, new),
+                    "{pass} reads a window that slides with the end"
+                );
+                assert!(
+                    invalidated_by_extension(pass, old, new),
+                    "end-relative pass {pass} must rerun on extension of {old:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_extension_invalidates_nothing() {
+        for r in calendars() {
+            for pass in ["F1", "T1", "F11", "S7.2", "EC1", "ApxA"] {
+                assert!(!invalidated_by_extension(pass, r, r), "{pass}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_pass_is_conservatively_invalidated() {
+        for r in calendars() {
+            assert!(pass_reads("NOPE", r).is_none());
+            let longer = DateRange::new(r.start, r.end + 1);
+            assert!(invalidated_by_extension("NOPE", r, longer));
+        }
+    }
+
+    #[test]
+    fn pair_window_covers_only_its_days() {
+        for r in calendars() {
+            let reads = pass_reads("F11", r).unwrap();
+            let covers = |d: SimDate| reads.iter().any(|w| w.contains(d));
+            assert!(covers(SimDate::ymd(4, 16)));
+            assert!(!covers(SimDate::ymd(4, 15)));
+        }
+    }
+
+    /// A one-day extension re-runs exactly the four end-relative passes,
+    /// and the selected re-run builds only the indexes those passes read:
+    /// S7.2's focus-week IP and /64 samples.
+    #[test]
+    fn selected_rerun_builds_only_the_indexes_it_reads() {
         let mut cfg = StudyConfig::tiny();
-        cfg.instrument = false;
         let old = cfg.full_range;
         cfg.extend_days = 1;
         let new = cfg.sim_range();
-        let invalidated: Vec<&str> = experiment_ids()
-            .filter(|id| windows::invalidated_by_extension(id, old, new))
+        let invalidated: Vec<&str> = EXPERIMENTS
+            .iter()
+            .chain(&EXTENDED_EXPERIMENTS)
+            .map(|e| e.0)
+            .filter(|id| invalidated_by_extension(id, old, new))
             .collect();
-        assert_eq!(invalidated, ["F1", "F11", "S7.2"]);
+        assert_eq!(invalidated, END_RELATIVE);
         let mut study = Study::run(cfg).unwrap();
-        let (outs, built) = run_selected(&mut study, &invalidated, 2);
+        let outs = run_selected(&mut study, &invalidated, 2);
         assert_eq!(
             outs.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            invalidated
+            ["F1", "F11", "S7.2"]
         );
-        assert_eq!(built, 1, "only S7.2's ip_week window is shared");
+        let passes = study.report.span("run/analysis/passes").unwrap();
+        let builds: Vec<String> = passes
+            .children
+            .iter()
+            .flat_map(|p| p.get("index").into_iter().flat_map(|i| &i.children))
+            .map(|b| b.name.clone())
+            .collect();
+        assert_eq!(builds, ["ip_week", "prefix64_week"]);
+        assert!(passes.get("S7.2/index").is_some());
+    }
+
+    /// Inputs with equal rows share one index: at the tiny calendar
+    /// Appendix A's 27-day lookback clips to the 28-day one.
+    #[test]
+    fn equal_rows_share_one_index() {
+        let study = Study::run(StudyConfig::tiny()).unwrap();
+        let ctx = AnalysisCtx::new(&study);
+        assert_eq!(ctx.rows(User, Lookback), ctx.rows(User, AprLookback));
+        assert!(std::ptr::eq(
+            ctx.user_lookback(),
+            ctx.index_of(User, AprLookback)
+        ));
+        assert!(!std::ptr::eq(ctx.user_week(), ctx.user_lookback()));
     }
 
     #[test]
@@ -1683,5 +1511,22 @@ mod tests {
         let all = run_all(&mut study);
         assert_eq!(all.len(), 20);
         assert!(study.report.spans.is_empty());
+    }
+
+    /// The calling thread keeps no kernel scratch after a study run or an
+    /// analysis run returns (at one worker every pass runs on it).
+    #[test]
+    fn calls_return_with_the_scratch_arena_trimmed() {
+        let retained = || ipv6_study_telemetry::kernels::scratch_stats().2;
+        let mut cfg = StudyConfig::tiny();
+        cfg.analysis_threads = Some(1);
+        let mut study = Study::run(cfg).unwrap();
+        assert_eq!(retained(), 0, "after Study::run");
+        let _ = run_all(&mut study);
+        assert_eq!(retained(), 0, "after run_all");
+        let _ = run_selected(&mut study, &["F1", "S7.2"], 1);
+        assert_eq!(retained(), 0, "after run_selected");
+        let _ = run_extended(&study);
+        assert_eq!(retained(), 0, "after run_extended");
     }
 }

@@ -62,11 +62,11 @@
 //! dictionary and never hashing or sorting a history row. An in-process
 //! [`Study::extend_days`] hands the freeze the same segments, encoded in
 //! memory by the same writer, so both paths freeze the same history. Only
-//! the passes whose read windows cover the new days (per
-//! [`windows::invalidated_by_extension`], the single source of truth)
-//! are re-run — everything else is spliced from the manifest's sections,
-//! byte-identical because the calendar-anchored windows see the same
-//! records in the same order.
+//! the passes whose declared inputs moved or cover the new days (per
+//! [`experiments::invalidated_by_extension`], derived from the registry's
+//! declarations) are re-run — everything else is spliced from the
+//! manifest's sections, byte-identical because the calendar-anchored
+//! windows see the same records in the same order.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -75,8 +75,8 @@ use std::time::Instant;
 use ipv6_study_analysis::windows;
 use ipv6_study_obs::{IncrementalStat, Json, Span};
 use ipv6_study_telemetry::{
-    remove_temp_files, write_atomic, write_segment, ColumnSlice, DateRange, Families, Family,
-    FrozenStore, IoOp, Segment, SimDate, SpillError,
+    remove_temp_files, write_atomic, write_segment, ColumnSlice, DateRange, Families, Family, IoOp,
+    Segment, SimDate, SpillError,
 };
 
 use crate::config::{ConfigError, StudyConfig};
@@ -228,18 +228,6 @@ pub(crate) fn extend(study: Study, n: u16) -> Result<(Study, IncrementalStat), S
     Ok((extended, stats))
 }
 
-/// The study's frozen store of `family`.
-fn family_store(study: &Study, family: Family) -> &FrozenStore {
-    match family {
-        Family::Request => &study.datasets().request_sample,
-        Family::User => &study.datasets().user_sample,
-        Family::Ip => &study.datasets().ip_sample,
-        Family::Prefix(len) => study.datasets().prefix_sample(len),
-        Family::Abuse => study.abuse_store(),
-        Family::Pair => study.pair_store(),
-    }
-}
-
 /// The families of a day segment, in section order: every family of
 /// `config` but pair.
 fn day_families(config: &StudyConfig) -> Vec<Family> {
@@ -256,7 +244,7 @@ fn day_sections<'s>(
 ) -> Vec<(Family, ColumnSlice<'s>)> {
     families
         .iter()
-        .map(|&f| (f, family_store(study, f).on_day(day)))
+        .map(|&f| (f, study.store(f).on_day(day)))
         .collect()
 }
 
@@ -580,12 +568,12 @@ pub fn run(config: StudyConfig, state_dir: &Path) -> Result<IncrementalRun, Stud
     // sections in registry order.
     let to_run: Vec<&'static str> = experiments::experiment_ids()
         .filter(|&id| {
-            (n > 0 && windows::invalidated_by_extension(id, old_range, new_range))
+            (n > 0 && experiments::invalidated_by_extension(id, old_range, new_range))
                 || !cp.passes.iter().any(|p| p.id == id)
         })
         .collect();
     let workers = study.config.effective_analysis_threads();
-    let (recomputed, _windows_built) = experiments::run_selected(&mut study, &to_run, workers);
+    let recomputed = experiments::run_selected(&mut study, &to_run, workers);
     let extend = t_extend.elapsed();
 
     let t_render = Instant::now();

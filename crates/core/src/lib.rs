@@ -44,6 +44,7 @@
 
 pub mod ablation;
 pub mod config;
+pub mod ctx;
 pub mod driver;
 pub mod experiments;
 pub mod faults;

@@ -8,8 +8,9 @@ use std::time::{Duration, Instant};
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{FaultStat, Json, RunReport, Span};
 use ipv6_study_secapp::actioning::DayCounts;
+use ipv6_study_telemetry::kernels::{with_scratch, ScratchArena};
 use ipv6_study_telemetry::{
-    AbuseLabels, DateRange, FrozenDatasets, FrozenStore, Segment, SimDate, SpillPolicy,
+    AbuseLabels, DateRange, Family, FrozenDatasets, FrozenStore, Segment, SimDate, SpillPolicy,
     SpillSession, SpillStats, StorageMode,
 };
 
@@ -122,7 +123,11 @@ impl Study {
         config.validate()?;
         let started = Instant::now();
         let world = SimInputs::world(&config);
-        Self::absorb(config, world, History::default(), started)
+        let study = Self::absorb(config, world, History::default(), started);
+        // The calling thread ran the freeze's radix passes (and every
+        // shard, at one worker): keep none of their scratch buffers.
+        with_scratch(ScratchArena::trim);
+        study
     }
 
     /// Simulates the days of `config.sim_range()` after `history`, then
@@ -241,6 +246,18 @@ impl Study {
     /// Every abusive-account request (the complete label join).
     pub fn abuse_store(&self) -> &FrozenStore {
         &self.abuse_store
+    }
+
+    /// The frozen store of `family`.
+    pub(crate) fn store(&self, family: Family) -> &FrozenStore {
+        match family {
+            Family::Request => &self.datasets.request_sample,
+            Family::User => &self.datasets.user_sample,
+            Family::Ip => &self.datasets.ip_sample,
+            Family::Prefix(len) => self.datasets.prefix_sample(len),
+            Family::Abuse => &self.abuse_store,
+            Family::Pair => &self.pair_store,
+        }
     }
 
     /// Every request on the final four days of the window (the Figure 11

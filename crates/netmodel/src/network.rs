@@ -574,11 +574,6 @@ impl Network {
             _ => 0.0,
         })
     }
-
-    /// Privacy-IID rotations per day (0 when the mode has no privacy IIDs).
-    pub fn v6_iid_rotations(&self) -> f64 {
-        self.v6.as_ref().map_or(0.0, |v6| v6.iid_rotations_per_day)
-    }
 }
 
 #[cfg(test)]

@@ -262,11 +262,6 @@ impl DayCounts {
         &self.v6
     }
 
-    /// The day's IPv4 counting trie (keys left-aligned by 96 bits).
-    pub fn v4_trie(&self) -> &AggregationTrie {
-        &self.v4
-    }
-
     /// Total trie nodes across both families.
     pub fn node_count(&self) -> usize {
         self.v6.node_count() + self.v4.node_count()

@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 
 use ipv6_study_netaddr::IidClass;
-use ipv6_study_telemetry::{AbuseLabels, ColumnSlice, IpId, SimDate};
+use ipv6_study_telemetry::{AbuseLabels, ColumnSlice, IpId};
 
 /// Behavioral features of one unit (address) over an observation day.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,15 +247,12 @@ pub fn training_set(
         .collect()
 }
 
-/// Convenience: the focus day pair for ML experiments.
-pub fn day_pair(focus: SimDate) -> (SimDate, SimDate) {
-    (focus - 1, focus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipv6_study_telemetry::{AbuseInfo, Asn, Country, OwnedColumns, RequestRecord, UserId};
+    use ipv6_study_telemetry::{
+        AbuseInfo, Asn, Country, OwnedColumns, RequestRecord, SimDate, UserId,
+    };
 
     fn cols(recs: &[RequestRecord]) -> OwnedColumns {
         OwnedColumns::from_records(recs)

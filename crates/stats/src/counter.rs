@@ -93,11 +93,6 @@ impl<K: Eq + Hash> CountOfCounts<K> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
         self.counts.iter().map(|(k, &c)| (k, c))
     }
-
-    /// Consumes the tally, returning the underlying map.
-    pub fn into_map(self) -> HashMap<K, u64> {
-        self.counts
-    }
 }
 
 impl<K: Eq + Hash> FromIterator<K> for CountOfCounts<K> {

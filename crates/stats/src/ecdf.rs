@@ -155,19 +155,6 @@ impl Ecdf {
         xs.into_iter().map(|x| (x, self.fraction_le(x))).collect()
     }
 
-    /// Iterates over `(value, count)` pairs in increasing value order.
-    pub fn iter_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let mut prev = 0u64;
-        self.values
-            .iter()
-            .zip(self.cum.iter())
-            .map(move |(&v, &c)| {
-                let count = c - prev;
-                prev = c;
-                (v, count)
-            })
-    }
-
     /// The Kolmogorov–Smirnov statistic `sup_x |F_a(x) − F_b(x)|` between two
     /// ECDFs. Used to quantify "most similar" claims, e.g. the paper's
     /// finding that IPv4 addresses behave most like IPv6 /48s in Fig 9 and

@@ -30,13 +30,15 @@
 //!   sort-and-dedup distinct-key paths, where any correct sort agrees).
 //! - **Scratch arenas** — the radix passes need transient count/key/perm
 //!   buffers, and the analysis engine invokes them thousands of times
-//!   per run (six shared indexes plus every `ctx.index(..)` call in the
-//!   20 passes). [`ScratchArena`] pools those buffers per thread:
-//!   [`with_scratch`] leases cleared-but-capacitated `Vec`s from a
-//!   thread-local pool, and the engine calls [`scratch_reset`] between
+//!   per run (every index the 20 passes declare, each built once, and
+//!   X8.1's per-kind subsets). [`ScratchArena`] pools those buffers per
+//!   thread: [`with_scratch`] leases cleared-but-capacitated `Vec`s from
+//!   a thread-local pool, and the engine calls [`scratch_reset`] between
 //!   passes to assert the lease discipline (everything returned) while
 //!   retaining capacity — so repeated passes stop paying per-invocation
-//!   allocation.
+//!   allocation. A study run and an analysis run trim the calling
+//!   thread's arena ([`ScratchArena::trim`]) before they return, so a
+//!   long-lived caller keeps none of it.
 //!
 //! Everything is std-only: the "vectorization" is word-level bit
 //! batching and bounds-check-free chunked loops the optimizer
@@ -259,9 +261,8 @@ pub fn filter_count<K: Copy>(col: &[K], pred: impl Fn(K) -> bool) -> usize {
 ///
 /// Leased buffers come back cleared (`len == 0`) but keep their
 /// capacity, so a worker that runs many kernel calls (the analysis
-/// engine runs six shared index builds plus every `ctx.index(..)` in 20
-/// passes) allocates each buffer class once and reuses it for the rest
-/// of the run. The lease discipline is strict: every `lease_*` must be
+/// engine's index builds across 20 passes) allocates each buffer class
+/// once and reuses it for the rest of the run. The lease discipline is strict: every `lease_*` must be
 /// paired with a `restore_*` before [`ScratchArena::reset`] — the
 /// engine's between-passes reset asserts the balance in debug builds.
 #[derive(Debug, Default)]
@@ -334,7 +335,8 @@ impl ScratchArena {
         );
     }
 
-    /// Releases every pooled buffer (end-of-engine teardown).
+    /// Releases every pooled buffer: a study or analysis run trims the
+    /// calling thread's arena before it returns.
     pub fn trim(&mut self) {
         self.u32s = Vec::new();
         self.u64s = Vec::new();

@@ -104,16 +104,6 @@ impl Samplers {
         h.write_u128(prefix.bits());
         sampled(SEED_PREFIX, h.finish(), self.prefix_rate)
     }
-
-    /// Stable per-record key usable for auxiliary derivations (e.g. request
-    /// jitter); distinct from all sampling decisions.
-    pub fn record_key(rec: &RequestRecord) -> u64 {
-        let mut h = StableHasher::new(0x5245_434B);
-        h.write_u64(rec.user.raw())
-            .write_u64(rec.ip_key())
-            .write_u64(u64::from(rec.ts.secs()));
-        h.finish()
-    }
 }
 
 /// Derives a per-entity sub-seed for hash-driven generation, mixing a

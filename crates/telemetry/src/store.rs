@@ -176,10 +176,15 @@ impl FrozenStore {
 
     /// The records whose timestamps fall inside `range` (inclusive days).
     pub fn in_range(&self, range: DateRange) -> ColumnSlice<'_> {
+        self.cols.slice(self.rows(range), &self.tables)
+    }
+
+    /// The row positions of [`FrozenStore::in_range`]'s window: equal
+    /// positions are equal rows, whatever days asked for them.
+    pub fn rows(&self, range: DateRange) -> std::ops::Range<usize> {
         let (lo_ts, hi_ts) = range.ts_bounds();
         let lo = self.cols.ts.partition_point(|&ts| ts < lo_ts);
-        let hi = self.cols.ts.partition_point(|&ts| ts <= hi_ts);
-        self.cols.slice(lo..hi, &self.tables)
+        lo..self.cols.ts.partition_point(|&ts| ts <= hi_ts)
     }
 
     /// The records on one day.

@@ -10,7 +10,7 @@
 //!    runs with instrumentation on and off yield byte-identical
 //!    datasets.
 
-use ipv6_user_study::experiments::{experiment_ids, run_all};
+use ipv6_user_study::experiments::{experiment_ids, run_all, run_all_with};
 use ipv6_user_study::obs::{stem, Json, Span};
 use ipv6_user_study::stats::hash::StableHasher;
 use ipv6_user_study::telemetry::ColumnSlice;
@@ -127,21 +127,43 @@ fn bench_report_schema_is_stable_and_finite() {
         names(run.get("freeze").unwrap()),
         ["read", "intern", "gather"]
     );
-    assert_eq!(names(run.get("analysis").unwrap()), ["index", "passes"]);
-    assert_eq!(
-        names(run.get("analysis/index").unwrap()),
-        [
-            "user_week",
-            "user_day",
-            "user_lookback",
-            "ip_day",
-            "ip_week",
-            "abuse_week"
-        ]
-    );
+    assert_eq!(names(run.get("analysis").unwrap()), ["passes"]);
     let passes: Vec<String> = experiment_ids().map(stem).collect();
     assert_eq!(passes.len(), 20);
     assert_eq!(names(run.get("analysis/passes").unwrap()), passes);
+    // Each index build sits under the first pass that reads it, once per
+    // run: F10 re-uses F9's /128, /64, /72 and /68, S7.2 re-uses F7's
+    // and F9's, and ApxA re-uses F5's lookback (at the tiny calendar its
+    // 27-day lookback clips to the same rows).
+    let builds: Vec<String> = run
+        .get("analysis/passes")
+        .unwrap()
+        .children
+        .iter()
+        .filter_map(|p| Some(format!("{}: {}", p.name, names(p.get("index")?).join(" "))))
+        .collect();
+    let x81: Vec<String> = ["residential", "mobile", "enterprise", "hosting"]
+        .iter()
+        .flat_map(|k| ["ip_apr13", "user_apr19", "user_lookback"].map(|i| format!("{k}_{i}")))
+        .collect();
+    let x81 = format!("X8.1: {}", x81.join(" "));
+    assert_eq!(
+        builds,
+        [
+            "T1: user_week",
+            "F2: user_apr19",
+            "F3: abuse_apr19",
+            "O5.1: abuse_week",
+            "F5: user_lookback",
+            "F6: abuse_lookback",
+            "F7: ip_apr13 ip_week",
+            "F9: prefix128_week prefix72_week prefix68_week prefix64_week prefix48_week \
+             prefix44_week",
+            "F10: prefix60_week prefix56_week prefix52_week prefix96_week",
+            &x81,
+            "ApxA: user_feb_week",
+        ]
+    );
     assert_eq!(
         names(run.get("analysis/passes/F11/actioning").unwrap()),
         ["build", "read"]
@@ -157,7 +179,7 @@ fn bench_report_schema_is_stable_and_finite() {
     let doc = Json::parse(&text).expect("the report parses");
     let mut paths = Vec::new();
     node_paths(run, "", &mut paths);
-    assert_eq!(paths.len(), 1 + 1 + 13 + 1 + 4 + 1 + 7 + 21 + 3 + 4);
+    assert_eq!(paths.len(), 1 + 1 + 13 + 1 + 4 + 1 + 21 + (11 + 31) + 3 + 4);
     for path in &paths {
         for field in ["wall_secs", "items", "bytes", "items_per_sec"] {
             let leaf = format!("{path}/{field}");
@@ -186,6 +208,11 @@ fn bench_report_schema_is_stable_and_finite() {
         again.report().to_json().schema_paths(),
         "report schema differs between identical runs"
     );
+    // Nor does it vary with the analysis thread count: each index build
+    // is filed under the same pass whichever worker built it.
+    let mut parallel = again;
+    let _ = run_all_with(&mut parallel, 8);
+    assert_eq!(schema, parallel.report().to_json().schema_paths());
 
     // The acceptance contract: no Infinity/NaN anywhere in the document.
     assert!(!text.contains("Infinity"), "report contains Infinity");
@@ -267,13 +294,23 @@ fn report_covers_every_experiment_and_all_sim_records() {
         passes.children.iter().map(|p| p.items).sum::<u64>(),
         "analysis items are the passes' input records"
     );
-    let index = span("run/analysis/index");
+    let indexes: Vec<&Span> = passes
+        .children
+        .iter()
+        .filter_map(|p| p.get("index"))
+        .collect();
+    for index in &indexes {
+        let builds = &index.children;
+        assert_eq!(index.items, builds.iter().map(|b| b.items).sum::<u64>());
+        assert_eq!(index.bytes, builds.iter().map(|b| b.bytes).sum::<u64>());
+        assert_eq!(index.wall, builds.iter().map(|b| b.wall).sum());
+        assert!(builds.iter().all(|b| b.bytes > 0), "an index holds bytes");
+    }
     assert_eq!(
-        index.items,
-        index.children.iter().map(|w| w.items).sum::<u64>()
+        analysis.bytes,
+        indexes.iter().map(|i| i.bytes).sum::<u64>(),
+        "analysis bytes are the index builds' bytes"
     );
-    assert!(index.children.iter().all(|w| w.items > 0 && w.bytes > 0));
-    assert_eq!(analysis.bytes, index.bytes, "index bytes");
     assert_eq!(
         span("run/analysis/passes/F11/actioning/build").items,
         4,
