@@ -1,7 +1,9 @@
 //! Kernel-level microbenchmarks: times the `telemetry::kernels`
-//! primitives (masks, gather, radix sorts) and the `RecordView` cursor
-//! on synthetic columns, and writes a small JSON blob so future PRs can
-//! track kernel-level drift separately from whole-run walls.
+//! primitives (masks, gather, radix sorts), the `RecordView` cursor and
+//! the sim's stable-hash kernels (a 5-word `StableHasher` key, `sampled`
+//! on one word, `Samplers::prefix_sampled`) on synthetic data, and
+//! writes a small JSON blob so kernel-level drift shows separately from
+//! whole-run walls.
 //!
 //! Usage:
 //!
@@ -10,17 +12,22 @@
 //!     [--rows N] [--iters N] [--out PATH]
 //! ```
 //!
-//! Defaults: 1M rows, best-of-5 timing, `BENCH_kernels.json`. Each
-//! kernel is timed against its pre-kernel counterpart where one exists
-//! (comparison sorts for the radix paths, the index-per-row cursor for
-//! `RecordView`), so the blob records the speedup the hot paths run on,
-//! not just an absolute number that only this machine can interpret.
+//! Defaults: 1M rows (and 1M hash keys), best-of-5 timing,
+//! `BENCH_kernels.json`. Each kernel is timed against its pre-kernel
+//! counterpart where one exists (comparison sorts for the radix paths,
+//! the index-per-row cursor for `RecordView`), so the blob records the
+//! speedup the hot paths run on, not just an absolute number that only
+//! this machine can interpret; the hash rows have no counterpart and
+//! report `ns_per_op`.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ipv6_study_bench::cli::usage_exit;
+use ipv6_study_netaddr::{Ipv6Prefix, STUDY_PREFIX_LENGTHS};
 use ipv6_study_obs::Json;
+use ipv6_study_stats::hash::{sampled, StableHasher};
 use ipv6_study_stats::testgen::TestGen;
 use ipv6_study_telemetry::columns::ColumnStore;
 use ipv6_study_telemetry::intern::{EntityTables, IpId, IpTable, UserTable};
@@ -28,7 +35,7 @@ use ipv6_study_telemetry::kernels::{
     mask_eq_u32, mask_ts_window, radix_sort_perm_u32, radix_sort_u64, scratch_stats,
 };
 use ipv6_study_telemetry::time::Timestamp;
-use ipv6_study_telemetry::{Asn, Country};
+use ipv6_study_telemetry::{Asn, Country, Samplers};
 
 const USAGE: &str = "usage: bench_kernels [--rows N] [--iters N] [--out PATH]";
 
@@ -39,7 +46,7 @@ fn time_best<R>(iters: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut last = None;
     for _ in 0..iters.max(1) {
         let t = Instant::now();
-        let r = f();
+        let r = black_box(f());
         best = best.min(t.elapsed().as_secs_f64());
         last = Some(r);
     }
@@ -47,7 +54,7 @@ fn time_best<R>(iters: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 }
 
 /// One benchmark row: kernel wall, baseline wall (0.0 when there is no
-/// pre-kernel counterpart), and throughput over `rows`.
+/// pre-kernel counterpart), and throughput over `rows` and its inverse.
 fn entry(rows: usize, kernel_secs: f64, baseline_secs: f64) -> Json {
     let rate = if kernel_secs > 0.0 {
         rows as f64 / kernel_secs
@@ -63,6 +70,10 @@ fn entry(rows: usize, kernel_secs: f64, baseline_secs: f64) -> Json {
         .with("secs", Json::num(kernel_secs))
         .with("baseline_secs", Json::num(baseline_secs))
         .with("rows_per_sec", Json::num(rate))
+        .with(
+            "ns_per_op",
+            Json::num(kernel_secs * 1e9 / rows.max(1) as f64),
+        )
         .with("speedup", Json::num(speedup))
 }
 
@@ -205,6 +216,42 @@ fn main() {
     });
     assert_eq!(radix_sorted, cmp_sorted, "radix u64 == sort_unstable");
 
+    // -- the stable hash, as the sim calls it per request ----------------
+    // The emitter's 5-word key, the one-word sampler decision, and one
+    // prefix-sample decision (a 16-byte key hashed, then sampled), each
+    // over `rows` distinct synthetic keys. `black_box` hands every key
+    // over opaquely, so no call is folded, vectorized or elided.
+    let mut g = TestGen::new(0x4841_5348); // "HASH"
+    let keys: Vec<u64> = g.vec_of(rows, TestGen::next_u64);
+    let prefixes: Vec<Ipv6Prefix> = g.vec_of(rows, |g| {
+        let len = STUDY_PREFIX_LENGTHS[g.below(STUDY_PREFIX_LENGTHS.len() as u64) as usize];
+        Ipv6Prefix::from_bits(g.next_u128(), len)
+    });
+    let (hash5_secs, _) = time_best(iters, || {
+        keys.iter().fold(0u64, |acc, &k| {
+            let k = black_box(k);
+            let mut h = StableHasher::new(0x454D_4954); // "EMIT"
+            h.write_u64(k)
+                .write_u64(k >> 20)
+                .write_u64(k & 0xffff)
+                .write_u64(k.rotate_left(17))
+                .write_u64(7);
+            acc.wrapping_add(h.finish())
+        })
+    });
+    let (sampled_secs, _) = time_best(iters, || {
+        keys.iter()
+            .filter(|&&k| sampled(0x5553_4552, black_box(k), 0.5))
+            .count()
+    });
+    let samplers = Samplers::scaled_for(8_000);
+    let (prefix_secs, _) = time_best(iters, || {
+        prefixes
+            .iter()
+            .filter(|&&p| samplers.prefix_sampled(black_box(p)))
+            .count()
+    });
+
     let (leases, reuses, retained) = scratch_stats();
     let doc = Json::obj()
         .with("schema_version", Json::UInt(1))
@@ -222,7 +269,10 @@ fn main() {
                     "radix_perm_u32",
                     entry(rows, radix_perm_secs, cmp_perm_secs),
                 )
-                .with("radix_sort_u64", entry(rows, radix64_secs, cmp64_secs)),
+                .with("radix_sort_u64", entry(rows, radix64_secs, cmp64_secs))
+                .with("stable_hash_5_words", entry(rows, hash5_secs, 0.0))
+                .with("sampled_one_word", entry(rows, sampled_secs, 0.0))
+                .with("prefix_sampled", entry(rows, prefix_secs, 0.0)),
         )
         .with(
             "scratch",
@@ -241,15 +291,19 @@ fn main() {
         ("record_view_cursor", cursor_secs, indexed_secs),
         ("radix_perm_u32", radix_perm_secs, cmp_perm_secs),
         ("radix_sort_u64", radix64_secs, cmp64_secs),
+        ("stable_hash_5_words", hash5_secs, 0.0),
+        ("sampled_one_word", sampled_secs, 0.0),
+        ("prefix_sampled", prefix_secs, 0.0),
     ] {
         let rate = rows as f64 / secs.max(1e-12) / 1e6;
+        let ns = secs * 1e9 / rows.max(1) as f64;
         if base > 0.0 {
             eprintln!(
-                "  {name:20} {secs:>10.6}s  {rate:>8.1} Mrows/s  ({:.2}x vs baseline)",
+                "  {name:20} {secs:>10.6}s  {rate:>8.1} Mrows/s  {ns:>6.1} ns/op  ({:.2}x vs baseline)",
                 base / secs
             );
         } else {
-            eprintln!("  {name:20} {secs:>10.6}s  {rate:>8.1} Mrows/s");
+            eprintln!("  {name:20} {secs:>10.6}s  {rate:>8.1} Mrows/s  {ns:>6.1} ns/op");
         }
     }
     eprintln!("  scratch arena: {leases} leases, {reuses} reuses, {retained} bytes retained");

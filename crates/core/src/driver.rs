@@ -54,9 +54,9 @@ use ipv6_study_behavior::schedule::day_plan;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{rate_per_sec, Span};
 use ipv6_study_telemetry::{
-    freeze_families, DateRange, Families, FrozenDatasets, FrozenFamilies, FrozenStore, MemGauge,
-    RequestSink, Samplers, Segment, ShardPayload, ShardSink, SimDate, SpillError, SpillSession,
-    SpillTarget, StorageMode,
+    freeze_families, DateRange, Families, FnSink, FrozenDatasets, FrozenFamilies, FrozenStore,
+    MemGauge, RequestRecord, RequestSink, Samplers, SealStats, Segment, ShardPayload, ShardSink,
+    SimDate, SpillError, SpillSession, SpillTarget, StorageMode,
 };
 
 use crate::config::StudyConfig;
@@ -101,6 +101,7 @@ struct ShardOutput {
     /// How many of those the user sampler selected.
     users_sampled: u64,
     wall: Duration,
+    clock: SimClock,
 }
 
 /// Timing and throughput for one shard.
@@ -114,6 +115,14 @@ pub struct ShardMetrics {
     pub records: u64,
     /// Wall-clock the shard's simulation took on its worker.
     pub wall: Duration,
+    /// Wall-clock of emitting the records: everything between one
+    /// batch's routing and the next's.
+    pub emit_wall: Duration,
+    /// Wall-clock of routing them through the samplers into staging,
+    /// seals excluded.
+    pub route_wall: Duration,
+    /// The shard's seals: their wall, rows and segment bytes.
+    pub sealed: SealStats,
 }
 
 impl ShardMetrics {
@@ -171,17 +180,25 @@ impl RunMetrics {
     }
 
     /// The `run` span tree: `plan`, `sim` (one `shard[i]` child per
-    /// merged shard, `i` its plan index), `merge` and the freeze's span.
-    /// `offered` is the run's offered record count, history included.
+    /// merged shard, `i` its plan index, each with its `emit`, `route`
+    /// and `seal`), `merge` and the freeze's span. `offered` is the
+    /// run's offered record count, history included.
     pub fn span(&self, offered: u64, freeze: Span) -> Span {
+        let shard = |s: &ShardMetrics| {
+            Span::new(&format!("shard[{}]", s.shard), s.wall)
+                .with_items(s.records)
+                .with_child(Span::new("emit", s.emit_wall).with_items(s.records))
+                .with_child(Span::new("route", s.route_wall).with_items(s.records))
+                .with_child(
+                    Span::new("seal", s.sealed.wall)
+                        .with_items(s.sealed.rows)
+                        .with_bytes(s.sealed.bytes),
+                )
+        };
         let sim = Span {
             items: self.total_records(),
             bytes: self.peak_store_bytes,
-            children: self
-                .shards
-                .iter()
-                .map(|s| Span::new(&format!("shard[{}]", s.shard), s.wall).with_items(s.records))
-                .collect(),
+            children: self.shards.iter().map(shard).collect(),
             ..Span::new("sim", self.sim_wall)
         };
         Span::new("run", self.total_wall)
@@ -352,9 +369,43 @@ struct ShardEnv<'a> {
     gauge: &'a MemGauge,
 }
 
+/// A shard attempt's emit and route walls, at two clock reads per batch
+/// (a user-day, or an abuse shard's day of campaigns): from the end of
+/// the last batch's routing to the end of this batch's emission is emit,
+/// the routing after it is route.
+struct SimClock {
+    mark: Instant,
+    emit: Duration,
+    route: Duration,
+}
+
+impl SimClock {
+    fn start() -> Self {
+        Self {
+            mark: Instant::now(),
+            emit: Duration::ZERO,
+            route: Duration::ZERO,
+        }
+    }
+
+    /// Routes `batch`, emitted since the last call, into `sink` in
+    /// order, leaving `batch` empty for the next one.
+    fn route(&mut self, batch: &mut Vec<RequestRecord>, sink: &mut ShardSink<'_>) {
+        let emitted = Instant::now();
+        self.emit += emitted - self.mark;
+        for rec in batch.drain(..) {
+            sink.push(rec);
+        }
+        self.mark = Instant::now();
+        self.route += self.mark - emitted;
+    }
+}
+
 /// Simulates one shard attempt through one [`ShardSink`] that applies the
 /// §3.1 samplers in-stream and seals the retained rows into segments, in
-/// memory or spilled per the configured storage mode.
+/// memory or spilled per the configured storage mode. Each user-day (an
+/// abuse shard: each day of its campaigns) is emitted into one reused
+/// buffer, then routed, so [`SimClock`] times the two apart.
 ///
 /// `progress` is updated with the running record count at every day
 /// boundary; when the attempt fails (injected or real), the caller reads
@@ -395,6 +446,8 @@ fn run_shard(
     let mut users_seen = 0u64;
     let mut users_sampled = 0u64;
     let mut days_done = 0u16;
+    let mut batch: Vec<RequestRecord> = Vec::new();
+    let mut clock = SimClock::start();
 
     for day in env.days.days() {
         if fault.panic_after_days == Some(days_done) {
@@ -429,7 +482,9 @@ fn run_shard(
                         if plan.contexts.is_empty() {
                             continue;
                         }
-                        emit_user_day(env.world, &profile, day, &plan, &mut sink);
+                        let buffer = &mut FnSink(|rec| batch.push(rec));
+                        emit_user_day(env.world, &profile, day, &plan, buffer);
+                        clock.route(&mut batch, &mut sink);
                     }
                 }
             }
@@ -438,8 +493,9 @@ fn run_shard(
                     &env.inputs.pop,
                     day,
                     campaigns.clone(),
-                    &mut sink,
+                    &mut FnSink(|rec| batch.push(rec)),
                 );
+                clock.route(&mut batch, &mut sink);
             }
         }
         days_done += 1;
@@ -450,12 +506,15 @@ fn run_shard(
         }
     }
 
+    // The seals so far ran inside the routing.
+    clock.route = clock.route.saturating_sub(sink.sealed().wall);
     sink.finish();
     Ok(ShardOutput {
         payload: sink.into_payload()?,
         users_seen,
         users_sampled,
         wall: t0.elapsed(),
+        clock,
     })
 }
 
@@ -645,12 +704,16 @@ pub(crate) fn simulate(
             segments: shard_segments,
             offered: shard_offered,
             records,
+            sealed,
         } = out.payload;
         shards.push(ShardMetrics {
             shard: i,
             label: shard_label(work),
             records,
             wall: out.wall,
+            emit_wall: out.clock.emit,
+            route_wall: out.clock.route,
+            sealed,
         });
         offered += shard_offered;
         users_seen += out.users_seen;
@@ -817,6 +880,13 @@ mod tests {
                 label: "benign hh 0..64".into(),
                 records: 1000,
                 wall: Duration::from_millis(10),
+                emit_wall: Duration::from_millis(6),
+                route_wall: Duration::from_millis(3),
+                sealed: SealStats {
+                    wall: Duration::from_millis(1),
+                    rows: 2500,
+                    bytes: 45_000,
+                },
             }],
             plan_wall: Duration::from_micros(5),
             sim_wall: Duration::from_millis(12),
@@ -839,6 +909,11 @@ mod tests {
         assert_eq!((run.wall, run.items), (m.total_wall, 1500));
         let shard = run.get("sim/shard[3]").expect("named by plan index");
         assert_eq!((shard.wall, shard.items), (Duration::from_millis(10), 1000));
+        let names: Vec<&str> = shard.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["emit", "route", "seal"]);
+        let seal = shard.get("seal").unwrap();
+        assert_eq!((seal.items, seal.bytes), (2500, 45_000));
+        assert_eq!(shard.get("route").map(|r| r.items), Some(1000));
         assert_eq!(run.get("sim").map(|s| s.bytes), Some(40_000));
     }
 
@@ -852,6 +927,9 @@ mod tests {
             label: "benign hh 0..64".into(),
             records: 1000,
             wall: Duration::ZERO,
+            emit_wall: Duration::ZERO,
+            route_wall: Duration::ZERO,
+            sealed: SealStats::default(),
         };
         assert_eq!(s.records_per_sec(), 0.0);
 

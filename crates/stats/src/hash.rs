@@ -16,6 +16,11 @@
 //! exactly what [`stable_hash64`] returns over the concatenated bytes.
 //! The streaming form backs the simulator's compound keys, the test
 //! suites' whole-dataset digests and the [`SeededBuildHasher`] maps.
+//!
+//! Every entry point is `#[inline]`. The simulator's crates call these
+//! per request, and a build without LTO inlines a non-generic function
+//! across crates only when it is marked so; out of line, a 5-word key
+//! costs about five times as much (DESIGN.md §13).
 
 const PRIME64_1: u64 = 0x9E3779B185EBCA87;
 const PRIME64_2: u64 = 0xC2B2AE3D27D4EB4F;
@@ -30,6 +35,7 @@ const STRIPE: usize = 32;
 ///
 /// The result is stable: it will never change between releases of this
 /// workspace, and matches the reference xxHash64 vectors.
+#[inline]
 pub fn stable_hash64(seed: u64, data: &[u8]) -> u64 {
     let mut lanes = init_lanes(seed);
     let stripes = data.chunks_exact(STRIPE);
@@ -41,6 +47,7 @@ pub fn stable_hash64(seed: u64, data: &[u8]) -> u64 {
 }
 
 /// The four lane accumulators before any stripe.
+#[inline]
 fn init_lanes(seed: u64) -> [u64; 4] {
     [
         seed.wrapping_add(PRIME64_1).wrapping_add(PRIME64_2),
@@ -160,6 +167,7 @@ impl StableHasher {
     ///
     /// Distinct samplers must use distinct seeds so that, e.g., the user
     /// sample and the IP sample are statistically independent.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
@@ -171,16 +179,19 @@ impl StableHasher {
     }
 
     /// Appends a `u64` field.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) -> &mut Self {
         self.write_bytes(&v.to_le_bytes())
     }
 
     /// Appends a `u128` field (e.g. a full IPv6 address).
+    #[inline]
     pub fn write_u128(&mut self, v: u128) -> &mut Self {
         self.write_bytes(&v.to_le_bytes())
     }
 
     /// Appends raw bytes.
+    #[inline]
     pub fn write_bytes(&mut self, mut b: &[u8]) -> &mut Self {
         self.len += b.len() as u64;
         if self.buffered > 0 {
@@ -206,6 +217,7 @@ impl StableHasher {
 
     /// Finishes the hash, consuming nothing (the hasher can be reused after
     /// [`StableHasher::reset`]).
+    #[inline]
     pub fn finish(&self) -> u64 {
         digest(
             self.seed,
@@ -216,6 +228,7 @@ impl StableHasher {
     }
 
     /// Clears accumulated bytes, keeping the seed.
+    #[inline]
     pub fn reset(&mut self) {
         *self = Self::new(self.seed);
     }
@@ -244,12 +257,14 @@ const DEFAULT_MAP_SEED: u64 = 0x4D41_5048_4153_4845; // "MAPHASHE"
 
 impl SeededBuildHasher {
     /// Creates a builder hashing under `seed`.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         Self { seed }
     }
 }
 
 impl Default for SeededBuildHasher {
+    #[inline]
     fn default() -> Self {
         Self::new(DEFAULT_MAP_SEED)
     }
@@ -258,6 +273,7 @@ impl Default for SeededBuildHasher {
 impl std::hash::BuildHasher for SeededBuildHasher {
     type Hasher = SeededHasher;
 
+    #[inline]
     fn build_hasher(&self) -> SeededHasher {
         SeededHasher(StableHasher::new(self.seed))
     }
@@ -271,59 +287,73 @@ impl std::hash::BuildHasher for SeededBuildHasher {
 pub struct SeededHasher(StableHasher);
 
 impl std::hash::Hasher for SeededHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0.finish()
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         self.0.write_bytes(bytes);
     }
 
+    #[inline]
     fn write_u8(&mut self, v: u8) {
         self.0.write_bytes(&[v]);
     }
 
+    #[inline]
     fn write_u16(&mut self, v: u16) {
         self.0.write_bytes(&v.to_le_bytes());
     }
 
+    #[inline]
     fn write_u32(&mut self, v: u32) {
         self.0.write_bytes(&v.to_le_bytes());
     }
 
+    #[inline]
     fn write_u64(&mut self, v: u64) {
         self.0.write_u64(v);
     }
 
+    #[inline]
     fn write_u128(&mut self, v: u128) {
         self.0.write_u128(v);
     }
 
+    #[inline]
     fn write_usize(&mut self, v: usize) {
         // Widen to u64 so 32- and 64-bit platforms hash identically.
         self.write_u64(v as u64);
     }
 
+    #[inline]
     fn write_i8(&mut self, v: i8) {
         self.write_u8(v as u8);
     }
 
+    #[inline]
     fn write_i16(&mut self, v: i16) {
         self.write_u16(v as u16);
     }
 
+    #[inline]
     fn write_i32(&mut self, v: i32) {
         self.write_u32(v as u32);
     }
 
+    #[inline]
     fn write_i64(&mut self, v: i64) {
         self.write_u64(v as u64);
     }
 
+    #[inline]
     fn write_i128(&mut self, v: i128) {
         self.write_u128(v as u128);
     }
 
+    #[inline]
     fn write_isize(&mut self, v: isize) {
         self.write_u64(v as u64);
     }
@@ -341,6 +371,7 @@ pub type StableHashSet<K> = std::collections::HashSet<K, SeededBuildHasher>;
 /// decision depends only on `(seed, key)`, so the *same* users / addresses /
 /// prefixes are selected every day, exactly as in the paper's methodology
 /// ("our sampling method is deterministic over time", §3.1).
+#[inline]
 pub fn sampled(seed: u64, key: u64, rate: f64) -> bool {
     debug_assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
     let h = stable_hash64(seed, &key.to_le_bytes());

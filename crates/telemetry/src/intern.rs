@@ -464,14 +464,18 @@ pub(crate) struct LocalIds {
 }
 
 impl Interner {
-    /// The provisional ids of `r`'s address and user. An address id keeps
-    /// the family bit; its index counts within the family.
-    pub fn intern(&mut self, r: &RequestRecord) -> (IpId, u32) {
-        let ip = match r.ip {
+    /// The provisional id of address `ip`. It keeps the family bit; its
+    /// index counts within the family.
+    pub fn intern_ip(&mut self, ip: IpAddr) -> IpId {
+        match ip {
             IpAddr::V4(a) => IpId::new(false, provisional(&mut self.v4, u32::from(a)) as usize),
             IpAddr::V6(a) => IpId::new(true, provisional(&mut self.v6, u128::from(a)) as usize),
-        };
-        (ip, provisional(&mut self.users, r.user.raw()))
+        }
+    }
+
+    /// The provisional id of `user`.
+    pub fn intern_user(&mut self, user: UserId) -> u32 {
+        provisional(&mut self.users, user.raw())
     }
 
     /// Interns every key of `dict`: its local → provisional tables.

@@ -77,7 +77,7 @@ pub use segment::{
     read_checkpoint_segment, remove_temp_files, write_atomic, write_checkpoint_segment,
     write_segment, Segment,
 };
-pub use sink::{FnSink, RequestSink, ShardPayload, ShardSink, SpillTarget};
+pub use sink::{FnSink, RequestSink, SealStats, ShardPayload, ShardSink, SpillTarget};
 pub use spill::{
     IoOp, MemGauge, SpillError, SpillFaultPlan, SpillPolicy, SpillSession, SpillStats, StorageMode,
     DEFAULT_IO_RETRIES, DEFAULT_SEGMENT_ROWS,

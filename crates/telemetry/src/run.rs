@@ -494,9 +494,11 @@ mod tests {
         });
         let mut sealer = Sealer::new(families.to_vec(), target);
         for (r, kept) in records {
-            let mut ids = None;
-            for &k in kept {
-                sealer.keep(k, r, &mut ids);
+            if !kept.is_empty() {
+                let ids = (sealer.intern_ip(r.ip), sealer.intern_user(r.user));
+                for &k in kept {
+                    sealer.keep(k, r, ids);
+                }
             }
             sealer.end_record().unwrap();
         }

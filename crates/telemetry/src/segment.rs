@@ -315,7 +315,17 @@ impl Staging {
 
     /// The local ids of `r`'s address and user, interned on first sight.
     pub(crate) fn intern(&mut self, r: &RequestRecord) -> (IpId, u32) {
-        self.dict.intern(r)
+        (self.intern_ip(r.ip), self.intern_user(r.user))
+    }
+
+    /// The local id of address `ip`, interned on first sight.
+    pub(crate) fn intern_ip(&mut self, ip: IpAddr) -> IpId {
+        self.dict.intern_ip(ip)
+    }
+
+    /// The local id of `user`, interned on first sight.
+    pub(crate) fn intern_user(&mut self, user: UserId) -> u32 {
+        self.dict.intern_user(user)
     }
 
     /// Appends `r`, under the local `ids` [`Staging::intern`] gave it, to
@@ -332,9 +342,9 @@ impl Staging {
         cols.len()
     }
 
-    /// Whether no row is staged.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.rows == 0
+    /// Rows staged, over every family.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
     }
 
     /// Bytes held: 18 a staged row, and the dictionary's entries.

@@ -10,11 +10,14 @@
 //! - [`ShardSink`] — the production path: routes each record through the
 //!   deterministic §3.1 samplers *during* the sim phase and seals every
 //!   retained row into dictionary-coded segments in emission order, kept
-//!   in memory or spilled ([`SpillTarget`]),
+//!   in memory or spilled ([`SpillTarget`]); it memoizes the decisions
+//!   that depend only on the address or the user,
 //! - [`StudyDatasets`] — routes through the samplers into in-memory
-//!   stores only (tests and ad-hoc pipelines),
+//!   stores only, hashing every decision every time (tests and ad-hoc
+//!   pipelines; the reference the memoized routing is tested against),
 //! - [`RequestStore`] — keeps everything (tests),
-//! - [`FnSink`] — adapts a closure (tests, probes and benchmarks).
+//! - [`FnSink`] — adapts a closure (the driver's per-user-day buffer,
+//!   tests, probes and benchmarks).
 //!
 //! # Lifecycle
 //!
@@ -42,12 +45,15 @@
 //! and [`ShardSink::into_payload`] refuses to produce a payload, so a
 //! faulted attempt can never feed partial data into the freeze.
 
+use std::net::IpAddr;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
+use std::time::{Duration, Instant};
 
 use ipv6_study_netaddr::Ipv6Prefix;
 
 use crate::dataset::StudyDatasets;
+use crate::ids::UserId;
 use crate::intern::IpId;
 use crate::record::RequestRecord;
 use crate::run::Family;
@@ -154,6 +160,19 @@ pub struct ShardPayload {
     pub offered: u64,
     /// Total records pushed through the sink.
     pub records: u64,
+    /// The shard's seals.
+    pub sealed: SealStats,
+}
+
+/// What a shard attempt's seals took and wrote.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SealStats {
+    /// Wall-clock of encoding the staged rows and storing the segments.
+    pub wall: Duration,
+    /// Rows sealed, over every family.
+    pub rows: u64,
+    /// Bytes of the sealed segments.
+    pub bytes: u64,
 }
 
 /// A shard attempt's segments: the rows staged for the next one under
@@ -170,6 +189,7 @@ pub(crate) struct Sealer {
     held: u64,
     /// Whether some family has staged `segment_rows` rows.
     full: bool,
+    stats: SealStats,
 }
 
 impl Sealer {
@@ -183,45 +203,63 @@ impl Sealer {
             sealed: Vec::new(),
             held: 0,
             full: false,
+            stats: SealStats::default(),
         }
     }
 
-    /// Stages `rec` in family `k`, interning its keys on the record's
-    /// first kept family (`ids` carries them to the next).
-    pub(crate) fn keep(&mut self, k: usize, rec: &RequestRecord, ids: &mut Option<(IpId, u32)>) {
-        let staging = &mut self.staging;
-        let ids = *ids.get_or_insert_with(|| staging.intern(rec));
-        if staging.push(k, rec, ids) >= self.segment_rows {
+    /// The local id of address `ip` in the open segment's dictionary,
+    /// interned on first sight; the next seal voids it.
+    pub(crate) fn intern_ip(&mut self, ip: IpAddr) -> IpId {
+        self.staging.intern_ip(ip)
+    }
+
+    /// The local id of `user` in the open segment's dictionary, interned
+    /// on first sight; the next seal voids it.
+    pub(crate) fn intern_user(&mut self, user: UserId) -> u32 {
+        self.staging.intern_user(user)
+    }
+
+    /// Stages `rec` in family `k` under its local `ids`.
+    pub(crate) fn keep(&mut self, k: usize, rec: &RequestRecord, ids: (IpId, u32)) {
+        if self.staging.push(k, rec, ids) >= self.segment_rows {
             self.full = true;
         }
     }
 
     /// Seals once some family has staged `segment_rows` rows; called
-    /// after each record, so a record's rows share a segment.
-    pub(crate) fn end_record(&mut self) -> Result<(), SpillError> {
-        if self.full {
-            self.seal()?;
+    /// after each record, so a record's rows share a segment. Returns
+    /// whether it sealed, which voids every local id handed out so far.
+    pub(crate) fn end_record(&mut self) -> Result<bool, SpillError> {
+        if !self.full {
+            return Ok(false);
         }
-        Ok(())
+        self.seal()?;
+        Ok(true)
     }
 
     /// Seals the staged rows, if any, into one segment: appended to the
     /// spill file, or kept in memory.
     pub(crate) fn seal(&mut self) -> Result<(), SpillError> {
         self.full = false;
-        if self.staging.is_empty() {
+        let rows = self.staging.rows();
+        if rows == 0 {
             return Ok(());
         }
+        let t0 = Instant::now();
         let bytes = self.staging.seal();
+        let len = bytes.len() as u64;
         let segment = match &mut self.spill {
             Some(file) => file.append(&bytes)?,
             None => {
-                self.held += bytes.len() as u64;
+                self.held += len;
                 let name = PathBuf::from(format!("in-memory segment {}", self.sealed.len()));
                 Segment::emitted(name, bytes)?
             }
         };
         self.sealed.push(segment);
+        self.stats.wall += t0.elapsed();
+        self.stats.rows += rows as u64;
+        self.stats.bytes += len;
         Ok(())
     }
 
@@ -231,13 +269,15 @@ impl Sealer {
         self.staging.bytes() + self.held
     }
 
+    /// The seals so far.
+    pub(crate) fn stats(&self) -> SealStats {
+        self.stats
+    }
+
     /// The sealed segments, in order; [`Sealer::seal`] must have run
     /// last.
     pub(crate) fn into_segments(self) -> Vec<Segment> {
-        debug_assert!(
-            self.staging.is_empty(),
-            "into_segments before the last seal"
-        );
+        debug_assert_eq!(self.staging.rows(), 0, "into_segments before the last seal");
         self.sealed
     }
 }
@@ -248,6 +288,39 @@ const REQUEST: usize = 0;
 const USER: usize = 1;
 const IP: usize = 2;
 const PREFIX: usize = 3;
+
+/// Slots of a [`ShardSink`]'s address memo, a power of two.
+const MEMO_SLOTS: usize = 1 << 10;
+
+/// Words of an address's prefix bits: one bit for each configured
+/// length, and a configuration may name every length from 0 through
+/// [`Ipv6Prefix::MAX_LEN`].
+const PREFIX_WORDS: usize = (Ipv6Prefix::MAX_LEN as usize + 1).div_ceil(64);
+
+/// What routing knows of one address: its sampler decisions, which never
+/// change, and its local id in the open segment's dictionary, which the
+/// next seal voids.
+#[derive(Debug, Clone, Copy)]
+struct AddressMemo {
+    /// The tag: the full address, since `ip_key` folds a v6 address's
+    /// halves and two addresses can share a key.
+    ip: IpAddr,
+    /// The IP-sample decision.
+    sampled: bool,
+    /// Bit `i` is set when the address's prefix of the `i`-th configured
+    /// length (ascending) is in that length's prefix sample.
+    prefixes: [u64; PREFIX_WORDS],
+    id: Option<IpId>,
+}
+
+/// What routing knows of the last user: the user-sample decision, and
+/// the local id the next seal voids.
+#[derive(Debug, Clone, Copy)]
+struct UserMemo {
+    user: UserId,
+    sampled: bool,
+    id: Option<u32>,
+}
 
 /// The production per-shard sink: applies the §3.1 [`Samplers`] to every
 /// record *during* the sim phase and stages each retained record once,
@@ -260,6 +333,24 @@ const PREFIX: usize = 3;
 /// digests pin): full-fidelity abuse stream (abuse shards), then the
 /// request/user/ip samples, then each prefix sample ascending by length,
 /// then the pair-window stream when [`ShardSink::set_pair_routing`] is on.
+///
+/// # Memo
+///
+/// §3.1's samplers are deterministic over time, so only the request
+/// sampler, which hashes the whole record, runs on every record. The
+/// rest are remembered:
+///
+/// - per address, in a direct-mapped memo of 1,024 entries
+///   whose slot comes from the address's `ip_key` and whose tag is the
+///   full address: the IP-sample decision, one prefix-sample bit per
+///   configured length, and the address's local id;
+/// - per user, for the last user routed (an emitter pushes a user-day at
+///   a time): the user-sample decision and the user's local id.
+///
+/// A record's keys are still interned when its first family keeps it, so
+/// the dictionary and the segments are the same bytes as without the
+/// memo. Local ids index the open segment's dictionary, so every seal
+/// forgets them; the decisions stay.
 pub struct ShardSink<'a> {
     samplers: Samplers,
     /// Prefix lengths, ascending; the i-th is family `PREFIX + i`.
@@ -269,6 +360,9 @@ pub struct ShardSink<'a> {
     /// The pair family's index.
     pair: usize,
     sealer: Sealer,
+    /// The address memo, [`MEMO_SLOTS`] slots.
+    addresses: Vec<Option<AddressMemo>>,
+    user: Option<UserMemo>,
     pair_routing: bool,
     offered: u64,
     records: u64,
@@ -310,6 +404,8 @@ impl<'a> ShardSink<'a> {
             abuse,
             pair: families.len() - 1,
             sealer: Sealer::new(families, spill),
+            addresses: vec![None; MEMO_SLOTS],
+            user: None,
             pair_routing: false,
             offered: 0,
             records: 0,
@@ -329,6 +425,11 @@ impl<'a> ShardSink<'a> {
         self.records
     }
 
+    /// The seals so far.
+    pub fn sealed(&self) -> SealStats {
+        self.sealer.stats()
+    }
+
     /// The latched storage error, if a seal has failed. The driver polls
     /// this at day boundaries so a faulted attempt stops simulating
     /// instead of pushing into a dead sink.
@@ -339,35 +440,72 @@ impl<'a> ShardSink<'a> {
     /// Routes one record through the samplers into the families that keep
     /// it, sealing a full segment and surfacing the first storage error.
     fn route(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
-        let sealer = &mut self.sealer;
-        let mut ids = None;
-        if let Some(k) = self.abuse {
-            sealer.keep(k, &rec, &mut ids);
-        }
         self.offered += 1;
-        if self.samplers.request_sampled(&rec) {
-            sealer.keep(REQUEST, &rec, &mut ids);
+        let request = self.samplers.request_sampled(&rec);
+        let user = match &mut self.user {
+            Some(memo) if memo.user == rec.user => memo,
+            slot => slot.insert(UserMemo {
+                user: rec.user,
+                sampled: self.samplers.user_sampled(rec.user),
+                id: None,
+            }),
+        };
+        let slot = memo_slot(rec.ip_key());
+        let addr = match &mut self.addresses[slot] {
+            Some(memo) if memo.ip == rec.ip => memo,
+            slot => slot.insert(address_memo(&self.samplers, &self.lengths, &rec)),
+        };
+        let kept = self.abuse.is_some()
+            || request
+            || user.sampled
+            || addr.sampled
+            || addr.prefixes != [0; PREFIX_WORDS]
+            || self.pair_routing;
+        if !kept {
+            return Ok(());
         }
-        if self.samplers.user_sampled(rec.user) {
-            sealer.keep(USER, &rec, &mut ids);
+        let sealer = &mut self.sealer;
+        let ids = (
+            *addr.id.get_or_insert_with(|| sealer.intern_ip(rec.ip)),
+            *user.id.get_or_insert_with(|| sealer.intern_user(rec.user)),
+        );
+        if let Some(k) = self.abuse {
+            sealer.keep(k, &rec, ids);
         }
-        if self.samplers.ip_sampled(&rec) {
-            sealer.keep(IP, &rec, &mut ids);
+        if request {
+            sealer.keep(REQUEST, &rec, ids);
         }
-        if let Some(addr) = rec.ipv6() {
-            for (i, &len) in self.lengths.iter().enumerate() {
-                if self
-                    .samplers
-                    .prefix_sampled(Ipv6Prefix::containing(addr, len))
-                {
-                    sealer.keep(PREFIX + i, &rec, &mut ids);
-                }
+        if user.sampled {
+            sealer.keep(USER, &rec, ids);
+        }
+        if addr.sampled {
+            sealer.keep(IP, &rec, ids);
+        }
+        for (w, &word) in addr.prefixes.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                sealer.keep(PREFIX + w * 64 + bits.trailing_zeros() as usize, &rec, ids);
+                bits &= bits - 1;
             }
         }
         if self.pair_routing {
-            sealer.keep(self.pair, &rec, &mut ids);
+            sealer.keep(self.pair, &rec, ids);
         }
-        sealer.end_record()
+        if sealer.end_record()? {
+            self.forget_ids();
+        }
+        Ok(())
+    }
+
+    /// Forgets every memoized local id: a seal has emptied the dictionary
+    /// they index.
+    fn forget_ids(&mut self) {
+        for memo in self.addresses.iter_mut().flatten() {
+            memo.id = None;
+        }
+        if let Some(memo) = &mut self.user {
+            memo.id = None;
+        }
     }
 
     fn publish_gauge(&self) {
@@ -385,10 +523,36 @@ impl<'a> ShardSink<'a> {
             return Err(e);
         }
         Ok(ShardPayload {
+            sealed: self.sealer.stats(),
             segments: self.sealer.into_segments(),
             offered: self.offered,
             records: self.records,
         })
+    }
+}
+
+/// The address memo's slot for an address's `ip_key`: the top bits of a
+/// multiplicative hash, so the slot depends on every bit of the key.
+fn memo_slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+}
+
+/// The sampler decisions for `rec`'s address under `samplers`, over the
+/// ascending prefix `lengths`, with no local id yet.
+fn address_memo(samplers: &Samplers, lengths: &[u8], rec: &RequestRecord) -> AddressMemo {
+    let mut prefixes = [0; PREFIX_WORDS];
+    if let Some(addr) = rec.ipv6() {
+        for (i, &len) in lengths.iter().enumerate() {
+            if samplers.prefix_sampled(Ipv6Prefix::containing(addr, len)) {
+                prefixes[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+    AddressMemo {
+        ip: rec.ip,
+        sampled: samplers.ip_sampled(rec),
+        prefixes,
+        id: None,
     }
 }
 
@@ -425,6 +589,7 @@ mod tests {
     use crate::run::freeze_families;
     use crate::sampler::Samplers;
     use crate::time::SimDate;
+    use ipv6_study_stats::testgen::TestGen;
 
     fn rec(user: u64, sec: u32) -> RequestRecord {
         RequestRecord {
@@ -474,13 +639,57 @@ mod tests {
         assert_eq!(seen, vec![UserId(3), UserId(4)]);
     }
 
-    #[test]
-    fn shard_sink_routes_like_study_datasets() {
-        // Reference path: StudyDatasets + an external pair store.
-        let samplers = Samplers::scaled_for(1_000);
-        let records: Vec<RequestRecord> = (0..2_000).map(|i| rec(i % 97, i as u32)).collect();
+    /// The addresses [`pooled`] draws: v4 and v6, the v6 ones across
+    /// several /48s and /64s, and two v6 addresses with swapped halves,
+    /// whose `ip_key`s are equal, so the memo's tag must tell them apart.
+    const POOL: [&str; 12] = [
+        "192.0.2.1",
+        "192.0.2.77",
+        "198.51.100.9",
+        "2001:db8::1",
+        "0:0:0:1:2001:db8::",
+        "2001:db8::2",
+        "2001:db8:0:1::1",
+        "2001:db8:0:1:aaaa::5",
+        "2001:db8:7::1",
+        "2001:db8:7:ff00::9",
+        "2001:db8:ffff:1::1",
+        "2600::42",
+    ];
 
-        let mut reference = StudyDatasets::with_prefix_lengths(samplers.clone(), &[48, 64]);
+    /// `n` records, one a second, with users from a pool of 29 (a user
+    /// often keeps the next record, as in an emitted user-day) and
+    /// addresses from [`POOL`], drawn at random: keys repeat across seals,
+    /// in a different first-sight order in each segment.
+    fn pooled(n: usize) -> Vec<RequestRecord> {
+        let mut g = TestGen::new(0x4d45_4d4f); // "MEMO"
+        let mut user = 0;
+        (0..n)
+            .map(|i| {
+                if g.below(3) != 0 {
+                    user = g.below(29);
+                }
+                let ip = POOL[g.below(POOL.len() as u64) as usize];
+                RequestRecord {
+                    ip: ip.parse().unwrap(),
+                    ..rec(user, i as u32)
+                }
+            })
+            .collect()
+    }
+
+    /// Routes `records` through a [`ShardSink`] over `lengths` (any
+    /// order, duplicates allowed), with pair routing from the 1,000th
+    /// record on, and asserts that every family freezes to the rows
+    /// [`StudyDatasets`] (the unmemoized reference) and a pair store keep.
+    /// Returns each segment's section families.
+    fn assert_routes_like_study_datasets(
+        records: &[RequestRecord],
+        lengths: &[u8],
+        spill: Option<SpillTarget<'_>>,
+    ) -> Vec<Vec<Family>> {
+        let samplers = Samplers::scaled_for(1_000);
+        let mut reference = StudyDatasets::with_prefix_lengths(samplers.clone(), lengths);
         let mut ref_pair = RequestStore::new();
         for (i, r) in records.iter().enumerate() {
             reference.offer(*r);
@@ -489,7 +698,7 @@ mod tests {
             }
         }
 
-        let mut sink = ShardSink::new(samplers, &[64, 48, 48], false, None, None);
+        let mut sink = ShardSink::new(samplers, lengths, false, spill, None);
         for (i, r) in records.iter().enumerate() {
             if i == 1_000 {
                 sink.set_pair_routing(true);
@@ -498,15 +707,42 @@ mod tests {
         }
         sink.finish();
         let payload = sink.into_payload().unwrap();
-
         assert_eq!(payload.offered, reference.offered);
-        assert_eq!(payload.records, 2_000);
+        assert_eq!(payload.records, records.len() as u64);
+        let sections = |s: &Segment| s.sections().collect::<Vec<_>>();
+        let sections: Vec<Vec<(Family, u64)>> = payload.segments.iter().map(sections).collect();
+        let rows: u64 = sections.iter().flatten().map(|&(_, rows)| rows).sum();
+        assert_eq!(payload.sealed.rows, rows, "every sealed row counted");
+        let bytes: u64 = payload.segments.iter().map(Segment::bytes).sum();
+        assert_eq!(payload.sealed.bytes, bytes, "every sealed byte counted");
+
+        let frozen = freeze_families(payload.segments, lengths).unwrap().stores;
+        let rows = |store: &crate::FrozenStore| store.all().records().collect::<Vec<_>>();
+        assert_eq!(rows(&frozen.request), reference.request_sample.all());
+        assert_eq!(rows(&frozen.user), reference.user_sample.all());
+        assert_eq!(rows(&frozen.ip), reference.ip_sample.all());
+        assert_eq!(rows(&frozen.pair), ref_pair.all());
+        assert!(frozen.abuse.is_empty());
+        for &len in lengths {
+            assert_eq!(
+                rows(&frozen.prefixes[&len]),
+                reference.prefix_sample(len).all(),
+                "/{len}"
+            );
+        }
+        let families = |s: Vec<(Family, u64)>| s.into_iter().map(|(f, _)| f).collect();
+        sections.into_iter().map(families).collect()
+    }
+
+    #[test]
+    fn shard_sink_routes_like_study_datasets() {
+        let records = pooled(2_000);
+        let segments = assert_routes_like_study_datasets(&records, &[64, 48, 48], None);
         // In memory, the shard is one segment: request, user, ip, the
         // prefix lengths ascending (duplicates and order collapse), pair.
-        assert_eq!(payload.segments.len(), 1);
-        let families: Vec<Family> = payload.segments[0].sections().map(|(f, _)| f).collect();
+        assert_eq!(segments.len(), 1);
         assert_eq!(
-            families,
+            segments[0],
             [
                 Family::Request,
                 Family::User,
@@ -516,20 +752,24 @@ mod tests {
                 Family::Pair
             ]
         );
-        let frozen = freeze_families(payload.segments, &[48, 64]).unwrap().stores;
-        let rows = |store: &crate::FrozenStore| store.all().records().collect::<Vec<_>>();
-        assert_eq!(rows(&frozen.request), reference.request_sample.all());
-        assert_eq!(rows(&frozen.user), reference.user_sample.all());
-        assert_eq!(rows(&frozen.ip), reference.ip_sample.all());
-        assert_eq!(rows(&frozen.pair), ref_pair.all());
-        assert!(frozen.abuse.is_empty());
-        for len in [48, 64] {
-            assert_eq!(
-                rows(&frozen.prefixes[&len]),
-                reference.prefix_sample(len).all(),
-                "/{len}"
-            );
-        }
+
+        // Every length the config accepts, 0 through 128, in memory and
+        // spilled: the memo keeps one prefix bit per length, whatever
+        // the count.
+        let lengths: Vec<u8> = (0..=128).rev().collect();
+        assert_routes_like_study_datasets(&records, &lengths, None);
+        let session = SpillSession::create(None).unwrap();
+        let spilled = assert_routes_like_study_datasets(
+            &records,
+            &lengths,
+            Some(SpillTarget {
+                session: &session,
+                shard: 0,
+                attempt: 0,
+                segment_rows: 256,
+            }),
+        );
+        assert!(spilled.len() > 1, "spilled in several segments");
     }
 
     #[test]
@@ -560,7 +800,7 @@ mod tests {
     fn spill_backed_shard_sink_matches_memory_routing() {
         let session = SpillSession::create(None).unwrap();
         let samplers = Samplers::scaled_for(1_000);
-        let records: Vec<RequestRecord> = (0..3_000).map(|i| rec(i % 61, i as u32)).collect();
+        let records = pooled(3_000);
 
         let run = |spill: Option<SpillTarget<'_>>| {
             let mut sink = ShardSink::new(samplers.clone(), &[64], true, spill, None);
@@ -580,6 +820,7 @@ mod tests {
         assert_eq!(memory.offered, spilled.offered);
         assert_eq!(memory.segments.len(), 1);
         assert!(spilled.segments.len() > 1, "spilled in several segments");
+        assert_eq!(memory.sealed.rows, spilled.sealed.rows);
 
         // The same rows freeze to the same columns either way.
         let records = |store: &crate::FrozenStore| store.all().records().collect::<Vec<_>>();

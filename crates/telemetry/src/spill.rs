@@ -686,10 +686,16 @@ mod tests {
         Sealer::new(vec![Family::Request], target)
     }
 
+    /// Stages `r` in the sealer's first family.
+    fn keep(sealer: &mut Sealer, r: &RequestRecord) {
+        let ids = (sealer.intern_ip(r.ip), sealer.intern_user(r.user));
+        sealer.keep(0, r, ids);
+    }
+
     /// Seals `records` as the request family; returns the segments.
     fn seal(mut sealer: Sealer, records: &[RequestRecord]) -> Result<Vec<Segment>, SpillError> {
         for r in records {
-            sealer.keep(0, r, &mut None);
+            keep(&mut sealer, r);
             sealer.end_record()?;
         }
         sealer.seal()?;
@@ -759,7 +765,7 @@ mod tests {
         let session = SpillSession::create_with(None, policy).unwrap();
         let mut w = sealer(Some(&session), 2);
         for r in &records {
-            w.keep(0, r, &mut None);
+            keep(&mut w, r);
             w.end_record().unwrap(); // the first segment fits
         }
         assert_eq!(session.stats().bytes_written, segment);
@@ -831,7 +837,7 @@ mod tests {
             .collect();
         let mut memory = sealer(None, usize::MAX);
         for r in &records {
-            memory.keep(0, r, &mut None);
+            keep(&mut memory, r);
         }
         // 10 staged rows, one address and ten users in the dictionary.
         let dict = std::mem::size_of::<(u128, u32)>() + 10 * std::mem::size_of::<(u64, u32)>();
@@ -843,7 +849,7 @@ mod tests {
         let session = SpillSession::create(None).unwrap();
         let mut spilled = sealer(Some(&session), 4);
         for r in &records {
-            spilled.keep(0, r, &mut None);
+            keep(&mut spilled, r);
             spilled.end_record().unwrap();
         }
         let dict = std::mem::size_of::<(u128, u32)>() + 2 * std::mem::size_of::<(u64, u32)>();

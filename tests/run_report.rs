@@ -123,6 +123,9 @@ fn bench_report_schema_is_stable_and_finite() {
         shards,
         "12 shards, plan order"
     );
+    for shard in &run.get("sim").unwrap().children {
+        assert_eq!(names(shard), ["emit", "route", "seal"], "{}", shard.name);
+    }
     assert_eq!(
         names(run.get("freeze").unwrap()),
         ["read", "intern", "gather"]
@@ -179,7 +182,10 @@ fn bench_report_schema_is_stable_and_finite() {
     let doc = Json::parse(&text).expect("the report parses");
     let mut paths = Vec::new();
     node_paths(run, "", &mut paths);
-    assert_eq!(paths.len(), 1 + 1 + 13 + 1 + 4 + 1 + 21 + (11 + 31) + 3 + 4);
+    assert_eq!(
+        paths.len(),
+        1 + 1 + (13 + 36) + 1 + 4 + 1 + 21 + (11 + 31) + 3 + 4
+    );
     for path in &paths {
         for field in ["wall_secs", "items", "bytes", "items_per_sec"] {
             let leaf = format!("{path}/{field}");
@@ -213,6 +219,13 @@ fn bench_report_schema_is_stable_and_finite() {
     let mut parallel = again;
     let _ = run_all_with(&mut parallel, 8);
     assert_eq!(schema, parallel.report().to_json().schema_paths());
+    let mut parallel_paths = Vec::new();
+    node_paths(
+        parallel.report().span("run").unwrap(),
+        "",
+        &mut parallel_paths,
+    );
+    assert_eq!(paths, parallel_paths, "the node set at 8 analysis threads");
 
     // The acceptance contract: no Infinity/NaN anywhere in the document.
     assert!(!text.contains("Infinity"), "report contains Infinity");
@@ -254,6 +267,24 @@ fn report_covers_every_experiment_and_all_sim_records() {
     );
     let shard_sum: u64 = span("run/sim").children.iter().map(|s| s.items).sum();
     assert_eq!(shard_sum, metrics.total_records());
+    // Each shard emits and routes all its records, and its seals write
+    // every row the freeze reads from its segments.
+    for shard in &span("run/sim").children {
+        let child = |name: &str| shard.get(name).unwrap_or_else(|| panic!("no {name}"));
+        assert_eq!(child("emit").items, shard.items, "{} emit", shard.name);
+        assert_eq!(child("route").items, shard.items, "{} route", shard.name);
+        assert!(child("seal").bytes > 0, "{} seal bytes", shard.name);
+    }
+    let sealed: u64 = span("run/sim")
+        .children
+        .iter()
+        .map(|s| s.get("seal").unwrap().items)
+        .sum();
+    assert_eq!(
+        sealed,
+        span("run/freeze/read").items,
+        "rows sealed = rows frozen from emitted segments"
+    );
     assert_eq!(span("run/sim").bytes, metrics.peak_store_bytes);
     assert_eq!(span("run/sim").wall, metrics.sim_wall);
     assert_eq!(span("run/plan").wall, metrics.plan_wall);
