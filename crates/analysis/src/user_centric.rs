@@ -131,18 +131,11 @@ pub fn prefixes_per_user(
                     le[2] += 1;
                 }
             }
-            let frac = |c: u64| {
-                if total == 0 {
-                    0.0
-                } else {
-                    c as f64 / total as f64
-                }
-            };
             PrefixSpanRow {
                 len,
-                le1: frac(le[0]),
-                le2: frac(le[1]),
-                le3: frac(le[2]),
+                le1: share(le[0], total),
+                le2: share(le[1], total),
+                le3: share(le[2], total),
             }
         })
         .collect()
@@ -238,6 +231,12 @@ pub struct PrefixLifespanRow {
 
 /// Computes Figure 6 for one protocol. `lengths` are prefix lengths valid
 /// for the protocol (≤32 for v4); `want_v6` selects the protocol.
+///
+/// One sorted sweep: each user's rows up to the focus day are sorted
+/// once into distinct addresses, each with its first day and whether it
+/// was seen on the focus day. Ids ascend with addresses, so at every
+/// length a user's prefixes are contiguous runs of that list, and each
+/// length is one linear walk with no hashing.
 pub fn prefix_lifespans(
     history: &DatasetIndex,
     focus: SimDate,
@@ -246,67 +245,67 @@ pub fn prefix_lifespans(
     filter: impl Fn(UserId) -> bool,
 ) -> Vec<PrefixLifespanRow> {
     let ips = &history.tables().ips;
+    let bits = |id| match want_v6 {
+        true => ips.v6_bits(id),
+        false => u128::from(ips.v4_bits(id)),
+    };
+    let masks: Vec<u128> = lengths
+        .iter()
+        .map(|&len| match want_v6 {
+            true => Ipv6Prefix::mask(len),
+            false => u128::from(Ipv4Prefix::mask(len.min(32))),
+        })
+        .collect();
+    // Per length: pairs on the focus day, and those aged ≤ 0, 1, 2 days.
+    let mut tallies = vec![[0u64; 4]; lengths.len()];
+    // A user's (address, day) rows, then (bits, first day, seen on the
+    // focus day) per distinct address: buffers reused across users.
+    let (mut rows, mut addrs) = (Vec::new(), Vec::new());
+    for (_, group) in history.user_groups().filter(|&(user, _)| filter(user)) {
+        rows.clear();
+        for (&id, ts) in group.ip_ids().iter().zip(group.ts()) {
+            let row = (id, ts.date());
+            // Rows keep timestamp order, so repeats are mostly adjacent.
+            if id.is_v6() == want_v6 && row.1 <= focus && rows.last() != Some(&row) {
+                rows.push(row);
+            }
+        }
+        rows.sort_unstable();
+        addrs.clear();
+        for run in rows.chunk_by(|a, b| a.0 == b.0) {
+            addrs.push((bits(run[0].0), run[0].1, run[run.len() - 1].1 == focus));
+        }
+        for (&mask, tally) in masks.iter().zip(&mut tallies) {
+            for run in addrs.chunk_by(|a, b| a.0 & mask == b.0 & mask) {
+                if run.iter().any(|a| a.2) {
+                    let age = focus.days_since(run.iter().map(|a| a.1).min().expect("a run"));
+                    let counted = [true, age == 0, age <= 1, age <= 2];
+                    for (t, c) in tally.iter_mut().zip(counted) {
+                        *t += u64::from(c);
+                    }
+                }
+            }
+        }
+    }
     lengths
         .iter()
-        .map(|&len| {
-            let mut total = 0u64;
-            let mut d = [0u64; 3];
-            for (user, group) in history.user_groups() {
-                if !filter(user) {
-                    continue;
-                }
-                let mut first: StableHashMap<u128, SimDate> = StableHashMap::default();
-                let mut on_focus: StableHashSet<u128> = StableHashSet::default();
-                for (&ts, &id) in group.ts().iter().zip(group.ip_ids()) {
-                    if id.is_v6() != want_v6 {
-                        continue;
-                    }
-                    let day = ts.date();
-                    if day > focus {
-                        continue;
-                    }
-                    let bits = if id.is_v6() {
-                        ips.v6_bits(id) & Ipv6Prefix::mask(len)
-                    } else {
-                        u128::from(ips.v4_bits(id) & Ipv4Prefix::mask(len.min(32)))
-                    };
-                    first
-                        .entry(bits)
-                        .and_modify(|e| *e = (*e).min(day))
-                        .or_insert(day);
-                    if day == focus {
-                        on_focus.insert(bits);
-                    }
-                }
-                for bits in &on_focus {
-                    total += 1;
-                    let age = focus.days_since(first[bits]);
-                    if age == 0 {
-                        d[0] += 1;
-                    }
-                    if age <= 1 {
-                        d[1] += 1;
-                    }
-                    if age <= 2 {
-                        d[2] += 1;
-                    }
-                }
-            }
-            let frac = |c: u64| {
-                if total == 0 {
-                    0.0
-                } else {
-                    c as f64 / total as f64
-                }
-            };
-            PrefixLifespanRow {
-                len,
-                d1: frac(d[0]),
-                d2: frac(d[1]),
-                d3: frac(d[2]),
-            }
+        .zip(tallies)
+        .map(|(&len, [total, d1, d2, d3])| PrefixLifespanRow {
+            len,
+            d1: share(d1, total),
+            d2: share(d2, total),
+            d3: share(d3, total),
         })
         .collect()
+}
+
+/// `count` as a share of `total` (0 when `total` is).
+fn share(count: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        count as f64 / total as f64
+    }
 }
 
 #[cfg(test)]
@@ -426,5 +425,116 @@ mod tests {
         assert_eq!(rows[0].le1, 0.0);
         let a = addrs_per_user(&empty, |_| true);
         assert!(a.v4.is_empty());
+        let rows = prefix_lifespans(&empty, d(4, 19), &[64], true, |_| true);
+        assert_eq!(rows[0].d1, 0.0);
+    }
+
+    /// The oracle: Figure 6 with one hash map of first-seen days and one
+    /// hash set of focus-day prefixes per (length, user).
+    fn prefix_lifespans_oracle(
+        history: &DatasetIndex,
+        focus: SimDate,
+        lengths: &[u8],
+        want_v6: bool,
+        filter: impl Fn(UserId) -> bool,
+    ) -> Vec<PrefixLifespanRow> {
+        let ips = &history.tables().ips;
+        lengths
+            .iter()
+            .map(|&len| {
+                let mut total = 0u64;
+                let mut d = [0u64; 3];
+                for (user, group) in history.user_groups() {
+                    if !filter(user) {
+                        continue;
+                    }
+                    let mut first: StableHashMap<u128, SimDate> = StableHashMap::default();
+                    let mut on_focus: StableHashSet<u128> = StableHashSet::default();
+                    for (&ts, &id) in group.ts().iter().zip(group.ip_ids()) {
+                        let day = ts.date();
+                        if id.is_v6() != want_v6 || day > focus {
+                            continue;
+                        }
+                        let bits = if id.is_v6() {
+                            ips.v6_bits(id) & Ipv6Prefix::mask(len)
+                        } else {
+                            u128::from(ips.v4_bits(id) & Ipv4Prefix::mask(len.min(32)))
+                        };
+                        first
+                            .entry(bits)
+                            .and_modify(|e| *e = (*e).min(day))
+                            .or_insert(day);
+                        if day == focus {
+                            on_focus.insert(bits);
+                        }
+                    }
+                    for bits in &on_focus {
+                        total += 1;
+                        let age = focus.days_since(first[bits]);
+                        d[0] += u64::from(age == 0);
+                        d[1] += u64::from(age <= 1);
+                        d[2] += u64::from(age <= 2);
+                    }
+                }
+                let frac = |c: u64| {
+                    if total == 0 {
+                        0.0
+                    } else {
+                        c as f64 / total as f64
+                    }
+                };
+                PrefixLifespanRow {
+                    len,
+                    d1: frac(d[0]),
+                    d2: frac(d[1]),
+                    d3: frac(d[2]),
+                }
+            })
+            .collect()
+    }
+
+    /// The sorted sweep equals the hash-map oracle on random mixed v4/v6
+    /// histories — clustered addresses that share prefixes at many
+    /// lengths, rows dated after the focus day, a filtered-out user — at
+    /// every length 0..=128 (v6) and 0..=32 (v4).
+    #[test]
+    fn prefix_sweep_matches_the_hash_map_oracle() {
+        use ipv6_study_stats::testgen::TestGen;
+        let mut g = TestGen::new(0x4636_5357); // "F6SW"
+        let focus = d(4, 19);
+        let v6_lengths: Vec<u8> = (0..=128).collect();
+        let v4_lengths: Vec<u8> = (0..=32).collect();
+        for _ in 0..48 {
+            let n = g.range_u64(0, 400) as usize;
+            let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| {
+                let day = focus + 2 - g.range_u64(0, 9) as u16;
+                let ip = if g.below(3) == 0 {
+                    let host = 0x0a00_0000 | (g.below(4) as u32) << 16 | g.below(12) as u32;
+                    std::net::IpAddr::V4(host.into())
+                } else {
+                    let site = (0x2001_0db8u128 << 96) | (g.below(3) as u128) << 80;
+                    let subnet = (g.below(6) as u128) << 64;
+                    let iid = u128::from(g.next_u64() >> g.range_u8(0, 63));
+                    std::net::IpAddr::V6((site | subnet | iid).into())
+                };
+                RequestRecord {
+                    ts: day.at(g.below(24) as u8, 0, 0),
+                    user: UserId(g.below(12)),
+                    ip,
+                    asn: Asn(64496),
+                    country: Country::new("US"),
+                }
+            });
+            recs.sort_by_key(|r| r.ts);
+            let index = idx(&recs);
+            let filter = |u: UserId| u.raw() != 5;
+            for (lengths, v6) in [(&v6_lengths, true), (&v4_lengths, false)] {
+                assert_eq!(
+                    prefix_lifespans(&index, focus, lengths, v6, filter),
+                    prefix_lifespans_oracle(&index, focus, lengths, v6, filter),
+                    "v6={v6}, {n} rows"
+                );
+            }
+        }
     }
 }

@@ -12,7 +12,10 @@
 //! clips to F5's 28-day one. The first reader builds an index, timed as
 //! `passes/<id>/index/<input>` under the first pass in registry order
 //! that reads it (the same node at any thread count), and the engine
-//! drops it once the last pass declaring its rows finishes.
+//! drops it once the last pass declaring its rows finishes. These shared
+//! indexes are the only ones a run builds: a pass that wants a subset of
+//! an input's rows (X8.1's network kinds) filters the groups of the
+//! shared index instead of indexing the subset.
 //! [`AnalysisCtx::new`] serves every input of the registry and releases
 //! nothing, for callers that run passes one by one.
 
@@ -26,8 +29,7 @@ use ipv6_study_analysis::DatasetIndex;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::Span;
 use ipv6_study_secapp::actioning::DayCounts;
-use ipv6_study_telemetry::kernels::mask_from;
-use ipv6_study_telemetry::{AbuseLabels, Asn, ColumnSlice, DateRange, Family, SimDate};
+use ipv6_study_telemetry::{AbuseLabels, ColumnSlice, DateRange, Family, SimDate};
 
 use crate::experiments::{EXPERIMENTS, EXTENDED_EXPERIMENTS};
 use crate::study::Study;
@@ -129,7 +131,6 @@ impl<'a> Plan<'a> {
             indexes: self.passes[pass].1.iter().map(handle).collect(),
             plan: Arc::clone(self),
             pass,
-            local: Mutex::default(),
         }
     }
 
@@ -159,8 +160,6 @@ pub struct AnalysisCtx<'a> {
     pass: usize,
     /// This view's handle on each declared input's index.
     indexes: Vec<Arc<OnceLock<DatasetIndex>>>,
-    /// Pass-local index builds (X8.1's per-kind subsets).
-    local: Mutex<Vec<Span>>,
 }
 
 impl<'a> AnalysisCtx<'a> {
@@ -240,23 +239,6 @@ impl<'a> AnalysisCtx<'a> {
         })
     }
 
-    /// Indexes the rows of a declared input whose ASN `keep` selects: a
-    /// pass-local subset (X8.1's per-kind windows), timed as
-    /// `<label>_<input>` under the pass's `index` span.
-    pub fn index_where(
-        &self,
-        (family, recipe): Input,
-        label: &str,
-        keep: impl Fn(Asn) -> bool,
-    ) -> DatasetIndex {
-        let rows = self.rows(family, recipe);
-        let t = Instant::now();
-        let index = DatasetIndex::build(rows.gather(&mask_from(rows.asns(), keep)).as_slice());
-        let span = build_span(&format!("{label}_{}", name((family, recipe))), t, &index);
-        self.local.lock().expect(POISON).push(span);
-        index
-    }
-
     /// The aggregation tries of one day of a declared pair-store input,
     /// cached on the study.
     pub fn day_counts(&self, recipe: Recipe, day: SimDate) -> Arc<DayCounts> {
@@ -290,15 +272,14 @@ impl<'a> AnalysisCtx<'a> {
     }
 
     /// Ends the pass: drops every index it was the last declaring pass
-    /// of, and returns its pass-local builds.
-    pub(crate) fn finish(self) -> Vec<Span> {
+    /// of.
+    pub(crate) fn finish(self) {
         for &(_, s) in &self.plan.passes[self.pass].1 {
             let slot = &self.plan.slots[s];
             if slot.readers.fetch_sub(1, Ordering::AcqRel) == 1 {
                 slot.index.lock().expect(POISON).take();
             }
         }
-        self.local.into_inner().expect(POISON)
     }
 }
 
@@ -330,6 +311,19 @@ mod tests {
         }
     }
 
+    /// Each pass counts every row of its distinct declared inputs once:
+    /// its `input_records` equals the summed rows of its slots (declared
+    /// inputs with equal rows share one slot).
+    #[test]
+    fn every_pass_counts_each_declared_row_once() {
+        let study = Study::run(StudyConfig::tiny()).unwrap();
+        for &(id, inputs, pass) in EXPERIMENTS.iter().chain(&EXTENDED_EXPERIMENTS) {
+            let plan = Plan::new(&study, std::iter::once((id, inputs)));
+            let declared: usize = plan.slots.iter().map(|s| s.rows.len()).sum();
+            assert_eq!(pass(&plan.view(0)).input_records, declared as u64, "{id}");
+        }
+    }
+
     /// Releasing follows the declarations: an index lives until the last
     /// pass declaring its rows finishes, and no longer.
     #[test]
@@ -339,10 +333,10 @@ mod tests {
         let plan = Plan::new(&study, [("A", week), ("B", week)].into_iter());
         let a = plan.view(0);
         let built: *const DatasetIndex = a.user_week();
-        let _ = a.finish();
+        a.finish();
         let b = plan.view(1);
         assert!(std::ptr::eq(built, b.user_week()), "B re-uses A's build");
-        let _ = b.finish();
+        b.finish();
         assert!(plan.slots[0].index.lock().unwrap().is_none());
         assert_eq!(plan.builds()[0].len(), 1, "filed under A, once");
     }

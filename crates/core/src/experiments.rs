@@ -44,14 +44,14 @@ use ipv6_study_analysis::{CdfSeries, DatasetIndex, FigureReport, TableReport};
 use ipv6_study_obs::Span;
 use ipv6_study_secapp::actioning::{actioning_roc_between, operating_points, Granularity};
 use ipv6_study_secapp::blocklist::{evaluate_over_days, Blocklist};
-use ipv6_study_secapp::mlfeatures::{training_set, LogisticModel};
+use ipv6_study_secapp::mlfeatures::{training_sets_by_protocol, LogisticModel};
 use ipv6_study_secapp::ratelimit::recommend_threshold;
 use ipv6_study_secapp::signatures::HeavyAddressPredictor;
 use ipv6_study_secapp::threat_exchange::{half_life, value_decay};
 use ipv6_study_stats::Ecdf;
 use ipv6_study_telemetry::kernels::{scratch_reset, with_scratch, ScratchArena};
 use ipv6_study_telemetry::time::{focus_day_ip, focus_day_user};
-use ipv6_study_telemetry::{ColumnSlice, DateRange, Family::*, SimDate, UserId};
+use ipv6_study_telemetry::{Asn, ColumnSlice, DateRange, Family::*, SimDate, UserId};
 
 pub use crate::ctx::AnalysisCtx;
 use crate::ctx::{Input, Plan};
@@ -638,7 +638,9 @@ pub fn fig10_aa_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
     let mut benign_candidates: Vec<(u8, Ecdf)> = Vec::new();
     for len in lengths_b {
         let index = ctx.index_of(Prefix(len), Week);
-        out.record_input(index.len());
+        if !lengths_a.contains(&len) {
+            out.record_input(index.len());
+        }
         let app = abuse_per_prefix(index, ctx.labels(), len);
         fig_b = fig_b.with(cdf_series(&format!("/{len}"), &app.benign, 10));
         benign_candidates.push((len, app.benign));
@@ -741,15 +743,12 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
     // Day j holds `pair.start + j`; pair k scores day `last-(k+1)`
     // against outcomes on day `last-k`.
     let pair = ctx.days(PairWindow);
-    let day_recs: Vec<ColumnSlice<'_>> = pair
-        .days()
-        .map(|d| ctx.rows_on(Pair, PairWindow, d))
-        .collect();
-    out.record_input(day_recs.windows(2).map(|w| w[0].len() + w[1].len()).sum());
+    out.record_input(ctx.rows(Pair, PairWindow).len());
     let t_build = Instant::now();
     let day_counts: Vec<_> = pair.days().map(|d| ctx.day_counts(PairWindow, d)).collect();
     let build = Span::new("build", t_build.elapsed()).with_items(day_counts.len() as u64);
     let mut read = Span::new("read", Duration::ZERO);
+    let mut eval = Span::new("eval", Duration::ZERO);
     for gran in grans {
         let t_read = Instant::now();
         let mut curve = ipv6_study_stats::RocCurve::new();
@@ -765,6 +764,7 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
         read.wall += cut.wall;
         read.items += cut.items;
         read.children.push(cut);
+        let t_eval = Instant::now();
         let pts = curve.sweep(&thresholds, None);
         let mut points: Vec<(f64, f64)> = pts.iter().map(|p| (p.fpr, p.tpr)).collect();
         points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
@@ -779,12 +779,15 @@ pub fn fig11_roc(ctx: &AnalysisCtx) -> ExperimentOutput {
         out.stat(&format!("fig11.{tag}_t100_tpr"), op.t100.0);
         let tpr_at_1pct = curve.tpr_at_fpr(0.01, None);
         out.stat(&format!("fig11.{tag}_tpr_at_fpr_1pct"), tpr_at_1pct);
+        eval.wall += t_eval.elapsed();
+        eval.items += curve.len() as u64;
     }
     out.figures.push(fig);
     out.spans.push(
-        Span::new("actioning", build.wall + read.wall)
+        Span::new("actioning", build.wall + read.wall + eval.wall)
             .with_child(build)
-            .with_child(read),
+            .with_child(read)
+            .with_child(eval),
     );
     out
 }
@@ -795,6 +798,8 @@ pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
     let labels = ctx.labels();
     let mut out = ExperimentOutput::default();
     let list_day = focus_day_ip();
+    let inputs = [(Ip, Week), (Prefix(64), Week), (Pair, MlPair)];
+    out.record_input(inputs.iter().map(|&(f, r)| ctx.rows(f, r).len()).sum());
 
     // Blocklist decay at three granularities.
     for (gran, name) in [
@@ -811,7 +816,6 @@ pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
         let later: Vec<(SimDate, ColumnSlice<'_>)> = (1..=6u16)
             .map(|k| (list_day + k, ctx.rows_on(family, Week, list_day + k)))
             .collect();
-        out.record_input(store_day.len() + later.iter().map(|(_, r)| r.len()).sum::<usize>());
         let bl = Blocklist::from_day(store_day, labels, gran, 0.5, list_day, 14);
         let evals = evaluate_over_days(&bl, labels, list_day, later.iter().map(|&(d, r)| (d, r)));
         if let Some(first) = evals.first() {
@@ -844,13 +848,8 @@ pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
     }
 
     // Rate-limit recommendations from users-per-key distributions.
-    out.record_input(ctx.ip_week().len());
     let per_ip = users_per_ip(ctx.ip_week());
-    let per_p64 = {
-        let index = ctx.index_of(Prefix(64), Week);
-        out.record_input(index.len());
-        users_per_prefix(index, 64).ecdf
-    };
+    let per_p64 = users_per_prefix(ctx.index_of(Prefix(64), Week), 64).ecdf;
     let q = 0.999;
     let per_user_budget = 200;
     let r_v6 = recommend_threshold(&per_ip.v6, per_user_budget, q);
@@ -870,9 +869,7 @@ pub fn s72_defenses(ctx: &AnalysisCtx) -> ExperimentOutput {
     let ml = ctx.days(MlPair);
     let day = ctx.rows_on(Pair, MlPair, ml.start);
     let next = ctx.rows_on(Pair, MlPair, ml.end);
-    out.record_input(day.len() + next.len());
-    let v4_set = training_set(day, next, labels, Some(false));
-    let v6_set = training_set(day, next, labels, Some(true));
+    let [v4_set, v6_set] = training_sets_by_protocol(day, next, labels);
     if !v4_set.is_empty() && !v6_set.is_empty() {
         let m_v4 = LogisticModel::train(&v4_set, 200, 0.3);
         let m_v6 = LogisticModel::train(&v6_set, 200, 0.3);
@@ -895,12 +892,13 @@ pub fn x81_network_breakdown(ctx: &AnalysisCtx) -> ExperimentOutput {
     let inputs = [(Ip, Apr13), (User, Apr19), (User, Lookback)];
     out.record_input(inputs.iter().map(|&(f, r)| ctx.rows(f, r).len()).sum());
 
-    // ASN → kind map from the world.
-    let kind_of: HashMap<u32, NetworkKind> = ctx
+    // ASN → kind from the world; `ALL` lists the kinds in declaration
+    // order, so a kind's discriminant is its position there.
+    let kind_of: HashMap<u32, usize> = ctx
         .world()
         .networks()
         .iter()
-        .map(|n| (n.asn.0, n.kind))
+        .map(|n| (n.asn.0, n.kind as usize))
         .collect();
     let mut table = TableReport::new(
         "§8 breakdown",
@@ -913,20 +911,18 @@ pub fn x81_network_breakdown(ctx: &AnalysisCtx) -> ExperimentOutput {
             "v4 users/addr (mean)",
         ],
     );
-    let benign = |u: UserId| !ctx.labels().is_abusive(u);
-    for kind in NetworkKind::ALL {
-        // Columnar selection: a branchless mask over the ASN column, then
-        // a five-column gather sharing the global intern tables (no row
-        // rematerialization, no re-interning), indexed per kind.
+    let kinds = kind_breakdown(
+        [ctx.ip_day(), ctx.user_day(), ctx.user_lookback()],
+        focus_day_user(),
+        |asn| kind_of.get(&asn.0).copied(),
+        |u| !ctx.labels().is_abusive(u),
+    );
+    for (kind, k) in NetworkKind::ALL.into_iter().zip(kinds) {
         let tag = kind.to_string();
-        let index = |input| ctx.index_where(input, &tag, |asn| kind_of.get(&asn.0) == Some(&kind));
-        let upi = users_per_ip(&index(inputs[0]));
-        let apu = addrs_per_user(&index(inputs[1]), benign);
-        let life = address_lifespans(&index(inputs[2]), focus_day_user(), benign);
-        let users_per_addr = upi.v6.mean().unwrap_or(0.0);
-        let addrs_per = apu.v6.mean().unwrap_or(0.0);
-        let newborn = life.v6_pairs.fraction_le(0);
-        let v4_users = upi.v4.mean().unwrap_or(0.0);
+        let users_per_addr = k.v6_users_per_addr.mean().unwrap_or(0.0);
+        let addrs_per = k.v6_addrs_per_user.mean().unwrap_or(0.0);
+        let newborn = k.v6_pairs.fraction_le(0);
+        let v4_users = k.v4_users_per_addr.mean().unwrap_or(0.0);
         out.stat(&format!("x81.{tag}_v6_users_per_addr"), users_per_addr);
         out.stat(&format!("x81.{tag}_v6_addrs_per_user"), addrs_per);
         out.stat(&format!("x81.{tag}_v6_newborn"), newborn);
@@ -941,6 +937,113 @@ pub fn x81_network_breakdown(ctx: &AnalysisCtx) -> ExperimentOutput {
     }
     out.tables.push(table);
     out
+}
+
+/// One network kind's distributions behind X8.1's means.
+#[derive(Debug, PartialEq)]
+struct KindStats {
+    /// Distinct users per v6 address, over the kind's rows of the day.
+    v6_users_per_addr: Ecdf,
+    /// The same per v4 address.
+    v4_users_per_addr: Ecdf,
+    /// Distinct v6 addresses per benign user with one, on the day.
+    v6_addrs_per_user: Ecdf,
+    /// Days since first seen of the (benign user, v6 address) pairs on
+    /// the focus day, over the history.
+    v6_pairs: Ecdf,
+}
+
+/// X8.1's per-kind distributions from the three shared indexes — an IP
+/// day, a user day and a user history ending on `focus` — each walked
+/// once. Every **row** counts under its own ASN's kind (`kind_of`, `None`
+/// for no kind), so an address seen under two kinds' ASNs counts under
+/// each, exactly as indexing each kind's rows apart would count it.
+fn kind_breakdown(
+    [ip_day, user_day, history]: [&DatasetIndex; 3],
+    focus: SimDate,
+    kind_of: impl Fn(Asn) -> Option<usize>,
+    benign: impl Fn(UserId) -> bool,
+) -> [KindStats; 4] {
+    // Per kind: users per v4 and per v6 address, v6 addresses per user,
+    // and the focus-day pairs' ages.
+    let mut values: [[Vec<u64>; 4]; 4] = Default::default();
+    let mut keys: Vec<u64> = Vec::new();
+    for (id, group) in ip_day.ip_id_groups() {
+        let users = group.users_dense();
+        classify(&mut keys, group, &kind_of, |i| Some((users[i], 0)));
+        for (kind, n) in distinct_per_kind(&keys) {
+            values[kind][usize::from(id.is_v6())].push(n);
+        }
+    }
+    for (user, group) in user_day.user_groups() {
+        if !benign(user) {
+            continue;
+        }
+        let ids = group.ip_ids();
+        classify(&mut keys, group, &kind_of, |i| {
+            ids[i].is_v6().then(|| (ids[i].raw(), 0))
+        });
+        for (kind, n) in distinct_per_kind(&keys) {
+            values[kind][2].push(n);
+        }
+    }
+    for (user, group) in history.user_groups() {
+        if !benign(user) {
+            continue;
+        }
+        let (ids, ts) = (group.ip_ids(), group.ts());
+        classify(&mut keys, group, &kind_of, |i| {
+            let day = ts[i].date();
+            (ids[i].is_v6() && day <= focus).then(|| (ids[i].raw(), day.index()))
+        });
+        // Days ascend within a (kind, address) run: the first is when the
+        // pair was first seen, the last whether it was seen on the focus day.
+        for run in keys.chunk_by(|a, b| a >> 16 == b >> 16) {
+            let (first, last) = (run[0] as u16, run[run.len() - 1] as u16);
+            if last == focus.index() {
+                values[(run[0] >> 48) as usize][3].push(u64::from(last - first));
+            }
+        }
+    }
+    values.map(|[v4_users, v6_users, v6_addrs, pairs]| KindStats {
+        v6_users_per_addr: Ecdf::from_values(v6_users),
+        v4_users_per_addr: Ecdf::from_values(v4_users),
+        v6_addrs_per_user: Ecdf::from_values(v6_addrs),
+        v6_pairs: Ecdf::from_values(pairs),
+    })
+}
+
+/// Fills `keys` with `kind << 48 | key << 16 | day` for each row of
+/// `group` that has a kind and a `(key, day)`, sorted: each run of equal
+/// `>> 16` is one distinct key of one kind, its days ascending.
+fn classify(
+    keys: &mut Vec<u64>,
+    group: ColumnSlice<'_>,
+    kind_of: impl Fn(Asn) -> Option<usize>,
+    key: impl Fn(usize) -> Option<(u32, u16)>,
+) {
+    keys.clear();
+    // A group's rows mostly share an ASN: look each run of one up once.
+    let mut last = None;
+    for (i, &asn) in group.asns().iter().enumerate() {
+        if last.is_none_or(|(a, _)| a != asn) {
+            last = Some((asn, kind_of(asn)));
+        }
+        if let (Some((_, Some(kind))), Some((k, day))) = (last, key(i)) {
+            keys.push((kind as u64) << 48 | u64::from(k) << 16 | u64::from(day));
+        }
+    }
+    keys.sort_unstable();
+}
+
+/// The kinds present in `classify`'s keys, each with its number of
+/// distinct keys.
+fn distinct_per_kind(keys: &[u64]) -> impl Iterator<Item = (usize, u64)> {
+    let mut counts = [0u64; 4];
+    for run in keys.chunk_by(|a, b| a >> 16 == b >> 16) {
+        counts[(run[0] >> 48) as usize] += 1;
+    }
+    counts.into_iter().enumerate().filter(|&(_, n)| n > 0)
 }
 
 /// Appendix A — pandemic before/after comparison: the paper re-runs its
@@ -1160,17 +1263,16 @@ fn analyse(study: &Study, registry: &[Experiment], workers: usize) -> (Results, 
         let t = Instant::now();
         let out = (registry[i].2)(&ctx);
         let wall = t.elapsed();
-        let local = ctx.finish();
+        ctx.finish();
         // The worker's pass boundary: leases balanced, buffers kept warm.
         scratch_reset();
-        (out, wall, local)
+        (out, wall)
     });
     let passes_wall = t0.elapsed();
     with_scratch(ScratchArena::trim);
 
     let (mut results, mut children, mut bytes) = (Vec::new(), Vec::new(), 0);
-    for ((&(id, ..), (out, wall, local)), shared) in registry.iter().zip(outs).zip(plan.builds()) {
-        let builds: Vec<Span> = shared.into_iter().chain(local).collect();
+    for ((&(id, ..), (out, wall)), builds) in registry.iter().zip(outs).zip(plan.builds()) {
         bytes += builds.iter().map(|b| b.bytes).sum::<u64>();
         let index = (!builds.is_empty()).then(|| Span {
             items: builds.iter().map(|b| b.items).sum(),
@@ -1328,10 +1430,9 @@ mod tests {
         let passes = analysis.get("passes").expect("passes span");
         assert_eq!(passes.children.len(), 20);
         assert!(passes.children.iter().any(|p| p.items > 0));
-        assert_eq!(
-            analysis.get("passes/X8.1/index").map(|i| i.children.len()),
-            Some(12),
-            "one build per network kind and input"
+        assert!(
+            analysis.get("passes/X8.1/index").is_none(),
+            "X8.1 reads the shared indexes and builds none"
         );
         assert!(analysis.children.iter().all(|p| p.wall <= analysis.wall));
         assert_eq!(
@@ -1495,8 +1596,10 @@ mod tests {
             .expect("F11 nests its actioning span");
         let build = actioning.get("build").expect("build span");
         let read = actioning.get("read").expect("read span");
+        let eval = actioning.get("eval").expect("eval span");
         assert_eq!(build.items, 4, "one trie pair per pooled day");
-        assert_eq!(actioning.wall, build.wall + read.wall);
+        assert_eq!(actioning.wall, build.wall + read.wall + eval.wall);
+        assert_eq!(eval.items, read.items, "every unit read is evaluated");
         let cuts: Vec<&str> = read.children.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(cuts, ["-128", "-64", "-56", "IPv4"]);
         assert!(read.children.iter().all(|c| c.items > 0));
@@ -1528,5 +1631,77 @@ mod tests {
         assert_eq!(retained(), 0, "after run_selected");
         let _ = run_extended(&study);
         assert_eq!(retained(), 0, "after run_extended");
+    }
+    /// The oracle: X8.1's distributions from one index per kind and
+    /// input, over the rows a mask on the ASN column selects.
+    fn kind_breakdown_oracle(
+        [ip_day, user_day, history]: [ColumnSlice<'_>; 3],
+        focus: SimDate,
+        kind_of: impl Fn(Asn) -> Option<usize>,
+        benign: impl Fn(UserId) -> bool,
+    ) -> [KindStats; 4] {
+        use ipv6_study_analysis::ip_centric::users_per_ip;
+        use ipv6_study_telemetry::kernels::mask_from;
+        std::array::from_fn(|kind| {
+            let index = |rows: ColumnSlice<'_>| {
+                let mask = mask_from(rows.asns(), |asn| kind_of(asn) == Some(kind));
+                DatasetIndex::build(rows.gather(&mask).as_slice())
+            };
+            let upi = users_per_ip(&index(ip_day));
+            KindStats {
+                v6_users_per_addr: upi.v6,
+                v4_users_per_addr: upi.v4,
+                v6_addrs_per_user: addrs_per_user(&index(user_day), &benign).v6,
+                v6_pairs: address_lifespans(&index(history), focus, &benign).v6_pairs,
+            }
+        })
+    }
+
+    /// The one walk over the shared indexes equals the per-kind indexes
+    /// on random histories where addresses are seen under ASNs of two
+    /// kinds, an ASN has no kind, some users are abusive, and rows lie
+    /// after the focus day.
+    #[test]
+    fn kind_breakdown_matches_per_kind_indexes() {
+        use ipv6_study_stats::testgen::TestGen;
+        use ipv6_study_telemetry::{Country, OwnedColumns, RequestRecord};
+        let mut g = TestGen::new(0x5838_3101); // "X81"
+        let focus = SimDate::ymd(4, 19);
+        // Kinds 0, 1 and 3; ASN 64499 has none.
+        let kind_of = |asn: Asn| match asn.0 {
+            64496 => Some(0),
+            64497 => Some(1),
+            64498 => Some(3),
+            _ => None,
+        };
+        let benign = |u: UserId| u.raw() % 4 != 0;
+        for _ in 0..32 {
+            let n = g.range_u64(0, 300) as usize;
+            let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| RequestRecord {
+                ts: (focus + 1 - g.range_u64(0, 6) as u16).at(g.below(24) as u8, 0, 0),
+                user: UserId(g.below(16)),
+                ip: if g.below(3) == 0 {
+                    std::net::IpAddr::V4((0xc000_0200 | g.below(8) as u32).into())
+                } else {
+                    std::net::IpAddr::V6(((0x2001_0db8u128 << 96) | u128::from(g.below(12))).into())
+                },
+                asn: Asn(64496 + g.below(4) as u32),
+                country: Country::new("US"),
+            });
+            recs.sort_by_key(|r| r.ts);
+            let all = OwnedColumns::from_records(&recs);
+            let rows = all.as_slice();
+            let day = |d: SimDate| {
+                let at = |d: SimDate| recs.partition_point(|r| r.ts.date() < d);
+                rows.slice(at(d)..at(d + 1))
+            };
+            let inputs = [day(focus - 2), day(focus), rows];
+            let [a, b, c] = inputs.map(DatasetIndex::build);
+            assert_eq!(
+                kind_breakdown([&a, &b, &c], focus, kind_of, benign),
+                kind_breakdown_oracle(inputs, focus, kind_of, benign),
+                "{n} rows"
+            );
+        }
     }
 }

@@ -249,6 +249,28 @@ impl<K: TrieKey, V> PrefixTrie<K, V> {
         out
     }
 
+    /// Whether a stored prefix covering `addr_key` holds a value `pred`
+    /// accepts: [`Self::covering`]'s question, answered on the walk down
+    /// without collecting the covers.
+    pub fn any_covering(&self, addr_key: &K, pred: impl Fn(&V) -> bool) -> bool {
+        let bits = addr_key.key_bits();
+        let mut node = 0usize;
+        if self.nodes[0].value.as_ref().is_some_and(&pred) {
+            return true;
+        }
+        for depth in 0..addr_key.key_len() {
+            let child = self.nodes[node].children[Self::bit_at(bits, depth)];
+            if child == NO_NODE {
+                return false;
+            }
+            node = child as usize;
+            if self.nodes[node].value.as_ref().is_some_and(&pred) {
+                return true;
+            }
+        }
+        false
+    }
+
     /// Iterates all stored `(prefix, value)` pairs in lexicographic
     /// (bitwise) order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
@@ -515,6 +537,32 @@ mod tests {
                     .copied();
                 let got = t.longest_match(&Ipv6Prefix::host(addr)).map(|(k, _)| k);
                 assert_eq!(got, naive);
+            }
+        }
+    }
+
+    /// `any_covering` answers what filtering `covering` answers, on
+    /// nested prefixes (the root included) under value predicates.
+    #[test]
+    fn any_covering_matches_covering_filter() {
+        let mut g = TestGen::new(0x5452_4904);
+        for _ in 0..128 {
+            let mut t: PrefixTrie<Ipv6Prefix, u8> = PrefixTrie::new();
+            let base = g.next_u128();
+            for _ in 0..g.range_u64(0, 40) {
+                // One shared base nests the prefixes along few paths.
+                let bits = base ^ (g.next_u128() >> g.range_u8(0, 127));
+                t.insert(
+                    Ipv6Prefix::from_bits(bits, g.range_u8(0, 128)),
+                    g.range_u8(0, 9),
+                );
+            }
+            for _ in 0..40 {
+                let addr = Ipv6Addr::from(base ^ (g.next_u128() >> g.range_u8(0, 127)));
+                let key = Ipv6Prefix::host(addr);
+                let floor = g.range_u8(0, 10);
+                let naive = t.covering(&key).iter().any(|(_, &v)| v >= floor);
+                assert_eq!(t.any_covering(&key, |&v| v >= floor), naive);
             }
         }
     }

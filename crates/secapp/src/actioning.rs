@@ -293,8 +293,8 @@ pub fn actioning_roc(
 ///
 /// The curve holds one unit per day-*n+1* unit, so its `len()` is the
 /// units evaluated. It is bit-identical to the naive tally path: per-unit
-/// counts are equal integers, and `RocCurve` sums integer-valued weights whose
-/// f64 addition is exact in any order.
+/// counts are equal integers, and `RocCurve`'s integer weights sum exactly
+/// in any order.
 pub fn actioning_roc_between(
     day_n: &DayCounts,
     day_n1: &DayCounts,
@@ -320,7 +320,7 @@ pub fn actioning_roc_between(
             // Unseen yesterday: can never be actioned.
             _ => -1.0,
         };
-        curve.push(score, out_abusive as f64, out_benign as f64);
+        curve.push(score, out_abusive, out_benign);
     }
     curve
 }
@@ -592,7 +592,7 @@ mod tests {
                 Some(&(abusive, benign)) => abusive as f64 / (abusive + benign) as f64,
                 None => -1.0,
             };
-            curve.push(score, out_abusive as f64, out_benign as f64);
+            curve.push(score, out_abusive, out_benign);
         }
         (curve, scores.len(), outcomes.len())
     }

@@ -6,13 +6,13 @@
 //! [`evaluate_over_days`] is the harness that measures recall and
 //! collateral for a listing policy as the list ages.
 
-use std::collections::HashSet;
 use std::net::IpAddr;
 
 use ipv6_study_netaddr::{Ipv4Prefix, Ipv6Prefix, PrefixTrie};
 use ipv6_study_telemetry::{AbuseLabels, ColumnSlice, SimDate};
 
 use crate::actioning::{tally, Granularity};
+use crate::{address_slot, first_sight, ABUSIVE, HIT};
 
 /// A blocklist over IPv4 addresses and IPv6 prefixes with per-entry TTLs.
 #[derive(Debug, Clone, Default)]
@@ -52,17 +52,10 @@ impl Blocklist {
     /// Checks *every* covering entry, not just the most specific one: a
     /// stale /128 must not shadow a still-live /64 listing.
     pub fn blocks(&self, ip: IpAddr, day: SimDate) -> bool {
+        let live = |&expires: &SimDate| expires >= day;
         match ip {
-            IpAddr::V4(a) => self
-                .v4
-                .covering(&Ipv4Prefix::host(a))
-                .iter()
-                .any(|(_, &exp)| exp >= day),
-            IpAddr::V6(a) => self
-                .v6
-                .covering(&Ipv6Prefix::host(a))
-                .iter()
-                .any(|(_, &exp)| exp >= day),
+            IpAddr::V4(a) => self.v4.any_covering(&Ipv4Prefix::host(a), live),
+            IpAddr::V6(a) => self.v6.any_covering(&Ipv6Prefix::host(a), live),
         }
     }
 
@@ -129,34 +122,45 @@ pub struct BlocklistDayEval {
 /// Evaluates a blocklist against subsequent days' traffic.
 ///
 /// `days` yields `(day, records)` pairs strictly after the listing day.
+/// Distinct users are counted through one flag byte per dense user id:
+/// a user's label is looked up once, at first sight, and the blocklist
+/// is probed only until the user is hit, at most once per address a day.
 pub fn evaluate_over_days<'a>(
     blocklist: &Blocklist,
     labels: &AbuseLabels,
     listed_on: SimDate,
     days: impl IntoIterator<Item = (SimDate, ColumnSlice<'a>)>,
 ) -> Vec<BlocklistDayEval> {
+    let (mut flags, mut blocked): (Vec<u8>, Vec<u8>) = (Vec::new(), Vec::new());
     days.into_iter()
         .map(|(day, records)| {
-            let users = &records.tables().users;
-            let mut abusive_all: HashSet<u32> = HashSet::new();
-            let mut abusive_hit: HashSet<u32> = HashSet::new();
-            let mut benign_all: HashSet<u32> = HashSet::new();
-            let mut benign_hit: HashSet<u32> = HashSet::new();
-            for (i, &dense) in records.users_dense().iter().enumerate() {
-                let blocked = blocklist.blocks(records.addr_at(i), day);
-                if labels.is_abusive(users.user(dense)) {
-                    abusive_all.insert(dense);
-                    if blocked {
-                        abusive_hit.insert(dense);
-                    }
-                } else {
-                    benign_all.insert(dense);
-                    if blocked {
-                        benign_hit.insert(dense);
-                    }
+            let (users, ips) = (&records.tables().users, &records.tables().ips);
+            flags.clear();
+            flags.resize(users.len(), 0);
+            // Per address: 0 not probed yet, 1 clear, 2 blocked.
+            blocked.clear();
+            blocked.resize(ips.len(), 0);
+            // [all, hit] distinct users; row 0 benign, row 1 abusive.
+            let mut counts = [[0usize; 2]; 2];
+            for (&dense, &id) in records.users_dense().iter().zip(records.ip_ids()) {
+                let flag = &mut flags[dense as usize];
+                if *flag == 0 {
+                    *flag = first_sight(labels, users.user(dense));
+                    counts[usize::from(*flag & ABUSIVE != 0)][0] += 1;
+                }
+                if *flag & HIT != 0 {
+                    continue;
+                }
+                let probe = &mut blocked[address_slot(ips, id)];
+                if *probe == 0 {
+                    *probe = 1 + u8::from(blocklist.blocks(ips.addr(id), day));
+                }
+                if *probe == 2 {
+                    *flag |= HIT;
+                    counts[usize::from(*flag & ABUSIVE != 0)][1] += 1;
                 }
             }
-            let frac = |hit: usize, all: usize| {
+            let frac = |[all, hit]: [usize; 2]| {
                 if all == 0 {
                     0.0
                 } else {
@@ -165,8 +169,8 @@ pub fn evaluate_over_days<'a>(
             };
             BlocklistDayEval {
                 offset: day.days_since(listed_on),
-                recall: frac(abusive_hit.len(), abusive_all.len()),
-                collateral: frac(benign_hit.len(), benign_all.len()),
+                recall: frac(counts[1]),
+                collateral: frac(counts[0]),
             }
         })
         .collect()
@@ -506,5 +510,110 @@ mod tests {
         assert_eq!(evals[0].offset, 1);
         assert!((evals[0].recall - 0.5).abs() < 1e-12);
         assert_eq!(evals[0].collateral, 0.0);
+    }
+    /// The oracle: one `HashSet` per population and outcome, a label
+    /// look-up per row, and every cover of every row's address collected.
+    fn evaluate_oracle(
+        blocklist: &Blocklist,
+        labels: &AbuseLabels,
+        listed_on: SimDate,
+        days: &[(SimDate, ColumnSlice<'_>)],
+    ) -> Vec<BlocklistDayEval> {
+        use std::collections::HashSet;
+        let blocks = |ip: IpAddr, day: SimDate| match ip {
+            IpAddr::V4(a) => blocklist
+                .v4
+                .covering(&Ipv4Prefix::host(a))
+                .iter()
+                .any(|(_, &e)| e >= day),
+            IpAddr::V6(a) => blocklist
+                .v6
+                .covering(&Ipv6Prefix::host(a))
+                .iter()
+                .any(|(_, &e)| e >= day),
+        };
+        days.iter()
+            .map(|&(day, records)| {
+                let users = &records.tables().users;
+                let mut sets: [HashSet<u32>; 4] = Default::default();
+                for (i, &dense) in records.users_dense().iter().enumerate() {
+                    let blocked = blocks(records.addr_at(i), day);
+                    let base = if labels.is_abusive(users.user(dense)) {
+                        0
+                    } else {
+                        2
+                    };
+                    sets[base].insert(dense);
+                    if blocked {
+                        sets[base + 1].insert(dense);
+                    }
+                }
+                let frac = |hit: usize, all: usize| {
+                    if all == 0 {
+                        0.0
+                    } else {
+                        hit as f64 / all as f64
+                    }
+                };
+                BlocklistDayEval {
+                    offset: day.days_since(listed_on),
+                    recall: frac(sets[1].len(), sets[0].len()),
+                    collateral: frac(sets[3].len(), sets[2].len()),
+                }
+            })
+            .collect()
+    }
+
+    /// The flag-byte evaluation equals the hash-set oracle on random
+    /// traffic against blocklists of nested v6 prefixes and v4 entries,
+    /// some expiring before or during the evaluated days.
+    #[test]
+    fn flag_evaluation_matches_the_hash_set_oracle() {
+        use ipv6_study_stats::testgen::TestGen;
+        let mut g = TestGen::new(0x424C_4B03);
+        let listed_on = SimDate::ymd(4, 13);
+        let v6 = |g: &mut TestGen| {
+            let site = (0x2001_0db8u128 << 96) | (g.below(2) as u128) << 80;
+            site | (g.below(4) as u128) << 64 | u128::from(g.below(6))
+        };
+        for _ in 0..64 {
+            let mut bl = Blocklist::new();
+            for _ in 0..g.range_u64(0, 12) {
+                let expires = listed_on + g.range_u64(0, 7) as u16;
+                if g.below(4) == 0 {
+                    let host = 0xc000_0200 | g.below(6) as u32;
+                    bl.add_v4(Ipv4Prefix::from_bits(host, 32), expires);
+                } else {
+                    // Lengths /44../128 over few subnets nest the entries.
+                    let len = [44, 48, 56, 64, 96, 128][g.below(6) as usize];
+                    bl.add_v6(Ipv6Prefix::from_bits(v6(&mut g), len), expires);
+                }
+            }
+            let labels = labels_for(&[1, 4, 7]);
+            let days: Vec<(SimDate, OwnedColumns)> = (1..=6u16)
+                .map(|k| {
+                    let day = listed_on + k;
+                    let n = g.range_u64(0, 60) as usize;
+                    let recs = g.vec_of(n, |g| RequestRecord {
+                        ts: day.at(g.below(24) as u8, 0, 0),
+                        user: UserId(g.below(10)),
+                        ip: if g.below(3) == 0 {
+                            IpAddr::V4((0xc000_0200 | g.below(6) as u32).into())
+                        } else {
+                            IpAddr::V6(v6(g).into())
+                        },
+                        asn: Asn(64496),
+                        country: Country::new("US"),
+                    });
+                    (day, cols(&recs))
+                })
+                .collect();
+            let slices: Vec<(SimDate, ColumnSlice<'_>)> =
+                days.iter().map(|(d, c)| (*d, c.as_slice())).collect();
+            assert_eq!(
+                evaluate_over_days(&bl, &labels, listed_on, slices.iter().copied()),
+                evaluate_oracle(&bl, &labels, listed_on, &slices)
+            );
+        }
     }
 }

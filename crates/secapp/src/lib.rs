@@ -26,6 +26,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use ipv6_study_telemetry::{AbuseLabels, IpId, IpTable, UserId};
+
 pub mod actioning;
 pub mod blocklist;
 pub mod mlfeatures;
@@ -39,3 +41,26 @@ pub use mlfeatures::{FeatureVector, LogisticModel};
 pub use ratelimit::{recommend_threshold, RateLimiter};
 pub use signatures::HeavyAddressPredictor;
 pub use threat_exchange::value_decay;
+
+// The list evaluations count a day's distinct users through one flag
+// byte per dense user id, made of these bits: seen (its label looked
+// up), labeled abusive, counted in a denominator, hit by the list.
+const SEEN: u8 = 1;
+const ABUSIVE: u8 = 2;
+const COUNTED: u8 = 4;
+const HIT: u8 = 8;
+
+/// A user's flags at first sight: the one label look-up.
+fn first_sight(labels: &AbuseLabels, user: UserId) -> u8 {
+    if labels.is_abusive(user) {
+        SEEN | ABUSIVE
+    } else {
+        SEEN
+    }
+}
+
+/// An address's position in a table over both families' addresses (the
+/// evaluations probe a list at most once per address a day).
+fn address_slot(ips: &IpTable, id: IpId) -> usize {
+    id.index() + usize::from(id.is_v6()) * ips.num_v4()
+}

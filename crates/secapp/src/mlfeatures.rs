@@ -230,21 +230,36 @@ pub fn training_set(
     labels: &AbuseLabels,
     only_v6: Option<bool>,
 ) -> Vec<(FeatureVector, bool)> {
-    let features = extract_features(day);
+    let [v4, v6] = training_sets_by_protocol(day, next_day, labels);
+    match only_v6 {
+        Some(true) => v6,
+        Some(false) => v4,
+        // Every IPv4 address sorts before every IPv6 one.
+        None => [v4, v6].concat(),
+    }
+}
+
+/// The IPv4 and the IPv6 training sets of a (day, next-day) pair from
+/// one feature extraction: [`training_set`] with `Some(false)` and with
+/// `Some(true)`.
+pub fn training_sets_by_protocol(
+    day: ColumnSlice<'_>,
+    next_day: ColumnSlice<'_>,
+    labels: &AbuseLabels,
+) -> [Vec<(FeatureVector, bool)>; 2] {
     let positives = next_day_labels(next_day, labels);
-    let mut rows: Vec<(IpAddr, FeatureVector)> = features
-        .into_iter()
-        .filter(|(ip, _)| only_v6.is_none_or(|v6| matches!(ip, IpAddr::V6(_)) == v6))
-        .collect();
+    let mut rows: Vec<(IpAddr, FeatureVector)> = extract_features(day).into_iter().collect();
     // Deterministic order for reproducible training: sort on the unit's
     // address, a *total* key. Sorting on feature values ties for distinct
     // addresses, which lets the accumulator map's per-instance iteration
     // order leak into the gradient summation order — and 200 epochs of
     // descent amplify that rounding noise into visibly different AUCs.
     rows.sort_unstable_by_key(|&(ip, _)| ip);
-    rows.into_iter()
-        .map(|(ip, fv)| (fv, positives.contains(&ip)))
-        .collect()
+    let mut sets = [Vec::new(), Vec::new()];
+    for (ip, fv) in rows {
+        sets[usize::from(ip.is_ipv6())].push((fv, positives.contains(&ip)));
+    }
+    sets
 }
 
 #[cfg(test)]
@@ -348,5 +363,7 @@ mod tests {
         assert!(v6_only[0].1, "the v6 address hosts abuse next day");
         let v4_only = training_set(cd.as_slice(), cn.as_slice(), &labels, Some(false));
         assert!(!v4_only[0].1);
+        let [v4, v6] = training_sets_by_protocol(cd.as_slice(), cn.as_slice(), &labels);
+        assert_eq!((v4, v6), (v4_only, v6_only));
     }
 }

@@ -6,11 +6,10 @@
 //! subsequent day's abusive accounts the list still catches. The decay
 //! curve is the product a threat exchange actually delivers to consumers.
 
-use std::collections::HashSet;
-
 use ipv6_study_telemetry::{AbuseLabels, ColumnSlice};
 
 use crate::actioning::Granularity;
+use crate::{address_slot, first_sight, ABUSIVE, COUNTED, HIT};
 
 /// One day of an indicator list's residual value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,49 +25,86 @@ pub struct DecayPoint {
 
 /// Builds the indicator list from `day0` (every unit hosting an abusive
 /// account) and evaluates its residual value on each of `later_days`.
+///
+/// Distinct users are counted through one flag byte per dense user id:
+/// a user's label is looked up once, at first sight, and the list is
+/// probed only until the user is hit, at most once per address a day.
 pub fn value_decay<'a>(
     day0: ColumnSlice<'_>,
     labels: &AbuseLabels,
     granularity: Granularity,
     later_days: impl IntoIterator<Item = (u16, ColumnSlice<'a>)>,
 ) -> Vec<DecayPoint> {
-    let mut listed: HashSet<u128> = HashSet::new();
+    let mut flags: Vec<u8> = vec![0; day0.tables().users.len()];
+    let mut listed: Vec<u128> = Vec::new();
     let day0_users = &day0.tables().users;
     for (i, &dense) in day0.users_dense().iter().enumerate() {
-        if labels.is_abusive(day0_users.user(dense)) {
-            if let Some(k) = granularity.unit_bits(day0.addr_at(i)) {
-                listed.insert(k);
-            }
+        let flag = &mut flags[dense as usize];
+        if *flag == 0 {
+            *flag = first_sight(labels, day0_users.user(dense));
+        }
+        if *flag & ABUSIVE != 0 {
+            listed.extend(granularity.unit_bits(day0.addr_at(i)));
         }
     }
+    listed.sort_unstable();
+    listed.dedup();
+    let mut probes: Vec<u8> = Vec::new();
     later_days
         .into_iter()
         .map(|(offset, records)| {
-            let users = &records.tables().users;
-            let mut aa_all: HashSet<u32> = HashSet::new();
-            let mut aa_hit: HashSet<u32> = HashSet::new();
-            let mut benign_all: HashSet<u32> = HashSet::new();
-            let mut benign_hit: HashSet<u32> = HashSet::new();
-            for (i, &dense) in records.users_dense().iter().enumerate() {
-                let key = granularity.unit_bits(records.addr_at(i));
-                let hit = key.is_some_and(|k| listed.contains(&k));
-                if labels.is_abusive(users.user(dense)) {
-                    aa_all.insert(dense);
-                    if hit {
-                        aa_hit.insert(dense);
-                    }
-                } else if key.is_some() {
-                    benign_all.insert(dense);
-                    if hit {
-                        benign_hit.insert(dense);
+            let (users, ips) = (&records.tables().users, &records.tables().ips);
+            flags.clear();
+            flags.resize(users.len(), 0);
+            // Per address: 0 not probed yet, 1 no unit at the granularity,
+            // 2 an unlisted unit, 3 a listed one.
+            probes.clear();
+            probes.resize(ips.len(), 0);
+            // [all, hit] distinct users; row 0 benign, row 1 abusive.
+            let mut counts = [[0usize; 2]; 2];
+            for (&dense, &id) in records.users_dense().iter().zip(records.ip_ids()) {
+                let flag = &mut flags[dense as usize];
+                if *flag == 0 {
+                    *flag = first_sight(labels, users.user(dense));
+                    if *flag & ABUSIVE != 0 {
+                        // Abusive accounts count on any protocol.
+                        *flag |= COUNTED;
+                        counts[1][0] += 1;
                     }
                 }
+                if *flag & HIT != 0 {
+                    continue;
+                }
+                let probe = &mut probes[address_slot(ips, id)];
+                if *probe == 0 {
+                    *probe = granularity
+                        .unit_bits(ips.addr(id))
+                        .map_or(1, |key| 2 + u8::from(listed.binary_search(&key).is_ok()));
+                }
+                if *probe == 1 {
+                    continue;
+                }
+                let abusive = usize::from(*flag & ABUSIVE != 0);
+                if *flag & COUNTED == 0 {
+                    *flag |= COUNTED;
+                    counts[abusive][0] += 1;
+                }
+                if *probe == 3 {
+                    *flag |= HIT;
+                    counts[abusive][1] += 1;
+                }
             }
-            let frac = |h: usize, a: usize| if a == 0 { 0.0 } else { h as f64 / a as f64 };
+            let frac = |[all, hit]: [usize; 2]| {
+                if all == 0 {
+                    0.0
+                } else {
+                    hit as f64 / all as f64
+                }
+            };
             DecayPoint {
                 offset,
-                residual_recall: frac(aa_hit.len(), aa_all.len()),
-                collateral: frac(benign_hit.len(), benign_all.len()),
+                residual_recall: frac(counts[1]),
+                collateral: frac(counts[0]),
             }
         })
         .collect()
@@ -204,5 +240,88 @@ mod tests {
             collateral: 0.0,
         }];
         assert_eq!(half_life(&zero), Some(0));
+    }
+    /// The oracle: the listed units and each population and outcome in
+    /// a `HashSet`, with a label look-up per row.
+    fn value_decay_oracle(
+        day0: ColumnSlice<'_>,
+        labels: &AbuseLabels,
+        granularity: Granularity,
+        later_days: &[(u16, ColumnSlice<'_>)],
+    ) -> Vec<DecayPoint> {
+        use std::collections::HashSet;
+        let mut listed: HashSet<u128> = HashSet::new();
+        for (i, &dense) in day0.users_dense().iter().enumerate() {
+            if labels.is_abusive(day0.tables().users.user(dense)) {
+                listed.extend(granularity.unit_bits(day0.addr_at(i)));
+            }
+        }
+        later_days
+            .iter()
+            .map(|&(offset, records)| {
+                let mut sets: [HashSet<u32>; 4] = Default::default();
+                for (i, &dense) in records.users_dense().iter().enumerate() {
+                    let key = granularity.unit_bits(records.addr_at(i));
+                    let hit = key.is_some_and(|k| listed.contains(&k));
+                    if labels.is_abusive(records.tables().users.user(dense)) {
+                        sets[0].insert(dense);
+                        if hit {
+                            sets[1].insert(dense);
+                        }
+                    } else if key.is_some() {
+                        sets[2].insert(dense);
+                        if hit {
+                            sets[3].insert(dense);
+                        }
+                    }
+                }
+                let frac = |h: usize, a: usize| if a == 0 { 0.0 } else { h as f64 / a as f64 };
+                DecayPoint {
+                    offset,
+                    residual_recall: frac(sets[1].len(), sets[0].len()),
+                    collateral: frac(sets[3].len(), sets[2].len()),
+                }
+            })
+            .collect()
+    }
+
+    /// The flag-byte decay equals the hash-set oracle on random mixed
+    /// v4/v6 days at every granularity, including abusive accounts seen
+    /// only on the other protocol and users hit on their later rows.
+    #[test]
+    fn flag_decay_matches_the_hash_set_oracle() {
+        use ipv6_study_stats::testgen::TestGen;
+        let mut g = TestGen::new(0x5845_4301);
+        let labels = labels_for(&[1, 4, 7]);
+        let day = |g: &mut TestGen| {
+            let n = g.range_u64(0, 50) as usize;
+            let recs = g.vec_of(n, |g| {
+                let ip = if g.below(3) == 0 {
+                    format!("192.0.2.{}", g.below(5))
+                } else {
+                    format!("2001:db8:0:{:x}::{:x}", g.below(4), g.below(5))
+                };
+                rec(g.below(10), &ip)
+            });
+            cols(&recs)
+        };
+        for _ in 0..64 {
+            let day0 = day(&mut g);
+            let later: Vec<(u16, OwnedColumns)> = (1..=4u16).map(|k| (k, day(&mut g))).collect();
+            let slices: Vec<(u16, ColumnSlice<'_>)> =
+                later.iter().map(|(k, c)| (*k, c.as_slice())).collect();
+            for gran in [
+                Granularity::V6Full,
+                Granularity::V6Prefix(64),
+                Granularity::V6Prefix(0),
+                Granularity::V4Full,
+            ] {
+                assert_eq!(
+                    value_decay(day0.as_slice(), &labels, gran, slices.iter().copied()),
+                    value_decay_oracle(day0.as_slice(), &labels, gran, &slices),
+                    "{gran:?}"
+                );
+            }
+        }
     }
 }

@@ -29,9 +29,8 @@
 //!   and [`radix_sort_u64`] sort plain key vectors in place (for
 //!   sort-and-dedup distinct-key paths, where any correct sort agrees).
 //! - **Scratch arenas** — the radix passes need transient count/key/perm
-//!   buffers, and the analysis engine invokes them thousands of times
-//!   per run (every index the 20 passes declare, each built once, and
-//!   X8.1's per-kind subsets). [`ScratchArena`] pools those buffers per
+//!   buffers, and the analysis engine invokes them for every index the
+//!   20 passes declare, each built once. [`ScratchArena`] pools those buffers per
 //!   thread: [`with_scratch`] leases cleared-but-capacitated `Vec`s from
 //!   a thread-local pool, and the engine calls [`scratch_reset`] between
 //!   passes to assert the lease discipline (everything returned) while

@@ -145,11 +145,6 @@ fn bench_report_schema_is_stable_and_finite() {
         .iter()
         .filter_map(|p| Some(format!("{}: {}", p.name, names(p.get("index")?).join(" "))))
         .collect();
-    let x81: Vec<String> = ["residential", "mobile", "enterprise", "hosting"]
-        .iter()
-        .flat_map(|k| ["ip_apr13", "user_apr19", "user_lookback"].map(|i| format!("{k}_{i}")))
-        .collect();
-    let x81 = format!("X8.1: {}", x81.join(" "));
     assert_eq!(
         builds,
         [
@@ -163,13 +158,12 @@ fn bench_report_schema_is_stable_and_finite() {
             "F9: prefix128_week prefix72_week prefix68_week prefix64_week prefix48_week \
              prefix44_week",
             "F10: prefix60_week prefix56_week prefix52_week prefix96_week",
-            &x81,
             "ApxA: user_feb_week",
         ]
     );
     assert_eq!(
         names(run.get("analysis/passes/F11/actioning").unwrap()),
-        ["build", "read"]
+        ["build", "read", "eval"]
     );
     assert_eq!(
         names(run.get("analysis/passes/F11/actioning/read").unwrap()),
@@ -184,7 +178,7 @@ fn bench_report_schema_is_stable_and_finite() {
     node_paths(run, "", &mut paths);
     assert_eq!(
         paths.len(),
-        1 + 1 + (13 + 36) + 1 + 4 + 1 + 21 + (11 + 31) + 3 + 4
+        1 + 1 + (13 + 36) + 1 + 4 + 1 + 21 + (10 + 19) + 4 + 4
     );
     for path in &paths {
         for field in ["wall_secs", "items", "bytes", "items_per_sec"] {
