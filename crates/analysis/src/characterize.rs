@@ -5,14 +5,15 @@
 //! [`DatasetIndex`]; the series and ratio tables take windowed
 //! [`ColumnSlice`]s directly — they bucket by day or by ASN/country, which
 //! the per-user/per-address index does not accelerate, and their inner
-//! loops read the timestamp/key/id columns without rematerializing rows.
+//! loops read the timestamp and id columns without rematerializing rows
+//! (an address's ASN and country come from its table entry).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use ipv6_study_netaddr::iid::iid;
 use ipv6_study_netaddr::{EntropyProfile, IidClass};
-use ipv6_study_telemetry::{Asn, ColumnSlice, Country, DateRange, SimDate};
+use ipv6_study_telemetry::{radix_sort_u64, Asn, ColumnSlice, Country, DateRange, IpId, SimDate};
 
 use crate::index::DatasetIndex;
 
@@ -100,31 +101,52 @@ pub struct RatioRow<K> {
     pub ratio: f64,
 }
 
-fn ratio_rows<K: Eq + std::hash::Hash + Ord + Copy>(
+/// Table 1 / Table 2's rows: the distinct users of each key — a row's
+/// key is its address's, packed into a `u32` by `key_of` and unpacked by
+/// `unpack` — and the share of them seen on IPv6, for keys with at least
+/// `min_users` users, by descending share, then ascending key.
+///
+/// Distinct (key, user) pairs are counted by sorting packed
+/// `key << 32 | user` words and dropping repeats, over every row and over
+/// the v6 rows apart; both lists then ascend by key, so one walk pairs
+/// each key's users with its v6 users.
+fn ratio_rows<K: Ord>(
     records: ColumnSlice<'_>,
-    keys: &[K],
     min_users: u64,
+    key_of: impl Fn(IpId) -> u32,
+    unpack: impl Fn(u32) -> K,
 ) -> Vec<RatioRow<K>> {
-    let mut total: HashMap<K, HashSet<u32>> = HashMap::new();
-    let mut v6: HashMap<K, HashSet<u32>> = HashMap::new();
-    for ((&k, &user), &ip) in keys.iter().zip(records.users_dense()).zip(records.ip_ids()) {
-        total.entry(k).or_default().insert(user);
-        if ip.is_v6() {
-            v6.entry(k).or_default().insert(user);
+    let mut pairs = Vec::with_capacity(records.len());
+    let mut v6_pairs = Vec::new();
+    for (&id, &user) in records.ip_ids().iter().zip(records.users_dense()) {
+        let pair = u64::from(key_of(id)) << 32 | u64::from(user);
+        pairs.push(pair);
+        if id.is_v6() {
+            v6_pairs.push(pair);
         }
     }
-    let mut rows: Vec<RatioRow<K>> = total
-        .into_iter()
-        .filter(|(_, users)| users.len() as u64 >= min_users)
-        .map(|(k, users)| {
-            let v6_users = v6.get(&k).map_or(0, |s| s.len() as u64);
-            RatioRow {
-                key: k,
-                users: users.len() as u64,
-                ratio: v6_users as f64 / users.len() as f64,
-            }
-        })
-        .collect();
+    for list in [&mut pairs, &mut v6_pairs] {
+        radix_sort_u64(list);
+        list.dedup();
+    }
+    let same_key = |a: &u64, b: &u64| a >> 32 == b >> 32;
+    // Every v6 pair is a pair, so no v6 key is skipped.
+    let mut v6_runs = v6_pairs.chunk_by(same_key).peekable();
+    let mut rows = Vec::new();
+    for run in pairs.chunk_by(same_key) {
+        let key = run[0] >> 32;
+        let v6_users = v6_runs
+            .next_if(|v6| v6[0] >> 32 == key)
+            .map_or(0, <[u64]>::len);
+        let users = run.len() as u64;
+        if users >= min_users {
+            rows.push(RatioRow {
+                key: unpack(key as u32),
+                users,
+                ratio: v6_users as f64 / users as f64,
+            });
+        }
+    }
     rows.sort_by(|a, b| {
         b.ratio
             .partial_cmp(&a.ratio)
@@ -137,7 +159,8 @@ fn ratio_rows<K: Eq + std::hash::Hash + Ord + Copy>(
 /// Table 1: ASNs ranked by the share of their users on IPv6, considering
 /// ASNs with at least `min_users` observed users.
 pub fn asn_ratio_table(records: ColumnSlice<'_>, min_users: u64) -> Vec<RatioRow<Asn>> {
-    ratio_rows(records, records.asns(), min_users)
+    let ips = &records.tables().ips;
+    ratio_rows(records, min_users, |id| ips.asn(id).0, Asn)
 }
 
 /// Share of considered ASNs with zero IPv6 users and with <10% IPv6 users
@@ -153,7 +176,11 @@ pub fn asn_low_v6_shares(rows: &[RatioRow<Asn>]) -> (f64, f64) {
 
 /// Table 2 / Figure 12: countries ranked by IPv6 user share.
 pub fn country_ratio_table(records: ColumnSlice<'_>, min_users: u64) -> Vec<RatioRow<Country>> {
-    ratio_rows(records, records.countries(), min_users)
+    let ips = &records.tables().ips;
+    let key_of = |id| u32::from(u16::from_be_bytes(ips.country(id).0));
+    ratio_rows(records, min_users, key_of, |k| {
+        Country((k as u16).to_be_bytes())
+    })
 }
 
 /// §4.4 — client IPv6 address patterns.
@@ -340,6 +367,84 @@ mod tests {
         let in_row = rows.iter().find(|r| r.key == Country::new("IN")).unwrap();
         assert_eq!(in_row.users, 2);
         assert!((in_row.ratio - 0.5).abs() < 1e-12);
+    }
+
+    /// The per-key hash-set version the sorted pair count replaced.
+    fn ratio_rows_oracle<K: Eq + std::hash::Hash + Ord + Copy>(
+        records: ColumnSlice<'_>,
+        keys: &[K],
+        min_users: u64,
+    ) -> Vec<RatioRow<K>> {
+        use std::collections::HashSet;
+        let mut total: HashMap<K, HashSet<u32>> = HashMap::new();
+        let mut v6: HashMap<K, HashSet<u32>> = HashMap::new();
+        for ((&k, &user), &ip) in keys.iter().zip(records.users_dense()).zip(records.ip_ids()) {
+            total.entry(k).or_default().insert(user);
+            if ip.is_v6() {
+                v6.entry(k).or_default().insert(user);
+            }
+        }
+        let mut rows: Vec<RatioRow<K>> = total
+            .into_iter()
+            .filter(|(_, users)| users.len() as u64 >= min_users)
+            .map(|(k, users)| {
+                let v6_users = v6.get(&k).map_or(0, |s| s.len() as u64);
+                RatioRow {
+                    key: k,
+                    users: users.len() as u64,
+                    ratio: v6_users as f64 / users.len() as f64,
+                }
+            })
+            .collect();
+        rows.sort_by(|a, b| {
+            b.ratio
+                .partial_cmp(&a.ratio)
+                .expect("finite ratios")
+                .then(a.key.cmp(&b.key))
+        });
+        rows
+    }
+
+    /// Both tables equal the hash-set oracle on random windows: many
+    /// users per address, ASNs and countries shared by v4 and v6
+    /// addresses, keys with only v4 or only v6 users, and every
+    /// `min_users` cut.
+    #[test]
+    fn ratio_tables_match_the_hash_set_oracle() {
+        use ipv6_study_stats::testgen::TestGen;
+        let mut g = TestGen::new(0x5431_5432); // "T1T2"
+        let countries = ["US", "DE", "IN", "BR", "JP"];
+        for case in 0..40 {
+            let n = g.range_u64(0, 400) as usize;
+            let recs: Vec<RequestRecord> = g.vec_of(n, |g| {
+                let host = g.below(40);
+                let ip = if g.below(3) == 0 {
+                    format!("10.0.{}.{}", host % 4, host)
+                } else {
+                    format!("2001:db8:{:x}::{host:x}", host % 6)
+                };
+                // An address's pair is a function of the address.
+                let k = host + 7 * u64::from(ip.contains(':'));
+                let (asn, cc) = (64_496 + (k % 6) as u32, countries[(k % 5) as usize]);
+                rec(g.below(30), d(4, 13), &ip, asn, cc)
+            });
+            let c = cols(&recs);
+            let slice = c.as_slice();
+            let asns: Vec<Asn> = slice.asns().collect();
+            let ccs: Vec<Country> = slice.countries().collect();
+            for min_users in [0, 1, 2, 5, 31] {
+                assert_eq!(
+                    asn_ratio_table(slice, min_users),
+                    ratio_rows_oracle(slice, &asns, min_users),
+                    "case {case}, min {min_users}: ASNs"
+                );
+                assert_eq!(
+                    country_ratio_table(slice, min_users),
+                    ratio_rows_oracle(slice, &ccs, min_users),
+                    "case {case}, min {min_users}: countries"
+                );
+            }
+        }
     }
 
     #[test]

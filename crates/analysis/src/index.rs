@@ -94,8 +94,6 @@ fn gather(cols: ColumnSlice<'_>, perm: &[u32]) -> ColumnStore {
         ts: perm.iter().map(|i| cols.ts()[at(i)]).collect(),
         ip: perm.iter().map(|i| cols.ip_ids()[at(i)]).collect(),
         user: perm.iter().map(|i| cols.users_dense()[at(i)]).collect(),
-        asn: perm.iter().map(|i| cols.asns()[at(i)]).collect(),
-        country: perm.iter().map(|i| cols.countries()[at(i)]).collect(),
     }
 }
 

@@ -97,9 +97,8 @@ pub struct AsnConcentration {
 
 /// Computes ASN concentration for heavy addresses.
 ///
-/// `counts` gives users per address; the index supplies the address→ASN
-/// mapping (each address is attributed to the ASN of its first record in
-/// timestamp order — run heads, since runs preserve timestamp order).
+/// `counts` gives users per address; the index's address table supplies
+/// each address's ASN.
 pub fn heavy_ip_asn_concentration<S: BuildHasher>(
     index: &DatasetIndex,
     counts: &HashMap<IpAddr, u64, S>,
@@ -107,12 +106,13 @@ pub fn heavy_ip_asn_concentration<S: BuildHasher>(
     want_v6: bool,
 ) -> AsnConcentration {
     let mut topk: TopK<u32> = TopK::new();
-    for (ip, group) in index.ip_groups() {
-        if matches!(ip, IpAddr::V6(_)) != want_v6 {
+    let ips = &index.tables().ips;
+    for (&id, ip) in index.distinct_ip_ids().iter().zip(index.distinct_ips()) {
+        if id.is_v6() != want_v6 {
             continue;
         }
-        if counts.get(&ip).is_some_and(|&c| c > threshold) {
-            topk.add(group.asns()[0].0, 1);
+        if counts.get(ip).is_some_and(|&c| c > threshold) {
+            topk.add(ips.asn(id).0, 1);
         }
     }
     let ranked: Vec<(Asn, u64)> = topk
@@ -133,7 +133,8 @@ pub fn heavy_ip_asn_concentration<S: BuildHasher>(
 /// Stays window-order based: a prefix's attributed ASN is the one of its
 /// first record in timestamp order, which a per-address walk cannot recover
 /// when equal-timestamp records of one prefix span several addresses. The
-/// scan reads the id and ASN columns in window (timestamp) order.
+/// scan reads the id column in window (timestamp) order, each address's
+/// ASN from the address table.
 pub fn heavy_prefix_asn_concentration<S: BuildHasher>(
     records: ColumnSlice<'_>,
     counts: &HashMap<Ipv6Prefix, u64, S>,
@@ -142,10 +143,10 @@ pub fn heavy_prefix_asn_concentration<S: BuildHasher>(
     let mut asn_of: StableHashMap<Ipv6Prefix, Asn> = StableHashMap::default();
     let len = counts.keys().next().map_or(64, |p| p.len());
     let ips = &records.tables().ips;
-    for (&id, &asn) in records.ip_ids().iter().zip(records.asns()) {
+    for &id in records.ip_ids() {
         if id.is_v6() {
             let p = Ipv6Prefix::from_bits(ips.v6_bits(id), len);
-            asn_of.entry(p).or_insert(asn);
+            asn_of.entry(p).or_insert_with(|| ips.asn(id));
         }
     }
     let mut topk: TopK<u32> = TopK::new();

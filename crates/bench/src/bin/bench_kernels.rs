@@ -1,5 +1,5 @@
 //! Kernel-level microbenchmarks: times the `telemetry::kernels`
-//! primitives (masks, gather, radix sorts), the `RecordView` cursor and
+//! primitives (radix sorts), the `RecordView` cursor and
 //! the sim's stable-hash kernels (a 5-word `StableHasher` key, `sampled`
 //! on one word, `Samplers::prefix_sampled`) on synthetic data, and
 //! writes a small JSON blob so kernel-level drift shows separately from
@@ -31,9 +31,7 @@ use ipv6_study_stats::hash::{sampled, StableHasher};
 use ipv6_study_stats::testgen::TestGen;
 use ipv6_study_telemetry::columns::ColumnStore;
 use ipv6_study_telemetry::intern::{EntityTables, IpId, IpTable, UserTable};
-use ipv6_study_telemetry::kernels::{
-    mask_eq_u32, mask_ts_window, radix_sort_perm_u32, radix_sort_u64, scratch_stats,
-};
+use ipv6_study_telemetry::kernels::{radix_sort_perm_u32, radix_sort_u64, scratch_stats};
 use ipv6_study_telemetry::time::Timestamp;
 use ipv6_study_telemetry::{Asn, Country, Samplers};
 
@@ -115,16 +113,25 @@ fn main() {
 
     // Synthetic columns: `rows` encoded rows over small real intern
     // tables (so the RecordView cursor exercises genuine dense-id
-    // lookups), duplicate-heavy keys, timestamps spanning ~6 days.
+    // lookups, each address with one of 200 ASNs), duplicate-heavy keys,
+    // timestamps spanning ~6 days.
     const USERS: u64 = 50_000;
-    const V4: usize = 10_000;
-    const V6: usize = 40_000;
-    const ASNS: u64 = 200;
+    const V4: u32 = 10_000;
+    const V6: u32 = 40_000;
+    let attrs = |i: u32| (Asn(64_000 + i % 200), Country::new("US"));
     let tables = Arc::new(EntityTables {
-        ips: IpTable::from_keys(
-            (0..V4 as u32).map(|i| 0x0a00_0000 + i).collect(),
-            (0..V6 as u128)
-                .map(|i| (0x2001_0db8u128 << 96) + i)
+        ips: IpTable::from_entries(
+            (0..V4)
+                .map(|i| (0x0a00_0000 + i, attrs(i).0, attrs(i).1))
+                .collect(),
+            (0..V6)
+                .map(|i| {
+                    (
+                        (0x2001_0db8u128 << 96) + u128::from(i),
+                        attrs(i).0,
+                        attrs(i).1,
+                    )
+                })
                 .collect(),
         ),
         users: UserTable::from_keys((0..USERS).collect()),
@@ -136,43 +143,13 @@ fn main() {
         cols.ts.push(Timestamp::from_secs(g.below(500_000) as u32));
         let v6 = g.below(5) != 0; // ~80% v6, like the study's samples
         cols.ip.push(if v6 {
-            IpId::new(true, g.below(V6 as u64) as usize)
+            IpId::new(true, g.below(u64::from(V6)) as usize)
         } else {
-            IpId::new(false, g.below(V4 as u64) as usize)
+            IpId::new(false, g.below(u64::from(V4)) as usize)
         });
         cols.user.push(g.below(USERS) as u32);
-        cols.asn.push(Asn(64_000 + g.below(ASNS) as u32));
-        cols.country.push(Country::new("US"));
     }
     let slice = cols.slice(0..rows, &tables);
-
-    // -- mask builders ----------------------------------------------------
-    let (lo, hi) = (Timestamp::from_secs(100_000), Timestamp::from_secs(300_000));
-    let (mask_ts_secs, ts_mask) = time_best(iters, || mask_ts_window(slice.ts(), lo, hi));
-    let probe_asn = 64_007u32;
-    let (mask_eq_secs, asn_mask) = time_best(iters, || mask_eq_u32(slice.asns(), probe_asn));
-    let (and_secs, selected) = time_best(iters, || {
-        let mut m = ts_mask.clone();
-        m.and(&asn_mask);
-        m.count()
-    });
-
-    // -- gather vs the old filtered re-encode -----------------------------
-    let mut kind_mask = ts_mask.clone();
-    kind_mask.and(&asn_mask);
-    let (gather_secs, gathered) = time_best(iters, || slice.gather(&kind_mask).len());
-    let (reencode_secs, reencoded) = time_best(iters, || {
-        let keep = |r: &ipv6_study_telemetry::RequestRecord| {
-            r.asn.0 == probe_asn && r.ts >= lo && r.ts <= hi
-        };
-        ipv6_study_telemetry::OwnedColumns::encode_with(
-            Arc::clone(&tables),
-            slice.records().filter(keep),
-        )
-        .len()
-    });
-    assert_eq!(gathered, reencoded, "gather == filtered re-encode");
-    assert_eq!(gathered, selected, "gather count == mask popcount");
 
     // -- RecordView cursor vs per-row indexed materialization -------------
     let (cursor_secs, cursor_sum) = time_best(iters, || {
@@ -260,10 +237,6 @@ fn main() {
         .with(
             "kernels",
             Json::obj()
-                .with("mask_ts_window", entry(rows, mask_ts_secs, 0.0))
-                .with("mask_eq_u32", entry(rows, mask_eq_secs, 0.0))
-                .with("mask_and_count", entry(rows, and_secs, 0.0))
-                .with("gather", entry(rows, gather_secs, reencode_secs))
                 .with("record_view_cursor", entry(rows, cursor_secs, indexed_secs))
                 .with(
                     "radix_perm_u32",
@@ -284,10 +257,6 @@ fn main() {
 
     eprintln!("kernel microbench over {rows} rows (best of {iters}):");
     for (name, secs, base) in [
-        ("mask_ts_window", mask_ts_secs, 0.0),
-        ("mask_eq_u32", mask_eq_secs, 0.0),
-        ("mask_and_count", and_secs, 0.0),
-        ("gather", gather_secs, reencode_secs),
         ("record_view_cursor", cursor_secs, indexed_secs),
         ("radix_perm_u32", radix_perm_secs, cmp_perm_secs),
         ("radix_sort_u64", radix64_secs, cmp64_secs),

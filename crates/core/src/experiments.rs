@@ -51,7 +51,7 @@ use ipv6_study_secapp::threat_exchange::{half_life, value_decay};
 use ipv6_study_stats::Ecdf;
 use ipv6_study_telemetry::kernels::{scratch_reset, with_scratch, ScratchArena};
 use ipv6_study_telemetry::time::{focus_day_ip, focus_day_user};
-use ipv6_study_telemetry::{Asn, ColumnSlice, DateRange, Family::*, SimDate, UserId};
+use ipv6_study_telemetry::{Asn, ColumnSlice, DateRange, Family::*, IpId, SimDate, UserId};
 
 pub use crate::ctx::AnalysisCtx;
 use crate::ctx::{Input, Plan};
@@ -568,13 +568,13 @@ pub fn o61_ip_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
     out.stat("o61.sig_heavy_share", sig.heavy_signature_share);
     out.stat("o61.sig_light_share", sig.light_signature_share);
 
-    // Predictor evaluation (the "signatures are feasible" claim). Each
-    // address's ASN comes from its run head — the first record of the
-    // address in timestamp order, exactly what the slice walk found.
-    let mut asn_of = HashMap::new();
-    for (ip, group) in ctx.ip_week().ip_groups() {
-        asn_of.insert(ip, group.asns()[0]);
-    }
+    // Predictor evaluation (the "signatures are feasible" claim), each
+    // address's ASN from the address table.
+    let index = ctx.ip_week();
+    let ips = &index.tables().ips;
+    let asn_of: HashMap<_, _> = (index.distinct_ips().iter().zip(index.distinct_ip_ids()))
+        .map(|(&ip, &id)| (ip, ips.asn(id)))
+        .collect();
     let predictor = HeavyAddressPredictor::learn(&week.counts, &asn_of, heavy);
     let eval = predictor.evaluate(&week.counts, &asn_of, heavy);
     out.stat("o61.predictor_precision", eval.precision);
@@ -955,35 +955,43 @@ struct KindStats {
 
 /// X8.1's per-kind distributions from the three shared indexes — an IP
 /// day, a user day and a user history ending on `focus` — each walked
-/// once. Every **row** counts under its own ASN's kind (`kind_of`, `None`
-/// for no kind), so an address seen under two kinds' ASNs counts under
-/// each, exactly as indexing each kind's rows apart would count it.
+/// once. An address has one ASN, so it counts under that ASN's kind
+/// (`kind_of`, `None` for no kind), looked up once per interned address
+/// into a dense per-address array.
 fn kind_breakdown(
     [ip_day, user_day, history]: [&DatasetIndex; 3],
     focus: SimDate,
     kind_of: impl Fn(Asn) -> Option<usize>,
     benign: impl Fn(UserId) -> bool,
 ) -> [KindStats; 4] {
+    let ips = &ip_day.tables().ips;
+    let [v4_kinds, v6_kinds] = [(false, ips.num_v4()), (true, ips.num_v6())].map(|(v6, n)| {
+        (0..n)
+            .map(|i| kind_of(ips.asn(IpId::new(v6, i))).map(|k| k as u8))
+            .collect::<Vec<_>>()
+    });
     // Per kind: users per v4 and per v6 address, v6 addresses per user,
     // and the focus-day pairs' ages.
     let mut values: [[Vec<u64>; 4]; 4] = Default::default();
     let mut keys: Vec<u64> = Vec::new();
     for (id, group) in ip_day.ip_id_groups() {
-        let users = group.users_dense();
-        classify(&mut keys, group, &kind_of, |i| Some((users[i], 0)));
-        for (kind, n) in distinct_per_kind(&keys) {
-            values[kind][usize::from(id.is_v6())].push(n);
+        let kinds = if id.is_v6() { &v6_kinds } else { &v4_kinds };
+        if let Some(kind) = kinds[id.index()] {
+            distinct(&mut keys, group.users_dense().iter().map(|&u| u64::from(u)));
+            values[usize::from(kind)][usize::from(id.is_v6())].push(keys.len() as u64);
         }
     }
     for (user, group) in user_day.user_groups() {
         if !benign(user) {
             continue;
         }
-        let ids = group.ip_ids();
-        classify(&mut keys, group, &kind_of, |i| {
-            ids[i].is_v6().then(|| (ids[i].raw(), 0))
-        });
-        for (kind, n) in distinct_per_kind(&keys) {
+        let v6 = group.ip_ids().iter().filter(|id| id.is_v6());
+        distinct(&mut keys, v6.map(|id| id.index() as u64));
+        let mut per_kind = [0u64; 4];
+        for kind in keys.iter().filter_map(|&i| v6_kinds[i as usize]) {
+            per_kind[usize::from(kind)] += 1;
+        }
+        for (kind, n) in per_kind.into_iter().enumerate().filter(|&(_, n)| n > 0) {
             values[kind][2].push(n);
         }
     }
@@ -991,17 +999,27 @@ fn kind_breakdown(
         if !benign(user) {
             continue;
         }
-        let (ids, ts) = (group.ip_ids(), group.ts());
-        classify(&mut keys, group, &kind_of, |i| {
-            let day = ts[i].date();
-            (ids[i].is_v6() && day <= focus).then(|| (ids[i].raw(), day.index()))
-        });
-        // Days ascend within a (kind, address) run: the first is when the
-        // pair was first seen, the last whether it was seen on the focus day.
+        keys.clear();
+        keys.extend(
+            group
+                .ip_ids()
+                .iter()
+                .zip(group.ts())
+                .filter_map(|(id, ts)| {
+                    let day = ts.date();
+                    (id.is_v6() && day <= focus)
+                        .then(|| (id.index() as u64) << 16 | u64::from(day.index()))
+                }),
+        );
+        keys.sort_unstable();
+        // Days ascend within an address's run: the first is when the pair
+        // was first seen, the last whether it was seen on the focus day.
         for run in keys.chunk_by(|a, b| a >> 16 == b >> 16) {
             let (first, last) = (run[0] as u16, run[run.len() - 1] as u16);
-            if last == focus.index() {
-                values[(run[0] >> 48) as usize][3].push(u64::from(last - first));
+            if let Some(kind) = v6_kinds[(run[0] >> 16) as usize] {
+                if last == focus.index() {
+                    values[usize::from(kind)][3].push(u64::from(last - first));
+                }
             }
         }
     }
@@ -1013,37 +1031,12 @@ fn kind_breakdown(
     })
 }
 
-/// Fills `keys` with `kind << 48 | key << 16 | day` for each row of
-/// `group` that has a kind and a `(key, day)`, sorted: each run of equal
-/// `>> 16` is one distinct key of one kind, its days ascending.
-fn classify(
-    keys: &mut Vec<u64>,
-    group: ColumnSlice<'_>,
-    kind_of: impl Fn(Asn) -> Option<usize>,
-    key: impl Fn(usize) -> Option<(u32, u16)>,
-) {
+/// Fills `keys` with the distinct `items`, ascending.
+fn distinct(keys: &mut Vec<u64>, items: impl Iterator<Item = u64>) {
     keys.clear();
-    // A group's rows mostly share an ASN: look each run of one up once.
-    let mut last = None;
-    for (i, &asn) in group.asns().iter().enumerate() {
-        if last.is_none_or(|(a, _)| a != asn) {
-            last = Some((asn, kind_of(asn)));
-        }
-        if let (Some((_, Some(kind))), Some((k, day))) = (last, key(i)) {
-            keys.push((kind as u64) << 48 | u64::from(k) << 16 | u64::from(day));
-        }
-    }
+    keys.extend(items);
     keys.sort_unstable();
-}
-
-/// The kinds present in `classify`'s keys, each with its number of
-/// distinct keys.
-fn distinct_per_kind(keys: &[u64]) -> impl Iterator<Item = (usize, u64)> {
-    let mut counts = [0u64; 4];
-    for run in keys.chunk_by(|a, b| a >> 16 == b >> 16) {
-        counts[(run[0] >> 48) as usize] += 1;
-    }
-    counts.into_iter().enumerate().filter(|&(_, n)| n > 0)
+    keys.dedup();
 }
 
 /// Appendix A — pandemic before/after comparison: the paper re-runs its
@@ -1633,7 +1626,7 @@ mod tests {
         assert_eq!(retained(), 0, "after run_extended");
     }
     /// The oracle: X8.1's distributions from one index per kind and
-    /// input, over the rows a mask on the ASN column selects.
+    /// input, over the rows whose ASN has that kind.
     fn kind_breakdown_oracle(
         [ip_day, user_day, history]: [ColumnSlice<'_>; 3],
         focus: SimDate,
@@ -1641,11 +1634,11 @@ mod tests {
         benign: impl Fn(UserId) -> bool,
     ) -> [KindStats; 4] {
         use ipv6_study_analysis::ip_centric::users_per_ip;
-        use ipv6_study_telemetry::kernels::mask_from;
+        use ipv6_study_telemetry::OwnedColumns;
         std::array::from_fn(|kind| {
             let index = |rows: ColumnSlice<'_>| {
-                let mask = mask_from(rows.asns(), |asn| kind_of(asn) == Some(kind));
-                DatasetIndex::build(rows.gather(&mask).as_slice())
+                let kept = rows.records().filter(|r| kind_of(r.asn) == Some(kind));
+                DatasetIndex::build(OwnedColumns::encode_with(rows.tables_arc(), kept).as_slice())
             };
             let upi = users_per_ip(&index(ip_day));
             KindStats {
@@ -1658,9 +1651,9 @@ mod tests {
     }
 
     /// The one walk over the shared indexes equals the per-kind indexes
-    /// on random histories where addresses are seen under ASNs of two
-    /// kinds, an ASN has no kind, some users are abusive, and rows lie
-    /// after the focus day.
+    /// on random histories where users' addresses lie under ASNs of
+    /// several kinds (each address under its one ASN), an ASN has no
+    /// kind, some users are abusive, and rows lie after the focus day.
     #[test]
     fn kind_breakdown_matches_per_kind_indexes() {
         use ipv6_study_stats::testgen::TestGen;
@@ -1677,16 +1670,28 @@ mod tests {
         let benign = |u: UserId| u.raw() % 4 != 0;
         for _ in 0..32 {
             let n = g.range_u64(0, 300) as usize;
-            let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| RequestRecord {
-                ts: (focus + 1 - g.range_u64(0, 6) as u16).at(g.below(24) as u8, 0, 0),
-                user: UserId(g.below(16)),
-                ip: if g.below(3) == 0 {
-                    std::net::IpAddr::V4((0xc000_0200 | g.below(8) as u32).into())
+            let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| {
+                let ts = (focus + 1 - g.range_u64(0, 6) as u16).at(g.below(24) as u8, 0, 0);
+                let user = UserId(g.below(16));
+                let (ip, host) = if g.below(3) == 0 {
+                    let host = g.below(8);
+                    (
+                        std::net::IpAddr::V4((0xc000_0200 | host as u32).into()),
+                        host,
+                    )
                 } else {
-                    std::net::IpAddr::V6(((0x2001_0db8u128 << 96) | u128::from(g.below(12))).into())
-                },
-                asn: Asn(64496 + g.below(4) as u32),
-                country: Country::new("US"),
+                    let host = g.below(12);
+                    let bits = (0x2001_0db8u128 << 96) | u128::from(host);
+                    (std::net::IpAddr::V6(bits.into()), host + 1)
+                };
+                RequestRecord {
+                    ts,
+                    user,
+                    ip,
+                    // An address's ASN is a function of the address.
+                    asn: Asn(64496 + (host % 4) as u32),
+                    country: Country::new("US"),
+                }
             });
             recs.sort_by_key(|r| r.ts);
             let all = OwnedColumns::from_records(&recs);

@@ -96,6 +96,10 @@ pub enum FaultKind {
     /// The session disk budget was exhausted ([`SpillError::Budget`]) —
     /// also non-retryable: the budget would still be exceeded.
     Budget,
+    /// A row gave an address a second (ASN, country) pair
+    /// ([`SpillError::Attributes`]) — the sim is deterministic, so a
+    /// retry would give it again: never retried.
+    Attributes,
 }
 
 impl FaultKind {
@@ -106,6 +110,7 @@ impl FaultKind {
             FaultKind::Io => "io",
             FaultKind::Corrupt => "corrupt",
             FaultKind::Budget => "budget",
+            FaultKind::Attributes => "attributes",
         }
     }
 
@@ -115,13 +120,15 @@ impl FaultKind {
             SpillError::Io { .. } => FaultKind::Io,
             SpillError::Corrupt { .. } => FaultKind::Corrupt,
             SpillError::Budget { .. } => FaultKind::Budget,
+            SpillError::Attributes { .. } => FaultKind::Attributes,
             _ => FaultKind::Io,
         }
     }
 
     /// Whether a shard-level retry could plausibly clear this failure.
     /// Panics retry (the injector models transient panics); Io errors
-    /// retry; corruption and budget overruns do not.
+    /// retry; corruption, budget overruns and an address's second pair
+    /// do not.
     pub fn is_retryable(self) -> bool {
         matches!(self, FaultKind::Panic | FaultKind::Io)
     }
@@ -526,6 +533,7 @@ pub type StudyOutcome = Result<crate::Study, StudyError>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipv6_study_telemetry::{Asn, Country};
 
     #[test]
     fn injector_decisions_are_deterministic_and_keyed() {
@@ -594,10 +602,18 @@ mod tests {
         assert_eq!(FaultKind::from_spill(&io), FaultKind::Io);
         assert_eq!(FaultKind::from_spill(&corrupt), FaultKind::Corrupt);
         assert_eq!(FaultKind::from_spill(&budget), FaultKind::Budget);
+        let attributes = SpillError::Attributes {
+            ip: "10.0.0.1".parse().unwrap(),
+            first: (Asn(64496), Country::new("US")),
+            then: (Asn(64497), Country::new("US")),
+        };
+        assert_eq!(FaultKind::from_spill(&attributes), FaultKind::Attributes);
         assert!(FaultKind::Panic.is_retryable());
         assert!(FaultKind::Io.is_retryable());
         assert!(!FaultKind::Corrupt.is_retryable());
         assert!(!FaultKind::Budget.is_retryable());
+        assert!(!FaultKind::Attributes.is_retryable());
+        assert_eq!(FaultKind::Attributes.to_string(), "attributes");
         assert_eq!(FaultKind::Corrupt.to_string(), "corrupt");
         // Spill errors lift into StudyError with a source chain.
         let e = StudyError::from(corrupt);

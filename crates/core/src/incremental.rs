@@ -86,8 +86,10 @@ use crate::faults::StudyError;
 use crate::report;
 use crate::study::{History, Study};
 
-/// The state-dir layout this build writes and reads.
-const CHECKPOINT_SCHEMA: u64 = 3;
+/// The state-dir layout this build writes and reads: `DSG4` day
+/// segments (12-byte rows, each address's ASN and country in its
+/// dictionary entry).
+const CHECKPOINT_SCHEMA: u64 = 4;
 
 /// A completed incremental run: the (possibly extended) study, the reuse
 /// accounting, and the rendered documents with cached sections spliced

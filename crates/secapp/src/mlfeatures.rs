@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 
 use ipv6_study_netaddr::IidClass;
-use ipv6_study_telemetry::{AbuseLabels, ColumnSlice, IpId};
+use ipv6_study_telemetry::{radix_sort_u64, AbuseLabels, ColumnSlice, IpId};
 
 /// Behavioral features of one unit (address) over an observation day.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,59 +52,68 @@ impl FeatureVector {
 
 /// Extracts per-address features from one day of records.
 ///
-/// Accumulation is keyed by interned [`IpId`] (u32) with user dedup on
-/// dense ids; addresses are materialized once per distinct unit at the
-/// end, not once per record.
+/// Each row becomes one packed `address slot << 32 | dense user` word;
+/// one radix sort of those words groups every address's rows, so a run's
+/// length is its requests and its distinct words its users, with night
+/// requests tallied in one counter per interned address. Nothing is
+/// hashed until the result map, and each address is materialized once.
 pub fn extract_features(records: ColumnSlice<'_>) -> HashMap<IpAddr, FeatureVector> {
-    struct Acc {
-        users: HashSet<u32>,
-        requests: u64,
-        night: u64,
-    }
-    let tables = records.tables();
-    let mut acc: HashMap<IpId, Acc> = HashMap::new();
+    let ips = &records.tables().ips;
+    // One slot per interned address, v4 ids then v6 ones: slot order is
+    // id order.
+    let n4 = ips.num_v4();
+    let slot = |id: IpId| id.index() + if id.is_v6() { n4 } else { 0 };
+    let mut night = vec![0u32; ips.len()];
+    let mut keys: Vec<u64> = Vec::with_capacity(records.len());
     for ((&id, &user), &ts) in records
         .ip_ids()
         .iter()
         .zip(records.users_dense())
         .zip(records.ts())
     {
-        let e = acc.entry(id).or_insert_with(|| Acc {
-            users: HashSet::new(),
-            requests: 0,
-            night: 0,
-        });
-        e.users.insert(user);
-        e.requests += 1;
-        if ts.hour() < 6 {
-            e.night += 1;
-        }
+        let s = slot(id);
+        keys.push((s as u64) << 32 | u64::from(user));
+        night[s] += u32::from(ts.hour() < 6);
     }
-    acc.into_iter()
-        .map(|(id, a)| {
-            let ip = tables.ips.addr(id);
-            let (sig, mac, v6) = match ip {
-                IpAddr::V6(addr) => {
-                    let c = IidClass::classify(addr);
-                    (c.is_gateway_signature(), c.is_mac_embedded(), true)
-                }
-                IpAddr::V4(_) => (false, false, false),
+    radix_sort_u64(&mut keys);
+    keys.chunk_by(|a, b| a >> 32 == b >> 32)
+        .map(|run| {
+            let s = (run[0] >> 32) as usize;
+            let id = if s < n4 {
+                IpId::new(false, s)
+            } else {
+                IpId::new(true, s - n4)
             };
-            let users = a.users.len() as f64;
-            (
-                ip,
-                FeatureVector {
-                    log_users: (1.0 + users).ln(),
-                    log_requests: (1.0 + a.requests as f64).ln(),
-                    reqs_per_user: a.requests as f64 / users.max(1.0),
-                    is_v6: f64::from(v6),
-                    gateway_signature: f64::from(sig),
-                    mac_embedded: f64::from(mac),
-                    night_share: a.night as f64 / a.requests.max(1) as f64,
-                },
-            )
+            let requests = run.len() as u64;
+            let users = run.chunk_by(|a, b| a == b).count();
+            features(ips.addr(id), requests, users as u64, u64::from(night[s]))
         })
         .collect()
+}
+
+/// An address's features from its requests, distinct users and night
+/// requests over the day.
+fn features(ip: IpAddr, requests: u64, users: u64, night: u64) -> (IpAddr, FeatureVector) {
+    let (sig, mac, v6) = match ip {
+        IpAddr::V6(addr) => {
+            let c = IidClass::classify(addr);
+            (c.is_gateway_signature(), c.is_mac_embedded(), true)
+        }
+        IpAddr::V4(_) => (false, false, false),
+    };
+    let users = users as f64;
+    (
+        ip,
+        FeatureVector {
+            log_users: (1.0 + users).ln(),
+            log_requests: (1.0 + requests as f64).ln(),
+            reqs_per_user: requests as f64 / users.max(1.0),
+            is_v6: f64::from(v6),
+            gateway_signature: f64::from(sig),
+            mac_embedded: f64::from(mac),
+            night_share: night as f64 / requests.max(1) as f64,
+        },
+    )
 }
 
 /// Builds next-day labels: an address is positive when it hosts at least
@@ -300,6 +309,70 @@ mod tests {
         let v4 = &f[&"10.0.0.1".parse::<IpAddr>().unwrap()];
         assert_eq!(v4.is_v6, 0.0);
         assert_eq!(v4.night_share, 1.0);
+    }
+
+    /// The hash-map version the sorted extraction replaced.
+    fn extract_features_oracle(records: ColumnSlice<'_>) -> HashMap<IpAddr, FeatureVector> {
+        struct Acc {
+            users: HashSet<u32>,
+            requests: u64,
+            night: u64,
+        }
+        let tables = records.tables();
+        let mut acc: HashMap<IpId, Acc> = HashMap::new();
+        for ((&id, &user), &ts) in records
+            .ip_ids()
+            .iter()
+            .zip(records.users_dense())
+            .zip(records.ts())
+        {
+            let e = acc.entry(id).or_insert_with(|| Acc {
+                users: HashSet::new(),
+                requests: 0,
+                night: 0,
+            });
+            e.users.insert(user);
+            e.requests += 1;
+            if ts.hour() < 6 {
+                e.night += 1;
+            }
+        }
+        acc.into_iter()
+            .map(|(id, a)| {
+                let ip = tables.ips.addr(id);
+                features(ip, a.requests, a.users.len() as u64, a.night)
+            })
+            .collect()
+    }
+
+    /// The sorted extraction equals the hash-map oracle on random days:
+    /// both families, repeated (address, user) pairs, every hour, and a
+    /// window that interns addresses it does not hold.
+    #[test]
+    fn feature_extraction_matches_the_hash_map_oracle() {
+        use ipv6_study_stats::testgen::TestGen;
+        let mut g = TestGen::new(0x4d4c_4645); // "MLFE"
+        for case in 0..40 {
+            let n = g.range_u64(0, 300) as usize;
+            let recs: Vec<RequestRecord> = g.vec_of(n, |g| {
+                let host = g.below(25);
+                let ip = if g.below(3) == 0 {
+                    format!("10.0.0.{host}")
+                } else {
+                    format!("2001:db8:{:x}::{host:x}", host % 3)
+                };
+                rec(g.below(12), &ip, g.below(24) as u8)
+            });
+            let c = cols(&recs);
+            let half = c.as_slice().slice(0..n / 2);
+            for window in [c.as_slice(), half] {
+                assert_eq!(
+                    extract_features(window),
+                    extract_features_oracle(window),
+                    "case {case}"
+                );
+            }
+        }
     }
 
     #[test]

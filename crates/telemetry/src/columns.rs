@@ -2,12 +2,14 @@
 //!
 //! The row-oriented [`RequestRecord`] costs
 //! 40 bytes per row (a tagged `IpAddr` enum plus padding). The columnar
-//! layout stores the same five fields as parallel columns over interned
-//! ids — 4-byte timestamp, 4-byte [`IpId`], 4-byte dense user, 4-byte ASN,
-//! 2-byte country = **18 bytes per row** — and serves range queries as
-//! [`ColumnSlice`]s: borrowed column windows plus the shared
-//! [`EntityTables`], from which rows can be rematerialized on demand
-//! through the [`RecordView`] cursor.
+//! layout stores three parallel columns over interned ids — 4-byte
+//! timestamp, 4-byte [`IpId`], 4-byte dense user = **12 bytes per row** —
+//! and the address's ASN and country once, in its [`IpTable`] entry.
+//! Range queries return [`ColumnSlice`]s: borrowed column windows plus
+//! the shared [`EntityTables`], from which rows can be rematerialized on
+//! demand through the [`RecordView`] cursor.
+//!
+//! [`IpTable`]: crate::intern::IpTable
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -26,10 +28,6 @@ pub struct ColumnStore {
     pub ip: Vec<IpId>,
     /// Dense user ids.
     pub user: Vec<u32>,
-    /// Announcing ASNs.
-    pub asn: Vec<Asn>,
-    /// Country geolocations.
-    pub country: Vec<Country>,
 }
 
 impl ColumnStore {
@@ -53,23 +51,25 @@ impl ColumnStore {
             ts: Vec::with_capacity(n),
             ip: Vec::with_capacity(n),
             user: Vec::with_capacity(n),
-            asn: Vec::with_capacity(n),
-            country: Vec::with_capacity(n),
         }
     }
 
     /// Appends one encoded row.
     ///
     /// # Panics
-    /// If the row's address or user is not interned in `tables`.
+    /// If the row's address or user is not interned in `tables`, or the
+    /// row's ASN or country differs from its address's entry.
     pub fn push_encoded(&mut self, r: &RequestRecord, tables: &EntityTables) {
         let ip = tables.ips.id_of(r.ip);
         let user = tables.users.dense_of(r.user);
+        assert!(
+            tables.ips.attrs(ip) == (r.asn, r.country),
+            "row attributes differ from address {}'s entry",
+            r.ip
+        );
         self.ts.push(r.ts);
         self.ip.push(ip);
         self.user.push(user);
-        self.asn.push(r.asn);
-        self.country.push(r.country);
     }
 
     /// Number of rows.
@@ -87,8 +87,6 @@ impl ColumnStore {
         self.ts.clear();
         self.ip.clear();
         self.user.clear();
-        self.asn.clear();
-        self.country.clear();
     }
 
     /// Reserves room for `n` more rows on every column.
@@ -96,8 +94,6 @@ impl ColumnStore {
         self.ts.reserve(n);
         self.ip.reserve(n);
         self.user.reserve(n);
-        self.asn.reserve(n);
-        self.country.reserve(n);
     }
 
     /// Releases over-allocation on every column.
@@ -105,8 +101,6 @@ impl ColumnStore {
         self.ts.shrink_to_fit();
         self.ip.shrink_to_fit();
         self.user.shrink_to_fit();
-        self.asn.shrink_to_fit();
-        self.country.shrink_to_fit();
     }
 
     /// Heap bytes held by the columns (capacity, not just length — this is
@@ -115,8 +109,6 @@ impl ColumnStore {
         self.ts.capacity() * std::mem::size_of::<Timestamp>()
             + self.ip.capacity() * std::mem::size_of::<IpId>()
             + self.user.capacity() * std::mem::size_of::<u32>()
-            + self.asn.capacity() * std::mem::size_of::<Asn>()
-            + self.country.capacity() * std::mem::size_of::<Country>()
     }
 
     /// Borrows a row window as a [`ColumnSlice`].
@@ -128,15 +120,13 @@ impl ColumnStore {
         ColumnSlice {
             ts: &self.ts[range.clone()],
             ip: &self.ip[range.clone()],
-            user: &self.user[range.clone()],
-            asn: &self.asn[range.clone()],
-            country: &self.country[range],
+            user: &self.user[range],
             tables,
         }
     }
 }
 
-/// A borrowed window of encoded rows: five column slices plus the shared
+/// A borrowed window of encoded rows: three column slices plus the shared
 /// intern tables needed to rematerialize them. `Copy`, so passes hand
 /// windows around as cheaply as the `&[RequestRecord]` slices they
 /// replaced.
@@ -145,8 +135,6 @@ pub struct ColumnSlice<'a> {
     ts: &'a [Timestamp],
     ip: &'a [IpId],
     user: &'a [u32],
-    asn: &'a [Asn],
-    country: &'a [Country],
     tables: &'a Arc<EntityTables>,
 }
 
@@ -157,8 +145,6 @@ impl<'a> ColumnSlice<'a> {
             ts: &[],
             ip: &[],
             user: &[],
-            asn: &[],
-            country: &[],
             tables,
         }
     }
@@ -188,14 +174,16 @@ impl<'a> ColumnSlice<'a> {
         self.user
     }
 
-    /// The ASN column.
-    pub fn asns(&self) -> &'a [Asn] {
-        self.asn
+    /// Each row's ASN, looked up through its address's table entry.
+    pub fn asns(&self) -> impl Iterator<Item = Asn> + 'a {
+        let ips = &self.tables.ips;
+        self.ip.iter().map(move |&id| ips.asn(id))
     }
 
-    /// The country column.
-    pub fn countries(&self) -> &'a [Country] {
-        self.country
+    /// Each row's country, looked up through its address's table entry.
+    pub fn countries(&self) -> impl Iterator<Item = Country> + 'a {
+        let ips = &self.tables.ips;
+        self.ip.iter().map(move |&id| ips.country(id))
     }
 
     /// The shared intern tables.
@@ -230,13 +218,7 @@ impl<'a> ColumnSlice<'a> {
     /// Rematerializes one row.
     #[inline]
     pub fn record(&self, i: usize) -> RequestRecord {
-        RequestRecord {
-            ts: self.ts[i],
-            user: self.user_at(i),
-            ip: self.addr_at(i),
-            asn: self.asn[i],
-            country: self.country[i],
-        }
+        materialize(self.tables, self.ts[i], self.ip[i], self.user[i])
     }
 
     /// A lazily-rematerializing row cursor over the window.
@@ -245,45 +227,8 @@ impl<'a> ColumnSlice<'a> {
             ts: self.ts.iter(),
             ip: self.ip.iter(),
             user: self.user.iter(),
-            asn: self.asn.iter(),
-            country: self.country.iter(),
             tables: self.tables,
         }
-    }
-
-    /// Copies the mask-selected rows into owned columns sharing this
-    /// window's intern tables — the columnar replacement for
-    /// `OwnedColumns::encode_with(tables, win.records().filter(..))`:
-    /// no row is decoded to a [`RequestRecord`] and re-interned, the
-    /// five columns are gathered directly.
-    pub fn gather(&self, mask: &crate::kernels::SelectionMask) -> OwnedColumns {
-        let mut cols = ColumnStore::default();
-        self.select_into(mask, &mut cols);
-        OwnedColumns {
-            cols,
-            tables: self.tables_arc(),
-        }
-    }
-
-    /// Appends the mask-selected rows onto `out` (encoded against this
-    /// window's tables). The mask must cover exactly this window.
-    pub fn select_into(&self, mask: &crate::kernels::SelectionMask, out: &mut ColumnStore) {
-        assert_eq!(mask.len(), self.len(), "mask covers a different window");
-        out.reserve(mask.count());
-        mask.for_each(|i| {
-            out.ts.push(self.ts[i]);
-            out.ip.push(self.ip[i]);
-            out.user.push(self.user[i]);
-            out.asn.push(self.asn[i]);
-            out.country.push(self.country[i]);
-        });
-    }
-
-    /// Number of rows in the window selected by `mask` — a popcount, no
-    /// materialization.
-    pub fn filter_count(&self, mask: &crate::kernels::SelectionMask) -> usize {
-        assert_eq!(mask.len(), self.len(), "mask covers a different window");
-        mask.count()
     }
 
     /// Re-windows the slice.
@@ -291,9 +236,7 @@ impl<'a> ColumnSlice<'a> {
         ColumnSlice {
             ts: &self.ts[range.clone()],
             ip: &self.ip[range.clone()],
-            user: &self.user[range.clone()],
-            asn: &self.asn[range.clone()],
-            country: &self.country[range],
+            user: &self.user[range],
             tables: self.tables,
         }
     }
@@ -316,10 +259,24 @@ impl PartialEq for ColumnSlice<'_> {
     }
 }
 
+/// One row rematerialized from its three columns: a user table look-up
+/// and the address table's look-ups of the address and its attributes.
+#[inline]
+fn materialize(tables: &EntityTables, ts: Timestamp, ip: IpId, user: u32) -> RequestRecord {
+    let (asn, country) = tables.ips.attrs(ip);
+    RequestRecord {
+        ts,
+        user: tables.users.user(user),
+        ip: tables.ips.addr(ip),
+        asn,
+        country,
+    }
+}
+
 /// A double-ended, exact-size cursor yielding rematerialized rows.
 ///
-/// Holds one [`std::slice::Iter`] per column and advances all five in
-/// lockstep, so each row costs five pointer bumps — not the five
+/// Holds one [`std::slice::Iter`] per column and advances all three in
+/// lockstep, so each row costs three pointer bumps — not the
 /// bounds-checked indexes the earlier index-based cursor paid per row
 /// (`bench_kernels` reports the difference).
 #[derive(Clone)]
@@ -327,29 +284,7 @@ pub struct RecordView<'a> {
     ts: std::slice::Iter<'a, Timestamp>,
     ip: std::slice::Iter<'a, IpId>,
     user: std::slice::Iter<'a, u32>,
-    asn: std::slice::Iter<'a, Asn>,
-    country: std::slice::Iter<'a, Country>,
     tables: &'a EntityTables,
-}
-
-impl RecordView<'_> {
-    #[inline]
-    fn materialize(
-        &self,
-        ts: Timestamp,
-        ip: IpId,
-        user: u32,
-        asn: Asn,
-        c: Country,
-    ) -> RequestRecord {
-        RequestRecord {
-            ts,
-            user: self.tables.users.user(user),
-            ip: self.tables.ips.addr(ip),
-            asn,
-            country: c,
-        }
-    }
 }
 
 impl Iterator for RecordView<'_> {
@@ -360,9 +295,7 @@ impl Iterator for RecordView<'_> {
         let ts = *self.ts.next()?;
         let ip = *self.ip.next()?;
         let user = *self.user.next()?;
-        let asn = *self.asn.next()?;
-        let c = *self.country.next()?;
-        Some(self.materialize(ts, ip, user, asn, c))
+        Some(materialize(self.tables, ts, ip, user))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -376,9 +309,7 @@ impl DoubleEndedIterator for RecordView<'_> {
         let ts = *self.ts.next_back()?;
         let ip = *self.ip.next_back()?;
         let user = *self.user.next_back()?;
-        let asn = *self.asn.next_back()?;
-        let c = *self.country.next_back()?;
-        Some(self.materialize(ts, ip, user, asn, c))
+        Some(materialize(self.tables, ts, ip, user))
     }
 }
 
@@ -441,13 +372,20 @@ mod tests {
     use crate::ids::{Asn, Country};
     use crate::time::SimDate;
 
+    /// A row whose ASN and country follow from its address's family.
     fn rec(user: u64, sec: u32, ip: &str) -> RequestRecord {
+        let ip: std::net::IpAddr = ip.parse().unwrap();
+        let (asn, country) = if ip.is_ipv6() {
+            (Asn(64497), Country::new("DE"))
+        } else {
+            (Asn(64496), Country::new("US"))
+        };
         RequestRecord {
             ts: Timestamp::from_secs(SimDate::ymd(4, 13).start().secs() + sec),
             user: UserId(user),
-            ip: ip.parse().unwrap(),
-            asn: Asn(64496),
-            country: Country::new("US"),
+            ip,
+            asn,
+            country,
         }
     }
 
@@ -478,10 +416,14 @@ mod tests {
     }
 
     #[test]
-    fn columns_are_eighteen_bytes_per_row() {
+    fn columns_are_twelve_bytes_per_row() {
         let owned = OwnedColumns::from_records(&sample());
-        assert_eq!(owned.bytes(), 4 * 18, "4+4+4+4+2 bytes per row");
-        assert!(std::mem::size_of::<RequestRecord>() > 18);
+        assert_eq!(owned.bytes(), 4 * 12, "4+4+4 bytes per row");
+        assert!(std::mem::size_of::<RequestRecord>() > 12);
+        // ASN and country come from the address's table entry.
+        let slice = owned.as_slice();
+        assert!(slice.asns().eq(sample().iter().map(|r| r.asn)));
+        assert!(slice.countries().eq(sample().iter().map(|r| r.country)));
     }
 
     #[test]
@@ -512,28 +454,16 @@ mod tests {
     }
 
     #[test]
-    fn gather_matches_filtered_reencode() {
+    #[should_panic(expected = "differ from address 10.0.0.1's entry")]
+    fn encoding_a_row_against_another_pair_panics() {
         let recs = sample();
-        let tables = Arc::new(EntityTables::from_records(&recs));
-        let cols = ColumnStore::encode(recs.iter(), &tables);
-        let win = cols.slice(0..recs.len(), &tables);
-        // Select the v6 rows via a mask; the old path re-encoded the
-        // filtered RecordView stream.
-        let mask = crate::kernels::mask_from(win.ip_ids(), |id| id.is_v6());
-        let gathered = win.gather(&mask);
-        let old =
-            OwnedColumns::encode_with(Arc::clone(&tables), win.records().filter(|r| r.is_v6()));
-        assert_eq!(gathered.as_slice(), old.as_slice());
-        assert_eq!(win.filter_count(&mask), 2);
-        assert_eq!(gathered.len(), 2);
-
-        let mut extra = ColumnStore::default();
-        win.select_into(&mask, &mut extra);
-        win.select_into(&mask, &mut extra);
-        assert_eq!(extra.len(), 4, "select_into appends");
-
-        let none = win.gather(&crate::kernels::SelectionMask::none(win.len()));
-        assert!(none.is_empty());
+        let tables = EntityTables::from_records(&recs);
+        let mut cols = ColumnStore::default();
+        let other = RequestRecord {
+            asn: Asn(1),
+            ..recs[1]
+        };
+        cols.push_encoded(&other, &tables);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! address and user a **dense** id once — during the driver's freeze step —
 //! so the columnar stores carry 4-byte ids instead of 17-byte `IpAddr`
 //! enums and 8-byte raw user ids, and every prefix a pass needs is a
-//! precomputed per-entry column lookup.
+//! precomputed per-entry column lookup. An address's ASN and country are
+//! attributes of the address (the simulator allocates every address from
+//! one network's pool), so they live in its table entry too, never in a
+//! row.
 //!
 //! # Order isomorphism (the determinism contract)
 //!
@@ -24,13 +27,22 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use ipv6_study_netaddr::{Ipv4Prefix, Ipv6Prefix};
 
-use crate::ids::UserId;
+use crate::ids::{Asn, Country, UserId};
 use crate::record::RequestRecord;
 use crate::segment::Dictionary;
+
+/// An address's attributes: the ASN announcing it and its country.
+pub(crate) type Attrs = (Asn, Country);
+
+/// `attrs` as `AS64496/US`, whatever bytes the country holds (so a
+/// damaged file's entry can be named without a panic).
+pub(crate) fn attrs_str((asn, country): Attrs) -> String {
+    format!("{asn}/{}", String::from_utf8_lossy(&country.0))
+}
 
 /// A dense interned address id: bit 31 is the family (1 = IPv6), the low
 /// 31 bits are the per-family index in ascending numeric address order.
@@ -75,18 +87,27 @@ impl IpId {
     pub fn raw(self) -> u32 {
         self.0
     }
+
+    /// The id a packed raw value denotes.
+    #[inline]
+    pub(crate) fn from_raw(raw: u32) -> Self {
+        Self(raw)
+    }
 }
 
 /// The interned address dictionary with precomputed prefix-id columns.
 ///
-/// Per-family address tables are sorted and deduplicated; each IPv6 entry
-/// carries the dense id of its /64, /56 and /48 prefix, each IPv4 entry
-/// the dense id of its /24 — the prefix lengths the paper's aggregation
-/// analyses (Figures 4, 6, 9–11) hit on every pass.
+/// Per-family address tables are sorted and deduplicated; every entry
+/// carries its address's ASN and country, each IPv6 entry the dense id
+/// of its /64, /56 and /48 prefix, each IPv4 entry the dense id of its
+/// /24 — the prefix lengths the paper's aggregation analyses
+/// (Figures 4, 6, 9–11) hit on every pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IpTable {
     v4: Vec<u32>,
     v6: Vec<u128>,
+    v4_attrs: Vec<Attrs>,
+    v6_attrs: Vec<Attrs>,
     v4_p24: Vec<u32>,
     v6_p64: Vec<u32>,
     v6_p56: Vec<u32>,
@@ -113,29 +134,76 @@ fn prefix_column<B: Copy + PartialEq>(addrs: &[B], mask: impl Fn(B) -> B) -> (Ve
     (ids, table)
 }
 
+/// One family's distinct address keys, ascending, and each one's
+/// attributes, from entries in any order; `addr` names a key in the
+/// panic. Entries are deduplicated through a map of the distinct keys,
+/// so only those are sorted.
+///
+/// # Panics
+/// Panics when two entries give one key different attributes.
+fn distinct_entries<K: Hash + Ord + Copy>(
+    entries: Vec<(K, Asn, Country)>,
+    addr: impl Fn(K) -> IpAddr,
+) -> (Vec<K>, Vec<Attrs>) {
+    let mut seen: HashMap<K, Attrs, BuildHasherDefault<KeyHasher>> = HashMap::default();
+    for (k, asn, country) in entries {
+        let first = *seen.entry(k).or_insert((asn, country));
+        if first != (asn, country) {
+            let (a, c) = first;
+            panic!(
+                "address {} has two attributes: {a}/{c} and {asn}/{country}",
+                addr(k)
+            );
+        }
+    }
+    let mut distinct: Vec<(K, Attrs)> = seen.into_iter().collect();
+    // Keys are distinct, so the map's iteration order cannot show.
+    distinct.sort_unstable_by_key(|&(k, _)| k);
+    distinct.into_iter().unzip()
+}
+
 impl IpTable {
-    /// Builds the table from the distinct addresses of a record stream.
+    /// Builds the table from the distinct addresses of a record stream,
+    /// each with the ASN and country its records carry.
+    ///
+    /// # Panics
+    /// Panics when two records give one address different (ASN,
+    /// country) pairs.
     pub fn build<'a>(records: impl Iterator<Item = &'a RequestRecord>) -> Self {
-        let mut v4: Vec<u32> = Vec::new();
-        let mut v6: Vec<u128> = Vec::new();
+        let mut v4 = Vec::new();
+        let mut v6 = Vec::new();
         for r in records {
             match r.ip {
-                IpAddr::V4(a) => v4.push(u32::from(a)),
-                IpAddr::V6(a) => v6.push(u128::from(a)),
+                IpAddr::V4(a) => v4.push((u32::from(a), r.asn, r.country)),
+                IpAddr::V6(a) => v6.push((u128::from(a), r.asn, r.country)),
             }
         }
-        Self::from_keys(v4, v6)
+        Self::from_entries(v4, v6)
     }
 
-    /// Builds the table from raw per-family address keys (duplicates and
-    /// arbitrary order allowed). The result depends only on the distinct
-    /// key *sets*, which is what makes tables built over spilled streams
-    /// bit-identical to tables built over the same records in memory.
-    pub fn from_keys(mut v4: Vec<u32>, mut v6: Vec<u128>) -> Self {
-        crate::kernels::radix_sort_u32(&mut v4);
-        v4.dedup();
-        v6.sort_unstable();
-        v6.dedup();
+    /// Builds the table from per-family (address key, ASN, country)
+    /// entries, in any order and with repeats. The result depends only
+    /// on the distinct entry *sets*, which is what makes tables built
+    /// over spilled streams bit-identical to tables built over the same
+    /// records in memory.
+    ///
+    /// # Panics
+    /// Panics when two entries give one address different attributes.
+    pub fn from_entries(v4: Vec<(u32, Asn, Country)>, v6: Vec<(u128, Asn, Country)>) -> Self {
+        let (v4, v4_attrs) = distinct_entries(v4, |k| Ipv4Addr::from(k).into());
+        let (v6, v6_attrs) = distinct_entries(v6, |k| Ipv6Addr::from(k).into());
+        Self::from_sorted(v4, v6, v4_attrs, v6_attrs)
+    }
+
+    /// Builds the table from each family's distinct addresses, ascending,
+    /// and their attributes in the same order.
+    pub(crate) fn from_sorted(
+        v4: Vec<u32>,
+        v6: Vec<u128>,
+        v4_attrs: Vec<Attrs>,
+        v6_attrs: Vec<Attrs>,
+    ) -> Self {
+        debug_assert!(v4.windows(2).all(|w| w[0] < w[1]) && v6.windows(2).all(|w| w[0] < w[1]));
         let (v4_p24, p24) = prefix_column(&v4, |a| Ipv4Prefix::bits_containing(a, 24));
         let (v6_p64, p64) = prefix_column(&v6, |a| Ipv6Prefix::bits_containing(a, 64));
         let (v6_p56, p56) = prefix_column(&v6, |a| Ipv6Prefix::bits_containing(a, 56));
@@ -143,6 +211,8 @@ impl IpTable {
         Self {
             v4,
             v6,
+            v4_attrs,
+            v6_attrs,
             v4_p24,
             v6_p64,
             v6_p56,
@@ -214,6 +284,28 @@ impl IpTable {
         } else {
             IpAddr::V4(std::net::Ipv4Addr::from(self.v4[id.index()]))
         }
+    }
+
+    /// The ASN announcing an address and the country it geolocates to.
+    #[inline]
+    pub(crate) fn attrs(&self, id: IpId) -> Attrs {
+        if id.is_v6() {
+            self.v6_attrs[id.index()]
+        } else {
+            self.v4_attrs[id.index()]
+        }
+    }
+
+    /// The ASN announcing an address.
+    #[inline]
+    pub fn asn(&self, id: IpId) -> Asn {
+        self.attrs(id).0
+    }
+
+    /// The country an address geolocates to.
+    #[inline]
+    pub fn country(&self, id: IpId) -> Country {
+        self.attrs(id).1
     }
 
     /// Raw 128-bit value of an IPv6 id.
@@ -292,10 +384,12 @@ impl IpTable {
         }
     }
 
-    /// Heap bytes held by the table (address and prefix columns).
+    /// Heap bytes held by the table (address, attribute and prefix
+    /// columns).
     pub fn bytes(&self) -> usize {
         self.v4.len() * 4
             + self.v6.len() * 16
+            + (self.v4_attrs.len() + self.v6_attrs.len()) * std::mem::size_of::<Attrs>()
             + (self.v4_p24.len() + self.v6_p64.len() + self.v6_p56.len() + self.v6_p48.len()) * 4
             + self.p24.len() * 4
             + (self.p64.len() + self.p56.len() + self.p48.len()) * 16
@@ -443,15 +537,93 @@ fn provisional<K: Hash + Eq>(ids: &mut KeyIds<K>, key: K) -> u32 {
 }
 
 /// A first-sight dictionary: provisional ids for the keys seen so far,
-/// assigned in first-sight order, one id space per key family. A shard's
+/// assigned in first-sight order, one id space per key family, and each
+/// address's attributes as its first sighting gave them. A shard's
 /// staged rows carry its ids until a seal ranks them; the freeze maps
 /// every segment dictionary into one before it ranks the whole run's
 /// keys.
 #[derive(Debug, Default)]
 pub(crate) struct Interner {
-    pub v4: KeyIds<u32>,
-    pub v6: KeyIds<u128>,
+    pub v4: AddressIds<u32>,
+    pub v6: AddressIds<u128>,
     pub users: KeyIds<u64>,
+}
+
+/// One address family's provisional ids, and each address's attributes
+/// by provisional id.
+#[derive(Debug)]
+pub(crate) struct AddressIds<K> {
+    ids: KeyIds<K>,
+    attrs: Vec<Attrs>,
+}
+
+impl<K> Default for AddressIds<K> {
+    fn default() -> Self {
+        Self {
+            ids: KeyIds::default(),
+            attrs: Vec::new(),
+        }
+    }
+}
+
+/// A dictionary entry whose attributes differ from the ones an earlier
+/// dictionary gave its address.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Conflict {
+    /// The entry's family.
+    pub v6: bool,
+    /// The entry's position among its family's keys.
+    pub entry: usize,
+    /// The attributes the address was first interned with.
+    pub first: Attrs,
+}
+
+impl<K: Hash + Ord + Copy> AddressIds<K> {
+    /// The provisional id of address `key`, recording `attrs` as its
+    /// attributes on first sight; returned with the attributes recorded.
+    fn intern(&mut self, key: K, attrs: Attrs) -> (usize, Attrs) {
+        let id = provisional(&mut self.ids, key) as usize;
+        if id == self.attrs.len() {
+            self.attrs.push(attrs);
+        }
+        (id, self.attrs[id])
+    }
+
+    /// The provisional ids of one dictionary family's entries, or the
+    /// first entry whose attributes disagree with its address's.
+    fn intern_entries(
+        &mut self,
+        keys: &[K],
+        attrs: &[Attrs],
+        v6: bool,
+    ) -> Result<Vec<IpId>, Conflict> {
+        let entries = keys.iter().zip(attrs).enumerate();
+        entries
+            .map(|(entry, (&key, &attrs))| match self.intern(key, attrs) {
+                (id, first) if first == attrs => Ok(IpId::new(v6, id)),
+                (_, first) => Err(Conflict { v6, entry, first }),
+            })
+            .collect()
+    }
+
+    /// The distinct addresses in ascending order, their attributes in
+    /// the same order, and the rank of each provisional id among them;
+    /// the family is left empty.
+    pub fn drain_ranked(&mut self) -> (Vec<K>, Vec<Attrs>, Vec<u32>) {
+        let (keys, rank) = rank_keys(self.ids.drain());
+        let mut ranked = self.attrs.clone();
+        for (&attrs, &r) in self.attrs.iter().zip(&rank) {
+            ranked[r as usize] = attrs;
+        }
+        self.attrs.clear();
+        (keys, ranked, rank)
+    }
+
+    /// Heap bytes of the entries: each key, its `u32` id and its
+    /// attributes.
+    fn bytes(&self) -> usize {
+        self.ids.len() * (std::mem::size_of::<(K, u32)>() + std::mem::size_of::<Attrs>())
+    }
 }
 
 /// One dictionary's local ids mapped into another id space: local v4,
@@ -464,13 +636,15 @@ pub(crate) struct LocalIds {
 }
 
 impl Interner {
-    /// The provisional id of address `ip`. It keeps the family bit; its
-    /// index counts within the family.
-    pub fn intern_ip(&mut self, ip: IpAddr) -> IpId {
-        match ip {
-            IpAddr::V4(a) => IpId::new(false, provisional(&mut self.v4, u32::from(a)) as usize),
-            IpAddr::V6(a) => IpId::new(true, provisional(&mut self.v6, u128::from(a)) as usize),
-        }
+    /// The provisional id of address `ip`, and its attributes: `attrs`
+    /// on first sight, else the ones its first sighting gave. The id
+    /// keeps the family bit; its index counts within the family.
+    pub fn intern_ip(&mut self, ip: IpAddr, attrs: Attrs) -> (IpId, Attrs) {
+        let (v6, (id, first)) = match ip {
+            IpAddr::V4(a) => (false, self.v4.intern(u32::from(a), attrs)),
+            IpAddr::V6(a) => (true, self.v6.intern(u128::from(a), attrs)),
+        };
+        (IpId::new(v6, id), first)
     }
 
     /// The provisional id of `user`.
@@ -478,26 +652,24 @@ impl Interner {
         provisional(&mut self.users, user.raw())
     }
 
-    /// Interns every key of `dict`: its local → provisional tables.
-    pub fn intern_dictionary(&mut self, dict: &Dictionary) -> LocalIds {
-        LocalIds {
-            v4: (dict.v4.iter())
-                .map(|&k| IpId::new(false, provisional(&mut self.v4, k) as usize))
-                .collect(),
-            v6: (dict.v6.iter())
-                .map(|&k| IpId::new(true, provisional(&mut self.v6, k) as usize))
-                .collect(),
+    /// Interns every key of `dict`: its local → provisional tables, or
+    /// the first address entry whose attributes disagree with the ones
+    /// an earlier dictionary gave the address.
+    pub fn intern_dictionary(&mut self, dict: &Dictionary) -> Result<LocalIds, Conflict> {
+        Ok(LocalIds {
+            v4: (self.v4).intern_entries(&dict.v4, &dict.v4_attrs, false)?,
+            v6: (self.v6).intern_entries(&dict.v6, &dict.v6_attrs, true)?,
             users: (dict.users.iter())
                 .map(|&k| provisional(&mut self.users, k))
                 .collect(),
-        }
+        })
     }
 
-    /// Heap bytes of the entries: each key and its `u32` id.
+    /// Heap bytes of the entries: each key and its `u32` id, and each
+    /// address's attributes.
     pub fn bytes(&self) -> u64 {
-        (self.v4.len() * std::mem::size_of::<(u32, u32)>()
-            + self.v6.len() * std::mem::size_of::<(u128, u32)>()
-            + self.users.len() * std::mem::size_of::<(u64, u32)>()) as u64
+        (self.v4.bytes() + self.v6.bytes() + self.users.len() * std::mem::size_of::<(u64, u32)>())
+            as u64
     }
 }
 
@@ -626,6 +798,36 @@ mod tests {
         assert!(p64_table.windows(2).all(|w| w[0] < w[1]));
         assert!(!p64_ids.is_empty());
         assert!(t.v6_prefix_ids(40).is_none());
+    }
+
+    /// Each address's ASN and country live in its table entry, whatever
+    /// the order and repetition of the rows that carry them.
+    #[test]
+    fn attributes_live_in_the_address_entry() {
+        let mut recs = vec![
+            rec(1, "10.0.0.1"),
+            rec(2, "2001:db8::1"),
+            rec(3, "10.0.0.2"),
+        ];
+        recs[1].asn = Asn(64497);
+        recs[2].country = Country::new("DE");
+        recs.push(recs[1]);
+        let t = IpTable::build(recs.iter().rev());
+        for r in &recs {
+            let id = t.id_of(r.ip);
+            assert_eq!((t.asn(id), t.country(id)), (r.asn, r.country), "{}", r.ip);
+        }
+        // Three addresses: 4 + 16 + 4 key bytes, 8 attribute bytes each,
+        // one /24 id each for the v4s, /64, /56 and /48 ids for the v6.
+        assert_eq!(t.bytes(), 24 + 3 * 8 + 2 * 4 + 3 * 4 + 4 + 3 * 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "address 10.0.0.1 has two attributes: AS64496/US and AS64497/US")]
+    fn an_address_with_two_pairs_panics() {
+        let mut other = rec(2, "10.0.0.1");
+        other.asn = Asn(64497);
+        let _ = IpTable::build([rec(1, "10.0.0.1"), other].iter());
     }
 
     #[test]

@@ -1,20 +1,10 @@
-//! Vectorized columnar kernels: branchless selection masks, stable LSB
-//! radix sorts, and reusable scratch arenas.
+//! Vectorized columnar kernels: stable LSB radix sorts and reusable
+//! scratch arenas.
 //!
 //! The struct-of-arrays layout of [`crate::columns`] is built for
-//! data-parallel scans, but until this module the hot paths still walked
-//! it row-at-a-time through [`RecordView`](crate::columns::RecordView)
-//! reconstruction and ordered it with comparison sorts. The kernels here
-//! are the scan/sort/scratch primitives those paths run on instead:
+//! data-parallel scans and sorts. The kernels here are the sort/scratch
+//! primitives the hot paths run on instead of comparison sorts:
 //!
-//! - **Selection masks** — [`SelectionMask`] packs one predicate bit per
-//!   row, 64 rows per `u64` word. The builders ([`mask_ts_window`],
-//!   [`mask_eq_u32`], [`mask_from`]) evaluate the predicate branchlessly
-//!   (`pred as u64` arithmetic, no per-row branch) and the combinators
-//!   ([`SelectionMask::and`], [`SelectionMask::or`]) are word-wise bit
-//!   ops. Consumers walk selected rows with a trailing-zeros loop
-//!   ([`SelectionMask::for_each`]) — no row is ever rematerialized just
-//!   to be filtered out.
 //! - **Radix sorts** — [`radix_sort_perm_u32`] computes the permutation
 //!   that stable-sorts a `u32`-keyed column ascending, as a counting
 //!   (LSB-first) radix sort: 4 passes of 8 bits, each pass a stable
@@ -39,13 +29,11 @@
 //!   thread's arena ([`ScratchArena::trim`]) before they return, so a
 //!   long-lived caller keeps none of it.
 //!
-//! Everything is std-only: the "vectorization" is word-level bit
-//! batching and bounds-check-free chunked loops the optimizer
-//! auto-vectorizes, not intrinsics.
+//! Everything is std-only: the "vectorization" is bounds-check-free
+//! chunked loops the optimizer auto-vectorizes, not intrinsics.
 
 use std::cell::RefCell;
 
-use crate::ids::Asn;
 use crate::intern::IpId;
 use crate::record::RequestRecord;
 use crate::time::Timestamp;
@@ -54,10 +42,9 @@ use crate::time::Timestamp;
 // u32-keyed column views
 // ---------------------------------------------------------------------------
 
-/// A column element with a `u32` sort/selection key whose unsigned order
-/// equals the element's own [`Ord`] — the contract that makes radix
-/// passes and mask builders over typed columns equivalent to their
-/// row-oriented counterparts.
+/// A column element with a `u32` sort key whose unsigned order equals
+/// the element's own [`Ord`] — the contract that makes radix passes over
+/// typed columns equivalent to their row-oriented counterparts.
 pub trait U32Key: Copy {
     /// The element's packed `u32` key.
     fn key32(self) -> u32;
@@ -82,174 +69,6 @@ impl U32Key for IpId {
     fn key32(self) -> u32 {
         self.raw()
     }
-}
-
-impl U32Key for Asn {
-    #[inline]
-    fn key32(self) -> u32 {
-        self.0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Selection masks
-// ---------------------------------------------------------------------------
-
-/// A packed per-row selection vector: bit `i % 64` of word `i / 64` is
-/// set when row `i` passes the predicate. Unused tail bits of the last
-/// word are always zero, so word-wise combinators and popcounts need no
-/// tail masking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelectionMask {
-    bits: Vec<u64>,
-    len: usize,
-}
-
-impl SelectionMask {
-    /// A mask over `len` rows with no row selected.
-    pub fn none(len: usize) -> Self {
-        Self {
-            bits: vec![0u64; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// A mask over `len` rows with every row selected.
-    pub fn all(len: usize) -> Self {
-        let mut bits = vec![u64::MAX; len.div_ceil(64)];
-        if let Some(last) = bits.last_mut() {
-            let tail = len % 64;
-            if tail != 0 {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        Self { bits, len }
-    }
-
-    /// Number of rows the mask covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the mask covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of selected rows (a word-wise popcount).
-    pub fn count(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether row `i` is selected.
-    #[inline]
-    pub fn contains(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        self.bits[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Intersects with `other` in place. Both masks must cover the same
-    /// row count.
-    pub fn and(&mut self, other: &SelectionMask) {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
-            *w &= o;
-        }
-    }
-
-    /// Unions with `other` in place. Both masks must cover the same row
-    /// count.
-    pub fn or(&mut self, other: &SelectionMask) {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
-            *w |= o;
-        }
-    }
-
-    /// Calls `f` with each selected row index, ascending — a
-    /// trailing-zeros loop over the set bits, so cost scales with the
-    /// selected count plus the word count, not the row count times a
-    /// per-row branch.
-    #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.bits.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                f(wi * 64 + bit);
-                w &= w - 1;
-            }
-        }
-    }
-
-    /// The selected row indices, ascending.
-    pub fn indices(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.count());
-        self.for_each(|i| out.push(i as u32));
-        out
-    }
-}
-
-/// Builds a mask by evaluating `pred` over every element of `col`,
-/// branchlessly: each row contributes `(pred as u64) << bit` to its
-/// word, and the column is walked in bounds-check-free 64-row chunks.
-pub fn mask_from<K: Copy>(col: &[K], pred: impl Fn(K) -> bool) -> SelectionMask {
-    let mut bits = Vec::with_capacity(col.len().div_ceil(64));
-    let mut chunks = col.chunks_exact(64);
-    for chunk in &mut chunks {
-        let mut w = 0u64;
-        for (bit, &k) in chunk.iter().enumerate() {
-            w |= (pred(k) as u64) << bit;
-        }
-        bits.push(w);
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        let mut w = 0u64;
-        for (bit, &k) in tail.iter().enumerate() {
-            w |= (pred(k) as u64) << bit;
-        }
-        bits.push(w);
-    }
-    SelectionMask {
-        bits,
-        len: col.len(),
-    }
-}
-
-/// Selects the rows whose timestamp lies in `[lo, hi]` (inclusive) — the
-/// date-window predicate every windowed pass starts from.
-pub fn mask_ts_window(ts: &[Timestamp], lo: Timestamp, hi: Timestamp) -> SelectionMask {
-    let (lo, hi) = (lo.secs(), hi.secs());
-    mask_from(ts, move |t: Timestamp| {
-        let s = t.secs();
-        (s >= lo) & (s <= hi)
-    })
-}
-
-/// Selects the rows whose `u32` key equals `val` (equality over ASN, id,
-/// or raw u32 columns).
-pub fn mask_eq_u32<K: U32Key>(col: &[K], val: u32) -> SelectionMask {
-    mask_from(col, move |k: K| k.key32() == val)
-}
-
-/// Number of rows of `col` passing `pred`, without materializing
-/// anything (a fused mask + popcount).
-pub fn filter_count<K: Copy>(col: &[K], pred: impl Fn(K) -> bool) -> usize {
-    // One word at a time keeps the popcount off the per-row path.
-    let mut chunks = col.chunks_exact(64);
-    let mut n = 0usize;
-    for chunk in &mut chunks {
-        let mut w = 0u64;
-        for (bit, &k) in chunk.iter().enumerate() {
-            w |= (pred(k) as u64) << bit;
-        }
-        n += w.count_ones() as usize;
-    }
-    for &k in chunks.remainder() {
-        n += pred(k) as usize;
-    }
-    n
 }
 
 // ---------------------------------------------------------------------------
@@ -557,61 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_builders_match_scalar_filtering() {
-        let mut g = TestGen::new(7);
-        let ts: Vec<Timestamp> = g.vec_of(1000, |g| Timestamp::from_secs(g.below(500_000) as u32));
-        let (lo, hi) = (Timestamp::from_secs(100_000), Timestamp::from_secs(300_000));
-        let mask = mask_ts_window(&ts, lo, hi);
-        assert_eq!(mask.len(), ts.len());
-        let expected: Vec<usize> = (0..ts.len())
-            .filter(|&i| ts[i] >= lo && ts[i] <= hi)
-            .collect();
-        assert_eq!(
-            mask.indices(),
-            expected.iter().map(|&i| i as u32).collect::<Vec<_>>()
-        );
-        assert_eq!(mask.count(), expected.len());
-        for &i in &expected {
-            assert!(mask.contains(i));
-        }
-        assert_eq!(
-            filter_count(&ts, |t| t >= lo && t <= hi),
-            expected.len(),
-            "fused filter_count agrees with the mask popcount"
-        );
-    }
-
-    #[test]
-    fn mask_combinators_and_tail_bits() {
-        // 70 rows: one full word plus a 6-bit tail.
-        let col: Vec<u32> = (0..70).collect();
-        let evens = mask_from(&col, |k| k % 2 == 0);
-        let small = mask_from(&col, |k| k < 10);
-        let mut both = evens.clone();
-        both.and(&small);
-        assert_eq!(both.indices(), vec![0, 2, 4, 6, 8]);
-        let mut either = evens.clone();
-        either.or(&small);
-        assert_eq!(either.count(), 35 + 10 - 5);
-        // all()/none() keep tail bits clean: popcounts are exact.
-        assert_eq!(SelectionMask::all(70).count(), 70);
-        assert_eq!(SelectionMask::none(70).count(), 0);
-        assert_eq!(SelectionMask::all(64).count(), 64);
-        assert_eq!(SelectionMask::all(0).count(), 0);
-        let mut empty = SelectionMask::none(0);
-        empty.or(&SelectionMask::all(0));
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn mask_eq_over_typed_columns() {
-        let asns = [Asn(10), Asn(20), Asn(10), Asn(30)];
-        assert_eq!(mask_eq_u32(&asns, 10).indices(), vec![0, 2]);
-        let ids = [IpId::new(false, 3), IpId::new(true, 3), IpId::new(false, 3)];
-        assert_eq!(mask_eq_u32(&ids, ids[1].raw()).indices(), vec![1]);
-    }
-
-    #[test]
     fn radix_perm_equals_stable_comparison_sort() {
         for (seed, n, span) in [
             (1u64, 0usize, 10u64),
@@ -658,16 +422,20 @@ mod tests {
 
     #[test]
     fn record_sort_matches_stable_sort_by_key() {
-        use crate::ids::{Country, UserId};
+        use crate::ids::{Asn, Country, UserId};
         let mut g = TestGen::new(99);
         // Duplicate-heavy timestamps: user ids disambiguate tie order, so
-        // equality below proves stability, not just sortedness.
-        let mut records: Vec<RequestRecord> = g.vec_of(500, |g| RequestRecord {
-            ts: Timestamp::from_secs(g.below(32) as u32),
-            user: UserId(g.next_u64()),
-            ip: std::net::IpAddr::V4(std::net::Ipv4Addr::from(g.next_u64() as u32)),
-            asn: Asn(g.below(1000) as u32),
-            country: Country::new("US"),
+        // equality below proves stability, not just sortedness. An
+        // address's ASN follows from the address, as in the simulator.
+        let mut records: Vec<RequestRecord> = g.vec_of(500, |g| {
+            let ip = g.next_u64() as u32;
+            RequestRecord {
+                ts: Timestamp::from_secs(g.below(32) as u32),
+                user: UserId(g.next_u64()),
+                ip: std::net::IpAddr::V4(std::net::Ipv4Addr::from(ip)),
+                asn: Asn(ip % 1000),
+                country: Country::new("US"),
+            }
         });
         let mut expected = records.clone();
         expected.sort_by_key(|r| r.ts);

@@ -11,13 +11,15 @@
 //! - [`ids`] — entity identifiers shared across the workspace: users,
 //!   devices, households, ASNs, countries.
 //! - [`record`] — the request telemetry schema: timestamp, user id, source
-//!   IP, ASN, country — exactly the five fields the paper collects.
+//!   IP, ASN, country — exactly the five fields the paper collects (stored,
+//!   the last two live in the address's table entry).
 //! - [`sampler`] — the four deterministic samplers: request random sample,
 //!   user random sample, IP random sample, and per-length IPv6 prefix
 //!   random samples.
 //! - [`intern`] — global entity intern tables built at freeze time:
-//!   [`intern::IpTable`] (dense [`intern::IpId`]s with precomputed
-//!   /64 /56 /48 and v4 /24 prefix ids) and [`intern::UserTable`].
+//!   [`intern::IpTable`] (dense [`intern::IpId`]s with each address's ASN
+//!   and country and precomputed /64 /56 /48 and v4 /24 prefix ids) and
+//!   [`intern::UserTable`].
 //! - [`columns`] — the columnar (struct-of-arrays) record layout:
 //!   [`columns::ColumnStore`] and the borrowed [`columns::ColumnSlice`]
 //!   window every frozen query returns.
@@ -65,9 +67,8 @@ pub use dataset::{FrozenDatasets, StudyDatasets};
 pub use ids::{Asn, Country, DeviceId, HouseholdId, UserId};
 pub use intern::{EntityTables, IpId, IpTable, UserTable};
 pub use kernels::{
-    filter_count, mask_eq_u32, mask_from, mask_ts_window, radix_sort_perm_keys,
-    radix_sort_perm_u32, radix_sort_records_by_ts, radix_sort_u32, radix_sort_u64, scratch_reset,
-    scratch_stats, with_scratch, ScratchArena, SelectionMask, U32Key,
+    radix_sort_perm_keys, radix_sort_perm_u32, radix_sort_records_by_ts, radix_sort_u32,
+    radix_sort_u64, scratch_reset, scratch_stats, with_scratch, ScratchArena, U32Key,
 };
 pub use labels::{AbuseInfo, AbuseLabels};
 pub use record::RequestRecord;

@@ -81,6 +81,15 @@ pub fn ip_key(ip: IpAddr) -> u64 {
     }
 }
 
+/// A test row's (ASN, country), a function of its address as in the
+/// simulator: three ASNs and two countries, spread by the address key.
+#[cfg(test)]
+pub(crate) fn test_attrs(ip: IpAddr) -> (Asn, Country) {
+    let k = ip_key(ip);
+    let country = [Country::new("US"), Country::new("DE")][(k >> 7) as usize % 2];
+    (Asn(64_496 + (k % 3) as u32), country)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

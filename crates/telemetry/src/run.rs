@@ -9,15 +9,17 @@
 //!
 //! 1. **read** — the list is walked once. Every segment's dictionary is
 //!    read, verified and interned once, each key on first sight into a
-//!    provisional id, which gives the segment a local → provisional
-//!    table. Every section of an emitted segment is read, verified and
-//!    staged through that table into its family's exact-capacity staging
-//!    columns (18 bytes a row), so no row is hashed, and the segment is
-//!    dropped once staged; history segments stay for the gather;
+//!    provisional id and each address with its ASN and country, which
+//!    gives the segment a local → provisional table; an entry whose pair
+//!    disagrees with an earlier segment's fails the freeze. Every section
+//!    of an emitted segment is read, verified and staged through that
+//!    table into its family's exact-capacity staging columns (12 bytes a
+//!    row), so no row is hashed, and the segment is dropped once staged;
+//!    history segments stay for the gather;
 //! 2. **intern** — the distinct keys are ranked once, which builds the
-//!    shared [`EntityTables`] and, per key family (v4, v6, user), a
-//!    provisional → dense id remap; each history segment's local → dense
-//!    tables follow from it;
+//!    shared [`EntityTables`] (each address with its ASN and country)
+//!    and, per key family (v4, v6, user), a provisional → dense id remap;
+//!    each history segment's local → dense tables follow from it;
 //! 3. **gather** — per family, exact-size frozen columns take the
 //!    history sections first, read one by one, verified and mapped
 //!    through their segment's local → dense tables. Then the stable LSB
@@ -45,9 +47,10 @@
 //! Intern tables depend only on the distinct key *sets* (the ranking
 //! sorts them), so the tables and every dense id are the same for any
 //! split of the same rows into segments and any read order. Damaged
-//! bytes fail the freeze with a typed [`SpillError::Corrupt`] naming the
-//! file, section and offset; they never reach a figure, and nothing here
-//! panics.
+//! bytes, and a dictionary entry that gives an address another pair than
+//! an earlier segment did, fail the freeze with a typed
+//! [`SpillError::Corrupt`] naming the file, section and offset; they
+//! never reach a figure, and nothing here panics.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -220,7 +223,8 @@ pub fn freeze_families(
     let mut history = Vec::new();
     let mut buf = Vec::new();
     for segment in segments {
-        let ids = interner.intern_dictionary(&segment.read_dictionary(&mut buf)?);
+        let dict = segment.read_dictionary(&mut buf)?;
+        let ids = (interner.intern_dictionary(&dict)).map_err(|c| segment.conflict(&dict, c))?;
         if segment.is_history() {
             for (index, (family, _)) in segment.sections().enumerate() {
                 (families.family_mut(family).sections).push((history.len(), index));
@@ -234,8 +238,6 @@ pub fn freeze_families(
             cols.ts.extend(section.ts());
             section.ips(&ids.v4, &ids.v6, &mut cols.ip)?;
             section.users(&ids.users, &mut cols.user)?;
-            cols.asn.extend(section.asns());
-            cols.country.extend(section.countries());
         }
         segment.verified();
     }
@@ -270,9 +272,9 @@ pub fn freeze_families(
 
 /// Ranks every key family's distinct keys once: the shared tables, and
 /// the remap from provisional to dense ids.
-fn rank(interner: Interner) -> (EntityTables, Remap) {
-    let (v4, v4_dense) = rank_keys(interner.v4.into_iter());
-    let (v6, v6_dense) = rank_keys(interner.v6.into_iter());
+fn rank(mut interner: Interner) -> (EntityTables, Remap) {
+    let (v4, v4_attrs, v4_dense) = interner.v4.drain_ranked();
+    let (v6, v6_attrs, v6_dense) = interner.v6.drain_ranked();
     let (users, user_dense) = rank_keys(interner.users.into_iter());
     // The tables index each key family's distinct keys in ascending
     // order, so a key's rank is its dense index.
@@ -282,7 +284,7 @@ fn rank(interner: Interner) -> (EntityTables, Remap) {
         .chain(v6_dense.iter().map(|&d| IpId::new(true, d as usize)))
         .collect();
     let tables = EntityTables {
-        ips: IpTable::from_keys(v4, v6),
+        ips: IpTable::from_sorted(v4, v6, v4_attrs, v6_attrs),
         users: UserTable::from_keys(users),
     };
     let remap = Remap {
@@ -348,7 +350,7 @@ impl Remap {
             .iter()
             .map(|&(slot, index)| history[slot].0.section_rows(index))
             .sum();
-        // History sections fill all five columns at once, so those start
+        // History sections fill all three columns at once, so those start
         // at their final size. Otherwise each column is allocated as it
         // is gathered, after the staged column before it was dropped,
         // which keeps the freeze's heap smaller.
@@ -365,8 +367,6 @@ impl Remap {
             cols.ts.extend(section.ts());
             section.ips(&ids.v4, &ids.v6, &mut cols.ip)?;
             section.users(&ids.users, &mut cols.user)?;
-            cols.asn.extend(section.asns());
-            cols.country.extend(section.countries());
             check_in_order(&section, slot, index, &cols.ts[start..], &mut last)?;
         }
 
@@ -385,18 +385,10 @@ impl Remap {
                 ));
             }
         }
-        let ColumnStore {
-            ts,
-            ip,
-            user,
-            asn,
-            country,
-        } = rest;
+        let ColumnStore { ts, ip, user } = rest;
         gather_into(&perm, ts, &mut cols.ts, |ts| ts);
         gather_into(&perm, ip, &mut cols.ip, |id| self.ip(id));
         gather_into(&perm, user, &mut cols.user, |u| self.users[u as usize]);
-        gather_into(&perm, asn, &mut cols.asn, |asn| asn);
-        gather_into(&perm, country, &mut cols.country, |c| c);
         Ok(FrozenStore::from_sorted_parts(cols, Arc::clone(tables)))
     }
 }
@@ -455,7 +447,7 @@ fn check_in_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::ColumnSlice;
+    use crate::columns::{ColumnSlice, OwnedColumns};
     use crate::ids::{Asn, Country, UserId};
     use crate::record::RequestRecord;
     use crate::sink::{Sealer, SpillTarget};
@@ -495,7 +487,7 @@ mod tests {
         let mut sealer = Sealer::new(families.to_vec(), target);
         for (r, kept) in records {
             if !kept.is_empty() {
-                let ids = (sealer.intern_ip(r.ip), sealer.intern_user(r.user));
+                let ids = sealer.intern(r).unwrap();
                 for &k in kept {
                     sealer.keep(k, r, ids);
                 }
@@ -547,7 +539,7 @@ mod tests {
                 spill.is_some()
             );
             // Frozen columns are exactly sized (the bytes() contract).
-            assert_eq!(frozen.bytes(), frozen.len() * 18);
+            assert_eq!(frozen.bytes(), frozen.len() * 12);
             if spill.is_some() {
                 assert_eq!(session.stats().bytes_verified, bytes);
             }
@@ -588,10 +580,87 @@ mod tests {
         );
     }
 
-    /// A random row on `day`: few users, addresses, ASNs and countries,
-    /// and timestamps piled on the day's first and last seconds and on a
-    /// coarse grid between, so ties are heavy; `v4` and `v6` say which
-    /// address families may appear.
+    /// An address that two segments give different (ASN, country) pairs
+    /// fails the freeze with a typed `Corrupt` naming the later segment's
+    /// file, its dictionary (run 0) and the byte offset of the entry's
+    /// pair: across two seals of one spilled shard, across two shards'
+    /// in-memory segments, and across two history days on disk.
+    #[test]
+    fn an_address_given_two_pairs_by_two_segments_fails_the_freeze() {
+        let other_pair = |r: RequestRecord, secs: u32| RequestRecord {
+            ts: Timestamp::from_secs(r.ts.secs() + secs),
+            asn: Asn(64497),
+            country: Country::new("DE"),
+            ..r
+        };
+        let first = rec(1, 0, "2001:db8::7");
+        let then = other_pair(first, 2);
+        let v4 = rec(2, 1, "10.0.0.9");
+        let v4_then = other_pair(v4, 3);
+        let expect = |segments: Vec<Segment>, path: &std::path::Path, at: u64, why: &str| {
+            let got = freeze_families(segments, &[]);
+            let Err(SpillError::Corrupt {
+                path: p,
+                run: 0,
+                offset,
+                reason,
+            }) = got
+            else {
+                panic!("expected Corrupt, got {got:?}");
+            };
+            assert_eq!((p.as_path(), offset), (path, at), "{reason}");
+            assert_eq!(reason, why);
+        };
+        // The later segment's dictionary follows its header and one-entry
+        // table; a v6 entry's pair follows the v4 entries (10 B each) and
+        // its 16-byte key, a v4 entry's its 4-byte key.
+        let (v6_at, v4_at) = (28 + 20 + 10 + 16, 28 + 20 + 4);
+        let v6_why = "dictionary v6 entry 0 gives 2001:db8::7 AS64497/DE, \
+                      but an earlier segment gave it AS64496/US";
+        let v4_why = "dictionary v4 entry 0 gives 10.0.0.9 AS64497/DE, \
+                      but an earlier segment gave it AS64496/US";
+
+        // Two seals of one spilled shard, two rows a segment.
+        let session = SpillSession::create(None).unwrap();
+        let rows = requests(&[first, v4, v4, then]);
+        let segments = seal(Some(&session), 3, 2, &[Family::Request], &rows);
+        assert_eq!(segments.len(), 2);
+        let base = segments[0].bytes();
+        let path = session.dir().join("s00003-a00.seg");
+        expect(segments, &path, base + v6_at, v6_why);
+
+        // Two shards, each one segment in memory.
+        let mut segments = seal(None, 0, usize::MAX, &[Family::Request], &requests(&[first]));
+        let rows = requests(&[v4, then]);
+        segments.extend(seal(None, 1, usize::MAX, &[Family::Request], &rows));
+        expect(segments, "in-memory segment 0".as_ref(), v6_at, v6_why);
+
+        // Two history days on disk.
+        let dir = std::env::temp_dir().join(format!("ipv6-run-pairs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut segments = Vec::new();
+        for (d, rows) in [(0, vec![v4]), (1, vec![v4_then, first])] {
+            let day = SimDate::ymd(4, 13) + d;
+            let ts = day.at(0, 0, 0);
+            let rows: Vec<RequestRecord> = rows
+                .into_iter()
+                .map(|r| RequestRecord { ts, ..r })
+                .collect();
+            let store = OwnedColumns::from_records(&rows);
+            let path = dir.join(format!("day{d}.seg"));
+            let slice = store.as_slice();
+            crate::segment::write_segment(&path, slice.tables(), &[(Family::Request, slice)])
+                .unwrap();
+            segments.push(Segment::open(&path, day, &[Family::Request]).unwrap());
+        }
+        expect(segments, &dir.join("day1.seg"), v4_at, v4_why);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A random row on `day`: few users and addresses, each address with
+    /// its own ASN and country, and timestamps piled on the day's first
+    /// and last seconds and on a coarse grid between, so ties are heavy;
+    /// `v4` and `v6` say which address families may appear.
     fn random_row(g: &mut TestGen, day: SimDate, v4: bool, v6: bool) -> RequestRecord {
         let sec = match g.below(4) {
             0 => 0,
@@ -605,12 +674,13 @@ mod tests {
                 0x2001_0db8_u128 << 96 | u128::from(g.below(4)) << 64 | u128::from(g.below(9)),
             ))
         };
+        let (asn, country) = crate::record::test_attrs(ip);
         RequestRecord {
             ts: Timestamp::from_secs(day.start().secs() + sec),
             user: UserId(g.below(30) << 40 | g.below(3)),
             ip,
-            asn: Asn(64_496 + g.below(3) as u32),
-            country: [Country::new("US"), Country::new("DE")][g.below(2) as usize],
+            asn,
+            country,
         }
     }
 
@@ -643,7 +713,7 @@ mod tests {
             assert_eq!(store.all(), want[k].all(), "case {case}, family {k}");
             assert_eq!(
                 store.bytes(),
-                store.len() * 18,
+                store.len() * 12,
                 "case {case}: exact columns"
             );
             k += 1;

@@ -29,24 +29,33 @@
 //!
 //! ```text
 //! offset   bytes       field
-//! 0        4           magic "DSG3"
+//! 0        4           magic "DSG4"
 //! 4        4 + 4 + 4   dictionary sizes: v4, v6 and user keys
 //! 16       4           section count s
 //! 20       8           dictionary checksum (xxHash64)
 //! 28       20 × s      section table: family code (4), rows (8),
 //!                      section checksum (8)
-//! 28+20s   …           dictionary: the sorted distinct v4 (4 B), v6
-//!                      (16 B) and user (8 B) keys of every section
-//! …        18 × rows   one section per table entry, column by column:
-//!                      ts (4), ip local id (4), user local id (4),
-//!                      asn (4), country (2)
+//! 28+20s   …           dictionary: the sorted distinct v4 entries (10 B:
+//!                      key 4, asn 4, country 2), v6 entries (22 B: key
+//!                      16, asn 4, country 2) and user keys (8 B) of
+//!                      every section
+//! …        12 × rows   one section per table entry, column by column:
+//!                      ts (4), ip local id (4), user local id (4)
 //! ```
 //!
 //! A local address id keeps [`IpId`]'s family bit, and its
-//! low 31 bits index the segment's v4 or v6 keys; a local user id indexes
-//! its user keys. This is phone-number-style addressing: ids stay short
-//! and local to a segment, and the freeze builds one local → global
+//! low 31 bits index the segment's v4 or v6 entries; a local user id
+//! indexes its user keys. This is phone-number-style addressing: ids stay
+//! short and local to a segment, and the freeze builds one local → global
 //! table per segment, so it hashes dictionary keys, never a row.
+//!
+//! An address's ASN and country are attributes of the address, not of a
+//! request: every address is allocated from one network's pool. So they
+//! sit in its dictionary entry, once per segment, and a row is three ids.
+//! The row → segment encoder records an address's pair when it first
+//! interns it and refuses a row that gives it another
+//! ([`SpillError::Attributes`]); the freeze refuses a segment whose entry
+//! disagrees with an earlier segment's ([`SpillError::Corrupt`]).
 //!
 //! # Verification
 //!
@@ -85,18 +94,21 @@ use ipv6_study_stats::hash::stable_hash64;
 
 use crate::columns::{ColumnSlice, ColumnStore};
 use crate::ids::{Asn, Country, UserId};
-use crate::intern::{rank_keys, EntityTables, Interner, IpId, V6_BIT};
+use crate::intern::{attrs_str, rank_keys, Attrs, Conflict, EntityTables, Interner, IpId, V6_BIT};
 use crate::kernels::radix_sort_u32;
 use crate::record::RequestRecord;
 use crate::run::Family;
 use crate::spill::{IoOp, SpillError, SpillShared};
 use crate::time::{DateRange, SimDate, Timestamp};
 
-/// Bytes of one row across a section's five columns.
-pub(crate) const ROW_BYTES: usize = 18;
+/// Bytes of one row across a section's three columns.
+pub(crate) const ROW_BYTES: usize = 12;
+
+/// Bytes of a v4, a v6 and a user dictionary entry.
+const ENTRY_WIDTHS: [usize; 3] = [10, 22, 8];
 
 /// Magic opening every segment.
-const MAGIC: u32 = u32::from_le_bytes(*b"DSG3");
+const MAGIC: u32 = u32::from_le_bytes(*b"DSG4");
 
 /// Header bytes: magic, three dictionary sizes, section count,
 /// dictionary checksum.
@@ -129,6 +141,29 @@ fn le_u128(b: &[u8]) -> u128 {
     let mut w = [0u8; 16];
     w.copy_from_slice(&b[..16]);
     u128::from_le_bytes(w)
+}
+
+/// Reads an address's attributes from the first six bytes of `b`.
+fn le_attrs(b: &[u8]) -> Attrs {
+    (Asn(le_u32(b)), Country([b[4], b[5]]))
+}
+
+/// Bytes of a dictionary of `keys` (v4, v6 and user) entries.
+fn dictionary_bytes(keys: [usize; 3]) -> usize {
+    keys.iter().zip(ENTRY_WIDTHS).map(|(n, w)| n * w).sum()
+}
+
+/// `Ok` when record `r` carries `first`, the attributes its address was
+/// interned with; else the [`SpillError::Attributes`] naming both.
+pub(crate) fn same_attrs(r: &RequestRecord, first: Attrs) -> Result<(), SpillError> {
+    if first == (r.asn, r.country) {
+        return Ok(());
+    }
+    Err(SpillError::Attributes {
+        ip: r.ip,
+        first,
+        then: (r.asn, r.country),
+    })
 }
 
 /// A family's code in the section table.
@@ -170,7 +205,7 @@ impl LayoutWriter {
     /// table are written.
     fn new(keys: [usize; 3], sections: usize, rows: usize) -> Self {
         let dict_start = HEADER_BYTES + ENTRY_BYTES * sections;
-        let dict_len = 4 * keys[0] + 16 * keys[1] + 8 * keys[2];
+        let dict_len = dictionary_bytes(keys);
         let mut out = Vec::with_capacity(dict_start + dict_len + ROW_BYTES * rows);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         for count in [keys[0], keys[1], keys[2], sections] {
@@ -180,18 +215,25 @@ impl LayoutWriter {
         Self { out, next: 0 }
     }
 
-    /// Writes the dictionary: every key family strictly ascending, with
-    /// as many keys as [`LayoutWriter::new`] was told.
+    /// Writes the dictionary: every key family strictly ascending, each
+    /// address with its attributes, with as many keys as
+    /// [`LayoutWriter::new`] was told.
     fn dictionary(
         &mut self,
-        v4: impl Iterator<Item = u32>,
-        v6: impl Iterator<Item = u128>,
+        v4: impl Iterator<Item = (u32, Attrs)>,
+        v6: impl Iterator<Item = (u128, Attrs)>,
         users: impl Iterator<Item = u64>,
     ) {
         let start = self.out.len();
-        v4.for_each(|k| self.out.extend_from_slice(&k.to_le_bytes()));
-        v6.for_each(|k| self.out.extend_from_slice(&k.to_le_bytes()));
-        users.for_each(|k| self.out.extend_from_slice(&k.to_le_bytes()));
+        let out = &mut self.out;
+        let mut entry = |key: &[u8], (asn, country): Attrs| {
+            out.extend_from_slice(key);
+            out.extend_from_slice(&asn.0.to_le_bytes());
+            out.extend_from_slice(&country.0);
+        };
+        v4.for_each(|(k, a)| entry(&k.to_le_bytes(), a));
+        v6.for_each(|(k, a)| entry(&k.to_le_bytes(), a));
+        users.for_each(|k| out.extend_from_slice(&k.to_le_bytes()));
         let sum = stable_hash64(DICT_SEED, &self.out[start..]);
         self.out[20..28].copy_from_slice(&sum.to_le_bytes());
     }
@@ -204,8 +246,6 @@ impl LayoutWriter {
         ts: &[Timestamp],
         ips: impl Iterator<Item = u32>,
         users: impl Iterator<Item = u32>,
-        asns: &[Asn],
-        countries: &[Country],
     ) {
         let start = self.out.len();
         let out = &mut self.out;
@@ -213,9 +253,6 @@ impl LayoutWriter {
             .for_each(|t| out.extend_from_slice(&t.secs().to_le_bytes()));
         ips.for_each(|id| out.extend_from_slice(&id.to_le_bytes()));
         users.for_each(|id| out.extend_from_slice(&id.to_le_bytes()));
-        asns.iter()
-            .for_each(|a| out.extend_from_slice(&a.0.to_le_bytes()));
-        countries.iter().for_each(|c| out.extend_from_slice(&c.0));
         let sum = stable_hash64(SECTION_SEED, &out[start..]);
         let entry = HEADER_BYTES + ENTRY_BYTES * self.next;
         out[entry..entry + 4].copy_from_slice(&family_code(family).to_le_bytes());
@@ -268,11 +305,14 @@ fn encode(tables: &EntityTables, sections: &[(Family, ColumnSlice<'_>)]) -> Vec<
 
     let rows = sections.iter().map(|(_, s)| s.len()).sum();
     let mut w = LayoutWriter::new([n4, ips.len() - n4, users.len()], sections.len(), rows);
+    let attrs = |raw: u32| tables.ips.attrs(IpId::from_raw(raw));
     w.dictionary(
-        ips[..n4].iter().map(|&raw| v4_keys[raw as usize]),
+        ips[..n4]
+            .iter()
+            .map(|&raw| (v4_keys[raw as usize], attrs(raw))),
         ips[n4..]
             .iter()
-            .map(|&raw| v6_keys[(raw & !V6_BIT) as usize]),
+            .map(|&raw| (v6_keys[(raw & !V6_BIT) as usize], attrs(raw))),
         users.iter().map(|&dense| user_keys[dense as usize]),
     );
     for (family, s) in sections {
@@ -281,8 +321,6 @@ fn encode(tables: &EntityTables, sections: &[(Family, ColumnSlice<'_>)]) -> Vec<
             s.ts(),
             s.ip_ids().iter().map(|id| ip_local[slot(id.raw())]),
             s.users_dense().iter().map(|&u| user_local[u as usize]),
-            s.asns(),
-            s.countries(),
         );
     }
     w.finish()
@@ -291,8 +329,9 @@ fn encode(tables: &EntityTables, sections: &[(Family, ColumnSlice<'_>)]) -> Vec<
 /// Rows staged for one segment under a first-sight dictionary: the row →
 /// segment encoder behind every shard sink and
 /// [`write_checkpoint_segment`]. A row's keys are interned once, however
-/// many families keep it; the seal ranks the dictionary into ascending
-/// keys and relabels every id to its rank.
+/// many families keep it, and its address's attributes with them; the
+/// seal ranks the dictionary into ascending keys and relabels every id
+/// to its rank.
 #[derive(Debug)]
 pub(crate) struct Staging {
     dict: Interner,
@@ -313,14 +352,19 @@ impl Staging {
         }
     }
 
-    /// The local ids of `r`'s address and user, interned on first sight.
-    pub(crate) fn intern(&mut self, r: &RequestRecord) -> (IpId, u32) {
-        (self.intern_ip(r.ip), self.intern_user(r.user))
+    /// The local ids of `r`'s address and user, interned on first sight;
+    /// fails when `r` gives its address other attributes than its first
+    /// sighting did.
+    pub(crate) fn intern(&mut self, r: &RequestRecord) -> Result<(IpId, u32), SpillError> {
+        let (ip, first) = self.intern_ip(r.ip, (r.asn, r.country));
+        same_attrs(r, first)?;
+        Ok((ip, self.intern_user(r.user)))
     }
 
-    /// The local id of address `ip`, interned on first sight.
-    pub(crate) fn intern_ip(&mut self, ip: IpAddr) -> IpId {
-        self.dict.intern_ip(ip)
+    /// The local id of address `ip`, interned with attributes `attrs` on
+    /// first sight, and the attributes it was interned with.
+    pub(crate) fn intern_ip(&mut self, ip: IpAddr, attrs: Attrs) -> (IpId, Attrs) {
+        self.dict.intern_ip(ip, attrs)
     }
 
     /// The local id of `user`, interned on first sight.
@@ -336,8 +380,6 @@ impl Staging {
         cols.ts.push(r.ts);
         cols.ip.push(ip);
         cols.user.push(user);
-        cols.asn.push(r.asn);
-        cols.country.push(r.country);
         self.rows += 1;
         cols.len()
     }
@@ -347,7 +389,7 @@ impl Staging {
         self.rows
     }
 
-    /// Bytes held: 18 a staged row, and the dictionary's entries.
+    /// Bytes held: 12 a staged row, and the dictionary's entries.
     pub(crate) fn bytes(&self) -> u64 {
         (self.rows * ROW_BYTES) as u64 + self.dict.bytes()
     }
@@ -355,12 +397,16 @@ impl Staging {
     /// Encodes the staged rows as one segment, one section per family in
     /// order, and starts over empty (keeping the buffers).
     pub(crate) fn seal(&mut self) -> Vec<u8> {
-        let (v4, v4_rank) = rank_keys(self.dict.v4.drain());
-        let (v6, v6_rank) = rank_keys(self.dict.v6.drain());
+        let (v4, v4_attrs, v4_rank) = self.dict.v4.drain_ranked();
+        let (v6, v6_attrs, v6_rank) = self.dict.v6.drain_ranked();
         let (users, user_rank) = rank_keys(self.dict.users.drain());
         let keys = [v4.len(), v6.len(), users.len()];
         let mut w = LayoutWriter::new(keys, self.families.len(), self.rows);
-        w.dictionary(v4.into_iter(), v6.into_iter(), users.into_iter());
+        w.dictionary(
+            v4.into_iter().zip(v4_attrs),
+            v6.into_iter().zip(v6_attrs),
+            users.into_iter(),
+        );
         for (family, cols) in &mut self.families {
             let local = |id: &IpId| {
                 if id.is_v6() {
@@ -374,8 +420,6 @@ impl Staging {
                 &cols.ts,
                 cols.ip.iter().map(local),
                 cols.user.iter().map(|&u| user_rank[u as usize]),
-                &cols.asn,
-                &cols.country,
             );
             cols.clear();
         }
@@ -526,9 +570,9 @@ impl Layout {
         let table = read(HEADER_BYTES as u64, table_end as usize - HEADER_BYTES)?;
         // u128 sums: a damaged count cannot overflow the length check.
         let mut end = u128::from(table_end)
-            + u128::from(keys[0]) * 4
-            + u128::from(keys[1]) * 16
-            + u128::from(keys[2]) * 8;
+            + (keys.iter().zip(ENTRY_WIDTHS))
+                .map(|(&n, w)| u128::from(n) * w as u128)
+                .sum::<u128>();
         let mut sections = Vec::with_capacity(count as usize);
         for (k, entry) in table.chunks_exact(ENTRY_BYTES).enumerate() {
             let code = le_u32(entry);
@@ -608,12 +652,15 @@ pub struct Segment {
     layout: Layout,
 }
 
-/// A segment's dictionary: its sorted distinct keys.
+/// A segment's dictionary: its sorted distinct keys, and each address's
+/// attributes.
 #[derive(Debug)]
 pub(crate) struct Dictionary {
     pub v4: Vec<u32>,
     pub v6: Vec<u128>,
     pub users: Vec<u64>,
+    pub v4_attrs: Vec<Attrs>,
+    pub v6_attrs: Vec<Attrs>,
 }
 
 impl Segment {
@@ -849,7 +896,8 @@ impl Segment {
         }
         let start = self.layout.table_end();
         let [n4, n6, nu] = self.layout.keys.map(|n| n as usize);
-        let bytes = self.read_at(0, start, 4 * n4 + 16 * n6 + 8 * nu, buf)?;
+        let [w4, w6, wu] = ENTRY_WIDTHS;
+        let bytes = self.read_at(0, start, dictionary_bytes([n4, n6, nu]), buf)?;
         let sum = stable_hash64(DICT_SEED, bytes);
         if sum != self.layout.dict_checksum {
             return Err(self.corrupt(
@@ -861,38 +909,74 @@ impl Segment {
                 ),
             ));
         }
-        let (v4, rest) = bytes.split_at(4 * n4);
-        let (v6, users) = rest.split_at(16 * n6);
+        let (v4, rest) = bytes.split_at(w4 * n4);
+        let (v6, users) = rest.split_at(w6 * n6);
         let v6_start = start + v4.len() as u64;
         let users_start = v6_start + v6.len() as u64;
         Ok(Dictionary {
-            v4: self.ascending("v4", start, v4.chunks_exact(4).map(le_u32))?,
-            v6: self.ascending("v6", v6_start, v6.chunks_exact(16).map(le_u128))?,
-            users: self.ascending("user", users_start, users.chunks_exact(8).map(le_u64))?,
+            v4: self.ascending("v4", start, w4, v4.chunks_exact(w4).map(le_u32))?,
+            v6: self.ascending("v6", v6_start, w6, v6.chunks_exact(w6).map(le_u128))?,
+            users: self.ascending("user", users_start, wu, users.chunks_exact(wu).map(le_u64))?,
+            v4_attrs: v4.chunks_exact(w4).map(|e| le_attrs(&e[4..])).collect(),
+            v6_attrs: v6.chunks_exact(w6).map(|e| le_attrs(&e[16..])).collect(),
         })
     }
 
-    /// Collects one dictionary key family starting at byte `start`,
-    /// failing at the first key not above the one before it.
+    /// Collects one dictionary key family of `width`-byte entries
+    /// starting at byte `start`, failing at the first key not above the
+    /// one before it.
     fn ascending<K: Ord + Copy>(
         &self,
         what: &str,
         start: u64,
+        width: usize,
         keys: impl ExactSizeIterator<Item = K>,
     ) -> Result<Vec<K>, SpillError> {
-        let width = std::mem::size_of::<K>() as u64;
         let mut out: Vec<K> = Vec::with_capacity(keys.len());
         for (i, key) in keys.enumerate() {
             if out.last().is_some_and(|&prev| prev >= key) {
                 return Err(self.corrupt(
                     0,
-                    start + width * i as u64,
+                    start + (width * i) as u64,
                     format!("dictionary {what} key {i} is not above the key before it"),
                 ));
             }
             out.push(key);
         }
         Ok(out)
+    }
+
+    /// The [`SpillError::Corrupt`] for a dictionary entry of `dict`, this
+    /// segment's, whose attributes disagree with the ones an earlier
+    /// segment gave its address: at the entry's attribute bytes.
+    pub(crate) fn conflict(&self, dict: &Dictionary, c: Conflict) -> SpillError {
+        let [w4, w6, _] = ENTRY_WIDTHS;
+        let (what, addr, attrs, at): (_, IpAddr, _, _) = if c.v6 {
+            let at = w4 * dict.v4.len() + w6 * c.entry + 16;
+            (
+                "v6",
+                Ipv6Addr::from(dict.v6[c.entry]).into(),
+                dict.v6_attrs[c.entry],
+                at,
+            )
+        } else {
+            (
+                "v4",
+                Ipv4Addr::from(dict.v4[c.entry]).into(),
+                dict.v4_attrs[c.entry],
+                w4 * c.entry + 4,
+            )
+        };
+        self.corrupt(
+            0,
+            self.layout.table_end() + at as u64,
+            format!(
+                "dictionary {what} entry {} gives {addr} {}, but an earlier segment gave it {}",
+                c.entry,
+                attrs_str(attrs),
+                attrs_str(c.first)
+            ),
+        )
     }
 
     /// Reads section `index` (0-based) and verifies its checksum.
@@ -937,8 +1021,13 @@ impl Segment {
     fn records(&self) -> Result<Vec<RequestRecord>, SpillError> {
         let mut buf = Vec::new();
         let dict = self.read_dictionary(&mut buf)?;
-        let v4: Vec<IpAddr> = dict.v4.iter().map(|&a| Ipv4Addr::from(a).into()).collect();
-        let v6: Vec<IpAddr> = dict.v6.iter().map(|&a| Ipv6Addr::from(a).into()).collect();
+        let entry = |ip: IpAddr, (asn, country): Attrs| (ip, asn, country);
+        let v4: Vec<_> = (dict.v4.iter().zip(&dict.v4_attrs))
+            .map(|(&a, &attrs)| entry(Ipv4Addr::from(a).into(), attrs))
+            .collect();
+        let v6: Vec<_> = (dict.v6.iter().zip(&dict.v6_attrs))
+            .map(|(&a, &attrs)| entry(Ipv6Addr::from(a).into(), attrs))
+            .collect();
         let users: Vec<UserId> = dict.users.into_iter().map(UserId).collect();
         let rows = self.sections().map(|(_, rows)| rows).sum::<u64>();
         let mut out = Vec::with_capacity(rows as usize);
@@ -947,10 +1036,12 @@ impl Segment {
             let (mut ips, mut us) = (Vec::new(), Vec::new());
             section.ips(&v4, &v6, &mut ips)?;
             section.users(&users, &mut us)?;
-            let rows = section.ts().zip(ips).zip(us).zip(section.asns());
             out.extend(
-                rows.zip(section.countries())
-                    .map(|((((ts, ip), user), asn), country)| RequestRecord {
+                section
+                    .ts()
+                    .zip(ips)
+                    .zip(us)
+                    .map(|((ts, (ip, asn, country)), user)| RequestRecord {
                         ts,
                         user,
                         ip,
@@ -988,7 +1079,7 @@ impl<'b> Section<'b> {
         self.corrupt_at(0, row, reason)
     }
 
-    /// Column `k` of the four 4-byte columns (ts, ip, user, asn).
+    /// Column `k` of the three 4-byte columns (ts, ip, user).
     fn column(&self, k: usize) -> &'b [u8] {
         &self.bytes[4 * self.rows * k..4 * self.rows * (k + 1)]
     }
@@ -998,18 +1089,6 @@ impl<'b> Section<'b> {
         self.column(0)
             .chunks_exact(4)
             .map(|b| Timestamp::from_secs(le_u32(b)))
-    }
-
-    /// The ASNs, in order.
-    pub(crate) fn asns(&self) -> impl Iterator<Item = Asn> + 'b {
-        self.column(3).chunks_exact(4).map(|b| Asn(le_u32(b)))
-    }
-
-    /// The countries, in order.
-    pub(crate) fn countries(&self) -> impl Iterator<Item = Country> + 'b {
-        self.bytes[16 * self.rows..]
-            .chunks_exact(2)
-            .map(|b| Country([b[0], b[1]]))
     }
 
     /// Appends each row's address through `v4` or `v6`, by the local id's
@@ -1061,11 +1140,13 @@ impl<'b> Section<'b> {
 /// Writes `rows`, in the given order, to `path` as a one-section segment
 /// (the request family) whose dictionary is exactly the rows' keys,
 /// through [`write_atomic`]: the row → segment encoder the shard sinks
-/// use, on rows from anywhere.
+/// use, on rows from anywhere. Rows that give one address two (ASN,
+/// country) pairs are a [`SpillError::Attributes`], and nothing is
+/// written.
 pub fn write_checkpoint_segment(path: &Path, rows: &[RequestRecord]) -> Result<(), SpillError> {
     let mut staging = Staging::new([Family::Request]);
     for r in rows {
-        let ids = staging.intern(r);
+        let ids = staging.intern(r)?;
         staging.push(0, r, ids);
     }
     write_atomic(path, &staging.seal())
@@ -1094,12 +1175,14 @@ mod tests {
     }
 
     fn rec(user: u64, sec: u32, ip: &str) -> RequestRecord {
+        let ip = ip.parse().unwrap();
+        let (asn, country) = crate::record::test_attrs(ip);
         RequestRecord {
             ts: Timestamp::from_secs(day().start().secs() + sec),
             user: UserId(user),
-            ip: ip.parse().unwrap(),
-            asn: Asn(64496),
-            country: Country::new("US"),
+            ip,
+            asn,
+            country,
         }
     }
 
@@ -1125,8 +1208,8 @@ mod tests {
         write_checkpoint_segment(&path, &rows).unwrap();
         assert_eq!(read_checkpoint_segment(&path).unwrap(), rows);
         // One section: header and table entry, a dictionary of 1 v4, 2 v6
-        // and 3 user keys, then 18 bytes a row.
-        let dict = 4 + 2 * 16 + 3 * 8;
+        // and 3 user entries, then 12 bytes a row.
+        let dict = 10 + 2 * 22 + 3 * 8;
         assert_eq!(
             fs::metadata(&path).unwrap().len() as usize,
             HEADER_BYTES + ENTRY_BYTES + dict + 3 * ROW_BYTES
@@ -1136,6 +1219,31 @@ mod tests {
 
         write_checkpoint_segment(&path, &[]).unwrap();
         assert_eq!(read_checkpoint_segment(&path).unwrap(), Vec::new());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rows that give one address two (ASN, country) pairs are a typed
+    /// `Attributes` error, and nothing is written.
+    #[test]
+    fn checkpoint_segment_refuses_an_address_with_two_pairs() {
+        let dir = scratch("pairs");
+        let path = dir.join("two-pairs.seg");
+        let first = rec(1, 0, "10.0.0.1");
+        let then = RequestRecord {
+            asn: Asn(1),
+            ..rec(2, 5, "10.0.0.1")
+        };
+        let rows = [first, rec(3, 1, "2001:db8::3"), then];
+        let err = write_checkpoint_segment(&path, &rows).unwrap_err();
+        assert_eq!(
+            err,
+            SpillError::Attributes {
+                ip: first.ip,
+                first: (first.asn, first.country),
+                then: (Asn(1), first.country),
+            }
+        );
+        assert!(!path.exists() && !temp_path(&path).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1189,7 +1297,7 @@ mod tests {
         let keys = [4, 8, 12].map(|at| le_u32(&bytes[at..]) as usize);
         let sections = le_u32(&bytes[16..]) as usize;
         let dict = HEADER_BYTES + ENTRY_BYTES * sections;
-        let mut at = dict + 4 * keys[0] + 16 * keys[1] + 8 * keys[2];
+        let mut at = dict + dictionary_bytes(keys);
         let sum = stable_hash64(DICT_SEED, &bytes[dict..at]);
         bytes[20..28].copy_from_slice(&sum.to_le_bytes());
         for k in 0..sections {
@@ -1208,7 +1316,7 @@ mod tests {
     fn emitted(rows: &[RequestRecord]) -> Segment {
         let mut staging = Staging::new([Family::Request]);
         for r in rows {
-            let ids = staging.intern(r);
+            let ids = staging.intern(r).unwrap();
             staging.push(0, r, ids);
         }
         Segment::emitted("emitted".into(), staging.seal()).unwrap()
@@ -1245,9 +1353,9 @@ mod tests {
         let sections = [(Family::Request, req.all()), (Family::Abuse, abu.all())];
         write_segment(&path, &tables, &sections).unwrap();
         let good = fs::read(&path).unwrap();
-        // 2 v4, 2 v6 and 4 user keys after a two-entry table.
+        // 2 v4, 2 v6 and 4 user entries after a two-entry table.
         let dict = HEADER_BYTES + 2 * ENTRY_BYTES;
-        let users = dict + 2 * 4 + 2 * 16;
+        let users = dict + 2 * 10 + 2 * 22;
         let first = users + 4 * 8;
         let second = first + 3 * ROW_BYTES;
         let next_day = Timestamp::from_secs(day().start().secs() + 86_400);
@@ -1287,6 +1395,12 @@ mod tests {
         let flipped = damaged(&|b| b[dict + 1] ^= 0x10, false);
         let reason = check(&flipped, next_day, 0, dict, "flipped dictionary byte");
         assert!(reason.contains("dictionary checksum mismatch"), "{reason}");
+        // The checksum covers each entry's ASN and country too.
+        for at in [dict + 5, dict + 10 + 8, dict + 20 + 22 + 17] {
+            let flipped = damaged(&|b| b[at] ^= 0x10, false);
+            let reason = check(&flipped, next_day, 0, dict, "flipped attribute byte");
+            assert!(reason.contains("dictionary checksum mismatch"), "{reason}");
+        }
 
         let flipped = damaged(&|b| b[second + 9] ^= 0x01, false);
         let reason = check(&flipped, next_day, 2, second, "flipped section byte");
@@ -1311,7 +1425,7 @@ mod tests {
             &shorter,
             next_day,
             0,
-            good.len() - 18,
+            good.len() - ROW_BYTES,
             "table shorter than the file",
         );
         assert!(reason.contains("but file is"), "{reason}");
@@ -1391,28 +1505,35 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A fixed row set: unsorted, both address families, repeated keys.
+    /// A fixed row set: unsorted, both address families, repeated keys,
+    /// each address with its own ASN and country.
     fn pinned_rows() -> Vec<RequestRecord> {
         let mut g = TestGen::new(0x5049_4E31); // "PIN1"
-        g.vec_of(300, |g| RequestRecord {
-            ts: Timestamp::from_secs(day().start().secs() + g.below(86_400) as u32),
-            user: UserId(g.below(40) << 33 | g.below(5)),
-            ip: if g.below(3) == 0 {
+        g.vec_of(300, |g| {
+            let ts = Timestamp::from_secs(day().start().secs() + g.below(86_400) as u32);
+            let user = UserId(g.below(40) << 33 | g.below(5));
+            let ip = if g.below(3) == 0 {
                 IpAddr::from(Ipv4Addr::from(0x0a00_0000 | g.below(50) as u32))
             } else {
                 IpAddr::from(Ipv6Addr::from(
                     0x2001_0db8_u128 << 96 | u128::from(g.below(7)) << 64 | u128::from(g.below(60)),
                 ))
-            },
-            asn: Asn(64_496 + g.below(4) as u32),
-            country: [Country::new("US"), Country::new("DE"), Country::new("BR")]
-                [g.below(3) as usize],
+            };
+            let (asn, country) = crate::record::test_attrs(ip);
+            RequestRecord {
+                ts,
+                user,
+                ip,
+                asn,
+                country,
+            }
         })
     }
 
-    /// `write_checkpoint_segment` writes the bytes it wrote before the
-    /// sink's encoder replaced its table-and-encode path: length and
-    /// digest pinned from that encoder.
+    /// `write_checkpoint_segment` writes the `DSG4` bytes the frozen →
+    /// segment encoder writes for the same rows in the same order (the
+    /// two encoders share only the layout writer): length and digest
+    /// pinned.
     #[test]
     fn checkpoint_segment_bytes_are_pinned() {
         let dir = scratch("pin");
@@ -1420,8 +1541,14 @@ mod tests {
         let rows = pinned_rows();
         write_checkpoint_segment(&path, &rows).unwrap();
         let bytes = fs::read(&path).unwrap();
-        assert_eq!(bytes.len(), 9564);
-        assert_eq!(stable_hash64(0x5049_4E32, &bytes), 0xb2ff_8283_2e87_dcb1);
+        let owned = crate::columns::OwnedColumns::from_records(&rows);
+        let frozen = encode(
+            owned.as_slice().tables(),
+            &[(Family::Request, owned.as_slice())],
+        );
+        assert!(bytes == frozen, "the two encoders agree");
+        assert_eq!(bytes.len(), 8834);
+        assert_eq!(stable_hash64(0x5049_4E32, &bytes), 0xf45c_4bbd_0e7e_6b74);
         assert_eq!(read_checkpoint_segment(&path).unwrap(), rows);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1441,7 +1568,7 @@ mod tests {
     fn emitted_bytes(rows: &[RequestRecord]) -> Vec<u8> {
         let mut staging = Staging::new([Family::Request]);
         for r in rows {
-            let ids = staging.intern(r);
+            let ids = staging.intern(r).unwrap();
             staging.push(0, r, ids);
         }
         staging.seal()

@@ -54,11 +54,11 @@ use ipv6_study_netaddr::Ipv6Prefix;
 
 use crate::dataset::StudyDatasets;
 use crate::ids::UserId;
-use crate::intern::IpId;
+use crate::intern::{Attrs, IpId};
 use crate::record::RequestRecord;
 use crate::run::Family;
 use crate::sampler::Samplers;
-use crate::segment::{Segment, Staging};
+use crate::segment::{same_attrs, Segment, Staging};
 use crate::spill::{MemGauge, SpillError, SpillFile, SpillSession};
 use crate::store::RequestStore;
 
@@ -208,9 +208,10 @@ impl Sealer {
     }
 
     /// The local id of address `ip` in the open segment's dictionary,
-    /// interned on first sight; the next seal voids it.
-    pub(crate) fn intern_ip(&mut self, ip: IpAddr) -> IpId {
-        self.staging.intern_ip(ip)
+    /// interned with attributes `attrs` on first sight, and the
+    /// attributes it was interned with; the next seal voids both.
+    pub(crate) fn intern_ip(&mut self, ip: IpAddr, attrs: Attrs) -> (IpId, Attrs) {
+        self.staging.intern_ip(ip, attrs)
     }
 
     /// The local id of `user` in the open segment's dictionary, interned
@@ -298,8 +299,8 @@ const MEMO_SLOTS: usize = 1 << 10;
 const PREFIX_WORDS: usize = (Ipv6Prefix::MAX_LEN as usize + 1).div_ceil(64);
 
 /// What routing knows of one address: its sampler decisions, which never
-/// change, and its local id in the open segment's dictionary, which the
-/// next seal voids.
+/// change, and its dictionary entry in the open segment — its local id
+/// and the attributes it was interned with — which the next seal voids.
 #[derive(Debug, Clone, Copy)]
 struct AddressMemo {
     /// The tag: the full address, since `ip_key` folds a v6 address's
@@ -310,7 +311,7 @@ struct AddressMemo {
     /// Bit `i` is set when the address's prefix of the `i`-th configured
     /// length (ascending) is in that length's prefix sample.
     prefixes: [u64; PREFIX_WORDS],
-    id: Option<IpId>,
+    entry: Option<(IpId, Attrs)>,
 }
 
 /// What routing knows of the last user: the user-sample decision, and
@@ -343,7 +344,7 @@ struct UserMemo {
 /// - per address, in a direct-mapped memo of 1,024 entries
 ///   whose slot comes from the address's `ip_key` and whose tag is the
 ///   full address: the IP-sample decision, one prefix-sample bit per
-///   configured length, and the address's local id;
+///   configured length, and the address's local id and attributes;
 /// - per user, for the last user routed (an emitter pushes a user-day at
 ///   a time): the user-sample decision and the user's local id.
 ///
@@ -351,6 +352,14 @@ struct UserMemo {
 /// the dictionary and the segments are the same bytes as without the
 /// memo. Local ids index the open segment's dictionary, so every seal
 /// forgets them; the decisions stay.
+///
+/// # One (ASN, country) per address
+///
+/// An address's dictionary entry holds the ASN and country its first
+/// kept record gave it. Every later kept record is checked against the
+/// entry, once per record however many families keep it, and a record
+/// that gives the address another pair fails the shard with a
+/// [`SpillError::Attributes`], which no retry clears.
 pub struct ShardSink<'a> {
     samplers: Samplers,
     /// Prefix lengths, ascending; the i-th is family `PREFIX + i`.
@@ -465,8 +474,11 @@ impl<'a> ShardSink<'a> {
             return Ok(());
         }
         let sealer = &mut self.sealer;
+        let (ip, first) =
+            *(addr.entry).get_or_insert_with(|| sealer.intern_ip(rec.ip, (rec.asn, rec.country)));
+        same_attrs(&rec, first)?;
         let ids = (
-            *addr.id.get_or_insert_with(|| sealer.intern_ip(rec.ip)),
+            ip,
             *user.id.get_or_insert_with(|| sealer.intern_user(rec.user)),
         );
         if let Some(k) = self.abuse {
@@ -497,11 +509,11 @@ impl<'a> ShardSink<'a> {
         Ok(())
     }
 
-    /// Forgets every memoized local id: a seal has emptied the dictionary
-    /// they index.
+    /// Forgets every memoized dictionary entry: a seal has emptied the
+    /// dictionary they index.
     fn forget_ids(&mut self) {
         for memo in self.addresses.iter_mut().flatten() {
-            memo.id = None;
+            memo.entry = None;
         }
         if let Some(memo) = &mut self.user {
             memo.id = None;
@@ -538,7 +550,7 @@ fn memo_slot(key: u64) -> usize {
 }
 
 /// The sampler decisions for `rec`'s address under `samplers`, over the
-/// ascending prefix `lengths`, with no local id yet.
+/// ascending prefix `lengths`, with no dictionary entry yet.
 fn address_memo(samplers: &Samplers, lengths: &[u8], rec: &RequestRecord) -> AddressMemo {
     let mut prefixes = [0; PREFIX_WORDS];
     if let Some(addr) = rec.ipv6() {
@@ -552,7 +564,7 @@ fn address_memo(samplers: &Samplers, lengths: &[u8], rec: &RequestRecord) -> Add
         ip: rec.ip,
         sampled: samplers.ip_sampled(rec),
         prefixes,
-        id: None,
+        entry: None,
     }
 }
 
@@ -590,6 +602,15 @@ mod tests {
     use crate::sampler::Samplers;
     use crate::time::SimDate;
     use ipv6_study_stats::testgen::TestGen;
+
+    impl Sealer {
+        /// The local ids of `r`'s address and user, checked as
+        /// [`Staging::intern`] checks them (the sealer tests' one call
+        /// for both).
+        pub(crate) fn intern(&mut self, r: &RequestRecord) -> Result<(IpId, u32), SpillError> {
+            self.staging.intern(r)
+        }
+    }
 
     fn rec(user: u64, sec: u32) -> RequestRecord {
         RequestRecord {
@@ -781,19 +802,81 @@ mod tests {
             sink.push(rec(i, i as u32));
         }
         sink.flush_segment();
-        // 10 records × (abuse + request + user + ip) families × 18 bytes,
-        // and a dictionary of one address and ten users.
-        let dict = std::mem::size_of::<(u128, u32)>() + 10 * std::mem::size_of::<(u64, u32)>();
-        let staged = (10 * 4 * 18 + dict) as u64;
+        // 10 records × (abuse + request + user + ip) families × 12 bytes,
+        // and a dictionary of one address (with its ASN and country) and
+        // ten users.
+        let dict = std::mem::size_of::<(u128, u32)>()
+            + std::mem::size_of::<(Asn, Country)>()
+            + 10 * std::mem::size_of::<(u64, u32)>();
+        let staged = (10 * 4 * 12 + dict) as u64;
         assert_eq!(gauge.current(), staged);
         // The sealed segment is still held for the freeze: a header, a
-        // table of five sections (pair too), the dictionary and the rows.
+        // table of five sections (pair too), the dictionary (a 22-byte v6
+        // entry, ten 8-byte user keys) and the rows.
         sink.finish();
-        let sealed = (28 + 5 * 20 + 16 + 10 * 8 + 10 * 4 * 18) as u64;
+        let sealed = (28 + 5 * 20 + 22 + 10 * 8 + 10 * 4 * 12) as u64;
         assert_eq!(gauge.current(), sealed);
         assert_eq!(gauge.peak(), staged.max(sealed));
         let payload = sink.into_payload().unwrap();
         assert_eq!(payload.segments[0].bytes(), sealed);
+    }
+
+    /// A record that gives an address another (ASN, country) pair than
+    /// the address's entry in the open segment fails the shard with a
+    /// typed, non-retryable `Attributes` error: on a memo hit (the
+    /// memoized entry is compared) and after another address evicted the
+    /// memo slot (the dictionary's entry is compared), in memory and
+    /// spilled at 256 rows a segment. No payload is produced.
+    #[test]
+    fn an_address_given_two_pairs_fails_the_shard() {
+        let session = SpillSession::create(None).unwrap();
+        let first = rec(1, 0);
+        let then = RequestRecord {
+            asn: Asn(64497),
+            country: Country::new("DE"),
+            ..rec(2, 1)
+        };
+        let slot = memo_slot(first.ip_key());
+        let evicts = (0..)
+            .map(|i| IpAddr::from(std::net::Ipv4Addr::from(0x0a00_0000 + i)))
+            .find(|&ip| memo_slot(crate::record::ip_key(ip)) == slot)
+            .unwrap();
+        let evicts = RequestRecord {
+            ip: evicts,
+            ..rec(3, 2)
+        };
+        for spill in [
+            None,
+            Some(SpillTarget {
+                session: &session,
+                shard: 0,
+                attempt: 0,
+                segment_rows: 256,
+            }),
+        ] {
+            for rows in [vec![first, then, evicts], vec![first, evicts, evicts, then]] {
+                let mut sink = ShardSink::new(keep_all(), &[64], false, spill, None);
+                for &r in &rows {
+                    sink.push(r);
+                }
+                sink.finish();
+                let err = sink.into_payload().unwrap_err();
+                assert_eq!(
+                    err,
+                    SpillError::Attributes {
+                        ip: first.ip,
+                        first: (Asn(64496), Country::new("US")),
+                        then: (Asn(64497), Country::new("DE")),
+                    }
+                );
+                assert!(!err.is_retryable());
+                assert_eq!(
+                    err.to_string(),
+                    "address 2001:db8::1 came as AS64497/DE after AS64496/US: \
+                     an address has one (ASN, country)"
+                );
+            }
+        }
     }
 
     #[test]

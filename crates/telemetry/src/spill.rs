@@ -3,7 +3,7 @@
 //!
 //! Every row reaches the freeze as a section of a dictionary-coded
 //! segment (see [`crate::segment`]). Under [`StorageMode::InMemory`] a
-//! shard seals one segment at its end and keeps the bytes, about 18 a
+//! shard seals one segment at its end and keeps the bytes, about 12 a
 //! row. Under [`StorageMode::Spill`] it seals a segment whenever a family
 //! has staged `segment_rows` rows and appends it to the shard attempt's
 //! spill file in the [`SpillSession`] directory, so peak memory no longer
@@ -28,6 +28,10 @@
 //! * [`SpillError::Budget`] — admitting the next segment would exceed
 //!   the session's [`SpillPolicy::disk_budget_bytes`]. The driver maps
 //!   this to a policy-governed degradation instead of filling the disk.
+//! * [`SpillError::Attributes`] — a row gave an address another (ASN,
+//!   country) pair than the one it was interned with. Segments keep one
+//!   pair per address (see [`crate::segment`]), and the simulator is
+//!   deterministic, so this is a bug to report, never to retry.
 //!
 //! Torn writes and flipped bytes are therefore *detected*, never decoded
 //! into figures. A failed attempt's spill file is deleted by
@@ -44,6 +48,7 @@
 
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
+use std::net::IpAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,6 +56,8 @@ use std::sync::Arc;
 use ipv6_study_stats::dist::uniform01;
 use ipv6_study_stats::hash::{stable_hash64, StableHasher};
 
+use crate::ids::{Asn, Country};
+use crate::intern::attrs_str;
 use crate::segment::Segment;
 
 /// Default rows a family stages before its shard seals a spill segment.
@@ -188,6 +195,16 @@ pub enum SpillError {
         /// The on-disk total the write would have reached.
         attempted_bytes: u64,
     },
+    /// A row gave an address another (ASN, country) pair than the one
+    /// the address was interned with: every address has one.
+    Attributes {
+        /// The address.
+        ip: IpAddr,
+        /// The pair it was interned with.
+        first: (Asn, Country),
+        /// The pair the row gave it.
+        then: (Asn, Country),
+    },
 }
 
 impl SpillError {
@@ -202,8 +219,9 @@ impl SpillError {
     }
 
     /// Whether a shard-level retry could plausibly clear this error.
-    /// Io errors are transient-capable; corruption and budget overruns
-    /// are not fixed by re-running the same work.
+    /// Io errors are transient-capable; corruption, budget overruns and
+    /// an address's second pair are not fixed by re-running the same
+    /// work.
     pub fn is_retryable(&self) -> bool {
         matches!(self, SpillError::Io { .. })
     }
@@ -240,6 +258,12 @@ impl std::fmt::Display for SpillError {
                 f,
                 "disk budget exceeded: write would reach {attempted_bytes} bytes \
                  (budget {budget_bytes})"
+            ),
+            SpillError::Attributes { ip, first, then } => write!(
+                f,
+                "address {ip} came as {} after {}: an address has one (ASN, country)",
+                attrs_str(*then),
+                attrs_str(*first)
             ),
         }
     }
@@ -416,8 +440,9 @@ pub(crate) fn stream_id(path: &Path) -> u64 {
 }
 
 /// A shared high-water-mark gauge over the bytes the sim phase holds in
-/// memory for the freeze: every shard's staged rows (18 bytes each), its
-/// dictionary's entries and its sealed in-memory segments. Frozen
+/// memory for the freeze: every shard's staged rows (12 bytes each), its
+/// dictionary's entries (each key and its id, and each address's ASN and
+/// country) and its sealed in-memory segments. Frozen
 /// columnar output, intern tables, and the freeze's own staging are
 /// excluded — the gauge measures what *scales with work in flight*,
 /// which is what the out-of-core pipeline bounds.
@@ -688,7 +713,7 @@ mod tests {
 
     /// Stages `r` in the sealer's first family.
     fn keep(sealer: &mut Sealer, r: &RequestRecord) {
-        let ids = (sealer.intern_ip(r.ip), sealer.intern_user(r.user));
+        let ids = sealer.intern(r).unwrap();
         sealer.keep(0, r, ids);
     }
 
@@ -839,9 +864,11 @@ mod tests {
         for r in &records {
             keep(&mut memory, r);
         }
-        // 10 staged rows, one address and ten users in the dictionary.
-        let dict = std::mem::size_of::<(u128, u32)>() + 10 * std::mem::size_of::<(u64, u32)>();
-        assert_eq!(memory.bytes(), (10 * 18 + dict) as u64);
+        // 10 staged rows, one address (with its ASN and country) and ten
+        // users in the dictionary.
+        let address = std::mem::size_of::<(u128, u32)>() + std::mem::size_of::<(Asn, Country)>();
+        let dict = address + 10 * std::mem::size_of::<(u64, u32)>();
+        assert_eq!(memory.bytes(), (10 * 12 + dict) as u64);
         memory.seal().unwrap();
         let memory = memory.into_segments();
         assert_eq!(memory.len(), 1);
@@ -852,10 +879,10 @@ mod tests {
             keep(&mut spilled, r);
             spilled.end_record().unwrap();
         }
-        let dict = std::mem::size_of::<(u128, u32)>() + 2 * std::mem::size_of::<(u64, u32)>();
+        let dict = address + 2 * std::mem::size_of::<(u64, u32)>();
         assert_eq!(
             spilled.bytes(),
-            (2 * 18 + dict) as u64,
+            (2 * 12 + dict) as u64,
             "8 of 10 rows on disk"
         );
         spilled.seal().unwrap();

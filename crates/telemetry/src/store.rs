@@ -134,8 +134,9 @@ impl RequestStore {
 /// An immutable, timestamp-sorted, columnar view of a completed dataset.
 ///
 /// Freezing transposes timestamp-sorted rows into interned
-/// struct-of-arrays columns — 18 bytes/row instead of the 40-byte
-/// `RequestRecord`. Range queries are binary searches over the
+/// struct-of-arrays columns — 12 bytes/row instead of the 40-byte
+/// `RequestRecord`, each address's ASN and country held once in the
+/// shared address table. Range queries are binary searches over the
 /// timestamp column returning [`ColumnSlice`] windows over `&self`, safe
 /// to share across the parallel analysis engine's worker threads; rows
 /// rematerialize lazily through [`ColumnSlice::records`], byte-for-byte
@@ -275,8 +276,8 @@ mod tests {
             s.on_day(SimDate::ymd(4, 13))
         );
         assert!(frozen.on_day(SimDate::ymd(1, 1)).is_empty());
-        // Columnar cost: 18 bytes/row vs the 40-byte row struct.
-        assert_eq!(frozen.bytes(), frozen.len() * 18);
+        // Columnar cost: 12 bytes/row vs the 40-byte row struct.
+        assert_eq!(frozen.bytes(), frozen.len() * 12);
         assert!(!frozen.tables().ips.is_empty());
     }
 

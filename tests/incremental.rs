@@ -12,7 +12,7 @@ use std::time::Duration;
 use ipv6_user_study::experiments::run_all;
 use ipv6_user_study::stats::hash::StableHasher;
 use ipv6_user_study::stats::TestGen;
-use ipv6_user_study::telemetry::{ColumnSlice, IoOp, IpTable, UserTable};
+use ipv6_user_study::telemetry::{Asn, ColumnSlice, Country, IoOp, IpTable, UserTable};
 use ipv6_user_study::{
     incremental, report, ConfigError, SpillError, StorageMode, Study, StudyConfig, StudyError,
 };
@@ -126,15 +126,24 @@ fn intern_tables_are_order_isomorphic_under_growth() {
         }
         // Same property for the address table, both families. Dense ids
         // are per-family ascending-key positions, so walking the old keys
-        // in sorted order must yield increasing indexes in the big table.
+        // in sorted order must yield increasing indexes in the big table;
+        // each address keeps its ASN and country.
         let old_v4 = g.vec_of(n_old, |g| g.next_u64() as u32);
         let old_v6 = g.vec_of(n_old, |g| g.next_u128());
         let mut all_v4 = old_v4.clone();
         let mut all_v6 = old_v6.clone();
         all_v4.extend(g.vec_of(n_new, |g| g.next_u64() as u32));
         all_v6.extend(g.vec_of(n_new, |g| g.next_u128()));
-        let small = IpTable::from_keys(old_v4.clone(), old_v6.clone());
-        let big = IpTable::from_keys(all_v4, all_v6);
+        let entries = |keys: &[u32]| {
+            let entry = |&k: &u32| (k, Asn(k % 7), Country::new("US"));
+            keys.iter().map(entry).collect::<Vec<_>>()
+        };
+        let entries6 = |keys: &[u128]| {
+            let entry = |&k: &u128| (k, Asn(k as u32 % 7), Country::new("DE"));
+            keys.iter().map(entry).collect::<Vec<_>>()
+        };
+        let small = IpTable::from_entries(entries(&old_v4), entries6(&old_v6));
+        let big = IpTable::from_entries(entries(&all_v4), entries6(&all_v6));
         let mut sorted_v4 = old_v4;
         sorted_v4.sort_unstable();
         sorted_v4.dedup();
@@ -144,6 +153,7 @@ fn intern_tables_are_order_isomorphic_under_growth() {
             assert_eq!(small.addr(small.id_of(addr)), addr, "trial {trial}");
             let in_big = big.id_of(addr);
             assert!(!in_big.is_v6(), "trial {trial}: family preserved");
+            assert_eq!(big.asn(in_big), Asn(raw % 7), "trial {trial}");
             if let Some(p) = prev {
                 assert!(in_big.index() > p, "trial {trial}: v4 order not preserved");
             }
@@ -158,6 +168,7 @@ fn intern_tables_are_order_isomorphic_under_growth() {
             assert_eq!(small.addr(small.id_of(addr)), addr, "trial {trial}");
             let in_big = big.id_of(addr);
             assert!(in_big.is_v6(), "trial {trial}: family preserved");
+            assert_eq!(big.country(in_big), Country::new("DE"), "trial {trial}");
             if let Some(p) = prev {
                 assert!(in_big.index() > p, "trial {trial}: v6 order not preserved");
             }
@@ -441,17 +452,22 @@ fn state_dir_rejects_mismatched_config_and_backward_runs() {
     // mistaken for a different configuration.
     let manifest = state.0.join("manifest.json");
     let text = std::fs::read_to_string(&manifest).expect("read manifest");
-    assert!(text.contains("\"checkpoint_schema\": 3"), "{text}");
-    let old = text.replace("\"checkpoint_schema\": 3", "\"checkpoint_schema\": 2");
-    std::fs::write(&manifest, old).expect("rewrite manifest");
-    let err = incremental::run(cfg, &state.0).expect_err("schema 2");
-    assert!(
-        matches!(err, StudyError::Config(ConfigError::Storage(ref msg))
-            if msg.contains("checkpoint_schema 2")
-                && msg.contains("checkpoint_schema 3")
-                && !msg.contains("different configuration")),
-        "got {err}"
-    );
+    assert!(text.contains("\"checkpoint_schema\": 4"), "{text}");
+    for old_schema in [3, 2] {
+        let old = text.replace(
+            "\"checkpoint_schema\": 4",
+            &format!("\"checkpoint_schema\": {old_schema}"),
+        );
+        std::fs::write(&manifest, old).expect("rewrite manifest");
+        let err = incremental::run(cfg.clone(), &state.0).expect_err("an older schema");
+        assert!(
+            matches!(err, StudyError::Config(ConfigError::Storage(ref msg))
+                if msg.contains(&format!("checkpoint_schema {old_schema}"))
+                    && msg.contains("checkpoint_schema 4")
+                    && !msg.contains("different configuration")),
+            "got {err}"
+        );
+    }
 }
 
 /// Every file under `dir` with its length, sorted.
