@@ -430,8 +430,9 @@ mod tests {
             });
             let c = cols(&recs);
             let slice = c.as_slice();
-            let asns: Vec<Asn> = slice.asns().collect();
-            let ccs: Vec<Country> = slice.countries().collect();
+            // Each row's pair, through its address's `IpTable` entry.
+            let asns: Vec<Asn> = slice.records().map(|r| r.asn).collect();
+            let ccs: Vec<Country> = slice.records().map(|r| r.country).collect();
             for min_users in [0, 1, 2, 5, 31] {
                 assert_eq!(
                     asn_ratio_table(slice, min_users),

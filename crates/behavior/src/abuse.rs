@@ -22,7 +22,7 @@
 //! caught within a day; a small *evasive* minority (proxy-heavy campaigns)
 //! survives longer and supplies the outlier accounts of §5.1.3.
 
-use ipv6_study_netmodel::{AttachKeys, NetworkId, World};
+use ipv6_study_netmodel::{AttachKeys, Network, NetworkId, World};
 use ipv6_study_stats::dist::{bernoulli, geometric, lognormal, poisson, uniform_range};
 use ipv6_study_stats::hash::StableHasher;
 use ipv6_study_telemetry::{
@@ -273,34 +273,45 @@ impl<'w> AbuseSim<'w> {
         day: SimDate,
         out: &mut dyn RequestSink,
     ) {
-        fn dates_created(sim: &AbuseSim<'_>, camp: &Campaign, seq: u32) -> u16 {
-            sim.account_dates(camp, seq).created.index()
-        }
         let account = Self::account_id(camp.id, seq);
         let key = (u64::from(camp.id) << 32) | u64::from(seq);
         let d = u64::from(day.index());
         let n_req = poisson(self.h(20, key, d), REQ_PER_DAY).clamp(1, 200) as u32;
+        // Request `j`'s draws key on `jd`; its source address came from
+        // `network`'s pool, whose ASN and country the record carries.
+        let mut push = |jd: u64, ip: std::net::IpAddr, network: &Network| {
+            let hour = uniform_range(self.h(27, key, jd), 24) as u8;
+            let min = uniform_range(self.h(28, key, jd), 60) as u8;
+            let sec = uniform_range(self.h(29, key, jd), 60) as u8;
+            out.push(RequestRecord {
+                ts: day.at(hour, min, sec),
+                user: account,
+                ip,
+                asn: network.asn,
+                country: network.country,
+            });
+        };
+        let requests = (0..n_req).map(|j| (d << 16) | u64::from(j));
 
-        for j in 0..n_req {
-            let jd = (d << 16) | u64::from(j);
-            let (ip, asn, country) = match camp.infra {
-                CampaignInfra::Hosting { net, servers } => {
-                    let network = self.world.network(net);
-                    // IPv6 servers are re-addressed daily (v6 space is
-                    // free), IPv4 servers weekly (v4 is scarce and
-                    // reused): new abusive accounts appear on fresh v6
-                    // addresses — capping /128 actioning recall (§7.1) —
-                    // while staying inside the campaign's /56, and v4
-                    // infrastructure persists, giving IPv4 actioning its
-                    // high recall.
-                    let created = dates_created(self, camp, seq);
-                    let server6 = self.h(30, u64::from(created), u64::from(seq % servers));
-                    let server4 = self.h(31, u64::from(created / 7), u64::from(seq % servers));
-                    // Campaigns also re-rent their customer allocation
-                    // (a fresh /56) roughly weekly, bounding how long /56
-                    // actioning keeps catching them.
-                    let customer = (u64::from(camp.id) << 8) | u64::from(created / 7);
-                    let v6ok = network.v6.is_some();
+        match camp.infra {
+            CampaignInfra::Hosting { net, servers } => {
+                let network = self.world.network(net);
+                // IPv6 servers are re-addressed daily (v6 space is
+                // free), IPv4 servers weekly (v4 is scarce and
+                // reused): new abusive accounts appear on fresh v6
+                // addresses — capping /128 actioning recall (§7.1) —
+                // while staying inside the campaign's /56, and v4
+                // infrastructure persists, giving IPv4 actioning its
+                // high recall.
+                let created = self.account_dates(camp, seq).created.index();
+                let server6 = self.h(30, u64::from(created), u64::from(seq % servers));
+                let server4 = self.h(31, u64::from(created / 7), u64::from(seq % servers));
+                // Campaigns also re-rent their customer allocation
+                // (a fresh /56) roughly weekly, bounding how long /56
+                // actioning keeps catching them.
+                let customer = (u64::from(camp.id) << 8) | u64::from(created / 7);
+                let v6ok = network.v6.is_some();
+                for jd in requests {
                     let over_v6 = v6ok && bernoulli(self.h(21, key, jd), 0.55);
                     let ip = if over_v6 {
                         std::net::IpAddr::V6(
@@ -311,13 +322,15 @@ impl<'w> AbuseSim<'w> {
                     } else {
                         std::net::IpAddr::V4(network.v4_server_address(customer, server4))
                     };
-                    (ip, network.asn, network.country)
+                    push(jd, ip, network);
                 }
-                CampaignInfra::ResidentialProxy { pool } => {
-                    // Proxy sessions are sticky: the account rides a small
-                    // per-day subset of the campaign's pool (rotating per
-                    // session, not per request).
-                    let n_prox = 1 + poisson(self.h(32, key, d), 0.9).min(6);
+            }
+            CampaignInfra::ResidentialProxy { pool } => {
+                // Proxy sessions are sticky: the account rides a small
+                // per-day subset of the campaign's pool (rotating per
+                // session, not per request).
+                let n_prox = 1 + poisson(self.h(32, key, d), 0.9).min(6);
+                for jd in requests {
                     let which = uniform_range(self.h(33, key, jd), n_prox);
                     let slot = uniform_range(self.h(22, key, (d << 8) | which), u64::from(pool));
                     let hh_idx =
@@ -330,60 +343,55 @@ impl<'w> AbuseSim<'w> {
                         device: member_dev,
                         household: hh_idx,
                     };
+                    let attachment = network.attachment(&keys, day);
                     let v6ok = network.subscriber_has_v6(hh_idx, day);
                     let over_v6 = v6ok && bernoulli(self.h(24, key, jd), 0.15);
-                    let ip = if over_v6 {
-                        match network.v6_address(&keys, day, 0, 0, None) {
-                            Some(a) => std::net::IpAddr::V6(a),
-                            None => std::net::IpAddr::V4(network.v4_address(&keys, day, 0)),
-                        }
+                    let v6 = if over_v6 {
+                        attachment.v6(0, 0, None)
                     } else {
-                        std::net::IpAddr::V4(network.v4_address(&keys, day, 0))
+                        None
                     };
-                    (ip, network.asn, network.country)
+                    let ip = match v6 {
+                        Some(a) => std::net::IpAddr::V6(a),
+                        None => std::net::IpAddr::V4(attachment.v4(0)),
+                    };
+                    push(jd, ip, network);
                 }
-                CampaignInfra::MobileFarm { net, devices } => {
-                    let network = self.world.network(net);
-                    let phone = u64::from(seq % devices);
-                    // Farm devices get ids far outside the benign space.
-                    let dev_key = ABUSE_ID_BASE | (u64::from(camp.id) << 8) | phone;
-                    // One farm = one locale: all phones behind the same
-                    // regional CGN gateway.
-                    let farm_key = ABUSE_ID_BASE | u64::from(camp.id);
-                    let keys = AttachKeys {
-                        user: dev_key,
-                        device: dev_key,
-                        household: farm_key,
-                    };
-                    let v6ok = network.subscriber_has_v6(dev_key, day);
+            }
+            CampaignInfra::MobileFarm { net, devices } => {
+                let network = self.world.network(net);
+                let phone = u64::from(seq % devices);
+                // Farm devices get ids far outside the benign space.
+                let dev_key = ABUSE_ID_BASE | (u64::from(camp.id) << 8) | phone;
+                // One farm = one locale: all phones behind the same
+                // regional CGN gateway.
+                let farm_key = ABUSE_ID_BASE | u64::from(camp.id);
+                let keys = AttachKeys {
+                    user: dev_key,
+                    device: dev_key,
+                    household: farm_key,
+                };
+                let attachment = network.attachment(&keys, day);
+                let v6ok = network.subscriber_has_v6(dev_key, day);
+                for jd in requests {
                     let over_v6 = v6ok && bernoulli(self.h(25, key, jd), 0.30);
-                    let ip = if over_v6 {
-                        match network.v6_address(&keys, day, 0, 0, None) {
-                            Some(a) => std::net::IpAddr::V6(a),
-                            None => {
-                                let cyc = uniform_range(self.h(26, key, jd), 2) as u32;
-                                std::net::IpAddr::V4(network.v4_address(&keys, day, cyc))
-                            }
-                        }
+                    let v6 = if over_v6 {
+                        attachment.v6(0, 0, None)
                     } else {
-                        // CGN cycling: the forced-v4-diversity mechanism.
-                        let cyc = uniform_range(self.h(26, key, jd), 2) as u32;
-                        std::net::IpAddr::V4(network.v4_address(&keys, day, cyc))
+                        None
                     };
-                    (ip, network.asn, network.country)
+                    let ip = match v6 {
+                        Some(a) => std::net::IpAddr::V6(a),
+                        None => {
+                            // CGN cycling: the forced-v4-diversity
+                            // mechanism.
+                            let cyc = uniform_range(self.h(26, key, jd), 2) as u32;
+                            std::net::IpAddr::V4(attachment.v4(cyc))
+                        }
+                    };
+                    push(jd, ip, network);
                 }
-            };
-
-            let hour = uniform_range(self.h(27, key, jd), 24) as u8;
-            let min = uniform_range(self.h(28, key, jd), 60) as u8;
-            let sec = uniform_range(self.h(29, key, jd), 60) as u8;
-            out.push(RequestRecord {
-                ts: day.at(hour, min, sec),
-                user: account,
-                ip,
-                asn,
-                country,
-            });
+            }
         }
     }
 }

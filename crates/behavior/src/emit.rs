@@ -43,14 +43,10 @@ fn emit_context(
     let device = &profile.devices[ctx.device_idx];
     let u = profile.user.raw();
 
-    let h = |tag: u32, a: u64, b: u64| -> u64 {
-        let mut s = StableHasher::new(0x454D_4954 ^ u64::from(tag)); // "EMIT"
-        s.write_u64(u)
-            .write_u64(u64::from(day.index()))
-            .write_u64(u64::from(ctx.net.0) << 8 | ctx.device_idx as u64)
-            .write_u64(a)
-            .write_u64(b);
-        s.finish()
+    let h = Draws {
+        user: u,
+        day: u64::from(day.index()),
+        path: u64::from(ctx.net.0) << 8 | ctx.device_idx as u64,
     };
 
     // Whose subscription gates IPv6 on this path?
@@ -75,8 +71,10 @@ fn emit_context(
     // more-extreme IPv4 outlier tail).
     let v4_churn = profile.churn_factor;
     let v6_churn = 1.0 + (profile.churn_factor - 1.0) * 0.25;
-    let v4_cycles = poisson(h(1, 0, 0), net.v4_intra_day_cycles() * v4_churn).min(5_000) as u32;
-    let v6_attaches = poisson(h(2, 0, 0), net.v6_intra_day_attaches() * v6_churn).min(5_000) as u32;
+    let v4_cycles =
+        poisson(h.hash(1, 0, 0), net.v4_intra_day_cycles() * v4_churn).min(5_000) as u32;
+    let v6_attaches =
+        poisson(h.hash(2, 0, 0), net.v6_intra_day_attaches() * v6_churn).min(5_000) as u32;
     // Extra temporary-IID rotations within the day (RFC 4941 lifetimes are
     // ~daily but interface resets mint fresh temporaries): heavier on
     // mobile. This is the main source of >5-addresses-per-day users
@@ -86,35 +84,34 @@ fn emit_context(
         ContextKind::Home => 0.5,
         _ => 0.2,
     };
-    let v6_slots = poisson(h(9, 0, 0), slot_mean).min(5_000) as u32;
+    let v6_slots = poisson(h.hash(9, 0, 0), slot_mean).min(5_000) as u32;
     let eui = device.eui64_mac_on(day);
+    // The context's renewal state, derived once: each request below
+    // hashes only its own draw.
+    let attachment = net.attachment(&keys, day);
 
     for j in 0..ctx.requests {
         let jj = u64::from(j);
-        let over_v6 = path_v6 && bernoulli(h(3, jj, 0), HAPPY_EYEBALLS_V6);
+        let over_v6 = path_v6 && bernoulli(h.hash(3, jj, 0), HAPPY_EYEBALLS_V6);
         // The network whose pool the source address came from (SIM-hopping
         // churners may egress a different carrier; the record's ASN and
         // country must match the address).
         let mut egress_net = net;
         let ip = if over_v6 {
-            let attach = uniform_range(h(4, jj, 0), u64::from(v6_attaches) + 1) as u32;
-            let slot = uniform_range(h(9, jj, 1), u64::from(v6_slots) + 1) as u32;
+            let attach = uniform_range(h.hash(4, jj, 0), u64::from(v6_attaches) + 1) as u32;
+            let slot = uniform_range(h.hash(9, jj, 1), u64::from(v6_slots) + 1) as u32;
             if let Some(t) = device.transition {
                 // Relic tunnel clients: their "IPv6" address embeds the
                 // IPv4 path (§4.4's <0.01% of users).
-                std::net::IpAddr::V6(transition_address(
-                    t,
-                    net.v4_address(&keys, day, 0),
-                    h(10, jj, 0),
-                ))
+                std::net::IpAddr::V6(transition_address(t, attachment.v4(0), h.hash(10, jj, 0)))
             } else {
-                match net.v6_address(&keys, day, attach, slot, eui) {
+                match attachment.v6(attach, slot, eui) {
                     Some(a) => std::net::IpAddr::V6(a),
-                    None => std::net::IpAddr::V4(net.v4_address(&keys, day, 0)),
+                    None => std::net::IpAddr::V4(attachment.v4(0)),
                 }
             }
         } else {
-            let cycle = uniform_range(h(5, jj, 0), u64::from(v4_cycles) + 1) as u32;
+            let cycle = uniform_range(h.hash(5, jj, 0), u64::from(v4_cycles) + 1) as u32;
             // Churners SIM-hop: on cellular, heavy cycles spill across the
             // country's other carriers, so one user can burn through far
             // more IPv4 addresses than any single CGN pool holds — the
@@ -122,19 +119,19 @@ fn emit_context(
             if profile.churn_factor > 1.0 && ctx.kind == ContextKind::Mobile && cycle >= 8 {
                 let alt = world.pick_mobile(
                     profile.household.country_idx,
-                    h(11, u64::from(cycle / 8), 0),
+                    h.hash(11, u64::from(cycle / 8), 0),
                 );
                 egress_net = world.network(alt);
-                std::net::IpAddr::V4(egress_net.v4_address(&keys, day, cycle))
+                std::net::IpAddr::V4(egress_net.attachment(&keys, day).v4(cycle))
             } else {
-                std::net::IpAddr::V4(net.v4_address(&keys, day, cycle))
+                std::net::IpAddr::V4(attachment.v4(cycle))
             }
         };
 
         let span = u64::from(ctx.hour_hi - ctx.hour_lo) + 1;
-        let hour = ctx.hour_lo + uniform_range(h(6, jj, 0), span) as u8;
-        let min = uniform_range(h(7, jj, 0), 60) as u8;
-        let sec = uniform_range(h(8, jj, 0), 60) as u8;
+        let hour = ctx.hour_lo + uniform_range(h.hash(6, jj, 0), span) as u8;
+        let min = uniform_range(h.hash(7, jj, 0), 60) as u8;
+        let sec = uniform_range(h.hash(8, jj, 0), 60) as u8;
 
         out.push(RequestRecord {
             ts: day.at(hour, min, sec),
@@ -143,6 +140,31 @@ fn emit_context(
             asn: egress_net.asn,
             country: egress_net.country,
         });
+    }
+}
+
+/// The key prefix every draw of one context hashes: the user, the day,
+/// and the network and device the context egresses through.
+#[derive(Clone, Copy)]
+struct Draws {
+    user: u64,
+    day: u64,
+    path: u64,
+}
+
+impl Draws {
+    /// The draw for `tag` at `(a, b)`. Always inlined, so each call site
+    /// folds its constant tag and the five fixed-width writes; a shared
+    /// out-of-line copy hashes through the generic buffered byte path.
+    #[inline(always)]
+    fn hash(self, tag: u32, a: u64, b: u64) -> u64 {
+        let mut s = StableHasher::new(0x454D_4954 ^ u64::from(tag)); // "EMIT"
+        s.write_u64(self.user)
+            .write_u64(self.day)
+            .write_u64(self.path)
+            .write_u64(a)
+            .write_u64(b);
+        s.finish()
     }
 }
 

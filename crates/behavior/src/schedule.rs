@@ -112,17 +112,33 @@ const P_COMPUTER_AT_HOME: f64 = 0.55;
 const P_COMPUTER_AT_WORK: f64 = 0.85;
 const P_VPN_SESSION: f64 = 0.45;
 
+/// The key prefix every draw of one user-day's plan hashes.
+#[derive(Clone, Copy)]
+struct PlanDraws {
+    user: u64,
+    day: u64,
+}
+
+impl PlanDraws {
+    /// The draw for `tag` at `a`. Always inlined, so each call site folds
+    /// its constant tag and the fixed-width writes; a shared out-of-line
+    /// copy hashes through the generic buffered byte path.
+    #[inline(always)]
+    fn hash(self, tag: u32, a: u64) -> u64 {
+        let mut s = StableHasher::new(0x5343_4845 ^ u64::from(tag)); // "SCHE"
+        s.write_u64(self.user).write_u64(self.day).write_u64(a);
+        s.finish()
+    }
+}
+
 /// Computes the user's plan for `day`.
 pub fn day_plan(world: &World, profile: &UserProfile, day: SimDate) -> DayPlan {
-    let u = profile.user.raw();
-    let d = u64::from(day.index());
-    let h = |tag: u32, a: u64| -> u64 {
-        let mut s = StableHasher::new(0x5343_4845 ^ u64::from(tag)); // "SCHE"
-        s.write_u64(u).write_u64(d).write_u64(a);
-        s.finish()
+    let h = PlanDraws {
+        user: profile.user.raw(),
+        day: u64::from(day.index()),
     };
 
-    if !bernoulli(h(0, 0), profile.presence.min(P_ACTIVE_CAP)) {
+    if !bernoulli(h.hash(0, 0), profile.presence.min(P_ACTIVE_CAP)) {
         return DayPlan::default();
     }
 
@@ -134,7 +150,7 @@ pub fn day_plan(world: &World, profile: &UserProfile, day: SimDate) -> DayPlan {
     // Work first: working users almost always also show up at home in the
     // evening (few users are work-only), which matters for the weekend
     // and lockdown effects on the IPv6 user share.
-    let works_today = profile.work_net.is_some() && bernoulli(h(6, 0), mix.work);
+    let works_today = profile.work_net.is_some() && bernoulli(h.hash(6, 0), mix.work);
     let home_prob = if works_today {
         mix.home.max(0.88)
     } else {
@@ -142,14 +158,14 @@ pub fn day_plan(world: &World, profile: &UserProfile, day: SimDate) -> DayPlan {
     };
 
     // Home: each device present independently.
-    if bernoulli(h(1, 0), home_prob) {
+    if bernoulli(h.hash(1, 0), home_prob) {
         for (i, dev) in profile.devices.iter().enumerate() {
             let p = match dev.kind {
                 crate::device::DeviceKind::Phone => P_PHONE_AT_HOME,
                 crate::device::DeviceKind::Computer => P_COMPUTER_AT_HOME,
             };
-            if bernoulli(h(2, i as u64), p) {
-                let requests = draw_requests(h(3, i as u64), REQ_HOME * profile.activity);
+            if bernoulli(h.hash(2, i as u64), p) {
+                let requests = draw_requests(h.hash(3, i as u64), REQ_HOME * profile.activity);
                 if requests > 0 {
                     let (lo, hi) = if locked || day.is_weekend() {
                         (9, 23)
@@ -171,10 +187,11 @@ pub fn day_plan(world: &World, profile: &UserProfile, day: SimDate) -> DayPlan {
 
     // Mobile: the phone(s), on cellular.
     if let Some(mnet) = profile.mobile_net {
-        if bernoulli(h(4, 0), mix.mobile) {
+        if bernoulli(h.hash(4, 0), mix.mobile) {
             for (i, dev) in profile.devices.iter().enumerate() {
                 if dev.kind == crate::device::DeviceKind::Phone {
-                    let requests = draw_requests(h(5, i as u64), REQ_MOBILE * profile.activity);
+                    let requests =
+                        draw_requests(h.hash(5, i as u64), REQ_MOBILE * profile.activity);
                     if requests > 0 {
                         contexts.push(SessionCtx {
                             net: mnet,
@@ -201,14 +218,14 @@ pub fn day_plan(world: &World, profile: &UserProfile, day: SimDate) -> DayPlan {
             // Users without a computer use their phone on office Wi-Fi.
             let idx = comp.unwrap_or(0);
             if bernoulli(
-                h(7, 0),
+                h.hash(7, 0),
                 if comp.is_some() {
                     P_COMPUTER_AT_WORK
                 } else {
                     0.5
                 },
             ) {
-                let requests = draw_requests(h(8, 0), REQ_WORK * profile.activity);
+                let requests = draw_requests(h.hash(8, 0), REQ_WORK * profile.activity);
                 if requests > 0 {
                     contexts.push(SessionCtx {
                         net: wnet,
@@ -225,8 +242,8 @@ pub fn day_plan(world: &World, profile: &UserProfile, day: SimDate) -> DayPlan {
 
     // VPN: habitual users route an evening session through it.
     if let Some(vnet) = profile.vpn_net {
-        if bernoulli(h(9, 0), P_VPN_SESSION) {
-            let requests = draw_requests(h(10, 0), REQ_VPN * profile.activity);
+        if bernoulli(h.hash(9, 0), P_VPN_SESSION) {
+            let requests = draw_requests(h.hash(10, 0), REQ_VPN * profile.activity);
             if requests > 0 {
                 contexts.push(SessionCtx {
                     net: vnet,

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use ipv6_study_analysis::windows;
 use ipv6_study_behavior::abuse::AbuseSim;
 use ipv6_study_behavior::emit::emit_user_day;
-use ipv6_study_behavior::population::Population;
+use ipv6_study_behavior::population::{Population, UserProfile};
 use ipv6_study_behavior::schedule::day_plan;
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{rate_per_sec, Span};
@@ -443,11 +443,31 @@ fn run_shard(
         spill,
         Some((env.gauge, published)),
     );
-    let mut users_seen = 0u64;
-    let mut users_sampled = 0u64;
     let mut days_done = 0u16;
     let mut batch: Vec<RequestRecord> = Vec::new();
     let mut clock = SimClock::start();
+    // Each member's profile and user-sample decision, derived once for
+    // the attempt (every day re-reads them) and dropped with it.
+    let members: Vec<(UserProfile, bool)> = match work {
+        ShardWork::Benign(households) => {
+            let pop = &env.inputs.pop;
+            households
+                .clone()
+                .flat_map(|hh| pop.member_ids(&pop.household(hh)))
+                .map(|uid| (pop.user(uid), samplers.user_sampled(uid)))
+                .collect()
+        }
+        ShardWork::Abuse(_) => Vec::new(),
+    };
+    // Exact distinct counts over the shard's population — the realized
+    // user-sample rate's inputs — on the run that simulates the first
+    // day (an extension's suffix counts none).
+    let (users_seen, users_sampled) = if env.days.contains(env.config.full_range.start) {
+        let sampled = members.iter().filter(|(_, sampled)| *sampled).count();
+        (members.len() as u64, sampled as u64)
+    } else {
+        (0, 0)
+    };
 
     for day in env.days.days() {
         if fault.panic_after_days == Some(days_done) {
@@ -457,35 +477,21 @@ fn run_shard(
             panic!("injected fault: shard {shard} attempt {attempt} after {days_done} day(s)");
         }
         let dense = env.config.is_dense(day);
-        let first_day = day == env.config.full_range.start;
         sink.set_pair_routing(day >= env.pair_start);
         match work {
-            ShardWork::Benign(households) => {
-                let pop = &env.inputs.pop;
-                for hh in households.clone() {
-                    let hprof = pop.household(hh);
-                    for uid in pop.member_ids(&hprof) {
-                        // The first day enumerates every member before the
-                        // panel skip, so these counters are exact distinct
-                        // counts over the shard's population — the
-                        // realized user-sample rate's inputs.
-                        if first_day {
-                            users_seen += 1;
-                            users_sampled += u64::from(samplers.user_sampled(uid));
-                        }
-                        // Panel phase: only user-sample panel members.
-                        if !dense && !samplers.user_sampled(uid) {
-                            continue;
-                        }
-                        let profile = pop.user(uid);
-                        let plan = day_plan(env.world, &profile, day);
-                        if plan.contexts.is_empty() {
-                            continue;
-                        }
-                        let buffer = &mut FnSink(|rec| batch.push(rec));
-                        emit_user_day(env.world, &profile, day, &plan, buffer);
-                        clock.route(&mut batch, &mut sink);
+            ShardWork::Benign(_) => {
+                for (profile, sampled) in &members {
+                    // Panel phase: only user-sample panel members.
+                    if !dense && !sampled {
+                        continue;
                     }
+                    let plan = day_plan(env.world, profile, day);
+                    if plan.contexts.is_empty() {
+                        continue;
+                    }
+                    let buffer = &mut FnSink(|rec| batch.push(rec));
+                    emit_user_day(env.world, profile, day, &plan, buffer);
+                    clock.route(&mut batch, &mut sink);
                 }
             }
             ShardWork::Abuse(campaigns) => {

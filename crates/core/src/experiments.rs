@@ -1667,7 +1667,7 @@ mod tests {
             64498 => Some(3),
             _ => None,
         };
-        let benign = |u: UserId| u.raw() % 4 != 0;
+        let benign = |u: UserId| u.raw() & 3 != 0;
         for _ in 0..32 {
             let n = g.range_u64(0, 300) as usize;
             let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| {

@@ -39,5 +39,5 @@ pub mod world;
 pub use conf::{V4Conf, V4Mode, V6Conf, V6Mode};
 pub use countries::CountryProfile;
 pub use kind::NetworkKind;
-pub use network::{AttachKeys, Network, NetworkError, NetworkId};
+pub use network::{AttachKeys, Attachment, Network, NetworkError, NetworkId};
 pub use world::World;

@@ -1,11 +1,17 @@
 //! A network (one ASN) and its deterministic address assignment.
 //!
-//! [`Network::v4_address`] and [`Network::v6_address`] answer: *given this
-//! attachment (user/device/household), what source address does the
-//! platform see on this day?* Both are pure functions of the network
-//! definition, the attachment keys, and the date — the whole simulated
-//! internet is replayable from the world seed.
+//! [`Network::attachment`] and its [`Attachment::v4`] and
+//! [`Attachment::v6`] answer: *given this attachment
+//! (user/device/household), what source address does the platform see on
+//! this day?* An address is the renewal state of its (subscriber, day) —
+//! the lease, the delegated prefix, the device's /64, derived once into
+//! the [`Attachment`] — plus one per-request draw: the CGN egress cycle,
+//! the mobile re-attach, the privacy-IID slot. All of it is a pure
+//! function of the network definition, the attachment keys, the date and
+//! the request's indices — the whole simulated internet is replayable
+//! from the world seed.
 
+use std::cell::OnceCell;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use ipv6_study_netaddr::{Ipv6Prefix, MacAddr};
@@ -38,6 +44,19 @@ pub const CGN_REGION_SIZE: usize = 256;
 fn regional_p64_index(region_hash: u64, within_hash: u64) -> u64 {
     let region = uniform_range(region_hash, MOBILE_P64_REGIONS);
     (region << 20) | uniform_range(within_hash, 1 << 20)
+}
+
+/// The /64 bits of block `block` under `routing_bits` (host bits masked
+/// off, as [`Ipv6Prefix::from_bits`] does).
+fn p64_bits(routing_bits: u128, block: u64) -> u128 {
+    Ipv6Prefix::bits_containing(routing_bits | (u128::from(block) << 64), 64)
+}
+
+/// An RFC 4941 temporary IID from its draw. A random 64-bit IID is never
+/// the low-16 gateway signature in practice; bit 17 keeps it that way
+/// explicitly.
+fn privacy_iid(h: u64) -> u64 {
+    h | (1 << 17)
 }
 
 /// Index of a network within its [`crate::world::World`].
@@ -264,102 +283,108 @@ impl Network {
     }
 
     // ------------------------------------------------------------------
-    // IPv4
+    // Attachments
     // ------------------------------------------------------------------
 
-    /// The public IPv4 address this attachment egresses from on `day`,
-    /// during intra-day cycle `cycle` (0 = the first address of the day;
-    /// CGNs may cycle clients to `cycle` 1, 2, … within a day).
-    pub fn v4_address(&self, keys: &AttachKeys, day: SimDate, cycle: u32) -> Ipv4Addr {
-        let idx = match self.v4.mode {
+    /// The renewal state of one attachment on `day`: everything its
+    /// addresses depend on besides the per-request draw. That is the
+    /// lease, PD and device renewal epochs, the household's region, the
+    /// attach-0 /64, the home or enterprise NAT address, and the gateway
+    /// block and slot. Derive it once per (subscriber, day) context;
+    /// [`Attachment::v4`] and [`Attachment::v6`] then hash only what
+    /// varies per request. The IPv6 half waits for the first
+    /// [`Attachment::v6`] call: most contexts have no IPv6 path and never
+    /// make one.
+    ///
+    /// (Whether the *subscriber* has IPv6 is a separate question — see
+    /// [`Network::subscriber_has_v6`] — decided by the caller.)
+    pub fn attachment(&self, keys: &AttachKeys, day: SimDate) -> Attachment<'_> {
+        Attachment {
+            net: self,
+            keys: *keys,
+            day,
+            v4: self.v4_state(keys, day),
+            v6: OnceCell::new(),
+        }
+    }
+
+    fn v4_state(&self, keys: &AttachKeys, day: SimDate) -> V4State<'_> {
+        match self.v4.mode {
             V4Mode::HomeNat => {
-                let r = Renewal::derive(
-                    self.seed(0x7634_4C53, keys.household),
-                    self.v4.lease_mean_days,
-                    self.v4.lease_sigma,
-                );
-                let epoch = r.epoch(day);
-                uniform_range(
-                    self.draw(0x7634_4844, keys.household, u64::from(epoch), 0),
-                    u64::from(self.v4.pool_size),
-                ) as u32
+                V4State::Leased(self.nat_address((0x7634_4C53, 0x7634_4844), keys.household, day))
             }
             V4Mode::EnterpriseNat => {
-                let r = Renewal::derive(
-                    self.seed(0x7634_454E, keys.household),
-                    self.v4.lease_mean_days,
-                    self.v4.lease_sigma,
-                );
-                let epoch = r.epoch(day);
-                uniform_range(
-                    self.draw(0x7634_4549, keys.household, u64::from(epoch), 0),
-                    u64::from(self.v4.pool_size),
-                ) as u32
+                V4State::Leased(self.nat_address((0x7634_454E, 0x7634_4549), keys.household, day))
             }
             V4Mode::Cgn => {
-                // The subscriber attaches through a stable regional
-                // gateway (keyed on the household: one locale). Each
-                // (device, lease epoch, cycle) lands on a popularity-
-                // weighted egress within the region — hot egresses recur
-                // day over day, which is what gives IPv4 blocklisting its
-                // next-day recall (§7.1) even while individual
-                // (user, address) pairs churn.
-                let regions = (self.v4.pool_size as u64 / CGN_REGION_SIZE as u64).max(1);
-                // Ordinary subscribers stay in one region (cycle/8 == 0);
-                // extreme address churners (§5.1.3) burn through enough
-                // cycles to hop regions, which is how they reach hundreds
-                // of distinct addresses a week.
-                let region = uniform_range(
-                    self.draw(0x7634_5247, keys.household, u64::from(cycle / 8), 0),
-                    regions,
-                );
                 let r = Renewal::derive(
                     self.seed(0x7634_4347, keys.device),
                     self.v4.lease_mean_days,
                     self.v4.lease_sigma,
                 );
-                let epoch = r.epoch(day);
-                let h = self.draw(0x7634_4358, keys.device, u64::from(epoch), u64::from(cycle));
-                // invariant: try_new builds v4_pool_zipf for every
-                // Cgn-mode network; this branch is Cgn-only.
-                let within = self.v4_pool_zipf.as_ref().expect("CGN has zipf").sample(h) as u64;
-                (region * CGN_REGION_SIZE as u64 + within) as u32
+                V4State::Cgn {
+                    epoch: u64::from(r.epoch(day)),
+                    region: self.cgn_region(keys.household, 0),
+                    // invariant: try_new builds v4_pool_zipf for every
+                    // Cgn-mode network.
+                    zipf: self.v4_pool_zipf.as_ref().expect("CGN has zipf"),
+                }
             }
+            // invariant: try_new builds v4_pool_zipf for every
+            // SharedEgress-mode network.
             V4Mode::SharedEgress => {
-                let h = self.draw(
-                    0x7634_5345,
-                    keys.user,
-                    u64::from(day.index()),
-                    u64::from(cycle),
-                );
-                // invariant: try_new builds v4_pool_zipf for every
-                // SharedEgress-mode network; this branch is its only user.
-                self.v4_pool_zipf
-                    .as_ref()
-                    .expect("shared egress has zipf")
-                    .sample(h) as u32
+                V4State::Shared(self.v4_pool_zipf.as_ref().expect("shared egress has zipf"))
             }
-        };
-        self.pick_v4(idx)
+        }
+    }
+
+    /// A NAT's public address on `day`: the lease renewal seeded by
+    /// `tags.0` picks the epoch, and one `tags.1` draw per epoch picks
+    /// the pool index.
+    fn nat_address(&self, tags: (u32, u32), key: u64, day: SimDate) -> Ipv4Addr {
+        let r = Renewal::derive(
+            self.seed(tags.0, key),
+            self.v4.lease_mean_days,
+            self.v4.lease_sigma,
+        );
+        let idx = uniform_range(
+            self.draw(tags.1, key, u64::from(r.epoch(day)), 0),
+            u64::from(self.v4.pool_size),
+        );
+        self.pick_v4(idx as u32)
+    }
+
+    /// The CGN region a household egresses through on cycles
+    /// `8 * hop .. 8 * hop + 8`. The subscriber attaches through a
+    /// stable regional gateway (keyed on the household: one locale);
+    /// ordinary subscribers stay in region `hop == 0`, while extreme
+    /// address churners (§5.1.3) burn through enough cycles to hop
+    /// regions, which is how they reach hundreds of distinct addresses
+    /// a week.
+    fn cgn_region(&self, household: u64, hop: u32) -> u64 {
+        let regions = (u64::from(self.v4.pool_size) / CGN_REGION_SIZE as u64).max(1);
+        uniform_range(
+            self.draw(0x7634_5247, household, u64::from(hop), 0),
+            regions,
+        )
     }
 
     fn pick_v4(&self, idx: u32) -> Ipv4Addr {
         Ipv4Addr::from(self.v4.pool.bits() | (idx % self.v4.pool_size.max(1)))
     }
 
-    // ------------------------------------------------------------------
-    // IPv6
-    // ------------------------------------------------------------------
-
-    /// The /64 network this attachment sits in on `day` for intra-day
-    /// attach `attach`, or `None` when the network has no IPv6 policy.
-    ///
-    /// (Whether the *subscriber* has IPv6 is a separate question — see
-    /// [`Network::subscriber_has_v6`] — decided by the caller.)
-    pub fn v6_network64(&self, keys: &AttachKeys, day: SimDate, attach: u32) -> Option<Ipv6Prefix> {
+    fn v6_state(&self, keys: &AttachKeys, day: SimDate) -> Option<V6State> {
         let v6 = self.v6.as_ref()?;
         let routing_bits = v6.routing.bits();
-        let p64 = match v6.mode {
+        // A configured rotation rate of 0 freezes the privacy IID
+        // entirely (the "privacy extensions off" ablation).
+        let client = |p64: u128, reattach: Option<(u128, u64)>| V6State::Client {
+            p64,
+            reattach,
+            frozen_iid: (v6.iid_rotations_per_day <= 0.0)
+                .then(|| privacy_iid(self.draw(0x7636_4949, keys.device, 0, 0))),
+        };
+        Some(match v6.mode {
             V6Mode::ResidentialPd => {
                 // Household delegated prefix, allocated two-level: the
                 // household's *region* (think CMTS/aggregation router,
@@ -373,43 +398,28 @@ impl Network {
                     v6.pd_mean_days,
                     v6.pd_sigma,
                 );
-                let epoch = r.epoch(day);
                 let region = uniform_range(self.seed(0x7636_5247, keys.household), PD_REGIONS);
                 let region_size = 1u64 << u32::from(v6.pd_len.max(44) - 44).min(63);
                 let within = uniform_range(
-                    self.draw(0x7636_5049, keys.household, u64::from(epoch), 0),
+                    self.draw(0x7636_5049, keys.household, u64::from(r.epoch(day)), 0),
                     region_size,
                 );
                 let pd_index = region * region_size + within;
                 let pd = routing_bits | (u128::from(pd_index) << (128 - v6.pd_len));
                 // Subnet bits between pd_len and /64 are zero (single LAN).
-                Ipv6Prefix::from_bits(pd, 64)
+                client(Ipv6Prefix::bits_containing(pd, 64), None)
             }
             V6Mode::MobilePerDevice => {
                 // The device homes on a PGW region (stable); the /64
                 // within the region renews every few days, plus ephemeral
                 // /64s from extra attaches.
-                let region_hash = self.seed(0x7636_5247, keys.device);
-                let idx = if attach == 0 {
-                    let r =
-                        Renewal::derive(self.seed(0x7636_3634, keys.device), v6.p64_mean_days, 0.6);
-                    let epoch = r.epoch(day);
-                    regional_p64_index(
-                        region_hash,
-                        self.draw(0x7636_3649, keys.device, u64::from(epoch), 0),
-                    )
-                } else {
-                    regional_p64_index(
-                        region_hash,
-                        self.draw(
-                            0x7636_3645,
-                            keys.device,
-                            u64::from(day.index()),
-                            u64::from(attach),
-                        ),
-                    )
-                };
-                Ipv6Prefix::from_bits(routing_bits | (u128::from(idx) << 64), 64)
+                let region = self.seed(0x7636_5247, keys.device);
+                let r = Renewal::derive(self.seed(0x7636_3634, keys.device), v6.p64_mean_days, 0.6);
+                let home = regional_p64_index(
+                    region,
+                    self.draw(0x7636_3649, keys.device, u64::from(r.epoch(day)), 0),
+                );
+                client(p64_bits(routing_bits, home), Some((routing_bits, region)))
             }
             V6Mode::MobileSector { sectors } => {
                 // The device roams between sectors on a multi-day renewal;
@@ -423,22 +433,35 @@ impl Network {
                     self.seed(0x7636_5352, sector),
                     self.draw(0x7636_5342, sector, 0, 0),
                 );
-                Ipv6Prefix::from_bits(routing_bits | (u128::from(block) << 64), 64)
+                client(p64_bits(routing_bits, block), None)
             }
-            V6Mode::Gateway { gateways, .. } => {
+            V6Mode::Gateway {
+                gateways,
+                egress_per_gateway,
+            } => {
+                // The gateway /64 is the routing bits plus a fixed 32-bit
+                // block id, and the IID is zero except the low 16 bits:
+                // the /112 extension is all-zero, the §6.1.3 signature.
+                // Each gateway exposes only `egress_per_gateway` active
+                // slots, so its users pile onto a few addresses — the
+                // mechanism behind the mega-populated IPv6 addresses.
                 let gw = uniform_range(
                     self.seed(0x7636_4757, keys.user),
                     u64::from(gateways.max(1)),
                 );
-                // The gateway /64: routing bits plus a fixed 32-bit block
-                // id. Its /112 extension is all-zero (the signature).
                 let block = self.draw(0x7636_4742, gw, 0, 0) & 0xFFFF_FFFF;
-                Ipv6Prefix::from_bits(routing_bits | (u128::from(block) << 64), 64)
+                let slot = uniform_range(
+                    self.draw(0x7636_474C, keys.user, u64::from(day.index()), 0),
+                    u64::from(egress_per_gateway.max(1)),
+                );
+                let iid = uniform_range(self.draw(0x7636_4753, gw, slot, 0), 0xFFFF) + 1;
+                V6State::Fixed(Ipv6Addr::from(
+                    p64_bits(routing_bits, block) | u128::from(iid),
+                ))
             }
             V6Mode::HostingEgress { .. } => {
                 // invariant: try_new builds v6_pop_zipf for every
-                // HostingEgress-mode v6 policy; this branch is its only
-                // user.
+                // HostingEgress-mode v6 policy.
                 let pop = self
                     .v6_pop_zipf
                     .as_ref()
@@ -446,87 +469,11 @@ impl Network {
                     .sample(self.draw(0x7636_504F, keys.user, u64::from(day.index()), 0))
                     as u64;
                 let block = self.draw(0x7636_5042, pop, 0, 0) & 0xFFFF_FFFF;
-                Ipv6Prefix::from_bits(routing_bits | (u128::from(block) << 64), 64)
-            }
-        };
-        Some(p64)
-    }
-
-    /// The full IPv6 source address for this attachment.
-    ///
-    /// * `attach` — intra-day attach index (mobile reattaches).
-    /// * `iid_slot` — intra-day privacy-IID rotation slot (0 for the first
-    ///   temporary address of the day).
-    /// * `eui64_mac` — when the device uses EUI-64 addressing instead of
-    ///   privacy IIDs, its MAC (the IID then embeds it, §4.4).
-    pub fn v6_address(
-        &self,
-        keys: &AttachKeys,
-        day: SimDate,
-        attach: u32,
-        iid_slot: u32,
-        eui64_mac: Option<MacAddr>,
-    ) -> Option<Ipv6Addr> {
-        let v6 = self.v6.as_ref()?;
-        let p64 = self.v6_network64(keys, day, attach)?;
-        let iid: u64 = match v6.mode {
-            V6Mode::Gateway {
-                gateways,
-                egress_per_gateway,
-            } => {
-                // Zero except the low 16 bits: the §6.1.3 signature. Each
-                // gateway exposes only `egress_per_gateway` active slots,
-                // so its users pile onto a few addresses — the mechanism
-                // behind the mega-populated IPv6 addresses.
-                let gw = uniform_range(
-                    self.seed(0x7636_4757, keys.user),
-                    u64::from(gateways.max(1)),
-                );
-                let slot = uniform_range(
-                    self.draw(0x7636_474C, keys.user, u64::from(day.index()), 0),
-                    u64::from(egress_per_gateway.max(1)),
-                );
-                uniform_range(self.draw(0x7636_4753, gw, slot, 0), 0xFFFF) + 1
-            }
-            V6Mode::HostingEgress { .. } => {
-                // Server-style low-byte variation: ~4k egress addresses
-                // per PoP /64, "multiple servers sharing the same long
-                // prefix" (§5.2.1).
-                uniform_range(
-                    self.draw(
-                        0x7636_484C,
-                        keys.user,
-                        u64::from(day.index()),
-                        u64::from(attach),
-                    ),
-                    4096,
-                ) + 1
-            }
-            V6Mode::ResidentialPd | V6Mode::MobilePerDevice | V6Mode::MobileSector { .. } => {
-                if let Some(mac) = eui64_mac {
-                    mac.to_modified_eui64()
-                } else {
-                    // RFC 4941 temporary IID: a fresh 64-bit value per
-                    // rotation epoch. Rotations are daily (slot folds in
-                    // extra intra-day rotations when configured); a
-                    // configured rate of 0 freezes the IID entirely (the
-                    // "privacy extensions off" ablation).
-                    let (epoch, slots) = if v6.iid_rotations_per_day <= 0.0 {
-                        (0u64, 0u64)
-                    } else {
-                        (
-                            u64::from(day.index()),
-                            (u64::from(attach) << 32) | u64::from(iid_slot),
-                        )
-                    };
-                    let h = self.draw(0x7636_4949, keys.device, epoch, slots);
-                    // A random 64-bit IID is never the low16 signature in
-                    // practice; keep it that way explicitly.
-                    h | (1 << 17)
+                V6State::Hosting {
+                    p64: p64_bits(routing_bits, block),
                 }
             }
-        };
-        Some(Ipv6Addr::from(p64.bits() | u128::from(iid)))
+        })
     }
 
     /// A rented server's stable IPv6 address on a hosting network.
@@ -576,9 +523,396 @@ impl Network {
     }
 }
 
+/// One attachment's renewal state on one day, from
+/// [`Network::attachment`]: an address is this state plus one
+/// per-request draw.
+#[derive(Debug, Clone)]
+pub struct Attachment<'a> {
+    net: &'a Network,
+    keys: AttachKeys,
+    day: SimDate,
+    v4: V4State<'a>,
+    /// Derived by the first [`Attachment::v6`] call.
+    v6: OnceCell<Option<V6State>>,
+}
+
+/// The IPv4 half of an [`Attachment`].
+#[derive(Debug, Clone, Copy)]
+enum V4State<'a> {
+    /// Home or enterprise NAT: the lease's one public address.
+    Leased(Ipv4Addr),
+    /// CGN: the device's lease epoch, the household's region for cycles
+    /// below 8, and the region's egress popularity.
+    Cgn {
+        epoch: u64,
+        region: u64,
+        zipf: &'a Zipf,
+    },
+    /// Shared egress: every (user, day, cycle) draws from the pool's
+    /// popularity.
+    Shared(&'a Zipf),
+}
+
+/// The IPv6 half of an [`Attachment`].
+#[derive(Debug, Clone, Copy)]
+enum V6State {
+    /// Gateway: the user's block and slot fix the whole address.
+    Fixed(Ipv6Addr),
+    /// Hosting egress: the PoP's /64; each request draws its
+    /// server-style low-byte IID.
+    Hosting { p64: u128 },
+    /// Residential and mobile clients: the attach-0 /64, the routing
+    /// bits and PGW region that re-attaches draw their /64s in (mobile
+    /// per-device only), and the privacy IID when rotation is off.
+    Client {
+        p64: u128,
+        reattach: Option<(u128, u64)>,
+        frozen_iid: Option<u64>,
+    },
+}
+
+impl Attachment<'_> {
+    /// The public IPv4 address for intra-day cycle `cycle` (0 = the
+    /// first address of the day; CGNs and shared egress may cycle
+    /// clients to `cycle` 1, 2, … within a day).
+    #[inline]
+    pub fn v4(&self, cycle: u32) -> Ipv4Addr {
+        let idx = match self.v4 {
+            V4State::Leased(addr) => return addr,
+            V4State::Cgn {
+                epoch,
+                region,
+                zipf,
+            } => {
+                // Each (device, lease epoch, cycle) lands on a
+                // popularity-weighted egress within the region — hot
+                // egresses recur day over day, which is what gives IPv4
+                // blocklisting its next-day recall (§7.1) even while
+                // individual (user, address) pairs churn.
+                let region = if cycle < 8 {
+                    region
+                } else {
+                    self.net.cgn_region(self.keys.household, cycle / 8)
+                };
+                let h = self
+                    .net
+                    .draw(0x7634_4358, self.keys.device, epoch, u64::from(cycle));
+                (region * CGN_REGION_SIZE as u64 + zipf.sample(h) as u64) as u32
+            }
+            V4State::Shared(zipf) => {
+                let day = u64::from(self.day.index());
+                let h = self
+                    .net
+                    .draw(0x7634_5345, self.keys.user, day, u64::from(cycle));
+                zipf.sample(h) as u32
+            }
+        };
+        self.net.pick_v4(idx)
+    }
+
+    /// The full IPv6 source address, or `None` when the network has no
+    /// IPv6 policy.
+    ///
+    /// * `attach` — intra-day attach index (mobile re-attaches).
+    /// * `iid_slot` — intra-day privacy-IID rotation slot (0 for the first
+    ///   temporary address of the day).
+    /// * `eui64_mac` — when the device uses EUI-64 addressing instead of
+    ///   privacy IIDs, its MAC (the IID then embeds it, §4.4).
+    #[inline]
+    pub fn v6(&self, attach: u32, iid_slot: u32, eui64_mac: Option<MacAddr>) -> Option<Ipv6Addr> {
+        let state = self
+            .v6
+            .get_or_init(|| self.net.v6_state(&self.keys, self.day));
+        let day = u64::from(self.day.index());
+        let bits = match (*state)? {
+            V6State::Fixed(addr) => return Some(addr),
+            V6State::Hosting { p64 } => {
+                // Server-style low-byte variation: ~4k egress addresses
+                // per PoP /64, "multiple servers sharing the same long
+                // prefix" (§5.2.1).
+                let h = self
+                    .net
+                    .draw(0x7636_484C, self.keys.user, day, u64::from(attach));
+                p64 | u128::from(uniform_range(h, 4096) + 1)
+            }
+            V6State::Client {
+                p64,
+                reattach,
+                frozen_iid,
+            } => {
+                let p64 = match reattach {
+                    Some((routing_bits, region)) if attach > 0 => {
+                        let h =
+                            self.net
+                                .draw(0x7636_3645, self.keys.device, day, u64::from(attach));
+                        p64_bits(routing_bits, regional_p64_index(region, h))
+                    }
+                    _ => p64,
+                };
+                let iid = match (eui64_mac, frozen_iid) {
+                    (Some(mac), _) => mac.to_modified_eui64(),
+                    (None, Some(iid)) => iid,
+                    // A fresh temporary IID per (day, attach, slot).
+                    (None, None) => privacy_iid(self.net.draw(
+                        0x7636_4949,
+                        self.keys.device,
+                        day,
+                        (u64::from(attach) << 32) | u64::from(iid_slot),
+                    )),
+                };
+                p64 | u128::from(iid)
+            }
+        };
+        Some(Ipv6Addr::from(bits))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The oracle: the per-request derivations that `Network::attachment`
+    // replaced, verbatim but for `self` → `n`. Each re-derives the whole
+    // renewal state for every call; the attachment must reproduce every
+    // address they give, bit for bit.
+
+    fn v4_address(n: &Network, keys: &AttachKeys, day: SimDate, cycle: u32) -> Ipv4Addr {
+        let idx = match n.v4.mode {
+            V4Mode::HomeNat => {
+                let r = Renewal::derive(
+                    n.seed(0x7634_4C53, keys.household),
+                    n.v4.lease_mean_days,
+                    n.v4.lease_sigma,
+                );
+                let epoch = r.epoch(day);
+                uniform_range(
+                    n.draw(0x7634_4844, keys.household, u64::from(epoch), 0),
+                    u64::from(n.v4.pool_size),
+                ) as u32
+            }
+            V4Mode::EnterpriseNat => {
+                let r = Renewal::derive(
+                    n.seed(0x7634_454E, keys.household),
+                    n.v4.lease_mean_days,
+                    n.v4.lease_sigma,
+                );
+                let epoch = r.epoch(day);
+                uniform_range(
+                    n.draw(0x7634_4549, keys.household, u64::from(epoch), 0),
+                    u64::from(n.v4.pool_size),
+                ) as u32
+            }
+            V4Mode::Cgn => {
+                // The subscriber attaches through a stable regional
+                // gateway (keyed on the household: one locale). Each
+                // (device, lease epoch, cycle) lands on a popularity-
+                // weighted egress within the region — hot egresses recur
+                // day over day, which is what gives IPv4 blocklisting its
+                // next-day recall (§7.1) even while individual
+                // (user, address) pairs churn.
+                let regions = (n.v4.pool_size as u64 / CGN_REGION_SIZE as u64).max(1);
+                // Ordinary subscribers stay in one region (cycle/8 == 0);
+                // extreme address churners (§5.1.3) burn through enough
+                // cycles to hop regions, which is how they reach hundreds
+                // of distinct addresses a week.
+                let region = uniform_range(
+                    n.draw(0x7634_5247, keys.household, u64::from(cycle / 8), 0),
+                    regions,
+                );
+                let r = Renewal::derive(
+                    n.seed(0x7634_4347, keys.device),
+                    n.v4.lease_mean_days,
+                    n.v4.lease_sigma,
+                );
+                let epoch = r.epoch(day);
+                let h = n.draw(0x7634_4358, keys.device, u64::from(epoch), u64::from(cycle));
+                // invariant: try_new builds v4_pool_zipf for every
+                // Cgn-mode network; this branch is Cgn-only.
+                let within = n.v4_pool_zipf.as_ref().expect("CGN has zipf").sample(h) as u64;
+                (region * CGN_REGION_SIZE as u64 + within) as u32
+            }
+            V4Mode::SharedEgress => {
+                let h = n.draw(
+                    0x7634_5345,
+                    keys.user,
+                    u64::from(day.index()),
+                    u64::from(cycle),
+                );
+                // invariant: try_new builds v4_pool_zipf for every
+                // SharedEgress-mode network; this branch is its only user.
+                n.v4_pool_zipf
+                    .as_ref()
+                    .expect("shared egress has zipf")
+                    .sample(h) as u32
+            }
+        };
+        n.pick_v4(idx)
+    }
+
+    fn v6_network64(
+        n: &Network,
+        keys: &AttachKeys,
+        day: SimDate,
+        attach: u32,
+    ) -> Option<Ipv6Prefix> {
+        let v6 = n.v6.as_ref()?;
+        let routing_bits = v6.routing.bits();
+        let p64 = match v6.mode {
+            V6Mode::ResidentialPd => {
+                // Household delegated prefix, allocated two-level: the
+                // household's *region* (think CMTS/aggregation router,
+                // owning a /44-sized block) is stable for the household;
+                // prefix churn re-draws only the within-region index. This
+                // is what aggregates one household's — and one heavy
+                // user's — prefixes below /48 (§5.2.1, §5.2.3) while
+                // keeping /48s sparse.
+                let r = Renewal::derive(
+                    n.seed(0x7636_5044, keys.household),
+                    v6.pd_mean_days,
+                    v6.pd_sigma,
+                );
+                let epoch = r.epoch(day);
+                let region = uniform_range(n.seed(0x7636_5247, keys.household), PD_REGIONS);
+                let region_size = 1u64 << u32::from(v6.pd_len.max(44) - 44).min(63);
+                let within = uniform_range(
+                    n.draw(0x7636_5049, keys.household, u64::from(epoch), 0),
+                    region_size,
+                );
+                let pd_index = region * region_size + within;
+                let pd = routing_bits | (u128::from(pd_index) << (128 - v6.pd_len));
+                // Subnet bits between pd_len and /64 are zero (single LAN).
+                Ipv6Prefix::from_bits(pd, 64)
+            }
+            V6Mode::MobilePerDevice => {
+                // The device homes on a PGW region (stable); the /64
+                // within the region renews every few days, plus ephemeral
+                // /64s from extra attaches.
+                let region_hash = n.seed(0x7636_5247, keys.device);
+                let idx = if attach == 0 {
+                    let r =
+                        Renewal::derive(n.seed(0x7636_3634, keys.device), v6.p64_mean_days, 0.6);
+                    let epoch = r.epoch(day);
+                    regional_p64_index(
+                        region_hash,
+                        n.draw(0x7636_3649, keys.device, u64::from(epoch), 0),
+                    )
+                } else {
+                    regional_p64_index(
+                        region_hash,
+                        n.draw(
+                            0x7636_3645,
+                            keys.device,
+                            u64::from(day.index()),
+                            u64::from(attach),
+                        ),
+                    )
+                };
+                Ipv6Prefix::from_bits(routing_bits | (u128::from(idx) << 64), 64)
+            }
+            V6Mode::MobileSector { sectors } => {
+                // The device roams between sectors on a multi-day renewal;
+                // each sector owns one /64 shared by its devices.
+                let r = Renewal::derive(n.seed(0x7636_5345, keys.device), v6.p64_mean_days, 0.5);
+                let sector = uniform_range(
+                    n.draw(0x7636_5343, keys.device, u64::from(r.epoch(day)), 0),
+                    u64::from(sectors.max(1)),
+                );
+                let block = regional_p64_index(
+                    n.seed(0x7636_5352, sector),
+                    n.draw(0x7636_5342, sector, 0, 0),
+                );
+                Ipv6Prefix::from_bits(routing_bits | (u128::from(block) << 64), 64)
+            }
+            V6Mode::Gateway { gateways, .. } => {
+                let gw = uniform_range(n.seed(0x7636_4757, keys.user), u64::from(gateways.max(1)));
+                // The gateway /64: routing bits plus a fixed 32-bit block
+                // id. Its /112 extension is all-zero (the signature).
+                let block = n.draw(0x7636_4742, gw, 0, 0) & 0xFFFF_FFFF;
+                Ipv6Prefix::from_bits(routing_bits | (u128::from(block) << 64), 64)
+            }
+            V6Mode::HostingEgress { .. } => {
+                // invariant: try_new builds v6_pop_zipf for every
+                // HostingEgress-mode v6 policy; this branch is its only
+                // user.
+                let pop = n
+                    .v6_pop_zipf
+                    .as_ref()
+                    .expect("hosting has pop zipf")
+                    .sample(n.draw(0x7636_504F, keys.user, u64::from(day.index()), 0))
+                    as u64;
+                let block = n.draw(0x7636_5042, pop, 0, 0) & 0xFFFF_FFFF;
+                Ipv6Prefix::from_bits(routing_bits | (u128::from(block) << 64), 64)
+            }
+        };
+        Some(p64)
+    }
+
+    fn v6_address(
+        n: &Network,
+        keys: &AttachKeys,
+        day: SimDate,
+        attach: u32,
+        iid_slot: u32,
+        eui64_mac: Option<MacAddr>,
+    ) -> Option<Ipv6Addr> {
+        let v6 = n.v6.as_ref()?;
+        let p64 = v6_network64(n, keys, day, attach)?;
+        let iid: u64 = match v6.mode {
+            V6Mode::Gateway {
+                gateways,
+                egress_per_gateway,
+            } => {
+                // Zero except the low 16 bits: the §6.1.3 signature. Each
+                // gateway exposes only `egress_per_gateway` active slots,
+                // so its users pile onto a few addresses — the mechanism
+                // behind the mega-populated IPv6 addresses.
+                let gw = uniform_range(n.seed(0x7636_4757, keys.user), u64::from(gateways.max(1)));
+                let slot = uniform_range(
+                    n.draw(0x7636_474C, keys.user, u64::from(day.index()), 0),
+                    u64::from(egress_per_gateway.max(1)),
+                );
+                uniform_range(n.draw(0x7636_4753, gw, slot, 0), 0xFFFF) + 1
+            }
+            V6Mode::HostingEgress { .. } => {
+                // Server-style low-byte variation: ~4k egress addresses
+                // per PoP /64, "multiple servers sharing the same long
+                // prefix" (§5.2.1).
+                uniform_range(
+                    n.draw(
+                        0x7636_484C,
+                        keys.user,
+                        u64::from(day.index()),
+                        u64::from(attach),
+                    ),
+                    4096,
+                ) + 1
+            }
+            V6Mode::ResidentialPd | V6Mode::MobilePerDevice | V6Mode::MobileSector { .. } => {
+                if let Some(mac) = eui64_mac {
+                    mac.to_modified_eui64()
+                } else {
+                    // RFC 4941 temporary IID: a fresh 64-bit value per
+                    // rotation epoch. Rotations are daily (slot folds in
+                    // extra intra-day rotations when configured); a
+                    // configured rate of 0 freezes the IID entirely (the
+                    // "privacy extensions off" ablation).
+                    let (epoch, slots) = if v6.iid_rotations_per_day <= 0.0 {
+                        (0u64, 0u64)
+                    } else {
+                        (
+                            u64::from(day.index()),
+                            (u64::from(attach) << 32) | u64::from(iid_slot),
+                        )
+                    };
+                    let h = n.draw(0x7636_4949, keys.device, epoch, slots);
+                    // A random 64-bit IID is never the low16 signature in
+                    // practice; keep it that way explicitly.
+                    h | (1 << 17)
+                }
+            }
+        };
+        Some(Ipv6Addr::from(p64.bits() | u128::from(iid)))
+    }
 
     fn mk(kind: NetworkKind, v4: V4Conf, v6: Option<V6Conf>) -> Network {
         Network::new(
@@ -624,11 +958,11 @@ mod tests {
     #[test]
     fn v4_home_is_stable_within_lease_and_shared_by_household() {
         let n = res_net();
-        let a = n.v4_address(&keys(4), day(4, 13), 0);
-        let b = n.v4_address(&keys(4), day(4, 13), 0);
+        let a = n.attachment(&keys(4), day(4, 13)).v4(0);
+        let b = n.attachment(&keys(4), day(4, 13)).v4(0);
         assert_eq!(a, b, "deterministic");
         // Same household (5/2 == 4/2 == 2), same address.
-        let c = n.v4_address(&keys(5), day(4, 13), 0);
+        let c = n.attachment(&keys(5), day(4, 13)).v4(0);
         assert_eq!(a, c, "household members share the home NAT egress");
         // Address is inside the pool.
         assert!(n.v4.pool.contains_addr(a));
@@ -640,7 +974,7 @@ mod tests {
         // Over a year of days, a 30-day mean lease must change sometimes.
         let mut addrs = std::collections::HashSet::new();
         for idx in 0..360u16 {
-            addrs.insert(n.v4_address(&keys(42), SimDate::from_index(idx), 0));
+            addrs.insert(n.attachment(&keys(42), SimDate::from_index(idx)).v4(0));
         }
         assert!(
             addrs.len() >= 2,
@@ -654,8 +988,8 @@ mod tests {
     fn v6_residential_household_shares_a_64() {
         let n = res_net();
         let d = day(4, 13);
-        let a = n.v6_address(&keys(4), d, 0, 0, None).unwrap();
-        let b = n.v6_address(&keys(5), d, 0, 0, None).unwrap();
+        let a = n.attachment(&keys(4), d).v6(0, 0, None).unwrap();
+        let b = n.attachment(&keys(5), d).v6(0, 0, None).unwrap();
         assert_ne!(a, b, "distinct devices get distinct privacy addresses");
         assert_eq!(
             Ipv6Prefix::containing(a, 64),
@@ -669,8 +1003,8 @@ mod tests {
     #[test]
     fn v6_privacy_iid_rotates_daily() {
         let n = res_net();
-        let a = n.v6_address(&keys(4), day(4, 13), 0, 0, None).unwrap();
-        let b = n.v6_address(&keys(4), day(4, 14), 0, 0, None).unwrap();
+        let a = n.attachment(&keys(4), day(4, 13)).v6(0, 0, None).unwrap();
+        let b = n.attachment(&keys(4), day(4, 14)).v6(0, 0, None).unwrap();
         assert_ne!(a, b, "new temporary address each day");
         // But both stay in the same /64 while the delegation persists
         // (60-day mean; these two days are adjacent so usually same epoch
@@ -683,8 +1017,14 @@ mod tests {
         use ipv6_study_netaddr::IidClass;
         let n = res_net();
         let mac = MacAddr::new([0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde]);
-        let a = n.v6_address(&keys(4), day(4, 13), 0, 0, Some(mac)).unwrap();
-        let b = n.v6_address(&keys(4), day(4, 14), 0, 0, Some(mac)).unwrap();
+        let a = n
+            .attachment(&keys(4), day(4, 13))
+            .v6(0, 0, Some(mac))
+            .unwrap();
+        let b = n
+            .attachment(&keys(4), day(4, 14))
+            .v6(0, 0, Some(mac))
+            .unwrap();
         // IID identical across days (static MAC).
         assert_eq!(u128::from(a) as u64, u128::from(b) as u64);
         assert!(IidClass::classify(a).is_mac_embedded());
@@ -697,11 +1037,12 @@ mod tests {
             V4Conf::cgn("100.64.0.0/24".parse().unwrap(), 64, 1.0),
             Some(V6Conf::mobile("2a00:200::/32".parse().unwrap(), 4.0, 0.5)),
         );
-        let d = day(4, 13);
-        let home1 = n.v6_network64(&keys(4), d, 0).unwrap();
-        let home2 = n.v6_network64(&keys(4), d, 0).unwrap();
+        let att = n.attachment(&keys(4), day(4, 13));
+        let p64 = |attach, slot| Ipv6Prefix::containing(att.v6(attach, slot, None).unwrap(), 64);
+        let home1 = p64(0, 0);
+        let home2 = p64(0, 1);
         assert_eq!(home1, home2);
-        let eph = n.v6_network64(&keys(4), d, 1).unwrap();
+        let eph = p64(1, 0);
         assert_ne!(home1, eph, "extra attaches land in fresh /64s");
         assert_eq!(home1.len(), 64);
     }
@@ -718,7 +1059,7 @@ mod tests {
         // Many users, few /64 blocks, signature IIDs.
         let mut blocks = std::collections::HashSet::new();
         for u in 0..500u64 {
-            let a = n.v6_address(&keys(u), d, 0, 0, None).unwrap();
+            let a = n.attachment(&keys(u), d).v6(0, 0, None).unwrap();
             assert!(
                 IidClass::classify(a).is_gateway_signature(),
                 "addr {a} must match low-16 signature"
@@ -731,7 +1072,7 @@ mod tests {
             blocks.len()
         );
         // The /112 containing the address equals the /64 zero-extended:
-        let a = n.v6_address(&keys(1), d, 0, 0, None).unwrap();
+        let a = n.attachment(&keys(1), d).v6(0, 0, None).unwrap();
         let p112 = Ipv6Prefix::containing(a, 112);
         assert_eq!(p112.bits(), Ipv6Prefix::containing(a, 64).bits());
     }
@@ -747,7 +1088,7 @@ mod tests {
         let mut p64s = std::collections::HashSet::new();
         let mut addrs = std::collections::HashSet::new();
         for u in 0..2000u64 {
-            let a = n.v6_address(&keys(u), d, 0, 0, None).unwrap();
+            let a = n.attachment(&keys(u), d).v6(0, 0, None).unwrap();
             p64s.insert(Ipv6Prefix::containing(a, 64));
             addrs.insert(a);
         }
@@ -767,13 +1108,88 @@ mod tests {
             V4Conf::cgn("100.64.0.0/26".parse().unwrap(), 64, 1.5),
             None,
         );
-        let d = day(4, 13);
-        let a0 = n.v4_address(&keys(4), d, 0);
-        let a1 = n.v4_address(&keys(4), d, 1);
+        let att = n.attachment(&keys(4), day(4, 13));
+        let a0 = att.v4(0);
+        let a1 = att.v4(1);
         // Cycles usually differ (zipf re-draw); deterministic either way.
-        assert_eq!(a1, n.v4_address(&keys(4), d, 1));
+        assert_eq!(a1, n.attachment(&keys(4), day(4, 13)).v4(1));
         assert!(n.v4.pool.contains_addr(a0) && n.v4.pool.contains_addr(a1));
         assert!((n.v4_intra_day_cycles() - 1.5).abs() < 1e-12);
+    }
+
+    /// The attachment reproduces the per-request oracle for every
+    /// `V4Mode` × `V6Mode` (and no IPv6), with privacy rotation on and
+    /// off, over seeded keys and days: CGN cycles past the region hop at
+    /// 8, mobile re-attaches, IID slots, and static and per-day
+    /// randomized EUI-64 MACs.
+    #[test]
+    fn attachment_reproduces_the_per_request_oracle() {
+        use ipv6_study_stats::testgen::TestGen;
+        let v4s = [
+            V4Conf::home("11.0.0.0/16".parse().unwrap(), 40_000, 30.0),
+            V4Conf::enterprise("12.0.0.0/24".parse().unwrap(), 8),
+            // 15 regions of 256, so a region hop changes the egress.
+            V4Conf::cgn("100.64.0.0/20".parse().unwrap(), 4_000, 1.5),
+            V4Conf::shared_egress("13.0.0.0/24".parse().unwrap(), 128),
+        ];
+        let routing = "2a00:100::/32".parse().unwrap();
+        let clients = [
+            V6Conf::residential(routing, 56, 60.0),
+            V6Conf::residential(routing, 64, 2.0),
+            V6Conf::mobile(routing, 4.0, 0.5),
+            V6Conf::mobile_sector(routing, 64),
+        ];
+        let privacy_off = clients.iter().cloned().map(|mut c| {
+            c.iid_rotations_per_day = 0.0;
+            c
+        });
+        let v6s: Vec<Option<V6Conf>> = [None]
+            .into_iter()
+            .chain(clients.iter().cloned().map(Some))
+            .chain(privacy_off.map(Some))
+            .chain([
+                Some(V6Conf::gateway(routing, 4, 6)),
+                Some(V6Conf::hosting(routing, 3)),
+            ])
+            .collect();
+        let static_mac = MacAddr::new([0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde]);
+        let mut g = TestGen::new(0x4154_5443); // "ATTC"
+        for v4 in &v4s {
+            for v6 in &v6s {
+                let n = mk(NetworkKind::Residential, v4.clone(), v6.clone());
+                for _ in 0..24 {
+                    let k = AttachKeys {
+                        user: g.next_u64(),
+                        device: g.next_u64(),
+                        household: g.next_u64(),
+                    };
+                    let d = SimDate::from_index(g.below(366) as u16);
+                    let mut octets = g.octets6();
+                    octets[0] = (octets[0] | 0x02) & 0xFE; // locally administered, unicast
+                    let randomized_mac = MacAddr::new(octets);
+                    let att = n.attachment(&k, d);
+                    for cycle in (0..20).chain([37, 64, 4_999]) {
+                        assert_eq!(
+                            att.v4(cycle),
+                            v4_address(&n, &k, d, cycle),
+                            "{:?} cycle {cycle}",
+                            n.v4.mode
+                        );
+                    }
+                    for attach in 0..4 {
+                        for slot in 0..4 {
+                            for mac in [None, Some(static_mac), Some(randomized_mac)] {
+                                assert_eq!(
+                                    att.v6(attach, slot, mac),
+                                    v6_address(&n, &k, d, attach, slot, mac),
+                                    "{v6:?} attach {attach} slot {slot} mac {mac:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -813,7 +1229,7 @@ mod tests {
             V4Conf::enterprise("12.0.0.0/24".parse().unwrap(), 8),
             None,
         );
-        assert_eq!(n.v6_address(&keys(1), day(4, 13), 0, 0, None), None);
+        assert_eq!(n.attachment(&keys(1), day(4, 13)).v6(0, 0, None), None);
         assert_eq!(n.v6_ratio_on(day(4, 13)), 0.0);
         assert!(!n.subscriber_has_v6(1, day(4, 13)));
     }

@@ -14,7 +14,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::ids::{Asn, Country, UserId};
+use crate::ids::UserId;
 use crate::intern::{EntityTables, IpId};
 use crate::record::RequestRecord;
 use crate::time::Timestamp;
@@ -172,18 +172,6 @@ impl<'a> ColumnSlice<'a> {
     /// The dense user-id column.
     pub fn users_dense(&self) -> &'a [u32] {
         self.user
-    }
-
-    /// Each row's ASN, looked up through its address's table entry.
-    pub fn asns(&self) -> impl Iterator<Item = Asn> + 'a {
-        let ips = &self.tables.ips;
-        self.ip.iter().map(move |&id| ips.asn(id))
-    }
-
-    /// Each row's country, looked up through its address's table entry.
-    pub fn countries(&self) -> impl Iterator<Item = Country> + 'a {
-        let ips = &self.tables.ips;
-        self.ip.iter().map(move |&id| ips.country(id))
     }
 
     /// The shared intern tables.
@@ -420,10 +408,6 @@ mod tests {
         let owned = OwnedColumns::from_records(&sample());
         assert_eq!(owned.bytes(), 4 * 12, "4+4+4 bytes per row");
         assert!(std::mem::size_of::<RequestRecord>() > 12);
-        // ASN and country come from the address's table entry.
-        let slice = owned.as_slice();
-        assert!(slice.asns().eq(sample().iter().map(|r| r.asn)));
-        assert!(slice.countries().eq(sample().iter().map(|r| r.country)));
     }
 
     #[test]

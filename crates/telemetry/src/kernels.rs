@@ -9,7 +9,8 @@
 //!   that stable-sorts a `u32`-keyed column ascending, as a counting
 //!   (LSB-first) radix sort: 4 passes of 8 bits, each pass a stable
 //!   counting redistribution, passes whose byte is constant across the
-//!   column skipped. A stable LSB radix sort produces **the identical
+//!   column skipped; one read of the keys counts every byte's histogram
+//!   before the first pass. A stable LSB radix sort produces **the identical
 //!   permutation** to `sort_by_key` (Rust's stable sort) on the same
 //!   keys — pinned by tests here and by the index/driver equivalence
 //!   suites — so using it as the freeze's one ordering step (see
@@ -203,38 +204,34 @@ pub fn scratch_stats() -> (u64, u64, usize) {
 // Radix sorts
 // ---------------------------------------------------------------------------
 
-/// One stable counting pass: redistributes `(keys, payload)` by the byte
-/// at `shift`, into `(keys_out, payload_out)`. Returns `false` (pass
-/// skipped) when the byte is constant across all keys — the
-/// redistribution would be the identity.
-fn counting_pass_u32(
-    keys: &[u32],
-    payload: &[u32],
-    keys_out: &mut [u32],
-    payload_out: &mut [u32],
-    shift: u32,
-) -> bool {
-    let mut counts = [0usize; 256];
-    for &k in keys {
-        counts[(k >> shift & 0xff) as usize] += 1;
+/// Counts every byte of every key in one read of the keys:
+/// `counts[b][v]` is how many keys hold `v` in byte `b` (LSB first). One
+/// read serves every pass, where a read per pass would re-stream the
+/// whole key column `BYTES` times for its histograms.
+fn byte_histograms<const BYTES: usize>(keys: impl Iterator<Item = u64>) -> [[usize; 256]; BYTES] {
+    let mut counts = [[0usize; 256]; BYTES];
+    for k in keys {
+        for (b, hist) in counts.iter_mut().enumerate() {
+            hist[(k >> (8 * b) & 0xff) as usize] += 1;
+        }
     }
-    if counts.contains(&keys.len()) {
-        return false;
+    counts
+}
+
+/// Turns one byte's histogram into each bucket's first output slot, or
+/// `None` when one bucket holds all `n` keys: the byte is constant and
+/// its pass would be the identity.
+fn bucket_starts(counts: &[usize; 256], n: usize) -> Option<[usize; 256]> {
+    if counts.contains(&n) {
+        return None;
     }
+    let mut starts = [0usize; 256];
     let mut sum = 0usize;
-    for c in counts.iter_mut() {
-        let here = *c;
-        *c = sum;
-        sum += here;
+    for (start, &c) in starts.iter_mut().zip(counts) {
+        *start = sum;
+        sum += c;
     }
-    for (&k, &p) in keys.iter().zip(payload) {
-        let bucket = (k >> shift & 0xff) as usize;
-        let dst = counts[bucket];
-        counts[bucket] += 1;
-        keys_out[dst] = k;
-        payload_out[dst] = p;
-    }
-    true
+    Some(starts)
 }
 
 /// Computes the permutation that stable-sorts `col` ascending by its
@@ -263,11 +260,21 @@ pub fn radix_sort_perm_keys(keys_in: impl ExactSizeIterator<Item = u32>) -> Vec<
         let mut perm_tmp = arena.lease_u32(n);
         keys_tmp.resize(n, 0);
         perm_tmp.resize(n, 0);
-        for shift in [0u32, 8, 16, 24] {
-            if counting_pass_u32(&keys, &perm, &mut keys_tmp, &mut perm_tmp, shift) {
-                std::mem::swap(&mut keys, &mut keys_tmp);
-                std::mem::swap(&mut perm, &mut perm_tmp);
+        let counts = byte_histograms::<4>(keys.iter().map(|&k| u64::from(k)));
+        for (byte, hist) in counts.iter().enumerate() {
+            let Some(mut next) = bucket_starts(hist, n) else {
+                continue;
+            };
+            let shift = 8 * byte;
+            // A stable scatter of `(key, payload)` by the byte at `shift`.
+            for (&k, &p) in keys.iter().zip(&perm) {
+                let bucket = (k >> shift & 0xff) as usize;
+                keys_tmp[next[bucket]] = k;
+                perm_tmp[next[bucket]] = p;
+                next[bucket] += 1;
             }
+            std::mem::swap(&mut keys, &mut keys_tmp);
+            std::mem::swap(&mut perm, &mut perm_tmp);
         }
         arena.restore_u32(keys);
         arena.restore_u32(keys_tmp);
@@ -302,24 +309,16 @@ pub fn radix_sort_u32(v: &mut Vec<u32>) {
     with_scratch(|arena| {
         let mut tmp = arena.lease_u32(n);
         tmp.resize(n, 0);
-        for shift in [0u32, 8, 16, 24] {
-            let mut counts = [0usize; 256];
-            for &k in v.iter() {
-                counts[(k >> shift & 0xff) as usize] += 1;
-            }
-            if counts.contains(&n) {
+        let counts = byte_histograms::<4>(v.iter().map(|&k| u64::from(k)));
+        for (byte, hist) in counts.iter().enumerate() {
+            let Some(mut next) = bucket_starts(hist, n) else {
                 continue;
-            }
-            let mut sum = 0usize;
-            for c in counts.iter_mut() {
-                let here = *c;
-                *c = sum;
-                sum += here;
-            }
+            };
+            let shift = 8 * byte;
             for &k in v.iter() {
                 let bucket = (k >> shift & 0xff) as usize;
-                tmp[counts[bucket]] = k;
-                counts[bucket] += 1;
+                tmp[next[bucket]] = k;
+                next[bucket] += 1;
             }
             std::mem::swap(v, &mut tmp);
         }
@@ -339,25 +338,16 @@ pub fn radix_sort_u64(v: &mut Vec<u64>) {
     with_scratch(|arena| {
         let mut tmp = arena.lease_u64(n);
         tmp.resize(n, 0);
-        for pass in 0..8u32 {
-            let shift = pass * 8;
-            let mut counts = [0usize; 256];
-            for &k in v.iter() {
-                counts[(k >> shift & 0xff) as usize] += 1;
-            }
-            if counts.contains(&n) {
+        let counts = byte_histograms::<8>(v.iter().copied());
+        for (byte, hist) in counts.iter().enumerate() {
+            let Some(mut next) = bucket_starts(hist, n) else {
                 continue;
-            }
-            let mut sum = 0usize;
-            for c in counts.iter_mut() {
-                let here = *c;
-                *c = sum;
-                sum += here;
-            }
+            };
+            let shift = 8 * byte;
             for &k in v.iter() {
                 let bucket = (k >> shift & 0xff) as usize;
-                tmp[counts[bucket]] = k;
-                counts[bucket] += 1;
+                tmp[next[bucket]] = k;
+                next[bucket] += 1;
             }
             std::mem::swap(v, &mut tmp);
         }
