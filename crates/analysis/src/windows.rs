@@ -16,7 +16,7 @@
 //!   behind §7.2-ML and EC1, Figure 1's whole-timeline prevalence span).
 //!   A pass reading one must rerun after every extension.
 //!
-//! All builders use [`SimDate::checked_days_since`]-style checked
+//! All builders use [`SimDate::checked_sub_days`]-style checked
 //! arithmetic: a window that would underflow the 2020 calendar is a
 //! configuration bug and panics with a description instead of silently
 //! clamping to Jan 1 (see `SimDate::days_since`'s saturation trap).

@@ -132,11 +132,6 @@ impl<'w> AbuseSim<'w> {
         self
     }
 
-    /// Number of campaigns.
-    pub fn num_campaigns(&self) -> u32 {
-        self.campaigns
-    }
-
     fn h(&self, tag: u32, a: u64, b: u64) -> u64 {
         let mut s = StableHasher::new(self.seed ^ 0x4142_5553 ^ (u64::from(tag) << 32)); // "ABUS"
         s.write_u64(a).write_u64(b);
@@ -147,11 +142,6 @@ impl<'w> AbuseSim<'w> {
     pub fn account_id(campaign: u32, seq: u32) -> UserId {
         debug_assert!(seq < (1 << 16));
         UserId(ABUSE_ID_BASE | (u64::from(campaign) << 16) | u64::from(seq))
-    }
-
-    /// Whether a user id denotes an abusive account from this simulation.
-    pub fn is_abusive_id(user: UserId) -> bool {
-        user.raw() & ABUSE_ID_BASE != 0
     }
 
     /// The campaign at index `c`.
@@ -235,7 +225,7 @@ impl<'w> AbuseSim<'w> {
 
     /// Emits `day`'s abusive requests for a contiguous campaign range —
     /// the shard unit of the parallel driver. Campaigns are independent of
-    /// each other, so covering `0..num_campaigns()` with disjoint ranges in
+    /// each other, so covering all the campaigns with disjoint ranges in
     /// ascending order reproduces [`AbuseSim::emit_day`] exactly.
     pub fn emit_day_campaigns(
         &self,
@@ -411,13 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_marked_and_disjoint_from_benign() {
-        let id = AbuseSim::account_id(3, 17);
-        assert!(AbuseSim::is_abusive_id(id));
-        assert!(!AbuseSim::is_abusive_id(UserId(123_456)));
-    }
-
-    #[test]
     fn most_accounts_die_within_a_day() {
         let w = setup();
         let sim = AbuseSim::new(&w, 1, 80, 10_000, window());
@@ -443,7 +426,6 @@ mod tests {
             for r in recs {
                 let info = labels.get(r.user).expect("emitted account is labeled");
                 assert!(day >= info.created && day <= info.detected);
-                assert!(AbuseSim::is_abusive_id(r.user));
             }
         }
     }

@@ -84,15 +84,6 @@ pub struct UserProfile {
     pub churn_factor: f64,
 }
 
-impl UserProfile {
-    /// The devices usable in a mobile context (phones).
-    pub fn phones(&self) -> impl Iterator<Item = &DeviceProfile> {
-        self.devices
-            .iter()
-            .filter(|d| d.kind == crate::device::DeviceKind::Phone)
-    }
-}
-
 /// The procedurally generated population.
 #[derive(Debug)]
 pub struct Population<'w> {
@@ -220,16 +211,6 @@ impl<'w> Population<'w> {
             churn_factor,
         }
     }
-
-    /// Iterates every user in the population, household by household.
-    pub fn iter_users(&self) -> impl Iterator<Item = UserProfile> + '_ {
-        (0..self.households).flat_map(move |hh| {
-            let profile = self.household(hh);
-            self.member_ids(&profile)
-                .map(|uid| self.user(uid))
-                .collect::<Vec<_>>()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +259,8 @@ mod tests {
         let mut work = 0;
         let mut vpn = 0;
         let mut users = 0;
-        for prof in p.iter_users() {
+        for uid in (0..2000).flat_map(|hh| p.member_ids(&p.household(hh))) {
+            let prof = p.user(uid);
             users += 1;
             assert!(!prof.devices.is_empty() && prof.devices.len() <= 3);
             assert_eq!(prof.devices[0].kind, crate::device::DeviceKind::Phone);

@@ -1,11 +1,9 @@
-//! Study configuration, validation errors, scale presets, and the
-//! builder-style entry point.
+//! Study configuration, validation errors and scale presets.
 
 use std::fmt;
 
 use crate::ablation::Ablation;
-use crate::faults::{FailurePolicy, FaultInjector, StudyOutcome};
-use crate::study::Study;
+use crate::faults::{FailurePolicy, FaultInjector};
 use ipv6_study_netaddr::STUDY_PREFIX_LENGTHS;
 use ipv6_study_telemetry::time::{study_end, study_start};
 use ipv6_study_telemetry::{DateRange, Samplers, SimDate, StorageMode};
@@ -155,11 +153,10 @@ impl std::error::Error for ConfigError {}
 
 /// How the §3.1 sampler rates are chosen for a run.
 ///
-/// Previously callers picked [`Samplers::scaled_for`] or
-/// [`Samplers::paper`] directly, and a builder that changed `households`
-/// after choosing silently kept stale rates. The plan is resolved against
-/// the *final* configured population exactly once, at
-/// [`Study::run`] time, and validated by [`StudyConfig::validate`].
+/// The plan is resolved against the *final* configured population
+/// exactly once, at [`crate::Study::run`] time, so setting `households`
+/// after choosing it cannot leave stale rates; [`StudyConfig::validate`]
+/// checks it against that population.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum SamplingPlan {
     /// Rates scaled so each sampled dataset stays analysis-sized at any
@@ -226,7 +223,23 @@ impl SamplingPlan {
     }
 }
 
-/// Configuration for one study run.
+/// Configuration for one study run: start from a preset
+/// ([`StudyConfig::tiny`], [`StudyConfig::test_scale`],
+/// [`StudyConfig::default_scale`], [`StudyConfig::full_scale`]) and
+/// override fields with struct-update syntax; [`crate::Study::run`]
+/// validates it once.
+///
+/// ```
+/// use ipv6_study_core::{Study, StudyConfig};
+///
+/// let study = Study::run(StudyConfig {
+///     seed: 7,
+///     threads: 2,
+///     ..StudyConfig::tiny()
+/// })
+/// .unwrap();
+/// assert_eq!(study.config().seed, 7);
+/// ```
 #[derive(Debug, Clone)]
 pub struct StudyConfig {
     /// Master seed; every address, user and campaign derives from it.
@@ -447,191 +460,6 @@ impl StudyConfig {
     }
 }
 
-/// Fluent construction of a [`Study`].
-///
-/// Starts from [`StudyConfig::default_scale`] (or a preset via
-/// [`StudyBuilder::tiny`] / [`StudyBuilder::test_scale`] /
-/// [`StudyBuilder::full_scale`]), overrides individual knobs, and
-/// validates once at [`StudyBuilder::run`] (or [`StudyBuilder::build`]):
-///
-/// ```
-/// use ipv6_study_core::Study;
-///
-/// let study = Study::builder().tiny().seed(7).threads(2).run().unwrap();
-/// assert_eq!(study.config().seed, 7);
-/// ```
-#[derive(Debug, Clone)]
-pub struct StudyBuilder {
-    config: StudyConfig,
-}
-
-impl Default for StudyBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StudyBuilder {
-    /// A builder at the default scale.
-    pub fn new() -> Self {
-        Self {
-            config: StudyConfig::default_scale(),
-        }
-    }
-
-    /// Switches to the [`StudyConfig::tiny`] preset (keeping the current
-    /// seed, thread count, and ablation).
-    pub fn tiny(self) -> Self {
-        self.preset(StudyConfig::tiny())
-    }
-
-    /// Switches to the [`StudyConfig::test_scale`] preset (keeping the
-    /// current seed, thread count, and ablation).
-    pub fn test_scale(self) -> Self {
-        self.preset(StudyConfig::test_scale())
-    }
-
-    /// Switches to the [`StudyConfig::full_scale`] preset (keeping the
-    /// current seed, thread count, and ablation).
-    pub fn full_scale(self) -> Self {
-        self.preset(StudyConfig::full_scale())
-    }
-
-    fn preset(self, mut cfg: StudyConfig) -> Self {
-        cfg.seed = self.config.seed;
-        cfg.threads = self.config.threads;
-        cfg.analysis_threads = self.config.analysis_threads;
-        cfg.ablation = self.config.ablation;
-        cfg.instrument = self.config.instrument;
-        cfg.failure_policy = self.config.failure_policy;
-        cfg.max_shard_retries = self.config.max_shard_retries;
-        cfg.faults = self.config.faults;
-        cfg.storage = self.config.storage;
-        cfg.disk_budget_bytes = self.config.disk_budget_bytes;
-        cfg.sampling = self.config.sampling;
-        cfg.extend_days = self.config.extend_days;
-        Self { config: cfg }
-    }
-
-    /// Sets the extension-day count (days simulated past the base
-    /// window's end by the incremental engine).
-    pub fn extend_days(mut self, days: u16) -> Self {
-        self.config.extend_days = days;
-        self
-    }
-
-    /// Sets the household count and rescales the campaign count with it
-    /// (~1 per 25 households); call [`StudyBuilder::campaigns`] afterwards
-    /// to pin an exact campaign count.
-    pub fn households(mut self, households: u64) -> Self {
-        self.config.households = households;
-        self.config.campaigns = (households / 25).max(20) as u32;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count (results are identical at any count).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Sets the analysis-engine worker count (rendered figures and reports
-    /// are identical at any count); `None` inherits [`Self::threads`].
-    pub fn analysis_threads(mut self, threads: usize) -> Self {
-        self.config.analysis_threads = Some(threads);
-        self
-    }
-
-    /// Enables or disables observability instrumentation (identical
-    /// datasets either way; only the run's [`ipv6_study_obs::RunReport`]
-    /// is affected).
-    pub fn instrument(mut self, instrument: bool) -> Self {
-        self.config.instrument = instrument;
-        self
-    }
-
-    /// Sets the attacker campaign count.
-    pub fn campaigns(mut self, campaigns: u32) -> Self {
-        self.config.campaigns = campaigns;
-        self
-    }
-
-    /// Sets the mechanism ablation.
-    pub fn ablation(mut self, ablation: Ablation) -> Self {
-        self.config.ablation = ablation;
-        self
-    }
-
-    /// Sets the collected prefix-sample lengths.
-    pub fn prefix_lengths(mut self, lengths: &[u8]) -> Self {
-        self.config.prefix_lengths = lengths.to_vec();
-        self
-    }
-
-    /// Sets the shard-failure policy (see [`crate::faults`]).
-    pub fn failure_policy(mut self, policy: FailurePolicy) -> Self {
-        self.config.failure_policy = policy;
-        self
-    }
-
-    /// Sets the retry budget for failed shards (only consulted under
-    /// [`FailurePolicy::Retry`] and [`FailurePolicy::Degrade`]).
-    pub fn max_shard_retries(mut self, retries: u32) -> Self {
-        self.config.max_shard_retries = retries;
-        self
-    }
-
-    /// Installs a deterministic fault injector (chaos testing only; the
-    /// datasets of a run whose injected faults are all retried away are
-    /// byte-identical to a fault-free run).
-    pub fn fault_injector(mut self, faults: FaultInjector) -> Self {
-        self.config.faults = Some(faults);
-        self
-    }
-
-    /// Sets the sim-phase storage mode (in-memory or bounded spill-to-
-    /// disk; emitted datasets are byte-identical in both).
-    pub fn storage(mut self, storage: StorageMode) -> Self {
-        self.config.storage = storage;
-        self
-    }
-
-    /// Caps the spill session's total on-disk bytes (see
-    /// [`StudyConfig::disk_budget_bytes`]); requires the spill storage
-    /// mode. Exceeding the budget fails the offending shard with a typed
-    /// budget error, degraded away or aborting per the failure policy.
-    pub fn disk_budget_bytes(mut self, bytes: u64) -> Self {
-        self.config.disk_budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the sampling plan — the single place sampler rates are
-    /// chosen. The plan is resolved against the *final* population at run
-    /// time, so it composes with later [`StudyBuilder::households`] calls
-    /// instead of silently keeping stale rates.
-    pub fn sampling(mut self, plan: SamplingPlan) -> Self {
-        self.config.sampling = plan;
-        self
-    }
-
-    /// Validates and returns the configuration without running it.
-    pub fn build(self) -> Result<StudyConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-
-    /// Validates and runs the study.
-    pub fn run(self) -> StudyOutcome {
-        Study::run(self.build()?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,19 +559,14 @@ mod tests {
         cfg.sampling = SamplingPlan::Paper;
         cfg.validate().unwrap();
 
-        // The builder resolves against the final population, so ordering
-        // sampling() before households() cannot produce stale rates.
-        let err = Study::builder()
-            .sampling(SamplingPlan::Paper)
-            .tiny()
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::SamplingTooSparse { .. }));
-        let cfg = Study::builder()
-            .sampling(SamplingPlan::Paper)
-            .households(20_000)
-            .build()
-            .unwrap();
+        // The plan resolves against the final population, so choosing it
+        // before setting the households cannot produce stale rates.
+        let mut cfg = StudyConfig {
+            sampling: SamplingPlan::Paper,
+            ..StudyConfig::tiny()
+        };
+        cfg.households = 20_000;
+        cfg.validate().unwrap();
         assert_eq!(cfg.sampling.resolve(cfg.approx_users()), Samplers::paper());
     }
 
@@ -765,14 +588,16 @@ mod tests {
 
     #[test]
     fn analysis_threads_inherits_threads_unless_set() {
-        let cfg = StudyBuilder::new().threads(4).tiny().build().unwrap();
+        let cfg = StudyConfig {
+            threads: 4,
+            ..StudyConfig::tiny()
+        };
         assert_eq!(cfg.effective_analysis_threads(), 4);
-        let cfg = StudyBuilder::new()
-            .threads(4)
-            .analysis_threads(8)
-            .tiny()
-            .build()
-            .unwrap();
+        let cfg = StudyConfig {
+            threads: 4,
+            analysis_threads: Some(8),
+            ..StudyConfig::tiny()
+        };
         assert_eq!(cfg.effective_analysis_threads(), 8);
     }
 
@@ -783,40 +608,5 @@ mod tests {
         let msg = cfg.validate().unwrap_err().to_string();
         assert!(msg.contains("suffix"), "{msg}");
         assert!(ConfigError::ZeroThreads.to_string().contains("at least 1"));
-    }
-
-    #[test]
-    fn builder_overrides_compose_with_presets() {
-        let cfg = StudyBuilder::new()
-            .seed(99)
-            .threads(4)
-            .tiny()
-            .build()
-            .unwrap();
-        assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.households, StudyConfig::tiny().households);
-
-        let cfg = StudyBuilder::new().households(1_000).build().unwrap();
-        assert_eq!(cfg.households, 1_000);
-        assert_eq!(cfg.campaigns, 40);
-
-        let cfg = StudyBuilder::new()
-            .households(1_000)
-            .campaigns(7)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.campaigns, 7);
-    }
-
-    #[test]
-    fn builder_surfaces_validation_errors() {
-        assert_eq!(StudyBuilder::new().households(0).build().unwrap_err(), {
-            ConfigError::NoHouseholds
-        });
-        assert_eq!(
-            StudyBuilder::new().threads(0).build().unwrap_err(),
-            ConfigError::ZeroThreads
-        );
     }
 }

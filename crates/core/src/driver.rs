@@ -55,8 +55,8 @@ use ipv6_study_netmodel::World;
 use ipv6_study_obs::{rate_per_sec, Span};
 use ipv6_study_telemetry::{
     freeze_families, DateRange, Families, FnSink, FrozenDatasets, FrozenFamilies, FrozenStore,
-    MemGauge, RequestRecord, RequestSink, Samplers, SealStats, Segment, ShardPayload, ShardSink,
-    SimDate, SpillError, SpillSession, SpillTarget, StorageMode,
+    MemGauge, RequestRecord, Samplers, SealStats, Segment, ShardPayload, ShardSink, SimDate,
+    SpillError, SpillSession, SpillTarget, StorageMode,
 };
 
 use crate::config::StudyConfig;
@@ -390,14 +390,19 @@ impl SimClock {
 
     /// Routes `batch`, emitted since the last call, into `sink` in
     /// order, leaving `batch` empty for the next one.
-    fn route(&mut self, batch: &mut Vec<RequestRecord>, sink: &mut ShardSink<'_>) {
+    fn route(
+        &mut self,
+        batch: &mut Vec<RequestRecord>,
+        sink: &mut ShardSink<'_>,
+    ) -> Result<(), SpillError> {
         let emitted = Instant::now();
         self.emit += emitted - self.mark;
         for rec in batch.drain(..) {
-            sink.push(rec);
+            sink.push(rec)?;
         }
         self.mark = Instant::now();
         self.route += self.mark - emitted;
+        Ok(())
     }
 }
 
@@ -414,10 +419,9 @@ impl SimClock {
 /// failure. `fault` is the injector's decision for this attempt —
 /// [`FaultDecision::default`] when injection is off.
 ///
-/// Storage faults surface as a typed `Err(SpillError)`: the sink latches
-/// the first seal error, this loop polls it at every day boundary to
-/// stop simulating into a dead sink, and `into_payload` refuses partial
-/// data at the end.
+/// Storage faults surface as a typed `Err(SpillError)` from the push or
+/// the final seal that raised them, so a failed attempt stops at once
+/// and never hands partial data to the freeze.
 fn run_shard(
     env: &ShardEnv<'_>,
     work: &ShardWork,
@@ -491,7 +495,7 @@ fn run_shard(
                     }
                     let buffer = &mut FnSink(|rec| batch.push(rec));
                     emit_user_day(env.world, profile, day, &plan, buffer);
-                    clock.route(&mut batch, &mut sink);
+                    clock.route(&mut batch, &mut sink)?;
                 }
             }
             ShardWork::Abuse(campaigns) => {
@@ -501,22 +505,18 @@ fn run_shard(
                     campaigns.clone(),
                     &mut FnSink(|rec| batch.push(rec)),
                 );
-                clock.route(&mut batch, &mut sink);
+                clock.route(&mut batch, &mut sink)?;
             }
         }
         days_done += 1;
-        sink.flush_segment();
+        sink.publish_gauge();
         progress.store(sink.records(), Ordering::Relaxed);
-        if let Some(e) = sink.io_error() {
-            return Err(e.clone());
-        }
     }
 
     // The seals so far ran inside the routing.
     clock.route = clock.route.saturating_sub(sink.sealed().wall);
-    sink.finish();
     Ok(ShardOutput {
-        payload: sink.into_payload()?,
+        payload: sink.finish()?,
         users_seen,
         users_sampled,
         wall: t0.elapsed(),
@@ -708,7 +708,6 @@ pub(crate) fn simulate(
         };
         let ShardPayload {
             segments: shard_segments,
-            offered: shard_offered,
             records,
             sealed,
         } = out.payload;
@@ -721,7 +720,7 @@ pub(crate) fn simulate(
             route_wall: out.clock.route,
             sealed,
         });
-        offered += shard_offered;
+        offered += records;
         users_seen += out.users_seen;
         users_sampled += out.users_sampled;
         segments.extend(shard_segments);

@@ -182,52 +182,9 @@ pub struct FaultInjector {
     scripted: BTreeMap<usize, ShardFault>,
     /// Probability in `[0, 1]` that any given attempt panics.
     pub panic_rate: f64,
-    /// Deterministic storage-layer faults (see [`IoFaultSpec`]).
-    pub io: IoFaultSpec,
-}
-
-/// Deterministic I/O fault rates for the spill layer, keyed off
-/// `(seed, shard, attempt, op index)` — the stream hash covers shard and
-/// attempt; the op index covers position in the attempt's spill file.
-/// All zero by default (no I/O faults).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IoFaultSpec {
-    /// Probability in `[0, 1]` that a segment append op fails
-    /// transiently.
-    pub write_fail_rate: f64,
-    /// Probability in `[0, 1]` that a segment read op fails
-    /// transiently.
-    pub read_fail_rate: f64,
-    /// Of faulted writes, the fraction that tear a short prefix onto
-    /// disk before failing (exercising the all-or-nothing rollback).
-    pub short_write_rate: f64,
-    /// Probability in `[0, 1]` that a written segment gets one byte
-    /// flipped — detected by the read-side checks as
-    /// [`SpillError::Corrupt`].
-    pub corrupt_rate: f64,
-    /// How many consecutive io attempts a faulted op fails before it
-    /// succeeds; values above the op-retry budget make the op error out
-    /// and fail the shard attempt.
-    pub fail_attempts: u32,
-}
-
-impl Default for IoFaultSpec {
-    fn default() -> Self {
-        Self {
-            write_fail_rate: 0.0,
-            read_fail_rate: 0.0,
-            short_write_rate: 0.0,
-            corrupt_rate: 0.0,
-            fail_attempts: 1,
-        }
-    }
-}
-
-impl IoFaultSpec {
-    /// True when no I/O fault can ever fire.
-    pub fn is_inert(&self) -> bool {
-        self.write_fail_rate == 0.0 && self.read_fail_rate == 0.0 && self.corrupt_rate == 0.0
-    }
+    /// Deterministic storage-layer faults, all rates zero by default; the
+    /// run's seed goes in through [`FaultInjector::spill_fault_plan`].
+    pub io: SpillFaultPlan,
 }
 
 impl FaultInjector {
@@ -328,16 +285,9 @@ impl FaultInjector {
     /// The spill layer's deterministic fault plan for this injector, or
     /// `None` when no I/O fault can fire.
     pub fn spill_fault_plan(&self, seed: u64) -> Option<SpillFaultPlan> {
-        if self.io.is_inert() {
-            return None;
-        }
-        Some(SpillFaultPlan {
+        (!self.io.is_inert()).then(|| SpillFaultPlan {
             seed,
-            write_fail_rate: self.io.write_fail_rate,
-            read_fail_rate: self.io.read_fail_rate,
-            short_write_rate: self.io.short_write_rate,
-            corrupt_rate: self.io.corrupt_rate,
-            fail_attempts: self.io.fail_attempts,
+            ..self.io.clone()
         })
     }
 
@@ -624,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn io_fault_spec_feeds_the_spill_plan() {
+    fn io_faults_feed_the_spill_plan() {
         let inj = FaultInjector::new()
             .with_io_write_fail_rate(0.05)
             .with_short_write_rate(0.5)

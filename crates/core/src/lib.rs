@@ -11,11 +11,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use ipv6_study_core::Study;
+//! use ipv6_study_core::{Study, StudyConfig};
 //!
 //! use ipv6_study_core::experiments::AnalysisCtx;
 //!
-//! let study = Study::builder().tiny().run().unwrap();
+//! let study = Study::run(StudyConfig::tiny()).unwrap();
 //! let ctx = AnalysisCtx::new(&study);
 //! let fig2 = ipv6_study_core::experiments::fig2_addrs_per_user(&ctx);
 //! assert_eq!(fig2.figures[0].id, "Figure 2");
@@ -55,12 +55,11 @@ pub mod report;
 pub mod study;
 
 pub use ablation::Ablation;
-pub use config::{ConfigError, SamplingPlan, StudyBuilder, StudyConfig};
+pub use config::{ConfigError, SamplingPlan, StudyConfig};
 pub use driver::{RunMetrics, ShardMetrics};
 pub use experiments::{AnalysisCtx, ExperimentOutput};
 pub use faults::{
-    FailurePolicy, FaultInjector, FaultKind, FaultReport, IoFaultSpec, ShardFailure, StudyError,
-    StudyOutcome,
+    FailurePolicy, FaultInjector, FaultKind, FaultReport, ShardFailure, StudyError, StudyOutcome,
 };
 pub use incremental::IncrementalRun;
 pub use ipv6_study_obs::{IncrementalStat, RunReport};

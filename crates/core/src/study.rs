@@ -14,7 +14,7 @@ use ipv6_study_telemetry::{
     SpillSession, SpillStats, StorageMode,
 };
 
-use crate::config::{ConfigError, StudyBuilder, StudyConfig};
+use crate::config::{ConfigError, StudyConfig};
 use crate::driver::{self, Frozen, RunMetrics, SimInputs, Simulated};
 use crate::faults::{FaultReport, StudyError, StudyOutcome};
 
@@ -105,12 +105,6 @@ impl std::fmt::Debug for DayCountsCache {
 }
 
 impl Study {
-    /// Starts a fluent configuration; finish with
-    /// [`StudyBuilder::run`].
-    pub fn builder() -> StudyBuilder {
-        StudyBuilder::new()
-    }
-
     /// Runs the full simulation described by `config`.
     ///
     /// Results are byte-identical for a given config at any

@@ -1,104 +1,11 @@
-//! Prefix aggregation: minimal covering sets of CIDR prefixes, and the
-//! level-compressed counting trie behind the one-pass granularity sweep.
-//!
-//! Operational blocklists grow one /128 or /64 at a time; shipping them to
-//! enforcement points (or a threat exchange) wants the *minimal equivalent
-//! set*: drop prefixes covered by shorter ones, and merge sibling pairs into
-//! their parent. This module implements exact aggregation for both families.
-//!
-//! The algorithm is the classic two-phase CIDR aggregation:
-//!
-//! 1. sort by (bits, len) and drop any prefix contained in a kept
-//!    predecessor (containment pruning — a single linear scan, because a
-//!    covering prefix always sorts immediately before everything it covers);
-//! 2. repeatedly merge *sibling* pairs (same length, differing only in
-//!    their last network bit) into their parent, re-checking newly formed
-//!    parents against their own siblings (stack-based, amortized linear).
-//!
-//! The result covers exactly the same address set as the input.
-//!
-//! The second half of the module is [`AggregationTrie`]: a path-compressed
-//! binary trie over a day's distinct `(user, address)` pairs that carries
-//! exact distinct-user abusive/benign counts on *every* node, so that the
+//! Prefix aggregation: [`AggregationTrie`], a path-compressed binary trie
+//! over a day's distinct `(user, address)` pairs that carries exact
+//! distinct-user abusive/benign counts on *every* node, so that the
 //! per-granularity tallies of the Figure-11 ROC sweep — and arbitrary
 //! variable-length cuts — read off one shared structure instead of
 //! re-sorting the record set per prefix length. See DESIGN.md §11.
 
 use crate::entropy::EntropyProfile;
-use crate::prefix::{Ipv4Prefix, Ipv6Prefix};
-use crate::trie::TrieKey;
-
-/// Aggregates a set of prefixes into the minimal equivalent set.
-///
-/// The output is sorted by (bits, length) and covers exactly the union of
-/// the inputs. Duplicates are tolerated.
-pub fn aggregate<K: TrieKey>(prefixes: &[K]) -> Vec<K> {
-    let mut items: Vec<(u128, u8)> = prefixes
-        .iter()
-        .map(|p| (p.key_bits(), p.key_len()))
-        .collect();
-    items.sort_unstable();
-    // Phase 1: containment pruning. After sorting, any prefix contained in
-    // an earlier-kept prefix is adjacent in order to it (its bits share the
-    // keeper's prefix and sort within the keeper's span).
-    let mut kept: Vec<(u128, u8)> = Vec::with_capacity(items.len());
-    for (bits, len) in items {
-        if let Some(&(pb, pl)) = kept.last() {
-            if len >= pl && covers(pb, pl, bits) {
-                continue; // already covered
-            }
-        }
-        kept.push((bits, len));
-    }
-    // Phase 2: sibling merging, stack-based.
-    let mut stack: Vec<(u128, u8)> = Vec::with_capacity(kept.len());
-    for item in kept {
-        let mut cur = item;
-        loop {
-            match stack.last() {
-                Some(&(tb, tl)) if tl == cur.1 && cur.1 > 0 && siblings(tb, cur.0, cur.1) => {
-                    stack.pop();
-                    // Parent: one bit shorter, low sibling's bits.
-                    cur = (tb, cur.1 - 1);
-                }
-                // A parent formed by merging can also newly cover later…
-                // it cannot — later items sort after; but the parent may
-                // itself be the low sibling of the next input, which the
-                // loop handles when that input arrives.
-                _ => break,
-            }
-        }
-        stack.push(cur);
-    }
-    stack.into_iter().map(|(b, l)| K::from_key(b, l)).collect()
-}
-
-#[inline]
-fn covers(parent_bits: u128, parent_len: u8, child_bits: u128) -> bool {
-    let mask = if parent_len == 0 {
-        0
-    } else {
-        u128::MAX << (128 - parent_len)
-    };
-    child_bits & mask == parent_bits
-}
-
-#[inline]
-fn siblings(a_bits: u128, b_bits: u128, len: u8) -> bool {
-    debug_assert!(len > 0);
-    let flip = 1u128 << (128 - len);
-    a_bits ^ b_bits == flip
-}
-
-/// Convenience: aggregate IPv6 prefixes.
-pub fn aggregate_v6(prefixes: &[Ipv6Prefix]) -> Vec<Ipv6Prefix> {
-    aggregate(prefixes)
-}
-
-/// Convenience: aggregate IPv4 prefixes.
-pub fn aggregate_v4(prefixes: &[Ipv4Prefix]) -> Vec<Ipv4Prefix> {
-    aggregate(prefixes)
-}
 
 const NO_PARENT: u32 = u32::MAX;
 
@@ -502,96 +409,7 @@ impl AggregationTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set::PrefixSet;
     use ipv6_study_stats::testgen::TestGen;
-    use std::net::Ipv6Addr;
-
-    fn p6(s: &str) -> Ipv6Prefix {
-        s.parse().unwrap()
-    }
-
-    #[test]
-    fn drops_covered_prefixes() {
-        let out = aggregate_v6(&[
-            p6("2001:db8::/32"),
-            p6("2001:db8:1::/48"),
-            p6("2001:db8::/64"),
-        ]);
-        assert_eq!(out, vec![p6("2001:db8::/32")]);
-    }
-
-    #[test]
-    fn merges_siblings_recursively() {
-        // Four /66 quarters merge all the way to the /64.
-        let out = aggregate_v6(&[
-            Ipv6Prefix::from_bits(0x2001_0db8 << 96, 66),
-            Ipv6Prefix::from_bits((0x2001_0db8 << 96) | (1 << 62), 66),
-            Ipv6Prefix::from_bits((0x2001_0db8 << 96) | (2 << 62), 66),
-            Ipv6Prefix::from_bits((0x2001_0db8 << 96) | (3 << 62), 66),
-        ]);
-        assert_eq!(out, vec![Ipv6Prefix::from_bits(0x2001_0db8 << 96, 64)]);
-    }
-
-    #[test]
-    fn non_siblings_do_not_merge() {
-        // …:0:0::/64 and …:1:0::/64 under different /63s? 0x...0 and 0x...1
-        // in the fourth hextet ARE siblings; 1 and 2 are not.
-        let a = p6("2001:db8:0:1::/64");
-        let b = p6("2001:db8:0:2::/64");
-        let out = aggregate_v6(&[a, b]);
-        assert_eq!(out, vec![a, b]);
-        let c = p6("2001:db8:0:3::/64");
-        let merged = aggregate_v6(&[b, c]);
-        assert_eq!(merged, vec![p6("2001:db8:0:2::/63")]);
-    }
-
-    #[test]
-    fn duplicates_and_empty() {
-        assert!(aggregate_v6(&[]).is_empty());
-        let out = aggregate_v6(&[p6("::/0"), p6("::/0")]);
-        assert_eq!(out, vec![p6("::/0")]);
-        let out = aggregate_v6(&[p6("2001:db8::/32"), p6("2001:db8::/32")]);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn v4_aggregation() {
-        let out = aggregate_v4(&[
-            "10.0.0.0/24".parse().unwrap(),
-            "10.0.1.0/24".parse().unwrap(),
-            "10.0.2.0/24".parse().unwrap(),
-        ]);
-        assert_eq!(out.len(), 2);
-        assert!(out.contains(&"10.0.0.0/23".parse().unwrap()));
-        assert!(out.contains(&"10.0.2.0/24".parse().unwrap()));
-    }
-
-    /// Aggregation preserves coverage exactly, on both sides.
-    #[test]
-    fn coverage_is_preserved() {
-        let mut g = TestGen::new(0x4147_4701);
-        for _ in 0..64 {
-            let n = g.range_u64(1, 49) as usize;
-            let prefixes: Vec<Ipv6Prefix> = g.vec_of(n, |g| {
-                // Short random spans in a narrow length band force overlap.
-                Ipv6Prefix::from_bits(g.next_u128(), g.range_u8(48, 68))
-            });
-            let aggregated = aggregate_v6(&prefixes);
-            assert!(aggregated.len() <= prefixes.len());
-
-            let before: PrefixSet<Ipv6Prefix> = prefixes.iter().copied().collect();
-            let after: PrefixSet<Ipv6Prefix> = aggregated.iter().copied().collect();
-            // Probe random addresses plus every input boundary.
-            let mut addrs: Vec<Ipv6Addr> = g.vec_of(50, |g| Ipv6Addr::from(g.next_u128()));
-            for p in &prefixes {
-                addrs.push(p.network());
-                addrs.push(p.last_addr());
-            }
-            for a in addrs {
-                assert_eq!(before.covers_addr(a), after.covers_addr(a), "probe {}", a);
-            }
-        }
-    }
 
     /// Naive reference tally: mask, dedup `(user, unit)`, count per unit
     /// by label — the sort-and-dedup the trie replaces.
@@ -773,27 +591,5 @@ mod tests {
         // Lengths beyond the family maximum clamp.
         assert_eq!(t.units_at(64).count(), 2);
         assert_eq!(t.units_at(24).count(), 1);
-    }
-
-    /// Aggregated output has no internally redundant prefixes.
-    #[test]
-    fn output_is_irredundant() {
-        let mut g = TestGen::new(0x4147_4702);
-        for _ in 0..64 {
-            let n = g.range_u64(1, 39) as usize;
-            let prefixes: Vec<Ipv6Prefix> = g.vec_of(n, |g| {
-                Ipv6Prefix::from_bits(g.next_u128(), g.range_u8(40, 64))
-            });
-            let out = aggregate_v6(&prefixes);
-            for (i, a) in out.iter().enumerate() {
-                for (j, b) in out.iter().enumerate() {
-                    if i != j {
-                        assert!(!a.contains(b), "{a} contains {b}");
-                    }
-                }
-            }
-            // Idempotent.
-            assert_eq!(aggregate_v6(&out), out);
-        }
     }
 }

@@ -52,22 +52,6 @@ impl EntropyProfile {
     pub fn mean_bits(&self) -> f64 {
         self.bits.iter().sum::<f64>() / 16.0
     }
-
-    /// Mean entropy of the low 4 nybbles (the counter positions in
-    /// structured allocations).
-    pub fn low16_bits(&self) -> f64 {
-        self.bits[12..].iter().sum::<f64>() / 4.0
-    }
-
-    /// Heuristic: does this population look RFC 4941-randomized? True when
-    /// the mean entropy is close to the sample-size-limited maximum.
-    ///
-    /// With `n` samples the observable entropy is capped near `log2(n)`;
-    /// we require 80% of `min(4, log2(n))` on average.
-    pub fn looks_randomized(&self) -> bool {
-        let cap = (self.samples.max(2) as f64).log2().min(4.0);
-        self.mean_bits() >= 0.8 * cap
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +69,6 @@ mod tests {
         let p = EntropyProfile::compute(std::iter::repeat_n(0xDEAD_BEEF_0000_0001, 100)).unwrap();
         assert_eq!(p.samples, 100);
         assert!(p.mean_bits() < 1e-12);
-        assert!(!p.looks_randomized());
     }
 
     #[test]
@@ -93,7 +76,6 @@ mod tests {
         let p = EntropyProfile::compute((0..5000u64).map(|i| stable_hash64(7, &i.to_le_bytes())))
             .unwrap();
         assert!(p.mean_bits() > 3.8, "mean {}", p.mean_bits());
-        assert!(p.looks_randomized());
         for (i, &b) in p.bits.iter().enumerate() {
             assert!(b > 3.5, "nybble {i}: {b}");
         }
@@ -108,8 +90,8 @@ mod tests {
         )
         .unwrap();
         assert!(p.bits[..12].iter().all(|&b| b < 1e-12));
-        assert!(p.low16_bits() > 3.0, "low nybbles carry the counter");
-        assert!(!p.looks_randomized());
+        let low16 = p.bits[12..].iter().sum::<f64>() / 4.0;
+        assert!(low16 > 3.0, "low nybbles carry the counter");
     }
 
     #[test]
@@ -126,15 +108,5 @@ mod tests {
         for pos in 6..10 {
             assert!(p.bits[pos] < 1e-9, "marker nybble {pos}: {}", p.bits[pos]);
         }
-        assert!(!p.looks_randomized());
-    }
-
-    #[test]
-    fn small_samples_use_the_entropy_cap() {
-        // 4 random samples can show at most 2 bits/nybble; the randomized
-        // heuristic must not reject them for that.
-        let p = EntropyProfile::compute((0..4u64).map(|i| stable_hash64(11, &i.to_le_bytes())))
-            .unwrap();
-        assert!(p.looks_randomized(), "mean {} of cap 2", p.mean_bits());
     }
 }

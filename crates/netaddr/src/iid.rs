@@ -30,11 +30,6 @@ pub fn iid(addr: Ipv6Addr) -> u64 {
     u128::from(addr) as u64
 }
 
-/// Extracts the 64-bit network portion (the high 64 bits) of an address.
-pub fn network64(addr: Ipv6Addr) -> u64 {
-    (u128::from(addr) >> 64) as u64
-}
-
 /// Structural classification of an IPv6 client address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IidClass {
@@ -100,10 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn iid_and_network_split() {
+    fn iid_is_the_low_64_bits() {
         let a = addr("2001:db8:1:2:3:4:5:6");
         assert_eq!(iid(a), 0x0003_0004_0005_0006);
-        assert_eq!(network64(a), 0x2001_0db8_0001_0002);
     }
 
     #[test]

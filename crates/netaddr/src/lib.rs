@@ -8,15 +8,11 @@
 //!
 //! - [`prefix`] — [`Ipv4Prefix`] / [`Ipv6Prefix`]: masked, canonical CIDR
 //!   prefixes with containment and aggregation arithmetic.
-//! - [`trie`] — a binary radix trie keyed by prefixes, supporting exact and
-//!   longest-prefix lookups; the engine behind blocklists and prefix
-//!   aggregation.
-//! - [`set`] — [`set::PrefixSet`]: membership of addresses in a
-//!   collection of prefixes (the blocklist data structure of §7.2).
-//! - [`mod@aggregate`] — minimal covering sets of prefixes (blocklist and
-//!   threat-feed compression), plus [`AggregationTrie`]: the
-//!   path-compressed counting trie behind the one-pass Figure-11
-//!   granularity sweep and entropy-guided variable-length cuts.
+//! - [`trie`] — a binary radix trie keyed by prefixes, supporting exact
+//!   lookups and cover queries; the engine behind the blocklists of §7.2.
+//! - [`aggregate`] — [`AggregationTrie`]: the path-compressed counting trie
+//!   behind the one-pass Figure-11 granularity sweep and entropy-guided
+//!   variable-length cuts.
 //! - [`entropy`] — Entropy/IP-style nybble-entropy profiling of IID
 //!   populations (randomized vs structured).
 //! - [`iid`] — interface-identifier classification: EUI-64 `ff:fe` MAC
@@ -48,15 +44,13 @@ pub mod entropy;
 pub mod iid;
 pub mod mac;
 pub mod prefix;
-pub mod set;
 pub mod trie;
 
-pub use aggregate::{aggregate, aggregate_v4, aggregate_v6, AggCut, AggNode, AggregationTrie};
+pub use aggregate::{AggCut, AggNode, AggregationTrie};
 pub use entropy::EntropyProfile;
 pub use iid::IidClass;
 pub use mac::MacAddr;
 pub use prefix::{Ipv4Prefix, Ipv6Prefix, PrefixParseError};
-pub use set::PrefixSet;
 pub use trie::PrefixTrie;
 
 /// The IPv6 prefix lengths sampled by the study's "IPv6 prefix random

@@ -27,17 +27,6 @@ impl MacAddr {
         Self([b[2], b[3], b[4], b[5], b[6], b[7]])
     }
 
-    /// The MAC as a u64 (high 16 bits zero).
-    pub fn to_u64(self) -> u64 {
-        let o = self.0;
-        u64::from_be_bytes([0, 0, o[0], o[1], o[2], o[3], o[4], o[5]])
-    }
-
-    /// The IEEE OUI (first three octets), identifying the vendor.
-    pub fn oui(self) -> [u8; 3] {
-        [self.0[0], self.0[1], self.0[2]]
-    }
-
     /// Whether the locally-administered bit is set — the telltale of MAC
     /// randomization (randomized MACs set this bit per IEEE 802).
     pub fn is_locally_administered(self) -> bool {
@@ -110,11 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn u64_round_trip_and_display() {
+    fn from_u64_and_display() {
         let mac = MacAddr::from_u64(0x0000_a1b2_c3d4_e5f6);
-        assert_eq!(mac.to_u64(), 0x0000_a1b2_c3d4_e5f6);
+        assert_eq!(mac.0, [0xa1, 0xb2, 0xc3, 0xd4, 0xe5, 0xf6]);
         assert_eq!(mac.to_string(), "a1:b2:c3:d4:e5:f6");
-        assert_eq!(mac.oui(), [0xa1, 0xb2, 0xc3]);
     }
 
     #[test]
@@ -135,7 +123,7 @@ mod tests {
         for _ in 0..2048 {
             let v = g.next_u64();
             let mac = MacAddr::from_u64(v);
-            assert_eq!(mac.to_u64(), v & 0x0000_ffff_ffff_ffff);
+            assert_eq!(mac.0, v.to_be_bytes()[2..]);
         }
     }
 }

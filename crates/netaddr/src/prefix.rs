@@ -110,11 +110,6 @@ macro_rules! define_prefix {
                 <$addr>::from(self.bits)
             }
 
-            /// The highest address in the block.
-            pub fn last_addr(&self) -> $addr {
-                <$addr>::from(self.bits | !Self::mask(self.len))
-            }
-
             /// Whether `addr` lies inside this prefix.
             pub fn contains_addr(&self, addr: $addr) -> bool {
                 let raw: $bits = addr.into();
@@ -134,14 +129,6 @@ macro_rules! define_prefix {
             pub fn parent(&self, len: u8) -> Self {
                 assert!(len <= self.len, "parent must be shorter than child");
                 Self { bits: self.bits & Self::mask(len), len }
-            }
-
-            /// Length of the longest common prefix of the two blocks'
-            /// network bits, capped at the shorter of the two lengths.
-            pub fn common_prefix_len(&self, other: &Self) -> u8 {
-                let diff = self.bits ^ other.bits;
-                let common = diff.leading_zeros() as u8;
-                common.min(self.len).min(other.len)
             }
 
             /// Number of addresses in the block as a float (blocks can
@@ -223,12 +210,6 @@ mod tests {
             p.network(),
             "2001:db8:aaaa:bbbb::".parse::<Ipv6Addr>().unwrap()
         );
-        assert_eq!(
-            p.last_addr(),
-            "2001:db8:aaaa:bbbb:ffff:ffff:ffff:ffff"
-                .parse::<Ipv6Addr>()
-                .unwrap()
-        );
         // Two addresses in the same /64 yield the same (hashable) key.
         let b: Ipv6Addr = "2001:db8:aaaa:bbbb:1:2:3:4".parse().unwrap();
         assert_eq!(p, Ipv6Prefix::containing(b, 64));
@@ -266,15 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn parent_and_common_prefix() {
+    fn parent_masks_to_the_shorter_length() {
         let p: Ipv6Prefix = "2001:db8:1:2::/64".parse().unwrap();
         assert_eq!(p.parent(48).to_string(), "2001:db8:1::/48");
         assert_eq!(p.parent(0).to_string(), "::/0");
-        let q: Ipv6Prefix = "2001:db8:1:3::/64".parse().unwrap();
-        // 0x0002 and 0x0003 differ only in the last bit of the fourth
-        // hextet (bit 63), so 63 leading bits agree.
-        assert_eq!(p.common_prefix_len(&q), 63);
-        assert_eq!(p.common_prefix_len(&p), 64);
     }
 
     #[test]
@@ -392,19 +368,6 @@ mod tests {
         for raw in [0u128, u128::MAX] {
             assert_eq!(Ipv6Prefix::bits_containing(raw, 0), 0);
             assert_eq!(Ipv6Prefix::bits_containing(raw, 128), raw);
-        }
-    }
-
-    #[test]
-    fn common_prefix_len_is_symmetric_and_bounded() {
-        let mut g = TestGen::new(0x5046_5806);
-        for _ in 0..1024 {
-            let (la, lb) = (g.range_u8(0, 128), g.range_u8(0, 128));
-            let pa = Ipv6Prefix::from_bits(g.next_u128(), la);
-            let pb = Ipv6Prefix::from_bits(g.next_u128(), lb);
-            let c = pa.common_prefix_len(&pb);
-            assert_eq!(c, pb.common_prefix_len(&pa));
-            assert!(c <= la.min(lb));
         }
     }
 }

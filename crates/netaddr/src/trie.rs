@@ -1,11 +1,7 @@
 //! A binary radix (Patricia-style) trie keyed by CIDR prefixes.
 //!
-//! The trie is the lookup engine behind two things in this workspace:
-//!
-//! 1. **Blocklists** (§7.2): given an address, find the longest (most
-//!    specific) actioned prefix covering it.
-//! 2. **Aggregation audits**: walk all inserted prefixes under a covering
-//!    prefix (e.g. all /64s inside a routing /32).
+//! The trie is the lookup engine behind the blocklists of §7.2: given an
+//! address, find whether an actioned prefix covering it is still live.
 //!
 //! The implementation is a plain binary trie with one bit per level and
 //! path-free nodes (no edge compression). At the study's scales — at most a
@@ -71,7 +67,8 @@ impl<V> Node<V> {
     }
 }
 
-/// A map from CIDR prefixes to values with longest-prefix-match lookup.
+/// A map from CIDR prefixes to values, queried for the prefixes covering
+/// an address.
 #[derive(Debug, Clone)]
 pub struct PrefixTrie<K: TrieKey, V> {
     nodes: Vec<Node<V>>,
@@ -167,60 +164,6 @@ impl<K: TrieKey, V> PrefixTrie<K, V> {
         self.nodes[node].value.as_mut()
     }
 
-    /// Removes a stored prefix, returning its value. Nodes are not pruned;
-    /// the arena only grows, which is fine for the bounded workloads here.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let bits = key.key_bits();
-        let len = key.key_len();
-        let mut node = 0usize;
-        for depth in 0..len {
-            let b = Self::bit_at(bits, depth);
-            let child = self.nodes[node].children[b];
-            if child == NO_NODE {
-                return None;
-            }
-            node = child as usize;
-        }
-        let prev = self.nodes[node].value.take();
-        if prev.is_some() {
-            self.len -= 1;
-        }
-        prev
-    }
-
-    /// Longest-prefix match: the most specific stored prefix containing the
-    /// full-length key `addr_key` (pass a host prefix, /32 or /128), with
-    /// its value. Returns `None` when no stored prefix covers the address.
-    pub fn longest_match(&self, addr_key: &K) -> Option<(K, &V)> {
-        let bits = addr_key.key_bits();
-        let len = addr_key.key_len();
-        let mut node = 0usize;
-        let mut best: Option<(u8, usize)> = self.nodes[0].value.as_ref().map(|_| (0u8, 0usize));
-        for depth in 0..len {
-            let b = Self::bit_at(bits, depth);
-            let child = self.nodes[node].children[b];
-            if child == NO_NODE {
-                break;
-            }
-            node = child as usize;
-            if self.nodes[node].value.is_some() {
-                best = Some((depth + 1, node));
-            }
-        }
-        best.map(|(l, n)| {
-            let mask = if l == 0 { 0 } else { u128::MAX << (128 - l) };
-            (
-                K::from_key(bits & mask, l),
-                self.nodes[n].value.as_ref().expect("recorded as present"),
-            )
-        })
-    }
-
-    /// Whether any stored prefix covers `addr_key`.
-    pub fn covers(&self, addr_key: &K) -> bool {
-        self.longest_match(addr_key).is_some()
-    }
-
     /// Every stored `(prefix, value)` covering `addr_key`, shortest first.
     /// Needed whenever per-entry state (e.g. an expiry) decides whether a
     /// cover *counts*: the most specific entry may be stale while a
@@ -298,46 +241,6 @@ impl<K: TrieKey, V> PrefixTrie<K, V> {
         });
         out.into_iter()
     }
-
-    /// All stored `(prefix, value)` pairs contained within `cover`, in
-    /// lexicographic (bits, length) order — the same order [`Self::iter`]
-    /// yields. Walks only the covered subtree: descend the cover's path,
-    /// then enumerate below it, so the cost scales with the subtree, not
-    /// the whole trie.
-    pub fn descendants(&self, cover: &K) -> Vec<(K, &V)> {
-        let cbits = cover.key_bits();
-        let clen = cover.key_len();
-        let mut node = 0usize;
-        for depth in 0..clen {
-            let b = Self::bit_at(cbits, depth);
-            let child = self.nodes[node].children[b];
-            if child == NO_NODE {
-                return Vec::new();
-            }
-            node = child as usize;
-        }
-        let mut out = Vec::new();
-        let mut stack: Vec<(usize, u128, u8)> = vec![(node, cbits, clen)];
-        while let Some((node, bits, depth)) = stack.pop() {
-            if let Some(v) = self.nodes[node].value.as_ref() {
-                out.push((K::from_key(bits, depth), v));
-            }
-            let right = self.nodes[node].children[1];
-            if right != NO_NODE {
-                stack.push((right as usize, bits | (1u128 << (127 - depth)), depth + 1));
-            }
-            let left = self.nodes[node].children[0];
-            if left != NO_NODE {
-                stack.push((left as usize, bits, depth + 1));
-            }
-        }
-        out.sort_by(|a, b| {
-            a.0.key_bits()
-                .cmp(&b.0.key_bits())
-                .then(a.0.key_len().cmp(&b.0.key_len()))
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -355,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_and_get() {
         let mut t: PrefixTrie<Ipv6Prefix, u32> = PrefixTrie::new();
         assert!(t.is_empty());
         assert_eq!(t.insert(p6("2001:db8::/32"), 1), None);
@@ -363,30 +266,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&p6("2001:db8::/32")), Some(&2));
         assert_eq!(t.get(&p6("2001:db8::/48")), None);
-        assert_eq!(t.remove(&p6("2001:db8::/32")), Some(2));
-        assert_eq!(t.remove(&p6("2001:db8::/32")), None);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn longest_match_prefers_specific() {
-        let mut t: PrefixTrie<Ipv6Prefix, &str> = PrefixTrie::new();
-        t.insert(p6("2001:db8::/32"), "routing");
-        t.insert(p6("2001:db8:1::/48"), "site");
-        t.insert(p6("2001:db8:1:2::/64"), "lan");
-
-        let (k, v) = t.longest_match(&host("2001:db8:1:2::99")).unwrap();
-        assert_eq!((k, *v), (p6("2001:db8:1:2::/64"), "lan"));
-
-        let (k, v) = t.longest_match(&host("2001:db8:1:3::1")).unwrap();
-        assert_eq!((k, *v), (p6("2001:db8:1::/48"), "site"));
-
-        let (k, v) = t.longest_match(&host("2001:db8:ffff::1")).unwrap();
-        assert_eq!((k, *v), (p6("2001:db8::/32"), "routing"));
-
-        assert!(t.longest_match(&host("2600::1")).is_none());
-        assert!(t.covers(&host("2001:db8::1")));
-        assert!(!t.covers(&host("3000::1")));
     }
 
     #[test]
@@ -413,22 +292,25 @@ mod tests {
     }
 
     #[test]
-    fn root_prefix_matches_everything() {
-        let mut t: PrefixTrie<Ipv6Prefix, &str> = PrefixTrie::new();
-        t.insert(p6("::/0"), "default");
-        let (k, v) = t.longest_match(&host("1234::1")).unwrap();
-        assert_eq!((k, *v), (p6("::/0"), "default"));
-    }
-
-    #[test]
     fn v4_trie_works() {
         let mut t: PrefixTrie<Ipv4Prefix, i32> = PrefixTrie::new();
         t.insert("10.0.0.0/8".parse().unwrap(), 8);
         t.insert("10.1.0.0/16".parse().unwrap(), 16);
         let addr: Ipv4Prefix = "10.1.2.3/32".parse().unwrap();
-        let (k, v) = t.longest_match(&addr).unwrap();
-        assert_eq!(k, "10.1.0.0/16".parse().unwrap());
-        assert_eq!(*v, 16);
+        let covers: Vec<(String, i32)> = t
+            .covering(&addr)
+            .iter()
+            .map(|(k, &v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(
+            covers,
+            [
+                ("10.0.0.0/8".to_string(), 8),
+                ("10.1.0.0/16".to_string(), 16)
+            ]
+        );
+        assert!(t.any_covering(&addr, |&v| v == 16));
+        assert!(!t.any_covering(&"11.0.0.1/32".parse().unwrap(), |_| true));
     }
 
     #[test]
@@ -449,96 +331,6 @@ mod tests {
         let mut sorted = collected.clone();
         sorted.sort_by(|a, b| a.bits().cmp(&b.bits()).then(a.len().cmp(&b.len())));
         assert_eq!(collected, sorted);
-    }
-
-    #[test]
-    fn descendants_filters_by_cover() {
-        let mut t: PrefixTrie<Ipv6Prefix, u8> = PrefixTrie::new();
-        t.insert(p6("2001:db8:1:1::/64"), 1);
-        t.insert(p6("2001:db8:1:2::/64"), 2);
-        t.insert(p6("2001:db8:2:1::/64"), 3);
-        t.insert(p6("2001:db8:1::/48"), 4);
-        let d = t.descendants(&p6("2001:db8:1::/48"));
-        let keys: Vec<String> = d.iter().map(|(k, _)| k.to_string()).collect();
-        assert_eq!(
-            keys,
-            vec!["2001:db8:1::/48", "2001:db8:1:1::/64", "2001:db8:1:2::/64"]
-        );
-    }
-
-    /// The subtree walk agrees with the old iterate-then-filter reference
-    /// on large random tries, including empty covers, the root cover, and
-    /// covers equal to stored prefixes.
-    #[test]
-    fn descendants_match_iter_filter_on_large_tries() {
-        let mut g = TestGen::new(0x5452_4903);
-        for _ in 0..16 {
-            let n = g.range_u64(200, 800) as usize;
-            let mut t: PrefixTrie<Ipv6Prefix, usize> = PrefixTrie::new();
-            let mut prefixes = Vec::new();
-            for i in 0..n {
-                // Zeroed high bits force dense prefix sharing.
-                let bits = g.next_u128() & (u128::MAX >> 6);
-                let p = Ipv6Prefix::from_bits(bits, g.range_u8(0, 128));
-                t.insert(p, i);
-                prefixes.push(p);
-            }
-            let mut covers = vec![
-                Ipv6Prefix::from_bits(0, 0),
-                Ipv6Prefix::from_bits(g.next_u128(), 128),
-            ];
-            covers.extend((0..8).map(|_| Ipv6Prefix::from_bits(g.next_u128(), g.range_u8(0, 64))));
-            covers.extend(prefixes.iter().take(8).copied());
-            for cover in covers {
-                let got: Vec<(Ipv6Prefix, usize)> = t
-                    .descendants(&cover)
-                    .into_iter()
-                    .map(|(k, &v)| (k, v))
-                    .collect();
-                let mask = if cover.len() == 0 {
-                    0
-                } else {
-                    u128::MAX << (128 - cover.len())
-                };
-                let naive: Vec<(Ipv6Prefix, usize)> = t
-                    .iter()
-                    .filter(|(k, _)| {
-                        k.key_len() >= cover.len() && k.key_bits() & mask == cover.bits()
-                    })
-                    .map(|(k, &v)| (k, v))
-                    .collect();
-                assert_eq!(got, naive, "cover {cover}");
-            }
-        }
-    }
-
-    /// Longest-prefix match agrees with a naive scan over all entries.
-    #[test]
-    fn lpm_matches_naive() {
-        let mut g = TestGen::new(0x5452_4901);
-        for _ in 0..128 {
-            let n = g.range_u64(1, 59) as usize;
-            let mut t: PrefixTrie<Ipv6Prefix, usize> = PrefixTrie::new();
-            let mut prefixes = Vec::new();
-            for i in 0..n {
-                let p = Ipv6Prefix::from_bits(g.next_u128(), g.range_u8(0, 128));
-                t.insert(p, i);
-                prefixes.push(p);
-            }
-            // Probe a random address plus every entry's own network address
-            // (random probes alone almost never land inside long prefixes).
-            let mut addrs = vec![Ipv6Addr::from(g.next_u128())];
-            addrs.extend(prefixes.iter().map(|p| p.network()));
-            for addr in addrs {
-                let naive = prefixes
-                    .iter()
-                    .filter(|p| p.contains_addr(addr))
-                    .max_by_key(|p| p.len())
-                    .copied();
-                let got = t.longest_match(&Ipv6Prefix::host(addr)).map(|(k, _)| k);
-                assert_eq!(got, naive);
-            }
-        }
     }
 
     /// `any_covering` answers what filtering `covering` answers, on

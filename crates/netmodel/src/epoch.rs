@@ -54,19 +54,6 @@ impl Renewal {
     pub fn epoch(&self, day: SimDate) -> u32 {
         (u32::from(day.index()) + self.phase) / self.period
     }
-
-    /// The first day of the epoch containing `day` (clamped to day 0: the
-    /// epoch may have started before the simulated year).
-    pub fn epoch_start(&self, day: SimDate) -> SimDate {
-        let e = self.epoch(day);
-        let start = (e * self.period).saturating_sub(self.phase);
-        SimDate::from_index(start.min(u32::from(day.index())) as u16)
-    }
-
-    /// Days since the epoch containing `day` began (0 on its first day).
-    pub fn age_on(&self, day: SimDate) -> u32 {
-        (u32::from(day.index()) + self.phase) % self.period
-    }
 }
 
 #[cfg(test)]
@@ -87,29 +74,6 @@ mod tests {
         assert_eq!(r.epoch(SimDate::from_index(4)), 1);
         assert_eq!(r.epoch(SimDate::from_index(10)), 1);
         assert_eq!(r.epoch(SimDate::from_index(11)), 2);
-    }
-
-    #[test]
-    fn age_and_start_are_consistent() {
-        let r = Renewal {
-            period: 5,
-            phase: 2,
-        };
-        for idx in 0..200u16 {
-            let d = SimDate::from_index(idx);
-            let age = r.age_on(d);
-            assert!(age < 5);
-            let start = r.epoch_start(d);
-            assert!(start <= d);
-            // Age equals the distance to the epoch start, except when the
-            // epoch started before day 0 (then start clamps to 0).
-            if u32::from(d.index()) >= age {
-                assert_eq!(
-                    u32::from(d.days_since(start)),
-                    age.min(u32::from(d.index()))
-                );
-            }
-        }
     }
 
     #[test]

@@ -573,16 +573,6 @@ impl World {
     pub fn find_by_asn(&self, asn: Asn) -> Option<&Network> {
         self.networks.iter().find(|n| n.asn == asn)
     }
-
-    /// The gateway-mode carrier (the §6.1.3 outlier network).
-    pub fn gateway_carrier(&self) -> Option<&Network> {
-        self.networks.iter().find(|n| {
-            matches!(
-                n.v6.as_ref().map(|v| v.mode),
-                Some(crate::conf::V6Mode::Gateway { .. })
-            )
-        })
-    }
 }
 
 #[cfg(test)]
@@ -625,14 +615,6 @@ mod tests {
         assert!(telkom.v4.pool_size <= 64, "mega CGN pool is tiny");
         assert!(telkom.v4.intra_day_cycles > 1.0);
         assert!(w.find_by_asn(Asn(9009)).is_some(), "M247");
-    }
-
-    #[test]
-    fn gateway_carrier_exists_and_is_att() {
-        let w = world();
-        let gw = w.gateway_carrier().expect("gateway carrier");
-        assert_eq!(gw.asn, Asn(20057));
-        assert_eq!(gw.kind, NetworkKind::Mobile);
     }
 
     #[test]

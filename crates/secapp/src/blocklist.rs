@@ -176,104 +176,6 @@ pub fn evaluate_over_days<'a>(
         .collect()
 }
 
-/// A size-bounded blocklist: when full, the entry with the nearest expiry
-/// is evicted first (deployments cap list sizes in routers/edge nodes;
-/// §7.2's "IPv6 blocklisting can be aggressive" only works if the list
-/// doesn't blow past hardware limits — IPv6's ephemerality means entries
-/// age out fast, so a bounded list loses little recall).
-#[derive(Debug, Clone)]
-pub struct BoundedBlocklist {
-    inner: Blocklist,
-    capacity: usize,
-    /// Live v6 entries with expiries, kept for eviction decisions.
-    v6_entries: Vec<(Ipv6Prefix, SimDate)>,
-    v4_entries: Vec<(Ipv4Prefix, SimDate)>,
-}
-
-impl BoundedBlocklist {
-    /// Creates a bounded blocklist.
-    ///
-    /// # Panics
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        Self {
-            inner: Blocklist::new(),
-            capacity,
-            v6_entries: Vec::new(),
-            v4_entries: Vec::new(),
-        }
-    }
-
-    fn evict_if_full(&mut self, now: SimDate) {
-        while self.v6_entries.len() + self.v4_entries.len() >= self.capacity {
-            // Drop already-expired entries first, then the nearest expiry.
-            self.v6_entries.retain(|&(_, e)| e >= now);
-            self.v4_entries.retain(|&(_, e)| e >= now);
-            if self.v6_entries.len() + self.v4_entries.len() < self.capacity {
-                break;
-            }
-            let v6_min = self.v6_entries.iter().map(|&(_, e)| e).min();
-            let v4_min = self.v4_entries.iter().map(|&(_, e)| e).min();
-            match (v6_min, v4_min) {
-                (Some(a), Some(b)) if a <= b => self.evict_v6(a),
-                (Some(_), Some(b)) => self.evict_v4(b),
-                (Some(a), None) => self.evict_v6(a),
-                (None, Some(b)) => self.evict_v4(b),
-                (None, None) => break,
-            }
-        }
-    }
-
-    fn evict_v6(&mut self, expiry: SimDate) {
-        if let Some(pos) = self.v6_entries.iter().position(|&(_, e)| e == expiry) {
-            let (p, _) = self.v6_entries.swap_remove(pos);
-            self.inner.v6.remove(&p);
-        }
-    }
-
-    fn evict_v4(&mut self, expiry: SimDate) {
-        if let Some(pos) = self.v4_entries.iter().position(|&(_, e)| e == expiry) {
-            let (p, _) = self.v4_entries.swap_remove(pos);
-            self.inner.v4.remove(&p);
-        }
-    }
-
-    /// Lists an IPv6 prefix, evicting the nearest-expiry entry when full.
-    pub fn add_v6(&mut self, prefix: Ipv6Prefix, expires: SimDate, now: SimDate) {
-        self.evict_if_full(now);
-        self.inner.add_v6(prefix, expires);
-        self.v6_entries.push((prefix, expires));
-    }
-
-    /// Lists an IPv4 prefix, evicting when full.
-    pub fn add_v4(&mut self, prefix: Ipv4Prefix, expires: SimDate, now: SimDate) {
-        self.evict_if_full(now);
-        self.inner.add_v4(prefix, expires);
-        self.v4_entries.push((prefix, expires));
-    }
-
-    /// Whether traffic from `ip` is blocked on `day`.
-    pub fn blocks(&self, ip: IpAddr, day: SimDate) -> bool {
-        self.inner.blocks(ip, day)
-    }
-
-    /// Number of live entries.
-    pub fn len(&self, day: SimDate) -> usize {
-        self.inner.live_entries(day)
-    }
-
-    /// True when no live entries remain.
-    pub fn is_empty(&self, day: SimDate) -> bool {
-        self.len(day) == 0
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,51 +207,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn bounded_list_evicts_nearest_expiry() {
-        let now = SimDate::ymd(4, 13);
-        let mut bl = BoundedBlocklist::new(2);
-        let p1: Ipv6Prefix = "2001:db8:1::/64".parse().unwrap();
-        let p2: Ipv6Prefix = "2001:db8:2::/64".parse().unwrap();
-        let p3: Ipv6Prefix = "2001:db8:3::/64".parse().unwrap();
-        bl.add_v6(p1, SimDate::ymd(4, 14), now); // expires soonest
-        bl.add_v6(p2, SimDate::ymd(4, 20), now);
-        bl.add_v6(p3, SimDate::ymd(4, 18), now); // evicts p1
-        assert!(
-            !bl.blocks("2001:db8:1::1".parse().unwrap(), now),
-            "p1 evicted"
-        );
-        assert!(bl.blocks("2001:db8:2::1".parse().unwrap(), now));
-        assert!(bl.blocks("2001:db8:3::1".parse().unwrap(), now));
-        assert!(bl.len(now) <= bl.capacity());
-    }
-
-    #[test]
-    fn bounded_list_prefers_dropping_expired() {
-        let mut bl = BoundedBlocklist::new(2);
-        let day1 = SimDate::ymd(4, 13);
-        let p1: Ipv4Prefix = "192.0.2.1/32".parse().unwrap();
-        let p2: Ipv4Prefix = "192.0.2.2/32".parse().unwrap();
-        bl.add_v4(p1, SimDate::ymd(4, 13), day1); // will expire
-        bl.add_v4(p2, SimDate::ymd(4, 30), day1);
-        // Two days later, p1 is expired: adding p3 must drop p1, not p2.
-        let day3 = SimDate::ymd(4, 15);
-        let p3: Ipv4Prefix = "192.0.2.3/32".parse().unwrap();
-        bl.add_v4(p3, SimDate::ymd(4, 30), day3);
-        assert!(
-            bl.blocks("192.0.2.2".parse().unwrap(), day3),
-            "long-lived entry survives"
-        );
-        assert!(bl.blocks("192.0.2.3".parse().unwrap(), day3));
-        assert!(!bl.is_empty(day3));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn bounded_list_rejects_zero_capacity() {
-        BoundedBlocklist::new(0);
     }
 
     #[test]
@@ -449,42 +306,6 @@ mod tests {
                     ));
                     let day = SimDate::from_index(g.range_u64(90, 149) as u16);
                     assert_eq!(fast.blocks(addr, day), naive.blocks(addr, day));
-                }
-            }
-        }
-
-        /// A bounded blocklist never exceeds its capacity and anything
-        /// it blocks, the unbounded list would block too (eviction only
-        /// loses entries, never invents them).
-        #[test]
-        fn bounded_is_a_subset_of_unbounded() {
-            let mut g = TestGen::new(0x424C_4B02);
-            for _ in 0..128 {
-                let now = SimDate::from_index(95);
-                let cap = g.range_u64(1, 7) as usize;
-                let mut bounded = BoundedBlocklist::new(cap);
-                let mut full = Blocklist::new();
-                for _ in 0..g.range_u64(1, 59) {
-                    let raw = (0x2001_0db8u128 << 96) | u128::from(g.next_u64());
-                    let p = Ipv6Prefix::from_bits(raw, 128);
-                    let e = SimDate::from_index(g.range_u64(100, 139) as u16);
-                    bounded.add_v6(p, e, now);
-                    full.add_v6(p, e);
-                }
-                assert!(
-                    bounded.len(now) <= cap + 1,
-                    "len {} cap {}",
-                    bounded.len(now),
-                    cap
-                );
-                for _ in 0..30 {
-                    let addr = IpAddr::V6(std::net::Ipv6Addr::from(
-                        (0x2001_0db8u128 << 96) | u128::from(g.next_u64()),
-                    ));
-                    let day = SimDate::from_index(g.range_u64(90, 149) as u16);
-                    if bounded.blocks(addr, day) {
-                        assert!(full.blocks(addr, day));
-                    }
                 }
             }
         }

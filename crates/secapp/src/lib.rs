@@ -36,7 +36,7 @@ pub mod signatures;
 pub mod threat_exchange;
 
 pub use actioning::{actioning_roc, actioning_roc_between, DayCounts, Granularity};
-pub use blocklist::{Blocklist, BoundedBlocklist};
+pub use blocklist::Blocklist;
 pub use mlfeatures::{FeatureVector, LogisticModel};
 pub use ratelimit::{recommend_threshold, RateLimiter};
 pub use signatures::HeavyAddressPredictor;

@@ -14,27 +14,17 @@ use ipv6_study_netaddr::IidClass;
 use ipv6_study_telemetry::Asn;
 
 /// Predicts whether an IPv6 address is heavily populated from its
-/// structure and ASN, without counting users.
+/// structure and ASN, without counting users. The default predictor
+/// trusts only the IID signature; [`HeavyAddressPredictor::learn`] adds
+/// the gateway ASNs.
 #[derive(Debug, Clone, Default)]
 pub struct HeavyAddressPredictor {
-    /// ASNs known to run gateway-style deployments (learned or configured).
+    /// ASNs known to run gateway-style deployments, learned from
+    /// observed heavy addresses.
     gateway_asns: HashSet<Asn>,
 }
 
 impl HeavyAddressPredictor {
-    /// Creates a predictor trusting only the IID signature.
-    pub fn structural_only() -> Self {
-        Self::default()
-    }
-
-    /// Creates a predictor that additionally whitelists known gateway ASNs
-    /// (any address there with the signature predicts heavy).
-    pub fn with_gateway_asns(asns: impl IntoIterator<Item = Asn>) -> Self {
-        Self {
-            gateway_asns: asns.into_iter().collect(),
-        }
-    }
-
     /// Learns gateway ASNs from observed heavy addresses: any ASN where
     /// most heavy addresses carry the signature is recorded.
     pub fn learn<S1: std::hash::BuildHasher, S2: std::hash::BuildHasher>(
@@ -181,7 +171,7 @@ mod tests {
     #[test]
     fn structural_predictor_has_full_recall() {
         let (counts, asn_of) = world();
-        let p = HeavyAddressPredictor::structural_only();
+        let p = HeavyAddressPredictor::default();
         let e = p.evaluate(&counts, &asn_of, 10_000);
         assert_eq!(e.recall, 1.0);
         // The coincidental low-IID address is a false positive.
@@ -203,22 +193,13 @@ mod tests {
 
     #[test]
     fn v4_is_never_predicted() {
-        let p = HeavyAddressPredictor::structural_only();
+        let p = HeavyAddressPredictor::default();
         assert!(!p.predict(ip("192.0.2.1"), Some(Asn(20057))));
     }
 
     #[test]
-    fn configured_asns_work_like_learned() {
-        let (counts, asn_of) = world();
-        let p = HeavyAddressPredictor::with_gateway_asns([Asn(20057)]);
-        let e = p.evaluate(&counts, &asn_of, 10_000);
-        assert_eq!(e.precision, 1.0);
-        assert_eq!(e.recall, 1.0);
-    }
-
-    #[test]
     fn empty_world_is_vacuously_perfect() {
-        let p = HeavyAddressPredictor::structural_only();
+        let p = HeavyAddressPredictor::default();
         let e = p.evaluate(&HashMap::new(), &HashMap::new(), 100);
         assert_eq!(e.precision, 1.0);
         assert_eq!(e.recall, 1.0);

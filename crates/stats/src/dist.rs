@@ -73,12 +73,6 @@ pub fn poisson(h: u64, lambda: f64) -> u64 {
     k
 }
 
-/// Exponential variate with the given `rate` (mean `1/rate`).
-pub fn exponential(h: u64, rate: f64) -> f64 {
-    let u = uniform01(h).max(f64::MIN_POSITIVE);
-    -u.ln() / rate.max(1e-12)
-}
-
 /// Standard normal variate via the inverse-CDF (Acklam's rational
 /// approximation, |ε| < 1.15e-9 — far below simulation noise).
 #[allow(clippy::excessive_precision)] // coefficients kept exactly as published
@@ -284,13 +278,6 @@ mod tests {
         let lambda = 200.0;
         let mean: f64 = hashes(n).map(|h| poisson(h, lambda) as f64).sum::<f64>() / n as f64;
         assert!((mean - lambda).abs() < 1.0, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let n = 100_000;
-        let mean: f64 = hashes(n).map(|h| exponential(h, 0.5)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl Ecdf {
         1.0 - self.fraction_le(x)
     }
 
-    /// Number of observations with value strictly greater than `x`.
-    pub fn count_gt(&self, x: u64) -> u64 {
-        self.len() - self.count_le(x)
-    }
-
     /// Smallest value `v` such that at least `q` (0 ≤ q ≤ 1) of the mass is
     /// ≤ `v` — i.e. the lower empirical quantile. Returns `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
@@ -190,7 +185,6 @@ mod tests {
         assert_eq!(e.count_le(1), 2);
         assert_eq!(e.count_le(2), 3);
         assert_eq!(e.count_le(100), 5);
-        assert_eq!(e.count_gt(2), 2);
         assert_eq!(e.median(), Some(2));
         assert_eq!(e.max(), Some(9));
         assert_eq!(e.min(), Some(1));
@@ -253,18 +247,6 @@ mod tests {
                 prev = f;
             }
             assert!((e.fraction_le(1000) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn count_le_plus_count_gt_is_total() {
-        let mut g = TestGen::new(0x4543_4402);
-        for _ in 0..256 {
-            let len = g.below(100) as usize;
-            let vals = g.vec_of(len, |g| g.below(100));
-            let x = g.below(120);
-            let e = Ecdf::from_values(vals);
-            assert_eq!(e.count_le(x) + e.count_gt(x), e.len());
         }
     }
 

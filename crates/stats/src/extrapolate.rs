@@ -1,95 +1,5 @@
-//! Sample-to-population extrapolation.
-//!
-//! The paper's datasets are deterministic 0.1% samples, and several findings
-//! are phrased as extrapolations: *"addresses that have more than 10 users in
-//! the user sample have in expectation more than 10K users in the full
-//! dataset"* (§6.1.3), or prevalence ratios between IPv4 and IPv6 outliers
-//! (§5.1.3). This module makes those inferences first-class: a
-//! [`SampleScale`] captures the sampling design, and produces
-//! [`PopulationEstimate`]s with binomial confidence intervals.
-
-/// Describes a deterministic attribute sample: each population element was
-/// included independently with probability `rate`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleScale {
-    /// Inclusion probability, e.g. `0.001` for the paper's 0.1% samples.
-    pub rate: f64,
-}
-
-impl SampleScale {
-    /// Creates a scale for the given inclusion probability.
-    ///
-    /// # Panics
-    /// Panics unless `0 < rate <= 1`.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0, 1]");
-        Self { rate }
-    }
-
-    /// Point estimate of the population count behind `sample_count` observed
-    /// elements.
-    pub fn scale_count(&self, sample_count: u64) -> f64 {
-        sample_count as f64 / self.rate
-    }
-
-    /// Population estimate with a Wilson-score 95% interval on the sampling
-    /// proportion, translated to population counts.
-    ///
-    /// `universe` is the (known) population size the sample was drawn from.
-    /// When the universe is unknown, use [`SampleScale::scale_count`]; the
-    /// interval then has no meaning.
-    pub fn estimate(&self, sample_count: u64, universe: u64) -> PopulationEstimate {
-        let n = (universe as f64 * self.rate).max(1.0); // expected sample size
-        let p_hat = sample_count as f64 / n;
-        let (lo, hi) = wilson_interval(p_hat.clamp(0.0, 1.0), n, 1.959964);
-        PopulationEstimate {
-            point: self.scale_count(sample_count),
-            lo: lo * universe as f64,
-            hi: hi * universe as f64,
-        }
-    }
-
-    /// Expected number of *sampled* elements for a population of `pop` — the
-    /// inverse direction, used when predicting how many users a heavily
-    /// populated address should contribute to the user sample.
-    pub fn expected_in_sample(&self, pop: u64) -> f64 {
-        pop as f64 * self.rate
-    }
-}
-
-/// A population count inferred from a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PopulationEstimate {
-    /// Point estimate (sample count / rate).
-    pub point: f64,
-    /// Lower bound of the 95% interval.
-    pub lo: f64,
-    /// Upper bound of the 95% interval.
-    pub hi: f64,
-}
-
-impl PopulationEstimate {
-    /// Whether `value` falls inside the 95% interval.
-    pub fn contains(&self, value: f64) -> bool {
-        (self.lo..=self.hi).contains(&value)
-    }
-}
-
-/// Wilson score interval for a binomial proportion.
-///
-/// Preferred over the normal approximation because outlier counts are tiny
-/// (often < 20 sampled elements), where Wald intervals collapse or go
-/// negative.
-fn wilson_interval(p_hat: f64, n: f64, z: f64) -> (f64, f64) {
-    if n <= 0.0 {
-        return (0.0, 1.0);
-    }
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let center = (p_hat + z2 / (2.0 * n)) / denom;
-    let half = (z / denom) * ((p_hat * (1.0 - p_hat) / n) + z2 / (4.0 * n * n)).sqrt();
-    ((center - half).max(0.0), (center + half).min(1.0))
-}
+//! Sample-to-population extrapolation: the paper compares the prevalence
+//! of IPv4 and IPv6 outliers across samples of different sizes (§5.1.3).
 
 /// Ratio of two prevalences with both sides extrapolated from (possibly
 /// different-rate) samples.
@@ -114,44 +24,6 @@ pub fn prevalence_ratio(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scaling_is_linear() {
-        let s = SampleScale::new(0.001);
-        assert_eq!(s.scale_count(10), 10_000.0);
-        assert_eq!(s.scale_count(0), 0.0);
-        assert_eq!(s.expected_in_sample(10_000), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be in")]
-    fn zero_rate_rejected() {
-        SampleScale::new(0.0);
-    }
-
-    #[test]
-    fn estimate_interval_contains_point() {
-        let s = SampleScale::new(0.001);
-        let e = s.estimate(50, 1_000_000);
-        assert!(e.lo <= e.point && e.point <= e.hi, "{e:?}");
-        assert!(e.contains(e.point));
-        // 50 sampled at 0.1% → about 50k in population.
-        assert!((e.point - 50_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wilson_handles_zero_successes() {
-        let (lo, hi) = wilson_interval(0.0, 1000.0, 1.96);
-        assert_eq!(lo, 0.0);
-        assert!(hi > 0.0 && hi < 0.01);
-    }
-
-    #[test]
-    fn wilson_handles_all_successes() {
-        let (lo, hi) = wilson_interval(1.0, 1000.0, 1.96);
-        assert!(lo > 0.99 && lo < 1.0);
-        assert_eq!(hi, 1.0);
-    }
 
     #[test]
     fn prevalence_ratio_paper_shape() {

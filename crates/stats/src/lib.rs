@@ -10,16 +10,12 @@
 //!   our own.
 //! - [`ecdf`] — empirical CDFs over integer-valued observations, the workhorse
 //!   behind Figures 2, 3, 5, 7, 8, 9 and 10.
-//! - [`histogram`] — linear and log₂-binned histograms for heavy-tailed
-//!   count distributions (users per address span five orders of magnitude).
-//! - [`counter`] — "counts of counts" maps: e.g. *how many users had exactly
-//!   k addresses*, plus top-k heavy-hitter tracking.
+//! - [`counter`] — top-k heavy-hitter tracking: *which ASNs host the most
+//!   heavily-populated addresses*.
 //! - [`roc`] — Receiver Operating Characteristic curves for the day-*n* →
 //!   day-*n+1* actioning analysis of §7.1 (Figure 11).
-//! - [`extrapolate`] — scaling sample statistics to population estimates with
-//!   confidence intervals, mirroring the paper's "extrapolating from our
-//!   sample" arguments (§5.1.3, §6.1.3).
-//! - [`summary`] — scalar summaries (mean / median / quantiles / max).
+//! - [`extrapolate`] — prevalence ratios across samples of different sizes,
+//!   mirroring the paper's "extrapolating from our sample" argument (§5.1.3).
 //!
 //! # Example
 //!
@@ -41,16 +37,11 @@ pub mod dist;
 pub mod ecdf;
 pub mod extrapolate;
 pub mod hash;
-pub mod histogram;
 pub mod roc;
-pub mod summary;
 pub mod testgen;
 
-pub use counter::{CountOfCounts, TopK};
+pub use counter::TopK;
 pub use ecdf::Ecdf;
-pub use extrapolate::{PopulationEstimate, SampleScale};
 pub use hash::{stable_hash64, SeededBuildHasher, StableHashMap, StableHashSet, StableHasher};
-pub use histogram::{Histogram, Log2Histogram};
 pub use roc::{RocCurve, RocPoint};
-pub use summary::Summary;
 pub use testgen::TestGen;

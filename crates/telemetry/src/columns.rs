@@ -14,7 +14,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::ids::UserId;
 use crate::intern::{EntityTables, IpId};
 use crate::record::RequestRecord;
 use crate::time::Timestamp;
@@ -185,22 +184,10 @@ impl<'a> ColumnSlice<'a> {
         Arc::clone(self.tables)
     }
 
-    /// The raw user id at a row.
-    #[inline]
-    pub fn user_at(&self, i: usize) -> UserId {
-        self.tables.users.user(self.user[i])
-    }
-
     /// The source address at a row.
     #[inline]
     pub fn addr_at(&self, i: usize) -> std::net::IpAddr {
         self.tables.ips.addr(self.ip[i])
-    }
-
-    /// Whether the row's source address is IPv6.
-    #[inline]
-    pub fn is_v6_at(&self, i: usize) -> bool {
-        self.ip[i].is_v6()
     }
 
     /// Rematerializes one row.
@@ -357,7 +344,7 @@ impl OwnedColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Asn, Country};
+    use crate::ids::{Asn, Country, UserId};
     use crate::time::SimDate;
 
     /// A row whose ASN and country follow from its address's family.
@@ -397,9 +384,7 @@ mod tests {
         assert_eq!(back, recs, "materialized rows == input rows");
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(slice.record(i), *r);
-            assert_eq!(slice.user_at(i), r.user);
             assert_eq!(slice.addr_at(i), r.ip);
-            assert_eq!(slice.is_v6_at(i), r.is_v6());
         }
     }
 

@@ -343,12 +343,6 @@ impl IpTable {
         self.v6_p48[id.index()]
     }
 
-    /// Dense /24 prefix id of an IPv4 address id.
-    #[inline]
-    pub fn p24_id(&self, id: IpId) -> u32 {
-        self.v4_p24[id.index()]
-    }
-
     /// Network bits of a dense /64 prefix id.
     #[inline]
     pub fn p64_bits(&self, pid: u32) -> u128 {
@@ -365,23 +359,6 @@ impl IpTable {
     #[inline]
     pub fn p48_bits(&self, pid: u32) -> u128 {
         self.p48[pid as usize]
-    }
-
-    /// Network bits of a dense /24 prefix id.
-    #[inline]
-    pub fn p24_bits(&self, pid: u32) -> u32 {
-        self.p24[pid as usize]
-    }
-
-    /// The per-entry prefix-id column and dense prefix table for a
-    /// precomputed IPv6 length, when that length is precomputed.
-    pub fn v6_prefix_ids(&self, len: u8) -> Option<(&[u32], &[u128])> {
-        match len {
-            64 => Some((&self.v6_p64, &self.p64)),
-            56 => Some((&self.v6_p56, &self.p56)),
-            48 => Some((&self.v6_p48, &self.p48)),
-            _ => None,
-        }
     }
 
     /// Heap bytes held by the table (address, attribute and prefix
@@ -783,21 +760,12 @@ mod tests {
                     );
                     assert_eq!(t.v6_bits(id), raw);
                 }
-                IpAddr::V4(a) => {
-                    assert_eq!(
-                        t.p24_bits(t.p24_id(id)),
-                        Ipv4Prefix::containing(a, 24).bits(),
-                        "/24 of {a}"
-                    );
-                    assert_eq!(t.v4_bits(id), u32::from(a));
-                }
+                IpAddr::V4(a) => assert_eq!(t.v4_bits(id), u32::from(a)),
             }
         }
         // Prefix ids are dense in ascending prefix-bits order.
-        let (p64_ids, p64_table) = t.v6_prefix_ids(64).unwrap();
-        assert!(p64_table.windows(2).all(|w| w[0] < w[1]));
-        assert!(!p64_ids.is_empty());
-        assert!(t.v6_prefix_ids(40).is_none());
+        assert!(t.p64.windows(2).all(|w| w[0] < w[1]));
+        assert!(!t.v6_p64.is_empty());
     }
 
     /// Each address's ASN and country live in its table entry, whatever

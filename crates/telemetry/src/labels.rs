@@ -22,13 +22,6 @@ pub struct AbuseInfo {
     pub detected: SimDate,
 }
 
-impl AbuseInfo {
-    /// Number of days the account was active (≥ 1: creation day counts).
-    pub fn active_days(&self) -> u16 {
-        self.detected.days_since(self.created) + 1
-    }
-}
-
 /// The labeled abusive-account dataset.
 #[derive(Debug, Clone, Default)]
 pub struct AbuseLabels {
@@ -128,7 +121,6 @@ mod tests {
         assert!(l.is_abusive(UserId(1)));
         assert!(!l.is_abusive(UserId(3)));
         assert_eq!(l.len(), 2);
-        assert_eq!(l.get(UserId(2)).unwrap().active_days(), 6);
         assert_eq!(l.detected_within(0), 0.5);
         assert_eq!(l.detected_within(5), 1.0);
     }

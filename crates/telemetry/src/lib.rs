@@ -25,10 +25,10 @@
 //!   window every frozen query returns.
 //! - [`store`] — the row-format request store (tests and ad-hoc
 //!   pipelines) and the frozen columnar store every analysis reads.
-//! - [`sink`] — the sealed [`sink::RequestSink`] consumer trait (with its
-//!   `push`/`flush_segment`/`finish` lifecycle) that simulator crates emit
-//!   into, the production [`sink::ShardSink`] that applies the §3.1
-//!   samplers in-stream and seals segments, and a closure adapter.
+//! - [`sink`] — the [`sink::RequestSink`] consumer trait that simulator
+//!   crates emit into, its closure adapter, and the production
+//!   [`sink::ShardSink`] that applies the §3.1 samplers in-stream and
+//!   seals segments.
 //! - [`segment`] — dictionary-coded segments, the one format every row
 //!   takes between the sim and the frozen columns: what shards seal,
 //!   what the state dir keeps per day, and the atomic write every

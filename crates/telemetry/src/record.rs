@@ -5,9 +5,7 @@
 //! [`RequestRecord`] is exactly that tuple. Records are small `Copy` values
 //! (32 bytes) so stores can hold tens of millions without indirection.
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-
-use ipv6_study_netaddr::{Ipv4Prefix, Ipv6Prefix};
+use std::net::{IpAddr, Ipv6Addr};
 
 use crate::ids::{Asn, Country, UserId};
 use crate::time::Timestamp;
@@ -39,24 +37,6 @@ impl RequestRecord {
             IpAddr::V6(a) => Some(a),
             IpAddr::V4(_) => None,
         }
-    }
-
-    /// The source address as IPv4, if it is one.
-    pub fn ipv4(&self) -> Option<Ipv4Addr> {
-        match self.ip {
-            IpAddr::V4(a) => Some(a),
-            IpAddr::V6(_) => None,
-        }
-    }
-
-    /// The enclosing IPv6 prefix of length `len`, when the source is IPv6.
-    pub fn v6_prefix(&self, len: u8) -> Option<Ipv6Prefix> {
-        self.ipv6().map(|a| Ipv6Prefix::containing(a, len))
-    }
-
-    /// The enclosing IPv4 prefix of length `len`, when the source is IPv4.
-    pub fn v4_prefix(&self, len: u8) -> Option<Ipv4Prefix> {
-        self.ipv4().map(|a| Ipv4Prefix::containing(a, len))
     }
 
     /// A stable 64-bit key for the source address (used by the IP sampler):
@@ -112,19 +92,7 @@ mod tests {
         assert!(v6.is_v6());
         assert!(!v4.is_v6());
         assert_eq!(v6.ipv6(), Some("2001:db8::1".parse().unwrap()));
-        assert_eq!(v6.ipv4(), None);
-        assert_eq!(v4.ipv4(), Some("192.0.2.1".parse().unwrap()));
         assert_eq!(v4.ipv6(), None);
-    }
-
-    #[test]
-    fn prefix_accessors() {
-        let v6 = rec("2001:db8:1:2:3:4:5:6".parse().unwrap());
-        assert_eq!(v6.v6_prefix(64).unwrap().to_string(), "2001:db8:1:2::/64");
-        assert_eq!(v6.v4_prefix(24), None);
-        let v4 = rec("192.0.2.99".parse().unwrap());
-        assert_eq!(v4.v4_prefix(24).unwrap().to_string(), "192.0.2.0/24");
-        assert_eq!(v4.v6_prefix(64), None);
     }
 
     #[test]

@@ -1,49 +1,15 @@
-//! The request-consumer abstraction between simulators and datasets.
+//! The request-consumer seam between simulators and datasets.
 //!
-//! Emitters (the behavior and abuse simulators) produce a stream of
-//! [`RequestRecord`]s; what happens to each record — sampling into the
-//! study datasets, wholesale retention in a [`RequestStore`], sealing into
-//! segments — is the caller's business. [`RequestSink`] is that seam:
-//! emitters take `&mut dyn RequestSink`, and this module provides the
-//! standard implementations:
-//!
-//! - [`ShardSink`] — the production path: routes each record through the
-//!   deterministic §3.1 samplers *during* the sim phase and seals every
-//!   retained row into dictionary-coded segments in emission order, kept
-//!   in memory or spilled ([`SpillTarget`]); it memoizes the decisions
-//!   that depend only on the address or the user,
-//! - [`StudyDatasets`] — routes through the samplers into in-memory
-//!   stores only, hashing every decision every time (tests and ad-hoc
-//!   pipelines; the reference the memoized routing is tested against),
-//! - [`RequestStore`] — keeps everything (tests),
-//! - [`FnSink`] — adapts a closure (the driver's per-user-day buffer,
-//!   tests, probes and benchmarks).
-//!
-//! # Lifecycle
-//!
-//! The trait is **sealed** — the record lifecycle below is a contract
-//! between the driver and this crate's sinks, not an extension point
-//! (adapt external consumers through [`FnSink`]):
-//!
-//! 1. [`RequestSink::push`] for every record, in emission order;
-//! 2. [`RequestSink::flush_segment`] at stream-defined boundaries (the
-//!    driver calls it once per simulated day) — sinks may publish
-//!    progress/memory telemetry; spill-backed sinks need no forcing here
-//!    because segments seal automatically at `segment_rows`;
-//! 3. [`RequestSink::finish`] exactly once at end of stream — the staged
-//!    rows seal into the final segment.
-//!
-//! For simple sinks `flush_segment` and `finish` are no-ops.
-//!
-//! # Storage faults
-//!
-//! `push` is deliberately infallible — emitters are pure simulation code
-//! and never handle I/O. A spill-backed [`ShardSink`] instead **latches**
-//! the first typed [`SpillError`] its seals raise: subsequent records
-//! are counted but no longer routed, [`ShardSink::io_error`] exposes the
-//! latched error (the driver polls it at day boundaries to fail fast),
-//! and [`ShardSink::into_payload`] refuses to produce a payload, so a
-//! faulted attempt can never feed partial data into the freeze.
+//! Emitters (the behavior and abuse simulators) push a stream of
+//! [`RequestRecord`]s into a `&mut dyn RequestSink`; [`FnSink`] adapts a
+//! closure into one (the driver's per-user-day buffer, tests, probes and
+//! benchmarks). The driver routes each buffered record into its shard's
+//! [`ShardSink`], which applies the deterministic §3.1 samplers and
+//! seals every retained row into dictionary-coded segments in emission
+//! order, kept in memory or spilled ([`SpillTarget`]); it memoizes the
+//! decisions that depend only on the address or the user. Every
+//! [`ShardSink`] step that can touch storage returns a typed
+//! [`SpillError`].
 
 use std::net::IpAddr;
 use std::path::PathBuf;
@@ -52,7 +18,6 @@ use std::time::{Duration, Instant};
 
 use ipv6_study_netaddr::Ipv6Prefix;
 
-use crate::dataset::StudyDatasets;
 use crate::ids::UserId;
 use crate::intern::{Attrs, IpId};
 use crate::record::RequestRecord;
@@ -60,75 +25,19 @@ use crate::run::Family;
 use crate::sampler::Samplers;
 use crate::segment::{same_attrs, Segment, Staging};
 use crate::spill::{MemGauge, SpillError, SpillFile, SpillSession};
-use crate::store::RequestStore;
-
-mod sealed {
-    //! Seals [`super::RequestSink`]: only this crate's sinks implement it.
-    pub trait Sealed {}
-}
 
 /// A consumer of simulated platform requests.
 ///
 /// Object-safe on purpose: emitters take `&mut dyn RequestSink` so the
 /// simulation crates compile once regardless of where records end up.
-/// Sealed: the `push`/`flush_segment`/`finish` lifecycle is a closed
-/// contract (see the module docs); external consumers adapt via
-/// [`FnSink`].
-pub trait RequestSink: sealed::Sealed {
+pub trait RequestSink {
     /// Accepts one request record.
     fn push(&mut self, rec: RequestRecord);
-
-    /// Marks a stream boundary (the driver calls this once per simulated
-    /// day). Sinks may publish telemetry or compact buffers; the default
-    /// does nothing.
-    fn flush_segment(&mut self) {}
-
-    /// Marks end of stream: buffered state must become final (staged
-    /// rows seal into a segment). Called exactly once; the default does
-    /// nothing.
-    fn finish(&mut self) {}
 }
 
-impl sealed::Sealed for StudyDatasets {}
-impl RequestSink for StudyDatasets {
-    fn push(&mut self, rec: RequestRecord) {
-        self.offer(rec);
-    }
-}
-
-impl sealed::Sealed for RequestStore {}
-impl RequestSink for RequestStore {
-    fn push(&mut self, rec: RequestRecord) {
-        RequestStore::push(self, rec);
-    }
-}
-
-impl sealed::Sealed for &mut dyn RequestSink {}
-/// Forwarding through a mutable reference, so `&mut dyn RequestSink` can
-/// itself be handed to an emitter.
-impl RequestSink for &mut dyn RequestSink {
-    fn push(&mut self, rec: RequestRecord) {
-        (**self).push(rec);
-    }
-
-    fn flush_segment(&mut self) {
-        (**self).flush_segment();
-    }
-
-    fn finish(&mut self) {
-        (**self).finish();
-    }
-}
-
-/// Adapts a closure into a sink.
-///
-/// A blanket `impl<F: FnMut(..)> RequestSink for F` would collide with the
-/// concrete impls above under coherence rules, so closures are wrapped
-/// explicitly: `&mut FnSink(|rec| ...)`. This is also the escape hatch
-/// through the sealed trait for external consumers.
+/// Adapts a closure into a sink: `&mut FnSink(|rec| ...)`.
 pub struct FnSink<F: FnMut(RequestRecord)>(pub F);
 
-impl<F: FnMut(RequestRecord)> sealed::Sealed for FnSink<F> {}
 impl<F: FnMut(RequestRecord)> RequestSink for FnSink<F> {
     fn push(&mut self, rec: RequestRecord) {
         (self.0)(rec);
@@ -155,10 +64,8 @@ pub struct SpillTarget<'a> {
 pub struct ShardPayload {
     /// The shard's emitted segments, in the order sealed.
     pub segments: Vec<Segment>,
-    /// Records offered to the samplers (excludes nothing; the abuse
-    /// stream sees the same records before sampling).
-    pub offered: u64,
-    /// Total records pushed through the sink.
+    /// Records pushed through the sink, every one offered to the
+    /// samplers.
     pub records: u64,
     /// The shard's seals.
     pub sealed: SealStats,
@@ -373,12 +280,8 @@ pub struct ShardSink<'a> {
     addresses: Vec<Option<AddressMemo>>,
     user: Option<UserMemo>,
     pair_routing: bool,
-    offered: u64,
     records: u64,
     gauge: Option<(&'a MemGauge, &'a AtomicU64)>,
-    /// The first storage error a seal raised; once set, records are
-    /// counted but no longer routed (see "Storage faults" above).
-    error: Option<SpillError>,
 }
 
 impl<'a> ShardSink<'a> {
@@ -416,10 +319,8 @@ impl<'a> ShardSink<'a> {
             addresses: vec![None; MEMO_SLOTS],
             user: None,
             pair_routing: false,
-            offered: 0,
             records: 0,
             gauge,
-            error: None,
         }
     }
 
@@ -439,17 +340,11 @@ impl<'a> ShardSink<'a> {
         self.sealer.stats()
     }
 
-    /// The latched storage error, if a seal has failed. The driver polls
-    /// this at day boundaries so a faulted attempt stops simulating
-    /// instead of pushing into a dead sink.
-    pub fn io_error(&self) -> Option<&SpillError> {
-        self.error.as_ref()
-    }
-
     /// Routes one record through the samplers into the families that keep
-    /// it, sealing a full segment and surfacing the first storage error.
-    fn route(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
-        self.offered += 1;
+    /// it, sealing a full segment; a failed seal, or an address given a
+    /// second (ASN, country) pair, fails the shard attempt.
+    pub fn push(&mut self, rec: RequestRecord) -> Result<(), SpillError> {
+        self.records += 1;
         let request = self.samplers.request_sampled(&rec);
         let user = match &mut self.user {
             Some(memo) if memo.user == rec.user => memo,
@@ -520,24 +415,22 @@ impl<'a> ShardSink<'a> {
         }
     }
 
-    fn publish_gauge(&self) {
+    /// Publishes the bytes held for the freeze to the memory gauge, if
+    /// any (the driver calls this once per simulated day).
+    pub fn publish_gauge(&self) {
         if let Some((gauge, published)) = self.gauge {
             gauge.publish(published, self.sealer.bytes());
         }
     }
 
-    /// Consumes the sink into its payload. [`RequestSink::finish`] must
-    /// have been called first. A sink that latched a storage error
-    /// refuses to produce a payload — the typed error surfaces instead,
-    /// so partial data never reaches the freeze.
-    pub fn into_payload(self) -> Result<ShardPayload, SpillError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
+    /// Seals the staged rows into the final segment and consumes the sink
+    /// into its payload.
+    pub fn finish(mut self) -> Result<ShardPayload, SpillError> {
+        self.sealer.seal()?;
+        self.publish_gauge();
         Ok(ShardPayload {
             sealed: self.sealer.stats(),
             segments: self.sealer.into_segments(),
-            offered: self.offered,
             records: self.records,
         })
     }
@@ -568,38 +461,15 @@ fn address_memo(samplers: &Samplers, lengths: &[u8], rec: &RequestRecord) -> Add
     }
 }
 
-impl sealed::Sealed for ShardSink<'_> {}
-impl RequestSink for ShardSink<'_> {
-    fn push(&mut self, rec: RequestRecord) {
-        self.records += 1;
-        if self.error.is_some() {
-            return; // latched: count, don't route
-        }
-        if let Err(e) = self.route(rec) {
-            self.error = Some(e);
-        }
-    }
-
-    fn flush_segment(&mut self) {
-        self.publish_gauge();
-    }
-
-    fn finish(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.sealer.seal() {
-                self.error = Some(e);
-            }
-        }
-        self.publish_gauge();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::StudyDatasets;
     use crate::ids::{Asn, Country, UserId};
     use crate::run::freeze_families;
     use crate::sampler::Samplers;
+    use crate::spill::SpillPolicy;
+    use crate::store::RequestStore;
     use crate::time::SimDate;
     use ipv6_study_stats::testgen::TestGen;
 
@@ -629,26 +499,6 @@ mod tests {
             ip_rate: 1.0,
             prefix_rate: 0.0,
         }
-    }
-
-    #[test]
-    fn store_sink_keeps_everything() {
-        let mut store = RequestStore::new();
-        let sink: &mut dyn RequestSink = &mut store;
-        sink.push(rec(1, 0));
-        sink.push(rec(2, 1));
-        sink.flush_segment(); // default no-op
-        sink.finish();
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn dataset_sink_routes_through_offer() {
-        let mut d = StudyDatasets::with_prefix_lengths(keep_all(), &[]);
-        let sink: &mut dyn RequestSink = &mut d;
-        sink.push(rec(7, 0));
-        assert_eq!(d.offered, 1);
-        assert_eq!(d.request_sample.len(), 1);
     }
 
     #[test]
@@ -724,12 +574,10 @@ mod tests {
             if i == 1_000 {
                 sink.set_pair_routing(true);
             }
-            sink.push(*r);
+            sink.push(*r).unwrap();
         }
-        sink.finish();
-        let payload = sink.into_payload().unwrap();
-        assert_eq!(payload.offered, reference.offered);
-        assert_eq!(payload.records, records.len() as u64);
+        let payload = sink.finish().unwrap();
+        assert_eq!(payload.records, reference.offered);
         let sections = |s: &Segment| s.sections().collect::<Vec<_>>();
         let sections: Vec<Vec<(Family, u64)>> = payload.segments.iter().map(sections).collect();
         let rows: u64 = sections.iter().flatten().map(|&(_, rows)| rows).sum();
@@ -799,9 +647,9 @@ mod tests {
         let published = AtomicU64::new(0);
         let mut sink = ShardSink::new(keep_all(), &[], true, None, Some((&gauge, &published)));
         for i in 0..10 {
-            sink.push(rec(i, i as u32));
+            sink.push(rec(i, i as u32)).unwrap();
         }
-        sink.flush_segment();
+        sink.publish_gauge();
         // 10 records × (abuse + request + user + ip) families × 12 bytes,
         // and a dictionary of one address (with its ASN and country) and
         // ten users.
@@ -813,20 +661,19 @@ mod tests {
         // The sealed segment is still held for the freeze: a header, a
         // table of five sections (pair too), the dictionary (a 22-byte v6
         // entry, ten 8-byte user keys) and the rows.
-        sink.finish();
+        let payload = sink.finish().unwrap();
         let sealed = (28 + 5 * 20 + 22 + 10 * 8 + 10 * 4 * 12) as u64;
         assert_eq!(gauge.current(), sealed);
         assert_eq!(gauge.peak(), staged.max(sealed));
-        let payload = sink.into_payload().unwrap();
         assert_eq!(payload.segments[0].bytes(), sealed);
     }
 
     /// A record that gives an address another (ASN, country) pair than
-    /// the address's entry in the open segment fails the shard with a
+    /// the address's entry in the open segment fails its push with a
     /// typed, non-retryable `Attributes` error: on a memo hit (the
     /// memoized entry is compared) and after another address evicted the
     /// memo slot (the dictionary's entry is compared), in memory and
-    /// spilled at 256 rows a segment. No payload is produced.
+    /// spilled at 256 rows a segment.
     #[test]
     fn an_address_given_two_pairs_fails_the_shard() {
         let session = SpillSession::create(None).unwrap();
@@ -854,13 +701,13 @@ mod tests {
                 segment_rows: 256,
             }),
         ] {
-            for rows in [vec![first, then, evicts], vec![first, evicts, evicts, then]] {
+            for rows in [vec![first, then], vec![first, evicts, evicts, then]] {
                 let mut sink = ShardSink::new(keep_all(), &[64], false, spill, None);
-                for &r in &rows {
-                    sink.push(r);
+                let (last, before) = rows.split_last().unwrap();
+                for &r in before {
+                    sink.push(r).unwrap();
                 }
-                sink.finish();
-                let err = sink.into_payload().unwrap_err();
+                let err = sink.push(*last).unwrap_err();
                 assert_eq!(
                     err,
                     SpillError::Attributes {
@@ -888,10 +735,9 @@ mod tests {
         let run = |spill: Option<SpillTarget<'_>>| {
             let mut sink = ShardSink::new(samplers.clone(), &[64], true, spill, None);
             for r in &records {
-                sink.push(*r);
+                sink.push(*r).unwrap();
             }
-            sink.finish();
-            sink.into_payload().unwrap()
+            sink.finish().unwrap()
         };
         let memory = run(None);
         let spilled = run(Some(SpillTarget {
@@ -900,7 +746,7 @@ mod tests {
             attempt: 0,
             segment_rows: 128,
         }));
-        assert_eq!(memory.offered, spilled.offered);
+        assert_eq!(memory.records, spilled.records);
         assert_eq!(memory.segments.len(), 1);
         assert!(spilled.segments.len() > 1, "spilled in several segments");
         assert_eq!(memory.sealed.rows, spilled.sealed.rows);
@@ -919,5 +765,44 @@ mod tests {
         ] {
             assert_eq!(records(m), records(s), "{what} family");
         }
+    }
+
+    /// The push whose seal would take a spilled shard past the session's
+    /// disk budget fails with a typed, non-retryable `Budget` error; the
+    /// pushes before it, the first seal among them, succeed.
+    #[test]
+    fn the_push_whose_seal_exceeds_the_disk_budget_fails() {
+        let records: Vec<RequestRecord> = (0..8).map(|i| rec(i, i as u32)).collect();
+        // Four rows in the request family seal a segment.
+        let target = |session| SpillTarget {
+            session,
+            shard: 0,
+            attempt: 0,
+            segment_rows: 4,
+        };
+        let unbounded = SpillSession::create(None).unwrap();
+        let mut sink = ShardSink::new(keep_all(), &[], false, Some(target(&unbounded)), None);
+        for &r in &records[..4] {
+            sink.push(r).unwrap();
+        }
+        let first = sink.finish().unwrap().segments[0].bytes();
+
+        let policy = SpillPolicy {
+            disk_budget_bytes: Some(first), // exactly the first segment
+            ..SpillPolicy::default()
+        };
+        let session = SpillSession::create_with(None, policy).unwrap();
+        let mut sink = ShardSink::new(keep_all(), &[], false, Some(target(&session)), None);
+        for &r in &records[..7] {
+            sink.push(r).unwrap();
+        }
+        assert_eq!(session.stats().bytes_written, first);
+        let err = sink.push(records[7]).unwrap_err();
+        assert!(
+            matches!(err, SpillError::Budget { budget_bytes, attempted_bytes }
+                if budget_bytes == first && attempted_bytes > first),
+            "{err:?}"
+        );
+        assert!(!err.is_retryable());
     }
 }

@@ -287,7 +287,8 @@ pub struct SpillFaultPlan {
     /// segment onto disk before failing (exercising the rollback path).
     pub short_write_rate: f64,
     /// Probability that a successfully written segment gets one byte
-    /// flipped afterwards (detected later, never repaired).
+    /// flipped afterwards (detected later by the read-side checks as
+    /// [`SpillError::Corrupt`], never repaired).
     pub corrupt_rate: f64,
     /// How many consecutive io attempts a faulted op fails before
     /// succeeding; values above the retry budget make the op error out.

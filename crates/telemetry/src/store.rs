@@ -4,11 +4,8 @@
 //! A [`RequestStore`] holds one dataset's records as rows for tests and
 //! ad-hoc pipelines; it sorts lazily on first query and then serves
 //! date-range slices by binary search. The study itself builds its
-//! [`FrozenStore`]s from segments (see [`crate::run`]). Group-by
-//! helpers build the (entity → observations) maps over row slices.
+//! [`FrozenStore`]s from segments (see [`crate::run`]).
 
-use std::collections::HashMap;
-use std::net::IpAddr;
 use std::sync::Arc;
 
 use crate::columns::{ColumnSlice, ColumnStore};
@@ -82,24 +79,6 @@ impl RequestStore {
     /// The records on one day.
     pub fn on_day(&mut self, day: SimDate) -> &[RequestRecord] {
         self.in_range(DateRange::single(day))
-    }
-
-    /// Groups a record slice by user.
-    pub fn group_by_user(records: &[RequestRecord]) -> HashMap<UserId, Vec<&RequestRecord>> {
-        let mut m: HashMap<UserId, Vec<&RequestRecord>> = HashMap::new();
-        for r in records {
-            m.entry(r.user).or_default().push(r);
-        }
-        m
-    }
-
-    /// Groups a record slice by source address.
-    pub fn group_by_ip(records: &[RequestRecord]) -> HashMap<IpAddr, Vec<&RequestRecord>> {
-        let mut m: HashMap<IpAddr, Vec<&RequestRecord>> = HashMap::new();
-        for r in records {
-            m.entry(r.ip).or_default().push(r);
-        }
-        m
     }
 
     /// The distinct users appearing in a record slice, ascending — a
@@ -282,21 +261,12 @@ mod tests {
     }
 
     #[test]
-    fn grouping_helpers() {
+    fn distinct_users_of_a_slice() {
         let mut s = RequestStore::new();
         s.push(rec(1, SimDate::ymd(4, 13), 1, "2001:db8::1"));
         s.push(rec(1, SimDate::ymd(4, 13), 2, "2001:db8::9"));
         s.push(rec(2, SimDate::ymd(4, 13), 3, "2001:db8::1"));
         let recs = s.all().to_vec();
-
-        let by_user = RequestStore::group_by_user(&recs);
-        assert_eq!(by_user.len(), 2);
-        assert_eq!(by_user[&UserId(1)].len(), 2);
-
-        let by_ip = RequestStore::group_by_ip(&recs);
-        assert_eq!(by_ip.len(), 2);
-        assert_eq!(by_ip[&"2001:db8::1".parse::<IpAddr>().unwrap()].len(), 2);
-
         assert_eq!(
             RequestStore::distinct_users(&recs),
             vec![UserId(1), UserId(2)]

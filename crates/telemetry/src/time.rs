@@ -119,23 +119,13 @@ impl SimDate {
     ///
     /// Saturation is a bug trap on long timelines — a clamped distance
     /// silently shrinks lookback windows — so debug builds assert that
-    /// `earlier <= self`. Use [`SimDate::checked_days_since`] when the
-    /// ordering is genuinely unknown.
+    /// `earlier <= self`.
     pub fn days_since(self, earlier: SimDate) -> u16 {
         debug_assert!(
             earlier.0 <= self.0,
             "days_since saturated: {earlier} is after {self}"
         );
         self.0.saturating_sub(earlier.0)
-    }
-
-    /// Days between two dates (`self - earlier`), or `None` when
-    /// `earlier` is later than `self`. The non-clamping form of
-    /// [`SimDate::days_since`]: window builders use it so an
-    /// out-of-range lookback is an explicit decision, never a silent
-    /// truncation.
-    pub fn checked_days_since(self, earlier: SimDate) -> Option<u16> {
-        self.0.checked_sub(earlier.0)
     }
 
     /// The date `days` before `self`, or `None` when that would land
@@ -274,11 +264,6 @@ pub fn study_end() -> SimDate {
     SimDate::ymd(4, 19)
 }
 
-/// The full Jan 23 – Apr 19 study window.
-pub fn study_range() -> DateRange {
-    DateRange::new(study_start(), study_end())
-}
-
 /// The focus week Apr 13–19 2020, "the overlapping time frame among our
 /// datasets" (§4.1), on which most analyses run.
 pub fn focus_week() -> DateRange {
@@ -366,19 +351,12 @@ mod tests {
         let year_end = SimDate::from_index(365);
 
         // Day 0: zero distance is fine, any reach past Jan 1 is None.
-        assert_eq!(epoch.checked_days_since(epoch), Some(0));
         assert_eq!(epoch.checked_sub_days(0), Some(epoch));
         assert_eq!(epoch.checked_sub_days(1), None);
-        assert_eq!(epoch.checked_days_since(SimDate::ymd(1, 2)), None);
 
         // Year end: the full year span is representable, one more is not.
-        assert_eq!(year_end.checked_days_since(epoch), Some(365));
         assert_eq!(year_end.checked_sub_days(365), Some(epoch));
         assert_eq!(year_end.checked_sub_days(366), None);
-        assert_eq!(
-            SimDate::ymd(4, 19).checked_days_since(SimDate::ymd(4, 13)),
-            Some(6)
-        );
     }
 
     #[test]
@@ -430,7 +408,7 @@ mod tests {
 
     #[test]
     fn study_constants() {
-        assert_eq!(study_range().num_days(), 88);
+        assert_eq!(DateRange::new(study_start(), study_end()).num_days(), 88);
         assert_eq!(study_start().to_string(), "2020-01-23");
         assert_eq!(study_end().to_string(), "2020-04-19");
         assert_eq!(DateRange::single(focus_day_ip()).num_days(), 1);

@@ -12,10 +12,10 @@ use ipv6_user_study::analysis::DatasetIndex;
 use ipv6_user_study::secapp::mlfeatures::{training_set, LogisticModel};
 use ipv6_user_study::secapp::signatures::HeavyAddressPredictor;
 use ipv6_user_study::telemetry::time::{focus_day_user, focus_week};
-use ipv6_user_study::Study;
+use ipv6_user_study::{Study, StudyConfig};
 
 fn main() {
-    let study = Study::builder().test_scale().run().expect("valid preset");
+    let study = Study::run(StudyConfig::test_scale()).expect("valid preset");
 
     // 1. Exempt-list the predictable mega-addresses (gateway signature),
     //    so blocklists and limiters can skip them (the paper's advice:

@@ -9,10 +9,10 @@ use ipv6_user_study::secapp::actioning::{actioning_roc, operating_points, Granul
 use ipv6_user_study::secapp::blocklist::{evaluate_over_days, Blocklist};
 use ipv6_user_study::telemetry::time::focus_day_user;
 use ipv6_user_study::telemetry::SimDate;
-use ipv6_user_study::Study;
+use ipv6_user_study::{Study, StudyConfig};
 
 fn main() {
-    let study = Study::builder().test_scale().run().expect("valid preset");
+    let study = Study::run(StudyConfig::test_scale()).expect("valid preset");
     let day_n = focus_day_user() - 1;
     let day_n1 = focus_day_user();
     let n = study.pair_store().on_day(day_n);

@@ -8,7 +8,7 @@
 
 use ipv6_user_study::analysis::characterize::prevalence_series;
 use ipv6_user_study::telemetry::SimDate;
-use ipv6_user_study::Study;
+use ipv6_user_study::{Study, StudyConfig};
 
 fn bar(share: f64, lo: f64, hi: f64, width: usize) -> String {
     let frac = ((share - lo) / (hi - lo)).clamp(0.0, 1.0);
@@ -17,7 +17,7 @@ fn bar(share: f64, lo: f64, hi: f64, width: usize) -> String {
 }
 
 fn main() {
-    let study = Study::builder().test_scale().run().expect("valid preset");
+    let study = Study::run(StudyConfig::test_scale()).expect("valid preset");
     let range = study.config().full_range;
     let user = study.datasets().user_sample.in_range(range);
     let req = study.datasets().request_sample.in_range(range);

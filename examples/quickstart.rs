@@ -6,18 +6,18 @@
 //! ```
 
 use ipv6_user_study::experiments::{self, AnalysisCtx};
-use ipv6_user_study::Study;
+use ipv6_user_study::{Study, StudyConfig};
 
 fn main() {
     // A scaled-down platform: ~5k households (~12k users), attacker
     // campaigns included, simulated over the paper's Jan 23 – Apr 19 2020
     // window with deterministic sampling.
-    let config = Study::builder().test_scale().build().expect("valid preset");
+    let config = StudyConfig::test_scale();
     println!(
         "simulating {} households, {} campaigns, {} .. {}",
         config.households, config.campaigns, config.full_range.start, config.full_range.end
     );
-    let study = Study::run(config).expect("validated above");
+    let study = Study::run(config).expect("valid preset");
     println!(
         "platform saw {} requests; samples retained {}; {} labeled abusive accounts\n",
         study.datasets().offered,

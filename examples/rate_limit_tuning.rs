@@ -10,10 +10,10 @@ use ipv6_user_study::analysis::ip_centric::{users_per_ip, users_per_prefix};
 use ipv6_user_study::analysis::DatasetIndex;
 use ipv6_user_study::secapp::ratelimit::{recommend_threshold, KeyPolicy, RateLimiter};
 use ipv6_user_study::telemetry::time::focus_week;
-use ipv6_user_study::Study;
+use ipv6_user_study::{Study, StudyConfig};
 
 fn main() {
-    let study = Study::builder().test_scale().run().expect("valid preset");
+    let study = Study::run(StudyConfig::test_scale()).expect("valid preset");
     let week = focus_week();
 
     let per_ip = users_per_ip(&DatasetIndex::build(

@@ -13,11 +13,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ipv6_user_study::Study;
 //! use ipv6_user_study::experiments::{self, AnalysisCtx};
+//! use ipv6_user_study::{Study, StudyConfig};
 //!
 //! // Simulate a small platform and regenerate Figure 7.
-//! let study = Study::builder().tiny().run().unwrap();
+//! let study = Study::run(StudyConfig::tiny()).unwrap();
 //! let ctx = AnalysisCtx::new(&study);
 //! let fig7 = experiments::fig7_users_per_ip(&ctx);
 //! let v6_single = fig7.get_stat("fig7.v6_day_single").unwrap();
@@ -30,9 +30,9 @@
 
 pub use ipv6_study_core::{
     experiments, incremental, paper, report, ConfigError, FailurePolicy, FaultInjector, FaultKind,
-    FaultReport, IncrementalRun, IncrementalStat, IoFaultSpec, RunMetrics, RunReport, SamplingPlan,
-    ShardFailure, ShardMetrics, SpillError, StorageMode, Study, StudyBuilder, StudyConfig,
-    StudyError, StudyOutcome, DEFAULT_SEGMENT_ROWS,
+    FaultReport, IncrementalRun, IncrementalStat, RunMetrics, RunReport, SamplingPlan,
+    ShardFailure, ShardMetrics, SpillError, StorageMode, Study, StudyConfig, StudyError,
+    StudyOutcome, DEFAULT_SEGMENT_ROWS,
 };
 
 /// Statistical substrate: ECDFs, ROC curves, hashing, extrapolation.
