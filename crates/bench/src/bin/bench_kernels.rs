@@ -31,7 +31,7 @@ use ipv6_study_stats::hash::{sampled, StableHasher};
 use ipv6_study_stats::testgen::TestGen;
 use ipv6_study_telemetry::columns::ColumnStore;
 use ipv6_study_telemetry::intern::{EntityTables, IpId, IpTable, UserTable};
-use ipv6_study_telemetry::kernels::{radix_sort_perm_u32, radix_sort_u64, scratch_stats};
+use ipv6_study_telemetry::kernels::{radix_sort_perm_u32, radix_sort_u64};
 use ipv6_study_telemetry::time::Timestamp;
 use ipv6_study_telemetry::{Asn, Country, Samplers};
 
@@ -229,7 +229,6 @@ fn main() {
             .count()
     });
 
-    let (leases, reuses, retained) = scratch_stats();
     let doc = Json::obj()
         .with("schema_version", Json::UInt(1))
         .with("rows", Json::UInt(rows as u64))
@@ -246,13 +245,6 @@ fn main() {
                 .with("stable_hash_5_words", entry(rows, hash5_secs, 0.0))
                 .with("sampled_one_word", entry(rows, sampled_secs, 0.0))
                 .with("prefix_sampled", entry(rows, prefix_secs, 0.0)),
-        )
-        .with(
-            "scratch",
-            Json::obj()
-                .with("leases", Json::UInt(leases))
-                .with("reuses", Json::UInt(reuses))
-                .with("retained_bytes", Json::UInt(retained as u64)),
         );
 
     eprintln!("kernel microbench over {rows} rows (best of {iters}):");
@@ -275,7 +267,6 @@ fn main() {
             eprintln!("  {name:20} {secs:>10.6}s  {rate:>8.1} Mrows/s  {ns:>6.1} ns/op");
         }
     }
-    eprintln!("  scratch arena: {leases} leases, {reuses} reuses, {retained} bytes retained");
 
     match std::fs::write(&out_path, doc.render_pretty()) {
         Ok(()) => eprintln!("wrote {out_path}"),

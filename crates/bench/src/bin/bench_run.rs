@@ -22,9 +22,9 @@
 //! (`load`, `extend`, `render`, `checkpoint`). `bench_diff --gate` gates
 //! any number in the document by its `/`-separated path.
 
-use ipv6_study_bench::cli::{usage_exit, CommonArgs};
+use ipv6_study_bench::cli::{run_failed, usage_exit, CommonArgs};
 use ipv6_study_core::experiments::run_all;
-use ipv6_study_core::{incremental, Study, StudyError};
+use ipv6_study_core::{incremental, Study};
 
 const USAGE: &str = "usage: bench_run [tiny|test|default|full] [--threads N|auto] \
      [--analysis-threads N|auto] [--out PATH] [--households N] \
@@ -54,54 +54,29 @@ fn main() {
     let study = match args.state_dir {
         // Incremental route: the engine runs sim + analyses itself and
         // fills the report's `incremental` section.
-        Some(ref dir) => match incremental::run(config, dir) {
-            Ok(run) => {
-                eprintln!(
-                    "incremental: {} day(s) reused, {} computed in {:.3}s",
-                    run.stats.days_reused,
-                    run.stats.days_computed,
-                    run.stats.extend_wall.as_secs_f64(),
-                );
-                run.study
-            }
-            Err(e @ StudyError::Config(_)) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            Err(StudyError::ShardsFailed(report)) => {
-                eprint!("{}", report.render());
-                eprintln!("run failed: shard failures exceeded the failure policy");
-                std::process::exit(1);
-            }
-            Err(e @ StudyError::Spill(_)) => {
-                eprintln!("run failed: {e}");
-                std::process::exit(1);
-            }
-        },
+        Some(ref dir) => {
+            let run = match incremental::run(config, dir) {
+                Ok(run) => run,
+                Err(e) => run_failed(e),
+            };
+            eprintln!(
+                "incremental: {} day(s) reused, {} computed in {:.3}s",
+                run.stats.days_reused,
+                run.stats.days_computed,
+                run.stats.extend_wall.as_secs_f64(),
+            );
+            run.study
+        }
         None => {
             let mut study = match Study::run(config) {
                 Ok(s) => s,
-                Err(e @ StudyError::Config(_)) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-                Err(StudyError::ShardsFailed(report)) => {
-                    eprint!("{}", report.render());
-                    eprintln!("run failed: shard failures exceeded the failure policy");
-                    std::process::exit(1);
-                }
-                Err(e @ StudyError::Spill(_)) => {
-                    eprintln!("run failed: {e}");
-                    std::process::exit(1);
-                }
+                Err(e) => run_failed(e),
             };
             let _results = run_all(&mut study);
             study
         }
     };
-    if !study.faults().is_clean() {
-        eprint!("{}", study.faults().render());
-    }
+    // The report lists any failed shards after the span tree.
     eprint!("{}", study.report().render());
 
     match std::fs::write(&out_path, study.report().to_json_string()) {

@@ -35,34 +35,15 @@
 
 use std::time::Instant;
 
-use ipv6_study_bench::cli::{usage_exit, CommonArgs};
+use ipv6_study_bench::cli::{run_failed, usage_exit, CommonArgs};
 use ipv6_study_core::experiments::{run_all, run_extended};
 use ipv6_study_core::report::{render_markdown, render_summary};
-use ipv6_study_core::{incremental, Study, StudyError};
+use ipv6_study_core::{incremental, Study};
 
 const USAGE: &str = "usage: repro [tiny|test|default|full] [output.md] [--threads N|auto] \
      [--analysis-threads N|auto] [--households N] [--storage memory|spill[:DIR]] \
      [--segment-rows N] [--disk-budget BYTES] [--extend-days N] [--state-dir DIR] \
      [--extended]";
-
-/// Renders a study error and exits with the conventional status.
-fn run_failed(e: StudyError) -> ! {
-    match e {
-        e @ StudyError::Config(_) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        StudyError::ShardsFailed(report) => {
-            eprint!("{}", report.render());
-            eprintln!("run failed: shard failures exceeded the failure policy");
-            std::process::exit(1);
-        }
-        e @ StudyError::Spill(_) => {
-            eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
 
 fn main() {
     let args = CommonArgs::parse(std::env::args().skip(1), USAGE);

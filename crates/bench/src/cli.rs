@@ -1,4 +1,5 @@
-//! Shared command-line parsing for the `repro` and `bench_run` binaries.
+//! Shared command-line parsing, and the shared exit on a failed run
+//! ([`run_failed`]), for the `repro` and `bench_run` binaries.
 //!
 //! Both binaries accept the same run-shaping flags; this module owns them
 //! so the two surfaces cannot drift:
@@ -36,7 +37,7 @@
 
 use std::path::PathBuf;
 
-use ipv6_study_core::{StorageMode, StudyConfig, DEFAULT_SEGMENT_ROWS};
+use ipv6_study_core::{StorageMode, StudyConfig, StudyError, DEFAULT_SEGMENT_ROWS};
 
 /// The flags shared by `repro` and `bench_run`, plus the passed-through
 /// remainder.
@@ -70,6 +71,26 @@ pub fn usage_exit(usage: &str, msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("{usage}");
     std::process::exit(2);
+}
+
+/// Prints a study error and exits: status 2 for a bad config, 1 for a
+/// run that failed (failed shards are listed first).
+pub fn run_failed(e: StudyError) -> ! {
+    match e {
+        e @ StudyError::Config(_) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+        StudyError::ShardsFailed(report) => {
+            eprint!("{}", report.render());
+            eprintln!("run failed: shard failures exceeded the failure policy");
+            std::process::exit(1);
+        }
+        e @ StudyError::Spill(_) => {
+            eprintln!("run failed: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn parse_threads(usage: &str, arg: &str) -> usize {

@@ -49,7 +49,6 @@ use ipv6_study_secapp::ratelimit::recommend_threshold;
 use ipv6_study_secapp::signatures::HeavyAddressPredictor;
 use ipv6_study_secapp::threat_exchange::{half_life, value_decay};
 use ipv6_study_stats::Ecdf;
-use ipv6_study_telemetry::kernels::{scratch_reset, with_scratch, ScratchArena};
 use ipv6_study_telemetry::time::{focus_day_ip, focus_day_user};
 use ipv6_study_telemetry::{Asn, ColumnSlice, DateRange, Family::*, IpId, SimDate, UserId};
 
@@ -1241,11 +1240,11 @@ pub(crate) const EXTENDED_EXPERIMENTS: [Experiment; 1] =
 type Results = Vec<(&'static str, ExperimentOutput)>;
 
 /// Runs `registry` over `study` on `workers` workers, each pass through a
-/// view of its own declarations, and trims the calling thread's scratch
-/// arena. Returns the outputs in registry order and the `analysis` span:
-/// `passes`, one child per pass with its input records as items, the
-/// index builds it is first to declare under `index` and the sub-steps
-/// it timed itself; the span's bytes are the builds' bytes.
+/// view of its own declarations. Returns the outputs in registry order
+/// and the `analysis` span: `passes`, one child per pass with its input
+/// records as items, the index builds it is first to declare under
+/// `index` and the sub-steps it timed itself; the span's bytes are the
+/// builds' bytes.
 fn analyse(study: &Study, registry: &[Experiment], workers: usize) -> (Results, Span) {
     let t0 = Instant::now();
     let plan = Plan::new(study, registry.iter().map(|&(id, inputs, _)| (id, inputs)));
@@ -1257,12 +1256,9 @@ fn analyse(study: &Study, registry: &[Experiment], workers: usize) -> (Results, 
         let out = (registry[i].2)(&ctx);
         let wall = t.elapsed();
         ctx.finish();
-        // The worker's pass boundary: leases balanced, buffers kept warm.
-        scratch_reset();
         (out, wall)
     });
     let passes_wall = t0.elapsed();
-    with_scratch(ScratchArena::trim);
 
     let (mut results, mut children, mut bytes) = (Vec::new(), Vec::new(), 0);
     for ((&(id, ..), (out, wall)), builds) in registry.iter().zip(outs).zip(plan.builds()) {
@@ -1609,22 +1605,6 @@ mod tests {
         assert!(study.report.spans.is_empty());
     }
 
-    /// The calling thread keeps no kernel scratch after a study run or an
-    /// analysis run returns (at one worker every pass runs on it).
-    #[test]
-    fn calls_return_with_the_scratch_arena_trimmed() {
-        let retained = || ipv6_study_telemetry::kernels::scratch_stats().2;
-        let mut cfg = StudyConfig::tiny();
-        cfg.analysis_threads = Some(1);
-        let mut study = Study::run(cfg).unwrap();
-        assert_eq!(retained(), 0, "after Study::run");
-        let _ = run_all(&mut study);
-        assert_eq!(retained(), 0, "after run_all");
-        let _ = run_selected(&mut study, &["F1", "S7.2"], 1);
-        assert_eq!(retained(), 0, "after run_selected");
-        let _ = run_extended(&study);
-        assert_eq!(retained(), 0, "after run_extended");
-    }
     /// The oracle: X8.1's distributions from one index per kind and
     /// input, over the rows whose ASN has that kind.
     fn kind_breakdown_oracle(

@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 use ipv6_study_netmodel::World;
 use ipv6_study_obs::{FaultStat, Json, RunReport, Span};
 use ipv6_study_secapp::actioning::DayCounts;
-use ipv6_study_telemetry::kernels::{with_scratch, ScratchArena};
 use ipv6_study_telemetry::{
     AbuseLabels, DateRange, Family, FrozenDatasets, FrozenStore, Segment, SimDate, SpillPolicy,
     SpillSession, SpillStats, StorageMode,
@@ -117,11 +116,7 @@ impl Study {
         config.validate()?;
         let started = Instant::now();
         let world = SimInputs::world(&config);
-        let study = Self::absorb(config, world, History::default(), started);
-        // The calling thread ran the freeze's radix passes (and every
-        // shard, at one worker): keep none of their scratch buffers.
-        with_scratch(ScratchArena::trim);
-        study
+        Self::absorb(config, world, History::default(), started)
     }
 
     /// Simulates the days of `config.sim_range()` after `history`, then

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use ipv6_study_netaddr::{Ipv4Prefix, Ipv6Prefix};
+use ipv6_study_netaddr::Ipv6Prefix;
 
 use crate::ids::{Asn, Country, UserId};
 use crate::record::RequestRecord;
@@ -98,21 +98,18 @@ impl IpId {
 /// The interned address dictionary with precomputed prefix-id columns.
 ///
 /// Per-family address tables are sorted and deduplicated; every entry
-/// carries its address's ASN and country, each IPv6 entry the dense id
-/// of its /64, /56 and /48 prefix, each IPv4 entry the dense id of its
-/// /24 — the prefix lengths the paper's aggregation analyses
-/// (Figures 4, 6, 9–11) hit on every pass.
+/// carries its address's ASN and country, and each IPv6 entry the dense
+/// id of its /64, /56 and /48 prefix — the prefix lengths the paper's
+/// aggregation analyses (Figures 4, 6, 9–11) hit on every pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IpTable {
     v4: Vec<u32>,
     v6: Vec<u128>,
     v4_attrs: Vec<Attrs>,
     v6_attrs: Vec<Attrs>,
-    v4_p24: Vec<u32>,
     v6_p64: Vec<u32>,
     v6_p56: Vec<u32>,
     v6_p48: Vec<u32>,
-    p24: Vec<u32>,
     p64: Vec<u128>,
     p56: Vec<u128>,
     p48: Vec<u128>,
@@ -204,7 +201,6 @@ impl IpTable {
         v6_attrs: Vec<Attrs>,
     ) -> Self {
         debug_assert!(v4.windows(2).all(|w| w[0] < w[1]) && v6.windows(2).all(|w| w[0] < w[1]));
-        let (v4_p24, p24) = prefix_column(&v4, |a| Ipv4Prefix::bits_containing(a, 24));
         let (v6_p64, p64) = prefix_column(&v6, |a| Ipv6Prefix::bits_containing(a, 64));
         let (v6_p56, p56) = prefix_column(&v6, |a| Ipv6Prefix::bits_containing(a, 56));
         let (v6_p48, p48) = prefix_column(&v6, |a| Ipv6Prefix::bits_containing(a, 48));
@@ -213,11 +209,9 @@ impl IpTable {
             v6,
             v4_attrs,
             v6_attrs,
-            v4_p24,
             v6_p64,
             v6_p56,
             v6_p48,
-            p24,
             p64,
             p56,
             p48,
@@ -367,8 +361,7 @@ impl IpTable {
         self.v4.len() * 4
             + self.v6.len() * 16
             + (self.v4_attrs.len() + self.v6_attrs.len()) * std::mem::size_of::<Attrs>()
-            + (self.v4_p24.len() + self.v6_p64.len() + self.v6_p56.len() + self.v6_p48.len()) * 4
-            + self.p24.len() * 4
+            + (self.v6_p64.len() + self.v6_p56.len() + self.v6_p48.len()) * 4
             + (self.p64.len() + self.p56.len() + self.p48.len()) * 16
     }
 }
@@ -712,9 +705,9 @@ mod tests {
         assert!(t.bytes() > 0);
     }
 
-    /// Satellite: the stored /64 /56 /48 (and /24) prefix ids must agree
-    /// with `netaddr` prefix math applied to the raw address — including
-    /// v4-mapped and edge addresses.
+    /// The stored /64 /56 /48 prefix ids must agree with `netaddr`
+    /// prefix math applied to the raw address — including v4-mapped and
+    /// edge addresses.
     #[test]
     fn prefix_columns_agree_with_netaddr_math() {
         use ipv6_study_stats::testgen::TestGen;
@@ -786,8 +779,8 @@ mod tests {
             assert_eq!((t.asn(id), t.country(id)), (r.asn, r.country), "{}", r.ip);
         }
         // Three addresses: 4 + 16 + 4 key bytes, 8 attribute bytes each,
-        // one /24 id each for the v4s, /64, /56 and /48 ids for the v6.
-        assert_eq!(t.bytes(), 24 + 3 * 8 + 2 * 4 + 3 * 4 + 4 + 3 * 16);
+        // and /64, /56 and /48 ids and prefix bits for the v6.
+        assert_eq!(t.bytes(), 24 + 3 * 8 + 3 * 4 + 3 * 16);
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Vectorized columnar kernels: stable LSB radix sorts and reusable
-//! scratch arenas.
+//! Vectorized columnar kernels: stable LSB radix sorts.
 //!
 //! The struct-of-arrays layout of [`crate::columns`] is built for
-//! data-parallel scans and sorts. The kernels here are the sort/scratch
+//! data-parallel scans and sorts. The kernels here are the sort
 //! primitives the hot paths run on instead of comparison sorts:
 //!
 //! - **Radix sorts** — [`radix_sort_perm_u32`] computes the permutation
@@ -19,21 +18,12 @@
 //!   build leaves every golden digest byte-identical. [`radix_sort_u32`]
 //!   and [`radix_sort_u64`] sort plain key vectors in place (for
 //!   sort-and-dedup distinct-key paths, where any correct sort agrees).
-//! - **Scratch arenas** — the radix passes need transient count/key/perm
-//!   buffers, and the analysis engine invokes them for every index the
-//!   20 passes declare, each built once. [`ScratchArena`] pools those buffers per
-//!   thread: [`with_scratch`] leases cleared-but-capacitated `Vec`s from
-//!   a thread-local pool, and the engine calls [`scratch_reset`] between
-//!   passes to assert the lease discipline (everything returned) while
-//!   retaining capacity — so repeated passes stop paying per-invocation
-//!   allocation. A study run and an analysis run trim the calling
-//!   thread's arena ([`ScratchArena::trim`]) before they return, so a
-//!   long-lived caller keeps none of it.
+//! - **No retained state** — each sort allocates its bounce buffers
+//!   when it is called and frees them when it returns, so no thread
+//!   holds sort memory past the pass that needed it.
 //!
 //! Everything is std-only: the "vectorization" is bounds-check-free
 //! chunked loops the optimizer auto-vectorizes, not intrinsics.
-
-use std::cell::RefCell;
 
 use crate::intern::IpId;
 use crate::record::RequestRecord;
@@ -72,133 +62,10 @@ impl U32Key for IpId {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scratch arenas
-// ---------------------------------------------------------------------------
-
-/// A pool of reusable scratch buffers for kernel invocations.
-///
-/// Leased buffers come back cleared (`len == 0`) but keep their
-/// capacity, so a worker that runs many kernel calls (the analysis
-/// engine's index builds across 20 passes) allocates each buffer class
-/// once and reuses it for the rest of the run. The lease discipline is strict: every `lease_*` must be
-/// paired with a `restore_*` before [`ScratchArena::reset`] — the
-/// engine's between-passes reset asserts the balance in debug builds.
-#[derive(Debug, Default)]
-pub struct ScratchArena {
-    u32s: Vec<Vec<u32>>,
-    u64s: Vec<Vec<u64>>,
-    outstanding: usize,
-    leases: u64,
-    reuses: u64,
-}
-
-impl ScratchArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Leases a cleared `Vec<u32>` with at least `cap` capacity.
-    pub fn lease_u32(&mut self, cap: usize) -> Vec<u32> {
-        self.leases += 1;
-        self.outstanding += 1;
-        match self.u32s.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
-    }
-
-    /// Returns a leased `Vec<u32>` to the pool.
-    pub fn restore_u32(&mut self, v: Vec<u32>) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        if v.capacity() > 0 {
-            self.u32s.push(v);
-        }
-    }
-
-    /// Leases a cleared `Vec<u64>` with at least `cap` capacity.
-    pub fn lease_u64(&mut self, cap: usize) -> Vec<u64> {
-        self.leases += 1;
-        self.outstanding += 1;
-        match self.u64s.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
-    }
-
-    /// Returns a leased `Vec<u64>` to the pool.
-    pub fn restore_u64(&mut self, v: Vec<u64>) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        if v.capacity() > 0 {
-            self.u64s.push(v);
-        }
-    }
-
-    /// Marks a pass boundary: asserts (in debug builds) that every lease
-    /// was restored, and retains the pooled capacity for the next pass.
-    pub fn reset(&mut self) {
-        debug_assert_eq!(
-            self.outstanding, 0,
-            "scratch lease leaked across a pass boundary"
-        );
-    }
-
-    /// Releases every pooled buffer: a study or analysis run trims the
-    /// calling thread's arena before it returns.
-    pub fn trim(&mut self) {
-        self.u32s = Vec::new();
-        self.u64s = Vec::new();
-    }
-
-    /// Heap bytes currently retained by pooled buffers.
-    pub fn retained_bytes(&self) -> usize {
-        self.u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
-            + self.u64s.iter().map(|v| v.capacity() * 8).sum::<usize>()
-    }
-
-    /// `(leases served, leases satisfied by reuse)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.leases, self.reuses)
-    }
-}
-
-thread_local! {
-    static SCRATCH: RefCell<ScratchArena> = RefCell::new(ScratchArena::new());
-}
-
-/// Runs `f` with the calling thread's scratch arena. Do not call
-/// [`with_scratch`] reentrantly from inside `f` — the arena is a
-/// thread-local `RefCell`.
-pub fn with_scratch<R>(f: impl FnOnce(&mut ScratchArena) -> R) -> R {
-    SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// Marks a pass boundary on the calling thread's arena (see
-/// [`ScratchArena::reset`]). The analysis engine calls this between
-/// passes.
-pub fn scratch_reset() {
-    with_scratch(ScratchArena::reset);
-}
-
-/// `(leases, reuses, retained bytes)` of the calling thread's arena —
-/// surfaced by `bench_kernels` to show the reuse rate.
-pub fn scratch_stats() -> (u64, u64, usize) {
-    with_scratch(|s| {
-        let (leases, reuses) = s.stats();
-        (leases, reuses, s.retained_bytes())
-    })
-}
+/// Does nothing: the sorts keep no state between calls. It stays only
+/// because `perfbench` calls it after every pass, and goes once that
+/// call does.
+pub fn scratch_reset() {}
 
 // ---------------------------------------------------------------------------
 // Radix sorts
@@ -245,41 +112,32 @@ pub fn radix_sort_perm_u32<K: U32Key>(col: &[K]) -> Vec<u32> {
 
 /// [`radix_sort_perm_u32`] over an arbitrary exact-size key stream (for
 /// callers whose keys are computed, e.g. a row store sorting by
-/// timestamp). Keys are staged in a scratch-arena buffer.
+/// timestamp).
 pub fn radix_sort_perm_keys(keys_in: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
     let n = keys_in.len();
     let mut perm: Vec<u32> = (0..n as u32).collect();
     if n <= 1 {
-        // Consume the iterator contract cheaply; nothing to reorder.
         return perm;
     }
-    with_scratch(|arena| {
-        let mut keys = arena.lease_u32(n);
-        keys.extend(keys_in);
-        let mut keys_tmp = arena.lease_u32(n);
-        let mut perm_tmp = arena.lease_u32(n);
-        keys_tmp.resize(n, 0);
-        perm_tmp.resize(n, 0);
-        let counts = byte_histograms::<4>(keys.iter().map(|&k| u64::from(k)));
-        for (byte, hist) in counts.iter().enumerate() {
-            let Some(mut next) = bucket_starts(hist, n) else {
-                continue;
-            };
-            let shift = 8 * byte;
-            // A stable scatter of `(key, payload)` by the byte at `shift`.
-            for (&k, &p) in keys.iter().zip(&perm) {
-                let bucket = (k >> shift & 0xff) as usize;
-                keys_tmp[next[bucket]] = k;
-                perm_tmp[next[bucket]] = p;
-                next[bucket] += 1;
-            }
-            std::mem::swap(&mut keys, &mut keys_tmp);
-            std::mem::swap(&mut perm, &mut perm_tmp);
+    let mut keys: Vec<u32> = keys_in.collect();
+    let mut keys_tmp = vec![0; n];
+    let mut perm_tmp = vec![0; n];
+    let counts = byte_histograms::<4>(keys.iter().map(|&k| u64::from(k)));
+    for (byte, hist) in counts.iter().enumerate() {
+        let Some(mut next) = bucket_starts(hist, n) else {
+            continue;
+        };
+        let shift = 8 * byte;
+        // A stable scatter of `(key, payload)` by the byte at `shift`.
+        for (&k, &p) in keys.iter().zip(&perm) {
+            let bucket = (k >> shift & 0xff) as usize;
+            keys_tmp[next[bucket]] = k;
+            perm_tmp[next[bucket]] = p;
+            next[bucket] += 1;
         }
-        arena.restore_u32(keys);
-        arena.restore_u32(keys_tmp);
-        arena.restore_u32(perm_tmp);
-    });
+        std::mem::swap(&mut keys, &mut keys_tmp);
+        std::mem::swap(&mut perm, &mut perm_tmp);
+    }
     perm
 }
 
@@ -306,24 +164,20 @@ pub fn radix_sort_u32(v: &mut Vec<u32>) {
     if n <= 1 {
         return;
     }
-    with_scratch(|arena| {
-        let mut tmp = arena.lease_u32(n);
-        tmp.resize(n, 0);
-        let counts = byte_histograms::<4>(v.iter().map(|&k| u64::from(k)));
-        for (byte, hist) in counts.iter().enumerate() {
-            let Some(mut next) = bucket_starts(hist, n) else {
-                continue;
-            };
-            let shift = 8 * byte;
-            for &k in v.iter() {
-                let bucket = (k >> shift & 0xff) as usize;
-                tmp[next[bucket]] = k;
-                next[bucket] += 1;
-            }
-            std::mem::swap(v, &mut tmp);
+    let mut tmp = vec![0; n];
+    let counts = byte_histograms::<4>(v.iter().map(|&k| u64::from(k)));
+    for (byte, hist) in counts.iter().enumerate() {
+        let Some(mut next) = bucket_starts(hist, n) else {
+            continue;
+        };
+        let shift = 8 * byte;
+        for &k in v.iter() {
+            let bucket = (k >> shift & 0xff) as usize;
+            tmp[next[bucket]] = k;
+            next[bucket] += 1;
         }
-        arena.restore_u32(tmp);
-    });
+        std::mem::swap(v, &mut tmp);
+    }
 }
 
 /// Sorts a plain `u64` key vector ascending in place (LSB counting
@@ -335,24 +189,20 @@ pub fn radix_sort_u64(v: &mut Vec<u64>) {
     if n <= 1 {
         return;
     }
-    with_scratch(|arena| {
-        let mut tmp = arena.lease_u64(n);
-        tmp.resize(n, 0);
-        let counts = byte_histograms::<8>(v.iter().copied());
-        for (byte, hist) in counts.iter().enumerate() {
-            let Some(mut next) = bucket_starts(hist, n) else {
-                continue;
-            };
-            let shift = 8 * byte;
-            for &k in v.iter() {
-                let bucket = (k >> shift & 0xff) as usize;
-                tmp[next[bucket]] = k;
-                next[bucket] += 1;
-            }
-            std::mem::swap(v, &mut tmp);
+    let mut tmp = vec![0; n];
+    let counts = byte_histograms::<8>(v.iter().copied());
+    for (byte, hist) in counts.iter().enumerate() {
+        let Some(mut next) = bucket_starts(hist, n) else {
+            continue;
+        };
+        let shift = 8 * byte;
+        for &k in v.iter() {
+            let bucket = (k >> shift & 0xff) as usize;
+            tmp[next[bucket]] = k;
+            next[bucket] += 1;
         }
-        arena.restore_u64(tmp);
-    });
+        std::mem::swap(v, &mut tmp);
+    }
 }
 
 #[cfg(test)]
@@ -431,39 +281,5 @@ mod tests {
         expected.sort_by_key(|r| r.ts);
         radix_sort_records_by_ts(&mut records);
         assert_eq!(records, expected);
-        scratch_reset();
-    }
-
-    #[test]
-    fn arena_reuses_buffers_across_leases() {
-        let mut arena = ScratchArena::new();
-        let a = arena.lease_u32(100);
-        assert!(a.capacity() >= 100);
-        arena.restore_u32(a);
-        let b = arena.lease_u32(50);
-        assert!(b.capacity() >= 100, "restored capacity is reused");
-        assert!(b.is_empty(), "leases come back cleared");
-        arena.restore_u32(b);
-        let (leases, reuses) = arena.stats();
-        assert_eq!((leases, reuses), (2, 1));
-        assert!(arena.retained_bytes() >= 400);
-        arena.reset(); // balanced: no debug assert
-        arena.trim();
-        assert_eq!(arena.retained_bytes(), 0);
-    }
-
-    #[test]
-    fn thread_local_scratch_accumulates_reuse() {
-        // Two sorts on this thread: the second must reuse the first's
-        // buffers.
-        let keys = seeded_keys(42, 512, 1000);
-        let (l0, _, _) = scratch_stats();
-        let _ = radix_sort_perm_u32(&keys);
-        let _ = radix_sort_perm_u32(&keys);
-        let (l1, r1, retained) = scratch_stats();
-        assert!(l1 > l0);
-        assert!(r1 > 0, "second sort reuses pooled buffers");
-        assert!(retained > 0);
-        scratch_reset(); // balanced on this thread
     }
 }

@@ -18,7 +18,7 @@
 //!   random samples.
 //! - [`intern`] — global entity intern tables built at freeze time:
 //!   [`intern::IpTable`] (dense [`intern::IpId`]s with each address's ASN
-//!   and country and precomputed /64 /56 /48 and v4 /24 prefix ids) and
+//!   and country and precomputed /64 /56 /48 prefix ids) and
 //!   [`intern::UserTable`].
 //! - [`columns`] — the columnar (struct-of-arrays) record layout:
 //!   [`columns::ColumnStore`] and the borrowed [`columns::ColumnSlice`]
@@ -68,7 +68,7 @@ pub use ids::{Asn, Country, DeviceId, HouseholdId, UserId};
 pub use intern::{EntityTables, IpId, IpTable, UserTable};
 pub use kernels::{
     radix_sort_perm_keys, radix_sort_perm_u32, radix_sort_records_by_ts, radix_sort_u32,
-    radix_sort_u64, scratch_reset, scratch_stats, with_scratch, ScratchArena, U32Key,
+    radix_sort_u64, U32Key,
 };
 pub use labels::{AbuseInfo, AbuseLabels};
 pub use record::RequestRecord;

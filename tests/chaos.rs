@@ -15,63 +15,10 @@
 //! 3. **Failure policies** — `Abort` fails on the first failure without
 //!    retrying; `Retry` fails only after the retry budget is exhausted.
 
-use ipv6_user_study::stats::hash::StableHasher;
-use ipv6_user_study::telemetry::ColumnSlice;
 use ipv6_user_study::{FailurePolicy, FaultInjector, Study, StudyConfig, StudyError};
 
-/// Order-sensitive digest of a record sequence.
-fn digest(records: ColumnSlice<'_>) -> u64 {
-    let mut h = StableHasher::new(0x4348_414F); // "CHAO"
-    for r in records.records() {
-        h.write_u64(u64::from(r.ts.secs()))
-            .write_u64(r.user.raw())
-            .write_u64(r.ip_key())
-            .write_u64(u64::from(r.asn.0));
-    }
-    h.finish()
-}
-
-/// Full-dataset digest comparison between two studies.
-fn assert_identical(a: &Study, b: &Study, what: &str) {
-    assert_eq!(
-        a.datasets().offered,
-        b.datasets().offered,
-        "{what}: offered"
-    );
-    assert_eq!(
-        a.datasets().user_sample.all(),
-        b.datasets().user_sample.all(),
-        "{what}: user sample"
-    );
-    assert_eq!(
-        digest(a.datasets().request_sample.all()),
-        digest(b.datasets().request_sample.all()),
-        "{what}: request sample"
-    );
-    assert_eq!(
-        digest(a.datasets().ip_sample.all()),
-        digest(b.datasets().ip_sample.all()),
-        "{what}: ip sample"
-    );
-    assert_eq!(
-        digest(a.abuse_store().all()),
-        digest(b.abuse_store().all()),
-        "{what}: abuse store"
-    );
-    assert_eq!(
-        digest(a.pair_store().all()),
-        digest(b.pair_store().all()),
-        "{what}: pair store"
-    );
-    let lengths = a.config().prefix_lengths.clone();
-    for &l in &lengths {
-        assert_eq!(
-            digest(a.datasets().prefix_sample(l).all()),
-            digest(b.datasets().prefix_sample(l).all()),
-            "{what}: prefix /{l}"
-        );
-    }
-}
+mod common;
+use common::assert_studies_identical;
 
 /// The tiny preset's shard plan: 7 benign shards (indices 0..7) then 5
 /// abuse shards (indices 7..12). Failing one of each flavor exercises
@@ -111,7 +58,7 @@ fn fault_injected_runs_are_byte_identical_to_fault_free() {
             chaotic.faults().records_lost() > 0,
             "panics after one simulated day must discard partial work"
         );
-        assert_identical(
+        assert_studies_identical(
             &clean,
             &chaotic,
             &format!("fault-free vs chaotic threads={threads}"),
@@ -173,7 +120,7 @@ fn degrade_policy_completes_and_reports_exactly_the_dead_shard() {
     assert!(json.contains("\"policy\": \"degrade\""));
 
     // Degraded runs keep the thread-count determinism contract too.
-    assert_identical(&degraded, &run(8), "degrade threads=2 vs 8");
+    assert_studies_identical(&degraded, &run(8), "degrade threads=2 vs 8");
 }
 
 #[test]
@@ -238,5 +185,5 @@ fn probabilistic_chaos_is_reproducible() {
             .map(|f| (f.shard, f.attempts))
             .collect::<Vec<_>>()
     );
-    assert_identical(&a, &b, "probabilistic chaos twice");
+    assert_studies_identical(&a, &b, "probabilistic chaos twice");
 }

@@ -23,65 +23,13 @@
 
 use std::path::PathBuf;
 
-use ipv6_user_study::stats::hash::StableHasher;
-use ipv6_user_study::telemetry::ColumnSlice;
 use ipv6_user_study::{
     FailurePolicy, FaultInjector, FaultKind, SpillError, StorageMode, Study, StudyConfig,
     StudyError,
 };
 
-/// Order-sensitive digest of a record sequence.
-fn digest(records: ColumnSlice<'_>) -> u64 {
-    let mut h = StableHasher::new(0x4348_494F); // "CHIO"
-    for r in records.records() {
-        h.write_u64(u64::from(r.ts.secs()))
-            .write_u64(r.user.raw())
-            .write_u64(r.ip_key())
-            .write_u64(u64::from(r.asn.0));
-    }
-    h.finish()
-}
-
-/// Full-dataset digest comparison between two studies.
-fn assert_identical(a: &Study, b: &Study, what: &str) {
-    assert_eq!(
-        a.datasets().offered,
-        b.datasets().offered,
-        "{what}: offered"
-    );
-    assert_eq!(
-        digest(a.datasets().request_sample.all()),
-        digest(b.datasets().request_sample.all()),
-        "{what}: request sample"
-    );
-    assert_eq!(
-        digest(a.datasets().user_sample.all()),
-        digest(b.datasets().user_sample.all()),
-        "{what}: user sample"
-    );
-    assert_eq!(
-        digest(a.datasets().ip_sample.all()),
-        digest(b.datasets().ip_sample.all()),
-        "{what}: ip sample"
-    );
-    for &len in &a.config().prefix_lengths {
-        assert_eq!(
-            digest(a.datasets().prefix_sample(len).all()),
-            digest(b.datasets().prefix_sample(len).all()),
-            "{what}: /{len} prefix sample"
-        );
-    }
-    assert_eq!(
-        digest(a.abuse_store().all()),
-        digest(b.abuse_store().all()),
-        "{what}: abuse store"
-    );
-    assert_eq!(
-        digest(a.pair_store().all()),
-        digest(b.pair_store().all()),
-        "{what}: pair store"
-    );
-}
+mod common;
+use common::assert_studies_identical;
 
 fn spill_config(threads: usize, segment_rows: usize) -> StudyConfig {
     let mut cfg = StudyConfig::tiny();
@@ -123,7 +71,7 @@ fn absorbed_io_faults_leave_runs_byte_identical_at_1_and_8_threads() {
             "threads={threads}: the injector fired"
         );
         retries_by_threads.push(chaotic.faults().io_retries);
-        assert_identical(
+        assert_studies_identical(
             &clean,
             &chaotic,
             &format!("absorbed faults threads={threads}"),
@@ -181,7 +129,7 @@ fn exhausted_op_retries_fail_the_shard_and_a_shard_retry_recovers_it() {
         );
         let rendered = run.faults().render();
         assert!(rendered.contains("last io:"), "{rendered}");
-        assert_identical(
+        assert_studies_identical(
             &clean,
             run,
             &format!("io shard retry threads={threads} rate={rate}"),
@@ -296,7 +244,7 @@ fn disk_budget_exhaustion_degrades_gracefully_with_budget_kind() {
     let roomy = Study::run(roomy).expect("ample budget");
     assert!(roomy.faults().is_clean());
     let unbudgeted = Study::run(spill_config(2, 256)).expect("no budget");
-    assert_identical(&unbudgeted, &roomy, "ample budget vs none");
+    assert_studies_identical(&unbudgeted, &roomy, "ample budget vs none");
 }
 
 /// Near-empty populations — where whole families spill zero records and
@@ -316,7 +264,7 @@ fn sparse_shards_with_empty_families_merge_identically() {
         dir: None,
         segment_rows: 64,
     });
-    assert_identical(&memory, &spilled, "sparse population");
+    assert_studies_identical(&memory, &spilled, "sparse population");
     // With 3 households the run is truly sparse, but the samplers still
     // retained something — the test exercises real (if small) merges.
     assert!(memory.datasets().offered > 0);

@@ -3,95 +3,15 @@
 //! same thread count. See `crates/core/src/driver.rs` for why this holds
 //! by construction.
 
-use ipv6_user_study::stats::hash::StableHasher;
-use ipv6_user_study::telemetry::ColumnSlice;
 use ipv6_user_study::{Study, StudyConfig};
+
+mod common;
+use common::assert_studies_identical;
 
 fn run_with_threads(threads: usize) -> Study {
     let mut cfg = StudyConfig::tiny();
     cfg.threads = threads;
     Study::run(cfg).expect("tiny preset is valid")
-}
-
-/// Order-sensitive digest of a record sequence.
-fn digest(records: ColumnSlice<'_>) -> u64 {
-    let mut h = StableHasher::new(0x5041_5245); // "PARE"
-    for r in records.records() {
-        h.write_u64(u64::from(r.ts.secs()))
-            .write_u64(r.user.raw())
-            .write_u64(r.ip_key())
-            .write_u64(u64::from(r.asn.0));
-    }
-    h.finish()
-}
-
-fn compare(a: Study, b: Study, what: &str) {
-    assert_eq!(
-        a.datasets().offered,
-        b.datasets().offered,
-        "{what}: offered"
-    );
-    assert_eq!(a.approx_users(), b.approx_users(), "{what}: approx_users");
-
-    // Dataset lengths.
-    assert_eq!(
-        a.datasets().request_sample.len(),
-        b.datasets().request_sample.len(),
-        "{what}"
-    );
-    assert_eq!(
-        a.datasets().user_sample.len(),
-        b.datasets().user_sample.len(),
-        "{what}"
-    );
-    assert_eq!(
-        a.datasets().ip_sample.len(),
-        b.datasets().ip_sample.len(),
-        "{what}"
-    );
-    assert_eq!(a.abuse_store().len(), b.abuse_store().len(), "{what}");
-    assert_eq!(a.pair_store().len(), b.pair_store().len(), "{what}");
-    let lengths: Vec<u8> = a.config().prefix_lengths.clone();
-    for &l in &lengths {
-        assert_eq!(
-            a.datasets().prefix_sample(l).len(),
-            b.datasets().prefix_sample(l).len(),
-            "{what}: prefix /{l}"
-        );
-    }
-
-    // Label sets.
-    assert_eq!(a.labels().len(), b.labels().len(), "{what}: label count");
-    let mut la: Vec<_> = a.labels().iter().collect();
-    let mut lb: Vec<_> = b.labels().iter().collect();
-    la.sort_unstable_by_key(|(u, _)| *u);
-    lb.sort_unstable_by_key(|(u, _)| *u);
-    assert_eq!(la, lb, "{what}: label sets");
-
-    // Byte-level equality of the sorted record streams, via digests and
-    // (for the sampled stores) exact slice comparison.
-    assert_eq!(
-        a.datasets().user_sample.all(),
-        b.datasets().user_sample.all(),
-        "{what}"
-    );
-    assert_eq!(
-        digest(a.datasets().request_sample.all()),
-        digest(b.datasets().request_sample.all())
-    );
-    assert_eq!(
-        digest(a.datasets().ip_sample.all()),
-        digest(b.datasets().ip_sample.all())
-    );
-    assert_eq!(digest(a.abuse_store().all()), digest(b.abuse_store().all()));
-    assert_eq!(digest(a.pair_store().all()), digest(b.pair_store().all()));
-    for &l in &lengths {
-        assert_eq!(
-            digest(a.datasets().prefix_sample(l).all()),
-            digest(b.datasets().prefix_sample(l).all()),
-            "{what}: prefix /{l} digest"
-        );
-    }
 }
 
 #[test]
@@ -103,16 +23,16 @@ fn serial_and_parallel_runs_are_identical() {
         parallel.metrics().threads > 1,
         "tiny plan has enough shards for 4 workers"
     );
-    compare(serial, parallel, "threads=1 vs threads=4");
+    assert_studies_identical(&serial, &parallel, "threads=1 vs threads=4");
 }
 
 #[test]
 fn parallel_runs_are_reproducible() {
     // Two parallel runs race their shard claims differently; the merged
     // output must not notice.
-    compare(
-        run_with_threads(4),
-        run_with_threads(4),
+    assert_studies_identical(
+        &run_with_threads(4),
+        &run_with_threads(4),
         "threads=4 vs threads=4",
     );
 }

@@ -12,9 +12,10 @@
 
 use ipv6_user_study::experiments::{experiment_ids, run_all, run_all_with};
 use ipv6_user_study::obs::{stem, Json, Span};
-use ipv6_user_study::stats::hash::StableHasher;
-use ipv6_user_study::telemetry::ColumnSlice;
 use ipv6_user_study::{Study, StudyConfig};
+
+mod common;
+use common::assert_studies_identical;
 
 /// An instrumented tiny batch run at one sim and one analysis thread, so
 /// every parent's wall bounds its children's.
@@ -367,18 +368,6 @@ fn calling_run_all_twice_leaves_one_analysis_subtree() {
     );
 }
 
-/// Order-sensitive digest of a record sequence.
-fn digest(records: ColumnSlice<'_>) -> u64 {
-    let mut h = StableHasher::new(0x4f42_5331); // "OBS1"
-    for r in records.records() {
-        h.write_u64(u64::from(r.ts.secs()))
-            .write_u64(r.user.raw())
-            .write_u64(r.ip_key())
-            .write_u64(u64::from(r.asn.0));
-    }
-    h.finish()
-}
-
 #[test]
 fn instrumentation_leaves_datasets_byte_identical() {
     let run = |instrument: bool| {
@@ -395,33 +384,5 @@ fn instrumentation_leaves_datasets_byte_identical() {
         "a disabled report records no spans"
     );
 
-    assert_eq!(on.datasets().offered, off.datasets().offered);
-    assert_eq!(
-        on.datasets().user_sample.all(),
-        off.datasets().user_sample.all()
-    );
-    assert_eq!(
-        digest(on.datasets().request_sample.all()),
-        digest(off.datasets().request_sample.all())
-    );
-    assert_eq!(
-        digest(on.datasets().ip_sample.all()),
-        digest(off.datasets().ip_sample.all())
-    );
-    assert_eq!(
-        digest(on.abuse_store().all()),
-        digest(off.abuse_store().all())
-    );
-    assert_eq!(
-        digest(on.pair_store().all()),
-        digest(off.pair_store().all())
-    );
-    let lengths = on.config().prefix_lengths.clone();
-    for &l in &lengths {
-        assert_eq!(
-            digest(on.datasets().prefix_sample(l).all()),
-            digest(off.datasets().prefix_sample(l).all()),
-            "prefix /{l} digest"
-        );
-    }
+    assert_studies_identical(&on, &off, "instrumented vs not");
 }

@@ -13,69 +13,12 @@ use std::path::PathBuf;
 
 use ipv6_user_study::experiments::run_all;
 use ipv6_user_study::report::render_markdown;
-use ipv6_user_study::stats::hash::StableHasher;
-use ipv6_user_study::telemetry::ColumnSlice;
 use ipv6_user_study::{
     FailurePolicy, FaultInjector, StorageMode, Study, StudyConfig, DEFAULT_SEGMENT_ROWS,
 };
 
-/// Order-sensitive digest of a record sequence.
-fn digest(records: ColumnSlice<'_>) -> u64 {
-    let mut h = StableHasher::new(0x5350_494C); // "SPIL"
-    for r in records.records() {
-        h.write_u64(u64::from(r.ts.secs()))
-            .write_u64(r.user.raw())
-            .write_u64(r.ip_key())
-            .write_u64(u64::from(r.asn.0));
-    }
-    h.finish()
-}
-
-/// Full-dataset digest comparison between two studies.
-fn assert_identical(a: &Study, b: &Study, what: &str) {
-    assert_eq!(
-        a.datasets().offered,
-        b.datasets().offered,
-        "{what}: offered"
-    );
-    assert_eq!(
-        digest(a.datasets().request_sample.all()),
-        digest(b.datasets().request_sample.all()),
-        "{what}: request sample"
-    );
-    assert_eq!(
-        digest(a.datasets().user_sample.all()),
-        digest(b.datasets().user_sample.all()),
-        "{what}: user sample"
-    );
-    assert_eq!(
-        digest(a.datasets().ip_sample.all()),
-        digest(b.datasets().ip_sample.all()),
-        "{what}: ip sample"
-    );
-    for &len in &a.config().prefix_lengths {
-        assert_eq!(
-            digest(a.datasets().prefix_sample(len).all()),
-            digest(b.datasets().prefix_sample(len).all()),
-            "{what}: /{len} prefix sample"
-        );
-    }
-    assert_eq!(
-        digest(a.abuse_store().all()),
-        digest(b.abuse_store().all()),
-        "{what}: abuse store"
-    );
-    assert_eq!(
-        digest(a.pair_store().all()),
-        digest(b.pair_store().all()),
-        "{what}: pair store"
-    );
-    assert_eq!(
-        a.user_sample_rate(),
-        b.user_sample_rate(),
-        "{what}: realized sample rate"
-    );
-}
+mod common;
+use common::assert_studies_identical;
 
 fn spill_config(threads: usize, segment_rows: usize) -> StudyConfig {
     let mut cfg = StudyConfig::tiny();
@@ -94,7 +37,7 @@ fn spill_runs_match_memory_runs_through_the_full_analysis_at_1_and_8_threads() {
         let mut cfg = spill_config(threads, DEFAULT_SEGMENT_ROWS);
         cfg.analysis_threads = Some(threads);
         let mut spilled = Study::run(cfg).expect("spill run");
-        assert_identical(&memory, &spilled, &format!("threads={threads}"));
+        assert_studies_identical(&memory, &spilled, &format!("threads={threads}"));
         assert!(
             spilled.metrics().peak_store_bytes > 0,
             "the gauge actually measured the sim phase"
@@ -122,7 +65,7 @@ fn digest_is_invariant_under_segment_row_boundaries() {
     let memory = Study::run(StudyConfig::tiny()).expect("in-memory run");
     for segment_rows in [64usize, DEFAULT_SEGMENT_ROWS, usize::MAX] {
         let spilled = Study::run(spill_config(2, segment_rows)).expect("spill run");
-        assert_identical(&memory, &spilled, &format!("segment_rows={segment_rows}"));
+        assert_studies_identical(&memory, &spilled, &format!("segment_rows={segment_rows}"));
     }
 }
 
@@ -154,7 +97,7 @@ fn mid_segment_panic_retry_leaves_no_orphan_spill_files() {
     );
     let chaotic = Study::run(cfg).expect("retries recover every shard");
     assert_eq!(chaotic.faults().total_retries(), 3, "the injector fired");
-    assert_identical(&clean, &chaotic, "chaotic spill run");
+    assert_studies_identical(&clean, &chaotic, "chaotic spill run");
 
     // The session directory (and with it every segment file, including
     // any a failed attempt wrote) is gone; only the user-supplied parent
