@@ -8,7 +8,6 @@
 //! loops read the timestamp and id columns without rematerializing rows
 //! (an address's ASN and country come from its table entry).
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use ipv6_study_netaddr::iid::iid;
@@ -30,61 +29,57 @@ pub struct PrevalencePoint {
 
 /// Computes Figure 1: daily IPv6 prevalence among users (from the user
 /// random sample) and among requests (from the request random sample).
+///
+/// Both samples must be in timestamp order (as every store slice is), so
+/// each day is one contiguous run of rows, found by binary search. On a
+/// day's run of the user sample, one flag byte per dense user id records
+/// whether the user was seen and whether it was seen on IPv6, counting
+/// each flag's first setting; the day's flags are cleared after it.
 pub fn prevalence_series(
     user_sample: ColumnSlice<'_>,
     request_sample: ColumnSlice<'_>,
     range: DateRange,
 ) -> Vec<PrevalencePoint> {
-    // Pre-bucket by day to avoid re-scanning per day; users dedup on their
-    // dense ids (bijective with `UserId`, so the counts are unchanged).
-    let mut users_by_day: HashMap<SimDate, HashMap<u32, bool>> = HashMap::new();
-    for ((&ts, &user), &ip) in user_sample
-        .ts()
-        .iter()
-        .zip(user_sample.users_dense())
-        .zip(user_sample.ip_ids())
-    {
-        let d = ts.date();
-        if range.contains(d) {
-            let e = users_by_day
-                .entry(d)
-                .or_default()
-                .entry(user)
-                .or_insert(false);
-            *e |= ip.is_v6();
+    const SEEN: u8 = 1;
+    const ON_V6: u8 = 2;
+    debug_assert!(
+        user_sample.ts().is_sorted() && request_sample.ts().is_sorted(),
+        "samples are in timestamp order"
+    );
+    let day_rows = |sample: ColumnSlice<'_>, day: SimDate| {
+        let ts = sample.ts();
+        let start = ts.partition_point(|t| t.date() < day);
+        start..start + ts[start..].partition_point(|t| t.date() == day)
+    };
+    let share = |v6: u64, total: u64| {
+        if total == 0 {
+            0.0
+        } else {
+            v6 as f64 / total as f64
         }
-    }
-    let mut reqs_by_day: HashMap<SimDate, (u64, u64)> = HashMap::new();
-    for (&ts, &ip) in request_sample.ts().iter().zip(request_sample.ip_ids()) {
-        let d = ts.date();
-        if range.contains(d) {
-            let e = reqs_by_day.entry(d).or_default();
-            e.0 += 1;
-            if ip.is_v6() {
-                e.1 += 1;
-            }
-        }
-    }
+    };
+    let (users, ips) = (user_sample.users_dense(), user_sample.ip_ids());
+    let mut flags = vec![0u8; user_sample.tables().users.len()];
     range
         .days()
         .map(|day| {
-            let (u_total, u_v6) = users_by_day
-                .get(&day)
-                .map(|m| (m.len() as u64, m.values().filter(|&&v| v).count() as u64))
-                .unwrap_or((0, 0));
-            let (r_total, r_v6) = reqs_by_day.get(&day).copied().unwrap_or((0, 0));
+            let rows = day_rows(user_sample, day);
+            let (mut total, mut v6) = (0u64, 0u64);
+            for (&user, &ip) in users[rows.clone()].iter().zip(&ips[rows.clone()]) {
+                let flag = &mut flags[user as usize];
+                total += u64::from(*flag & SEEN == 0);
+                v6 += u64::from(ip.is_v6() && *flag & ON_V6 == 0);
+                *flag |= if ip.is_v6() { SEEN | ON_V6 } else { SEEN };
+            }
+            for &user in &users[rows] {
+                flags[user as usize] = 0;
+            }
+            let requests = &request_sample.ip_ids()[day_rows(request_sample, day)];
+            let requests_v6 = requests.iter().filter(|id| id.is_v6()).count();
             PrevalencePoint {
                 day,
-                user_share: if u_total == 0 {
-                    0.0
-                } else {
-                    u_v6 as f64 / u_total as f64
-                },
-                request_share: if r_total == 0 {
-                    0.0
-                } else {
-                    r_v6 as f64 / r_total as f64
-                },
+                user_share: share(v6, total),
+                request_share: share(requests_v6 as u64, requests.len() as u64),
             }
         })
         .collect()
@@ -273,6 +268,8 @@ pub fn client_patterns(index: &DatasetIndex) -> ClientPatterns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use ipv6_study_telemetry::{OwnedColumns, RequestRecord, UserId};
 
     fn cols(recs: &[RequestRecord]) -> OwnedColumns {
@@ -327,6 +324,99 @@ mod tests {
         );
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].user_share, 0.0);
+    }
+
+    /// The oracle: Figure 1 with a hash map of per-user flags and one of
+    /// request counters per day.
+    fn prevalence_series_oracle(
+        user_sample: ColumnSlice<'_>,
+        request_sample: ColumnSlice<'_>,
+        range: DateRange,
+    ) -> Vec<PrevalencePoint> {
+        let mut users_by_day: HashMap<SimDate, HashMap<u32, bool>> = HashMap::new();
+        for ((&ts, &user), &ip) in user_sample
+            .ts()
+            .iter()
+            .zip(user_sample.users_dense())
+            .zip(user_sample.ip_ids())
+        {
+            let d = ts.date();
+            if range.contains(d) {
+                let e = users_by_day
+                    .entry(d)
+                    .or_default()
+                    .entry(user)
+                    .or_insert(false);
+                *e |= ip.is_v6();
+            }
+        }
+        let mut reqs_by_day: HashMap<SimDate, (u64, u64)> = HashMap::new();
+        for (&ts, &ip) in request_sample.ts().iter().zip(request_sample.ip_ids()) {
+            let d = ts.date();
+            if range.contains(d) {
+                let e = reqs_by_day.entry(d).or_default();
+                e.0 += 1;
+                if ip.is_v6() {
+                    e.1 += 1;
+                }
+            }
+        }
+        range
+            .days()
+            .map(|day| {
+                let (u_total, u_v6) = users_by_day
+                    .get(&day)
+                    .map(|m| (m.len() as u64, m.values().filter(|&&v| v).count() as u64))
+                    .unwrap_or((0, 0));
+                let (r_total, r_v6) = reqs_by_day.get(&day).copied().unwrap_or((0, 0));
+                PrevalencePoint {
+                    day,
+                    user_share: if u_total == 0 {
+                        0.0
+                    } else {
+                        u_v6 as f64 / u_total as f64
+                    },
+                    request_share: if r_total == 0 {
+                        0.0
+                    } else {
+                        r_v6 as f64 / r_total as f64
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// The per-day flag sweep equals the hash-map oracle on random
+    /// timestamp-ordered samples: users on many days, dual-stack users,
+    /// days with no rows, and rows before and after the range.
+    #[test]
+    fn prevalence_matches_the_hash_map_oracle() {
+        use ipv6_study_stats::testgen::TestGen;
+        let mut g = TestGen::new(0x4631_5056); // "F1PV"
+        let range = DateRange::new(d(4, 10), d(4, 16));
+        for _ in 0..40 {
+            let sample = |g: &mut TestGen| {
+                let n = g.range_u64(0, 400) as usize;
+                let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| {
+                    let day = d(4, 8) + g.range_u64(0, 11) as u16;
+                    let ip = if g.below(3) == 0 {
+                        format!("2001:db8::{:x}", g.below(16))
+                    } else {
+                        format!("10.0.0.{}", g.below(16))
+                    };
+                    let mut r = rec(g.below(25), day, &ip, 1, "US");
+                    r.ts = day.at(g.below(24) as u8, g.below(60) as u8, 0);
+                    r
+                });
+                recs.sort_by_key(|r| r.ts);
+                cols(&recs)
+            };
+            let (users, reqs) = (sample(&mut g), sample(&mut g));
+            assert_eq!(
+                prevalence_series(users.as_slice(), reqs.as_slice(), range),
+                prevalence_series_oracle(users.as_slice(), reqs.as_slice(), range),
+            );
+        }
     }
 
     #[test]
@@ -461,7 +551,7 @@ mod tests {
             rec(3, day, "2001:db8::a1b2:c3d4:e5f6:1789", 1, "US"),
             rec(4, day, "2001:db8::ffff:c3d4:e5f6:2789", 1, "US"),
         ];
-        let p = client_patterns(&DatasetIndex::from_records(&recs));
+        let p = client_patterns(&DatasetIndex::by_user(cols(&recs).as_slice()));
         assert_eq!(p.v6_users, 4);
         assert!((p.transition_share - 0.25).abs() < 1e-12);
         assert!((p.mac_embedded_share - 0.25).abs() < 1e-12);
@@ -476,7 +566,7 @@ mod tests {
             rec(1, day, "2001:db8:1::211:22ff:fe33:4455", 1, "US"),
             rec(1, day, "2001:db8:2::aa11:22ff:fe33:9999", 1, "US"),
         ];
-        let p = client_patterns(&DatasetIndex::from_records(&recs));
+        let p = client_patterns(&DatasetIndex::by_user(cols(&recs).as_slice()));
         assert_eq!(p.iid_reuse_share, 0.0);
     }
 }

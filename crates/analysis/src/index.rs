@@ -1,34 +1,37 @@
-//! A per-window dataset index: the same columns re-ordered for group-by.
+//! A per-window dataset index: a window's rows grouped once, by user or by
+//! address.
 //!
 //! Every analysis in §4–§6 is a group-by over one windowed slice — per
-//! user, per address, or per prefix. The index gathers a window's columns
-//! into two key-sorted copies once per window, and the index is immutable
-//! so the parallel analysis engine can share it across worker threads.
+//! user (§5: addresses per user, life spans) or per address and prefix
+//! (§6: users per address, per prefix). An index holds exactly one of
+//! those groupings, and only the columns its groups are read by. It is
+//! immutable, so the parallel analysis engine shares it across worker
+//! threads.
 //!
 //! # Layout
 //!
-//! The index holds the window's **columns** twice, re-ordered:
+//! - [`DatasetIndex::by_user`]: rows stable-sorted by dense user id, so
+//!   each user's rows form one contiguous run, *in the window's
+//!   timestamp order within the run*. Per row it keeps the timestamp and
+//!   the address id; groups are [`UserGroup`]s.
+//! - [`DatasetIndex::by_address`]: rows stable-sorted by [`IpId`]. The id
+//!   packing (family bit, then per-family ascending address index) makes
+//!   the `u32` sort identical to sorting by full [`IpAddr`]: distinct
+//!   addresses never share a run, and all v6 addresses under a common
+//!   prefix are adjacent, so per-prefix analyses at any length are walks
+//!   over consecutive runs. Per row it keeps the dense user id; groups
+//!   are [`AddressGroup`]s.
 //!
-//! - `by_user`: stable-sorted by dense user id, so each user's rows form
-//!   one contiguous run, *in the original timestamp order within the run*;
-//! - `by_ip`: stable-sorted by [`IpId`]. The id packing (family bit, then
-//!   per-family ascending address index) makes the `u32` sort identical to
-//!   sorting by full [`IpAddr`]: distinct addresses never share a run, and
-//!   all v6 addresses under a common prefix are adjacent, so per-prefix
-//!   analyses at any length are walks over consecutive runs — at the
-//!   precomputed lengths (/64, /56, /48) they are walks over a precomputed
-//!   prefix-id column.
-//!
-//! Run boundaries are precomputed (`*_starts`), and the distinct-user /
-//! distinct-address tables fall out of the run keys for free. Groups are
-//! served as [`ColumnSlice`] windows: column access for the hot passes, a
-//! lazy [`records()`](ColumnSlice::records) cursor for the rest.
+//! Group keys (dense user ids, address ids) and run starts are `u32`;
+//! keys map to [`UserId`]s and [`IpAddr`]s through the shared intern
+//! tables when a pass asks for them. Asking an index for the grouping it
+//! does not hold panics, naming the one it holds.
 //!
 //! # Determinism
 //!
-//! [`DatasetIndex::build`] orders groups by ascending key with a stable
-//! radix sort, so every group keeps the input (timestamp) order. Because
-//! dense ids are assigned in ascending raw-key order (see
+//! Both constructors order groups by ascending key with a stable radix
+//! sort, so every group keeps the input (timestamp) order. Because dense
+//! ids are assigned in ascending raw-key order (see
 //! [`ipv6_study_telemetry::EntityTables`]), ascending-dense group order
 //! is exactly the ascending `UserId` / `IpAddr` order the row-oriented
 //! index produced. Hash-map grouping (the pre-index shape) is the oracle:
@@ -39,128 +42,177 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use ipv6_study_telemetry::columns::{ColumnSlice, ColumnStore};
+use ipv6_study_telemetry::columns::ColumnSlice;
 use ipv6_study_telemetry::intern::{EntityTables, IpId};
 use ipv6_study_telemetry::kernels::radix_sort_perm_u32;
-use ipv6_study_telemetry::{OwnedColumns, RequestRecord, UserId};
+use ipv6_study_telemetry::time::Timestamp;
+use ipv6_study_telemetry::UserId;
 
-/// An immutable group-by index over one windowed column slice.
-#[derive(Debug, Clone, Default)]
+/// An immutable group-by index over one windowed column slice, holding
+/// one grouping.
+#[derive(Debug, Clone)]
 pub struct DatasetIndex {
     tables: Arc<EntityTables>,
-    by_user: ColumnStore,
-    users: Vec<UserId>,
-    user_starts: Vec<usize>,
-    by_ip: ColumnStore,
-    ips: Vec<IpAddr>,
-    ip_ids: Vec<IpId>,
-    ip_starts: Vec<usize>,
+    grouping: Grouping,
 }
 
-/// Computes the permutation that stable-sorts a key column ascending —
-/// kept as the comparison-sort reference the radix path is tested
-/// against (see `sorted_radix_and_naive_perms_agree`).
-#[cfg(test)]
-fn sort_perm<K: Ord>(n: usize, key_at: impl Fn(usize) -> K) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.sort_by_key(|&i| key_at(i as usize));
-    perm
+/// The one grouping an index holds: run keys ascending, `starts[i]` the
+/// first row of run `i`, with a trailing sentinel (the row count).
+#[derive(Debug, Clone)]
+enum Grouping {
+    /// By dense user id: each row's timestamp and address id.
+    User {
+        keys: Vec<u32>,
+        starts: Vec<u32>,
+        ts: Vec<Timestamp>,
+        ips: Vec<IpId>,
+    },
+    /// By address id: each row's dense user id.
+    Address {
+        keys: Vec<IpId>,
+        starts: Vec<u32>,
+        users: Vec<u32>,
+    },
 }
 
-/// The reference permutation: hash-map buckets (append order = input
-/// order), groups concatenated in ascending key order.
-#[cfg(test)]
-fn naive_perm<K: Ord + Eq + std::hash::Hash + Copy>(
-    n: usize,
-    key_at: impl Fn(usize) -> K,
-) -> Vec<u32> {
-    let mut groups: std::collections::HashMap<K, Vec<u32>> = std::collections::HashMap::new();
-    for i in 0..n as u32 {
-        groups.entry(key_at(i as usize)).or_default().push(i);
+/// One user's rows of a user grouping, in window order.
+#[derive(Debug, Clone, Copy)]
+pub struct UserGroup<'a> {
+    ts: &'a [Timestamp],
+    ips: &'a [IpId],
+}
+
+impl<'a> UserGroup<'a> {
+    /// The rows' timestamps.
+    pub fn ts(&self) -> &'a [Timestamp] {
+        self.ts
     }
-    let mut keys: Vec<K> = groups.keys().copied().collect();
-    keys.sort_unstable();
-    let mut perm = Vec::with_capacity(n);
-    for k in &keys {
-        perm.extend_from_slice(&groups[k]);
-    }
-    perm
-}
 
-/// Gathers a window's columns through a permutation.
-fn gather(cols: ColumnSlice<'_>, perm: &[u32]) -> ColumnStore {
-    let at = |i: &u32| *i as usize;
-    ColumnStore {
-        ts: perm.iter().map(|i| cols.ts()[at(i)]).collect(),
-        ip: perm.iter().map(|i| cols.ip_ids()[at(i)]).collect(),
-        user: perm.iter().map(|i| cols.users_dense()[at(i)]).collect(),
+    /// The rows' interned address ids.
+    pub fn ip_ids(&self) -> &'a [IpId] {
+        self.ips
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ts.len()
+    }
+
+    /// True when the group holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ts.is_empty()
     }
 }
 
-/// Finds run boundaries in a key-sorted column. Returns the run keys and
-/// start offsets, with a trailing sentinel offset (`keys.len()`).
-fn runs<K: PartialEq + Copy>(col: &[K]) -> (Vec<K>, Vec<usize>) {
-    let mut keys = Vec::new();
-    let mut starts = Vec::new();
-    for (i, &k) in col.iter().enumerate() {
+/// One address's rows of an address grouping, in window order.
+#[derive(Debug, Clone, Copy)]
+pub struct AddressGroup<'a> {
+    users: &'a [u32],
+    tables: &'a EntityTables,
+}
+
+impl<'a> AddressGroup<'a> {
+    /// The rows' dense user ids.
+    pub fn users_dense(&self) -> &'a [u32] {
+        self.users
+    }
+
+    /// The intern tables the rows are encoded against.
+    pub fn tables(&self) -> &'a EntityTables {
+        self.tables
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.users.len()
+    }
+
+    /// True when the group holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.users.is_empty()
+    }
+}
+
+/// Gathers a column through a permutation.
+fn gather<T: Copy>(col: &[T], perm: &[u32]) -> Vec<T> {
+    perm.iter().map(|&i| col[i as usize]).collect()
+}
+
+/// Finds the runs of a key-sorted key stream. Returns the run keys and
+/// start offsets, with a trailing sentinel offset (the key count), each
+/// holding no spare capacity.
+fn runs<K: PartialEq + Copy>(sorted: impl Iterator<Item = K>) -> (Vec<K>, Vec<u32>) {
+    let (mut keys, mut starts) = (Vec::new(), Vec::new());
+    let mut n = 0u32;
+    for k in sorted {
         if keys.last() != Some(&k) {
             keys.push(k);
-            starts.push(i);
+            starts.push(n);
         }
+        n += 1;
     }
-    starts.push(col.len());
+    starts.push(n);
+    keys.shrink_to_fit();
+    starts.shrink_to_fit();
     (keys, starts)
 }
 
+/// The row range of run `i`.
+fn run(starts: &[u32], i: usize) -> std::ops::Range<usize> {
+    starts[i] as usize..starts[i + 1] as usize
+}
+
 impl DatasetIndex {
-    /// Builds the index: stable radix sorts of the window's dense user
-    /// and address ids.
-    pub fn build(cols: ColumnSlice<'_>) -> Self {
+    /// Groups `rows` by user: one stable radix sort of the dense user
+    /// ids, then a gather of the timestamps and the address ids.
+    pub fn by_user(rows: ColumnSlice<'_>) -> Self {
         // Stable LSB radix over the packed u32 keys: identical
         // permutation to a stable comparison sort (pinned by
         // `sorted_radix_and_naive_perms_agree`), at counting-sort cost.
-        let user_perm = radix_sort_perm_u32(cols.users_dense());
-        let ip_perm = radix_sort_perm_u32(cols.ip_ids());
-        Self::from_perms(cols, &user_perm, &ip_perm)
+        let users = rows.users_dense();
+        let perm = radix_sort_perm_u32(users);
+        let (keys, starts) = runs(perm.iter().map(|&i| users[i as usize]));
+        let grouping = Grouping::User {
+            keys,
+            starts,
+            ts: gather(rows.ts(), &perm),
+            ips: gather(rows.ip_ids(), &perm),
+        };
+        Self::with(rows, grouping)
     }
 
-    /// Builds the index from a row slice by interning a local table set —
-    /// the unit-test convenience path.
-    pub fn from_records(records: &[RequestRecord]) -> Self {
-        let owned = OwnedColumns::from_records(records);
-        Self::build(owned.as_slice())
+    /// Groups `rows` by address: one stable radix sort of the address
+    /// ids, then a gather of the dense user ids.
+    pub fn by_address(rows: ColumnSlice<'_>) -> Self {
+        let ips = rows.ip_ids();
+        let perm = radix_sort_perm_u32(ips);
+        let (keys, starts) = runs(perm.iter().map(|&i| ips[i as usize]));
+        let grouping = Grouping::Address {
+            keys,
+            starts,
+            users: gather(rows.users_dense(), &perm),
+        };
+        Self::with(rows, grouping)
     }
 
-    /// The index whose user and address groups the two permutations of
-    /// the window lay out.
-    fn from_perms(cols: ColumnSlice<'_>, user_perm: &[u32], ip_perm: &[u32]) -> Self {
-        let tables = cols.tables_arc();
-        let by_user = gather(cols, user_perm);
-        let (user_keys, user_starts) = runs(&by_user.user);
-        let users = user_keys.iter().map(|&d| tables.users.user(d)).collect();
-        let by_ip = gather(cols, ip_perm);
-        let (ip_ids, ip_starts) = runs(&by_ip.ip);
-        let ips = ip_ids.iter().map(|&id| tables.ips.addr(id)).collect();
+    fn with(rows: ColumnSlice<'_>, grouping: Grouping) -> Self {
         Self {
-            tables,
-            by_user,
-            users,
-            user_starts,
-            by_ip,
-            ips,
-            ip_ids,
-            ip_starts,
+            tables: rows.tables_arc(),
+            grouping,
         }
     }
 
     /// Number of records in the window.
     pub fn len(&self) -> usize {
-        self.by_user.len()
+        match &self.grouping {
+            Grouping::User { ts, .. } => ts.len(),
+            Grouping::Address { users, .. } => users.len(),
+        }
     }
 
     /// True when the window held no records.
     pub fn is_empty(&self) -> bool {
-        self.by_user.is_empty()
+        self.len() == 0
     }
 
     /// The intern tables the window is encoded against.
@@ -168,75 +220,93 @@ impl DatasetIndex {
         &self.tables
     }
 
-    /// The distinct users of the window, ascending (memoized).
-    pub fn distinct_users(&self) -> &[UserId] {
-        &self.users
-    }
-
-    /// The distinct source addresses of the window, ascending (memoized).
-    pub fn distinct_ips(&self) -> &[IpAddr] {
-        &self.ips
-    }
-
-    /// The distinct interned address ids of the window, ascending.
-    pub fn distinct_ip_ids(&self) -> &[IpId] {
-        &self.ip_ids
-    }
-
     /// Iterates `(user, group)` in ascending user order; rows within a
     /// group keep the window's timestamp order.
-    pub fn user_groups(&self) -> impl Iterator<Item = (UserId, ColumnSlice<'_>)> {
-        self.users.iter().enumerate().map(|(i, &u)| {
-            (
-                u,
-                self.by_user
-                    .slice(self.user_starts[i]..self.user_starts[i + 1], &self.tables),
-            )
+    ///
+    /// # Panics
+    /// On an index grouped by address.
+    pub fn user_groups(&self) -> impl ExactSizeIterator<Item = (UserId, UserGroup<'_>)> {
+        let Grouping::User {
+            keys,
+            starts,
+            ts,
+            ips,
+        } = &self.grouping
+        else {
+            panic!("the index holds the address grouping, not the user grouping");
+        };
+        keys.iter().enumerate().map(move |(i, &dense)| {
+            let rows = run(starts, i);
+            let group = UserGroup {
+                ts: &ts[rows.clone()],
+                ips: &ips[rows],
+            };
+            (self.tables.users.user(dense), group)
         })
     }
 
     /// Iterates `(address, group)` in ascending [`IpAddr`] order; rows
     /// within a group keep the window's timestamp order.
-    pub fn ip_groups(&self) -> impl Iterator<Item = (IpAddr, ColumnSlice<'_>)> {
-        self.ips.iter().enumerate().map(|(i, &ip)| {
-            (
-                ip,
-                self.by_ip
-                    .slice(self.ip_starts[i]..self.ip_starts[i + 1], &self.tables),
-            )
-        })
+    ///
+    /// # Panics
+    /// On an index grouped by user.
+    pub fn ip_groups(&self) -> impl ExactSizeIterator<Item = (IpAddr, AddressGroup<'_>)> {
+        self.ip_id_groups()
+            .map(|(id, group)| (self.tables.ips.addr(id), group))
     }
 
     /// Iterates `(address id, group)` in ascending [`IpId`] order — the
     /// column-native variant of [`DatasetIndex::ip_groups`] for passes
     /// that work over interned ids (prefix walks, radix tallies).
-    pub fn ip_id_groups(&self) -> impl Iterator<Item = (IpId, ColumnSlice<'_>)> {
-        self.ip_ids.iter().enumerate().map(|(i, &id)| {
-            (
-                id,
-                self.by_ip
-                    .slice(self.ip_starts[i]..self.ip_starts[i + 1], &self.tables),
-            )
+    ///
+    /// # Panics
+    /// On an index grouped by user.
+    pub fn ip_id_groups(&self) -> impl ExactSizeIterator<Item = (IpId, AddressGroup<'_>)> {
+        let Grouping::Address {
+            keys,
+            starts,
+            users,
+        } = &self.grouping
+        else {
+            panic!("the index holds the user grouping, not the address grouping");
+        };
+        keys.iter().enumerate().map(move |(i, &id)| {
+            let group = AddressGroup {
+                users: &users[run(starts, i)],
+                tables: &self.tables,
+            };
+            (id, group)
         })
     }
 
-    /// Heap bytes held by the index's gathered columns and run tables
-    /// (the run report's `run/analysis/index` bytes; shared intern tables
+    /// Heap bytes held by the grouping's columns and run tables (the run
+    /// report's `run/analysis/index` bytes; shared intern tables
     /// excluded).
     pub fn bytes(&self) -> usize {
-        self.by_user.bytes()
-            + self.by_ip.bytes()
-            + self.users.len() * std::mem::size_of::<UserId>()
-            + self.ips.len() * std::mem::size_of::<IpAddr>()
-            + self.ip_ids.len() * std::mem::size_of::<IpId>()
-            + (self.user_starts.len() + self.ip_starts.len()) * std::mem::size_of::<usize>()
+        fn held<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        match &self.grouping {
+            Grouping::User {
+                keys,
+                starts,
+                ts,
+                ips,
+            } => held(keys) + held(starts) + held(ts) + held(ips),
+            Grouping::Address {
+                keys,
+                starts,
+                users,
+            } => held(keys) + held(starts) + held(users),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipv6_study_telemetry::{Asn, Country, SimDate};
+    use ipv6_study_telemetry::{Asn, Country, OwnedColumns, RequestRecord, SimDate};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn rec(user: u64, hour: u8, minute: u8, ip: &str) -> RequestRecord {
         RequestRecord {
@@ -262,68 +332,100 @@ mod tests {
 
     #[test]
     fn groups_are_key_ascending_with_input_order_inside() {
-        let idx = DatasetIndex::from_records(&window());
+        let owned = OwnedColumns::from_records(&window());
+        let idx = DatasetIndex::by_user(owned.as_slice());
         assert_eq!(idx.len(), 6);
         assert!(!idx.is_empty());
-        assert_eq!(
-            idx.distinct_users(),
-            &[UserId(1), UserId(2), UserId(3)],
-            "users ascend"
-        );
         let groups: Vec<(UserId, usize)> = idx.user_groups().map(|(u, g)| (u, g.len())).collect();
         assert_eq!(groups, vec![(UserId(1), 2), (UserId(2), 1), (UserId(3), 3)]);
+        assert_eq!(idx.user_groups().len(), 3, "one group per distinct user");
         // Within user 3's run, timestamps ascend (stable sort).
         let g3 = idx.user_groups().find(|(u, _)| *u == UserId(3)).unwrap().1;
         assert!(g3.ts().windows(2).all(|w| w[0] <= w[1]));
-        // Groups rematerialize the original rows.
-        let g3_users: Vec<UserId> = g3.records().map(|r| r.user).collect();
-        assert_eq!(g3_users, vec![UserId(3); 3]);
+        let g3_ips: Vec<IpAddr> = g3
+            .ip_ids()
+            .iter()
+            .map(|&id| idx.tables().ips.addr(id))
+            .collect();
+        let a: IpAddr = "2001:db8:1::a".parse().unwrap();
+        assert_eq!(g3_ips, [a, "10.0.0.1".parse().unwrap(), a]);
+        assert_eq!(
+            idx.bytes(),
+            6 * 8 + 3 * 4 + 4 * 4,
+            "8 B a row, 4 B a key and a start"
+        );
 
         // IP groups: v4 sorts before v6 under IpAddr's order.
+        let idx = DatasetIndex::by_address(owned.as_slice());
+        assert_eq!(idx.len(), 6);
         let ips: Vec<IpAddr> = idx.ip_groups().map(|(ip, _)| ip).collect();
-        assert_eq!(ips, idx.distinct_ips());
         assert_eq!(ips[0], "10.0.0.1".parse::<IpAddr>().unwrap());
         assert!(ips.windows(2).all(|w| w[0] < w[1]));
         // Id order matches address order.
-        assert!(idx.distinct_ip_ids().windows(2).all(|w| w[0] < w[1]));
-        let shared = idx
-            .ip_groups()
-            .find(|(ip, _)| *ip == "2001:db8:1::a".parse::<IpAddr>().unwrap())
-            .unwrap();
-        assert_eq!(shared.1.len(), 3);
-        assert_eq!(idx.ip_id_groups().count(), idx.distinct_ips().len());
-        assert!(idx.bytes() > 0);
+        let ids: Vec<IpId> = idx.ip_id_groups().map(|(id, _)| id).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ids.len(), ips.len());
+        let shared = idx.ip_groups().find(|(ip, _)| *ip == a).unwrap().1;
+        let users: Vec<UserId> = shared
+            .users_dense()
+            .iter()
+            .map(|&d| shared.tables().users.user(d))
+            .collect();
+        assert_eq!(users, [UserId(3), UserId(2), UserId(3)], "window order");
+        assert_eq!(
+            idx.bytes(),
+            6 * 4 + 3 * 4 + 4 * 4,
+            "4 B a row, 4 B a key and a start"
+        );
     }
 
-    /// The index the hash-grouping oracle lays out.
-    fn build_naive(cols: ColumnSlice<'_>) -> DatasetIndex {
-        let n = cols.len();
-        let (user_col, ip_col) = (cols.users_dense(), cols.ip_ids());
-        let user_perm = naive_perm(n, |i| user_col[i]);
-        let ip_perm = naive_perm(n, |i| ip_col[i]);
-        DatasetIndex::from_perms(cols, &user_perm, &ip_perm)
-    }
-
+    /// Asking for the grouping an index does not hold panics, naming the
+    /// one it holds.
     #[test]
-    fn naive_and_sorted_paths_are_identical() {
-        let recs = window();
-        let owned = OwnedColumns::from_records(&recs);
-        let a = DatasetIndex::build(owned.as_slice());
-        let b = build_naive(owned.as_slice());
-        assert_eq!(a.by_user, b.by_user);
-        assert_eq!(a.users, b.users);
-        assert_eq!(a.user_starts, b.user_starts);
-        assert_eq!(a.by_ip, b.by_ip);
-        assert_eq!(a.ips, b.ips);
-        assert_eq!(a.ip_starts, b.ip_starts);
+    fn the_other_grouping_panics_naming_the_held_one() {
+        let owned = OwnedColumns::from_records(&window());
+        let message = |f: &dyn Fn() -> usize| {
+            let err = catch_unwind(AssertUnwindSafe(f)).expect_err("panics");
+            err.downcast_ref::<&str>().expect("a message").to_string()
+        };
+        let by_user = DatasetIndex::by_user(owned.as_slice());
+        let held = "the index holds the user grouping, not the address grouping";
+        assert_eq!(message(&|| by_user.ip_groups().count()), held);
+        assert_eq!(message(&|| by_user.ip_id_groups().count()), held);
+        let by_address = DatasetIndex::by_address(owned.as_slice());
+        let held = "the index holds the address grouping, not the user grouping";
+        assert_eq!(message(&|| by_address.user_groups().count()), held);
     }
 
-    /// The three grouping paths — radix permutation (the production
-    /// path), the old comparison-sort permutation, and naive
-    /// hash-grouping — must be byte-identical on seeded inputs
-    /// with heavy key duplication (which is what makes this a stability
-    /// check: within a duplicate run, all three must preserve input
-    /// order), and on empty / single-row windows.
+    /// Computes the permutation that stable-sorts a key column ascending
+    /// — the comparison-sort reference the radix path is tested against.
+    fn sort_perm<K: Ord + Copy>(col: &[K]) -> Vec<u32> {
+        let mut perm: Vec<u32> = (0..col.len() as u32).collect();
+        perm.sort_by_key(|&i| col[i as usize]);
+        perm
+    }
+
+    /// The reference grouping: hash-map buckets (append order = input
+    /// order) in ascending key order, each with its rows' `row` values.
+    fn naive_groups<K: Ord + Eq + std::hash::Hash + Copy, R>(
+        keys: &[K],
+        row: impl Fn(usize) -> R,
+    ) -> Vec<(K, Vec<R>)> {
+        let mut groups: std::collections::HashMap<K, Vec<R>> = std::collections::HashMap::new();
+        for (i, &k) in keys.iter().enumerate() {
+            groups.entry(k).or_default().push(row(i));
+        }
+        let mut groups: Vec<(K, Vec<R>)> = groups.into_iter().collect();
+        groups.sort_unstable_by_key(|&(k, _)| k);
+        groups
+    }
+
+    /// The radix permutation (the production path) equals the stable
+    /// comparison-sort permutation for both key columns, and both
+    /// groupings equal naive hash-grouping, on seeded inputs with heavy
+    /// key duplication (which is what makes this a stability check:
+    /// within a duplicate run, all must preserve input order), and on
+    /// empty / single-row windows.
     #[test]
     fn sorted_radix_and_naive_perms_agree() {
         use ipv6_study_stats::testgen::TestGen;
@@ -342,45 +444,41 @@ mod tests {
             });
             let owned = OwnedColumns::from_records(&recs);
             let cols = owned.as_slice();
+            let (users, ips, ts) = (cols.users_dense(), cols.ip_ids(), cols.ts());
 
             // Permutation level: radix == stable comparison sort.
-            let user_col = cols.users_dense();
-            let ip_col = cols.ip_ids();
             assert_eq!(
-                radix_sort_perm_u32(user_col),
-                sort_perm(n, |i| user_col[i]),
+                radix_sort_perm_u32(users),
+                sort_perm(users),
                 "user perm, n={n}"
             );
-            assert_eq!(
-                radix_sort_perm_u32(ip_col),
-                sort_perm(n, |i| ip_col[i]),
-                "ip perm, n={n}"
-            );
+            assert_eq!(radix_sort_perm_u32(ips), sort_perm(ips), "ip perm, n={n}");
 
-            // Index level: radix == hash-group oracle.
-            let a = DatasetIndex::build(cols);
-            let b = build_naive(cols);
-            assert_eq!(a.by_user, b.by_user, "by_user columns, n={n}");
-            assert_eq!(a.users, b.users);
-            assert_eq!(a.user_starts, b.user_starts);
-            assert_eq!(a.by_ip, b.by_ip, "by_ip columns, n={n}");
-            assert_eq!(a.ips, b.ips);
-            assert_eq!(a.ip_ids, b.ip_ids);
-            assert_eq!(a.ip_starts, b.ip_starts);
+            // Index level: each grouping == the hash-group oracle.
+            let tables = cols.tables();
+            let by_user: Vec<_> = DatasetIndex::by_user(cols)
+                .user_groups()
+                .map(|(u, g)| (tables.users.dense_of(u), g.ts().iter().zip(g.ip_ids())))
+                .map(|(u, rows)| (u, rows.map(|(&t, &i)| (t, i)).collect::<Vec<_>>()))
+                .collect();
+            assert_eq!(by_user, naive_groups(users, |i| (ts[i], ips[i])), "n={n}");
+            let by_address: Vec<_> = DatasetIndex::by_address(cols)
+                .ip_id_groups()
+                .map(|(id, g)| (id, g.users_dense().to_vec()))
+                .collect();
+            assert_eq!(by_address, naive_groups(ips, |i| users[i]), "n={n}");
         }
     }
 
     #[test]
     fn empty_window_is_safe() {
         let owned = OwnedColumns::from_records(&[]);
-        for idx in [
-            DatasetIndex::build(owned.as_slice()),
-            build_naive(owned.as_slice()),
-        ] {
-            assert!(idx.is_empty());
-            assert_eq!(idx.user_groups().count(), 0);
-            assert_eq!(idx.ip_groups().count(), 0);
-            assert!(idx.distinct_users().is_empty());
-        }
+        let by_user = DatasetIndex::by_user(owned.as_slice());
+        assert!(by_user.is_empty());
+        assert_eq!(by_user.user_groups().count(), 0);
+        let by_address = DatasetIndex::by_address(owned.as_slice());
+        assert!(by_address.is_empty());
+        assert_eq!(by_address.ip_groups().count(), 0);
+        assert_eq!(by_user.bytes() + by_address.bytes(), 2 * 4, "two sentinels");
     }
 }

@@ -5,24 +5,26 @@
 //! IP random sample (Figures 7–8) and the IPv6 prefix random samples
 //! (Figures 9–10), joined with abuse labels.
 //!
-//! All functions walk a [`DatasetIndex`]'s per-address runs. Because the
-//! index orders address ids by [`IpAddr`]'s total order (numeric within
-//! each family), every set of v6 addresses sharing a prefix is a
-//! *consecutive* range of runs — the per-prefix analyses aggregate
-//! neighboring runs over the intern table's **precomputed** /64 /56 /48
-//! prefix-id columns instead of building a per-prefix hash map, and user
-//! dedup happens on dense `u32` ids.
+//! The functions walk an address grouping's per-address runs (see
+//! [`DatasetIndex::by_address`]). Because the index orders address ids by
+//! [`IpAddr`]'s total order (numeric within each family), every set of v6
+//! addresses sharing a prefix is a *consecutive* range of runs — the
+//! per-prefix analyses aggregate neighboring runs over the intern table's
+//! **precomputed** /64 /56 /48 prefix-id columns instead of building a
+//! per-prefix hash map, and user dedup happens on dense `u32` ids. The
+//! one exception, [`users_per_prefix_by_user`], counts §6.2.3's
+//! user-sample members per prefix from a user grouping.
 
 use std::net::IpAddr;
 
 use ipv6_study_netaddr::Ipv6Prefix;
 use ipv6_study_stats::{Ecdf, StableHashMap};
-use ipv6_study_telemetry::{AbuseLabels, ColumnSlice, UserId};
+use ipv6_study_telemetry::{AbuseLabels, UserId};
 
-use crate::index::DatasetIndex;
+use crate::index::{AddressGroup, DatasetIndex};
 
 /// The distinct users of one address run (records keep one address).
-fn distinct_users_of(group: ColumnSlice<'_>) -> u64 {
+fn distinct_users_of(group: AddressGroup<'_>) -> u64 {
     let mut users: Vec<u32> = group.users_dense().to_vec();
     users.sort_unstable();
     users.dedup();
@@ -89,7 +91,7 @@ impl AbusePerIp {
 }
 
 /// Splits one run's users into (abusive, benign) distinct counts.
-fn split_users(group: ColumnSlice<'_>, labels: &AbuseLabels) -> (u64, u64) {
+fn split_users(group: AddressGroup<'_>, labels: &AbuseLabels) -> (u64, u64) {
     let mut users: Vec<u32> = group.users_dense().to_vec();
     users.sort_unstable();
     users.dedup();
@@ -198,6 +200,53 @@ pub fn users_per_prefix(index: &DatasetIndex, len: u8) -> UsersPerPrefix {
     }
 }
 
+/// Users per IPv6 prefix at each of `lengths`, counted from a user
+/// grouping (§6.2.3 counts user-sample members per prefix): each user's
+/// distinct v6 addresses give its distinct prefixes at every length, and
+/// the prefixes of all users at one length are sorted once, so a
+/// prefix's run is one entry per user holding it. Equal to
+/// [`users_per_prefix`] over an address grouping of the same rows.
+pub fn users_per_prefix_by_user(index: &DatasetIndex, lengths: &[u8]) -> Vec<UsersPerPrefix> {
+    let ips = &index.tables().ips;
+    let masks: Vec<u128> = lengths.iter().map(|&len| Ipv6Prefix::mask(len)).collect();
+    let mut per_len: Vec<Vec<u128>> = vec![Vec::new(); lengths.len()];
+    let mut ids = Vec::new();
+    for (_, group) in index.user_groups() {
+        ids.clear();
+        ids.extend(group.ip_ids().iter().filter(|id| id.is_v6()));
+        // Ids ascend with addresses, so masked bits ascend too and a
+        // user's repeats at a length are adjacent.
+        ids.sort_unstable();
+        ids.dedup();
+        for (&mask, prefixes) in masks.iter().zip(&mut per_len) {
+            let mut last = None;
+            for &id in &ids {
+                let bits = ips.v6_bits(id) & mask;
+                if last != Some(bits) {
+                    prefixes.push(bits);
+                    last = Some(bits);
+                }
+            }
+        }
+    }
+    lengths
+        .iter()
+        .zip(per_len)
+        .map(|(&len, mut prefixes)| {
+            prefixes.sort_unstable();
+            let mut counts: StableHashMap<Ipv6Prefix, u64> = StableHashMap::default();
+            for run in prefixes.chunk_by(|a, b| a == b) {
+                counts.insert(Ipv6Prefix::from_bits(run[0], len), run.len() as u64);
+            }
+            UsersPerPrefix {
+                len,
+                ecdf: Ecdf::from_values(counts.values().copied()),
+                counts,
+            }
+        })
+        .collect()
+}
+
 /// Populations in prefixes hosting abusive accounts (Figure 10) at one
 /// length.
 #[derive(Debug, Clone)]
@@ -243,7 +292,7 @@ pub fn users_per_v4_addr(index: &DatasetIndex) -> Ecdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipv6_study_telemetry::{AbuseInfo, Asn, Country, RequestRecord, SimDate};
+    use ipv6_study_telemetry::{AbuseInfo, Asn, Country, OwnedColumns, RequestRecord, SimDate};
 
     fn rec(user: u64, ip: &str) -> RequestRecord {
         RequestRecord {
@@ -256,7 +305,7 @@ mod tests {
     }
 
     fn idx(recs: &[RequestRecord]) -> DatasetIndex {
-        DatasetIndex::from_records(recs)
+        DatasetIndex::by_address(OwnedColumns::from_records(recs).as_slice())
     }
 
     fn labels_for(ids: &[u64]) -> AbuseLabels {
@@ -368,5 +417,41 @@ mod tests {
         let a = abuse_per_ip(&empty, &AbuseLabels::new());
         assert!(a.aa_v4.is_empty());
         assert_eq!(a.v6_isolated_share(), 0.0);
+    }
+
+    /// Counting from a user grouping equals walking an address grouping
+    /// of the same rows — the counts map and the ECDF — on random windows
+    /// of clustered v6 addresses (shared /112s, /64s and /48s) mixed with
+    /// v4 rows, at every length 0..=128.
+    #[test]
+    fn users_per_prefix_by_user_matches_the_address_walk() {
+        use ipv6_study_stats::testgen::TestGen;
+        let mut g = TestGen::new(0x4f36_3232); // "O622"
+        let lengths: Vec<u8> = (0..=128).collect();
+        for _ in 0..32 {
+            let n = g.range_u64(0, 300) as usize;
+            let recs: Vec<RequestRecord> = g.vec_of(n, |g| {
+                let ip = if g.below(4) == 0 {
+                    format!("10.0.0.{}", g.below(8))
+                } else {
+                    let site = (0x2001_0db8u128 << 96) | (g.below(3) as u128) << 80;
+                    let subnet = (g.below(4) as u128) << 64;
+                    let gateway = (g.below(3) as u128) << 16;
+                    let host = u128::from(g.below(4) as u16);
+                    std::net::Ipv6Addr::from(site | subnet | gateway | host).to_string()
+                };
+                rec(g.below(20), &ip)
+            });
+            let rows = OwnedColumns::from_records(&recs);
+            let by_user = DatasetIndex::by_user(rows.as_slice());
+            let by_address = DatasetIndex::by_address(rows.as_slice());
+            let counted = users_per_prefix_by_user(&by_user, &lengths);
+            for (&len, upp) in lengths.iter().zip(counted) {
+                let walked = users_per_prefix(&by_address, len);
+                assert_eq!(upp.len, len);
+                assert_eq!(upp.counts, walked.counts, "/{len}, {n} rows");
+                assert_eq!(upp.ecdf, walked.ecdf, "/{len}, {n} rows");
+            }
+        }
     }
 }

@@ -18,8 +18,9 @@
 //!   paper's claims that IPv4 addresses behave like IPv6 /48s (Figure 9) or
 //!   /56s (Figure 10) depending on the lens.
 //! - [`index`] — the shared [`index::DatasetIndex`]: one windowed record
-//!   slice re-ordered by user and by address with run boundaries, so the
-//!   group-by analyses are slice walks instead of per-pass hash grouping.
+//!   slice grouped once, by user or by address, with run boundaries, so
+//!   the group-by analyses are slice walks instead of per-pass hash
+//!   grouping.
 //! - [`report`] — plottable series/table types shared by the bench harness
 //!   and the `repro` binary.
 //!

@@ -97,8 +97,8 @@ pub struct AsnConcentration {
 
 /// Computes ASN concentration for heavy addresses.
 ///
-/// `counts` gives users per address; the index's address table supplies
-/// each address's ASN.
+/// `counts` gives users per address; the address grouping's keys are the
+/// window's addresses, and the intern table supplies each one's ASN.
 pub fn heavy_ip_asn_concentration<S: BuildHasher>(
     index: &DatasetIndex,
     counts: &HashMap<IpAddr, u64, S>,
@@ -107,11 +107,8 @@ pub fn heavy_ip_asn_concentration<S: BuildHasher>(
 ) -> AsnConcentration {
     let mut topk: TopK<u32> = TopK::new();
     let ips = &index.tables().ips;
-    for (&id, ip) in index.distinct_ip_ids().iter().zip(index.distinct_ips()) {
-        if id.is_v6() != want_v6 {
-            continue;
-        }
-        if counts.get(ip).is_some_and(|&c| c > threshold) {
+    for (id, _) in index.ip_id_groups().filter(|(id, _)| id.is_v6() == want_v6) {
+        if counts.get(&ips.addr(id)).is_some_and(|&c| c > threshold) {
             topk.add(ips.asn(id).0, 1);
         }
     }
@@ -275,8 +272,8 @@ mod tests {
         .into_iter()
         .map(|(s, c)| (s.parse().unwrap(), c))
         .collect();
-        let c =
-            heavy_ip_asn_concentration(&DatasetIndex::from_records(&records), &counts, 1000, true);
+        let index = DatasetIndex::by_address(OwnedColumns::from_records(&records).as_slice());
+        let c = heavy_ip_asn_concentration(&index, &counts, 1000, true);
         assert_eq!(c.asns, 2);
         assert_eq!(c.ranked[0], (Asn(20057), 2));
         assert!((c.top1_share - 2.0 / 3.0).abs() < 1e-12);

@@ -1,8 +1,9 @@
 //! §5 — user-centric behavior: the spatial and temporal properties of the
 //! addresses a user holds.
 //!
-//! All functions take a pre-windowed [`DatasetIndex`] (typically built over
-//! the user random sample for one day or one week) and an account filter so
+//! All functions take a pre-windowed [`DatasetIndex`] grouped by user (see
+//! [`DatasetIndex::by_user`]; typically built over the user random sample
+//! for one day or one week) and an account filter so
 //! the same code computes the benign-user figures (2, 4a, 5, 6a) and the
 //! abusive-account figures (3, 4b, 6b). Groupings are walks over the
 //! index's per-user runs, and the inner loops read interned id columns —
@@ -11,7 +12,7 @@
 //! order, the results are value-identical to the row-oriented versions.
 
 use ipv6_study_netaddr::{Ipv4Prefix, Ipv6Prefix};
-use ipv6_study_stats::{Ecdf, StableHashMap, StableHashSet};
+use ipv6_study_stats::{Ecdf, StableHashMap};
 use ipv6_study_telemetry::{IpId, SimDate, UserId};
 
 use crate::index::DatasetIndex;
@@ -34,12 +35,12 @@ pub struct AddrsPerUser {
 pub fn addrs_per_user(index: &DatasetIndex, filter: impl Fn(UserId) -> bool) -> AddrsPerUser {
     let mut v4_counts: StableHashMap<UserId, u64> = StableHashMap::default();
     let mut v6_counts: StableHashMap<UserId, u64> = StableHashMap::default();
+    // A user's address ids per family: reused across users.
+    let (mut v4, mut v6): (Vec<IpId>, Vec<IpId>) = Default::default();
     for (user, group) in index.user_groups() {
         if !filter(user) {
             continue;
         }
-        let mut v4: Vec<IpId> = Vec::new();
-        let mut v6: Vec<IpId> = Vec::new();
         for &id in group.ip_ids() {
             if id.is_v6() { &mut v6 } else { &mut v4 }.push(id);
         }
@@ -49,6 +50,7 @@ pub fn addrs_per_user(index: &DatasetIndex, filter: impl Fn(UserId) -> bool) -> 
             if !addrs.is_empty() {
                 counts.insert(user, addrs.len() as u64);
             }
+            addrs.clear();
         }
     }
     AddrsPerUser {
@@ -142,7 +144,7 @@ pub fn prefixes_per_user(
 }
 
 /// Life spans of (user, address) pairs present on a focus day (Figure 5).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifespanCdfs {
     /// Days since first observation, across all (user, v4 address) pairs.
     pub v4_pairs: Ecdf,
@@ -157,61 +159,62 @@ pub struct LifespanCdfs {
 /// Computes Figure 5. `history` must cover `[focus − lookback, focus]`;
 /// pairs observed on `focus` get a life span equal to days since their
 /// first appearance in the history (0 = first seen on the focus day).
+///
+/// One sort per user and family: a user's (address, day) rows up to the
+/// focus day are packed into `u64` words (address index above the day)
+/// and sorted once, so each address is one run whose first day is when
+/// the pair was first seen and whose last day says whether it was seen
+/// on the focus day.
 pub fn address_lifespans(
     history: &DatasetIndex,
     focus: SimDate,
     filter: impl Fn(UserId) -> bool,
 ) -> LifespanCdfs {
-    let mut v4_pairs: Vec<u64> = Vec::new();
-    let mut v6_pairs: Vec<u64> = Vec::new();
-    let mut v4_medians: Vec<u64> = Vec::new();
-    let mut v6_medians: Vec<u64> = Vec::new();
+    // Per family (v4, v6): every focus-day pair's span, and each user's
+    // median span.
+    let mut pairs: [Vec<u64>; 2] = Default::default();
+    let mut medians: [Vec<u64>; 2] = Default::default();
+    // A user's packed rows per family and its focus-day spans: reused
+    // across users.
+    let (mut rows, mut spans): ([Vec<u64>; 2], Vec<u64>) = Default::default();
     for (user, group) in history.user_groups() {
         if !filter(user) {
             continue;
         }
-        // First-seen date per address id of this user.
-        let mut first: StableHashMap<IpId, SimDate> = StableHashMap::default();
-        let mut on_focus: StableHashSet<IpId> = StableHashSet::default();
-        for (&ts, &id) in group.ts().iter().zip(group.ip_ids()) {
-            let d = ts.date();
-            if d > focus {
-                continue;
-            }
-            first
-                .entry(id)
-                .and_modify(|e| *e = (*e).min(d))
-                .or_insert(d);
-            if d == focus {
-                on_focus.insert(id);
+        for (&id, ts) in group.ip_ids().iter().zip(group.ts()) {
+            let day = ts.date();
+            let row = (id.index() as u64) << 16 | u64::from(day.index());
+            let rows = &mut rows[usize::from(id.is_v6())];
+            // Rows keep timestamp order, so repeats are mostly adjacent.
+            if day <= focus && rows.last() != Some(&row) {
+                rows.push(row);
             }
         }
-        let mut v4_spans: Vec<u64> = Vec::new();
-        let mut v6_spans: Vec<u64> = Vec::new();
-        for id in &on_focus {
-            let span = u64::from(focus.days_since(first[id]));
-            if id.is_v6() {
-                v6_spans.push(span);
-            } else {
-                v4_spans.push(span);
+        for ((rows, pairs), medians) in rows.iter_mut().zip(&mut pairs).zip(&mut medians) {
+            rows.sort_unstable();
+            spans.clear();
+            for run in rows.chunk_by(|a, b| a >> 16 == b >> 16) {
+                let (first, last) = (run[0] as u16, run[run.len() - 1] as u16);
+                if last == focus.index() {
+                    spans.push(u64::from(last - first));
+                }
             }
-        }
-        let take = |mut spans: Vec<u64>, pairs: &mut Vec<u64>, medians: &mut Vec<u64>| {
+            rows.clear();
             if spans.is_empty() {
-                return;
+                continue;
             }
             pairs.extend_from_slice(&spans);
             spans.sort_unstable();
             medians.push(spans[(spans.len() - 1) / 2]);
-        };
-        take(v4_spans, &mut v4_pairs, &mut v4_medians);
-        take(v6_spans, &mut v6_pairs, &mut v6_medians);
+        }
     }
+    let [v4_pairs, v6_pairs] = pairs.map(Ecdf::from_values);
+    let [v4_user_median, v6_user_median] = medians.map(Ecdf::from_values);
     LifespanCdfs {
-        v4_pairs: Ecdf::from_values(v4_pairs),
-        v6_pairs: Ecdf::from_values(v6_pairs),
-        v4_user_median: Ecdf::from_values(v4_medians),
-        v6_user_median: Ecdf::from_values(v6_medians),
+        v4_pairs,
+        v6_pairs,
+        v4_user_median,
+        v6_user_median,
     }
 }
 
@@ -311,7 +314,8 @@ fn share(count: u64, total: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipv6_study_telemetry::{Asn, Country, RequestRecord};
+    use ipv6_study_stats::StableHashSet;
+    use ipv6_study_telemetry::{Asn, Country, OwnedColumns, RequestRecord};
 
     fn rec(user: u64, day: SimDate, ip: &str) -> RequestRecord {
         RequestRecord {
@@ -328,7 +332,7 @@ mod tests {
     }
 
     fn idx(recs: &[RequestRecord]) -> DatasetIndex {
-        DatasetIndex::from_records(recs)
+        DatasetIndex::by_user(OwnedColumns::from_records(recs).as_slice())
     }
 
     #[test]
@@ -494,9 +498,9 @@ mod tests {
     }
 
     /// The sorted sweep equals the hash-map oracle on random mixed v4/v6
-    /// histories — clustered addresses that share prefixes at many
-    /// lengths, rows dated after the focus day, a filtered-out user — at
-    /// every length 0..=128 (v6) and 0..=32 (v4).
+    /// histories (`random_history`: clustered addresses that share
+    /// prefixes at many lengths) with a filtered-out user, at every length
+    /// 0..=128 (v6) and 0..=32 (v4).
     #[test]
     fn prefix_sweep_matches_the_hash_map_oracle() {
         use ipv6_study_stats::testgen::TestGen;
@@ -505,27 +509,8 @@ mod tests {
         let v6_lengths: Vec<u8> = (0..=128).collect();
         let v4_lengths: Vec<u8> = (0..=32).collect();
         for _ in 0..48 {
-            let n = g.range_u64(0, 400) as usize;
-            let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| {
-                let day = focus + 2 - g.range_u64(0, 9) as u16;
-                let ip = if g.below(3) == 0 {
-                    let host = 0x0a00_0000 | (g.below(4) as u32) << 16 | g.below(12) as u32;
-                    std::net::IpAddr::V4(host.into())
-                } else {
-                    let site = (0x2001_0db8u128 << 96) | (g.below(3) as u128) << 80;
-                    let subnet = (g.below(6) as u128) << 64;
-                    let iid = u128::from(g.next_u64() >> g.range_u8(0, 63));
-                    std::net::IpAddr::V6((site | subnet | iid).into())
-                };
-                RequestRecord {
-                    ts: day.at(g.below(24) as u8, 0, 0),
-                    user: UserId(g.below(12)),
-                    ip,
-                    asn: Asn(64496),
-                    country: Country::new("US"),
-                }
-            });
-            recs.sort_by_key(|r| r.ts);
+            let recs = random_history(&mut g, focus);
+            let n = recs.len();
             let index = idx(&recs);
             let filter = |u: UserId| u.raw() != 5;
             for (lengths, v6) in [(&v6_lengths, true), (&v4_lengths, false)] {
@@ -535,6 +520,117 @@ mod tests {
                     "v6={v6}, {n} rows"
                 );
             }
+        }
+    }
+
+    /// The oracle: Figure 5 with one hash map of first-seen days and one
+    /// hash set of focus-day addresses per user.
+    fn address_lifespans_oracle(
+        history: &DatasetIndex,
+        focus: SimDate,
+        filter: impl Fn(UserId) -> bool,
+    ) -> LifespanCdfs {
+        let mut v4_pairs: Vec<u64> = Vec::new();
+        let mut v6_pairs: Vec<u64> = Vec::new();
+        let mut v4_medians: Vec<u64> = Vec::new();
+        let mut v6_medians: Vec<u64> = Vec::new();
+        for (user, group) in history.user_groups() {
+            if !filter(user) {
+                continue;
+            }
+            let mut first: StableHashMap<IpId, SimDate> = StableHashMap::default();
+            let mut on_focus: StableHashSet<IpId> = StableHashSet::default();
+            for (&ts, &id) in group.ts().iter().zip(group.ip_ids()) {
+                let d = ts.date();
+                if d > focus {
+                    continue;
+                }
+                first
+                    .entry(id)
+                    .and_modify(|e| *e = (*e).min(d))
+                    .or_insert(d);
+                if d == focus {
+                    on_focus.insert(id);
+                }
+            }
+            let mut v4_spans: Vec<u64> = Vec::new();
+            let mut v6_spans: Vec<u64> = Vec::new();
+            for id in &on_focus {
+                let span = u64::from(focus.days_since(first[id]));
+                if id.is_v6() {
+                    v6_spans.push(span);
+                } else {
+                    v4_spans.push(span);
+                }
+            }
+            let take = |mut spans: Vec<u64>, pairs: &mut Vec<u64>, medians: &mut Vec<u64>| {
+                if spans.is_empty() {
+                    return;
+                }
+                pairs.extend_from_slice(&spans);
+                spans.sort_unstable();
+                medians.push(spans[(spans.len() - 1) / 2]);
+            };
+            take(v4_spans, &mut v4_pairs, &mut v4_medians);
+            take(v6_spans, &mut v6_pairs, &mut v6_medians);
+        }
+        LifespanCdfs {
+            v4_pairs: Ecdf::from_values(v4_pairs),
+            v6_pairs: Ecdf::from_values(v6_pairs),
+            v4_user_median: Ecdf::from_values(v4_medians),
+            v6_user_median: Ecdf::from_values(v6_medians),
+        }
+    }
+
+    /// A random mixed v4/v6 history in timestamp order: clustered
+    /// addresses, so they recur over days and share prefixes at many
+    /// lengths, and rows dated up to two days after the focus day.
+    fn random_history(
+        g: &mut ipv6_study_stats::testgen::TestGen,
+        focus: SimDate,
+    ) -> Vec<RequestRecord> {
+        let n = g.range_u64(0, 400) as usize;
+        let mut recs: Vec<RequestRecord> = g.vec_of(n, |g| {
+            let day = focus + 2 - g.range_u64(0, 9) as u16;
+            let ip = if g.below(3) == 0 {
+                let host = 0x0a00_0000 | (g.below(4) as u32) << 16 | g.below(12) as u32;
+                std::net::IpAddr::V4(host.into())
+            } else {
+                let site = (0x2001_0db8u128 << 96) | (g.below(3) as u128) << 80;
+                let subnet = (g.below(6) as u128) << 64;
+                let iid = u128::from(g.next_u64() >> g.range_u8(0, 63));
+                std::net::IpAddr::V6((site | subnet | iid).into())
+            };
+            RequestRecord {
+                ts: day.at(g.below(24) as u8, 0, 0),
+                user: UserId(g.below(12)),
+                ip,
+                asn: Asn(64496),
+                country: Country::new("US"),
+            }
+        });
+        recs.sort_by_key(|r| r.ts);
+        recs
+    }
+
+    /// The per-user sort equals the hash-map oracle on random histories,
+    /// with a filtered-out user: the same pair multisets and per-user
+    /// medians.
+    #[test]
+    fn address_lifespans_match_the_hash_map_oracle() {
+        use ipv6_study_stats::testgen::TestGen;
+        let mut g = TestGen::new(0x4635_4c53); // "F5LS"
+        let focus = d(4, 19);
+        for _ in 0..48 {
+            let recs = random_history(&mut g, focus);
+            let index = idx(&recs);
+            let filter = |u: UserId| u.raw() != 5;
+            assert_eq!(
+                address_lifespans(&index, focus, filter),
+                address_lifespans_oracle(&index, focus, filter),
+                "{} rows",
+                recs.len()
+            );
         }
     }
 }

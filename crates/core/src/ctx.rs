@@ -227,13 +227,19 @@ impl<'a> AnalysisCtx<'a> {
         self.plan.study.store(family).on_day(day)
     }
 
-    /// The index of a declared input, built by its first reader.
+    /// The index of a declared input, built by its first reader: the
+    /// user sample and the abuse stream grouped by user, every other
+    /// family by address.
     pub fn index_of(&self, family: Family, recipe: Recipe) -> &DatasetIndex {
         let (i, slot) = self.declared((family, recipe));
         slot.first.fetch_min(self.pass, Ordering::Relaxed);
         self.indexes[i].get_or_init(|| {
             let t = Instant::now();
-            let index = DatasetIndex::build(self.rows(family, recipe));
+            let rows = self.rows(family, recipe);
+            let index = match family {
+                Family::User | Family::Abuse => DatasetIndex::by_user(rows),
+                _ => DatasetIndex::by_address(rows),
+            };
             let _ = slot.built.set(build_span("", t, &index));
             index
         })
@@ -321,6 +327,38 @@ mod tests {
             let plan = Plan::new(&study, std::iter::once((id, inputs)));
             let declared: usize = plan.slots.iter().map(|s| s.rows.len()).sum();
             assert_eq!(pass(&plan.view(0)).input_records, declared as u64, "{id}");
+        }
+    }
+
+    /// Each registry input's index holds its family's grouping (the user
+    /// sample and the abuse stream by user, every other family by
+    /// address) over all of the input's rows; asking it for the other
+    /// grouping panics, naming the one it holds.
+    #[test]
+    fn each_input_is_indexed_in_its_familys_grouping() {
+        let study = Study::run(StudyConfig::tiny()).unwrap();
+        let ctx = AnalysisCtx::new(&study);
+        let registry = EXPERIMENTS.iter().chain(&EXTENDED_EXPERIMENTS);
+        for &(family, recipe) in registry.flat_map(|e| e.1.iter()) {
+            let input = name((family, recipe));
+            let index = ctx.index_of(family, recipe);
+            assert_eq!(index.len(), ctx.rows(family, recipe).len(), "{input}");
+            let by_user = catch_unwind(AssertUnwindSafe(|| index.user_groups().len()));
+            let by_address = catch_unwind(AssertUnwindSafe(|| index.ip_id_groups().len()));
+            let (held, other, message) = match family {
+                Family::User | Family::Abuse => {
+                    (by_user, by_address, "user grouping, not the address")
+                }
+                _ => (by_address, by_user, "address grouping, not the user"),
+            };
+            assert!(held.is_ok(), "{input} holds its family's grouping");
+            let err = other.expect_err("the other grouping panics");
+            let msg = err.downcast_ref::<&str>().expect("a message");
+            assert_eq!(
+                *msg,
+                format!("the index holds the {message} grouping"),
+                "{input}"
+            );
         }
     }
 

@@ -28,7 +28,8 @@ use ipv6_study_analysis::characterize::{
     RatioRow,
 };
 use ipv6_study_analysis::ip_centric::{
-    abuse_per_ip, abuse_per_prefix, users_per_ip, users_per_prefix, users_per_v4_addr,
+    abuse_per_ip, abuse_per_prefix, users_per_ip, users_per_prefix, users_per_prefix_by_user,
+    users_per_v4_addr,
 };
 use ipv6_study_analysis::outliers::{
     heavy_ip_asn_concentration, heavy_prefix_asn_concentration, outlier_user_prevalence_ratio,
@@ -153,9 +154,9 @@ pub fn fig1_prevalence(ctx: &AnalysisCtx) -> ExperimentOutput {
 pub fn tab1_asns(ctx: &AnalysisCtx) -> ExperimentOutput {
     let recs = ctx.rows(User, Week);
     // The paper requires ≥1k users per ASN, i.e. ~0.04% of its 2.6M
-    // sampled users; scale that floor to our sampled-user count. The
-    // distinct-user table is memoized on the shared focus-week index.
-    let distinct_users = ctx.user_week().distinct_users().len();
+    // sampled users; scale that floor to our sampled-user count: the
+    // groups of the shared focus-week index.
+    let distinct_users = ctx.user_week().user_groups().len();
     let min_users = ((distinct_users as f64) * 0.004).ceil().max(12.0) as u64;
     let rows = asn_ratio_table(recs, min_users);
     let mut out = ExperimentOutput::default();
@@ -190,7 +191,7 @@ pub fn tab1_asns(ctx: &AnalysisCtx) -> ExperimentOutput {
 pub fn tab2_countries(ctx: &AnalysisCtx) -> ExperimentOutput {
     let jan_recs = ctx.rows(User, JanWeek);
     let apr_recs = ctx.rows(User, Week);
-    let distinct_users = ctx.user_week().distinct_users().len();
+    let distinct_users = ctx.user_week().user_groups().len();
     let min_users = ((distinct_users as f64) * 0.004).ceil().max(12.0) as u64;
     let jan_rows = country_ratio_table(jan_recs, min_users);
     let apr_rows = country_ratio_table(apr_recs, min_users);
@@ -571,8 +572,9 @@ pub fn o61_ip_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
     // address's ASN from the address table.
     let index = ctx.ip_week();
     let ips = &index.tables().ips;
-    let asn_of: HashMap<_, _> = (index.distinct_ips().iter().zip(index.distinct_ip_ids()))
-        .map(|(&ip, &id)| (ip, ips.asn(id)))
+    let asn_of: HashMap<_, _> = index
+        .ip_id_groups()
+        .map(|(id, _)| (ips.addr(id), ips.asn(id)))
         .collect();
     let predictor = HeavyAddressPredictor::learn(&week.counts, &asn_of, heavy);
     let eval = predictor.evaluate(&week.counts, &asn_of, heavy);
@@ -615,13 +617,13 @@ pub fn fig10_aa_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
     // (a) abusive accounts per prefix.
     let lengths_a = [128u8, 64, 60, 56, 52];
     let mut fig_a = FigureReport::new("Figure 10a", "abusive accounts per prefix (1 week)");
-    let mut aa_candidates: Vec<(u8, Ecdf)> = Vec::new();
+    let mut panel_a = Vec::new();
     for len in lengths_a {
         let index = ctx.index_of(Prefix(len), Week);
         out.record_input(index.len());
         let app = abuse_per_prefix(index, ctx.labels(), len);
         fig_a = fig_a.with(cdf_series(&format!("/{len}"), &app.aa, 10));
-        aa_candidates.push((len, app.aa));
+        panel_a.push(app);
     }
     out.record_input(ctx.ip_week().len());
     let v4_view = abuse_per_ip(ctx.ip_week(), ctx.labels());
@@ -636,16 +638,21 @@ pub fn fig10_aa_per_prefix(ctx: &AnalysisCtx) -> ExperimentOutput {
     );
     let mut benign_candidates: Vec<(u8, Ecdf)> = Vec::new();
     for len in lengths_b {
-        let index = ctx.index_of(Prefix(len), Week);
-        if !lengths_a.contains(&len) {
-            out.record_input(index.len());
-        }
-        let app = abuse_per_prefix(index, ctx.labels(), len);
-        fig_b = fig_b.with(cdf_series(&format!("/{len}"), &app.benign, 10));
-        benign_candidates.push((len, app.benign));
+        // Panel (a)'s walk at a length the panels share.
+        let benign = match panel_a.iter().find(|app| app.len == len) {
+            Some(app) => app.benign.clone(),
+            None => {
+                let index = ctx.index_of(Prefix(len), Week);
+                out.record_input(index.len());
+                abuse_per_prefix(index, ctx.labels(), len).benign
+            }
+        };
+        fig_b = fig_b.with(cdf_series(&format!("/{len}"), &benign, 10));
+        benign_candidates.push((len, benign));
     }
     fig_b = fig_b.with(cdf_series("IPv4", &v4_view.benign_v4, 10));
     out.figures.push(fig_b);
+    let aa_candidates: Vec<(u8, Ecdf)> = panel_a.into_iter().map(|app| (app.len, app.aa)).collect();
 
     let single_at = |cands: &[(u8, Ecdf)], len: u8| {
         cands
@@ -681,24 +688,24 @@ pub fn o62_prefix_outliers(ctx: &AnalysisCtx) -> ExperimentOutput {
     let recs = ctx.rows(User, Week);
     let mut out = ExperimentOutput::default();
     out.record_input(recs.len());
-    let mut per_len = HashMap::new();
-    for len in [112u8, 64, 48] {
-        let upp = users_per_prefix(ctx.user_week(), len);
+    // Counted from the focus week's user grouping, one count per length.
+    let per_len = users_per_prefix_by_user(ctx.user_week(), &[112, 64, 48]);
+    let (upp112, upp64) = (&per_len[0], &per_len[1]);
+    for upp in &per_len {
+        let len = upp.len;
         let stats = tail_stats(&upp.counts, &[heavy_sampled]);
         let heavy = stats.above(heavy_sampled) as f64;
         out.stat(&format!("o62.heavy_p{len}_count"), heavy);
         out.stat(&format!("o62.max_users_p{len}"), stats.max as f64 / rate);
-        per_len.insert(len, upp);
     }
     // ASN concentration of heavy /64s (paper: M247 21%, top-4 61%).
-    let upp64 = &per_len[&64];
     let conc = heavy_prefix_asn_concentration(recs, &upp64.counts, heavy_sampled);
     out.stat("o62.heavy_p64_asns", conc.asns as f64);
     out.stat("o62.heavy_p64_top1_share", conc.top1_share);
     out.stat("o62.heavy_p64_top4_share", conc.top4_share);
     // The /112-equals-/64 gateway structure: the top /112's population
     // should rival the top /64's (the paper's "these /112 dominate").
-    let max112 = per_len[&112].counts.values().copied().max().unwrap_or(0);
+    let max112 = upp112.counts.values().copied().max().unwrap_or(0);
     let max64 = upp64.counts.values().copied().max().unwrap_or(0);
     out.stat(
         "o62.max112_over_max64",
@@ -1616,16 +1623,18 @@ mod tests {
         use ipv6_study_analysis::ip_centric::users_per_ip;
         use ipv6_study_telemetry::OwnedColumns;
         std::array::from_fn(|kind| {
-            let index = |rows: ColumnSlice<'_>| {
+            let kept = |rows: ColumnSlice<'_>| {
                 let kept = rows.records().filter(|r| kind_of(r.asn) == Some(kind));
-                DatasetIndex::build(OwnedColumns::encode_with(rows.tables_arc(), kept).as_slice())
+                OwnedColumns::encode_with(rows.tables_arc(), kept)
             };
-            let upi = users_per_ip(&index(ip_day));
+            let upi = users_per_ip(&DatasetIndex::by_address(kept(ip_day).as_slice()));
+            let user_day = DatasetIndex::by_user(kept(user_day).as_slice());
+            let history = DatasetIndex::by_user(kept(history).as_slice());
             KindStats {
                 v6_users_per_addr: upi.v6,
                 v4_users_per_addr: upi.v4,
-                v6_addrs_per_user: addrs_per_user(&index(user_day), &benign).v6,
-                v6_pairs: address_lifespans(&index(history), focus, &benign).v6_pairs,
+                v6_addrs_per_user: addrs_per_user(&user_day, &benign).v6,
+                v6_pairs: address_lifespans(&history, focus, &benign).v6_pairs,
             }
         })
     }
@@ -1681,7 +1690,8 @@ mod tests {
                 rows.slice(at(d)..at(d + 1))
             };
             let inputs = [day(focus - 2), day(focus), rows];
-            let [a, b, c] = inputs.map(DatasetIndex::build);
+            let a = DatasetIndex::by_address(inputs[0]);
+            let [b, c] = [inputs[1], inputs[2]].map(DatasetIndex::by_user);
             assert_eq!(
                 kind_breakdown([&a, &b, &c], focus, kind_of, benign),
                 kind_breakdown_oracle(inputs, focus, kind_of, benign),

@@ -22,7 +22,7 @@ fn main() {
     //    "feasibly predicted to avoid blocklisting and to handle through
     //    other means").
     let week = study.datasets().ip_sample.in_range(focus_week());
-    let upi = users_per_ip(&DatasetIndex::build(week));
+    let upi = users_per_ip(&DatasetIndex::by_address(week));
     let mut asn_of = HashMap::new();
     for r in week.records() {
         asn_of.entry(r.ip).or_insert(r.asn);

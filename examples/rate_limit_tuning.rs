@@ -16,15 +16,15 @@ fn main() {
     let study = Study::run(StudyConfig::test_scale()).expect("valid preset");
     let week = focus_week();
 
-    let per_ip = users_per_ip(&DatasetIndex::build(
+    let per_ip = users_per_ip(&DatasetIndex::by_address(
         study.datasets().ip_sample.in_range(week),
     ));
     let p64 = {
-        let idx = DatasetIndex::build(study.datasets().prefix_sample(64).in_range(week));
+        let idx = DatasetIndex::by_address(study.datasets().prefix_sample(64).in_range(week));
         users_per_prefix(&idx, 64).ecdf
     };
     let p48 = {
-        let idx = DatasetIndex::build(study.datasets().prefix_sample(48).in_range(week));
+        let idx = DatasetIndex::by_address(study.datasets().prefix_sample(48).in_range(week));
         users_per_prefix(&idx, 48).ecdf
     };
 

@@ -2,7 +2,7 @@
 //! registry renders byte-identical output at any `analysis_threads`
 //! count and matches the pre-engine serial output pinned by a golden
 //! digest, and every shared index window groups its rows exactly as
-//! hash-map grouping does.
+//! hash-map grouping does, in the grouping its family's index holds.
 //!
 //! See `crates/core/src/experiments.rs` for why this holds by
 //! construction (registry-indexed result slots, merge in registry order).
@@ -57,15 +57,16 @@ fn parallel_engine_matches_serial_at_every_thread_count() {
     }
 }
 
-/// The hash-grouping oracle: `rows` bucketed by `key` in window order,
-/// buckets in ascending key order.
-fn hash_groups<K: Ord + Hash + Copy>(
+/// The hash-grouping oracle: each row's `value`, bucketed by its `key`
+/// in window order, buckets in ascending key order.
+fn hash_groups<K: Ord + Hash + Copy, V>(
     rows: &[RequestRecord],
     key: impl Fn(&RequestRecord) -> K,
-) -> Vec<(K, Vec<RequestRecord>)> {
-    let mut groups: HashMap<K, Vec<RequestRecord>> = HashMap::new();
+    value: impl Fn(&RequestRecord) -> V,
+) -> Vec<(K, Vec<V>)> {
+    let mut groups: HashMap<K, Vec<V>> = HashMap::new();
     for r in rows {
-        groups.entry(key(r)).or_default().push(*r);
+        groups.entry(key(r)).or_default().push(value(r));
     }
     let mut groups: Vec<_> = groups.into_iter().collect();
     groups.sort_unstable_by_key(|&(k, _)| k);
@@ -73,15 +74,17 @@ fn hash_groups<K: Ord + Hash + Copy>(
 }
 
 /// Every shared window of the tiny study groups its rows exactly as the
-/// hash-grouping oracle does: user and address groups in ascending key
-/// order, each group's rows in window order.
+/// hash-grouping oracle does, in the one grouping its family's index
+/// holds: user windows by user, with each row's timestamp and address;
+/// address windows by address, with each row's user. Keys ascend, and
+/// each group's rows keep window order.
 #[test]
 fn naive_grouping_matches_the_sorted_index_path() {
     let study = tiny_study();
     let ctx = AnalysisCtx::new(&study);
     let d = study.datasets();
     let lookback = lookback_window(focus_day_user());
-    let windows = [
+    let by_user = [
         (
             "user_week",
             ctx.user_week(),
@@ -97,22 +100,41 @@ fn naive_grouping_matches_the_sorted_index_path() {
             ctx.user_lookback(),
             d.user_sample.in_range(lookback),
         ),
-        ("ip_day", ctx.ip_day(), d.ip_sample.on_day(focus_day_ip())),
-        ("ip_week", ctx.ip_week(), d.ip_sample.in_range(focus_week())),
         (
             "abuse_week",
             ctx.abuse_week(),
             study.abuse_store().in_range(focus_week()),
         ),
     ];
-    let rows_of = |g: ColumnSlice<'_>| g.records().collect::<Vec<_>>();
-    for (name, index, window) in windows {
+    let rows_of = |window: ColumnSlice<'_>| window.records().collect::<Vec<_>>();
+    for (name, index, window) in by_user {
         let rows = rows_of(window);
         assert!(!rows.is_empty(), "{name}: the window holds rows");
-        let users: Vec<_> = index.user_groups().map(|(u, g)| (u, rows_of(g))).collect();
-        assert_eq!(users, hash_groups(&rows, |r| r.user), "{name}: user groups");
-        let ips: Vec<_> = index.ip_groups().map(|(ip, g)| (ip, rows_of(g))).collect();
-        assert_eq!(ips, hash_groups(&rows, |r| r.ip), "{name}: address groups");
+        let ips = &index.tables().ips;
+        let groups: Vec<_> = index
+            .user_groups()
+            .map(|(u, g)| {
+                let addrs = g.ip_ids().iter().map(|&id| ips.addr(id));
+                (u, g.ts().iter().copied().zip(addrs).collect::<Vec<_>>())
+            })
+            .collect();
+        let oracle = hash_groups(&rows, |r| r.user, |r| (r.ts, r.ip));
+        assert_eq!(groups, oracle, "{name}: user groups");
+    }
+    let by_address = [
+        ("ip_day", ctx.ip_day(), d.ip_sample.on_day(focus_day_ip())),
+        ("ip_week", ctx.ip_week(), d.ip_sample.in_range(focus_week())),
+    ];
+    for (name, index, window) in by_address {
+        let rows = rows_of(window);
+        assert!(!rows.is_empty(), "{name}: the window holds rows");
+        let users = &index.tables().users;
+        let groups: Vec<_> = index
+            .ip_groups()
+            .map(|(ip, g)| (ip, g.users_dense().iter().map(|&u| users.user(u)).collect()))
+            .collect();
+        let oracle = hash_groups(&rows, |r| r.ip, |r| r.user);
+        assert_eq!(groups, oracle, "{name}: address groups");
     }
 }
 
